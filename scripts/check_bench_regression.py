@@ -12,11 +12,7 @@ quick run) against the recorded baseline in
   fresh run used the same suite configuration as the baseline (iteration
   counts depend on the benchmarked grid);
 * timing-derived speedups are machine-dependent and are only checked with
-  ``--check-timings`` (wide relative tolerance) — never in CI by default;
-* the batched-vs-per-row FSAI setup speedup is the one timing gated on every
-  kernels run, against the absolute :data:`SETUP_SPEEDUP_FLOOR` rather than
-  the baseline — eliminating the per-row Python loop is an algorithmic win
-  that holds on any machine.
+  ``--check-timings`` (wide relative tolerance) — never in CI by default.
 
 Solve-level suites (``BENCH_solver.json``, see :mod:`benchmarks.solver_bench`)
 are gated too — either pass ``--solver`` or point ``--bench`` at a solver
@@ -112,15 +108,7 @@ CONFIG_METRICS = {
 TIMING_METRICS = {
     "bench.spmv_speedup_largest": {"rel": 0.9},
     "bench.spmv_transpose_speedup_largest": {"rel": 0.9},
-    "bench.pcg_speedup": {"rel": 0.9},
-    "bench.setup_batched_speedup": {"rel": 0.9},
 }
-
-#: Absolute floor for the batched-vs-per-row FSAI setup speedup, gated on
-#: every kernels run (not just --check-timings): the batched path removes a
-#: Python-level per-row loop, so even small smoke grids clear this with a
-#: wide margin on any machine.
-SETUP_SPEEDUP_FLOOR = 1.3
 
 #: Suite configuration of the recorded baseline (quick smoke sizes).
 BASELINE_SIZES = (12, 16)
@@ -473,26 +461,6 @@ def main(argv=None) -> int:
                     f"serve floor: {name} {speedup:.2f}x >= "
                     f"{SERVE_SPEEDUP_FLOOR}x"
                 )
-    if kind == "kernels":
-        speedup = fresh.metrics.get("bench.setup_batched_speedup")
-        if speedup is None:
-            print(
-                "FAIL: fresh run is missing bench.setup_batched_speedup",
-                file=sys.stderr,
-            )
-            failed = True
-        elif speedup < SETUP_SPEEDUP_FLOOR:
-            print(
-                f"FAIL: batched FSAI setup speedup {speedup:.2f}x is below "
-                f"the {SETUP_SPEEDUP_FLOOR}x floor",
-                file=sys.stderr,
-            )
-            failed = True
-        else:
-            print(
-                f"setup floor: batched FSAI setup {speedup:.2f}x >= "
-                f"{SETUP_SPEEDUP_FLOOR}x"
-            )
     if failed:
         return 1
     print("OK: benchmark counters within tolerance of the baseline")

@@ -37,7 +37,6 @@ from repro.core.fsai import (
     FSAIOptions,
     SetupOptions,
     compute_g_values,
-    compute_g_values_per_row,
     fsai_factor,
     fsai_pattern,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "SetupOptions",
     "fsai_pattern",
     "compute_g_values",
-    "compute_g_values_per_row",
     "fsai_factor",
     "FSPAIOptions",
     "fspai_pattern",

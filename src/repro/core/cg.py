@@ -39,7 +39,6 @@ __all__ = [
     "pcg",
     "cg",
     "resolve_precond",
-    "resolve_workspace",
     "supports_workspace",
 ]
 
@@ -75,27 +74,11 @@ def resolve_precond(precond: PrecondLike) -> PrecondFn | None:
     )
 
 
-def resolve_workspace(
-    workspace: SolverWorkspace | bool | None, mat: DistMatrix
-) -> SolverWorkspace | None:
-    """Normalise the ``workspace=`` argument of the Krylov solvers.
-
-    ``None`` (the default) builds a fresh :class:`SolverWorkspace` for the
-    solve; ``False`` forces the legacy allocating path; an existing workspace
-    is reused (its plans and buffers carry over between solves).
-    """
-    if workspace is False:
-        return None
-    if workspace is None:
-        return SolverWorkspace(mat)
-    return workspace
-
-
 def supports_workspace(apply_m: PrecondFn | None) -> bool:
     """Whether a preconditioner callable accepts ``out=`` / ``workspace=``.
 
-    :meth:`Preconditioner.apply` does; legacy bare callables
-    ``z = M(r, tracker)`` keep working through the allocating call.
+    :meth:`Preconditioner.apply` does; bare callables ``z = M(r, tracker)``
+    are called as they are and return a fresh vector.
     """
     if apply_m is None:
         return False
@@ -104,6 +87,25 @@ def supports_workspace(apply_m: PrecondFn | None) -> bool:
     except (TypeError, ValueError):
         return False
     return "out" in params and "workspace" in params
+
+
+def _make_apply(precond_fn, ws, tracker):
+    """Preconditioner application closure shared by the Krylov solvers.
+
+    Routes through the workspace (fused, allocation-free) when the
+    preconditioner supports it; each distinct result buffer is named by the
+    caller so concurrently-live applications never alias.
+    """
+    fused = supports_workspace(precond_fn)
+
+    def apply_m(vec: DistVector, out_name: str) -> DistVector:
+        if precond_fn is None:
+            return ws.vector(out_name).copy_from(vec)
+        if fused:
+            return precond_fn(vec, tracker, out=ws.vector(out_name), workspace=ws)
+        return precond_fn(vec, tracker)
+
+    return apply_m
 
 
 #: Flight-recorder emission contract, parsed by :mod:`repro.observe.flight`.
@@ -236,7 +238,7 @@ def pcg(
     max_iterations: int = 50_000,
     tracker: CommTracker | None = None,
     raise_on_fail: bool = False,
-    workspace: SolverWorkspace | bool | None = None,
+    workspace: SolverWorkspace | None = None,
     resilience=None,
 ) -> CGResult:
     """Preconditioned CG on a distributed SPD matrix.
@@ -253,12 +255,9 @@ def pcg(
         Raise :class:`ConvergenceError` instead of returning an unconverged
         result.
     workspace:
-        A :class:`SolverWorkspace` to reuse across solves, ``None`` to build
-        one for this solve (the default — hot-loop iterations then perform
-        zero array allocations), or ``False`` for the legacy allocating path.
-        Workspace solves replay the legacy arithmetic bitwise on the
-        reduceat plan path; narrow-row (ELL-planned) operators agree to
-        rounding instead — see :mod:`repro.kernels.plan`.
+        A :class:`SolverWorkspace` to reuse across solves (its plans and
+        buffers carry over), or ``None`` to build one for this solve.
+        Either way hot-loop iterations perform zero array allocations.
     resilience:
         A :class:`repro.resilience.ResilienceConfig` activates
         checkpoint-restart: the recurrence state ``(x, r, d, rz)`` is
@@ -268,35 +267,26 @@ def pcg(
         replays deterministically.  ``None`` (the default) imports and
         checks nothing — the hot loop is unchanged.
     """
-    apply_m = resolve_precond(precond)
-    ws = resolve_workspace(workspace, mat)
-    fused = ws is not None and supports_workspace(apply_m)
+    precond_fn = resolve_precond(precond)
+    ws = workspace if workspace is not None else SolverWorkspace(mat)
+    apply_m = _make_apply(precond_fn, ws, tracker)
     tracer = get_tracer()
     metrics = get_metrics()
     with tracer.span("pcg.solve", ranks=mat.partition.nparts,
-                     preconditioned=apply_m is not None):
+                     preconditioned=precond_fn is not None):
         # x escapes in the result, so it is always freshly allocated
         x = DistVector.zeros(mat.partition)
-        r = ws.vector("pcg.r").copy_from(b) if ws is not None else b.copy()
+        r = ws.vector("pcg.r").copy_from(b)
         norm0 = r.norm2(tracker)
         history = [norm0]
         if norm0 == 0.0:
             return CGResult(x, 0, True, history)
         target = rtol * norm0
 
-        z_buf = ws.vector("pcg.z") if ws is not None else None
-        ad_buf = ws.vector("pcg.ad") if ws is not None else None
-
-        def _precond(rvec: DistVector) -> DistVector:
-            if apply_m is None:
-                return z_buf.copy_from(rvec) if z_buf is not None else rvec.copy()
-            if fused:
-                return apply_m(rvec, tracker, out=z_buf, workspace=ws)
-            return apply_m(rvec, tracker)
-
+        ad_buf = ws.vector("pcg.ad")
         with tracer.span("pcg.precond"):
-            z = _precond(r)
-        d = ws.vector("pcg.d").copy_from(z) if ws is not None else z.copy()
+            z = apply_m(r, "pcg.z")
+        d = ws.vector("pcg.d").copy_from(z)
         rz = r.dot(z, tracker)
         converged = False
         iterations = 0
@@ -342,10 +332,7 @@ def pcg(
                 ckpt.save(iterations, history[-1], rz, x, r, d)
             with tracer.span("pcg.iteration", index=iterations) as it_span:
                 with tracer.span("pcg.spmv"):
-                    if ws is not None:
-                        ad = ws.spmv(mat, d, out=ad_buf, tracker=tracker)
-                    else:
-                        ad = mat.spmv(d, tracker)
+                    ad = ws.spmv(mat, d, out=ad_buf, tracker=tracker)
                 with tracer.span("pcg.dot"):
                     dad = d.dot(ad, tracker)
                 if dad <= 0 or not np.isfinite(dad):
@@ -370,7 +357,7 @@ def pcg(
                     rz, iterations = _restore(state)
                     continue
                 with tracer.span("pcg.precond"):
-                    z = _precond(r)
+                    z = apply_m(r, "pcg.z")
                 with tracer.span("pcg.dot"):
                     rz_new = r.dot(z, tracker)
                 beta = rz_new / rz

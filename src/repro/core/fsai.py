@@ -18,18 +18,13 @@ binary search over the matrix structure (no Python-level per-row loop), and
 each group is solved with one batched ``linalg.solve`` call.  All array work
 runs through an :class:`repro.backend.ArrayBackend` namespace, so the same
 code drives NumPy today and CuPy when a device is present
-(:class:`SetupOptions` selects backend, dtype and batching).
-
-:func:`compute_g_values_per_row` keeps the historical one-small-system-per-
-row loop as a reference implementation for equivalence tests and the
-``setup_batched`` microbenchmark.  The ``parallel=`` thread-pool knob is
-deprecated: the batched setup replaces it (the pool measured ~0.98x — see
-docs/BACKENDS.md).
+(:class:`SetupOptions` selects backend and dtype).  The one-small-system-
+per-row loop this replaced lives on in ``tests/test_fsai.py`` as the oracle
+the batched solves are checked against.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +41,6 @@ __all__ = [
     "SetupOptions",
     "fsai_pattern",
     "compute_g_values",
-    "compute_g_values_per_row",
     "fsai_factor",
 ]
 
@@ -89,10 +83,9 @@ class FSAIOptions:
 
 @dataclass(frozen=True)
 class SetupOptions:
-    """How the FSAI values are computed — backend, precision, batching.
+    """How the FSAI values are computed — backend and precision.
 
-    Collects the runtime knobs of the setup phase (formerly the flat
-    ``parallel=`` surface) into one sub-config, carried by
+    The runtime knobs of the setup phase as one sub-config, carried by
     :class:`repro.core.precond.PrecondOptions` as ``setup=``.
 
     Attributes
@@ -108,15 +101,10 @@ class SetupOptions:
         ``"float64"`` (default) or ``"float32"``.  The returned ``G`` is
         always stored as float64 CSR; float32 trades last-bits accuracy for
         halved bandwidth during setup.
-    batched:
-        ``False`` routes to the per-row reference loop
-        (:func:`compute_g_values_per_row`) — equivalence testing and
-        benchmarking only; the batched path is strictly faster.
     """
 
     backend: str | ArrayBackend = "numpy"
     dtype: str = "float64"
-    batched: bool = True
 
     def __post_init__(self):
         if isinstance(self.dtype, type) and issubclass(self.dtype, np.generic):
@@ -143,31 +131,6 @@ def fsai_pattern(mat: CSRMatrix, options: FSAIOptions = FSAIOptions()) -> Sparsi
     return powered.lower().with_diagonal()
 
 
-def _consume_parallel(parallel) -> None:
-    """Validate and deprecate the legacy ``parallel=`` thread-pool knob.
-
-    The knob predates the batched setup and measured ~0.98x (thread-pool
-    overhead cancelled the GIL-released LAPACK calls).  It now warns and
-    routes to the batched implementation; worker counts are still validated
-    so old misuse keeps raising :class:`ValueError`.
-    """
-    if parallel is None or parallel is False:
-        return
-    if parallel is not True:
-        workers = int(parallel)
-        if workers < 1:
-            raise ValueError(
-                f"parallel must be a positive worker count, got {parallel}"
-            )
-    warnings.warn(
-        "parallel= is deprecated and ignored: FSAI setup is vectorised into "
-        "batched group solves (pass setup=SetupOptions(...) to configure "
-        "backend/dtype instead)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 def _check_pattern(mat: CSRMatrix, pattern: SparsityPattern) -> np.ndarray:
     """Shared structural validation; returns per-row pattern sizes."""
     n = mat.nrows
@@ -191,7 +154,6 @@ def compute_g_values(
     pattern: SparsityPattern,
     *,
     setup: SetupOptions | None = None,
-    parallel=None,
 ) -> CSRMatrix:
     """Step 3 of Alg. 1: fill in values of ``G`` on a lower-triangular pattern.
 
@@ -202,18 +164,11 @@ def compute_g_values(
     single batched ``linalg.solve`` call on the configured backend.
     Singular groups fall back to per-row solves with a tiny diagonal shift.
 
-    ``setup`` selects backend/dtype/batching (:class:`SetupOptions`); the
-    default computes in float64 on NumPy and matches the historical per-row
-    results to LAPACK rounding (see :func:`compute_g_values_per_row`).
-
-    .. deprecated::
-        ``parallel`` (the thread-pool fan-out) is ignored: the batched
-        implementation replaced it.  Passing it warns.
+    ``setup`` selects backend and dtype (:class:`SetupOptions`); the default
+    computes in float64 on NumPy and matches one dense solve per row to
+    LAPACK rounding (within 1e-12 on well-conditioned inputs).
     """
-    _consume_parallel(parallel)
     setup = setup if setup is not None else SetupOptions()
-    if not setup.batched:
-        return compute_g_values_per_row(mat, pattern, dtype=setup.np_dtype)
     row_sizes = _check_pattern(mat, pattern)
     n = mat.nrows
     backend = get_backend(setup.backend)
@@ -270,49 +225,6 @@ def compute_g_values(
     )
 
 
-def compute_g_values_per_row(
-    mat: CSRMatrix,
-    pattern: SparsityPattern,
-    *,
-    dtype: np.dtype | type = np.float64,
-) -> CSRMatrix:
-    """Reference implementation of step 3: one dense solve per row.
-
-    The historical (seed) setup path, kept verbatim as the baseline the
-    batched implementation is equivalence-tested and benchmarked against
-    (``setup_batched`` in ``BENCH_kernels.json``).  Produces the same ``G``
-    structure as :func:`compute_g_values`; values agree to LAPACK rounding
-    (within 1e-12 on well-conditioned fp64 inputs).
-    """
-    row_sizes = _check_pattern(mat, pattern)
-    n = mat.nrows
-    dtype = np.dtype(dtype)
-    data = np.empty(pattern.nnz, dtype=np.float64)
-    rhs_cache: dict[int, np.ndarray] = {}
-    for i in range(n):
-        lo, hi = int(pattern.indptr[i]), int(pattern.indptr[i + 1])
-        idx = pattern.indices[lo:hi]
-        k = int(row_sizes[i])
-        sub = mat.submatrix(idx, idx).astype(dtype, copy=False)
-        rhs = rhs_cache.get(k)
-        if rhs is None:
-            rhs = np.zeros(k, dtype=dtype)
-            rhs[k - 1] = 1.0
-            rhs_cache[k] = rhs
-        try:
-            y = np.linalg.solve(sub, rhs)
-            if not np.all(np.isfinite(y)) or y[k - 1] <= 0:
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            y = _solve_rows_guarded(
-                sub.astype(np.float64, copy=False)[None, :, :]
-            )[0].astype(dtype)
-        data[lo:hi] = y / np.sqrt(y[k - 1])
-    return CSRMatrix(
-        (n, n), pattern.indptr.copy(), pattern.indices.copy(), data, check=False
-    )
-
-
 def _solve_rows_guarded(subs: np.ndarray) -> np.ndarray:
     """Per-row fallback with escalating diagonal shifts (breakdown guard)."""
     m, k, _ = subs.shape
@@ -343,15 +255,12 @@ def fsai_factor(
     options: FSAIOptions = FSAIOptions(),
     *,
     setup: SetupOptions | None = None,
-    parallel=None,
 ) -> CSRMatrix:
     """Full Alg. 1: pattern, values, optional post-filter + recompute.
 
     Returns the lower-triangular factor ``G`` with ``GᵀG ≈ A⁻¹``.
-    ``setup`` follows the :func:`compute_g_values` contract; ``parallel``
-    is deprecated and ignored (batched setup).
+    ``setup`` follows the :func:`compute_g_values` contract.
     """
-    _consume_parallel(parallel)
     pattern = fsai_pattern(mat, options)
     g = compute_g_values(mat, pattern, setup=setup)
     if options.post_filter > 0.0:

@@ -25,7 +25,6 @@ factor, distribute) when tracing is enabled — see :mod:`repro.instrument`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +43,6 @@ from repro.core.filtering import (
 from repro.core.fsai import (
     FSAIOptions,
     SetupOptions,
-    _consume_parallel,
     compute_g_values,
     fsai_pattern,
 )
@@ -66,27 +64,8 @@ __all__ = [
     "check_comm_invariance",
 ]
 
-#: Legacy flat keywords forwarded into the ``fsai`` sub-config.
-_LEGACY_FSAI_KEYS = ("threshold", "level", "post_filter")
-#: Legacy flat keywords forwarded into the ``filter`` sub-config
-#: (``filter_value`` was the historical spelling of ``FilterSpec.value``).
-_LEGACY_FILTER_KEYS = {
-    "filter_value": "value",
-    "dynamic": "dynamic",
-    "band": "band",
-    "max_bisection": "max_bisection",
-}
-#: Legacy flat keywords forwarded into the ``setup`` sub-config.  ``parallel``
-#: maps to no field (the thread pool is gone); it is validated, warned about
-#: and dropped — the batched setup replaced it.
-_LEGACY_SETUP_KEYS = {
-    "backend": "backend",
-    "setup_dtype": "dtype",
-    "batched": "batched",
-}
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PrecondOptions:
     """Knobs of the preconditioner pipelines — the one options surface
     shared by :func:`build_fsai`, :func:`build_fsaie` and
@@ -104,17 +83,8 @@ class PrecondOptions:
         Extension filtering specification (value, static/dynamic); a
         :class:`repro.core.filtering.FilterSpec` sub-config.
     setup:
-        Runtime of the value computation (array backend, compute dtype,
-        batching); a :class:`repro.core.fsai.SetupOptions` sub-config.
-
-    Deprecated spellings (still accepted, with a :class:`DeprecationWarning`):
-    the flat FSAI keywords ``threshold`` / ``level`` / ``post_filter``
-    (forwarded into ``fsai``), the flat filter keywords ``filter_value`` /
-    ``dynamic`` / ``band`` / ``max_bisection`` (forwarded into ``filter``),
-    the flat setup keywords ``backend`` / ``setup_dtype`` / ``batched``
-    (forwarded into ``setup``), ``parallel`` (validated, then dropped — the
-    batched setup replaced the thread pool), and a bare float for ``filter``
-    (coerced to ``FilterSpec(value)``).
+        Runtime of the value computation (array backend, compute dtype); a
+        :class:`repro.core.fsai.SetupOptions` sub-config.
     """
 
     fsai: FSAIOptions = FSAIOptions()
@@ -122,81 +92,11 @@ class PrecondOptions:
     filter: FilterSpec = FilterSpec()
     setup: SetupOptions = SetupOptions()
 
-    def __init__(
-        self,
-        fsai: FSAIOptions | None = None,
-        line_bytes: int = 64,
-        filter: FilterSpec | float | None = None,
-        setup: SetupOptions | None = None,
-        **legacy,
-    ):
-        fsai_kw: dict = {}
-        filter_kw: dict = {}
-        setup_kw: dict = {}
-        for key, val in legacy.items():
-            if key in _LEGACY_FSAI_KEYS:
-                fsai_kw[key] = val
-            elif key in _LEGACY_FILTER_KEYS:
-                filter_kw[_LEGACY_FILTER_KEYS[key]] = val
-            elif key in _LEGACY_SETUP_KEYS:
-                setup_kw[_LEGACY_SETUP_KEYS[key]] = val
-            elif key == "parallel":
-                _consume_parallel(val)
-            else:
-                raise TypeError(
-                    f"PrecondOptions got an unexpected keyword argument {key!r}"
-                )
-        if fsai_kw:
-            warnings.warn(
-                f"flat FSAI keywords {sorted(fsai_kw)} are deprecated; pass "
-                "fsai=FSAIOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
+    def __post_init__(self):
+        if not isinstance(self.filter, FilterSpec):
+            raise TypeError(
+                f"filter must be a FilterSpec, got {type(self.filter).__name__}"
             )
-            if fsai is not None:
-                raise ValueError(
-                    "pass FSAI settings either via fsai= or the flat legacy "
-                    "keywords, not both"
-                )
-            fsai = FSAIOptions(**fsai_kw)
-        if filter_kw:
-            warnings.warn(
-                f"flat filter keywords {sorted(filter_kw)} are deprecated; "
-                "pass filter=FilterSpec(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if setup_kw:
-            warnings.warn(
-                f"flat setup keywords {sorted(setup_kw)} are deprecated; pass "
-                "setup=SetupOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if setup is not None:
-                raise ValueError(
-                    "pass setup settings either via setup= or the flat legacy "
-                    "keywords, not both"
-                )
-            setup = SetupOptions(**setup_kw)
-        if isinstance(filter, (int, float)) and not isinstance(filter, bool):
-            warnings.warn(
-                "filter=<number> is deprecated; pass filter=FilterSpec(value)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            filter = FilterSpec(float(filter), **filter_kw)
-        elif filter is None:
-            filter = FilterSpec(**filter_kw)
-        elif filter_kw:
-            raise ValueError(
-                "pass filter settings either via filter= or the flat legacy "
-                "keywords, not both"
-            )
-        object.__setattr__(self, "fsai", fsai if fsai is not None else FSAIOptions())
-        object.__setattr__(self, "line_bytes", int(line_bytes))
-        object.__setattr__(self, "filter", filter)
-        object.__setattr__(self, "setup", setup if setup is not None else SetupOptions())
 
 
 def _coerce_options(options: PrecondOptions | None, overrides: dict) -> PrecondOptions:
@@ -283,8 +183,6 @@ def build_fsai(
     mat: CSRMatrix,
     partition: RowPartition,
     options: PrecondOptions | None = None,
-    *,
-    parallel=None,
     **overrides,
 ) -> Preconditioner:
     """Baseline FSAI preconditioner (Alg. 1), distributed by rows.
@@ -293,10 +191,8 @@ def build_fsai(
     fields as keyword arguments (``build_fsai(A, part, fsai=FSAIOptions(level=2))``).
     The factor values are computed as batched row-group solves on the array
     backend selected by ``options.setup`` — see
-    :func:`repro.core.fsai.compute_g_values`.  ``parallel`` (the legacy
-    thread-pool knob) is deprecated and ignored.
+    :func:`repro.core.fsai.compute_g_values`.
     """
-    _consume_parallel(parallel)
     options = _coerce_options(options, overrides)
     tracer = get_tracer()
     with tracer.span("precond.build", method="FSAI"):
@@ -314,16 +210,13 @@ def build_fsaie(
     mat: CSRMatrix,
     partition: RowPartition,
     options: PrecondOptions | None = None,
-    *,
-    parallel=None,
     **overrides,
 ) -> Preconditioner:
     """FSAIE: cache-friendly extension of local entries only (Alg. 2).
 
     Shares the :class:`PrecondOptions` surface (including the ``setup``
-    sub-config) of :func:`build_fsai`; ``parallel`` is deprecated.
+    sub-config) of :func:`build_fsai`.
     """
-    _consume_parallel(parallel)
     options = _coerce_options(options, overrides)
     return _build_extended("FSAIE", mat, partition, options, ExtensionMode.LOCAL)
 
@@ -332,16 +225,13 @@ def build_fsaie_comm(
     mat: CSRMatrix,
     partition: RowPartition,
     options: PrecondOptions | None = None,
-    *,
-    parallel=None,
     **overrides,
 ) -> Preconditioner:
     """FSAIE-Comm: communication-aware local + halo extension (Alg. 3).
 
     Shares the :class:`PrecondOptions` surface (including the ``setup``
-    sub-config) of :func:`build_fsai`; ``parallel`` is deprecated.
+    sub-config) of :func:`build_fsai`.
     """
-    _consume_parallel(parallel)
     options = _coerce_options(options, overrides)
     return _build_extended("FSAIE-Comm", mat, partition, options, ExtensionMode.COMM)
 
@@ -366,9 +256,7 @@ class ExtensionWorkspace:
         line_bytes: int = 64,
         fsai: FSAIOptions = FSAIOptions(),
         setup: SetupOptions | None = None,
-        parallel=None,
     ):
-        _consume_parallel(parallel)
         self.name = name
         self.mat = mat
         self.partition = partition

@@ -15,9 +15,8 @@ from repro.core.cg import (
     CGResult,
     PrecondLike,
     _FlightProbe,
+    _make_apply,
     resolve_precond,
-    resolve_workspace,
-    supports_workspace,
 )
 from repro.dist.matrix import DistMatrix
 from repro.dist.vector import DistVector
@@ -29,27 +28,6 @@ from repro.mpisim.tracker import CommTracker
 __all__ = ["bicgstab", "steepest_descent", "pipelined_pcg"]
 
 
-def _make_apply(precond_fn, ws, tracker):
-    """Preconditioner application closure shared by the solvers here.
-
-    Routes through the workspace (fused, allocation-free) when both the
-    workspace and the preconditioner support it; each distinct result buffer
-    is named by the caller so concurrently-live applications never alias.
-    """
-    fused = ws is not None and supports_workspace(precond_fn)
-
-    def apply_m(vec: DistVector, out_name: str) -> DistVector:
-        if precond_fn is None:
-            if ws is not None:
-                return ws.vector(out_name).copy_from(vec)
-            return vec.copy()
-        if fused:
-            return precond_fn(vec, tracker, out=ws.vector(out_name), workspace=ws)
-        return precond_fn(vec, tracker)
-
-    return apply_m
-
-
 def bicgstab(
     mat: DistMatrix,
     b: DistVector,
@@ -59,7 +37,7 @@ def bicgstab(
     max_iterations: int = 50_000,
     tracker: CommTracker | None = None,
     raise_on_fail: bool = False,
-    workspace: SolverWorkspace | bool | None = None,
+    workspace: SolverWorkspace | None = None,
 ) -> CGResult:
     """Right-preconditioned BiCGSTAB (van der Vorst 1992).
 
@@ -68,15 +46,14 @@ def bicgstab(
     nonsymmetric SPAI ``M`` is admissible.  ``precond`` accepts a
     preconditioner object (anything with ``.apply``) or a bare callable, like
     :func:`repro.core.cg.pcg`, and the same result type is returned.
-    ``workspace`` follows the :func:`repro.core.cg.pcg` contract (``False``
-    for the legacy allocating path); arithmetic is identical either way.
+    ``workspace`` follows the :func:`repro.core.cg.pcg` contract.
     """
     precond_fn = resolve_precond(precond)
-    ws = resolve_workspace(workspace, mat)
+    ws = workspace if workspace is not None else SolverWorkspace(mat)
     apply_m = _make_apply(precond_fn, ws, tracker)
 
     x = DistVector.zeros(mat.partition)
-    r = ws.vector("bicgstab.r").copy_from(b) if ws is not None else b.copy()
+    r = ws.vector("bicgstab.r").copy_from(b)
     norm0 = r.norm2(tracker)
     history = [norm0]
     if norm0 == 0.0:
@@ -84,14 +61,11 @@ def bicgstab(
     target = rtol * norm0
 
     # shadow residual
-    r_hat = ws.vector("bicgstab.r_hat").copy_from(r) if ws is not None else r.copy()
+    r_hat = ws.vector("bicgstab.r_hat").copy_from(r)
     rho = alpha = omega = 1.0
-    v = ws.vector("bicgstab.v") if ws is not None else DistVector.zeros(mat.partition)
-    p = ws.vector("bicgstab.p") if ws is not None else DistVector.zeros(mat.partition)
-    if ws is not None:
-        v.fill(0.0)
-        p.fill(0.0)
-        s = ws.vector("bicgstab.s")
+    v = ws.vector("bicgstab.v").fill(0.0)
+    p = ws.vector("bicgstab.p").fill(0.0)
+    s = ws.vector("bicgstab.s")
     converged = False
     iterations = 0
     tracer = get_tracer()
@@ -110,7 +84,7 @@ def bicgstab(
             if rho_new == 0.0 or not np.isfinite(rho_new):
                 break  # breakdown
             if iterations == 0:
-                p = p.copy_from(r) if ws is not None else r.copy()
+                p.copy_from(r)
             else:
                 beta = (rho_new / rho) * (alpha / omega)
                 # p = r + beta (p − ω v)
@@ -118,21 +92,16 @@ def bicgstab(
                 p.xpay(r, beta)
             rho = rho_new
             y = apply_m(p, "bicgstab.y")
-            if ws is not None:
-                v = ws.spmv(mat, y, out=v, tracker=tracker)
-            else:
-                v = mat.spmv(y, tracker)
+            ws.spmv(mat, y, out=v, tracker=tracker)
             denom = r_hat.dot(v, tracker)
             if denom == 0.0 or not np.isfinite(denom):
                 break
             alpha = rho / denom
-            if ws is not None:
-                s.copy_from(r).axpy(-alpha, v)
-            else:
-                s = r.copy().axpy(-alpha, v)
-            if s.norm2(tracker) <= target:
+            s.copy_from(r).axpy(-alpha, v)
+            s_norm = s.norm2(tracker)
+            if s_norm <= target:
                 x.axpy(alpha, y)
-                history.append(s.norm2(tracker))
+                history.append(s_norm)
                 if probe is not None:
                     probe.iteration(iterations, history[-1], x, alpha=alpha, omega=omega)
                 iterations += 1
@@ -140,20 +109,14 @@ def bicgstab(
                 converged = True
                 break
             z = apply_m(s, "bicgstab.z")
-            if ws is not None:
-                t = ws.spmv(mat, z, out=ws.vector("bicgstab.t"), tracker=tracker)
-            else:
-                t = mat.spmv(z, tracker)
+            t = ws.spmv(mat, z, out=ws.vector("bicgstab.t"), tracker=tracker)
             tt = t.dot(t, tracker)
             if tt == 0.0:
                 break
             omega = t.dot(s, tracker) / tt
             x.axpy(alpha, y)
             x.axpy(omega, z)
-            if ws is not None:
-                r.copy_from(s).axpy(-omega, t)
-            else:
-                r = s.copy().axpy(-omega, t)
+            r.copy_from(s).axpy(-omega, t)
             history.append(r.norm2(tracker))
             if probe is not None:
                 probe.iteration(iterations, history[-1], x, alpha=alpha, omega=omega)
@@ -222,8 +185,7 @@ def pipelined_pcg(
     rtol: float = 1e-8,
     max_iterations: int = 50_000,
     tracker: CommTracker | None = None,
-    workspace: SolverWorkspace | bool | None = None,
-    overlap: bool = False,
+    workspace: SolverWorkspace | None = None,
 ) -> CGResult:
     """Pipelined preconditioned CG (Ghysels & Vanroose 2014).
 
@@ -237,20 +199,12 @@ def pipelined_pcg(
 
     ``precond`` accepts a preconditioner object (anything with ``.apply``)
     or a bare callable, like :func:`repro.core.cg.pcg`; ``workspace`` follows
-    the :func:`repro.core.cg.pcg` contract (``False`` for the legacy
-    allocating path) with identical arithmetic.
-
-    ``overlap=True`` routes every SpMV through the split-block overlapped
-    product (:meth:`~repro.dist.matrix.DistMatrix.spmv` with
-    ``overlap=True``): halo receives are posted before the local-block
-    compute, the ordering that hides halo latency on a real transport (see
-    :func:`repro.dist.spmd.spmd_pipelined_pcg` for the message-passing
-    run).  Communication is byte-identical; iterates agree to roundoff
-    (split rows accumulate in a different order), and the overlapped SpMV
-    takes the allocating path.
+    the :func:`repro.core.cg.pcg` contract.  The message-passing run that
+    really overlaps halo traffic with the local-block product is
+    :func:`repro.dist.spmd.spmd_pipelined_pcg`.
     """
     precond_fn = resolve_precond(precond)
-    ws = resolve_workspace(workspace, mat)
+    ws = workspace if workspace is not None else SolverWorkspace(mat)
     apply_m = _make_apply(precond_fn, ws, tracker)
 
     def fused_dots(*pairs: tuple[DistVector, DistVector]) -> list[float]:
@@ -260,18 +214,17 @@ def pipelined_pcg(
             for x_, y_ in pairs
         ]
         if tracker is not None:
-            tracker.record_collective("allreduce", 8 * len(pairs))
+            # 8 bytes per scalar per rank, as DistVector.dot books them
+            tracker.record_collective(
+                "allreduce", 8 * mat.partition.nparts * len(pairs)
+            )
         return partials
 
     def spmv(vec: DistVector, out_name: str) -> DistVector:
-        if overlap:
-            return mat.spmv(vec, tracker, overlap=True)
-        if ws is not None:
-            return ws.spmv(mat, vec, out=ws.vector(out_name), tracker=tracker)
-        return mat.spmv(vec, tracker)
+        return ws.spmv(mat, vec, out=ws.vector(out_name), tracker=tracker)
 
     x = DistVector.zeros(mat.partition)
-    r = ws.vector("ppcg.r").copy_from(b) if ws is not None else b.copy()
+    r = ws.vector("ppcg.r").copy_from(b)
     (norm0_sq,) = fused_dots((b, b))
     norm0 = float(np.sqrt(max(norm0_sq, 0.0)))
     history = [norm0]
@@ -285,16 +238,10 @@ def pipelined_pcg(
     m_w = apply_m(w, "ppcg.m_w")
     n_vec = spmv(m_w, "ppcg.n")
 
-    if ws is not None:
-        z = ws.vector("ppcg.z").copy_from(n_vec)
-        q = ws.vector("ppcg.q").copy_from(m_w)
-        p = ws.vector("ppcg.p").copy_from(u)
-        s = ws.vector("ppcg.s").copy_from(w)
-    else:
-        z = n_vec.copy()
-        q = m_w.copy()
-        p = u.copy()
-        s = w.copy()
+    z = ws.vector("ppcg.z").copy_from(n_vec)
+    q = ws.vector("ppcg.q").copy_from(m_w)
+    p = ws.vector("ppcg.p").copy_from(u)
+    s = ws.vector("ppcg.s").copy_from(w)
     alpha = gamma / delta if delta != 0 else 0.0
     converged = False
     iterations = 0
@@ -334,19 +281,12 @@ def pipelined_pcg(
             denom = delta - beta * gamma / alpha if alpha != 0 else delta
             alpha = gamma / denom if denom != 0 else 0.0
             # pipelined recurrences replace the d-vector update of standard CG
-            # (in the workspace path xpay(v, beta) computes the same
-            # v + beta·self update in place, bitwise identically)
+            # (xpay(v, beta) is the in-place v + beta·self)
             with tracer.span("pcg.axpy"):
-                if ws is not None:
-                    z.xpay(n_vec, beta)
-                    q.xpay(m_w, beta)
-                    p.xpay(u, beta)
-                    s.xpay(w, beta)
-                else:
-                    z = n_vec.copy().axpy(beta, z)
-                    q = m_w.copy().axpy(beta, q)
-                    p = u.copy().axpy(beta, p)
-                    s = w.copy().axpy(beta, s)
+                z.xpay(n_vec, beta)
+                q.xpay(m_w, beta)
+                p.xpay(u, beta)
+                s.xpay(w, beta)
 
     if history[-1] <= target:
         converged = True

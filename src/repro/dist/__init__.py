@@ -9,7 +9,7 @@ Two execution engines share these data structures:
   the BSP shortcut.
 """
 
-from repro.dist.halo import HaloSchedule, PendingHaloUpdate
+from repro.dist.halo import HaloSchedule
 from repro.dist.matrix import DistMatrix, LocalMatrix
 from repro.dist.partition_map import RowPartition
 from repro.dist.redistribute import (
@@ -29,7 +29,6 @@ from repro.dist.vector import DistVector
 __all__ = [
     "RowPartition",
     "HaloSchedule",
-    "PendingHaloUpdate",
     "DistVector",
     "LocalMatrix",
     "DistMatrix",

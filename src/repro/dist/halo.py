@@ -21,32 +21,10 @@ from repro.instrument import get_metrics, get_tracer
 from repro.mpisim.injection import get_injector
 from repro.mpisim.tracker import CommTracker
 
-__all__ = ["HaloSchedule", "PendingHaloUpdate"]
+__all__ = ["HaloSchedule"]
 
 #: Tag halo messages are accounted under (mirrors ``repro.dist.spmd``).
 _TAG_HALO = 7_000
-
-
-class PendingHaloUpdate:
-    """Completion handle for a split halo update.
-
-    Returned by :meth:`HaloSchedule.update_start`; redeem with
-    :meth:`HaloSchedule.update_finish` (or :meth:`wait`) to obtain the
-    per-rank halo buffers.  In the deterministic BSP layer the exchange is
-    performed eagerly at start time — the handle models the *pattern* of a
-    nonblocking runtime (post early, complete late) so callers written
-    against it overlap correctly when run on real message passing
-    (:func:`repro.dist.spmd.spmd_pipelined_pcg`).
-    """
-
-    __slots__ = ("_halos",)
-
-    def __init__(self, halos: list[np.ndarray]):
-        self._halos = halos
-
-    def wait(self) -> list[np.ndarray]:
-        """Per-rank halo buffers (the exchange already completed at start)."""
-        return self._halos
 
 
 class HaloSchedule:
@@ -186,9 +164,9 @@ class HaloSchedule:
         ``halo.pack`` / ``halo.unpack`` children per message.
 
         With metrics enabled, every message also increments per-sender-rank
-        ``halo.bytes_sent`` / ``halo.msgs`` counters — identically on the
-        legacy (allocating) and ``out=`` paths, so the invariance auditor
-        sees the same accounting regardless of which kernel path ran.
+        ``halo.bytes_sent`` / ``halo.msgs`` counters — identically with and
+        without ``out=``, so the invariance auditor sees the same accounting
+        whichever kernel called.
         """
         tracer = get_tracer()
         injector = get_injector()
@@ -210,27 +188,6 @@ class HaloSchedule:
                     metrics.counter("halo.bytes_sent", rank=q).inc(8 * int(ids.size))
                     metrics.counter("halo.msgs", rank=q).inc()
         return halos
-
-    def update_start(
-        self,
-        x_parts: list[np.ndarray],
-        tracker: CommTracker | None = None,
-        out: list[np.ndarray] | None = None,
-    ) -> PendingHaloUpdate:
-        """Post the halo exchange; complete it with :meth:`update_finish`.
-
-        The split form exists so SpMV callers can compute on their local
-        column block *between* start and finish, overlapping compute with
-        in-flight halo traffic.  The BSP layer performs the exchange
-        eagerly here (identical tracker/metric accounting to
-        :meth:`update`); the SPMD layer's equivalent split
-        (:func:`repro.dist.spmd` halo start/finish) moves real messages.
-        """
-        return PendingHaloUpdate(self.update(x_parts, tracker, out))
-
-    def update_finish(self, pending: PendingHaloUpdate) -> list[np.ndarray]:
-        """Complete a split halo update; returns the per-rank halo buffers."""
-        return pending.wait()
 
     def _recv_buffers(self, out: list[np.ndarray] | None) -> list[np.ndarray]:
         """Validate supplied receive buffers, or allocate (and count) fresh ones.

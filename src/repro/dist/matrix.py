@@ -233,45 +233,15 @@ class DistMatrix:
         x: DistVector,
         tracker: CommTracker | None = None,
         *,
-        workspace=None,
         out: DistVector | None = None,
-        overlap: bool = False,
     ) -> DistVector:
         """Distributed ``y = A·x``: halo update then per-rank local SpMV.
 
-        With a :class:`~repro.kernels.workspace.SolverWorkspace` the product
-        runs through cached plans and preallocated buffers (allocation-free
-        once warm); otherwise fresh arrays are allocated per call and counted
-        in the ``kernels.allocs`` metric.
-
-        ``overlap=True`` restructures the product as halo ``update_start``
-        → local-block SpMV (``A_ll·x_local``) → ``update_finish`` → halo
-        contribution (``A_lh·x_halo``), the ordering that hides halo
-        latency behind compute on a real transport.  Communication is
-        byte-identical to the fused path; results agree to the last ulps
-        (row sums accumulate in a different order).  Not combined with
-        ``workspace``.
+        The allocating reference kernel: fresh arrays per call, counted in
+        the ``kernels.allocs`` metric.  Solvers run the planned,
+        allocation-free product instead
+        (:meth:`repro.kernels.workspace.SolverWorkspace.spmv`).
         """
-        if overlap:
-            if workspace is not None:
-                raise ShapeError("overlap=True uses the allocating path; pass workspace=None")
-            if x.partition != self.partition:
-                raise ShapeError("operand lives on a different partition")
-            blocks = self.split_blocks()
-            pending = self.schedule.update_start(x.parts, tracker)
-            # local-block products run while halo traffic is in flight
-            out_parts = [blocks[p][0].spmv(x.parts[p]) for p in range(len(blocks))]
-            halos = self.schedule.update_finish(pending)
-            for p, (_, a_lh) in enumerate(blocks):
-                if a_lh is not None:
-                    out_parts[p] += a_lh.spmv(halos[p])
-            get_metrics().counter("kernels.allocs").inc(2 * self.partition.nparts)
-            if out is not None:
-                out.copy_from(DistVector(self.partition, out_parts))
-                return out
-            return DistVector(self.partition, out_parts)
-        if workspace is not None:
-            return workspace.spmv(self, x, out=out, tracker=tracker)
         if x.partition != self.partition:
             raise ShapeError("operand lives on a different partition")
         halos = self.schedule.update(x.parts, tracker)

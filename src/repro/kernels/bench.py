@@ -1,17 +1,13 @@
 """Microbenchmarks for the kernel runtime — the ``BENCH_kernels.json`` suite.
 
-Measures (never asserts) the wins of the :mod:`repro.kernels` layer:
+Measures (never asserts) the :mod:`repro.kernels` layer:
 
-* planned vs unplanned SpMV and transpose SpMV on 2-D Poisson matrices of
-  increasing size,
-* a full PCG solve through the legacy allocating path vs a warm
-  :class:`~repro.kernels.workspace.SolverWorkspace` (equivalent arithmetic —
-  bitwise on the reduceat plan path, rounding-level on the ELL path — so
-  the delta is runtime overhead, not convergence), with per-solve
-  allocation counters from the instrumentation registry,
-* per-row reference vs batched FSAI setup
-  (:func:`~repro.core.fsai.compute_g_values_per_row` vs the vectorised
-  :func:`~repro.core.fsai.compute_g_values` group solves).
+* planned SpMV and transpose SpMV against the unplanned reference kernel
+  (:meth:`CSRMatrix.spmv`) on 2-D Poisson matrices of increasing size,
+* a full PCG solve through a warm
+  :class:`~repro.kernels.workspace.SolverWorkspace`: seconds, iterations and
+  the hot-loop allocation count,
+* the batched FSAI setup (:func:`~repro.core.fsai.compute_g_values`).
 
 Entry points: :func:`run_suite` returns the result dict, :func:`write_suite`
 writes it as JSON, :func:`format_summary` renders the human-readable table
@@ -33,17 +29,11 @@ import numpy as np
 
 from repro.backend import get_backend
 from repro.core.cg import pcg
-from repro.core.fsai import (
-    SetupOptions,
-    compute_g_values,
-    compute_g_values_per_row,
-    fsai_pattern,
-)
+from repro.core.fsai import SetupOptions, compute_g_values, fsai_pattern
 from repro.core.precond import build_fsai
 from repro.dist.matrix import DistMatrix
 from repro.dist.partition_map import RowPartition
 from repro.dist.vector import DistVector
-from repro.instrument import NULL_TRACER, tracing
 from repro.kernels.plan import SpMVPlan
 from repro.kernels.workspace import SolverWorkspace
 from repro.matgen import poisson2d
@@ -108,63 +98,37 @@ def _bench_pcg(size: int, reps: int, nparts: int = 4) -> dict:
     rng = np.random.default_rng(2 * size + 1)
     b = DistVector.from_global(rng.standard_normal(mat.nrows), partition)
 
-    legacy = pcg(dmat, b, precond=pre, workspace=False)
     ws = SolverWorkspace(dmat)
-    warm = pcg(dmat, b, precond=pre, workspace=ws)  # warm-up: fills buffers/plans
+    pcg(dmat, b, precond=pre, workspace=ws)  # warm-up: fills buffers/plans
     allocs_before = ws.allocations
     reused = pcg(dmat, b, precond=pre, workspace=ws)
     hot_allocs = ws.allocations - allocs_before
 
-    legacy_s = _best(lambda: pcg(dmat, b, precond=pre, workspace=False), reps, inner=1)
     ws_s = _best(lambda: pcg(dmat, b, precond=pre, workspace=ws), reps, inner=1)
-
-    # metric-based allocation accounting for the legacy path (the workspace
-    # path reports through ws.allocations above)
-    with tracing(NULL_TRACER) as (_, metrics):
-        pcg(dmat, b, precond=pre, workspace=False)
-        legacy_allocs = metrics.value("kernels.allocs") or 0
-    wx = warm.x.to_global()
-    lx = legacy.x.to_global()
     return {
         "grid": int(size),
         "n": mat.nrows,
         "ranks": nparts,
-        "iterations": legacy.iterations,
-        "iterations_workspace": reused.iterations,
-        "legacy_s": legacy_s,
+        "iterations": reused.iterations,
         "workspace_s": ws_s,
-        "speedup": legacy_s / ws_s if ws_s > 0 else float("inf"),
-        "legacy_allocs_per_solve": int(legacy_allocs),
         "workspace_allocs_warmup": int(allocs_before),
         "workspace_allocs_hot": int(hot_allocs),
-        # rounding-level agreement: the ELL plan path sums rows in a
-        # different (documented) order than the legacy reduceat kernel
-        "solutions_match": bool(np.allclose(wx, lx, rtol=1e-6, atol=1e-9)),
-        "solutions_max_abs_diff": float(np.max(np.abs(wx - lx))) if wx.size else 0.0,
     }
 
 
 def _bench_setup(size: int, reps: int, backend) -> dict:
-    """Per-row reference loop vs the batched group solves, same pattern."""
+    """Seconds of the batched group solves on the level-1 pattern."""
     mat = poisson2d(size)
     pattern = fsai_pattern(mat)
     setup = SetupOptions(backend=backend)
-    per_row = _best(lambda: compute_g_values_per_row(mat, pattern), reps, inner=1)
     batched = _best(
         lambda: compute_g_values(mat, pattern, setup=setup), reps, inner=1
     )
-    g_ref = compute_g_values_per_row(mat, pattern)
-    g_bat = compute_g_values(mat, pattern, setup=setup)
     return {
         "grid": int(size),
         "n": mat.nrows,
         "backend": backend.name,
-        "per_row_s": per_row,
         "batched_s": batched,
-        "speedup": per_row / batched if batched > 0 else float("inf"),
-        "values_max_abs_diff": float(np.max(np.abs(g_ref.data - g_bat.data)))
-        if g_ref.nnz
-        else 0.0,
     }
 
 
@@ -206,9 +170,7 @@ def run_suite(
     result["summary"] = {
         "spmv_speedup_largest": by_grid[largest]["speedup"],
         "spmv_transpose_speedup_largest": by_grid[largest]["speedup_transpose"],
-        "pcg_speedup": result["pcg"]["speedup"],
         "pcg_hot_allocs": result["pcg"]["workspace_allocs_hot"],
-        "setup_batched_speedup": result["setup"]["speedup"],
     }
     return result
 
@@ -249,17 +211,13 @@ def format_summary(result: dict) -> str:
     p = result["pcg"]
     lines += [
         "",
-        f"pcg {p['grid']}x{p['grid']} on {p['ranks']} ranks: "
-        f"legacy {p['legacy_s'] * 1e3:.2f} ms vs workspace "
-        f"{p['workspace_s'] * 1e3:.2f} ms ({p['speedup']:.2f}x), "
-        f"{p['iterations']} vs {p['iterations_workspace']} iterations",
-        f"allocations/solve: legacy {p['legacy_allocs_per_solve']}, "
-        f"warm workspace {p['workspace_allocs_hot']}",
+        f"pcg {p['grid']}x{p['grid']} on {p['ranks']} ranks: warm workspace "
+        f"{p['workspace_s'] * 1e3:.2f} ms, {p['iterations']} iterations, "
+        f"{p['workspace_allocs_hot']} hot-loop allocations",
     ]
     s = result["setup"]
     lines.append(
-        f"fsai setup {s['grid']}x{s['grid']} [{s['backend']}]: per-row "
-        f"{s['per_row_s'] * 1e3:.2f} ms vs batched {s['batched_s'] * 1e3:.2f} ms "
-        f"({s['speedup']:.2f}x)"
+        f"fsai setup {s['grid']}x{s['grid']} [{s['backend']}]: batched "
+        f"{s['batched_s'] * 1e3:.2f} ms"
     )
     return "\n".join(lines)

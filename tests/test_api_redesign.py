@@ -1,5 +1,5 @@
 """Tests of the solver/preconditioner API surface: ``precond=M`` resolution
-and the consolidated :class:`PrecondOptions` (with its deprecation shim)."""
+and the consolidated :class:`PrecondOptions`."""
 
 from __future__ import annotations
 
@@ -81,57 +81,12 @@ class TestPrecondOptions:
         with pytest.raises(AttributeError):
             opts.line_bytes = 128
 
-    def test_legacy_fsai_keywords_warn_and_forward(self):
-        with pytest.warns(DeprecationWarning, match="fsai=FSAIOptions"):
-            opts = PrecondOptions(threshold=0.1, level=2)
-        assert opts.fsai == FSAIOptions(threshold=0.1, level=2)
-
-    def test_legacy_filter_keywords_warn_and_forward(self):
-        with pytest.warns(DeprecationWarning, match="FilterSpec"):
-            opts = PrecondOptions(filter_value=0.2, dynamic=False)
-        assert opts.filter == FilterSpec(0.2, dynamic=False)
-
-    def test_bare_numeric_filter_coerced(self):
-        with pytest.warns(DeprecationWarning, match="FilterSpec"):
-            opts = PrecondOptions(filter=0.1)
-        assert opts.filter == FilterSpec(0.1)
-
-    def test_mixing_new_and_legacy_fsai_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="not both"):
-                PrecondOptions(fsai=FSAIOptions(), level=2)
-
-    def test_mixing_new_and_legacy_filter_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="not both"):
-                PrecondOptions(filter=FilterSpec(0.05), dynamic=False)
-
     def test_setup_sub_config(self):
-        opts = PrecondOptions(setup=SetupOptions(dtype="float32", batched=False))
+        opts = PrecondOptions(setup=SetupOptions(dtype="float32"))
         assert opts.setup.dtype == "float32"
-        assert not opts.setup.batched
 
     def test_setup_defaults(self):
         assert PrecondOptions().setup == SetupOptions()
-
-    def test_legacy_setup_keywords_warn_and_forward(self):
-        with pytest.warns(DeprecationWarning, match="setup=SetupOptions"):
-            opts = PrecondOptions(backend="numpy", setup_dtype="float32")
-        assert opts.setup == SetupOptions(backend="numpy", dtype="float32")
-
-    def test_mixing_new_and_legacy_setup_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="not both"):
-                PrecondOptions(setup=SetupOptions(), batched=False)
-
-    def test_legacy_parallel_keyword_warns_and_drops(self):
-        with pytest.warns(DeprecationWarning, match="parallel"):
-            opts = PrecondOptions(parallel=4)
-        assert opts.setup == SetupOptions()
-
-    def test_legacy_parallel_keyword_still_validates(self):
-        with pytest.raises(ValueError, match="positive worker count"):
-            PrecondOptions(parallel=0)
 
     def test_unknown_keyword_rejected(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
@@ -155,16 +110,42 @@ class TestPrecondOptions:
         with pytest.raises(TypeError, match="not both"):
             build_fsaie_comm(poisson3d8, part, PrecondOptions(), line_bytes=64)
 
-    def test_legacy_spelling_matches_new_end_to_end(self, poisson3d8):
-        from repro.dist import RowPartition
 
-        part = RowPartition.from_matrix(poisson3d8, 4, seed=1)
-        new = build_fsaie_comm(
-            poisson3d8, part, PrecondOptions(filter=FilterSpec(0.05, dynamic=False))
+class TestRemovedSpellings:
+    """Everything the deleted shims tolerated now fails as a plain
+    ``TypeError`` — no warning, no forwarding."""
+
+    FLAT = ("threshold", "level", "post_filter", "filter_value", "dynamic",
+            "band", "max_bisection", "backend", "setup_dtype", "batched",
+            "parallel")
+
+    def test_removed_keywords_and_values_raise(self, dist_poisson16):
+        from repro.core import (
+            ExtensionMode,
+            ExtensionWorkspace,
+            build_fsaie,
+            compute_g_values,
+            fsai_factor,
+            fsai_pattern,
         )
-        with pytest.warns(DeprecationWarning):
-            old = build_fsaie_comm(
-                poisson3d8, part, PrecondOptions(filter_value=0.05, dynamic=False)
-            )
-        assert new.nnz == old.nnz
-        assert np.array_equal(new.nnz_per_rank(), old.nnz_per_rank())
+
+        mat, part, da, b = dist_poisson16
+        calls = [lambda key=key: PrecondOptions(**{key: 1}) for key in self.FLAT]
+        calls += [
+            lambda: PrecondOptions(filter=0.1),
+            lambda: SetupOptions(batched=False),
+            lambda: compute_g_values(mat, fsai_pattern(mat), parallel=2),
+            lambda: fsai_factor(mat, parallel=2),
+            lambda: build_fsai(mat, part, parallel=2),
+            lambda: build_fsaie(mat, part, parallel=2),
+            lambda: build_fsaie_comm(mat, part, parallel=2),
+            lambda: ExtensionWorkspace(
+                "FSAIE", mat, part, ExtensionMode.LOCAL, parallel=2
+            ),
+            lambda: pipelined_pcg(da, b, overlap=True),
+            lambda: da.spmv(b, overlap=True),
+            lambda: da.spmv(b, workspace=None),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()

@@ -50,3 +50,21 @@ def test_every_all_name_importable_in_process():
         mod = importlib.import_module(pkg)
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), f"{pkg}.__all__ exports undefined {name!r}"
+
+
+def test_check_mode_flags_a_changed_signature(tmp_path, monkeypatch, capsys):
+    # names alone are not enough: a signature edited without regenerating
+    # docs/API.md must trip ``gen_api_docs.py --check``
+    sys.path.insert(0, str(REPO / "scripts"))
+    try:
+        import gen_api_docs
+    finally:
+        sys.path.pop(0)
+    committed = (REPO / "docs" / "API.md").read_text()
+    stale = tmp_path / "API.md"
+    monkeypatch.setattr(gen_api_docs, "TARGET", stale)
+    stale.write_text(committed.replace("workspace: 'SolverWorkspace | None'",
+                                       "workspace: 'SolverWorkspace | bool | None'"))
+    assert stale.read_text() != committed
+    assert gen_api_docs.main(["--check"]) == 1
+    assert "is stale" in capsys.readouterr().err

@@ -516,7 +516,7 @@ class TestRunReport:
         doc = {
             "suite": "kernels",
             "config": {"sizes": [12], "reps": 1},
-            "summary": {"pcg_hot_allocs": 0, "pcg_speedup": 1.5},
+            "summary": {"pcg_hot_allocs": 0, "spmv_speedup_largest": 1.5},
             "pcg": {"iterations": 30, "workspace_allocs_hot": 0},
         }
         path = tmp_path / "BENCH_kernels.json"
@@ -524,7 +524,7 @@ class TestRunReport:
         report = RunReport.load(path)
         assert report.metrics["bench.pcg_hot_allocs"] == 0.0
         assert report.metrics["bench.pcg.iterations"] == 30.0
-        assert report.sections["bench"]["pcg_speedup"] == 1.5
+        assert report.sections["bench"]["spmv_speedup_largest"] == 1.5
 
     def test_version_1_documents_still_load(self, tmp_path):
         # v1 reports (written before the timeline/attribution sections

@@ -101,6 +101,18 @@ class TestBiCGSTAB:
         with pytest.raises(ConvergenceError):
             bicgstab(da, b, rtol=1e-15, max_iterations=1, raise_on_fail=True)
 
+    def test_allreduce_count_is_exact(self, dist_poisson16):
+        """One allreduce for ``‖b‖``, six per full iteration, three for the
+        early-exit half iteration — ``‖s‖`` is reduced once, not twice."""
+        from repro.core import build_fsai
+        from repro.mpisim import CommTracker
+
+        mat, part, da, b = dist_poisson16
+        tracker = CommTracker()
+        res = bicgstab(da, b, precond=build_fsai(mat, part), tracker=tracker)
+        assert res.converged and res.iterations == 20
+        assert tracker.collective_calls["allreduce"] == 1 + 6 * 19 + 3 == 118
+
     def test_handles_nonsymmetric_system(self, rng):
         # a diagonally dominant nonsymmetric matrix — CG would be invalid
         n = 30
@@ -170,6 +182,25 @@ class TestPipelinedCG:
         per_iter_std = t_std.collective_calls["allreduce"] / max(std.iterations, 1)
         per_iter_pipe = t_pipe.collective_calls["allreduce"] / max(pipe.iterations, 1)
         assert per_iter_pipe <= per_iter_std
+
+    def test_allreduce_bytes_per_scalar_match_pcg(self, system):
+        """A fused allreduce of ``k`` scalars books ``k`` times what
+        ``DistVector.dot`` books for one: ``8·P`` bytes per scalar."""
+        from repro.core import build_fsai, pcg, pipelined_pcg
+        from repro.mpisim import CommTracker
+
+        mat, part, da, b = system
+        pre = build_fsai(mat, part)
+        t_std, t_pipe = CommTracker(), CommTracker()
+        pcg(da, b, precond=pre, tracker=t_std)
+        pipe = pipelined_pcg(da, b, precond=pre, tracker=t_pipe)
+        # ‖b‖², then (γ, δ), then three scalars per iteration
+        scalars = 1 + 2 + 3 * pipe.iterations
+        per_scalar_std = (
+            t_std.collective_bytes["allreduce"] / t_std.collective_calls["allreduce"]
+        )
+        per_scalar_pipe = t_pipe.collective_bytes["allreduce"] / scalars
+        assert per_scalar_pipe == per_scalar_std == 8 * part.nparts
 
     def test_zero_rhs(self, system):
         from repro.core import pipelined_pcg

@@ -2,12 +2,11 @@
 
 Three layers are pinned here:
 
-* the BSP split-phase API — ``HaloSchedule.update_start``/``update_finish``
-  and ``DistMatrix.spmv(overlap=True)`` over the cached ``split_blocks()``
-  partition of each local matrix into owned-column and halo-column halves;
-* ``pipelined_pcg(overlap=True)`` and :func:`repro.dist.spmd_pipelined_pcg`
-  agree with their non-overlapped counterparts (the split changes row
-  summation *order*, so equality is to rounding, not bitwise);
+* the cached ``DistMatrix.split_blocks()`` partition of each local matrix
+  into owned-column and halo-column halves, whose products sum to ``A·x``;
+* :func:`repro.dist.spmd_pipelined_pcg`, overlapped or not, agrees with the
+  BSP ``pipelined_pcg`` (the split changes row summation *order*, so
+  equality is to rounding, not bitwise);
 * with a modeled link latency, overlapping local SpMV with in-flight halo
   traffic measurably reduces ``spmd.halo.wait`` self-time — the effect the
   split-phase API exists to buy.
@@ -20,7 +19,6 @@ import pytest
 
 from repro.core import build_fsai, pipelined_pcg
 from repro.dist import DistMatrix, DistVector, RowPartition, spmd_pipelined_pcg
-from repro.errors import ShapeError
 from repro.instrument import tracing
 from repro.matgen import paper_rhs, poisson2d
 from repro.mpisim import CommTracker
@@ -38,16 +36,6 @@ def dist16():
 
 
 class TestSplitPhaseHalo:
-    def test_update_start_finish_matches_update(self, dist16):
-        _, _, da, b = dist16
-        sched = da.schedule
-        direct = sched.update(b.parts)
-        pending = sched.update_start(b.parts)
-        staged = sched.update_finish(pending)
-        assert len(direct) == len(staged)
-        for d, s in zip(direct, staged):
-            np.testing.assert_array_equal(d, s)
-
     def test_split_blocks_partition_is_cached_and_complete(self, dist16):
         _, _, da, _ = dist16
         blocks = da.split_blocks()
@@ -56,40 +44,30 @@ class TestSplitPhaseHalo:
             nnz = a_ll.nnz + (a_lh.nnz if a_lh is not None else 0)
             assert nnz == lm.csr.nnz  # every entry lands in exactly one half
 
-    def test_overlapped_spmv_matches_legacy(self, dist16):
+    def test_split_block_products_sum_to_spmv(self, dist16):
+        """``A_ll·x_local + A_lh·x_halo == A·x`` on every rank."""
         mat, _, da, b = dist16
-        legacy = da.spmv(b).to_global()
-        overlapped = da.spmv(b, overlap=True).to_global()
-        np.testing.assert_allclose(overlapped, legacy, rtol=1e-14, atol=1e-14)
-        np.testing.assert_allclose(legacy, mat.spmv(b.to_global()), rtol=1e-12)
+        halos = da.schedule.update(b.parts)
+        parts = []
+        for p, (a_ll, a_lh) in enumerate(da.split_blocks()):
+            y = a_ll.spmv(b.parts[p])
+            if a_lh is not None:
+                y += a_lh.spmv(halos[p])
+            parts.append(y)
+        split = DistVector(da.partition, parts).to_global()
+        np.testing.assert_allclose(
+            split, da.spmv(b).to_global(), rtol=1e-14, atol=1e-14
+        )
+        np.testing.assert_allclose(split, mat.spmv(b.to_global()), rtol=1e-12)
 
-    def test_overlap_rejects_workspace(self, dist16):
-        _, _, da, b = dist16
-        with pytest.raises(ShapeError, match="workspace"):
-            da.spmv(b, overlap=True, workspace=object())
-
-    def test_overlap_fills_preallocated_out(self, dist16):
+    def test_spmv_fills_preallocated_out(self, dist16):
         _, _, da, b = dist16
         out = DistVector(da.partition, [np.empty_like(p) for p in b.parts])
-        returned = da.spmv(b, overlap=True, out=out)
-        assert returned is out
-        np.testing.assert_allclose(
-            out.to_global(), da.spmv(b).to_global(), rtol=1e-14, atol=1e-14
-        )
+        assert da.spmv(b, out=out) is out
+        np.testing.assert_array_equal(out.to_global(), da.spmv(b).to_global())
 
 
 class TestOverlappedPipelinedPcg:
-    def test_bsp_overlap_parity(self, dist16):
-        _, part, da, b = dist16
-        pre = build_fsai(da.to_global(), part)
-        base = pipelined_pcg(da, b, precond=pre.apply, rtol=RTOL)
-        fused = pipelined_pcg(da, b, precond=pre.apply, rtol=RTOL, overlap=True)
-        assert fused.converged
-        assert abs(fused.iterations - base.iterations) <= 1
-        np.testing.assert_allclose(
-            fused.x.to_global(), base.x.to_global(), rtol=1e-6
-        )
-
     @pytest.mark.parametrize("engine", ["threads", "events"])
     @pytest.mark.parametrize("overlap", [False, True])
     def test_spmd_matches_bsp(self, dist16, engine, overlap):
