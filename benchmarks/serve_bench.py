@@ -16,10 +16,16 @@ a *setup*.  This suite proves it per concurrency rung:
 * **warm** — a fresh farm is pre-warmed with one request per variant, then
   serves the same ``n`` requests from cache: structure-tier hits are exact
   (``n``), the §4 invariance audit runs on every warm-structure build and
-  must be clean, and the timed phase yields the throughput that the
-  ``r{n}.warm_cold_speedup`` floor (≥ {floor}x, checked by
-  ``check_bench_regression.py --serve`` on every run) gates against the
-  cold phase.
+  must be clean, and the timed phase yields the throughput reported as
+  ``r{n}.warm_cold_speedup`` against the cold phase.
+
+That a warm request does no set-up is gated by counts, never by the clock
+(:func:`failed_claims`, run by ``check_bench_regression.py --serve`` on
+every document): the warm farm builds each value variant once, in the
+pre-warm, and the cold farm builds once per request and hits nothing.
+The speedup itself is a timing like the throughputs it divides — about
+1 + set-up/solve of this one small system — so it is reported and carries
+no floor (docs/SERVING.md has the numbers).
 
 Counts, flags, hit rates and shed fractions are deterministic — admission
 is lock-serialised, per-key build locks make cache misses exact, and the
@@ -79,11 +85,6 @@ DIAG_SHIFT = 0.05
 ADMISSION_QUEUE = 8
 ADMISSION_BUDGETS = {"alpha": 6, "beta": 4}
 ADMISSION_PATTERN = ("alpha",) * 8 + ("beta",) * 4 + ("mallory",)
-
-#: The floor the regression gate enforces on every run: serving from the
-#: warm artifact cache must be at least this many times faster than paying
-#: the setup per request.
-SPEEDUP_FLOOR = 3.0
 
 
 def make_variants(grid: int, nvariants: int) -> list:
@@ -270,7 +271,6 @@ def run_serve_suite(*, quick: bool = False) -> dict:
             "workers": WORKERS,
             "tenants": list(TENANTS),
             "variants": VARIANTS,
-            "speedup_floor": SPEEDUP_FLOOR,
         },
         "serve": serve,
         "summary": summary,
@@ -291,16 +291,26 @@ def write_serve_suite(result: dict, path, *, report: bool = True) -> Path:
 
 
 def failed_claims(result: dict) -> list[str]:
-    """The suite's self-checks: speedup floors, clean audits, convergence,
-    exact warm hit counts.  Empty when everything holds."""
+    """The suite's self-checks: exact cache counts (the warm farm built
+    each value variant once, in the pre-warm, so no timed request built
+    anything; the cold farm built once per request and hit nothing), clean
+    audits, convergence.  Empty when everything holds."""
     problems = []
     s = result["summary"]
+    variants = result["config"]["variants"]
     for n in result["config"]["rungs"]:
-        speedup = s[f"r{n}.warm_cold_speedup"]
-        if speedup < SPEEDUP_FLOOR:
+        builds = s[f"r{n}.warm.structure_misses"] + s[f"r{n}.warm.system_misses"]
+        if builds != variants:
             problems.append(
-                f"r{n}: warm/cold speedup {speedup:.2f}x below the "
-                f"{SPEEDUP_FLOOR}x floor"
+                f"r{n}: warm farm made {builds:g} builds for {variants} value "
+                "variants (the pre-warm makes one each; a timed request must "
+                "make none)"
+            )
+        if s[f"r{n}.cold.structure_builds"] != n or s[f"r{n}.cold.cache_hits"]:
+            problems.append(
+                f"r{n}: cold farm made {s[f'r{n}.cold.structure_builds']:g} "
+                f"structure builds and {s[f'r{n}.cold.cache_hits']:g} cache "
+                f"hits for {n} requests (expected {n} and 0)"
             )
         if not s[f"r{n}.warm.schedule_invariant"]:
             problems.append(f"r{n}: §4 invariance audit not clean on served solves")

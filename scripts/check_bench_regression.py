@@ -59,13 +59,13 @@ hit/miss counts, audit counts and the invariance/convergence flags are
 deterministic (admission is lock-serialised and the warm phase is
 pre-warmed to an exact hit pattern) and gate exactly; hit rates and shed
 fractions gate within float round-off; total iteration counts get the
-small absolute allowance when configs match; throughputs and latency
-percentiles are machine-dependent (``--check-timings`` only); wall
-seconds are never gated.  The warm-over-cold throughput speedup is the
-one timing gated on every serve run, against the absolute
-:data:`SERVE_SPEEDUP_FLOOR` rather than the baseline — serving from the
-warm artifact cache skips the entire setup pipeline, an algorithmic win
-that holds on any machine.
+small absolute allowance when configs match; throughputs, their
+warm-over-cold ratio and latency percentiles are machine-dependent
+(``--check-timings`` only); wall seconds are never gated.  That a warm
+request skips the entire setup pipeline is held on every serve run by the
+suite's own exact-count claims (``serve_bench.failed_claims``), which need
+no baseline; the speedup carries no absolute floor, because the ratio is
+1 + set-up/solve of one small system (docs/SERVING.md has the numbers).
 
 Usage::
 
@@ -123,12 +123,6 @@ CACHE_BASELINE = BASELINE.parent / "cache_baseline.json"
 
 SERVE_BASELINE = BASELINE.parent / "serve_baseline.json"
 
-#: Absolute floor for the warm-over-cold serving throughput speedup, gated
-#: on every serve run (not just --check-timings): a warm-cache solve skips
-#: fingerprint-keyed setup entirely (partition, FSAI factorisation, halo
-#: schedule, plan build), so any machine clears this with a wide margin.
-SERVE_SPEEDUP_FLOOR = 3.0
-
 
 def serve_tolerances(baseline, *, config_matches: bool, check_timings: bool) -> dict:
     """Per-metric tolerances for the solve-farm serving suite
@@ -141,10 +135,9 @@ def serve_tolerances(baseline, *, config_matches: bool, check_timings: bool) -> 
     exactly.  Hit rates and shed fractions are exact ratios of those
     counts (float round-off band only).  Total PCG iterations depend on
     the benchmarked grid (config-gated, small absolute allowance).
-    Throughputs and latency percentiles are machine-dependent and gate
-    only with ``--check-timings``; the warm-over-cold speedup is instead
-    held to the absolute :data:`SERVE_SPEEDUP_FLOOR` on every run, and
-    wall seconds are never gated.
+    Throughputs, the warm-over-cold speedup and latency percentiles are
+    machine-dependent and gate only with ``--check-timings``; wall seconds
+    are never gated.
     """
     tolerances = {}
     for name in baseline.metrics:
@@ -161,7 +154,8 @@ def serve_tolerances(baseline, *, config_matches: bool, check_timings: bool) -> 
         elif name.endswith(".iterations_total") and config_matches:
             tolerances[name] = {"rel": 0.0, "abs": 2.0}
         elif name.endswith(
-            (".throughput_rps", ".p50_ms", ".p95_ms", ".p99_ms")
+            (".throughput_rps", ".warm_cold_speedup", ".p50_ms", ".p95_ms",
+             ".p99_ms")
         ) and check_timings:
             tolerances[name] = {"rel": 0.9}
     return tolerances
@@ -437,30 +431,28 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
     if kind == "serve":
-        speedups = {
-            name: value
-            for name, value in sorted(fresh.metrics.items())
-            if name.endswith(".warm_cold_speedup")
+        sys.path.insert(0, benchdir)
+        from serve_bench import failed_claims
+
+        summary = {
+            name.removeprefix("serve."): value
+            for name, value in fresh.metrics.items()
         }
-        if not speedups:
-            print(
-                "FAIL: fresh serve run has no *.warm_cold_speedup metrics",
-                file=sys.stderr,
+        try:
+            problems = failed_claims(
+                {"config": fresh.meta["config"], "summary": summary}
             )
+        except KeyError as exc:
+            problems = [f"serve document lacks {exc}"]
+        for problem in problems:
+            print(f"FAIL: {problem}", file=sys.stderr)
             failed = True
-        for name, speedup in speedups.items():
-            if speedup < SERVE_SPEEDUP_FLOOR:
-                print(
-                    f"FAIL: {name} {speedup:.2f}x is below the "
-                    f"{SERVE_SPEEDUP_FLOOR}x warm-cache floor",
-                    file=sys.stderr,
-                )
-                failed = True
-            else:
-                print(
-                    f"serve floor: {name} {speedup:.2f}x >= "
-                    f"{SERVE_SPEEDUP_FLOOR}x"
-                )
+        if not problems:
+            print(
+                "serve cache: no timed warm request built anything, every "
+                "cold request did (rungs "
+                f"{', '.join(map(str, fresh.meta['config']['rungs']))})"
+            )
     if failed:
         return 1
     print("OK: benchmark counters within tolerance of the baseline")

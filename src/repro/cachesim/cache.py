@@ -58,17 +58,17 @@ class SetAssociativeCache:
 
     ``access(line_id)`` returns ``True`` on hit.  Lines are identified by
     their global line index (address // line_bytes); set selection uses the
-    low bits, true-LRU replacement within the set.
+    low bits, true-LRU replacement within the set.  Each set is one Python
+    list of resident line ids in recency order (LRU first, MRU last), at
+    most ``associativity`` long: a hit moves the line to the tail, a miss
+    appends it and, when the set was full, evicts the head.
     """
 
-    __slots__ = ("config", "_tags", "_stamps", "_clock", "hits", "misses", "listener")
+    __slots__ = ("config", "_sets", "hits", "misses", "listener")
 
     def __init__(self, config: CacheConfig, *, listener=None):
         self.config = config
-        ns, assoc = config.num_sets, config.associativity
-        self._tags = np.full((ns, assoc), -1, dtype=np.int64)
-        self._stamps = np.zeros((ns, assoc), dtype=np.int64)
-        self._clock = 0
+        self._sets: list[list[int]] = [[] for _ in range(config.num_sets)]
         self.hits = 0
         self.misses = 0
         #: Optional attribution hook: called as ``listener(line_id, hit,
@@ -89,27 +89,20 @@ class SetAssociativeCache:
         by the fill, or :data:`NO_LINE` on a hit or a fill into an empty way.
         Notifies :attr:`listener` when one is attached.
         """
-        ns = self.config.num_sets
-        s = line_id % ns
-        tag = line_id // ns
-        self._clock += 1
-        row = self._tags[s]
-        hit_ways = np.flatnonzero(row == tag)
-        if hit_ways.size:
-            self._stamps[s, hit_ways[0]] = self._clock
+        lines = self._sets[line_id % self.config.num_sets]
+        hit = line_id in lines
+        evicted = NO_LINE
+        if hit:
+            lines.remove(line_id)
             self.hits += 1
-            if self.listener is not None:
-                self.listener(line_id, True, NO_LINE)
-            return True, NO_LINE
-        victim = int(np.argmin(self._stamps[s]))
-        old_tag = int(row[victim])
-        evicted = old_tag * ns + s if old_tag >= 0 else NO_LINE
-        row[victim] = tag
-        self._stamps[s, victim] = self._clock
-        self.misses += 1
+        else:
+            if len(lines) == self.config.associativity:
+                evicted = lines.pop(0)
+            self.misses += 1
+        lines.append(line_id)
         if self.listener is not None:
-            self.listener(line_id, False, evicted)
-        return False, evicted
+            self.listener(line_id, hit, evicted)
+        return hit, evicted
 
     def access_stream(self, line_ids: np.ndarray) -> int:
         """Replay a whole line-id stream; returns the number of misses.
@@ -134,21 +127,28 @@ class SetAssociativeCache:
         keep[0] = True
         np.not_equal(line_ids[1:], line_ids[:-1], out=keep[1:])
         collapsed = line_ids[keep]
-        self.hits += int(line_ids.size - collapsed.size)
+        sets, ns, assoc = self._sets, self.config.num_sets, self.config.associativity
+        misses = 0
         for lid in collapsed.tolist():
-            self.access(lid)
-        return self.misses - before
+            lines = sets[lid % ns]
+            try:
+                lines.remove(lid)  # one scan serves the lookup and the unlink
+            except ValueError:
+                misses += 1
+                if len(lines) == assoc:
+                    del lines[0]
+            lines.append(lid)
+        self.misses += misses
+        self.hits += int(line_ids.size) - misses
+        return misses
 
     def resident_lines(self) -> np.ndarray:
         """Snapshot of the line ids currently resident (sorted, no LRU touch)."""
-        ns = self.config.num_sets
-        sets, ways = np.nonzero(self._tags >= 0)
-        return np.sort(self._tags[sets, ways] * ns + sets)
+        return np.array(sorted(lid for lines in self._sets for lid in lines), dtype=np.int64)
 
     def is_resident(self, line_id: int) -> bool:
         """Whether a line is currently cached, without touching LRU state."""
-        ns = self.config.num_sets
-        return bool(np.any(self._tags[line_id % ns] == line_id // ns))
+        return line_id in self._sets[line_id % self.config.num_sets]
 
     def reset_counters(self) -> None:
         """Zero the hit/miss counters (contents stay)."""

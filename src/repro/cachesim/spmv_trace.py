@@ -30,6 +30,7 @@ from repro.cachesim.cache import (
 from repro.cachesim.lines import line_ids
 from repro.dist.matrix import DistMatrix, LocalMatrix
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.pattern import SparsityPattern
 
 __all__ = [
     "X_MISSES_GAUGE",
@@ -66,21 +67,16 @@ def entry_categories(local: LocalMatrix, base_csr: CSRMatrix) -> np.ndarray:
     for an extension entry on a halo column.
     """
     csr = local.csr
-    n_local = local.n_local
     col_map = np.concatenate([local.global_rows, local.ext_cols])
-    out = np.empty(csr.nnz, dtype=np.int8)
-    for li in range(csr.nrows):
-        lo, hi = int(csr.indptr[li]), int(csr.indptr[li + 1])
-        if lo == hi:
-            continue
-        cols = csr.indices[lo:hi]
-        g = int(local.global_rows[li])
-        base_row = base_csr.indices[base_csr.indptr[g]:base_csr.indptr[g + 1]]
-        cat = np.where(
-            cols < n_local, CATEGORY_EXT_LOCAL, CATEGORY_EXT_HALO
-        ).astype(np.int8)
-        cat[np.isin(col_map[cols], base_row)] = CATEGORY_BASE
-        out[lo:hi] = cat
+    out = np.where(
+        csr.indices < local.n_local, CATEGORY_EXT_LOCAL, CATEGORY_EXT_HALO
+    ).astype(np.int8)
+    base = SparsityPattern(
+        base_csr.shape, base_csr.indptr, base_csr.indices, check=False
+    )
+    # every stored entry's global (row, column), in storage order
+    rows = np.repeat(local.global_rows, csr.row_nnz())
+    out[base.contains(rows, col_map[csr.indices])] = CATEGORY_BASE
     return out
 
 

@@ -89,16 +89,8 @@ def extension_entry_mask(g: CSRMatrix, base: SparsityPattern) -> np.ndarray:
     (absent from the base pattern) and therefore filterable."""
     if g.shape != base.shape:
         raise ShapeError("factor and base pattern shapes differ")
-    mask = np.empty(g.nnz, dtype=bool)
-    for i in range(g.nrows):
-        lo, hi = g.indptr[i], g.indptr[i + 1]
-        base_row = base.row(i)
-        cols = g.indices[lo:hi]
-        pos = np.searchsorted(base_row, cols)
-        pos = np.minimum(pos, max(base_row.size - 1, 0))
-        in_base = base_row[pos] == cols if base_row.size else np.zeros(cols.size, bool)
-        mask[lo:hi] = ~in_base
-    return mask
+    rows = np.repeat(np.arange(g.nrows, dtype=np.int64), g.row_nnz())
+    return ~base.contains(rows, g.indices)
 
 
 def _count_kept(base_count: int, ext_ratios: np.ndarray, filt: float) -> int:

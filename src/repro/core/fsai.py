@@ -32,7 +32,7 @@ import numpy as np
 from repro.backend import ArrayBackend, get_backend
 from repro.errors import NotSPDError, ShapeError
 from repro.instrument import get_metrics
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, _entry_keys
 from repro.sparse.ops import drop_small_relative
 from repro.sparse.pattern import SparsityPattern, power_pattern, threshold_pattern
 
@@ -48,6 +48,12 @@ __all__ = [
 # system is numerically singular; mirrors production FSAI codes which guard
 # against breakdowns on near-degenerate patterns.
 _FALLBACK_SHIFT = 1e-12
+
+#: Gram-block entries gathered and solved per batch (2 MiB of float64): bounds
+#: the gather's temporaries, ~40 MiB each for one unsplit size-group of
+#: ``poisson3d(24)``.  Every system is solved, and on failure shifted, on its
+#: own, so the split changes no value.
+_BATCH_ENTRIES = 1 << 18
 
 #: Compute dtypes the setup accepts (values are stored as float64 either way).
 _SETUP_DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -159,10 +165,11 @@ def compute_g_values(
 
     ``pattern`` must be lower triangular with a full diagonal.  Rows are
     grouped by pattern size ``k``; each group's Gram blocks
-    ``A[S_i, S_i]`` are gathered into one stacked ``(m, k, k)`` tensor by a
-    vectorised binary search over the matrix structure and solved with a
-    single batched ``linalg.solve`` call on the configured backend.
-    Singular groups fall back to per-row solves with a tiny diagonal shift.
+    ``A[S_i, S_i]`` are gathered, a bounded batch at a time, into a stacked
+    ``(m, k, k)`` tensor by a vectorised binary search over the matrix
+    structure and solved with one batched ``linalg.solve`` call on the
+    configured backend.  A batch holding a singular system is re-solved row
+    by row; only rows that fail unshifted get a tiny diagonal shift.
 
     ``setup`` selects backend and dtype (:class:`SetupOptions`); the default
     computes in float64 on NumPy and matches one dense solve per row to
@@ -179,13 +186,16 @@ def compute_g_values(
     # Global sorted entry keys row*ncols+col: one sorted array over which a
     # batched binary search resolves every (row, col) Gram-block lookup.
     stride = max(n, mat.ncols)
-    a_rows = np.repeat(np.arange(n, dtype=np.int64), mat.row_nnz())
-    keys = backend.asarray(a_rows * stride + mat.indices)
+    keys = backend.asarray(_entry_keys(mat.indptr, mat.indices, stride))
     avals = backend.asarray(mat.data, dtype=dtype)
     zero = dtype.type(0.0)
 
     groups = [(int(k), np.flatnonzero(row_sizes == k)) for k in np.unique(row_sizes)]
-    for k, rows in groups:
+    batches = []
+    for k, group in groups:
+        step = max(1, _BATCH_ENTRIES // (k * k))
+        batches.extend((k, group[lo : lo + step]) for lo in range(0, group.size, step))
+    for k, rows in batches:
         m = rows.size
         # stacked pattern indices of the group: (m, k), diagonal last
         pos = pattern.indptr[rows][:, None] + np.arange(k, dtype=np.int64)
@@ -226,7 +236,8 @@ def compute_g_values(
 
 
 def _solve_rows_guarded(subs: np.ndarray) -> np.ndarray:
-    """Per-row fallback with escalating diagonal shifts (breakdown guard)."""
+    """Per-row fallback (breakdown guard): each row as it is, then with
+    escalating diagonal shifts — its values never depend on its batch."""
     m, k, _ = subs.shape
     out = np.empty((m, k), dtype=np.float64)
     rhs = np.zeros(k)
@@ -234,9 +245,9 @@ def _solve_rows_guarded(subs: np.ndarray) -> np.ndarray:
     for b in range(m):
         sub = subs[b]
         shift = _FALLBACK_SHIFT * max(1.0, float(np.abs(np.diag(sub)).max()))
-        for attempt in range(8):
+        for scale in (0.0, *(10.0**attempt for attempt in range(8))):
             try:
-                y = np.linalg.solve(sub + np.eye(k) * shift * (10.0**attempt), rhs)
+                y = np.linalg.solve(sub + np.eye(k) * (shift * scale), rhs)
                 if np.isfinite(y).all() and y[k - 1] > 0:
                     out[b] = y
                     break

@@ -89,24 +89,14 @@ class HaloSchedule:
         cls, partition: RowPartition, indptr: np.ndarray, indices: np.ndarray
     ) -> "HaloSchedule":
         """Build from the global CSR structure of a matrix distributed by rows."""
-        nparts = partition.nparts
-        ext: list[np.ndarray] = []
-        owner = partition.owner
-        for p in range(nparts):
-            rows = partition.global_ids[p]
-            if rows.size:
-                starts = indptr[rows]
-                ends = indptr[rows + 1]
-                total = int((ends - starts).sum())
-                cols = np.empty(total, dtype=np.int64)
-                off = 0
-                for s, e in zip(starts, ends):
-                    cols[off : off + (e - s)] = indices[s:e]
-                    off += e - s
-                cols = np.unique(cols)
-                ext.append(cols[owner[cols] != p])
-            else:
-                ext.append(np.empty(0, dtype=np.int64))
+        nparts, n, owner = partition.nparts, partition.nrows, partition.owner
+        # every off-rank entry as one (owning rank of its row, column) key;
+        # sorted unique keys fall into per-rank runs of ascending columns
+        row_rank = np.repeat(owner, np.diff(indptr))
+        halo = np.flatnonzero(row_rank != owner[indices])
+        keys = np.unique(row_rank[halo] * n + indices[halo])
+        bounds = np.searchsorted(keys, np.arange(nparts + 1, dtype=np.int64) * n)
+        ext = [keys[bounds[p] : bounds[p + 1]] - p * n for p in range(nparts)]
         return cls(partition, ext)
 
     @classmethod

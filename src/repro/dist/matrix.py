@@ -122,24 +122,26 @@ class DistMatrix:
         for p in range(partition.nparts):
             rows = partition.global_ids[p]
             ext = schedule.ext_cols[p]
-            n_local = rows.size
-            # global -> local column map for this rank
-            col_map = np.full(mat.ncols, -1, dtype=np.int64)
-            col_map[rows] = np.arange(n_local, dtype=np.int64)
-            col_map[ext] = n_local + np.arange(ext.size, dtype=np.int64)
-            counts = (mat.indptr[rows + 1] - mat.indptr[rows]).astype(np.int64)
+            n_local, width = rows.size, rows.size + ext.size
+            counts = mat.indptr[rows + 1] - mat.indptr[rows]
             indptr = np.zeros(n_local + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
-            indices = np.empty(int(indptr[-1]), dtype=np.int64)
-            data = np.empty(int(indptr[-1]), dtype=np.float64)
-            for li, g in enumerate(rows):
-                lo, hi = mat.indptr[g], mat.indptr[g + 1]
-                seg = slice(indptr[li], indptr[li + 1])
-                local_cols = col_map[mat.indices[lo:hi]]
-                order = np.argsort(local_cols, kind="stable")
-                indices[seg] = local_cols[order]
-                data[seg] = mat.data[lo:hi][order]
-            csr = CSRMatrix((n_local, n_local + ext.size), indptr, indices, data, check=False)
+            # ragged gather: where each local entry sits in the global arrays
+            src = np.repeat(mat.indptr[rows] - indptr[:-1], counts)
+            src += np.arange(src.size, dtype=np.int64)
+            cols = mat.indices[src]
+            local_cols = partition.local_index[cols]
+            halo = np.flatnonzero(partition.owner[cols] != p)
+            local_cols[halo] = n_local + np.searchsorted(ext, cols[halo])
+            # owned and halo columns interleave in global order: re-sort each
+            # row by local column with one argsort over (row, column) keys
+            keys = np.repeat(np.arange(n_local, dtype=np.int64) * width, counts)
+            keys += local_cols
+            order = np.argsort(keys, kind="stable")
+            csr = CSRMatrix(
+                (n_local, width), indptr, local_cols[order], mat.data[src[order]],
+                check=False,
+            )
             locals_.append(LocalMatrix(p, csr, rows, ext))
         return cls(partition, locals_, schedule, mat.shape)
 

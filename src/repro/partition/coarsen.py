@@ -22,26 +22,26 @@ def heavy_edge_matching(graph: Graph, rng: np.random.Generator) -> np.ndarray:
     vertex weight to keep coarse weights even).
     """
     n = graph.num_vertices
-    match = np.full(n, -1, dtype=np.int64)
-    order = rng.permutation(n)
-    for v in order:
+    # plain lists: the visit order is sequential and NumPy scalar indexing
+    # would dominate the loop
+    xadj, adjncy, adjwgt, vwgt = (
+        a.tolist() for a in (graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt)
+    )
+    match = [-1] * n
+    for v in rng.permutation(n).tolist():
         if match[v] != -1:
             continue
-        nbrs = graph.neighbours(v)
-        wgts = graph.edge_weights(v)
-        best, best_w, best_vw = -1, -1, np.iinfo(np.int64).max
-        for u, w in zip(nbrs, wgts):
+        best, best_w, best_vw = v, -1, 0
+        for k in range(xadj[v], xadj[v + 1]):
+            u = adjncy[k]
             if match[u] != -1 or u == v:
                 continue
-            uvw = graph.vwgt[u]
-            if w > best_w or (w == best_w and uvw < best_vw):
-                best, best_w, best_vw = int(u), int(w), int(uvw)
-        if best == -1:
-            match[v] = v
-        else:
-            match[v] = best
-            match[best] = v
-    return match
+            w = adjwgt[k]
+            if w > best_w or (w == best_w and vwgt[u] < best_vw):
+                best, best_w, best_vw = u, w, vwgt[u]
+        match[v] = best
+        match[best] = v
+    return np.array(match, dtype=np.int64)
 
 
 def contract(graph: Graph, match: np.ndarray) -> tuple[Graph, np.ndarray]:
@@ -50,20 +50,13 @@ def contract(graph: Graph, match: np.ndarray) -> tuple[Graph, np.ndarray]:
     ``cmap[v]`` is the coarse vertex holding fine vertex ``v``.
     """
     n = graph.num_vertices
-    cmap = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for v in range(n):
-        if cmap[v] != -1:
-            continue
-        u = match[v]
-        cmap[v] = next_id
-        if u != v:
-            cmap[u] = next_id
-        next_id += 1
-    nc = next_id
+    # a pair is numbered where its lower vertex comes in vertex order
+    ids = np.arange(n, dtype=np.int64)
+    first = np.minimum(ids, match)
+    cmap = (np.cumsum(first == ids) - 1)[first]
+    nc = int(cmap.max()) + 1 if n else 0
 
-    cvwgt = np.zeros(nc, dtype=np.int64)
-    np.add.at(cvwgt, cmap, graph.vwgt)
+    cvwgt = np.bincount(cmap, graph.vwgt, minlength=nc).astype(np.int64)
 
     # accumulate coarse edges: (cmap[v], cmap[u], w) dropping self loops
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
@@ -71,18 +64,12 @@ def contract(graph: Graph, match: np.ndarray) -> tuple[Graph, np.ndarray]:
     cc = cmap[graph.adjncy]
     keep = cr != cc
     cr, cc, cw = cr[keep], cc[keep], graph.adjwgt[keep]
-    # combine duplicates with a lexsort + segment sum
-    order = np.lexsort((cc, cr))
-    cr, cc, cw = cr[order], cc[order], cw[order]
-    if cr.size:
-        new_run = np.concatenate(([True], (cr[1:] != cr[:-1]) | (cc[1:] != cc[:-1])))
-        seg = np.cumsum(new_run) - 1
-        summed = np.zeros(int(seg[-1]) + 1, dtype=np.int64)
-        np.add.at(summed, seg, cw)
-        cr, cc, cw = cr[new_run], cc[new_run], summed
+    # combine parallel edges: one sorted key per (row, column) pair
+    keys, run = np.unique(cr * nc + cc, return_inverse=True)
+    cw = np.bincount(run, cw, minlength=keys.size).astype(np.int64)
+    cr, cc = np.divmod(keys, max(nc, 1))
     xadj = np.zeros(nc + 1, dtype=np.int64)
-    np.add.at(xadj, cr + 1, 1)
-    np.cumsum(xadj, out=xadj)
+    np.cumsum(np.bincount(cr, minlength=nc), out=xadj[1:])
     coarse = Graph(xadj, cc, cw, cvwgt, check=False)
     return coarse, cmap
 

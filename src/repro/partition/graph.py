@@ -116,14 +116,8 @@ def graph_from_pattern(
     """
     if pat.nrows != pat.ncols:
         raise PartitionError("adjacency graph needs a square pattern")
-    sym = pat.symmetrized()
-    rows = np.repeat(np.arange(sym.nrows, dtype=np.int64), sym.row_nnz())
-    off = rows != sym.indices
-    keep = np.flatnonzero(off)
-    xadj = np.zeros(sym.nrows + 1, dtype=np.int64)
-    np.add.at(xadj, rows[keep] + 1, 1)
-    np.cumsum(xadj, out=xadj)
-    return Graph(xadj, sym.indices[keep], vwgt=vertex_weights, check=False)
+    adjacency = pat.symmetrized().difference(SparsityPattern.identity(pat.nrows))
+    return Graph(adjacency.indptr, adjacency.indices, vwgt=vertex_weights, check=False)
 
 
 def graph_from_matrix(mat: CSRMatrix, *, weight_by_nnz: bool = False) -> Graph:

@@ -15,10 +15,9 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.partition.coarsen import coarsen_once
-from repro.partition.graph import Graph
+from repro.partition.graph import Graph, graph_from_matrix
 from repro.partition.refine import fm_refine
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.pattern import SparsityPattern
 
 __all__ = ["bisect", "partition_graph", "partition_matrix"]
 
@@ -91,17 +90,11 @@ def bisect(
         levels.append((g, cmap))
         g = coarse
 
-    part = _greedy_grow_bisection(g, target0, rng)
-    part = fm_refine(
-        g, part, target=(target0, total - target0), max_imbalance=max_imbalance
-    )
-
-    # uncoarsen with refinement at each level
+    # bisect the coarsest graph, then refine again at every finer level
+    refine = {"target": (target0, total - target0), "max_imbalance": max_imbalance}
+    part = fm_refine(g, _greedy_grow_bisection(g, target0, rng), **refine)
     for fine, cmap in reversed(levels):
-        part = part[cmap]
-        part = fm_refine(
-            fine, part, target=(target0, total - target0), max_imbalance=max_imbalance
-        )
+        part = fm_refine(fine, part[cmap], **refine)
     return part
 
 
@@ -116,6 +109,8 @@ def partition_graph(
 
     Returns an array mapping each vertex to a part id in ``[0, nparts)``.
     Handles any ``nparts >= 1`` (non powers of two split proportionally).
+    ``max_imbalance`` bounds the heaviest part over the mean part of the
+    k-way result, up to one vertex weight of granularity.
     """
     if nparts < 1:
         raise PartitionError("nparts must be >= 1")
@@ -126,6 +121,7 @@ def partition_graph(
         raise PartitionError(f"cannot split {n} vertices into {nparts} parts")
     rng = np.random.default_rng(seed)
     part = np.zeros(n, dtype=np.int64)
+    part_cap = max_imbalance * graph.total_vertex_weight() / nparts
 
     def _recurse(vertices: np.ndarray, sub: Graph, parts: int, first_id: int) -> None:
         if parts == 1:
@@ -136,7 +132,10 @@ def partition_graph(
         total = sub.total_vertex_weight()
         target0 = int(round(total * left / parts))
         target0 = min(max(target0, 1), max(total - 1, 1))
-        labels = bisect(sub, target0=target0, rng=rng, max_imbalance=max_imbalance)
+        # a side may hold what its final parts may hold: slack spent at the
+        # levels above is not granted again, so the k-way bound does not compound
+        room = max(1.0, parts * part_cap / max(total, 1))
+        labels = bisect(sub, target0=target0, rng=rng, max_imbalance=room)
         side0 = np.flatnonzero(labels == 0)
         side1 = np.flatnonzero(labels == 1)
         # guard: a degenerate bisection must still make progress
@@ -158,14 +157,13 @@ def _induced(graph: Graph, vertices: np.ndarray) -> Graph:
     remap[vertices] = np.arange(vertices.size, dtype=np.int64)
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
     keep = (remap[rows] != -1) & (remap[graph.adjncy] != -1)
-    kr = remap[rows[keep]]
-    kc = remap[graph.adjncy[keep]]
-    kw = graph.adjwgt[keep]
+    # ``vertices`` ascend, so the kept edges are already grouped by new row id
     xadj = np.zeros(vertices.size + 1, dtype=np.int64)
-    np.add.at(xadj, kr + 1, 1)
-    np.cumsum(xadj, out=xadj)
-    order = np.argsort(kr, kind="stable")
-    return Graph(xadj, kc[order], kw[order], graph.vwgt[vertices], check=False)
+    np.cumsum(np.bincount(remap[rows[keep]], minlength=vertices.size), out=xadj[1:])
+    return Graph(
+        xadj, remap[graph.adjncy[keep]], graph.adjwgt[keep], graph.vwgt[vertices],
+        check=False,
+    )
 
 
 def partition_matrix(
@@ -183,7 +181,5 @@ def partition_matrix(
     densities, where row-balanced partitions are nnz-imbalanced before any
     pattern extension happens.
     """
-    from repro.partition.graph import graph_from_matrix
-
     graph = graph_from_matrix(mat, weight_by_nnz=weight_by_nnz)
     return partition_graph(graph, nparts, seed=seed, max_imbalance=max_imbalance)

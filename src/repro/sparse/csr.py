@@ -37,6 +37,19 @@ def _as_index_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _entry_keys(indptr: np.ndarray, indices: np.ndarray, ncols: int) -> np.ndarray:
+    """``row * ncols + col`` of every stored position of a CSR structure.
+
+    With sorted, unique rows the keys are strictly increasing, so per-row set
+    algebra becomes one pass over two sorted int64 arrays.  Built in place:
+    one nnz-long array, no intermediates.
+    """
+    keys = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+    keys *= ncols
+    keys += indices
+    return keys
+
+
 def _check_out(out: np.ndarray, n: int) -> None:
     """Validate a user-supplied ``out=`` vector: float64 ndarray of length n."""
     if not isinstance(out, np.ndarray):
@@ -184,17 +197,9 @@ class CSRMatrix:
         if nnz:
             if self.indices.min() < 0 or self.indices.max() >= ncols:
                 raise SparseFormatError("column index out of range")
-            # sorted + unique per row: strict increase within rows
-            starts = self.indptr[:-1]
-            ends = self.indptr[1:]
-            diffs = np.diff(self.indices)
-            # positions where a row boundary sits between consecutive entries
-            boundary = np.zeros(max(nnz - 1, 0), dtype=bool)
-            inner = ends[:-1][(ends[:-1] > 0) & (ends[:-1] < nnz)]
-            boundary[inner - 1] = True
-            if np.any((diffs <= 0) & ~boundary):
+            keys = _entry_keys(self.indptr, self.indices, ncols)
+            if np.any(keys[1:] <= keys[:-1]):
                 raise SparseFormatError("column indices must be strictly increasing per row")
-            del starts
 
     # ------------------------------------------------------------------
     # basic properties
@@ -336,13 +341,10 @@ class CSRMatrix:
 
     def diagonal(self) -> np.ndarray:
         """Main diagonal as a dense vector (missing entries are 0)."""
-        n = min(self.shape)
-        diag = np.zeros(n, dtype=np.float64)
-        for i in range(n):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            pos = np.searchsorted(self.indices[lo:hi], i)
-            if pos < hi - lo and self.indices[lo + pos] == i:
-                diag[i] = self.data[lo + pos]
+        diag = np.zeros(min(self.shape), dtype=np.float64)
+        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
+        on_diag = np.flatnonzero(rows == self.indices)
+        diag[self.indices[on_diag]] = self.data[on_diag]
         return diag
 
     def extract_lower(self, *, strict: bool = False) -> "CSRMatrix":
@@ -356,15 +358,16 @@ class CSRMatrix:
     def _triangular(self, *, lower: bool, strict: bool) -> "CSRMatrix":
         rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
         if lower:
-            mask = self.indices < rows if strict else self.indices <= rows
-        else:
-            mask = self.indices > rows if strict else self.indices >= rows
-        keep = np.flatnonzero(mask)
-        new_indptr = np.zeros(self.nrows + 1, dtype=np.int64)
-        np.add.at(new_indptr, rows[keep] + 1, 1)
-        np.cumsum(new_indptr, out=new_indptr)
+            return self._select(self.indices < rows if strict else self.indices <= rows)
+        return self._select(self.indices > rows if strict else self.indices >= rows)
+
+    def _select(self, keep: np.ndarray) -> "CSRMatrix":
+        """The stored entries where the boolean mask ``keep`` is set."""
+        kept_before = np.zeros(self.nnz + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
         return CSRMatrix(
-            self.shape, new_indptr, self.indices[keep], self.data[keep], check=False
+            self.shape, kept_before[self.indptr], self.indices[keep], self.data[keep],
+            check=False,
         )
 
     def submatrix(self, row_ids: np.ndarray, col_ids: np.ndarray) -> np.ndarray:
@@ -410,14 +413,7 @@ class CSRMatrix:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != self.data.shape:
             raise ShapeError("mask must align with stored entries")
-        keep = ~mask
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
-        new_indptr = np.zeros(self.nrows + 1, dtype=np.int64)
-        np.add.at(new_indptr, rows[keep] + 1, 1)
-        np.cumsum(new_indptr, out=new_indptr)
-        return CSRMatrix(
-            self.shape, new_indptr, self.indices[keep], self.data[keep], check=False
-        )
+        return self._select(~mask)
 
     # ------------------------------------------------------------------
     # operators & comparison

@@ -16,9 +16,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError, SparseFormatError
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, _entry_keys
 
 __all__ = ["SparsityPattern", "threshold_pattern", "power_pattern"]
+
+
+def _member(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Boolean mask: which ``queries`` occur in the sorted array ``keys``."""
+    if keys.size == 0:
+        return np.zeros(queries.size, dtype=bool)
+    pos = np.searchsorted(keys, queries)
+    np.minimum(pos, keys.size - 1, out=pos)
+    return keys[pos] == queries
 
 
 class SparsityPattern:
@@ -48,10 +57,12 @@ class SparsityPattern:
             raise SparseFormatError("indices length mismatch")
         if nnz and (self.indices.min() < 0 or self.indices.max() >= ncols):
             raise SparseFormatError("column index out of range")
-        for i in range(nrows):
-            row = self.indices[self.indptr[i] : self.indptr[i + 1]]
-            if row.size > 1 and np.any(np.diff(row) <= 0):
-                raise SparseFormatError(f"row {i} not strictly increasing")
+        keys = self._keys()
+        bad = np.flatnonzero(keys[1:] <= keys[:-1])
+        if bad.size:
+            raise SparseFormatError(
+                f"row {int(keys[bad[0] + 1]) // ncols} not strictly increasing"
+            )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -120,84 +131,77 @@ class SparsityPattern:
         """Per-row entry counts."""
         return np.diff(self.indptr)
 
-    def contains(self, i: int, j: int) -> bool:
-        """Membership test for position ``(i, j)``."""
+    def contains(
+        self, i: int | np.ndarray, j: int | np.ndarray
+    ) -> bool | np.ndarray:
+        """Membership test for position ``(i, j)``.  Equal-length index arrays
+        are tested in one pass and give a boolean mask."""
+        if np.ndim(i) or np.ndim(j):
+            queries = np.multiply(i, self.ncols, dtype=np.int64)
+            queries += j
+            return _member(queries, self._keys())
         row = self.row(i)
         pos = np.searchsorted(row, j)
         return bool(pos < row.size and row[pos] == j)
 
     # ------------------------------------------------------------------
-    def union(self, other: "SparsityPattern") -> "SparsityPattern":
-        """Set union of two patterns of identical shape."""
+    def _keys(self) -> np.ndarray:
+        return _entry_keys(self.indptr, self.indices, self.ncols)
+
+    def _select(self, keep: np.ndarray) -> "SparsityPattern":
+        """The stored positions where the boolean mask ``keep`` is set."""
+        kept_before = np.zeros(self.nnz + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        return SparsityPattern(
+            self.shape, kept_before[self.indptr], self.indices[keep], check=False
+        )
+
+    def _check_same_shape(self, other: "SparsityPattern") -> None:
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
-        nrows = self.nrows
-        parts = []
-        indptr = np.zeros(nrows + 1, dtype=np.int64)
-        for i in range(nrows):
-            merged = np.union1d(self.row(i), other.row(i))
-            parts.append(merged)
-            indptr[i + 1] = indptr[i] + merged.size
-        indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        return SparsityPattern(self.shape, indptr, indices, check=False)
+
+    def union(self, other: "SparsityPattern") -> "SparsityPattern":
+        """Set union of two patterns of identical shape."""
+        self._check_same_shape(other)
+        mine, theirs = self._keys(), other._keys()
+        fresh = ~_member(theirs, mine)  # the entries only ``other`` has
+        # merge the two sorted runs without re-sorting: each fresh entry goes
+        # in front of the first entry of ``self`` above it
+        at = np.searchsorted(mine, theirs[fresh])
+        del mine, theirs
+        indices = np.insert(self.indices, at, other.indices[fresh])
+        fresh_before = np.zeros(other.nnz + 1, dtype=np.int64)
+        np.cumsum(fresh, out=fresh_before[1:])
+        return SparsityPattern(
+            self.shape, self.indptr + fresh_before[other.indptr], indices, check=False
+        )
 
     def intersection(self, other: "SparsityPattern") -> "SparsityPattern":
         """Set intersection of two patterns of identical shape."""
-        if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
-        nrows = self.nrows
-        parts = []
-        indptr = np.zeros(nrows + 1, dtype=np.int64)
-        for i in range(nrows):
-            both = np.intersect1d(self.row(i), other.row(i), assume_unique=True)
-            parts.append(both)
-            indptr[i + 1] = indptr[i] + both.size
-        indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        return SparsityPattern(self.shape, indptr, indices, check=False)
+        self._check_same_shape(other)
+        return self._select(_member(self._keys(), other._keys()))
 
     def difference(self, other: "SparsityPattern") -> "SparsityPattern":
         """Entries of ``self`` not present in ``other``."""
-        if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
-        nrows = self.nrows
-        parts = []
-        indptr = np.zeros(nrows + 1, dtype=np.int64)
-        for i in range(nrows):
-            only = np.setdiff1d(self.row(i), other.row(i), assume_unique=True)
-            parts.append(only)
-            indptr[i + 1] = indptr[i] + only.size
-        indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        return SparsityPattern(self.shape, indptr, indices, check=False)
+        self._check_same_shape(other)
+        return self._select(~_member(self._keys(), other._keys()))
 
     def issubset(self, other: "SparsityPattern") -> bool:
         """True when every entry of ``self`` is in ``other``."""
         if self.shape != other.shape:
             return False
-        for i in range(self.nrows):
-            if np.setdiff1d(self.row(i), other.row(i), assume_unique=True).size:
-                return False
-        return True
+        return bool(_member(self._keys(), other._keys()).all())
 
     def lower(self, *, strict: bool = False) -> "SparsityPattern":
         """Lower-triangular restriction (``col <= row``, or ``<`` when strict)."""
         rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
-        mask = self.indices < rows if strict else self.indices <= rows
-        keep = np.flatnonzero(mask)
-        indptr = np.zeros(self.nrows + 1, dtype=np.int64)
-        np.add.at(indptr, rows[keep] + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return SparsityPattern(self.shape, indptr, self.indices[keep], check=False)
+        return self._select(self.indices < rows if strict else self.indices <= rows)
 
     def with_diagonal(self) -> "SparsityPattern":
         """Union with the identity pattern (FSAI requires diagonal entries)."""
         n = min(self.shape)
-        eye = SparsityPattern.identity(self.nrows) if self.nrows == self.ncols else None
-        if eye is None:
-            rows = [[] for _ in range(self.nrows)]
-            for i in range(n):
-                rows[i] = [i]
-            eye = SparsityPattern.from_rows(self.shape, rows)
-        return self.union(eye)
+        eye_indptr = np.minimum(np.arange(self.nrows + 1, dtype=np.int64), n)
+        return self.union(SparsityPattern(self.shape, eye_indptr, np.arange(n), check=False))
 
     def transpose(self) -> "SparsityPattern":
         """The transposed pattern."""
@@ -257,11 +261,7 @@ def threshold_pattern(mat: CSRMatrix, threshold: float) -> SparsityPattern:
     rows = np.repeat(np.arange(mat.nrows, dtype=np.int64), mat.row_nnz())
     scale = np.sqrt(diag[rows] * diag[mat.indices])
     keep = (np.abs(mat.data) > threshold * scale) | (rows == mat.indices)
-    sel = np.flatnonzero(keep)
-    indptr = np.zeros(mat.nrows + 1, dtype=np.int64)
-    np.add.at(indptr, rows[sel] + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return SparsityPattern(mat.shape, indptr, mat.indices[sel], check=False)
+    return SparsityPattern(mat.shape, mat.indptr, mat.indices, check=False)._select(keep)
 
 
 def power_pattern(pat: SparsityPattern, level: int) -> SparsityPattern:

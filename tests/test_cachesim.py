@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cachesim import (
     L1_A64FX,
@@ -18,8 +20,60 @@ from repro.cachesim import (
     spmv_x_misses,
     x_access_lines,
 )
+from repro.cachesim.cache import NO_LINE
 from repro.dist import RowPartition
 from repro.sparse import CSRMatrix
+
+
+class StampArrayCache:
+    """Reference LRU: the tag/stamp-array simulator the library shipped until
+    the per-set recency lists replaced it, kept as the oracle (one ``argmin``
+    over last-use stamps per miss; empty ways carry stamp 0 and fill first).
+    """
+
+    def __init__(self, config: CacheConfig, *, listener=None):
+        self.config = config
+        ns, assoc = config.num_sets, config.associativity
+        self._tags = np.full((ns, assoc), -1, dtype=np.int64)
+        self._stamps = np.zeros((ns, assoc), dtype=np.int64)
+        self._clock = 0
+        self.hits = 0
+        self.misses = 0
+        self.listener = listener
+
+    def access_attributed(self, line_id: int) -> tuple[bool, int]:
+        ns = self.config.num_sets
+        s = line_id % ns
+        tag = line_id // ns
+        self._clock += 1
+        row = self._tags[s]
+        hit_ways = np.flatnonzero(row == tag)
+        if hit_ways.size:
+            self._stamps[s, hit_ways[0]] = self._clock
+            self.hits += 1
+            if self.listener is not None:
+                self.listener(line_id, True, NO_LINE)
+            return True, NO_LINE
+        victim = int(np.argmin(self._stamps[s]))
+        old_tag = int(row[victim])
+        evicted = old_tag * ns + s if old_tag >= 0 else NO_LINE
+        row[victim] = tag
+        self._stamps[s, victim] = self._clock
+        self.misses += 1
+        if self.listener is not None:
+            self.listener(line_id, False, evicted)
+        return False, evicted
+
+    def access_stream(self, line_ids: np.ndarray) -> int:
+        before = self.misses
+        for lid in np.asarray(line_ids, dtype=np.int64).tolist():
+            self.access_attributed(lid)
+        return self.misses - before
+
+    def resident_lines(self) -> np.ndarray:
+        ns = self.config.num_sets
+        sets, ways = np.nonzero(self._tags >= 0)
+        return np.sort(self._tags[sets, ways] * ns + sets)
 
 
 class TestLineGeometry:
@@ -115,6 +169,55 @@ class TestLRUCache:
         misses = simulate_misses(stream, self.cfg(sets=4, assoc=2))
         distinct = np.unique(stream).size
         assert distinct <= misses <= stream.size
+
+
+@st.composite
+def geometries_and_streams(draw):
+    """Random cache geometry (1-way and 1-set included) and a line-id stream
+    drawn from few enough lines to conflict, possibly shorter than a set."""
+    sets = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    assoc = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    config = CacheConfig(sets * assoc * 64, 64, assoc)
+    stream = draw(st.lists(st.integers(0, 4 * sets * assoc), max_size=120))
+    return config, stream
+
+
+class TestAgainstStampArrayReference:
+    """The list-based cache replays any stream exactly like the stamp-array
+    reference: same hit/miss/evicted sequence, counters and residency."""
+
+    SETTINGS = settings(max_examples=150, deadline=None)
+
+    @SETTINGS
+    @given(geometries_and_streams())
+    def test_access_attributed_sequence(self, case):
+        config, stream = case
+        cache, ref = SetAssociativeCache(config), StampArrayCache(config)
+        for lid in stream:
+            assert cache.access_attributed(lid) == ref.access_attributed(lid)
+            assert cache.is_resident(lid)
+        assert (cache.hits, cache.misses) == (ref.hits, ref.misses)
+        assert np.array_equal(cache.resident_lines(), ref.resident_lines())
+        assert cache.resident_lines().dtype == np.int64
+
+    @SETTINGS
+    @given(geometries_and_streams(), st.booleans())
+    def test_access_stream(self, case, with_listener):
+        config, stream = case
+        seen, ref_seen = [], []
+        cache = SetAssociativeCache(
+            config, listener=(lambda *event: seen.append(event)) if with_listener else None
+        )
+        ref = StampArrayCache(config, listener=lambda *event: ref_seen.append(event))
+        line_ids = np.array(stream, dtype=np.int64)
+        assert cache.access_stream(line_ids) == ref.access_stream(line_ids)
+        assert (cache.hits, cache.misses) == (ref.hits, ref.misses)
+        assert np.array_equal(cache.resident_lines(), ref.resident_lines())
+        if with_listener:
+            assert seen == ref_seen
+        # a second stream continues from the state the first one left
+        assert cache.access_stream(line_ids[::-1]) == ref.access_stream(line_ids[::-1])
+        assert np.array_equal(cache.resident_lines(), ref.resident_lines())
 
 
 class TestSpMVTrace:

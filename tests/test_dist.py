@@ -218,6 +218,86 @@ class TestDistMatrix:
             DistMatrix.from_global(poisson16, RowPartition.contiguous(10, 2))
 
 
+def _ext_cols_per_row(partition, indptr, indices) -> list[np.ndarray]:
+    """Reference halo columns: the per-row gather ``from_row_structure`` made
+    until it became one pass over (rank, column) keys."""
+    ext = []
+    for p in range(partition.nparts):
+        cols = [indices[indptr[g] : indptr[g + 1]] for g in partition.global_ids[p]]
+        cols = np.unique(np.concatenate(cols)) if cols else np.empty(0, dtype=np.int64)
+        ext.append(cols[partition.owner[cols] != p])
+    return ext
+
+
+def _local_block_per_row(mat, partition, p, ext) -> CSRMatrix:
+    """Reference local block: one column map per rank, one stable argsort per
+    row — ``DistMatrix.from_global`` before the ragged gather."""
+    rows = partition.global_ids[p]
+    col_map = np.full(mat.ncols, -1, dtype=np.int64)
+    col_map[rows] = np.arange(rows.size)
+    col_map[ext] = rows.size + np.arange(ext.size)
+    indptr, indices, data = [0], [], []
+    for g in rows:
+        cols, vals = mat.row(g)
+        local_cols = col_map[cols]
+        order = np.argsort(local_cols, kind="stable")
+        indices.extend(local_cols[order].tolist())
+        data.extend(vals[order].tolist())
+        indptr.append(len(indices))
+    return CSRMatrix((rows.size, rows.size + ext.size), indptr, indices, data)
+
+
+def _partition_allowing_empty_ranks(owner, nparts) -> RowPartition:
+    """A ``RowPartition`` built past the constructor's no-empty-rank check —
+    the construction code must not depend on that check."""
+    part = RowPartition.__new__(RowPartition)
+    part.owner = np.asarray(owner, dtype=np.int64)
+    part.nparts = nparts
+    part.global_ids = [np.flatnonzero(part.owner == p) for p in range(nparts)]
+    part.local_index = np.empty(part.owner.size, dtype=np.int64)
+    for ids in part.global_ids:
+        part.local_index[ids] = np.arange(ids.size)
+    return part
+
+
+class TestConstructionAgainstPerRowReference:
+    """The vectorised distribution is bitwise the per-row one."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("empty_rank", [False, True])
+    def test_random_matrix_random_partition(self, seed, empty_rank):
+        rng = np.random.default_rng(seed)
+        n, nparts = int(rng.integers(5, 40)), int(rng.integers(1, 6))
+        mat = random_sparse(rng, n, n, density=float(rng.uniform(0.05, 0.5)))
+        owner = rng.integers(0, nparts, n)
+        if empty_rank:
+            nparts += 1  # the last rank owns nothing
+        part = _partition_allowing_empty_ranks(owner, nparts)
+
+        schedule = HaloSchedule.from_row_structure(part, mat.indptr, mat.indices)
+        expected_ext = _ext_cols_per_row(part, mat.indptr, mat.indices)
+        assert len(schedule.ext_cols) == nparts
+        for got, want in zip(schedule.ext_cols, expected_ext):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+        dist = DistMatrix.from_global(mat, part)
+        for p, lm in enumerate(dist.locals):
+            want = _local_block_per_row(mat, part, p, expected_ext[p])
+            assert lm.csr.shape == want.shape
+            assert np.array_equal(lm.csr.indptr, want.indptr)
+            assert np.array_equal(lm.csr.indices, want.indices)
+            assert lm.csr.data.tobytes() == want.data.tobytes()
+            assert np.array_equal(lm.global_rows, part.global_ids[p])
+        assert dist.to_global() == mat
+
+    def test_multilevel_partition_of_a_grid(self, dist_poisson16):
+        mat, part, da, _ = dist_poisson16
+        expected_ext = _ext_cols_per_row(part, mat.indptr, mat.indices)
+        for p, lm in enumerate(da.locals):
+            assert np.array_equal(lm.ext_cols, expected_ext[p])
+            assert lm.csr == _local_block_per_row(mat, part, p, expected_ext[p])
+
+
 class TestSPMD:
     def test_spmd_spmv_equals_bsp(self, dist_poisson16, rng):
         mat, part, da, _ = dist_poisson16

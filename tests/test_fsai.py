@@ -219,6 +219,47 @@ class TestBatchedEquivalence:
         batched = compute_g_values(mat, pattern)
         assert np.max(np.abs(per_row.data - batched.data)) <= 1e-12
 
+    def test_batch_split_changes_no_value(self, poisson16, monkeypatch):
+        """Size-groups are solved in bounded batches to cap peak memory; every
+        system is its own LAPACK call, so any split gives the same bits."""
+        from repro.core import fsai
+
+        pattern = fsai_pattern(poisson16, FSAIOptions(level=2))
+        monkeypatch.setattr(fsai, "_BATCH_ENTRIES", 1 << 62)  # one batch per group
+        whole = compute_g_values(poisson16, pattern)
+        for entries in (1, 50, 1000):  # one row per batch, ragged tails, several rows
+            monkeypatch.setattr(fsai, "_BATCH_ENTRIES", entries)
+            assert compute_g_values(poisson16, pattern).data.tobytes() == whole.data.tobytes()
+
+    def test_fallback_shifts_only_the_singular_row(self, monkeypatch):
+        """One singular local system sends its whole batch to the guarded
+        per-row path; healthy rows must come out unshifted, so G is the same
+        whichever rows shared a batch with the singular one."""
+        from repro.core import fsai
+
+        dense = np.kron(np.eye(5), np.array([[2.0, 1.0], [1.0, 2.0]]))
+        dense[4:6, 4:6] = 1.0  # PSD and exactly singular
+        mat = CSRMatrix.from_dense(dense)
+        pattern = SparsityPattern.from_rows(
+            (10, 10), [[i] if i % 2 == 0 else [i - 1, i] for i in range(10)]
+        )
+        monkeypatch.setattr(fsai, "_BATCH_ENTRIES", 1 << 62)  # singular row + 4 healthy
+        whole = compute_g_values(mat, pattern)
+        monkeypatch.setattr(fsai, "_BATCH_ENTRIES", 1)  # every row alone
+        alone = compute_g_values(mat, pattern)
+        assert whole.data.tobytes() == alone.data.tobytes()
+        assert np.isfinite(whole.data).all()
+        healthy = np.ones(10, dtype=bool)
+        healthy[4:6] = False
+        oracle = compute_g_values_per_row(
+            CSRMatrix.from_dense(dense[np.ix_(healthy, healthy)]),
+            SparsityPattern.from_rows(
+                (8, 8), [[i] if i % 2 == 0 else [i - 1, i] for i in range(8)]
+            ),
+        )
+        keep = np.repeat(healthy, np.diff(pattern.indptr))
+        assert np.array_equal(whole.data[keep], oracle.data)
+
     def test_fp32_setup_close_to_fp64(self, poisson16):
         pattern = fsai_pattern(poisson16)
         g64 = compute_g_values(poisson16, pattern)

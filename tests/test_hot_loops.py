@@ -1,0 +1,120 @@
+"""Work-count guard: no per-row (per-access) Python in the set-up hot loops.
+
+Each function below runs between the matrix and the answer on every
+``repro compare`` — pattern union, diagonal extraction, extension mask,
+distribution, halo discovery, cache replay — and each was once a Python loop
+over rows (or accesses) that dominated the run.  The guard counts the work
+the interpreter does, not seconds, so it cannot flake: the number of Python
+frames entered (``sys.setprofile`` ``call`` events; C builtins raise
+``c_call`` and are not counted) must not change when the input grows 8×.
+``HaloSchedule.from_row_structure`` is counted in executed lines
+(``sys.settrace``) instead, because its old per-row loop made no calls.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import numpy as np
+import pytest
+
+from repro.cachesim import CacheConfig, SetAssociativeCache
+from repro.core import extension_entry_mask
+from repro.dist import DistMatrix, HaloSchedule, RowPartition
+from repro.sparse import CSRMatrix, SparsityPattern
+
+SMALL, GROWTH = 96, 8
+
+
+def python_calls(fn) -> int:
+    """Python frames entered while ``fn()`` runs."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def python_lines(fn) -> int:
+    """Source lines executed (in any Python frame) while ``fn()`` runs."""
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+def banded(n: int, offsets=(-2, -1, 0, 1, 2)) -> CSRMatrix:
+    rows = np.concatenate([np.arange(max(0, -k), min(n, n - k)) for k in offsets])
+    cols = np.concatenate([np.arange(max(0, -k), min(n, n - k)) + k for k in offsets])
+    return CSRMatrix.from_coo((n, n), rows, cols, np.ones(rows.size))
+
+
+def union(n):
+    a = SparsityPattern.from_csr(banded(n, (-1, 0, 1)))
+    b = SparsityPattern.from_csr(banded(n, (-3, 0, 2)))
+    return lambda: a.union(b)
+
+
+def diagonal(n):
+    return banded(n).diagonal
+
+
+def extension_mask(n):
+    g, base = banded(n), SparsityPattern.from_csr(banded(n, (-1, 0)))
+    return lambda: extension_entry_mask(g, base)
+
+
+def from_global(n):
+    mat, part = banded(n), RowPartition.contiguous(n, 4)
+    return lambda: DistMatrix.from_global(mat, part)
+
+
+def from_row_structure(n):
+    mat, part = banded(n), RowPartition.contiguous(n, 4)
+    return lambda: HaloSchedule.from_row_structure(part, mat.indptr, mat.indices)
+
+
+def access_stream(n):
+    stream = np.random.default_rng(0).integers(0, 64, size=8 * n)
+    cache = SetAssociativeCache(CacheConfig(2 * 4 * 64, 64, 4))
+    return lambda: cache.access_stream(stream)
+
+
+@pytest.mark.parametrize(
+    "case, count",
+    [
+        (union, python_calls),
+        (diagonal, python_calls),
+        (extension_mask, python_calls),
+        (from_global, python_calls),
+        (from_row_structure, python_lines),
+        (access_stream, python_calls),
+    ],
+    ids=lambda x: x.__name__,
+)
+def test_interpreter_work_does_not_grow_with_the_input(case, count):
+    case(SMALL)()  # lazy imports and first-call set-up inside NumPy happen here
+    small, large = count(case(SMALL)), count(case(GROWTH * SMALL))
+    assert small > 0
+    assert large == small, (
+        f"{case.__name__}: {small} {count.__name__} at n={SMALL}, "
+        f"{large} at n={GROWTH * SMALL} — per-row Python is back"
+    )

@@ -28,6 +28,7 @@ from repro.core.fsai import fsai_pattern
 from repro.core.precond import build_fsai, build_fsaie_comm
 from repro.core.solvers import bicgstab, pipelined_pcg
 from repro.dist.halo import HaloSchedule
+from repro.dist.partition_map import RowPartition
 from repro.dist.vector import DistVector
 from repro.instrument import tracing
 from repro.mpisim.tracker import CommTracker
@@ -175,10 +176,11 @@ class TestFlightRecorder:
 # ----------------------------------------------------------------------
 def _widened_pattern(pattern: SparsityPattern, partition) -> SparsityPattern:
     """Copy ``pattern`` with one extra entry coupling a rank-0 row to a
-    column owned by a rank it previously never received from."""
+    column owned by the last rank, which it must not receive from already
+    (true of contiguous strips of a stencil, not of every graph partition)."""
     owner = partition.owner
-    base_edges = HaloSchedule.from_pattern(pattern, partition).edges()
-    far = next(q for q in range(partition.nparts) if q != 0 and (q, 0) not in base_edges)
+    far = partition.nparts - 1
+    assert (far, 0) not in HaloSchedule.from_pattern(pattern, partition).edges()
     row = int(np.flatnonzero(owner == 0)[-1])
     col = int(np.flatnonzero(owner == far)[0])
     indptr, indices = pattern.indptr, pattern.indices
@@ -219,8 +221,8 @@ class TestInvarianceAuditor:
         assert audit.g.other == "FSAIE-Comm.G"
         assert "HOLDS" in audit.render()
 
-    def test_halo_widened_pattern_flagged(self, dist_poisson16):
-        mat, part, _, _ = dist_poisson16
+    def test_halo_widened_pattern_flagged(self, poisson16):
+        mat, part = poisson16, RowPartition.contiguous(poisson16.nrows, 4)
         pattern = fsai_pattern(mat)
         widened = _widened_pattern(pattern, part)
         verdict = audit_schedules(
@@ -238,9 +240,9 @@ class TestInvarianceAuditor:
         edge = verdict.extra_edges[0]
         assert edge[1] == 0  # rank 0's halo was widened
 
-    def test_halo_widened_preconditioner_object_flagged(self, dist_poisson16):
+    def test_halo_widened_preconditioner_object_flagged(self, poisson16):
         """The duck-typed audit surface flags a doctored preconditioner."""
-        mat, part, _, _ = dist_poisson16
+        mat, part = poisson16, RowPartition.contiguous(poisson16.nrows, 4)
         base = build_fsai(mat, part)
         widened_sched = HaloSchedule.from_pattern(
             _widened_pattern(fsai_pattern(mat), part), part

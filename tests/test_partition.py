@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PartitionError
-from repro.matgen import poisson2d
+from repro.instrument import tracing
+from repro.matgen import poisson2d, poisson3d
 from repro.partition import (
     Graph,
     balanced_chunks,
@@ -115,6 +118,58 @@ class TestRefinement:
         assert bisection_balance(g, np.array([0, 0, 1, 1])) == 1.0
         assert bisection_balance(g, np.array([0, 0, 0, 1])) == pytest.approx(1.5)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 12), st.floats(0.2, 0.8), st.integers(0, 2**31 - 1))
+    def test_fm_never_worsens_an_admissible_input(self, n, share, seed):
+        """Any bisection that already meets an (uneven) target within the cap
+        comes back within the cap and with a cut no larger."""
+        g = graph_from_matrix(poisson2d(n))
+        total = g.num_vertices
+        target = (max(1, round(share * total)), total - max(1, round(share * total)))
+        part = np.ones(total, dtype=np.int64)
+        part[np.random.default_rng(seed).permutation(total)[: target[0]]] = 0
+        refined = fm_refine(g, part, target=target, max_imbalance=1.05)
+        assert g.edge_cut(refined) <= g.edge_cut(part)
+        sizes = np.bincount(refined, minlength=2)
+        assert sizes[0] <= max(1.0, 1.05 * target[0])
+        assert sizes[1] <= max(1.0, 1.05 * target[1])
+
+    def test_fm_respects_uneven_targets(self):
+        g = graph_from_matrix(poisson2d(12))
+        part = strip_partition(144, 2)  # 72 / 72, far from the 36 / 108 target
+        refined = fm_refine(g, part, target=(36, 108), max_imbalance=1.05)
+        sizes = np.bincount(refined, minlength=2)
+        assert sizes[0] <= 1.05 * 36 and sizes[1] <= 1.05 * 108
+
+    def test_fm_is_deterministic(self):
+        g = graph_from_matrix(poisson2d(12))
+        part = np.random.default_rng(5).integers(0, 2, g.num_vertices)
+        assert np.array_equal(fm_refine(g, part), fm_refine(g, part))
+
+    def test_fm_survives_disconnected_and_edgeless_graphs(self):
+        two_paths = Graph([0, 1, 3, 4, 5, 7, 8], [1, 0, 2, 1, 4, 3, 5, 4])
+        part = np.array([0, 1, 0, 1, 0, 1])
+        refined = fm_refine(two_paths, part)
+        assert two_paths.edge_cut(refined) <= two_paths.edge_cut(part)
+        assert np.bincount(refined, minlength=2).tolist() == [3, 3]
+        edgeless = Graph([0, 0, 0, 0, 0], [])
+        part = np.array([0, 0, 1, 1])
+        assert np.array_equal(fm_refine(edgeless, part), part)
+
+    def test_fm_moves_boundary_vertices_only(self):
+        """Work count: a pass queues the boundary, not every vertex, and gives
+        up after a bounded run of fruitless moves — far fewer than ``n`` moves
+        (the all-vertex FM this replaced moved ≈ n per pass and rolled back)."""
+        g = graph_from_matrix(poisson3d(16))
+        n = g.num_vertices
+        with tracing() as (_, metrics):
+            refined = fm_refine(g, strip_partition(n, 2))
+        moves = metrics.value("partition.fm.moves")
+        passes = metrics.value("partition.fm.passes")
+        assert 1 <= passes <= 4
+        assert 0 < moves < 0.25 * n
+        assert g.edge_cut(refined) <= 16 * 16
+
 
 class TestMultilevel:
     def test_bisection_of_grid_is_near_optimal(self):
@@ -132,8 +187,26 @@ class TestMultilevel:
         part = partition_matrix(mat, nparts, seed=3)
         counts = np.bincount(part, minlength=nparts)
         assert counts.min() > 0
-        assert counts.max() / counts.mean() <= 1.25
+        assert counts.max() / counts.mean() <= 1.05
         assert set(np.unique(part)) == set(range(nparts))
+
+    @pytest.mark.parametrize(
+        "mat, nparts",
+        [
+            (poisson2d(96), 64),  # the scaling/conformance ladders' shape
+            (poisson3d(16), 8),
+            (poisson3d(12), 3),  # uneven splits
+            (poisson2d(64), 5),
+        ],
+        ids=["poisson2d96-64", "poisson3d16-8", "poisson3d12-3", "poisson2d64-5"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_kway_imbalance_within_bound(self, mat, nparts, seed):
+        """``max_imbalance`` bounds the k-way result (max part / mean part),
+        not just each bisection: the slack does not compound over levels."""
+        part = partition_graph(graph_from_matrix(mat), nparts, seed=seed, max_imbalance=1.05)
+        counts = np.bincount(part, minlength=nparts)
+        assert counts.max() / counts.mean() <= 1.05
 
     def test_partition_graph_rejects_bad_counts(self):
         g = path_graph(4)

@@ -125,6 +125,15 @@ class TestStructuralOps:
         assert not pat.contains(0, 2)
         assert not pat.contains(1, 0)
 
+    def test_contains_arrays_agree_with_scalars(self, rng):
+        pat = SparsityPattern.from_csr(random_sparse(rng, 7, 5, 0.4))
+        i, j = np.divmod(np.arange(35), 5)
+        mask = pat.contains(i, j)
+        assert mask.dtype == bool
+        assert mask.tolist() == [pat.contains(int(a), int(b)) for a, b in zip(i, j)]
+        assert not SparsityPattern.empty((7, 5)).contains(i, j).any()
+        assert pat.contains(i[:0], j[:0]).size == 0
+
     def test_to_csr_with_values(self):
         pat = SparsityPattern.from_rows((2, 2), [[0], [1]])
         mat = pat.to_csr(np.array([2.0, 3.0]))

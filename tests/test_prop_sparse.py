@@ -7,6 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import pytest
+
+from repro.core import extension_entry_mask
+from repro.errors import SparseFormatError
 from repro.sparse import CSRMatrix, SparsityPattern, spgemm, symbolic_spgemm
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -120,3 +124,89 @@ class TestPatternProperties:
     def test_transpose_involution(self, a):
         pa = SparsityPattern.from_csr(a)
         assert pa.transpose().transpose() == pa
+
+
+@st.composite
+def pattern_pairs(draw, max_dim=9):
+    """Two patterns of one (possibly rectangular) shape as per-row column
+    sets — the oracle representation; empty rows and empty patterns occur."""
+    nrows, ncols = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    row_sets = st.lists(
+        st.sets(st.integers(0, ncols - 1)), min_size=nrows, max_size=nrows
+    )
+    return (nrows, ncols), draw(row_sets), draw(row_sets)
+
+
+def _rows_of(pat: SparsityPattern) -> list[set[int]]:
+    return [set(pat.row(i).tolist()) for i in range(pat.nrows)]
+
+
+class TestSetAlgebraAgainstPythonSets:
+    """The one-pass sorted-key set algebra against per-row Python ``set``s."""
+
+    SETTINGS = settings(max_examples=120, deadline=None)
+
+    @SETTINGS
+    @given(pattern_pairs())
+    def test_binary_operations(self, case):
+        shape, rows_a, rows_b = case
+        a = SparsityPattern.from_rows(shape, rows_a)
+        b = SparsityPattern.from_rows(shape, rows_b)
+        for result, op in (
+            (a.union(b), set.union),
+            (a.intersection(b), set.intersection),
+            (a.difference(b), set.difference),
+        ):
+            assert _rows_of(result) == [op(x, y) for x, y in zip(rows_a, rows_b)]
+            # canonical CSR: what the validating constructor accepts
+            SparsityPattern(result.shape, result.indptr, result.indices)
+            assert result.indices.dtype == result.indptr.dtype == np.int64
+        assert a.issubset(b) == all(x <= y for x, y in zip(rows_a, rows_b))
+        assert a.intersection(b).issubset(a) and a.issubset(a.union(b))
+
+    @SETTINGS
+    @given(pattern_pairs())
+    def test_with_diagonal(self, case):
+        shape, rows_a, _ = case
+        with_diag = SparsityPattern.from_rows(shape, rows_a).with_diagonal()
+        expected = [
+            cols | ({i} if i < shape[1] else set()) for i, cols in enumerate(rows_a)
+        ]
+        assert _rows_of(with_diag) == expected
+
+    @SETTINGS
+    @given(pattern_pairs(), st.data())
+    def test_validation_names_the_unsorted_row(self, case, data):
+        shape, rows_a, _ = case
+        pat = SparsityPattern.from_rows(shape, rows_a)
+        long_rows = [i for i, cols in enumerate(rows_a) if len(cols) > 1]
+        if not long_rows:
+            return
+        row = data.draw(st.sampled_from(long_rows))
+        indices = pat.indices.copy()
+        lo = pat.indptr[row]
+        indices[lo], indices[lo + 1] = indices[lo + 1], indices[lo]
+        with pytest.raises(SparseFormatError, match=f"row {row} not strictly"):
+            SparsityPattern(shape, pat.indptr, indices)
+        indices[lo + 1] = indices[lo]  # a duplicate is not strictly increasing either
+        with pytest.raises(SparseFormatError, match=f"row {row} not strictly"):
+            SparsityPattern(shape, pat.indptr, indices)
+
+    @SETTINGS
+    @given(sparse_matrices())
+    def test_diagonal(self, mat):
+        dense = mat.to_dense()
+        expected = [dense[i, i] for i in range(min(mat.shape))]
+        assert mat.diagonal().tolist() == expected
+
+    @SETTINGS
+    @given(pattern_pairs())
+    def test_extension_entry_mask(self, case):
+        shape, rows_g, rows_base = case
+        g = SparsityPattern.from_rows(shape, rows_g).to_csr()
+        base = SparsityPattern.from_rows(shape, rows_base)
+        expected = [
+            j not in rows_base[i] for i in range(shape[0]) for j in sorted(rows_g[i])
+        ]
+        mask = extension_entry_mask(g, base)
+        assert mask.dtype == np.bool_ and mask.tolist() == expected

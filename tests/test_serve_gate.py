@@ -2,7 +2,7 @@
 
 Runs the first concurrency rung of :mod:`benchmarks.serve_bench`, checks
 its deterministic claims (exact admission counts, exact warm-cache hit
-pattern, clean §4 audits, the warm-over-cold speedup floor), then drives
+pattern, clean §4 audits, no build by a timed warm request), then drives
 ``scripts/check_bench_regression.py --serve`` end-to-end against the
 recorded baseline, exactly how CI invokes it.  Carries the
 ``serve_smoke`` marker — deselect with ``-m "not serve_smoke"`` for a
@@ -24,7 +24,6 @@ sys.path.insert(0, str(REPO / "benchmarks"))
 from serve_bench import (  # noqa: E402
     ADMISSION_PATTERN,
     QUICK_RUNGS,
-    SPEEDUP_FLOOR,
     VARIANTS,
     failed_claims,
     run_serve_suite,
@@ -65,10 +64,26 @@ def test_quick_suite_holds_serving_claims(quick_suite):
     assert s[f"r{n}.warm.audits"] == VARIANTS - 1
     assert s[f"r{n}.warm.audit_violations"] == 0
     assert s[f"r{n}.warm.schedule_invariant"] == 1
-    assert s[f"r{n}.warm_cold_speedup"] >= SPEEDUP_FLOOR
+    # "a warm request costs an apply, not a set-up", in counts: the pre-warm
+    # made every build, the timed requests hit the system tier
+    assert s[f"r{n}.warm.system_misses"] == VARIANTS - 1
+    assert s[f"r{n}.warm.system_hits"] == n + 1
+    assert s[f"r{n}.warm.hit_rate"] == (n + VARIANTS - 1) / (n + VARIANTS)
+    assert s[f"r{n}.warm_cold_speedup"] > 0.0
     # per-rung serve-report documents ride along for drill-down
     assert result["serve"][f"r{n}"]["cold"]["format"] == "repro-serve-report"
     assert result["serve"][f"r{n}"]["warm"]["format"] == "repro-serve-report"
+
+
+@pytest.mark.serve_smoke
+def test_claims_reject_builds_in_the_wrong_phase(quick_suite):
+    (n,) = QUICK_RUNGS
+    for key, delta in ((f"r{n}.warm.system_misses", 1),
+                       (f"r{n}.cold.cache_hits", 1),
+                       (f"r{n}.cold.structure_builds", -1)):
+        summary = dict(quick_suite["summary"])
+        summary[key] += delta
+        assert failed_claims({**quick_suite, "summary": summary}), key
 
 
 @pytest.mark.serve_smoke
@@ -88,7 +103,7 @@ def test_serve_gate_is_clean(quick_suite, tmp_path):
     assert proc.returncode == 0, (
         f"check_bench_regression.py --serve failed:\n{proc.stdout}{proc.stderr}"
     )
-    assert "serve floor:" in proc.stdout
+    assert "serve cache:" in proc.stdout
     assert "OK: benchmark counters within tolerance of the baseline" in proc.stdout
 
 
