@@ -33,17 +33,11 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", help="comma-separated 2-D grid sizes")
     parser.add_argument("--reps", type=int, default=DEFAULT_REPS)
     parser.add_argument("--quick", action="store_true")
-    parser.add_argument(
-        "--backend", default=None, choices=("numpy", "cupy", "auto"),
-        help="array backend (unavailable backends fall back to numpy)",
-    )
     args = parser.parse_args(argv)
     sizes = (
         tuple(int(s) for s in args.sizes.split(",")) if args.sizes else DEFAULT_SIZES
     )
-    result = run_suite(
-        sizes=sizes, reps=args.reps, quick=args.quick, backend=args.backend
-    )
+    result = run_suite(sizes=sizes, reps=args.reps, quick=args.quick)
     path = write_suite(result, args.output)
     print(format_summary(result))
     print(f"\nwritten: {path}")

@@ -11,8 +11,8 @@ Checks, for every package listed in ``scripts/gen_api_docs.py``:
    generates now (``--check``): a changed name, signature or summary line
    without regeneration fails,
 3. the module has a docstring (the generated reference leads with it), and
-4. for the packages in :data:`DOC_COVERAGE` — the observability, kernel,
-   backend and resilience layers, whose contracts live in prose — every
+4. for the packages in :data:`DOC_COVERAGE` — the observability, kernel
+   and resilience layers, whose contracts live in prose — every
    exported function/class *and every public method* carries a docstring.
 
 Exit code 0 when clean; 1 with a line per violation otherwise.  Wired into
@@ -36,7 +36,6 @@ PACKAGES = gen_api_docs.PACKAGES
 DOC_COVERAGE = (
     "repro.observe",
     "repro.kernels",
-    "repro.backend",
     "repro.resilience",
     "repro.cachesim",
     "repro.serve",

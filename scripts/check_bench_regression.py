@@ -8,10 +8,12 @@ quick run) against the recorded baseline in
 
 * allocation counters gate exactly (a warm workspace solve must stay at
   zero hot-loop allocations);
-* iteration counts gate with a small absolute allowance, and only when the
-  fresh run used the same suite configuration as the baseline (iteration
-  counts depend on the benchmarked grid);
-* timing-derived speedups are machine-dependent and are only checked with
+* iteration counts gate with a small absolute allowance and the
+  FSAIE-Comm/FSAI stored-entry ratio exactly, and only when the fresh run
+  used the same suite configuration as the baseline (both depend on the
+  benchmarked grid);
+* timing-derived ratios (planned-kernel speedups, the FSAIE-Comm/FSAI
+  apply-time ratio) are machine-dependent and are only checked with
   ``--check-timings`` (wide relative tolerance) — never in CI by default.
 
 Solve-level suites (``BENCH_solver.json``, see :mod:`benchmarks.solver_bench`)
@@ -102,12 +104,14 @@ GATED_METRICS = {
 #: Config-dependent counters, gated only when fresh config == baseline config.
 CONFIG_METRICS = {
     "bench.pcg.iterations": {"rel": 0.0, "abs": 2.0},
+    "bench.precond_nnz_ratio": {"rel": 0.0, "abs": 1e-12},
 }
 
 #: Machine-dependent ratios, opt-in via --check-timings.
 TIMING_METRICS = {
     "bench.spmv_speedup_largest": {"rel": 0.9},
     "bench.spmv_transpose_speedup_largest": {"rel": 0.9},
+    "bench.precond_apply_ratio": {"rel": 0.9},
 }
 
 #: Suite configuration of the recorded baseline (quick smoke sizes).

@@ -40,7 +40,6 @@ export with :func:`repro.instrument.write_chrome_trace` (or run
 ``python -m repro trace``).
 """
 
-from repro.backend import ArrayBackend, get_backend
 from repro.core import (
     CGResult,
     FilterSpec,
@@ -94,9 +93,6 @@ __all__ = [
     # kernels
     "SpMVPlan",
     "SolverWorkspace",
-    # backend
-    "ArrayBackend",
-    "get_backend",
     # sparse
     "CSRMatrix",
     "SparsityPattern",

@@ -568,9 +568,7 @@ def cmd_bench(args) -> int:
     from repro.kernels.bench import DEFAULT_SIZES, format_summary, run_suite, write_suite
 
     sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else DEFAULT_SIZES
-    result = run_suite(
-        sizes=sizes, reps=args.reps, quick=args.quick, backend=args.backend
-    )
+    result = run_suite(sizes=sizes, reps=args.reps, quick=args.quick)
     path = write_suite(result, args.output)
     print(format_summary(result))
     print(f"\nwritten: {path}")
@@ -954,11 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="result JSON path")
     p_bench.add_argument("--sizes", help="comma-separated 2-D grid sizes, e.g. 32,64,96")
     p_bench.add_argument("--reps", type=int, default=5, help="repetitions (best-of)")
-    p_bench.add_argument(
-        "--backend", default=None, choices=("numpy", "cupy", "auto"),
-        help="array backend for the planned kernels and batched setup "
-             "(unavailable backends fall back to numpy with a warning)",
-    )
     p_bench.add_argument("--quick", action="store_true",
                          help="smoke-test sizes/reps (numbers indicative only)")
     p_bench.set_defaults(fn=cmd_bench)

@@ -15,10 +15,8 @@ parallel machines — and the setup exploits it as **batched row solves**:
 rows are grouped by pattern size ``k``, each group's local Gram blocks are
 gathered into one stacked ``(m, k, k)`` tensor with a single vectorised
 binary search over the matrix structure (no Python-level per-row loop), and
-each group is solved with one batched ``linalg.solve`` call.  All array work
-runs through an :class:`repro.backend.ArrayBackend` namespace, so the same
-code drives NumPy today and CuPy when a device is present
-(:class:`SetupOptions` selects backend and dtype).  The one-small-system-
+each group is solved with one batched ``linalg.solve`` call
+(:class:`SetupOptions` selects the compute dtype).  The one-small-system-
 per-row loop this replaced lives on in ``tests/test_fsai.py`` as the oracle
 the batched solves are checked against.
 """
@@ -29,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend
 from repro.errors import NotSPDError, ShapeError
 from repro.instrument import get_metrics
 from repro.sparse.csr import CSRMatrix, _entry_keys
@@ -89,19 +86,13 @@ class FSAIOptions:
 
 @dataclass(frozen=True)
 class SetupOptions:
-    """How the FSAI values are computed — backend and precision.
+    """How the FSAI values are computed — the compute precision.
 
     The runtime knobs of the setup phase as one sub-config, carried by
     :class:`repro.core.precond.PrecondOptions` as ``setup=``.
 
     Attributes
     ----------
-    backend:
-        Array namespace for the batched solves: a name accepted by
-        :func:`repro.backend.get_backend` (``"numpy"``, ``"cupy"``,
-        ``"auto"``) or an :class:`~repro.backend.ArrayBackend` instance.
-        Unavailable accelerator backends fall back to NumPy with a single
-        warning.
     dtype:
         Compute precision of the Gram gather and batched solve,
         ``"float64"`` (default) or ``"float32"``.  The returned ``G`` is
@@ -109,7 +100,6 @@ class SetupOptions:
         halved bandwidth during setup.
     """
 
-    backend: str | ArrayBackend = "numpy"
     dtype: str = "float64"
 
     def __post_init__(self):
@@ -119,8 +109,6 @@ class SetupOptions:
             raise ValueError(
                 f"dtype must be one of {sorted(_SETUP_DTYPES)}, got {self.dtype!r}"
             )
-        if not isinstance(self.backend, ArrayBackend):
-            get_backend(self.backend)  # validates the name eagerly
 
     @property
     def np_dtype(self) -> np.dtype:
@@ -167,27 +155,25 @@ def compute_g_values(
     grouped by pattern size ``k``; each group's Gram blocks
     ``A[S_i, S_i]`` are gathered, a bounded batch at a time, into a stacked
     ``(m, k, k)`` tensor by a vectorised binary search over the matrix
-    structure and solved with one batched ``linalg.solve`` call on the
-    configured backend.  A batch holding a singular system is re-solved row
-    by row; only rows that fail unshifted get a tiny diagonal shift.
+    structure and solved with one batched ``linalg.solve`` call.  A batch
+    holding a singular system is re-solved row by row; only rows that fail
+    unshifted get a tiny diagonal shift.
 
-    ``setup`` selects backend and dtype (:class:`SetupOptions`); the default
-    computes in float64 on NumPy and matches one dense solve per row to
+    ``setup`` selects the compute dtype (:class:`SetupOptions`); the default
+    computes in float64 and matches one dense solve per row to
     LAPACK rounding (within 1e-12 on well-conditioned inputs).
     """
     setup = setup if setup is not None else SetupOptions()
     row_sizes = _check_pattern(mat, pattern)
     n = mat.nrows
-    backend = get_backend(setup.backend)
-    xp = backend.xp
     dtype = setup.np_dtype
 
     data = np.empty(pattern.nnz, dtype=np.float64)
     # Global sorted entry keys row*ncols+col: one sorted array over which a
     # batched binary search resolves every (row, col) Gram-block lookup.
     stride = max(n, mat.ncols)
-    keys = backend.asarray(_entry_keys(mat.indptr, mat.indices, stride))
-    avals = backend.asarray(mat.data, dtype=dtype)
+    keys = _entry_keys(mat.indptr, mat.indices, stride)
+    avals = mat.data.astype(dtype, copy=False)
     zero = dtype.type(0.0)
 
     groups = [(int(k), np.flatnonzero(row_sizes == k)) for k in np.unique(row_sizes)]
@@ -202,26 +188,22 @@ def compute_g_values(
         idx = pattern.indices[pos]
         # gather the Gram blocks in one shot: query keys (m, k*k) against
         # the global sorted keys, zero where the entry is structurally absent
-        queries = backend.asarray(
-            (idx[:, :, None] * stride + idx[:, None, :]).reshape(m, k * k)
-        )
-        loc = xp.searchsorted(keys, queries)
-        loc = xp.minimum(loc, keys.size - 1) if keys.size else loc
-        subs = xp.where(keys[loc] == queries, avals[loc], zero)
+        queries = (idx[:, :, None] * stride + idx[:, None, :]).reshape(m, k * k)
+        loc = np.searchsorted(keys, queries)
+        loc = np.minimum(loc, keys.size - 1) if keys.size else loc
+        subs = np.where(keys[loc] == queries, avals[loc], zero)
         subs = subs.reshape(m, k, k)
-        rhs = xp.zeros((m, k), dtype=dtype)
+        rhs = np.zeros((m, k), dtype=dtype)
         rhs[:, k - 1] = 1.0
         try:
-            ys = xp.linalg.solve(subs, rhs[:, :, None])[:, :, 0]
-            if not bool(xp.all(xp.isfinite(ys))) or bool(xp.any(ys[:, k - 1] <= 0)):
+            ys = np.linalg.solve(subs, rhs[:, :, None])[:, :, 0]
+            if not np.isfinite(ys).all() or (ys[:, k - 1] <= 0).any():
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
-            ys = _solve_rows_guarded(
-                backend.from_device(subs).astype(np.float64, copy=False)
-            )
-            ys = backend.asarray(ys, dtype=dtype)
-        ys = ys / xp.sqrt(ys[:, k - 1])[:, None]
-        data[pos] = backend.from_device(ys)
+            ys = _solve_rows_guarded(subs.astype(np.float64, copy=False))
+            ys = ys.astype(dtype, copy=False)
+        ys = ys / np.sqrt(ys[:, k - 1])[:, None]
+        data[pos] = ys
 
     metrics = get_metrics()
     if metrics.enabled:

@@ -83,7 +83,7 @@ class PrecondOptions:
         Extension filtering specification (value, static/dynamic); a
         :class:`repro.core.filtering.FilterSpec` sub-config.
     setup:
-        Runtime of the value computation (array backend, compute dtype); a
+        Runtime of the value computation (compute dtype); a
         :class:`repro.core.fsai.SetupOptions` sub-config.
     """
 
@@ -189,8 +189,8 @@ def build_fsai(
 
     ``options`` may be a :class:`PrecondOptions`; alternatively pass its
     fields as keyword arguments (``build_fsai(A, part, fsai=FSAIOptions(level=2))``).
-    The factor values are computed as batched row-group solves on the array
-    backend selected by ``options.setup`` — see
+    The factor values are computed as batched row-group solves in the dtype
+    selected by ``options.setup`` — see
     :func:`repro.core.fsai.compute_g_values`.
     """
     options = _coerce_options(options, overrides)

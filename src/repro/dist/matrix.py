@@ -92,7 +92,7 @@ class LocalMatrix:
 class DistMatrix:
     """A sparse matrix distributed by rows with a halo exchange schedule."""
 
-    __slots__ = ("partition", "locals", "schedule", "shape", "_plans")
+    __slots__ = ("partition", "locals", "schedule", "shape", "_plans", "_split")
 
     def __init__(
         self,
@@ -107,7 +107,8 @@ class DistMatrix:
         self.locals = locals_
         self.schedule = schedule
         self.shape = (int(shape[0]), int(shape[1]))
-        self._plans: dict[str, list] = {}
+        self._plans: list | None = None
+        self._split: list | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -173,25 +174,21 @@ class DistMatrix:
         """Stored entries per rank."""
         return np.array([lm.nnz for lm in self.locals], dtype=np.int64)
 
-    def plans(self, backend=None) -> list:
+    def plans(self) -> list:
         """Per-rank :class:`~repro.kernels.plan.SpMVPlan` set, built lazily.
 
-        Cached on the matrix per backend (plans snapshot the structure, so
-        the matrix must not be mutated after the first call).  Cache hits
-        and misses accumulate in the ``kernels.plan_cache.*`` metrics.
+        Cached on the matrix (plans reference its arrays, so the matrix must
+        not be mutated after the first call).  Cache hits and misses
+        accumulate in the ``kernels.plan_cache.*`` metrics.
         """
-        from repro.backend import get_backend
-        from repro.kernels.plan import SpMVPlan
+        if self._plans is None:
+            from repro.kernels.plan import SpMVPlan
 
-        bk = get_backend(backend)
-        plans = self._plans.get(bk.name)
-        if plans is None:
             get_metrics().counter("kernels.plan_cache.misses").inc()
-            plans = [SpMVPlan(lm.csr, backend=bk) for lm in self.locals]
-            self._plans[bk.name] = plans
+            self._plans = [SpMVPlan(lm.csr) for lm in self.locals]
         else:
             get_metrics().counter("kernels.plan_cache.hits").inc()
-        return plans
+        return self._plans
 
     def split_blocks(self) -> list[tuple[CSRMatrix, CSRMatrix | None]]:
         """Per-rank ``(A_ll, A_lh)`` column split of the local blocks.
@@ -207,9 +204,8 @@ class DistMatrix:
         row, so overlapped products may differ from the fused ones in the
         last ulps — which is why overlap is opt-in.
         """
-        blocks = self._plans.get("__split__")
-        if blocks is not None:
-            return blocks
+        if self._split is not None:
+            return self._split
         blocks = []
         for lm in self.locals:
             if lm.n_halo == 0:
@@ -227,7 +223,7 @@ class DistMatrix:
                 vals[~local],
             )
             blocks.append((a_ll, a_lh))
-        self._plans["__split__"] = blocks
+        self._split = blocks
         return blocks
 
     def spmv(

@@ -102,6 +102,8 @@ class RowPartition:
         return self.global_ids[rank][np.asarray(local_rows, dtype=np.int64)]
 
     def __eq__(self, other) -> bool:
+        if self is other:  # the per-iteration guards compare a partition to itself
+            return True
         if not isinstance(other, RowPartition):
             return NotImplemented
         return self.nparts == other.nparts and np.array_equal(self.owner, other.owner)

@@ -52,17 +52,6 @@ class FaultPlanError(ReproError):
     """A fault-injection plan is malformed (bad probability, rank, schema)."""
 
 
-class BackendError(ReproError):
-    """An array backend cannot run the requested kernel configuration.
-
-    Raised when a capability flag rules out the only viable code path —
-    e.g. building a reduceat-based SpMV plan on a backend without
-    ``ufunc.reduceat`` support (see ``docs/BACKENDS.md``).  Unavailable
-    backends do **not** raise this: :func:`repro.backend.get_backend`
-    falls back to NumPy with a warning instead.
-    """
-
-
 class ConvergenceError(ReproError):
     """An iterative solver failed to reach its tolerance within max iterations.
 

@@ -5,9 +5,9 @@ and communication, not flops — means the Python runtime must not add
 per-iteration allocation and metadata overhead on top.  This package
 provides:
 
-* :class:`~repro.kernels.plan.SpMVPlan` — per-matrix SpMV metadata
-  (reduceat row starts, transpose gather plans, scratch buffers) computed
-  once, with allocation-free ``spmv(x, out=)`` / ``spmv_t(x, out=)``;
+* :class:`~repro.kernels.plan.SpMVPlan` — a CSR matrix validated once and
+  bound to SciPy's compiled CSR kernel on its own arrays, with
+  allocation-free ``spmv(x, out=)`` / ``spmv_t(x, out=)``;
 * :class:`~repro.kernels.workspace.SolverWorkspace` — every Krylov solve
   temporary preallocated and reused, threaded through
   :func:`repro.core.cg.pcg`, :func:`repro.core.solvers.bicgstab` and

@@ -7,13 +7,14 @@ Measures (never asserts) the :mod:`repro.kernels` layer:
 * a full PCG solve through a warm
   :class:`~repro.kernels.workspace.SolverWorkspace`: seconds, iterations and
   the hot-loop allocation count,
-* the batched FSAI setup (:func:`~repro.core.fsai.compute_g_values`).
+* the batched FSAI setup (:func:`~repro.core.fsai.compute_g_values`),
+* one preconditioner application ``z = Gᵀ(G·r)`` per method (FSAI and
+  FSAIE-Comm): stored entries, µs per apply and ns per stored entry — the
+  paper's claim that extension entries are nearly free, in wall clock.
 
 Entry points: :func:`run_suite` returns the result dict, :func:`write_suite`
 writes it as JSON, :func:`format_summary` renders the human-readable table
-printed by ``repro bench`` and ``benchmarks/microbench.py``.  ``run_suite``
-takes a ``backend=`` name so the same suite can be pointed at CuPy when
-present (the default NumPy backend is always available).
+printed by ``repro bench`` and ``benchmarks/microbench.py``.
 
 Timings are best-of-``reps`` wall clock; sizes stay small enough that the
 full suite runs in seconds (``quick=True`` trims further for smoke tests).
@@ -27,10 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.core.cg import pcg
-from repro.core.fsai import SetupOptions, compute_g_values, fsai_pattern
-from repro.core.precond import build_fsai
+from repro.core.filtering import FilterSpec
+from repro.core.fsai import compute_g_values, fsai_pattern
+from repro.core.precond import build_fsai, build_fsaie_comm
 from repro.dist.matrix import DistMatrix
 from repro.dist.partition_map import RowPartition
 from repro.dist.vector import DistVector
@@ -56,21 +57,19 @@ def _best(fn, reps: int, inner: int = 4) -> float:
     return best
 
 
-def _bench_spmv(sizes, reps: int, backend) -> list[dict]:
+def _bench_spmv(sizes, reps: int) -> list[dict]:
     records = []
-    xp = backend.xp
     for size in sizes:
         mat = poisson2d(size)
         rng = np.random.default_rng(size)
-        x_host = rng.standard_normal(mat.ncols)
-        x = backend.asarray(x_host)  # no-copy on the numpy backend
-        plan = SpMVPlan(mat, backend=backend)
-        out = xp.empty(mat.nrows, dtype=np.float64)
-        out_t = xp.empty(mat.ncols, dtype=np.float64)
+        x = rng.standard_normal(mat.ncols)
+        plan = SpMVPlan(mat)
+        out = np.empty(mat.nrows, dtype=np.float64)
+        out_t = np.empty(mat.ncols, dtype=np.float64)
 
-        unplanned = _best(lambda: mat.spmv(x_host), reps)
+        unplanned = _best(lambda: mat.spmv(x), reps)
         planned = _best(lambda: plan.spmv(x, out=out), reps)
-        unplanned_t = _best(lambda: mat.spmv_transpose(x_host), reps)
+        unplanned_t = _best(lambda: mat.spmv_transpose(x), reps)
         planned_t = _best(lambda: plan.spmv_t(x, out=out_t), reps)
         records.append(
             {
@@ -116,20 +115,45 @@ def _bench_pcg(size: int, reps: int, nparts: int = 4) -> dict:
     }
 
 
-def _bench_setup(size: int, reps: int, backend) -> dict:
+def _bench_setup(size: int, reps: int) -> dict:
     """Seconds of the batched group solves on the level-1 pattern."""
     mat = poisson2d(size)
     pattern = fsai_pattern(mat)
-    setup = SetupOptions(backend=backend)
-    batched = _best(
-        lambda: compute_g_values(mat, pattern, setup=setup), reps, inner=1
+    batched = _best(lambda: compute_g_values(mat, pattern), reps, inner=1)
+    return {"grid": int(size), "n": mat.nrows, "batched_s": batched}
+
+
+def _bench_precond_apply(size: int, reps: int, nparts: int = 4) -> list[dict]:
+    """One ``z = Gᵀ(G·r)`` per method through a warm workspace.
+
+    ``nnz`` counts the stored entries of ``G`` and ``Gᵀ`` together — what one
+    application streams — so ``ns_per_entry`` is comparable across methods.
+    """
+    mat = poisson2d(size)
+    partition = RowPartition.contiguous(mat.nrows, nparts)
+    ws = SolverWorkspace(DistMatrix.from_global(mat, partition))
+    r = DistVector.from_global(
+        np.random.default_rng(3 * size).standard_normal(mat.nrows), partition
     )
-    return {
-        "grid": int(size),
-        "n": mat.nrows,
-        "backend": backend.name,
-        "batched_s": batched,
-    }
+    z = DistVector.zeros(partition)
+    spec = FilterSpec(0.01, dynamic=True)
+    records = []
+    for build in (build_fsai, build_fsaie_comm):
+        pre = build(mat, partition, filter=spec)
+        pre.apply(r, out=z, workspace=ws)  # warm-up: plans and buffers
+        apply_s = _best(lambda: pre.apply(r, out=z, workspace=ws), reps)
+        nnz = pre.g.nnz + pre.gt.nnz
+        records.append(
+            {
+                "method": pre.name,
+                "grid": int(size),
+                "ranks": nparts,
+                "nnz": nnz,
+                "apply_us": apply_s * 1e6,
+                "ns_per_entry": apply_s * 1e9 / nnz,
+            }
+        )
+    return records
 
 
 def run_suite(
@@ -137,40 +161,36 @@ def run_suite(
     reps: int = DEFAULT_REPS,
     *,
     quick: bool = False,
-    backend: str | None = None,
 ) -> dict:
     """Run the full microbenchmark suite and return the result dict.
 
     ``quick=True`` shrinks sizes and repetitions to smoke-test territory
     (used by ``pytest -m bench_smoke``); numbers are then indicative only.
-    ``backend=`` selects the array backend for the planned-kernel and
-    batched-setup cases (``"numpy"``, ``"cupy"`` or ``"auto"``; unavailable
-    backends fall back to NumPy with a warning).
     """
-    bk = get_backend(backend)
     if quick:
         sizes = tuple(sizes[:2]) or (16,)
         reps = min(reps, 2)
     sizes = tuple(int(s) for s in sizes)
-    spmv = _bench_spmv(sizes, reps, bk)
+    spmv = _bench_spmv(sizes, reps)
     largest = max(sizes)
+    fsai, comm = precond_apply = _bench_precond_apply(largest, reps)
     result = {
         "suite": "kernels",
-        "config": {
-            "sizes": list(sizes),
-            "reps": reps,
-            "quick": quick,
-            "backend": bk.name,
-        },
+        "config": {"sizes": list(sizes), "reps": reps, "quick": quick},
         "spmv": spmv,
         "pcg": _bench_pcg(min(largest, 48), reps),
-        "setup": _bench_setup(largest, reps, bk),
+        "setup": _bench_setup(largest, reps),
+        "precond_apply": precond_apply,
     }
     by_grid = {rec["grid"]: rec for rec in spmv}
     result["summary"] = {
         "spmv_speedup_largest": by_grid[largest]["speedup"],
         "spmv_transpose_speedup_largest": by_grid[largest]["speedup_transpose"],
         "pcg_hot_allocs": result["pcg"]["workspace_allocs_hot"],
+        # extension entries are nearly free when the time ratio stays below
+        # the entry ratio
+        "precond_nnz_ratio": comm["nnz"] / fsai["nnz"],
+        "precond_apply_ratio": comm["apply_us"] / fsai["apply_us"],
     }
     return result
 
@@ -217,7 +237,17 @@ def format_summary(result: dict) -> str:
     ]
     s = result["setup"]
     lines.append(
-        f"fsai setup {s['grid']}x{s['grid']} [{s['backend']}]: batched "
-        f"{s['batched_s'] * 1e3:.2f} ms"
+        f"fsai setup {s['grid']}x{s['grid']}: batched {s['batched_s'] * 1e3:.2f} ms"
+    )
+    for rec in result["precond_apply"]:
+        lines.append(
+            f"precond apply {rec['method']:<10} {rec['grid']}x{rec['grid']} on "
+            f"{rec['ranks']} ranks: {rec['nnz']:>8} nnz {rec['apply_us']:>8.1f}µ "
+            f"{rec['ns_per_entry']:>6.2f} ns/entry"
+        )
+    summary = result["summary"]
+    lines.append(
+        f"FSAIE-Comm / FSAI: {summary['precond_nnz_ratio']:.2f}x the entries in "
+        f"{summary['precond_apply_ratio']:.2f}x the time"
     )
     return "\n".join(lines)

@@ -1,356 +1,115 @@
-"""Precomputed SpMV kernel plans — allocation-free matrix-vector products.
+"""SpMV kernel plans — one compiled CSR loop, validated once, no allocation.
 
 The paper's premise is that preconditioner application is bound by memory
-traffic, not flops — yet the plain :meth:`CSRMatrix.spmv` pays Python-side
-overhead on every call: it re-derives the nonempty-row mask, allocates the
-gathered-product scratch array, and (for the transpose product) falls back to
-``np.add.at`` scatter-adds, the slowest reduction NumPy offers.
+traffic: an extension entry is nearly free because its operand shares an
+already-fetched cache line.  That only shows in wall clock when a stored
+entry costs a multiply-add in a compiled loop rather than three NumPy
+dispatches, so :class:`SpMVPlan` runs SciPy's CSR kernel directly on the
+:class:`~repro.sparse.csr.CSRMatrix`'s own ``indptr``/``indices``/``data``
+arrays (no copy, no int32 narrowing, no stored transpose):
 
-An :class:`SpMVPlan` hoists all of that out of the iteration loop.  At
-construction it computes, once per matrix:
+* :meth:`SpMVPlan.spmv` is ``out.fill(0.0)`` +
+  ``csr_matvec(nrows, ncols, indptr, indices, data, x, out)``;
+* :meth:`SpMVPlan.spmv_t` hands the same arrays to ``csc_matvec`` with the
+  dimensions swapped — the CSR arrays of ``A`` are the CSC arrays of ``Aᵀ``.
 
-* the ``add.reduceat`` segment starts (and, when some rows are empty, the
-  compressed nonempty-row index list),
-* a full transpose gather plan — a CSC view of the matrix (permuted values,
-  source-row gather indices, column segment starts) so ``Aᵀx`` is evaluated
-  with the same gather + ``reduceat`` kernel as ``Ax`` instead of
-  ``np.add.at``,
-* for narrow-row matrices (every row at most :data:`ELL_MAX_WIDTH` entries
-  and modest padding overhead — the common case for stencil operators and
-  FSAI factors), a zero-padded ELLPACK layout stored slot-major, so the
-  per-row reduction is a handful of long contiguous vector adds instead of
-  ``reduceat``'s per-segment dispatch,
-* the scratch-buffer sizes (``nnz``, or the padded ELL shape) — the buffers
-  themselves are materialised lazily, once per applying thread.
+The routines are the private ``scipy.sparse._sparsetools`` ones, not
+``csr_array @ x``: the public product allocates its result on every call,
+which would break the zero-hot-loop-allocation gate
+(``scripts/check_no_alloc.py``), and measured 5–17 % slower.  Their contract
+(accumulate into ``y``, int64 indices accepted, float32 ``y`` rejected) is
+pinned by name in ``tests/test_kernels.py``.
 
-After construction, :meth:`spmv` / :meth:`spmv_t` perform **zero array
-allocations** when an ``out=`` vector is supplied: the gather runs through
-``np.take(..., out=...)``, the multiply through ``np.multiply(..., out=...)``
-and the reduction through ``np.add.reduceat(..., out=...)`` or in-place
-vector adds over the ELL slots.
+The compiled loop does no bounds checking and reads ``x`` while it writes
+``out``, so the plan validates the structure once at construction
+(:class:`~repro.errors.ShapeError` on a malformed matrix — blocks built with
+``check=False`` included) and every call rejects a non-float64 operand
+(SciPy would silently allocate an upcast copy) and an ``out`` that may share
+memory with ``x``.  Rows are summed left to right in stored order, which
+agrees with the NumPy reference :meth:`CSRMatrix.spmv` to rounding, not
+bitwise.
 
-Numerics: the reduceat path reduces each row with the exact routine
-``CSRMatrix.spmv`` uses, so it is bitwise-identical to the unplanned kernel.
-The ELL path accumulates each row strictly left to right (a deterministic,
-documented order), which matches ``reduceat``'s internal pairwise order only
-to rounding — expect 1-ulp-level differences from the unplanned kernel on
-narrow matrices.  The ELL padding multiplies ``0.0`` against ``x[0]``, so it
-assumes finite input vectors (as every iterative solver here does).
-
-Plans snapshot the matrix structure and values at construction; the matrix
-must not be mutated afterwards.  Scratch buffers are **thread-local**: a
-plan may be applied concurrently from many threads (the solve farm runs
-concurrent solves through the plans cached on a shared
-:class:`~repro.dist.DistMatrix`), each thread lazily allocating its own
-scratch on first use and running allocation-free thereafter.  The
-``calls``/``calls_t`` counters are plain integers and may undercount under
-concurrency — they are instrumentation, not accounting.
-
-Plans are backend-aware: pass ``backend=`` (a name or
-:class:`repro.backend.ArrayBackend`) and every kernel array — gather
-indices, value snapshots, scratch buffers — lives in that backend's
-namespace, with ``spmv``/``spmv_t`` running entirely through ``backend.xp``.
-The default NumPy backend is bitwise-identical to the historical behaviour.
-Backends without ``ufunc.reduceat`` (CuPy) require the ELLPACK layout; a
-wide-row matrix on such a backend raises
-:class:`~repro.errors.BackendError` at construction (see
-``docs/BACKENDS.md``).
+A plan holds no scratch, so it may be applied from many threads at once
+(each with its own ``out``); the matrix must not be mutated afterwards.
+``calls``/``calls_t`` are plain integers and may undercount under
+concurrency — instrumentation, not accounting.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend
-from repro.errors import BackendError, ShapeError
-from repro.sparse.csr import CSRMatrix
+from repro.errors import ShapeError
+from repro.sparse.csr import CSRMatrix, _check_out
 
-__all__ = ["SpMVPlan", "ELL_MAX_WIDTH"]
-
-# Rows wider than this keep the reduceat path; 8 keeps the slot loop short
-# and covers every stencil/FSAI operator in the evaluation suite.
-ELL_MAX_WIDTH = 8
-# Padded size must stay within this factor of nnz, or ELL wastes bandwidth.
-_ELL_PAD_FACTOR = 1.5
-
-
-def _build_ell(widths: np.ndarray, indices: np.ndarray, data: np.ndarray):
-    """Slot-major ELLPACK arrays ``(width, n)`` from row-major CSR triples.
-
-    Returns ``(idx, vals, scratch)`` or ``None`` when the layout does not
-    pay off (wide rows or too much padding).  Slot ``j`` holds the ``j``-th
-    stored entry of every row, zero-padded, so the row reduction is
-    ``width`` contiguous vector adds.
-    """
-    n = widths.size
-    if n == 0 or indices.size == 0:
-        return None
-    w = int(widths.max())
-    if w == 0 or w > ELL_MAX_WIDTH or n * w > _ELL_PAD_FACTOR * indices.size:
-        return None
-    mask = np.arange(w) < widths[:, None]  # (n, w), row-major like CSR data
-    idx = np.zeros((n, w), dtype=np.int64)
-    vals = np.zeros((n, w), dtype=np.float64)
-    idx[mask] = indices
-    vals[mask] = data
-    # slot-major: each slot is one contiguous length-n vector
-    idx = np.ascontiguousarray(idx.T)
-    vals = np.ascontiguousarray(vals.T)
-    return idx, vals, np.empty((w, n), dtype=np.float64)
-
-
-def _ell_apply(xp, x, idx, vals, scratch, out):
-    """``out[i] = Σ_j vals[j, i] * x[idx[j, i]]``, left-to-right in ``j``."""
-    if xp is np:
-        # indices are validated at construction; clip skips the bounds check
-        np.take(x, idx, out=scratch, mode="clip")
-    else:
-        xp.take(x, idx, out=scratch)  # cupy.take has no mode= kwarg
-    xp.multiply(scratch, vals, out=scratch)
-    if scratch.shape[0] == 1:
-        xp.copyto(out, scratch[0])
-        return out
-    xp.add(scratch[0], scratch[1], out=out)
-    for j in range(2, scratch.shape[0]):
-        out += scratch[j]
-    return out
-
-
-class _PlanScratch:
-    """One thread's scratch buffers for one plan (lazily built per thread)."""
-
-    __slots__ = ("ell_x", "prod", "seg", "t_ell_x", "t_prod", "t_seg")
-
-    def __init__(self, xp, spec):
-        ell_shape, prod_size, seg_size, t_ell_shape, t_prod_size, t_seg_size = spec
-        self.ell_x = xp.empty(ell_shape, dtype=np.float64) if ell_shape else None
-        self.prod = xp.empty(prod_size, dtype=np.float64) if prod_size else None
-        self.seg = xp.empty(seg_size, dtype=np.float64) if seg_size else None
-        self.t_ell_x = (
-            xp.empty(t_ell_shape, dtype=np.float64) if t_ell_shape else None
-        )
-        self.t_prod = xp.empty(t_prod_size, dtype=np.float64) if t_prod_size else None
-        self.t_seg = xp.empty(t_seg_size, dtype=np.float64) if t_seg_size else None
-
-
-def _check_out(out, n: int, label: str, backend: ArrayBackend) -> None:
-    """Validate a user-supplied output vector (backend, shape and dtype)."""
-    if not backend.is_native(out):
-        raise TypeError(
-            f"{label} must be a {backend.name} array, got {type(out).__name__}"
-        )
-    if out.dtype != np.float64:
-        raise TypeError(f"{label} must have dtype float64, got {out.dtype}")
-    if out.shape != (n,):
-        raise ShapeError(f"{label} has shape {out.shape}, expected ({n},)")
+__all__ = ["SpMVPlan"]
 
 
 class SpMVPlan:
-    """Per-matrix SpMV metadata and scratch buffers, computed once.
+    """A validated :class:`CSRMatrix` bound to the compiled SpMV kernel.
 
-    Parameters
-    ----------
-    mat:
-        The CSR matrix to plan for.  Its ``indptr``/``indices``/``data``
-        arrays are referenced (forward product) and partially copied
-        (transpose gather plan); do not mutate the matrix afterwards.
-    backend:
-        Array backend the kernels run on — a name accepted by
-        :func:`repro.backend.get_backend` or an
-        :class:`~repro.backend.ArrayBackend`.  Defaults to NumPy.  All plan
-        arrays live in the backend namespace; input and ``out=`` vectors
-        must be native to it.
-
-    Attributes
-    ----------
-    calls / calls_t:
-        Plain counters of forward/transpose products executed through the
-        plan (object-local so the hot path never touches a registry; the
-        runtime layer publishes them to :mod:`repro.instrument`).
+    ``calls`` / ``calls_t`` count the forward/transpose products executed
+    (object-local so the hot path never touches a registry).
     """
 
     __slots__ = (
-        "mat", "nrows", "ncols", "nnz", "backend", "_xp",
-        "_a_indices", "_a_data",
-        "_starts", "_row_ids", "_all_rows_nonempty",
-        "_ell_idx", "_ell_vals",
-        "_t_rows", "_t_data", "_t_starts", "_t_col_ids",
-        "_all_cols_nonempty",
-        "_t_ell_idx", "_t_ell_vals",
-        "_scratch_spec", "_tls",
-        "calls", "calls_t",
+        "mat", "nrows", "ncols", "nnz", "_csr", "_matvec", "_matvec_t", "calls", "calls_t",
     )
 
-    def __init__(self, mat: CSRMatrix, backend: str | ArrayBackend | None = None):
+    def __init__(self, mat: CSRMatrix):
+        # imported with the first plan, not with the package: scipy.sparse is
+        # ~20 MiB resident, +21 % on an SPMD-engine run, which applies no plan
+        from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+
+        indptr, indices, data = mat.indptr, mat.indices, mat.data
+        nrows, ncols = mat.shape
+        if indptr.dtype != indices.dtype or indptr.dtype not in (np.int32, np.int64):
+            raise ShapeError(
+                f"indptr ({indptr.dtype}) and indices ({indices.dtype}) must "
+                "share one of int32/int64"
+            )
+        if data.dtype != np.float64 or not data.flags.c_contiguous:
+            raise ShapeError("data must be a C-contiguous float64 array")
+        if (
+            indptr.shape != (nrows + 1,)
+            or indptr[0] != 0
+            or indices.shape != (indptr[-1],)
+            or data.shape != indices.shape
+            or (np.diff(indptr) < 0).any()
+        ):
+            raise ShapeError("indptr/indices/data are not a consistent CSR structure")
+        if indices.size and not 0 <= indices.min() <= indices.max() < ncols:
+            raise ShapeError(f"column index outside [0, {ncols})")
         self.mat = mat
-        self.backend = get_backend(backend)
-        xp = self._xp = self.backend.xp
-        dev = self.backend.asarray
-        self.nrows, self.ncols = mat.shape
-        self.nnz = mat.nnz
+        self.nrows, self.ncols, self.nnz = nrows, ncols, indices.size
+        self._csr = (indptr, indices, data)
+        self._matvec, self._matvec_t = csr_matvec, csc_matvec
         self.calls = 0
         self.calls_t = 0
 
-        # scratch sizes are recorded here and materialised per thread on
-        # first use (see _scratch) — None means the path never needs one
-        ell_shape = prod_size = seg_size = None
-        t_ell_shape = t_prod_size = t_seg_size = None
-
-        widths = np.diff(mat.indptr)
-        ell = _build_ell(widths, mat.indices, mat.data)
-        if ell is not None:
-            idx, vals, scratch = ell
-            self._ell_idx, self._ell_vals = dev(idx), dev(vals)
-            ell_shape = scratch.shape
-            self._starts = self._row_ids = None
-            self._a_indices = self._a_data = None
-            self._all_rows_nonempty = True
-        elif not self.backend.supports_reduceat and self.nnz:
-            raise BackendError(
-                f"backend {self.backend.name!r} has no ufunc.reduceat; SpMV "
-                f"plans need the ELLPACK layout (rows at most {ELL_MAX_WIDTH} "
-                "wide with modest padding) — see docs/BACKENDS.md"
-            )
-        else:
-            self._ell_idx = self._ell_vals = None
-            self._a_indices = dev(mat.indices)
-            self._a_data = dev(mat.data)
-            # forward plan: reduceat starts over nonempty rows
-            starts = mat.indptr[:-1]
-            nonempty = mat.indptr[1:] > starts
-            self._all_rows_nonempty = bool(nonempty.all()) if self.nrows else True
-            if self._all_rows_nonempty:
-                self._starts = dev(np.ascontiguousarray(starts))
-                self._row_ids = None
-            else:
-                row_ids = np.flatnonzero(nonempty)
-                self._row_ids = dev(row_ids)
-                self._starts = dev(np.ascontiguousarray(starts[row_ids]))
-                seg_size = row_ids.size
-            prod_size = self.nnz
-
-        # transpose plan: CSC gather (stable sort keeps determinism and,
-        # within a column, ascending source rows)
-        order = np.argsort(mat.indices, kind="stable")
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), mat.row_nnz())
-        t_rows = rows[order]
-        t_data = mat.data[order]
-        col_counts = np.bincount(mat.indices, minlength=self.ncols) if self.nnz \
-            else np.zeros(self.ncols, dtype=np.int64)
-        t_ell = _build_ell(col_counts, t_rows, t_data)
-        if t_ell is not None:
-            idx, vals, scratch = t_ell
-            self._t_ell_idx, self._t_ell_vals = dev(idx), dev(vals)
-            t_ell_shape = scratch.shape
-            self._t_rows = self._t_data = None
-            self._t_starts = self._t_col_ids = None
-            self._all_cols_nonempty = True
-        else:
-            if not self.backend.supports_reduceat and self.nnz:
-                raise BackendError(
-                    f"backend {self.backend.name!r} has no ufunc.reduceat; the "
-                    "transpose SpMV plan needs the ELLPACK layout — see "
-                    "docs/BACKENDS.md"
-                )
-            self._t_ell_idx = self._t_ell_vals = None
-            self._t_rows = dev(t_rows)
-            self._t_data = dev(t_data)
-            t_indptr = np.zeros(self.ncols + 1, dtype=np.int64)
-            np.cumsum(col_counts, out=t_indptr[1:])
-            t_starts = t_indptr[:-1]
-            col_nonempty = t_indptr[1:] > t_starts
-            self._all_cols_nonempty = bool(col_nonempty.all()) if self.ncols else True
-            if self._all_cols_nonempty:
-                self._t_starts = dev(np.ascontiguousarray(t_starts))
-                self._t_col_ids = None
-            else:
-                t_col_ids = np.flatnonzero(col_nonempty)
-                self._t_col_ids = dev(t_col_ids)
-                self._t_starts = dev(np.ascontiguousarray(t_starts[t_col_ids]))
-                t_seg_size = t_col_ids.size
-            t_prod_size = self.nnz
-
-        self._scratch_spec = (
-            ell_shape, prod_size, seg_size, t_ell_shape, t_prod_size, t_seg_size,
-        )
-        self._tls = threading.local()
-
-    # ------------------------------------------------------------------
-    def _scratch(self) -> _PlanScratch:
-        """This thread's scratch buffers, built on first use.
-
-        Per-thread scratch is what makes concurrent application safe: two
-        threads running :meth:`spmv` through the same plan gather into
-        disjoint buffers instead of racing on shared ones.
-        """
-        bufs = getattr(self._tls, "bufs", None)
-        if bufs is None:
-            bufs = self._tls.bufs = _PlanScratch(self._xp, self._scratch_spec)
-        return bufs
+    def _operands(self, x, out, n_in: int, n_out: int) -> np.ndarray:
+        _check_out(x, n_in, "x")
+        if out is None:
+            return np.empty(n_out, dtype=np.float64)
+        _check_out(out, n_out)
+        if np.may_share_memory(x, out):
+            raise ValueError("out must not share memory with x")
+        return out
 
     def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``y = A @ x`` through the plan; allocation-free when ``out`` is given.
-
-        ``out`` may alias ``x``: the gathered products are materialised in the
-        thread's scratch buffer before ``out`` is written.
-        """
-        xp = self._xp
-        if x.shape != (self.ncols,):
-            raise ShapeError(f"x has shape {x.shape}, expected ({self.ncols},)")
-        if out is None:
-            out = xp.empty(self.nrows, dtype=np.float64)
-        else:
-            _check_out(out, self.nrows, "out", self.backend)
+        """``y = A @ x``; allocation-free when ``out`` is given."""
+        out = self._operands(x, out, self.ncols, self.nrows)
         self.calls += 1
-        if self.nnz == 0:
-            out.fill(0.0)
-            return out
-        scratch = self._scratch()
-        if self._ell_idx is not None:
-            return _ell_apply(xp, x, self._ell_idx, self._ell_vals, scratch.ell_x, out)
-        # indices are validated at matrix construction; mode="clip" skips the
-        # redundant per-call bounds check
-        xp.take(x, self._a_indices, out=scratch.prod, mode="clip")
-        xp.multiply(scratch.prod, self._a_data, out=scratch.prod)
-        if self._all_rows_nonempty:
-            xp.add.reduceat(scratch.prod, self._starts, out=out)
-        else:
-            xp.add.reduceat(scratch.prod, self._starts, out=scratch.seg)
-            out.fill(0.0)
-            out[self._row_ids] = scratch.seg
+        out.fill(0.0)
+        self._matvec(self.nrows, self.ncols, *self._csr, x, out)
         return out
 
     def spmv_t(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``y = Aᵀ @ x`` through the transpose gather plan (no ``add.at``).
-
-        ``out`` may alias ``x``; allocation-free when ``out`` is given.
-        """
-        xp = self._xp
-        if x.shape != (self.nrows,):
-            raise ShapeError(f"x has shape {x.shape}, expected ({self.nrows},)")
-        if out is None:
-            out = xp.empty(self.ncols, dtype=np.float64)
-        else:
-            _check_out(out, self.ncols, "out", self.backend)
+        """``y = Aᵀ @ x``; allocation-free when ``out`` is given."""
+        out = self._operands(x, out, self.nrows, self.ncols)
         self.calls_t += 1
-        if self.nnz == 0:
-            out.fill(0.0)
-            return out
-        scratch = self._scratch()
-        if self._t_ell_idx is not None:
-            return _ell_apply(
-                xp, x, self._t_ell_idx, self._t_ell_vals, scratch.t_ell_x, out
-            )
-        xp.take(x, self._t_rows, out=scratch.t_prod, mode="clip")
-        xp.multiply(scratch.t_prod, self._t_data, out=scratch.t_prod)
-        if self._all_cols_nonempty:
-            xp.add.reduceat(scratch.t_prod, self._t_starts, out=out)
-        else:
-            xp.add.reduceat(scratch.t_prod, self._t_starts, out=scratch.t_seg)
-            out.fill(0.0)
-            out[self._t_col_ids] = scratch.t_seg
+        out.fill(0.0)
+        self._matvec_t(self.ncols, self.nrows, *self._csr, x, out)
         return out
 
     def __repr__(self) -> str:

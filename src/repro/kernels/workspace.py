@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend
 from repro.dist.matrix import DistMatrix
 from repro.dist.vector import DistVector
 from repro.errors import ShapeError
@@ -36,13 +35,13 @@ class _OperatorState:
 
     __slots__ = ("dmat", "plans", "xin", "halo_views")
 
-    def __init__(self, dmat: DistMatrix, backend: ArrayBackend):
+    def __init__(self, dmat: DistMatrix):
         self.dmat = dmat
-        self.plans = dmat.plans(backend)
+        self.plans = dmat.plans()
         self.xin: list[np.ndarray] = []
         self.halo_views: list[np.ndarray] = []
         for lm in dmat.locals:
-            buf = backend.xp.empty(lm.n_local + lm.n_halo, dtype=np.float64)
+            buf = np.empty(lm.n_local + lm.n_halo, dtype=np.float64)
             self.xin.append(buf)
             self.halo_views.append(buf[lm.n_local:])
 
@@ -59,12 +58,8 @@ class SolverWorkspace:
     mat:
         The system matrix; its partition defines every vector buffer.  Plans
         and input buffers for further operators (e.g. the preconditioner's
-        ``G`` / ``Gᵀ``) are registered lazily on first application.
-    backend:
-        Array backend the buffers and kernel plans live on — a name accepted
-        by :func:`repro.backend.get_backend` or an
-        :class:`~repro.backend.ArrayBackend`.  Defaults to NumPy.  Operand
-        vectors must match the backend and dtype (float64); mismatches raise
+        ``G`` / ``Gᵀ``) are registered lazily on first application.  Operand
+        vectors must be float64 NumPy arrays; anything else raises
         :class:`ValueError` rather than silently casting into the buffers.
 
     Attributes
@@ -75,9 +70,8 @@ class SolverWorkspace:
         ``scripts/check_no_alloc.py``.
     """
 
-    def __init__(self, mat: DistMatrix, backend: str | ArrayBackend | None = None):
+    def __init__(self, mat: DistMatrix):
         self.mat = mat
-        self.backend = get_backend(backend)
         self.partition = mat.partition
         self.allocations = 0
         self._vectors: dict[str, DistVector] = {}
@@ -90,7 +84,7 @@ class SolverWorkspace:
         get_metrics().counter("kernels.allocs").inc(n)
 
     def _register(self, dmat: DistMatrix) -> _OperatorState:
-        state = _OperatorState(dmat, self.backend)
+        state = _OperatorState(dmat)
         self._ops[id(dmat)] = state
         self._count_allocs(state.narrays)
         return state
@@ -153,13 +147,11 @@ class SolverWorkspace:
 
     def _check_parts(self, vec: DistVector, label: str) -> None:
         """Reject operand vectors that would silently cast into the buffers."""
-        backend = self.backend
         for p, part in enumerate(vec.parts):
-            if not backend.is_native(part):
+            if not isinstance(part, np.ndarray):
                 raise ValueError(
-                    f"{label}.parts[{p}] is {type(part).__name__}, but this "
-                    f"workspace runs on the {backend.name!r} backend — convert "
-                    "with backend.to_device() before the solve"
+                    f"{label}.parts[{p}] is {type(part).__name__}; workspace "
+                    "operands must be numpy arrays"
                 )
             if part.dtype != np.float64:
                 raise ValueError(

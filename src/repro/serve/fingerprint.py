@@ -10,7 +10,7 @@ structurally —
   pattern; values are deliberately excluded),
 * the **partitioning** inputs (rank count, partition seed),
 * the **pattern options** (method, cache-line bytes, filter spec), and
-* the **runtime options** (array backend, dtype).
+* the **runtime option** (compute dtype).
 
 Two matrices with the same fingerprint produce bit-identical FSAI patterns,
 halo schedules, :class:`~repro.kernels.plan.SpMVPlan` layouts and
@@ -79,7 +79,6 @@ def fingerprint_structure(
     line_bytes: int = 64,
     filter_value: float = 0.01,
     dynamic: bool = True,
-    backend: str = "numpy",
     dtype: str = "float64",
     seed: int = 0,
 ) -> StructureFingerprint:
@@ -95,7 +94,6 @@ def fingerprint_structure(
         ("line_bytes", str(int(line_bytes))),
         ("filter_value", f"{float(filter_value):.12g}"),
         ("dynamic", str(bool(dynamic))),
-        ("backend", str(backend)),
         ("dtype", str(dtype)),
         ("seed", str(int(seed))),
     )

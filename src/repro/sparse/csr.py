@@ -14,9 +14,10 @@ Design notes
 * Rows always hold **sorted, unique** column indices.  Algorithms that build
   rows out of order must go through :meth:`CSRMatrix.from_coo` or
   :func:`repro.sparse.pattern.SparsityPattern` builders which canonicalise.
-* The SpMV kernel is vectorised with ``numpy.add.reduceat`` — no Python-level
-  per-row loop — following the "vectorise the hot loop" idiom of the
-  scientific-python optimisation guide.
+* The SpMV kernel here is the NumPy reference, vectorised with
+  ``numpy.add.reduceat`` — no Python-level per-row loop.  The solvers' hot
+  loop runs a compiled CSR kernel on the same arrays
+  (:class:`repro.kernels.plan.SpMVPlan`), checked against this one.
 """
 
 from __future__ import annotations
@@ -50,14 +51,14 @@ def _entry_keys(indptr: np.ndarray, indices: np.ndarray, ncols: int) -> np.ndarr
     return keys
 
 
-def _check_out(out: np.ndarray, n: int) -> None:
-    """Validate a user-supplied ``out=`` vector: float64 ndarray of length n."""
+def _check_out(out: np.ndarray, n: int, label: str = "out") -> None:
+    """Validate a user-supplied vector: float64 ndarray of length n."""
     if not isinstance(out, np.ndarray):
-        raise TypeError(f"out must be a numpy array, got {type(out).__name__}")
+        raise TypeError(f"{label} must be a numpy array, got {type(out).__name__}")
     if out.dtype != np.float64:
-        raise TypeError(f"out must have dtype float64, got {out.dtype}")
+        raise TypeError(f"{label} must have dtype float64, got {out.dtype}")
     if out.shape != (n,):
-        raise ShapeError(f"out has shape {out.shape}, expected ({n},)")
+        raise ShapeError(f"{label} has shape {out.shape}, expected ({n},)")
 
 
 class CSRMatrix:
@@ -267,9 +268,9 @@ class CSRMatrix:
 
         ``out`` must be a float64 vector of length ``nrows``; it may alias
         ``x`` (the gathered products are materialised before ``out`` is
-        written).  For repeated products over one matrix prefer
-        :class:`repro.kernels.plan.SpMVPlan`, which hoists the per-call
-        metadata work done here out of the loop.
+        written).  This is the NumPy reference; the solvers run the same
+        product through :class:`repro.kernels.plan.SpMVPlan` (a compiled CSR
+        loop on these arrays, equal to this kernel to rounding).
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.ncols,):
@@ -300,9 +301,9 @@ class CSRMatrix:
         """Compute ``y = Aᵀ @ x`` without materialising the transpose.
 
         ``out`` must be a float64 vector of length ``ncols``; it may alias
-        ``x``.  :class:`repro.kernels.plan.SpMVPlan.spmv_t` evaluates the same
-        product through a precomputed gather plan without the ``add.at``
-        scatter used here.
+        ``x``.  The NumPy reference (an ``add.at`` scatter);
+        :meth:`repro.kernels.plan.SpMVPlan.spmv_t` evaluates the same product
+        in a compiled loop on these arrays, equal to rounding.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.nrows,):

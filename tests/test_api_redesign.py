@@ -128,12 +128,19 @@ class TestRemovedSpellings:
             fsai_factor,
             fsai_pattern,
         )
+        from repro.kernels import SolverWorkspace, SpMVPlan
+        from repro.serve.fingerprint import fingerprint_structure
 
         mat, part, da, b = dist_poisson16
         calls = [lambda key=key: PrecondOptions(**{key: 1}) for key in self.FLAT]
         calls += [
             lambda: PrecondOptions(filter=0.1),
             lambda: SetupOptions(batched=False),
+            lambda: SetupOptions(backend="numpy"),
+            lambda: SpMVPlan(da.locals[0].csr, backend="numpy"),
+            lambda: SolverWorkspace(da, backend="numpy"),
+            lambda: da.plans("numpy"),
+            lambda: fingerprint_structure(mat, ranks=4, backend="numpy"),
             lambda: compute_g_values(mat, fsai_pattern(mat), parallel=2),
             lambda: fsai_factor(mat, parallel=2),
             lambda: build_fsai(mat, part, parallel=2),

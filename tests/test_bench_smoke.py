@@ -31,8 +31,15 @@ def test_run_suite_quick_shape(tmp_path):
     assert summary["pcg_hot_allocs"] == 0
     assert result["pcg"]["iterations"] > 0 and result["pcg"]["workspace_s"] > 0.0
     assert "spmv_speedup_largest" in summary
-    assert result["setup"]["backend"] == "numpy"
+    assert "backend" not in result["config"] and "backend" not in result["setup"]
     assert result["setup"]["batched_s"] > 0.0
+    fsai, comm = result["precond_apply"]
+    assert (fsai["method"], comm["method"]) == ("FSAI", "FSAIE-Comm")
+    for rec in (fsai, comm):
+        assert rec["nnz"] > 0 and rec["apply_us"] > 0.0
+        assert rec["ns_per_entry"] == pytest.approx(1e3 * rec["apply_us"] / rec["nnz"])
+    assert summary["precond_nnz_ratio"] == comm["nnz"] / fsai["nnz"] > 1.0
+    assert summary["precond_apply_ratio"] > 0.0
 
     path = write_suite(result, tmp_path / "BENCH_kernels.json")
     loaded = json.loads(Path(path).read_text())
@@ -40,6 +47,7 @@ def test_run_suite_quick_shape(tmp_path):
 
     text = format_summary(result)
     assert "kernel microbenchmarks" in text
+    assert "precond apply FSAIE-Comm" in text and "x the entries in" in text
 
 
 def test_check_no_alloc_script_passes():

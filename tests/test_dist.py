@@ -63,6 +63,21 @@ class TestRowPartition:
         assert a == b
         assert a != c
 
+    def test_equality_identity_shortcut_keeps_semantics(self, rng):
+        # ``self is other`` answers the per-iteration guards without scanning
+        # ``owner``; equal-but-distinct partitions still compare equal and
+        # mismatched ones still raise at every guard
+        a, b = RowPartition.contiguous(6, 2), RowPartition.contiguous(6, 2)
+        assert a == a and a is not b and a == b and not (a != b)
+        assert a.__eq__(object()) is NotImplemented
+        x = DistVector.from_global(rng.standard_normal(6), a)
+        y = DistVector.from_global(rng.standard_normal(6), b)
+        assert np.isclose(x.dot(y), x.to_global() @ y.to_global())
+        z = DistVector.zeros(RowPartition(np.array([0, 1, 0, 1, 0, 1])))
+        for guarded in (x.dot, lambda v: x.xpay(v, 2.0), lambda v: x.axpy(2.0, v)):
+            with pytest.raises(ShapeError):
+                guarded(z)
+
 
 class TestHaloSchedule:
     def test_from_pattern_identifies_halo_columns(self):

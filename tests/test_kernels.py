@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,45 +21,12 @@ from conftest import random_sparse
 
 
 class TestSpMVPlan:
-    def test_forward_bitwise_matches_csr(self, rng):
-        # Dense enough that rows exceed the ELL width cap -> reduceat path,
-        # which replays the exact gather/multiply/reduceat sequence of
-        # CSRMatrix.spmv and is therefore bitwise identical.
-        mat = random_sparse(rng, 37, 29, density=0.6)
-        plan = SpMVPlan(mat)
-        assert plan._ell_idx is None
-        x = rng.standard_normal(29)
-        assert np.array_equal(plan.spmv(x), mat.spmv(x))
-
-    def test_ell_path_matches_csr(self, rng):
-        # Narrow rows (Poisson stencil) select the ELL layout, which sums
-        # rows left-to-right: deterministic, but only rounding-equal to the
-        # reduceat kernel.
-        mat = poisson2d(12)
-        plan = SpMVPlan(mat)
-        assert plan._ell_idx is not None
-        x = rng.standard_normal(mat.ncols)
-        assert np.allclose(plan.spmv(x), mat.spmv(x), atol=1e-13)
-        first = plan.spmv(x)
-        assert np.array_equal(first, plan.spmv(x))  # deterministic replay
-        y = rng.standard_normal(mat.nrows)
-        assert np.allclose(plan.spmv_t(y), mat.spmv_transpose(y), atol=1e-13)
-
-    def test_ell_out_aliasing(self, rng):
-        mat = poisson2d(8)
-        plan = SpMVPlan(mat)
-        x = rng.standard_normal(mat.ncols)
-        ref = plan.spmv(x.copy())
-        buf = x.copy()
-        plan.spmv(buf, out=buf)
-        assert np.array_equal(buf, ref)
-
     def test_transpose_matches_csr(self, rng):
         mat = random_sparse(rng, 37, 29, density=0.15)
         plan = SpMVPlan(mat)
         x = rng.standard_normal(37)
-        # the transpose gather plan sums in a different order than the
-        # add.at kernel, so agreement is to rounding, not bitwise.
+        # left-to-right sums vs the add.at reference: equal to rounding (the
+        # property in test_prop_sparse.py bounds both products per entry)
         assert np.allclose(plan.spmv_t(x), mat.spmv_transpose(x), atol=1e-13)
 
     def test_empty_rows_and_cols(self, rng):
@@ -81,21 +50,27 @@ class TestSpMVPlan:
         mat = random_sparse(rng, 20, 20, density=0.3)
         plan = SpMVPlan(mat)
         x = rng.standard_normal(20)
-        out = np.empty(20)
+        out = np.full(20, np.nan)  # stale contents must not leak
         ref = plan.spmv(x)
         result = plan.spmv(x, out=out)
         assert result is out
         assert np.array_equal(out, ref)
         assert plan.calls == 2
+        # the plan runs on the matrix's own arrays: no copy, no scratch
+        assert all(a is b for a, b in zip(plan._csr, (mat.indptr, mat.indices, mat.data)))
 
     def test_out_aliasing_input_square(self, rng):
+        # the compiled loop reads x while it writes out: aliasing is an
+        # error, not a documented feature
         mat = random_sparse(rng, 20, 20, density=0.3)
         plan = SpMVPlan(mat)
-        x = rng.standard_normal(20)
-        ref = plan.spmv(x.copy())
-        buf = x.copy()
-        plan.spmv(buf, out=buf)
-        assert np.array_equal(buf, ref)
+        buf = rng.standard_normal(40)
+        for x, out in ((buf[:20], buf[:20]), (buf[:20], buf[10:30])):
+            with pytest.raises(ValueError, match="share memory"):
+                plan.spmv(x, out=out)
+            with pytest.raises(ValueError, match="share memory"):
+                plan.spmv_t(x, out=out)
+        plan.spmv(buf[:20], out=buf[20:])  # disjoint views of one buffer are fine
 
     def test_out_wrong_shape(self, rng):
         plan = SpMVPlan(random_sparse(rng, 8, 5, density=0.4))
@@ -103,6 +78,8 @@ class TestSpMVPlan:
             plan.spmv(np.ones(5), out=np.empty(4))
         with pytest.raises(ShapeError):
             plan.spmv_t(np.ones(8), out=np.empty(8))
+        with pytest.raises(ShapeError):
+            plan.spmv(np.ones(8))
 
     def test_out_wrong_dtype(self, rng):
         plan = SpMVPlan(random_sparse(rng, 8, 5, density=0.4))
@@ -110,6 +87,113 @@ class TestSpMVPlan:
             plan.spmv(np.ones(5), out=np.empty(8, dtype=np.float32))
         with pytest.raises(TypeError):
             plan.spmv(np.ones(5), out=[0.0] * 8)
+        # SciPy would silently allocate an upcast copy of x
+        with pytest.raises(TypeError):
+            plan.spmv(np.ones(5, dtype=np.float32))
+        with pytest.raises(TypeError):
+            plan.spmv_t(np.ones(8, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "indptr, indices, data",
+        [
+            ([0, 2, 3], [0, 1, 5], [1.0, 2.0, 3.0]),  # column past ncols
+            ([0, 2, 3], [0, -1, 1], [1.0, 2.0, 3.0]),  # negative column
+            ([1, 2, 3], [0, 1, 1], [1.0, 2.0, 3.0]),  # indptr[0] != 0
+            ([0, 3, 2], [0, 1, 1], [1.0, 2.0, 3.0]),  # decreasing indptr
+            ([0, 2, 9], [0, 1, 1], [1.0, 2.0, 3.0]),  # indptr[-1] != nnz
+            ([0, 2, 3], [0, 1, 1], [1.0, 2.0]),  # short data
+            ([0, 2], [0, 1], [1.0, 2.0]),  # indptr too short for nrows
+        ],
+    )
+    def test_malformed_matrix_rejected_at_construction(self, indptr, indices, data):
+        # DistMatrix.from_global builds its blocks with check=False and the
+        # compiled loop does no bounds checking: the plan is the gate
+        mat = CSRMatrix((2, 3), indptr, indices, data, check=False)
+        with pytest.raises(ShapeError):
+            SpMVPlan(mat)
+
+    def test_foreign_array_dtypes_rejected_at_construction(self):
+        mat = CSRMatrix((2, 3), [0, 2, 3], [0, 1, 1], [1.0, 2.0, 3.0])
+        mat.indices = mat.indices.astype(np.int32)  # mixed index dtypes
+        with pytest.raises(ShapeError, match="int32/int64"):
+            SpMVPlan(mat)
+        mat = CSRMatrix((2, 3), [0, 2, 3], [0, 1, 1], [1.0, 2.0, 3.0])
+        mat.data = mat.data.astype(np.float32)
+        with pytest.raises(ShapeError, match="float64"):
+            SpMVPlan(mat)
+        mat.data = np.arange(6.0)[::2]  # strided: SciPy would copy per call
+        with pytest.raises(ShapeError, match="contiguous"):
+            SpMVPlan(mat)
+
+    def test_private_scipy_routine_contract(self):
+        """What ``SpMVPlan`` relies on from ``scipy.sparse._sparsetools``:
+        a SciPy upgrade that changes any of it fails here, by name."""
+        from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+
+        indptr = np.array([0, 2, 3], dtype=np.int64)  # int64 accepted as is
+        indices = np.array([0, 2, 1], dtype=np.int64)
+        data = np.array([1.0, 2.0, 3.0])
+        x = np.array([1.0, 10.0, 100.0])
+        y = np.array([0.5, 0.25])
+        csr_matvec(2, 3, indptr, indices, data, x, y)
+        assert y.tolist() == [201.5, 30.25]  # accumulates into y, in place
+        yt = np.array([1.0, 1.0, 1.0])
+        csc_matvec(3, 2, indptr, indices, data, np.array([1.0, 10.0]), yt)
+        assert yt.tolist() == [2.0, 31.0, 3.0]
+        with pytest.raises(ValueError):
+            csr_matvec(2, 3, indptr, indices, data, x, np.zeros(2, dtype=np.float32))
+
+    def test_scipy_is_imported_with_the_first_plan_not_the_package(self):
+        # scipy.sparse costs ~20 MiB resident: processes that never apply a
+        # plan (the SPMD engine's) must not pay it for importing repro
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro, repro.kernels; from repro.matgen import poisson2d; "
+            "assert 'scipy' not in sys.modules; repro.SpMVPlan(poisson2d(4)); "
+            "assert 'scipy.sparse._sparsetools' in sys.modules"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={"PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_concurrent_apply_through_one_plan(self, rng):
+        # a plan holds no scratch: many threads, one plan, distinct out
+        import sys
+        import threading
+
+        mat = poisson2d(40)
+        plan = SpMVPlan(mat)
+        nthreads = 4
+        xs = [rng.standard_normal(mat.ncols) for _ in range(nthreads)]
+        refs = [mat.spmv(x) for x in xs]
+        outs = [np.empty(mat.nrows) for _ in range(nthreads)]
+        bad: list[int] = []
+        barrier = threading.Barrier(nthreads)
+
+        def worker(k):
+            barrier.wait(timeout=30)
+            for _ in range(200):
+                plan.spmv(xs[k], out=outs[k])
+                if not np.allclose(outs[k], refs[k], atol=1e-12):
+                    bad.append(k)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(nthreads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not bad
 
 
 class TestCSROutAliasing:
@@ -206,7 +290,7 @@ class TestSolverWorkspace:
             # the reference kernel allocates halo buffers, operands, results
             assert metrics.value("kernels.allocs") == 3 * part.nparts
         for p in range(part.nparts):
-            # ELL-planned local blocks agree to rounding with the legacy
+            # the compiled kernel agrees to rounding with the reference
             # reduceat kernel (see repro.kernels.plan)
             assert np.allclose(out.parts[p], legacy.parts[p], atol=1e-13)
 
@@ -226,12 +310,12 @@ class TestSolverWorkspace:
         with pytest.raises(ValueError, match="float64"):
             ws.spmv(dmat, x)
 
-    def test_non_backend_operand_rejected(self, dist_setup):
+    def test_non_array_operand_rejected(self, dist_setup):
         _, part, dmat, _ = dist_setup
         ws = SolverWorkspace(dmat)
         x = DistVector.zeros(part)
         x.parts[0] = list(x.parts[0])
-        with pytest.raises(ValueError, match="backend"):
+        with pytest.raises(ValueError, match="numpy arrays"):
             ws.spmv(dmat, x)
 
     def test_float32_out_rejected(self, dist_setup, rng):
@@ -242,11 +326,6 @@ class TestSolverWorkspace:
         out.parts[1] = out.parts[1].astype(np.float32)
         with pytest.raises(ValueError, match="float64"):
             ws.spmv(dmat, x, out=out)
-
-    def test_workspace_backend_defaults_to_numpy(self, dist_setup):
-        _, _, dmat, _ = dist_setup
-        ws = SolverWorkspace(dmat)
-        assert ws.backend.name == "numpy"
 
     def test_halo_update_rejects_float32_buffers(self, dist_setup):
         mat, part, dmat, _ = dist_setup

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import extension_entry_mask
 from repro.errors import SparseFormatError
+from repro.kernels import SpMVPlan
 from repro.sparse import CSRMatrix, SparsityPattern, spgemm, symbolic_spgemm
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -210,3 +211,44 @@ class TestSetAlgebraAgainstPythonSets:
         ]
         mask = extension_entry_mask(g, base)
         assert mask.dtype == np.bool_ and mask.tolist() == expected
+
+
+@st.composite
+def plan_blocks(draw, max_dim=12):
+    """Rectangular blocks in the shapes plans meet: general, one-row,
+    halo-shaped ``n_local × (n_local + n_halo)`` and ``nnz == 0``, with
+    whole rows and columns knocked out."""
+    kind = draw(st.sampled_from(["rect", "one_row", "halo", "empty"]))
+    nrows = 1 if kind == "one_row" else draw(st.integers(1, max_dim))
+    ncols = draw(st.integers(1, max_dim))
+    if kind == "halo":
+        ncols += nrows
+    dense = draw(
+        hnp.arrays(np.float64, (nrows, ncols), elements=st.floats(-10, 10, allow_nan=False))
+    )
+    keep = draw(hnp.arrays(np.bool_, (nrows, ncols), elements=st.booleans()))
+    keep &= draw(hnp.arrays(np.bool_, (nrows, 1), elements=st.booleans()))
+    keep &= draw(hnp.arrays(np.bool_, (1, ncols), elements=st.booleans()))
+    if kind == "empty":
+        keep[:] = False
+    return CSRMatrix.from_dense(np.where(keep, dense, 0.0))
+
+
+class TestSpMVPlanProperties:
+    @SETTINGS
+    @given(plan_blocks(), st.integers(0, 2**32 - 1))
+    def test_plan_matches_reference_kernels(self, mat, seed):
+        """The compiled kernel equals ``CSRMatrix.spmv`` / ``spmv_transpose``
+        to ``1e-14 · Σ|a_ij x_j|`` per output entry, ``out=`` reused."""
+        rng = np.random.default_rng(seed)
+        plan = SpMVPlan(mat)
+        magnitude = np.abs(mat.to_dense())
+        out, out_t = np.empty(mat.nrows), np.empty(mat.ncols)
+        for _ in range(2):  # second pass: stale contents of out must not leak
+            x, y = rng.standard_normal(mat.ncols), rng.standard_normal(mat.nrows)
+            assert plan.spmv(x, out=out) is out
+            assert np.all(np.abs(out - mat.spmv(x)) <= 1e-14 * (magnitude @ np.abs(x)))
+            assert plan.spmv_t(y, out=out_t) is out_t
+            assert np.all(
+                np.abs(out_t - mat.spmv_transpose(y)) <= 1e-14 * (magnitude.T @ np.abs(y))
+            )
