@@ -8,13 +8,15 @@ quick run) against the recorded baseline in
 
 * allocation counters gate exactly (a warm workspace solve must stay at
   zero hot-loop allocations);
-* iteration counts gate with a small absolute allowance and the
-  FSAIE-Comm/FSAI stored-entry ratio exactly, and only when the fresh run
-  used the same suite configuration as the baseline (both depend on the
-  benchmarked grid);
-* timing-derived ratios (planned-kernel speedups, the FSAIE-Comm/FSAI
-  apply-time ratio) are machine-dependent and are only checked with
-  ``--check-timings`` (wide relative tolerance) — never in CI by default.
+* iteration counts gate with a small absolute allowance, the
+  FSAIE-Comm/FSAI stored-entry ratio and the re-filter row classes (rows
+  each ``finalize`` kept, copied from the base factor, solved again)
+  exactly, and only when the fresh run used the same suite configuration as
+  the baseline (all depend on the benchmarked grid);
+* timing-derived numbers (planned-kernel speedups, the FSAIE-Comm/FSAI
+  apply-time ratio, re-filter milliseconds) are machine-dependent and are
+  only checked with ``--check-timings`` (wide relative tolerance) — never in
+  CI by default.
 
 Solve-level suites (``BENCH_solver.json``, see :mod:`benchmarks.solver_bench`)
 are gated too — either pass ``--solver`` or point ``--bench`` at a solver
@@ -419,6 +421,16 @@ def main(argv=None) -> int:
             tolerances.update(CONFIG_METRICS)
         if args.check_timings:
             tolerances.update(TIMING_METRICS)
+        # setup.refilter rows: the rows each finalize kept / copied from the
+        # base factor / solved again are exact counts of the grid; its
+        # milliseconds are a timing
+        for name in baseline.metrics:
+            if name.startswith("bench.refilter."):
+                if name.endswith(".ms"):
+                    if args.check_timings:
+                        tolerances[name] = {"rel": 0.9}
+                elif config_matches:
+                    tolerances[name] = {"rel": 0.0, "abs": 0.0}
     if not config_matches:
         print(
             "note: suite configs differ, skipping iteration-count gate "

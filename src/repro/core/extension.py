@@ -64,6 +64,8 @@ def extend_rank_pattern(
     owner: np.ndarray,
     line_bytes: int,
     mode: ExtensionMode,
+    *,
+    nparts: int,
 ) -> RankExtension:
     """Compute the cache-friendly extension of one rank's pattern block.
 
@@ -78,6 +80,8 @@ def extend_rank_pattern(
         Cache line size of the target machine (64 B or 256 B in the paper).
     mode:
         ``LOCAL`` for FSAIE, ``COMM`` for FSAIE-Comm.
+    nparts:
+        Number of ranks of the partition ``owner`` describes.
     """
     dpl = doubles_per_line(line_bytes)
     n_local = lm.n_local
@@ -137,7 +141,6 @@ def extend_rank_pattern(
         # owner(j): some existing halo entry of row i has that owner
         halo_entries = entry_cols >= n_local
         # (row, owner) keys of existing halo entries
-        nparts = int(owner.max()) + 1
         existing_owner = owner[col_global[entry_cols[halo_entries]]]
         sent_key = np.unique(entry_rows[halo_entries] * nparts + existing_owner)
         cand_owner = owner[gcol]
@@ -169,7 +172,8 @@ def extend_dist_pattern(
     dist_g: DistMatrix, line_bytes: int, mode: ExtensionMode
 ) -> list[RankExtension]:
     """Run :func:`extend_rank_pattern` on every rank of a distributed pattern."""
-    owner = dist_g.partition.owner
+    partition = dist_g.partition
     return [
-        extend_rank_pattern(lm, owner, line_bytes, mode) for lm in dist_g.locals
+        extend_rank_pattern(lm, partition.owner, line_bytes, mode, nparts=partition.nparts)
+        for lm in dist_g.locals
     ]

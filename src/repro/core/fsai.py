@@ -13,12 +13,24 @@ with ``m`` the position of the diagonal inside ``S_i`` (Kolotilina–Yeremin
 Rows are fully independent — the property that makes FSAI attractive on
 parallel machines — and the setup exploits it as **batched row solves**:
 rows are grouped by pattern size ``k``, each group's local Gram blocks are
-gathered into one stacked ``(m, k, k)`` tensor with a single vectorised
-binary search over the matrix structure (no Python-level per-row loop), and
-each group is solved with one batched ``linalg.solve`` call
-(:class:`SetupOptions` selects the compute dtype).  The one-small-system-
-per-row loop this replaced lives on in ``tests/test_fsai.py`` as the oracle
-the batched solves are checked against.
+gathered, a bounded batch at a time, into one stacked ``(m, k, k)`` tensor
+(no Python-level per-row loop), and each batch is solved with one batched
+``linalg.solve`` call (:class:`SetupOptions` selects the compute dtype).
+The gather has two arms, chosen per batch from its shape alone: when the
+batch's rows share few enough columns that the dense table ``A[cols, cols]``
+is small, the table is scattered once from the CSR rows of ``cols`` and every
+block entry is one ``take``; otherwise one vectorised binary search over the
+matrix structure resolves every ``(row, col)`` lookup.  Both read the same
+stored values, so the arm changes no bit of ``G``.
+
+Independence also makes the factor **incremental**: after entries are
+dropped from a computed ``G`` only the rows that lost one need a new solve.
+``compute_g_values(..., rows=changed, out=values)`` solves exactly those rows
+into a caller-supplied value array and leaves every other entry untouched —
+the one "recompute after dropping" path, shared by :func:`fsai_factor`'s
+post-filter and :meth:`repro.core.precond.ExtensionWorkspace.finalize`.  The
+one-small-system-per-row loop all of this replaced lives on in
+``tests/test_fsai.py`` as the oracle the batched solves are checked against.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ import numpy as np
 
 from repro.errors import NotSPDError, ShapeError
 from repro.instrument import get_metrics
-from repro.sparse.csr import CSRMatrix, _entry_keys
+from repro.sparse.csr import CSRMatrix, _check_out, _entry_keys, _row_entry_positions
 from repro.sparse.ops import drop_small_relative
 from repro.sparse.pattern import SparsityPattern, power_pattern, threshold_pattern
 
@@ -51,6 +63,17 @@ _FALLBACK_SHIFT = 1e-12
 #: ``poisson3d(24)``.  Every system is solved, and on failure shifted, on its
 #: own, so the split changes no value.
 _BATCH_ENTRIES = 1 << 18
+
+#: The table arm of the Gram gather is taken when the dense table
+#: ``A[cols, cols]`` over the batch's ``u`` distinct columns is at most this
+#: many times the batch's ``m·k²`` block tensor — big, overlapping blocks.
+#: Measured against the search: 3× faster at ratios 2–4, 2× at 4–8, even at
+#: 8–32, 2× slower beyond (docs/PERFORMANCE.md "Incremental factor set-up").
+_TABLE_RATIO = 8
+
+#: ... and at most this many entries (4 MiB of float64), which bounds peak
+#: memory; a batch that fails only this cap is halved and asked again.
+_TABLE_ENTRIES = 1 << 19
 
 #: Compute dtypes the setup accepts (values are stored as float64 either way).
 _SETUP_DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -143,56 +166,102 @@ def _check_pattern(mat: CSRMatrix, pattern: SparsityPattern) -> np.ndarray:
     return row_sizes
 
 
+def _check_rows(rows, n: int) -> np.ndarray:
+    """Validate a ``rows=`` selection; returns it sorted and deduplicated."""
+    rows = np.asarray(rows)
+    if not np.issubdtype(rows.dtype, np.integer):
+        raise TypeError(f"rows must be an integer array, got dtype {rows.dtype}")
+    if rows.ndim != 1:
+        raise ShapeError(f"rows must be one-dimensional, got shape {rows.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise ShapeError(f"rows must lie in [0, {n})")
+    selected = np.zeros(n, dtype=bool)
+    selected[rows] = True
+    return np.flatnonzero(selected)
+
+
 def compute_g_values(
     mat: CSRMatrix,
     pattern: SparsityPattern,
     *,
     setup: SetupOptions | None = None,
+    rows: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> CSRMatrix:
     """Step 3 of Alg. 1: fill in values of ``G`` on a lower-triangular pattern.
 
     ``pattern`` must be lower triangular with a full diagonal.  Rows are
     grouped by pattern size ``k``; each group's Gram blocks
     ``A[S_i, S_i]`` are gathered, a bounded batch at a time, into a stacked
-    ``(m, k, k)`` tensor by a vectorised binary search over the matrix
-    structure and solved with one batched ``linalg.solve`` call.  A batch
-    holding a singular system is re-solved row by row; only rows that fail
-    unshifted get a tiny diagonal shift.
+    ``(m, k, k)`` tensor — read from a batch-local dense table when the
+    batch's blocks overlap enough to keep it small, by a vectorised binary
+    search over the matrix structure otherwise — and solved with one batched
+    ``linalg.solve`` call.  A batch holding a singular system is re-solved
+    row by row; only rows that fail unshifted get a tiny diagonal shift.
 
     ``setup`` selects the compute dtype (:class:`SetupOptions`); the default
     computes in float64 and matches one dense solve per row to
     LAPACK rounding (within 1e-12 on well-conditioned inputs).
+
+    ``rows`` (integer row ids, default all) restricts the solves to those
+    rows and ``out`` (float64, one slot per pattern entry, default a new
+    array) receives their values; entries of every other row are left as
+    they are.  Every system is its own LAPACK call, so a row's values do not
+    depend on which other rows are solved with it.  The returned matrix
+    stores ``out`` itself as its values.
     """
     setup = setup if setup is not None else SetupOptions()
     row_sizes = _check_pattern(mat, pattern)
     n = mat.nrows
     dtype = setup.np_dtype
+    if out is None:
+        out = np.empty(pattern.nnz, dtype=np.float64)
+    else:
+        _check_out(out, pattern.nnz)
+    rows = np.arange(n, dtype=np.int64) if rows is None else _check_rows(rows, n)
 
-    data = np.empty(pattern.nnz, dtype=np.float64)
     # Global sorted entry keys row*ncols+col: one sorted array over which a
     # batched binary search resolves every (row, col) Gram-block lookup.
     stride = max(n, mat.ncols)
     keys = _entry_keys(mat.indptr, mat.indices, stride)
     avals = mat.data.astype(dtype, copy=False)
     zero = dtype.type(0.0)
+    slot_of = np.full(stride, -1, dtype=np.int64)  # scratch of the table arm
 
-    groups = [(int(k), np.flatnonzero(row_sizes == k)) for k in np.unique(row_sizes)]
-    batches = []
+    sizes = row_sizes[rows]
+    groups = [(int(k), rows[sizes == k]) for k in np.flatnonzero(np.bincount(sizes))]
+    pending = []
     for k, group in groups:
         step = max(1, _BATCH_ENTRIES // (k * k))
-        batches.extend((k, group[lo : lo + step]) for lo in range(0, group.size, step))
-    for k, rows in batches:
-        m = rows.size
-        # stacked pattern indices of the group: (m, k), diagonal last
-        pos = pattern.indptr[rows][:, None] + np.arange(k, dtype=np.int64)
+        pending.extend((k, group[lo : lo + step]) for lo in range(0, group.size, step))
+    table_rows = 0
+    while pending:
+        k, batch = pending.pop()
+        m = batch.size
+        # stacked pattern indices of the batch: (m, k), diagonal last
+        pos = pattern.indptr[batch][:, None] + np.arange(k, dtype=np.int64)
         idx = pattern.indices[pos]
-        # gather the Gram blocks in one shot: query keys (m, k*k) against
-        # the global sorted keys, zero where the entry is structurally absent
-        queries = (idx[:, :, None] * stride + idx[:, None, :]).reshape(m, k * k)
-        loc = np.searchsorted(keys, queries)
-        loc = np.minimum(loc, keys.size - 1) if keys.size else loc
-        subs = np.where(keys[loc] == queries, avals[loc], zero)
-        subs = subs.reshape(m, k, k)
+        subs = None
+        ratio_limit = _TABLE_RATIO * m * k * k
+        limit = min(ratio_limit, _TABLE_ENTRIES)
+        # the m diagonals are distinct columns, so u >= m: most batches of
+        # small blocks fail the rule before their columns are even counted
+        if m * m <= limit:
+            cols = _distinct(idx, slot_of)
+            if cols.size**2 <= limit:
+                subs = _gather_table(mat, avals, idx, np.sort(cols), slot_of)
+                table_rows += m
+            elif cols.size**2 <= ratio_limit and m > 1:  # only the cap fails
+                pending += [(k, batch[: m // 2]), (k, batch[m // 2 :])]
+                continue
+        if subs is None:
+            # query keys (m, k*k) against the global sorted keys, zero where
+            # the entry is structurally absent
+            queries = (idx[:, :, None] * stride + idx[:, None, :]).reshape(m, k * k)
+            loc = np.searchsorted(keys, queries)
+            loc = np.minimum(loc, keys.size - 1) if keys.size else loc
+            subs = np.where(keys[loc] == queries, avals[loc], zero)
+            subs = subs.reshape(m, k, k)
         rhs = np.zeros((m, k), dtype=dtype)
         rhs[:, k - 1] = 1.0
         try:
@@ -203,18 +272,60 @@ def compute_g_values(
             ys = _solve_rows_guarded(subs.astype(np.float64, copy=False))
             ys = ys.astype(dtype, copy=False)
         ys = ys / np.sqrt(ys[:, k - 1])[:, None]
-        data[pos] = ys
+        out[pos] = ys
 
     metrics = get_metrics()
     if metrics.enabled:
         metrics.counter("fsai.batched_groups").inc(len(groups))
-        metrics.counter("fsai.batched_rows").inc(n)
+        metrics.counter("fsai.batched_rows").inc(rows.size)
+        metrics.counter("fsai.gather.table_rows").inc(table_rows)
+        metrics.counter("fsai.gather.search_rows").inc(rows.size - table_rows)
         metrics.gauge("fsai.batched_max_block").set(
             max((k for k, _ in groups), default=0)
         )
     return CSRMatrix(
-        (n, n), pattern.indptr.copy(), pattern.indices.copy(), data, check=False
+        (n, n), pattern.indptr.copy(), pattern.indices.copy(), out, check=False
     )
+
+
+def _distinct(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values``, in no particular order (several
+    times faster than ``np.unique`` on a batch's indices): every occurrence
+    stamps its own position into ``scratch`` at its value, and exactly one
+    occurrence per value reads its own stamp back.  ``scratch`` is indexed by
+    value, all -1 on entry and on return."""
+    flat = values.ravel()
+    stamp = np.arange(flat.size, dtype=np.int64)
+    scratch[flat] = stamp
+    found = flat[scratch[flat] == stamp]
+    scratch[found] = -1
+    return found
+
+
+def _gather_table(
+    mat: CSRMatrix,
+    avals: np.ndarray,
+    idx: np.ndarray,
+    cols: np.ndarray,
+    slot_of: np.ndarray,
+) -> np.ndarray:
+    """Gram blocks ``A[S_i, S_i]`` of one batch, read from the dense table
+    ``A[cols, cols]``: ``idx`` is the batch's ``(m, k)`` pattern indices and
+    ``cols`` their sorted distinct values.  The table is scattered once from
+    the CSR rows of ``cols``; every block entry is then one ``take``.
+    ``slot_of`` is a column-indexed scratch, all -1 on entry and on return.
+    """
+    u = cols.size
+    slot_of[cols] = np.arange(u, dtype=np.int64)
+    entries = _row_entry_positions(mat.indptr, cols)
+    col_slot = slot_of[mat.indices[entries]]
+    inside = col_slot >= 0
+    row_slot = np.repeat(np.arange(u, dtype=np.int64), mat.indptr[cols + 1] - mat.indptr[cols])
+    table = np.zeros(u * u, dtype=avals.dtype)
+    table[(row_slot * u + col_slot)[inside]] = avals[entries[inside]]
+    slot = slot_of[idx]
+    slot_of[cols] = -1
+    return table.take((slot * u)[:, :, None] + slot[:, None, :])
 
 
 def _solve_rows_guarded(subs: np.ndarray) -> np.ndarray:
@@ -257,6 +368,11 @@ def fsai_factor(
     pattern = fsai_pattern(mat, options)
     g = compute_g_values(mat, pattern, setup=setup)
     if options.post_filter > 0.0:
+        # rows that lost no entry keep their values; the others are re-solved
         filtered = drop_small_relative(g, options.post_filter)
-        g = compute_g_values(mat, SparsityPattern.from_csr(filtered), setup=setup)
+        changed = np.flatnonzero(filtered.row_nnz() != g.row_nnz())
+        g = compute_g_values(
+            mat, SparsityPattern.from_csr(filtered), setup=setup,
+            rows=changed, out=filtered.data,
+        )
     return g

@@ -19,8 +19,19 @@ also accept its fields as direct keyword arguments::
 
     build_fsaie_comm(A, part, line_bytes=256, filter=FilterSpec(0.05))
 
+The extended builders compute ``G`` twice as Alg. 2 prints it — on the full
+extended pattern, then on the filtered one — but the second pass is
+incremental: FSAI rows are independent systems, so
+:meth:`ExtensionWorkspace.finalize` keeps the precalculated values of rows
+that lost no entry, copies rows that lost every extension entry from the
+base factor, and solves only the rest
+(:func:`repro.core.fsai.compute_g_values` with ``rows=`` / ``out=``); the
+result is bitwise the from-scratch factor of the filtered pattern.
+
 Setup phases emit ``precond.*`` spans (pattern, extension, filtering,
-factor, distribute) when tracing is enabled — see :mod:`repro.instrument`.
+factor, distribute) when tracing is enabled, and ``finalize`` counts its row
+classes as ``precond.finalize.rows_kept`` / ``rows_base`` / ``rows_solved``
+— see :mod:`repro.instrument`.
 """
 
 from __future__ import annotations
@@ -51,7 +62,7 @@ from repro.dist.partition_map import RowPartition
 from repro.dist.vector import DistVector
 from repro.instrument import get_metrics, get_tracer
 from repro.mpisim.tracker import CommTracker
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, _row_entry_positions
 from repro.sparse.pattern import SparsityPattern
 
 __all__ = [
@@ -242,8 +253,13 @@ class ExtensionWorkspace:
     Building the extension and the unfiltered factor (Alg. 2 steps 1–4)
     dominates setup cost but does not depend on the ``Filter`` value.  A
     workspace caches those stages so parameter sweeps (the paper evaluates
-    4 filter values × 2 strategies per matrix) only pay the cheap
-    drop-and-recompute of step 5 per configuration via :meth:`finalize`.
+    4 filter values × 2 strategies per matrix) only pay step 5 per
+    configuration via :meth:`finalize`: drop the filtered entries, then
+    re-solve the rows whose pattern is neither their precalculated row nor
+    their base-FSAI row.  The base-FSAI rows a ``finalize`` needs are solved
+    once per workspace and kept — the only state ``finalize`` writes, and a
+    value once written never changes, so any order of calls gives the same
+    factors.
     """
 
     def __init__(
@@ -295,17 +311,21 @@ class ExtensionWorkspace:
             self.entry_owner = partition.owner[
                 np.repeat(np.arange(self.g_pre.nrows, dtype=np.int64), self.g_pre.row_nnz())
             ]
-            self.base_counts = np.array(
-                [
-                    int(np.count_nonzero(~self.ext_mask & (self.entry_owner == p)))
-                    for p in range(partition.nparts)
-                ],
-                dtype=np.int64,
+            ext_owner = self.entry_owner[self.ext_mask]
+            ext_counts = np.bincount(ext_owner, minlength=partition.nparts)
+            self.base_counts = (
+                np.bincount(self.entry_owner, minlength=partition.nparts) - ext_counts
             )
-            self.ext_ratios_per_rank = [
-                self.ratios[self.ext_mask & (self.entry_owner == p)]
-                for p in range(partition.nparts)
-            ]
+            self.ext_ratios_per_rank = np.split(
+                self.ratios[self.ext_mask][np.argsort(ext_owner, kind="stable")],
+                np.cumsum(ext_counts)[:-1],
+            )
+            # what finalize's row classes need that no filter changes: the
+            # extension entries of every row, and the base-FSAI values of the
+            # rows some finalize has already needed (solved on first need)
+            self._ext_per_row = self.g_pre.row_nnz() - self.base.row_nnz()
+            self._base_values = np.empty(self.base.nnz, dtype=np.float64)
+            self._base_solved = np.zeros(mat.nrows, dtype=bool)
 
     def finalize(self, filter_spec: FilterSpec) -> Preconditioner:
         """Filter extension entries and recompute ``G`` (Alg. 2 step 5)."""
@@ -319,9 +339,7 @@ class ExtensionWorkspace:
                 drop = self.ext_mask & (self.ratios <= filters[self.entry_owner])
                 filtered = self.g_pre.drop_entries(drop)
             with tracer.span("precond.factor", stage="recompute"):
-                g_final = compute_g_values(
-                    self.mat, SparsityPattern.from_csr(filtered), setup=self.setup
-                )
+                g_final = self._refactor(filtered)
             pre = _distribute(
                 self.name, g_final, self.partition, base_nnz=self.base.nnz,
                 filters=filters,
@@ -330,6 +348,42 @@ class ExtensionWorkspace:
             pre.ext_nnz_unfiltered = self.ext_nnz_unfiltered
         _record_build_metrics(pre)
         return pre
+
+    def _refactor(self, filtered: CSRMatrix) -> CSRMatrix:
+        """``G`` on the filtered pattern, solving only the rows that need it.
+
+        ``filtered`` is ``g_pre`` without the dropped extension entries and
+        still carries the precalculated values.  FSAI rows are independent
+        systems, so a row that lost nothing keeps those values, a row that
+        lost every extension entry is its base-FSAI row (solved the first
+        time any ``finalize`` of this workspace needs it), and only a row
+        that lost some is solved again — each bitwise what solving the whole
+        filtered pattern from scratch returns.
+        """
+        dropped = self.g_pre.row_nnz() - filtered.row_nnz()
+        lost_all = dropped == self._ext_per_row
+        to_base = np.flatnonzero((dropped > 0) & lost_all)
+        mixed = np.flatnonzero((dropped > 0) & ~lost_all)
+        if to_base.size:
+            missing = to_base[~self._base_solved[to_base]]
+            compute_g_values(
+                self.mat, self.base, setup=self.setup,
+                rows=missing, out=self._base_values,
+            )
+            self._base_solved[missing] = True
+            filtered.data[_row_entry_positions(filtered.indptr, to_base)] = (
+                self._base_values[_row_entry_positions(self.base.indptr, to_base)]
+            )
+        metrics = get_metrics()
+        if metrics.enabled:
+            kept = dropped.size - to_base.size - mixed.size
+            metrics.counter("precond.finalize.rows_kept").inc(kept)
+            metrics.counter("precond.finalize.rows_base").inc(to_base.size)
+            metrics.counter("precond.finalize.rows_solved").inc(mixed.size)
+        return compute_g_values(
+            self.mat, SparsityPattern.from_csr(filtered), setup=self.setup,
+            rows=mixed, out=filtered.data,
+        )
 
 
 def _build_extended(

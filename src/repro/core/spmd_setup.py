@@ -144,7 +144,9 @@ def spmd_build_fsaie_comm(
 
         # Alg. 3: local cache-friendly communication-aware extension
         with tracer.span("spmd.extension", rank=p):
-            ext = extend_rank_pattern(lm_pattern, owner, line_bytes, ExtensionMode.COMM)
+            ext = extend_rank_pattern(
+                lm_pattern, owner, line_bytes, ExtensionMode.COMM, nparts=partition.nparts
+            )
 
         # per-row extended patterns in global column ids
         pattern_rows: dict[int, np.ndarray] = {}

@@ -7,7 +7,10 @@ Measures (never asserts) the :mod:`repro.kernels` layer:
 * a full PCG solve through a warm
   :class:`~repro.kernels.workspace.SolverWorkspace`: seconds, iterations and
   the hot-loop allocation count,
-* the batched FSAI setup (:func:`~repro.core.fsai.compute_g_values`),
+* the batched FSAI setup (:func:`~repro.core.fsai.compute_g_values`) and the
+  incremental re-filter: one :class:`~repro.core.precond.ExtensionWorkspace`
+  finalized at the paper's four Filter values, with the rows each
+  ``finalize`` kept, copied from the base factor and solved again,
 * one preconditioner application ``z = Gᵀ(G·r)`` per method (FSAI and
   FSAIE-Comm): stored entries, µs per apply and ns per stored entry — the
   paper's claim that extension entries are nearly free, in wall clock.
@@ -29,12 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.cg import pcg
+from repro.core.extension import ExtensionMode
 from repro.core.filtering import FilterSpec
 from repro.core.fsai import compute_g_values, fsai_pattern
-from repro.core.precond import build_fsai, build_fsaie_comm
+from repro.core.precond import ExtensionWorkspace, build_fsai, build_fsaie_comm
 from repro.dist.matrix import DistMatrix
 from repro.dist.partition_map import RowPartition
 from repro.dist.vector import DistVector
+from repro.instrument import NULL_TRACER, tracing
 from repro.kernels.plan import SpMVPlan
 from repro.kernels.workspace import SolverWorkspace
 from repro.matgen import poisson2d
@@ -44,6 +49,9 @@ __all__ = ["run_suite", "write_suite", "format_summary", "DEFAULT_SIZES", "DEFAU
 #: 2-D Poisson grid edge lengths benchmarked by default (n = size²).
 DEFAULT_SIZES = (32, 64, 96)
 DEFAULT_REPS = 5
+
+#: The Filter values of the paper's Tables 3 and 5.
+PAPER_FILTERS = (0.01, 0.05, 0.1, 0.2)
 
 
 def _best(fn, reps: int, inner: int = 4) -> float:
@@ -115,12 +123,32 @@ def _bench_pcg(size: int, reps: int, nparts: int = 4) -> dict:
     }
 
 
-def _bench_setup(size: int, reps: int) -> dict:
-    """Seconds of the batched group solves on the level-1 pattern."""
+def _bench_setup(size: int, reps: int, nparts: int = 4) -> dict:
+    """Seconds of the batched group solves on the level-1 pattern, and the
+    re-filter sweep: one FSAIE-Comm workspace finalized at each paper Filter
+    value in turn (one pass — a repeat would find the base rows solved)."""
     mat = poisson2d(size)
     pattern = fsai_pattern(mat)
     batched = _best(lambda: compute_g_values(mat, pattern), reps, inner=1)
-    return {"grid": int(size), "n": mat.nrows, "batched_s": batched}
+    ws = ExtensionWorkspace(
+        "FSAIE-Comm", mat, RowPartition.contiguous(mat.nrows, nparts), ExtensionMode.COMM
+    )
+    refilter = []
+    for value in PAPER_FILTERS:
+        with tracing(NULL_TRACER) as (_, metrics):
+            t0 = time.perf_counter()
+            ws.finalize(FilterSpec(value, dynamic=True))
+            record = {"filter": value, "ms": (time.perf_counter() - t0) * 1e3}
+            for rows in ("rows_kept", "rows_base", "rows_solved"):
+                record[rows] = int(metrics.value(f"precond.finalize.{rows}") or 0)
+        refilter.append(record)
+    return {
+        "grid": int(size),
+        "n": mat.nrows,
+        "ranks": nparts,
+        "batched_s": batched,
+        "refilter": refilter,
+    }
 
 
 def _bench_precond_apply(size: int, reps: int, nparts: int = 4) -> list[dict]:
@@ -239,6 +267,12 @@ def format_summary(result: dict) -> str:
     lines.append(
         f"fsai setup {s['grid']}x{s['grid']}: batched {s['batched_s'] * 1e3:.2f} ms"
     )
+    for rec in s["refilter"]:
+        lines.append(
+            f"refilter Filter {rec['filter']:<5} on {s['ranks']} ranks: "
+            f"{rec['rows_kept']:>6} rows kept {rec['rows_base']:>6} from base "
+            f"{rec['rows_solved']:>6} solved {rec['ms']:>8.2f} ms"
+        )
     for rec in result["precond_apply"]:
         lines.append(
             f"precond apply {rec['method']:<10} {rec['grid']}x{rec['grid']} on "

@@ -270,6 +270,9 @@ class RunReport:
         for key in ("iterations", "workspace_allocs_hot"):
             if isinstance(pcg.get(key), (int, float)):
                 report.metrics[f"bench.pcg.{key}"] = float(pcg[key])
+        for rec in doc.get("setup", {}).get("refilter", []):
+            for key in ("rows_kept", "rows_base", "rows_solved", "ms"):
+                report.metrics[f"bench.refilter.{rec['filter']}.{key}"] = float(rec[key])
         return report
 
     @classmethod

@@ -51,6 +51,15 @@ def _entry_keys(indptr: np.ndarray, indices: np.ndarray, ncols: int) -> np.ndarr
     return keys
 
 
+def _row_entry_positions(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions of the stored entries of ``rows``, row after row, in the
+    ``indices`` / ``data`` arrays that ``indptr`` delimits."""
+    lens = indptr[rows + 1] - indptr[rows]
+    pos = np.repeat(indptr[rows] - (np.cumsum(lens) - lens), lens)
+    pos += np.arange(pos.size, dtype=np.int64)
+    return pos
+
+
 def _check_out(out: np.ndarray, n: int, label: str = "out") -> None:
     """Validate a user-supplied vector: float64 ndarray of length n."""
     if not isinstance(out, np.ndarray):

@@ -33,6 +33,13 @@ def test_run_suite_quick_shape(tmp_path):
     assert "spmv_speedup_largest" in summary
     assert "backend" not in result["config"] and "backend" not in result["setup"]
     assert result["setup"]["batched_s"] > 0.0
+    refilter = result["setup"]["refilter"]
+    assert [rec["filter"] for rec in refilter] == [0.01, 0.05, 0.1, 0.2]
+    for rec in refilter:
+        assert rec["ms"] > 0.0
+        assert rec["rows_kept"] + rec["rows_base"] + rec["rows_solved"] == result["setup"]["n"]
+    # a larger Filter leaves fewer rows with surviving extension entries
+    assert refilter[0]["rows_solved"] > refilter[-1]["rows_solved"]
     fsai, comm = result["precond_apply"]
     assert (fsai["method"], comm["method"]) == ("FSAI", "FSAIE-Comm")
     for rec in (fsai, comm):
@@ -48,6 +55,7 @@ def test_run_suite_quick_shape(tmp_path):
     text = format_summary(result)
     assert "kernel microbenchmarks" in text
     assert "precond apply FSAIE-Comm" in text and "x the entries in" in text
+    assert text.count("refilter Filter") == 4
 
 
 def test_check_no_alloc_script_passes():
@@ -134,6 +142,25 @@ def test_bench_regression_gate_fails_on_alloc_regression(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL" in proc.stderr
     assert "bench.pcg_hot_allocs" in proc.stdout
+
+
+def test_bench_regression_gate_fails_on_refilter_drift(tmp_path):
+    # one more row solved again than recorded: the reuse stopped firing somewhere
+    fixture = REPO_ROOT / "tests" / "fixtures" / "BENCH_kernels_recorded.json"
+    doc = json.loads(fixture.read_text())
+    doc["setup"]["refilter"][0]["rows_solved"] += 1
+    doc["setup"]["refilter"][0]["rows_kept"] -= 1
+    mutated = tmp_path / "BENCH_regressed.json"
+    mutated.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "check_bench_regression.py"),
+         "--bench", str(mutated)],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "bench.refilter.0.01.rows_solved" in proc.stdout
 
 
 def test_bench_regression_gate_rejects_malformed_input(tmp_path):

@@ -119,6 +119,23 @@ class TestValues:
         dense = g_filt.to_dense() @ poisson16.to_dense() @ g_filt.to_dense().T
         assert np.allclose(np.diag(dense), 1.0)
 
+    @pytest.mark.parametrize("tol", [0.05, 0.2])
+    def test_post_filter_resolves_only_rows_that_lost_an_entry(self, poisson16, tol):
+        """The post-filter keeps the values of untouched rows; the result is
+        bitwise the recompute of every row on the filtered pattern."""
+        from repro.instrument import NULL_TRACER, tracing
+
+        options = FSAIOptions(level=2, post_filter=tol)
+        pattern = fsai_pattern(poisson16, options)
+        with tracing(NULL_TRACER) as (_, metrics):
+            g = fsai_factor(poisson16, options)
+            solved = metrics.value("fsai.batched_rows")
+        full = compute_g_values(poisson16, SparsityPattern.from_csr(g))
+        assert g.data.tobytes() == full.data.tobytes()
+        changed = np.count_nonzero(g.row_nnz() != pattern.row_nnz())
+        assert changed == {0.05: 0, 0.2: 254}[tol]  # no row, all but the first two
+        assert solved == poisson16.nrows + changed
+
     def test_pattern_shape_mismatch(self, small_spd):
         with pytest.raises(ShapeError):
             compute_g_values(small_spd, SparsityPattern.identity(small_spd.nrows + 1))
@@ -234,7 +251,8 @@ class TestBatchedEquivalence:
     def test_fallback_shifts_only_the_singular_row(self, monkeypatch):
         """One singular local system sends its whole batch to the guarded
         per-row path; healthy rows must come out unshifted, so G is the same
-        whichever rows shared a batch with the singular one."""
+        whichever rows shared a batch with the singular one — and whichever
+        gather arm read its block."""
         from repro.core import fsai
 
         dense = np.kron(np.eye(5), np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -243,12 +261,6 @@ class TestBatchedEquivalence:
         pattern = SparsityPattern.from_rows(
             (10, 10), [[i] if i % 2 == 0 else [i - 1, i] for i in range(10)]
         )
-        monkeypatch.setattr(fsai, "_BATCH_ENTRIES", 1 << 62)  # singular row + 4 healthy
-        whole = compute_g_values(mat, pattern)
-        monkeypatch.setattr(fsai, "_BATCH_ENTRIES", 1)  # every row alone
-        alone = compute_g_values(mat, pattern)
-        assert whole.data.tobytes() == alone.data.tobytes()
-        assert np.isfinite(whole.data).all()
         healthy = np.ones(10, dtype=bool)
         healthy[4:6] = False
         oracle = compute_g_values_per_row(
@@ -258,7 +270,49 @@ class TestBatchedEquivalence:
             ),
         )
         keep = np.repeat(healthy, np.diff(pattern.indptr))
-        assert np.array_equal(whole.data[keep], oracle.data)
+        for arm in ("search", "table"):
+            force_gather_arm(monkeypatch, arm)
+            monkeypatch.setattr(fsai, "_BATCH_ENTRIES", 1 << 62)  # singular row + 4 healthy
+            whole, table_rows, _ = gathered(mat, pattern)
+            assert table_rows == (10 if arm == "table" else 0)
+            monkeypatch.setattr(fsai, "_BATCH_ENTRIES", 1)  # every row alone
+            alone = compute_g_values(mat, pattern)
+            assert whole.data.tobytes() == alone.data.tobytes()
+            assert np.isfinite(whole.data).all()
+            assert np.array_equal(whole.data[keep], oracle.data)
+
+    def test_gather_arm_changes_no_value(self, poisson16, monkeypatch):
+        """The table arm and the search arm read the same stored values: on
+        the same batches they give the same bits, through the rule's default
+        choice, either arm forced, and the cap-only halving."""
+        pattern = fsai_pattern(poisson16, FSAIOptions(level=3))
+        reference = compute_g_values(poisson16, pattern)
+        for arm in ("search", "table", "halve"):
+            force_gather_arm(monkeypatch, arm)
+            g, table_rows, search_rows = gathered(poisson16, pattern)
+            assert g.data.tobytes() == reference.data.tobytes(), arm
+            assert table_rows + search_rows == poisson16.nrows
+            if arm == "search":
+                assert table_rows == 0
+            elif arm == "table":
+                assert search_rows == 0
+            else:  # only one-row batches of blocks within the cap reach the table
+                assert 0 < table_rows < poisson16.nrows
+
+    @pytest.mark.parametrize("arm", ["search", "table"])
+    def test_gather_arms_on_degenerate_batches(self, monkeypatch, arm):
+        force_gather_arm(monkeypatch, arm)
+        mat = CSRMatrix.from_dense(np.diag([4.0, 9.0, 16.0]))
+        pattern = fsai_pattern(mat)  # three 1×1 blocks
+        g, table_rows, search_rows = gathered(mat, pattern)
+        assert np.array_equal(g.data, [0.5, 1.0 / 3.0, 0.25])
+        assert (table_rows, search_rows) == ((3, 0) if arm == "table" else (0, 3))
+        untouched = np.full(3, 7.0)
+        g, table_rows, search_rows = gathered(
+            mat, pattern, rows=np.empty(0, dtype=np.int64), out=untouched
+        )
+        assert (table_rows, search_rows) == (0, 0)
+        assert np.array_equal(g.data, [7.0, 7.0, 7.0])
 
     def test_fp32_setup_close_to_fp64(self, poisson16):
         pattern = fsai_pattern(poisson16)
@@ -289,6 +343,10 @@ class TestBatchedEquivalence:
             compute_g_values(poisson16, pattern)
             assert (metrics.value("fsai.batched_groups") or 0) >= 1
             assert metrics.value("fsai.batched_rows") == poisson16.nrows
+            assert (
+                metrics.value("fsai.gather.table_rows")
+                + metrics.value("fsai.gather.search_rows")
+            ) == poisson16.nrows
 
     def test_halo_schedules_invariant_across_setup_paths(self):
         from repro.core.precond import Preconditioner, build_fsai
@@ -314,6 +372,89 @@ class TestBatchedEquivalence:
             assert sched_b == sched_p
             for cb, cp in zip(sched_b.ext_cols, sched_p.ext_cols):
                 assert cb.tobytes() == cp.tobytes()
+
+
+class TestRowSubset:
+    """``rows=`` / ``out=``: solve some rows into a caller's value array."""
+
+    def test_solves_exactly_the_selected_rows(self, poisson16):
+        from repro.instrument import NULL_TRACER, tracing
+
+        pattern = fsai_pattern(poisson16, FSAIOptions(level=2))
+        full = compute_g_values(poisson16, pattern)
+        subset = np.array([200, 3, 17, 17, 255, 0])  # unsorted, one repeat
+        buf = np.full(pattern.nnz, -5.0)
+        with tracing(NULL_TRACER) as (_, metrics):
+            g = compute_g_values(poisson16, pattern, rows=subset, out=buf)
+            assert metrics.value("fsai.batched_rows") == 5
+        assert g.data is buf
+        inside = np.isin(np.repeat(np.arange(256), pattern.row_nnz()), subset)
+        assert np.array_equal(buf[inside], full.data[inside])
+        assert np.all(buf[~inside] == -5.0)
+
+    def test_all_rows_in_two_halves_is_the_full_factor(self, poisson16):
+        pattern = fsai_pattern(poisson16, FSAIOptions(level=2))
+        full = compute_g_values(poisson16, pattern)
+        buf = np.empty(pattern.nnz)
+        compute_g_values(poisson16, pattern, rows=np.arange(0, 256, 2), out=buf)
+        compute_g_values(poisson16, pattern, rows=np.arange(1, 256, 2), out=buf)
+        assert buf.tobytes() == full.data.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            (np.array([0, 256]), ShapeError),  # out of range
+            (np.array([-1]), ShapeError),
+            (np.array([[0, 1]]), ShapeError),  # not one-dimensional
+            (np.array([0.0, 1.0]), TypeError),  # not integer
+            (np.ones(256, dtype=bool), TypeError),  # a mask is not a row list
+        ],
+    )
+    def test_bad_rows_rejected(self, poisson16, rows, error):
+        with pytest.raises(error, match="rows"):
+            compute_g_values(poisson16, fsai_pattern(poisson16), rows=rows)
+
+    @pytest.mark.parametrize(
+        "make_out, error",
+        [
+            (lambda nnz: np.empty(nnz + 1), ShapeError),
+            (lambda nnz: np.empty((nnz, 1)), ShapeError),
+            (lambda nnz: np.empty(nnz, dtype=np.float32), TypeError),
+            (lambda nnz: [0.0] * nnz, TypeError),
+        ],
+    )
+    def test_bad_out_rejected(self, poisson16, make_out, error):
+        pattern = fsai_pattern(poisson16)
+        with pytest.raises(error, match="out"):
+            compute_g_values(poisson16, pattern, out=make_out(pattern.nnz))
+
+
+def force_gather_arm(monkeypatch, arm: str) -> None:
+    """Pin the Gram-gather rule: every batch through one arm, or (``halve``)
+    64-entry cap, so batches are halved down to single rows and only blocks
+    of at most 8 columns are read from a table."""
+    from repro.core import fsai
+
+    ratio, entries = {
+        "search": (0, fsai._TABLE_ENTRIES),
+        "table": (1 << 40, 1 << 62),
+        "halve": (1 << 40, 64),
+    }[arm]
+    monkeypatch.setattr(fsai, "_TABLE_RATIO", ratio)
+    monkeypatch.setattr(fsai, "_TABLE_ENTRIES", entries)
+
+
+def gathered(mat, pattern, **kwargs):
+    """``compute_g_values`` plus the rows each gather arm served."""
+    from repro.instrument import NULL_TRACER, tracing
+
+    with tracing(NULL_TRACER) as (_, metrics):
+        g = compute_g_values(mat, pattern, **kwargs)
+        return (
+            g,
+            metrics.value("fsai.gather.table_rows"),
+            metrics.value("fsai.gather.search_rows"),
+        )
 
 
 def small_spd_like(rng, n: int) -> CSRMatrix:

@@ -9,6 +9,8 @@ frames entered (``sys.setprofile`` ``call`` events; C builtins raise
 ``c_call`` and are not counted) must not change when the input grows 8×.
 ``HaloSchedule.from_row_structure`` is counted in executed lines
 (``sys.settrace``) instead, because its old per-row loop made no calls.
+``ExtensionWorkspace.finalize`` sorts rows into classes (kept, base, solved
+again) and must do that, too, without a Python call per row.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.cachesim import CacheConfig, SetAssociativeCache
-from repro.core import extension_entry_mask
+from repro.core import ExtensionMode, ExtensionWorkspace, FilterSpec, extension_entry_mask
 from repro.dist import DistMatrix, HaloSchedule, RowPartition
 from repro.sparse import CSRMatrix, SparsityPattern
 
@@ -117,4 +119,26 @@ def test_interpreter_work_does_not_grow_with_the_input(case, count):
     assert large == small, (
         f"{case.__name__}: {small} {count.__name__} at n={SMALL}, "
         f"{large} at n={GROWTH * SMALL} — per-row Python is back"
+    )
+
+
+def finalize(n):
+    """Two filters on one workspace: the first keeps some rows and re-solves
+    the rest, the second sends every extended row to its base-FSAI row."""
+    stencil = banded(n)
+    rows = np.repeat(np.arange(n), stencil.row_nnz())
+    mat = CSRMatrix(
+        stencil.shape, stencil.indptr, stencil.indices,
+        np.where(rows == stencil.indices, 5.0, -1.0),
+    )
+    ws = ExtensionWorkspace("X", mat, RowPartition.contiguous(n, 4), ExtensionMode.COMM)
+    return lambda: [ws.finalize(FilterSpec(f, dynamic=False)) for f in (0.1, 0.2)]
+
+
+def test_finalize_makes_no_per_row_python_call():
+    finalize(SMALL)()
+    small, large = python_calls(finalize(SMALL)), python_calls(finalize(GROWTH * SMALL))
+    # fewer is fine: batches too large for the table gather skip its helpers
+    assert 0 < large <= small, (
+        f"finalize: {small} Python calls at n={SMALL}, {large} at n={GROWTH * SMALL}"
     )

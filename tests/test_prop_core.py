@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ExtensionMode,
+    ExtensionWorkspace,
     FilterSpec,
     PrecondOptions,
+    SetupOptions,
     build_fsai,
     build_fsaie,
     build_fsaie_comm,
     check_comm_invariance,
+    compute_g_values,
     dynamic_filter_for_rank,
     extend_dist_pattern,
     fsai_factor,
@@ -26,7 +29,7 @@ from repro.core import (
 )
 from repro.dist import DistMatrix, DistVector, HaloSchedule, RowPartition
 from repro.matgen import paper_rhs, poisson2d
-from repro.sparse import CSRMatrix
+from repro.sparse import CSRMatrix, SparsityPattern
 
 SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -77,6 +80,56 @@ class TestFSAIProperties:
         pre = build_fsai(mat, part)
         result = pcg(da, b, precond=pre.apply, rtol=1e-8, max_iterations=2000)
         assert result.converged
+
+
+@st.composite
+def workspace_and_drop_mask(draw):
+    """A workspace on a random SPD matrix (so a random lower base pattern),
+    a random partition / line size / mode (so a random extension), and a
+    random set of extension entries to drop: none, all, some of one row, or
+    a Bernoulli draw over all of them."""
+    mat = draw(random_spd())
+    part = RowPartition.contiguous(mat.nrows, draw(st.integers(1, 3)))
+    ws = ExtensionWorkspace(
+        "X", mat, part, draw(st.sampled_from(list(ExtensionMode))),
+        line_bytes=draw(st.sampled_from([64, 128, 256])),
+        setup=SetupOptions(dtype=draw(st.sampled_from(["float64", "float32"]))),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    kind = draw(st.sampled_from(["none", "all", "one_row", "random"]))
+    drop = np.zeros(ws.g_pre.nnz, dtype=bool)
+    if kind == "all":
+        drop = ws.ext_mask.copy()
+    elif kind == "one_row":
+        row = rng.integers(mat.nrows)
+        lo, hi = ws.g_pre.indptr[row], ws.g_pre.indptr[row + 1]
+        drop[lo:hi] = ws.ext_mask[lo:hi] & (rng.random(hi - lo) < rng.random())
+    elif kind == "random":
+        drop = ws.ext_mask & (rng.random(drop.size) < rng.random())
+    return ws, drop
+
+
+class TestIncrementalFactorProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(workspace_and_drop_mask(), st.data())
+    def test_refactor_equals_the_factor_from_scratch(self, case, data):
+        """Rows copied from the precalculation or the base factor are what a
+        from-scratch solve of the filtered pattern returns: bitwise in
+        float64, to rounding in float32 — also on a workspace whose base
+        rows were already solved by an earlier, different drop."""
+        ws, drop = case
+        if data.draw(st.booleans()):
+            ws._refactor(ws.g_pre.drop_entries(ws.ext_mask))
+        g = ws._refactor(ws.g_pre.drop_entries(drop))
+        scratch = compute_g_values(
+            ws.mat, SparsityPattern.from_csr(ws.g_pre.drop_entries(drop)), setup=ws.setup
+        )
+        assert np.array_equal(g.indptr, scratch.indptr)
+        assert np.array_equal(g.indices, scratch.indices)
+        if ws.setup.dtype == "float64":
+            assert g.data.tobytes() == scratch.data.tobytes()
+        else:
+            assert np.allclose(g.data, scratch.data, rtol=1e-6, atol=1e-6)
 
 
 class TestExtensionProperties:

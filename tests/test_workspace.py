@@ -14,7 +14,8 @@ from repro.core import (
     build_fsaie_comm,
 )
 from repro.dist import RowPartition
-from repro.matgen import poisson2d
+from repro.instrument import NULL_TRACER, tracing
+from repro.matgen import elasticity3d, poisson2d
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +64,63 @@ class TestWorkspace:
         assert ws.g_pre.nnz == ws.base.nnz + ws.ext_nnz_unfiltered
         assert ws.base_counts.sum() == ws.base.nnz
         assert sum(len(r) for r in ws.ext_ratios_per_rank) == ws.ext_nnz_unfiltered
+
+
+# elasticity3d(4,4,4) (375 rows), 2 ranks, 256 B lines, FSAIE-Comm; columns:
+# rows kept / from the base factor / solved again, rows solved in all (base
+# rows are solved on first need), rows through the table / search gather.
+PINNED_PRECALCULATION = (0, 0, 0, 375, 375, 0)
+PINNED_FINALIZE = [
+    (3, 159, 213, 372, 299, 73),  # Filter 0.01
+    (3, 372, 0, 213, 213, 0),  # Filter 0.2: the 213 base rows not yet solved
+]
+
+
+class TestIncrementalFinalize:
+    """``finalize`` re-solves only the rows a filter changed."""
+
+    def test_no_state_leaks_between_filters(self, setup):
+        """A finalize after others equals the same finalize on a fresh
+        workspace, bit for bit, and no base row is ever solved twice."""
+        mat, part = setup
+        ws = ExtensionWorkspace("X", mat, part, ExtensionMode.COMM)
+        specs = [FilterSpec(f, dynamic=False) for f in (0.2, 0.01, 1e9, 0.05, 0.2)]
+        base_solves = 0
+        for spec in specs:
+            with tracing(NULL_TRACER) as (_, metrics):
+                reused = ws.finalize(spec).g.to_global()
+                base_solves += metrics.value("fsai.batched_rows") - metrics.value(
+                    "precond.finalize.rows_solved"
+                )
+            fresh = ExtensionWorkspace("X", mat, part, ExtensionMode.COMM).finalize(spec)
+            fresh = fresh.g.to_global()
+            assert np.array_equal(reused.indices, fresh.indices)
+            assert reused.data.tobytes() == fresh.data.tobytes()
+        assert base_solves == np.count_nonzero(ws._base_solved) <= mat.nrows
+        assert base_solves == np.count_nonzero(ws._ext_per_row)  # 1e9 drops every extension
+
+    def test_row_class_counters_are_pinned(self):
+        """Exact counts on a fixed problem, so the reuse cannot silently stop
+        firing: rows kept from the precalculation, rows copied from the base
+        factor, rows solved again, and the rows each gather arm served."""
+        mat = elasticity3d(4, 4, 4)
+        part = RowPartition.contiguous(mat.nrows, 2)
+        names = (
+            "precond.finalize.rows_kept",
+            "precond.finalize.rows_base",
+            "precond.finalize.rows_solved",
+            "fsai.batched_rows",
+            "fsai.gather.table_rows",
+            "fsai.gather.search_rows",
+        )
+        with tracing(NULL_TRACER) as (_, metrics):
+            ws = ExtensionWorkspace("X", mat, part, ExtensionMode.COMM, line_bytes=256)
+            seen = [tuple(metrics.value(name) or 0 for name in names)]
+            for value in (0.01, 0.2):
+                ws.finalize(FilterSpec(value, dynamic=True))
+                seen.append(tuple(metrics.value(name) or 0 for name in names))
+        steps = [tuple(b - a for a, b in zip(prev, cur)) for prev, cur in zip(seen, seen[1:])]
+        assert seen[0] == PINNED_PRECALCULATION
+        assert steps == PINNED_FINALIZE
+        for kept, base, solved, *_ in steps:
+            assert kept + base + solved == mat.nrows
