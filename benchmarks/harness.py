@@ -49,7 +49,7 @@ from repro.matgen import (
     table1_cases,
     table2_cases,
 )
-from repro.perfmodel import CostModel, MachineSpec
+from repro.perfmodel import SKYLAKE, CostModel, MachineSpec
 
 FILTER_VALUES = (0.01, 0.05, 0.1, 0.2)
 #: The paper's default hybrid configuration (§5.2): 8 threads per process.
@@ -157,8 +157,9 @@ def spmd_timeline(
     """Run one SPMD solve under a fresh tracer; returns its Timeline.
 
     Unlike the cached :func:`solve` (rank-serial ``pcg``), this drives
-    :func:`repro.core.spmd_cg` through :mod:`repro.mpisim` threads so the
-    trace carries real cross-rank sends, waits and reductions — the input
+    :func:`repro.dist.spmd_cg` through :mod:`repro.mpisim` on the Skylake
+    clock model, so the trace carries real cross-rank sends, waits and
+    reductions in modeled seconds — the input
     :class:`repro.observe.Timeline` needs for critical-path analysis.
     """
     from repro.dist import spmd_cg
@@ -174,6 +175,7 @@ def spmd_timeline(
         _, iterations = spmd_cg(
             prob.da, prob.b, precond_pair=(pre.g, pre.gt),
             rtol=rtol, max_iterations=max_iterations,
+            clock=SKYLAKE.clock_model(),
         )
     return Timeline.from_tracer(
         tracer,

@@ -1,11 +1,12 @@
-"""Weak-scaling benchmark on the event-driven SPMD engine: ``BENCH_scaling.json``.
+"""Weak-scaling benchmark on the SPMD engine: ``BENCH_scaling.json``.
 
 Where ``BENCH_solver.json`` (see :mod:`benchmarks.solver_bench`) tracks the
 paper's iteration/nnz tradeoff on the Table 1 catalog, this suite proves the
-*runtime* claims at scale: :func:`repro.dist.spmd.spmd_pipelined_pcg` on
-``engine="events"`` completes an FSAI-preconditioned solve at 64, 256 and
-1024 simulated ranks under weak scaling (a fixed ~64 rows per rank on
-growing Poisson grids), with per-edge message coalescing keeping the
+*runtime* claims at scale: :func:`repro.dist.spmd.spmd_pipelined_pcg`
+completes an FSAI-preconditioned solve at 64, 256, 1024 and 4096 simulated
+ranks under weak scaling (a fixed ~64 rows per rank on growing Poisson
+grids; every rank a coroutine on one thread), with per-edge message
+coalescing keeping the
 :class:`repro.mpisim.CommTracker` byte accounting exact while cutting
 message counts.
 
@@ -23,7 +24,7 @@ Per scale the suite records:
 * ``invariant`` — the paper's guarantee that FSAIE-Comm exchanges exactly
   the FSAI halos (:func:`repro.core.check_comm_invariance`);
 * ``halo_invariant`` — the same guarantee re-proved on the wire: halo
-  updates for both preconditioners run on the coalesced event transport and
+  updates for both preconditioners run on the coalescing transport and
   their tracker snapshots must match edge-for-edge
   (:func:`repro.observe.compare_snapshots`).
 
@@ -64,7 +65,7 @@ from repro.perfmodel import MACHINES, CostModel  # noqa: E402
 #: Weak-scaling ladder: (ranks, Poisson grid side).  ``n*n / ranks`` stays at
 #: 64 rows per rank, so per-rank work is constant and growth in wait/traffic
 #: is purely a function of scale.
-SCALES = ((64, 64), (256, 128), (1024, 256))
+SCALES = ((64, 64), (256, 128), (1024, 256), (4096, 512))
 QUICK_SCALES = ((64, 64),)
 
 #: Fixed iteration budget.  Under weak scaling the Poisson condition number
@@ -76,18 +77,17 @@ RTOL = 1e-6
 MAX_ITERATIONS = 40
 RHS_SEED = 9
 MODEL_MACHINE = "skylake"
-ENGINE = "events"
 
 
-def _halo_invariance(pre, pre_comm, b: DistVector, *, timeout: float) -> bool:
+def _halo_invariance(pre, pre_comm, b: DistVector) -> bool:
     """Prove comm-invariance on the wire: run both preconditioners' halo
-    updates (G and Gᵀ) on the coalesced event transport and require
+    updates (G and Gᵀ) on the coalescing transport and require
     edge-identical tracker snapshots."""
     trackers = []
     for pre_k in (pre, pre_comm):
         tr = CommTracker()
         for g in (pre_k.g, pre_k.gt):
-            spmd_halo_update(g, b, tr, engine=ENGINE)
+            spmd_halo_update(g, b, tr)
         trackers.append(tr)
     verdict = compare_snapshots(
         trackers[0].snapshot(),
@@ -110,8 +110,7 @@ def run_scale(ranks: int, n: int, *, machine_name: str = MODEL_MACHINE) -> dict:
     pre = build_fsai(mat, part)
     pre_comm = build_fsaie_comm(mat, part)
     invariant = check_comm_invariance(pre, pre_comm)
-    timeout = max(120.0, 0.6 * ranks)
-    halo_invariant = _halo_invariance(pre, pre_comm, b, timeout=timeout)
+    halo_invariant = _halo_invariance(pre, pre_comm, b)
 
     tracker = CommTracker()
     t0 = time.perf_counter()
@@ -122,8 +121,6 @@ def run_scale(ranks: int, n: int, *, machine_name: str = MODEL_MACHINE) -> dict:
         max_iterations=MAX_ITERATIONS,
         precond_pair=(pre.g, pre.gt),
         tracker=tracker,
-        engine=ENGINE,
-        timeout=timeout,
     )
     wall = time.perf_counter() - t0
 
@@ -193,7 +190,6 @@ def run_scaling_suite(*, quick: bool = False) -> dict:
             "rtol": RTOL,
             "max_iterations": MAX_ITERATIONS,
             "rhs_seed": RHS_SEED,
-            "engine": ENGINE,
             "machine": MODEL_MACHINE,
         },
         "scaling": scaling,
@@ -216,8 +212,8 @@ def write_scaling_suite(result: dict, path, *, report: bool = True) -> Path:
 
 def format_summary(result: dict) -> str:
     lines = [
-        "weak scaling on engine=%s (modeled on %s)"
-        % (result["config"]["engine"], result["config"]["machine"]),
+        "weak scaling on the SPMD engine (modeled on %s)"
+        % result["config"]["machine"],
         "",
     ]
     header = (

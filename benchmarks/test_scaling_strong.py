@@ -66,7 +66,7 @@ def test_strong_scaling_regime(benchmark):
     assert gains[-1] >= gains[0]
     assert gains[-1] > 0
 
-    # The largest configuration re-runs on the event-driven SPMD engine:
+    # The largest configuration re-runs on the SPMD engine:
     # the same FSAI-preconditioned solve over real (simulated) message
     # passing with per-edge coalescing must reach the paper tolerance.
     part = RowPartition.from_matrix(mat, RANKS[-1], seed=RANKS[-1])
@@ -76,7 +76,7 @@ def test_strong_scaling_regime(benchmark):
     tracker = CommTracker()
     x, iters = spmd_pipelined_pcg(
         da, b, rtol=PAPER_RTOL, precond_pair=(pre.g, pre.gt),
-        tracker=tracker, engine="events",
+        tracker=tracker,
     )
     rhs = b.to_global()
     rel = np.linalg.norm(rhs - mat.spmv(x.to_global())) / np.linalg.norm(rhs)

@@ -15,8 +15,11 @@ together pin down FSAIE-Comm's contract:
    filtering disabled yields a strictly higher BSP max wait (per-rank nnz
    imbalance, :func:`repro.observe.bsp_wait_times`) than the dynamically
    filtered build.
-4. **Timeline reconstruction is sound** — an SPMD solve's merged timeline
-   satisfies ``max per-rank busy ≤ critical path ≤ makespan``.
+4. **Timeline reconstruction is sound and exact** — an SPMD solve traced on
+   the Skylake clock model yields a timeline in modeled seconds that
+   satisfies ``max per-rank busy ≤ critical path ≤ makespan``, and a second
+   run reproduces the critical path to the last digit (the engine is a pure
+   function of its inputs; nothing in the timeline is host wall clock).
 
 Usage::
 
@@ -49,6 +52,7 @@ from repro.observe import (  # noqa: E402
     bsp_wait_times,
     halo_critical_path,
 )
+from repro.perfmodel import SKYLAKE  # noqa: E402
 
 GRID = 16
 RANKS = 4
@@ -124,13 +128,16 @@ def main() -> int:
         f"> dynamic {max(waits['dynamic']):.0f}"
     )
 
-    # 4. reconstructed SPMD timeline obeys its bracketing invariant
-    with tracing() as (tracer, _):
-        _, iterations = spmd_cg(
-            da, b, precond_pair=(comm.g, comm.gt),
-            rtol=PAPER_RTOL, max_iterations=500,
-        )
-    timeline = Timeline.from_tracer(tracer)
+    # 4. reconstructed SPMD timeline obeys its bracketing invariant, exactly
+    def traced_timeline():
+        with tracing() as (tracer, _):
+            _, its = spmd_cg(
+                da, b, precond_pair=(comm.g, comm.gt),
+                rtol=PAPER_RTOL, max_iterations=500, clock=SKYLAKE.clock_model(),
+            )
+        return Timeline.from_tracer(tracer), its
+
+    timeline, iterations = traced_timeline()
     cp = timeline.critical_path()
     max_busy = max(timeline.busy_seconds().values())
     if not (max_busy <= cp.length + 1e-12 and cp.length <= timeline.makespan + 1e-12):
@@ -138,10 +145,16 @@ def main() -> int:
             f"critical path {cp.length:.6f}s outside "
             f"[max busy {max_busy:.6f}s, makespan {timeline.makespan:.6f}s]"
         )
+    again = traced_timeline()[0]
+    if (again.critical_path().length, again.makespan) != (cp.length, timeline.makespan):
+        return fail(
+            f"timeline is not reproducible: critical path {cp.length!r} then "
+            f"{again.critical_path().length!r}"
+        )
     print(
-        f"ok: timeline ({iterations} iterations) max busy {max_busy * 1e3:.2f} ms "
-        f"≤ critical path {cp.length * 1e3:.2f} ms "
-        f"≤ makespan {timeline.makespan * 1e3:.2f} ms"
+        f"ok: timeline ({iterations} iterations, modeled on {SKYLAKE.name}) "
+        f"max busy {max_busy * 1e6:.2f} us ≤ critical path {cp.length * 1e6:.2f} us "
+        f"≤ makespan {timeline.makespan * 1e6:.2f} us, identical on a second run"
     )
 
     print("OK: communication invariance holds on the critical path")

@@ -212,10 +212,11 @@ def cmd_timeline(args) -> int:
     """``repro timeline``: reconstruct the cross-rank timeline of an SPMD solve.
 
     Runs the preconditioned CG fully inside the SPMD runtime (real messages,
-    one thread per rank) under tracing, merges the per-rank span streams
-    into a :class:`~repro.observe.Timeline`, and prints an ASCII per-rank
-    Gantt chart with per-rank busy/wait/slack, the critical path through
-    the halo/allreduce dependency graph, and its top-k edges.  ``--load``
+    one coroutine per rank, on the ``--machine`` model's clock) under
+    tracing, merges the per-rank span streams into a
+    :class:`~repro.observe.Timeline` in modeled seconds, and prints an ASCII
+    per-rank Gantt chart with per-rank busy/wait/slack, the critical path
+    through the halo/allreduce dependency graph, and its top-k edges.  ``--load``
     renders a previously saved timeline (or exported trace) instead;
     ``--json`` / ``--prom`` write the timeline document and the
     OpenMetrics exposition.
@@ -237,6 +238,7 @@ def cmd_timeline(args) -> int:
             _, iterations = spmd_cg(
                 da, b, precond_pair=(pre.g, pre.gt),
                 rtol=args.rtol, max_iterations=args.max_iterations,
+                clock=MACHINES[args.machine].clock_model(args.threads),
             )
         timeline = Timeline.from_tracer(
             tracer,
@@ -398,6 +400,7 @@ def cmd_conformance(args) -> int:
     except ValueError:
         rank_sample = args.rank_sample  # "all" / "sqrt" / "first:K" / "stride:K"
     model = CostModel(MACHINES[args.machine], threads_per_process=args.threads)
+    clock = MACHINES[args.machine].clock_model(args.threads)
     entries = []
     structural_ok = True
     for ranks in ladder:
@@ -410,7 +413,7 @@ def cmd_conformance(args) -> int:
         _, iterations = spmd_pipelined_pcg(
             da, b, precond_pair=(pre.g, pre.gt), rtol=args.rtol,
             max_iterations=args.max_iterations, tracker=tracker,
-            engine=args.engine, timeout=args.timeout, telemetry=telemetry,
+            clock=clock, telemetry=telemetry,
         )
         cluster = telemetry.result
         if cluster is None:
@@ -427,7 +430,7 @@ def cmd_conformance(args) -> int:
         telemetry_bytes = 0
         for g in (base.g, pre.g):
             t = CommTracker()
-            spmd_halo_update(g, b, t, engine=args.engine,
+            spmd_halo_update(g, b, t, clock=clock,
                              telemetry=TelemetryConfig(rank_sample=rank_sample))
             snaps.append(t.snapshot())
             telemetry_bytes += t.total_telemetry_bytes
@@ -458,7 +461,6 @@ def cmd_conformance(args) -> int:
             "method": args.method,
             "machine": args.machine,
             "threads": args.threads,
-            "engine": args.engine,
             "ladder": ladder,
             "rank_sample": args.rank_sample,
             "filter": args.filter,
@@ -834,8 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conf.add_argument("--method", choices=sorted(_BUILDERS), default="comm")
     p_conf.add_argument("--ladder", default="4,8,16",
                         help="comma-separated rank counts to strong-scale over")
-    p_conf.add_argument("--engine", choices=("threads", "events"),
-                        default="events", help="SPMD runtime engine")
     p_conf.add_argument(
         "--rank-sample", default="8",
         help="full-span sampling policy: K, 'all', 'sqrt', 'first:K', "
@@ -844,8 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_conf.add_argument("--share-tolerance", type=float, default=0.25,
                         help="phase-share drift that triggers a verdict")
-    p_conf.add_argument("--timeout", type=float, default=600.0,
-                        help="per-rung SPMD wall-clock timeout (seconds)")
     p_conf.add_argument("--json", help="write the conformance document here")
     p_conf.add_argument("--prom", help="write OpenMetrics text exposition here")
     p_conf.set_defaults(fn=cmd_conformance)
@@ -911,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--menu", choices=("standard", "quick"), default="standard",
                          help="scenario menu (quick = 2-scenario smoke subset)")
     p_chaos.add_argument("--engine", choices=("bsp", "spmd"), default="bsp",
-                         help="deterministic BSP solver or threaded SPMD runtime")
+                         help="deterministic BSP solver or message-passing SPMD runtime")
     p_chaos.add_argument("--json", help="write the versioned chaos report here")
     p_chaos.set_defaults(fn=cmd_chaos)
 

@@ -39,7 +39,7 @@ _TAG_ROWREQ = 8_100
 _TAG_ROWDATA = 8_101
 
 
-def _gather_foreign_rows(
+async def _gather_foreign_rows(
     comm: Comm,
     partition: RowPartition,
     local_a: CSRMatrix,
@@ -68,7 +68,7 @@ def _gather_foreign_rows(
     requests_for_me: dict[int, np.ndarray] = {}
     for q in range(comm.size):
         if q != p:
-            requests_for_me[q] = comm.recv(q, _TAG_ROWREQ)
+            requests_for_me[q] = await comm.recv(q, _TAG_ROWREQ)
     # serve requests from the local block
     for q, wanted in requests_for_me.items():
         payload = []
@@ -83,7 +83,7 @@ def _gather_foreign_rows(
         cols, vals = local_a.row(li)
         table[int(g)] = (cols, vals)
     for q in rows_by_owner:
-        for g, cols, vals in comm.recv(q, _TAG_ROWDATA):
+        for g, cols, vals in await comm.recv(q, _TAG_ROWDATA):
             table[g] = (cols, vals)
     return table
 
@@ -121,7 +121,6 @@ def spmd_build_fsaie_comm(
     line_bytes: int = 64,
     filter_spec: FilterSpec = FilterSpec(),
     tracker: CommTracker | None = None,
-    timeout: float = 120.0,
 ) -> Preconditioner:
     """Build FSAIE-Comm entirely inside SPMD ranks (real message passing).
 
@@ -135,7 +134,7 @@ def spmd_build_fsaie_comm(
     dist_pattern = DistMatrix.from_global(base.to_csr(), partition)
     owner = partition.owner
 
-    def _rank_program(comm: Comm):
+    async def _rank_program(comm: Comm):
         p = comm.rank
         tracer = get_tracer()
         lm_pattern = dist_pattern.locals[p]
@@ -162,7 +161,7 @@ def spmd_build_fsaie_comm(
         footprint = np.unique(np.concatenate(list(pattern_rows.values())))
         foreign = footprint[owner[footprint] != p]
         with tracer.span("spmd.gather_rows", rank=p, foreign=int(foreign.size)):
-            row_table = _gather_foreign_rows(
+            row_table = await _gather_foreign_rows(
                 comm, partition, _localize_a(lm_a), my_rows, foreign
             )
 
@@ -173,7 +172,7 @@ def spmd_build_fsaie_comm(
         # the scale-independent filter compares against sqrt(g_ii * g_jj);
         # diagonal values of off-rank rows travel over the same channels
         diag = {g: vals[-1] for g, vals in g_rows.items()}
-        diag.update(_exchange_diag(comm, partition, diag, foreign))
+        diag.update(await _exchange_diag(comm, partition, diag, foreign))
         base_count = 0
         ratios = []
         for g, vals in g_rows.items():
@@ -188,7 +187,7 @@ def spmd_build_fsaie_comm(
         ratios = np.asarray(ratios)
         my_count = base_count + int(np.count_nonzero(ratios > filter_spec.value))
         with tracer.span("spmd.filtering", rank=p, dynamic=filter_spec.dynamic):
-            total = comm.allreduce(my_count, SUM)
+            total = await comm.allreduce(my_count, SUM)
             average = total / comm.size
             if filter_spec.dynamic:
                 my_filter = dynamic_filter_for_rank(
@@ -220,7 +219,7 @@ def spmd_build_fsaie_comm(
             final_rows = _solve_rows(row_table, filtered_rows)
         return my_filter, filtered_rows, final_rows
 
-    results = run_spmd(_rank_program, partition.nparts, tracker=tracker, timeout=timeout)
+    results = run_spmd(_rank_program, partition.nparts, tracker=tracker)
 
     # reassemble the global factor from the per-rank rows
     filters = np.array([r[0] for r in results])
@@ -245,7 +244,7 @@ _TAG_DIAGREQ = 8_102
 _TAG_DIAGDATA = 8_103
 
 
-def _exchange_diag(
+async def _exchange_diag(
     comm: Comm,
     partition: RowPartition,
     my_diag: dict[int, float],
@@ -263,7 +262,7 @@ def _exchange_diag(
     for q in range(comm.size):
         if q == p:
             continue
-        wanted = comm.recv(q, _TAG_DIAGREQ)
+        wanted = await comm.recv(q, _TAG_DIAGREQ)
         comm.send(
             np.array([my_diag[int(g)] for g in wanted], dtype=np.float64),
             q,
@@ -271,7 +270,7 @@ def _exchange_diag(
         )
     out: dict[int, float] = {}
     for q, wanted in wanted_by_owner.items():
-        values = comm.recv(q, _TAG_DIAGDATA)
+        values = await comm.recv(q, _TAG_DIAGDATA)
         for g, v in zip(wanted, values):
             out[int(g)] = float(v)
     return out

@@ -6,19 +6,24 @@ rank-by-rank in the driver — deterministic and fast.  This module runs the
 :func:`repro.mpisim.run_spmd`: every halo value travels in a real
 point-to-point message and every reduction is a real allreduce.  Tests assert
 both engines agree, which validates the BSP shortcut.
+
+The rank programs here are coroutines (``async def``; see
+:mod:`repro.mpisim`): they ``await`` receives, request completion and
+collectives, and charge each rank-local kernel's *modeled* cost to the
+rank's clock (:func:`_charge`) — nothing reads the host's clock.  The
+functions callers use (:func:`spmd_cg`, …) stay plain: they build the rank
+program and hand it to ``run_spmd``.
 """
 
 from __future__ import annotations
-
-import time
-from contextlib import contextmanager
 
 import numpy as np
 
 from repro.dist.matrix import DistMatrix
 from repro.dist.vector import DistVector
+from repro.errors import CommError
 from repro.instrument import get_tracer
-from repro.mpisim import SUM, Comm, CommTracker, run_spmd
+from repro.mpisim import SUM, ClockModel, Comm, CommTracker, run_spmd
 
 __all__ = [
     "spmd_spmv",
@@ -30,20 +35,44 @@ __all__ = [
 
 _TAG_HALO = 7_000
 
+_ENTRY_BYTES = 12  # 8 B value + 4 B column index (CSR streaming)
+_VALUE_BYTES = 8
 
-@contextmanager
-def _compute_probe(telemetry):
-    """Stream the enclosed block's duration into the rank's telemetry
-    ``compute`` histogram (:mod:`repro.observe.stream`); free when no
-    telemetry endpoint is installed."""
-    if telemetry is None:
-        yield
-        return
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        telemetry.observe("compute", time.perf_counter() - start)
+
+def _check_engine(engine: str) -> None:
+    """The SPMD runtime has one engine, the event-driven scheduler; the
+    keyword survives because recorded callers pass it."""
+    if engine == "threads":
+        raise CommError(
+            "engine='threads' is gone: the SPMD runtime has one engine, the "
+            "single-threaded event-driven scheduler ('events', the default)"
+        )
+    if engine != "events":
+        raise CommError(f"unknown engine {engine!r}; the only engine is 'events'")
+
+
+def _charge(comm: Comm, flops: float, nbytes: float) -> None:
+    """Charge one rank-local kernel to the rank's modeled clock (roofline
+    of ``flops`` and streamed ``nbytes`` at the run's
+    :class:`~repro.mpisim.ClockModel` rates) and stream the same seconds
+    into the rank's telemetry ``compute`` histogram when one is installed."""
+    seconds = comm.clock.kernel_seconds(flops, nbytes)
+    comm.advance(seconds)
+    if comm.telemetry is not None:
+        comm.telemetry.observe("compute", seconds, end=comm.now())
+
+
+def _charge_spmv(comm: Comm, csr) -> None:
+    """One CSR product: stream the matrix, gather ``x``, write ``y``."""
+    nnz = csr.nnz
+    _charge(comm, 2 * nnz, nnz * _ENTRY_BYTES + 2 * csr.nrows * _VALUE_BYTES)
+
+
+def _charge_vectors(comm: Comm, n: int, updates: int = 0, dots: int = 0) -> None:
+    """Length-``n`` vector work: each update reads two vectors and writes
+    one, each dot product reads two."""
+    _charge(comm, 2 * n * (updates + dots),
+            n * _VALUE_BYTES * (3 * updates + 2 * dots))
 
 
 def _halo_exchange_start(comm: Comm, mat: DistMatrix, x_local: np.ndarray) -> list:
@@ -53,10 +82,11 @@ def _halo_exchange_start(comm: Comm, mat: DistMatrix, x_local: np.ndarray) -> li
     outgoing payloads ship inside one coalescing epoch — each (src, dst)
     pair's traffic is a single tracked envelope.  The caller can run local
     compute between start and finish, overlapping it with in-flight halo
-    traffic from the other ranks.
+    traffic from the other ranks.  Nothing here can block, so this is a
+    plain function.
 
-    With tracing enabled the pack phase is a ``spmd.halo.pack`` span tagged
-    with the total payload bytes.
+    The pack phase is a ``spmd.halo.pack`` span tagged with the total
+    payload bytes, and charges the gather's streamed bytes to the clock.
     """
     p = comm.rank
     sched = mat.schedule
@@ -67,30 +97,26 @@ def _halo_exchange_start(comm: Comm, mat: DistMatrix, x_local: np.ndarray) -> li
         for q, ids in sched.recv_from[p].items()
         if ids.size
     ]
-    if tracer.enabled:
-        with tracer.span("spmd.halo.pack", rank=p) as pack:
-            sends = []
-            packed_bytes = 0
-            for q, ids in sched.send_to[p].items():
-                if ids.size:
-                    payload = x_local[part.local_index[ids]]
-                    packed_bytes += payload.nbytes
-                    sends.append((payload, q))
-            pack.set_tag("bytes", packed_bytes)
-    else:
+    with tracer.span("spmd.halo.pack", rank=p) as pack:
         sends = [
             (x_local[part.local_index[ids]], q)
             for q, ids in sched.send_to[p].items()
             if ids.size
         ]
+        packed_bytes = sum(payload.nbytes for payload, _ in sends)
+        # the gather reads and writes every packed value once
+        comm.advance(comm.clock.kernel_seconds(0, 2 * packed_bytes))
+        pack.set_tag("bytes", packed_bytes)
     with comm.coalescing():
         for payload, q in sends:
             comm.send(payload, q, _TAG_HALO)
     return reqs
 
 
-def _halo_exchange_finish(comm: Comm, mat: DistMatrix, reqs: list) -> np.ndarray:
-    """Complete a posted halo exchange; returns the rank's halo buffer.
+async def _halo_exchange_finish(
+    comm: Comm, mat: DistMatrix, reqs: list, halo: np.ndarray
+) -> np.ndarray:
+    """Complete a posted halo exchange into the rank's ``halo`` buffer.
 
     Each incoming edge's completion is a ``spmd.halo.wait`` span (tagged
     with the awaited source and payload bytes) — the segments the timeline
@@ -99,23 +125,61 @@ def _halo_exchange_finish(comm: Comm, mat: DistMatrix, reqs: list) -> np.ndarray
     p = comm.rank
     sched = mat.schedule
     tracer = get_tracer()
-    halo = np.zeros(sched.ext_cols[p].size, dtype=np.float64)
     for q, req in reqs:
-        ids = sched.recv_from[p][q]
         if tracer.enabled:
             with tracer.span(
-                "spmd.halo.wait", rank=p, src=q, bytes=8 * int(ids.size)
+                "spmd.halo.wait", rank=p, src=q,
+                bytes=8 * int(sched.recv_from[p][q].size),
             ):
-                values = req.wait()
+                values = await req.wait()
         else:
-            values = req.wait()
+            values = await req.wait()
         halo[sched.recv_pos[p][q]] = values
     return halo
 
 
-def _halo_exchange(comm: Comm, mat: DistMatrix, x_local: np.ndarray) -> np.ndarray:
-    """One rank's side of the halo update; returns its halo buffer."""
-    return _halo_exchange_finish(comm, mat, _halo_exchange_start(comm, mat, x_local))
+async def _halo_exchange(
+    comm: Comm, mat: DistMatrix, x_local: np.ndarray, halo: np.ndarray
+) -> np.ndarray:
+    """One rank's side of the halo update, into its ``halo`` buffer."""
+    return await _halo_exchange_finish(
+        comm, mat, _halo_exchange_start(comm, mat, x_local), halo
+    )
+
+
+class _Operands:
+    """One rank's ``[x_local | halo]`` SpMV operands, one buffer per matrix
+    of the solve, allocated on first use and refilled per product."""
+
+    def __init__(self, rank: int):
+        self.rank = rank
+        self._buffers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def of(self, mat: DistMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """``(operand, halo)``: the full buffer and its halo tail (a view)."""
+        pair = self._buffers.get(id(mat))
+        if pair is None:
+            lm = mat.locals[self.rank]
+            buf = np.zeros(lm.n_local + lm.n_halo, dtype=np.float64)
+            pair = self._buffers[id(mat)] = (buf, buf[lm.n_local:])
+        return pair
+
+
+async def _fused_spmv(comm: Comm, mat: DistMatrix, operands: _Operands,
+                      v: np.ndarray) -> np.ndarray:
+    """Blocking-exchange SpMV of one rank: update the halo, then one
+    product with the rank's full local block."""
+    p = comm.rank
+    lm = mat.locals[p]
+    operand, halo = operands.of(mat)
+    await _halo_exchange(comm, mat, v, halo)
+    with get_tracer().span("spmd.compute", rank=p, kernel="spmv"):
+        if lm.n_halo:
+            operand[: lm.n_local] = v
+            v = operand
+        y = lm.csr.spmv(v)
+        _charge_spmv(comm, lm.csr)
+    return y
 
 
 def spmd_halo_update(
@@ -123,7 +187,8 @@ def spmd_halo_update(
     x: DistVector,
     tracker: CommTracker | None = None,
     *,
-    engine: str = "threads",
+    engine: str = "events",
+    clock: ClockModel | None = None,
     telemetry=None,
 ) -> list[np.ndarray]:
     """Run the halo update alone on the SPMD runtime; returns halo buffers.
@@ -131,13 +196,17 @@ def spmd_halo_update(
     ``telemetry`` forwards a :class:`repro.observe.stream.TelemetryConfig`
     to :func:`repro.mpisim.run_spmd` — the instrumented form used to
     re-prove the paper's schedule invariance *with telemetry enabled*.
+    ``engine`` accepts only ``"events"`` (the one engine there is).
     """
+    _check_engine(engine)
 
-    def _prog(comm: Comm):
-        return _halo_exchange(comm, mat, x.parts[comm.rank])
+    async def _prog(comm: Comm):
+        p = comm.rank
+        halo = np.zeros(mat.schedule.ext_cols[p].size, dtype=np.float64)
+        return await _halo_exchange(comm, mat, x.parts[p], halo)
 
     return run_spmd(
-        _prog, mat.partition.nparts, tracker=tracker, engine=engine,
+        _prog, mat.partition.nparts, tracker=tracker, clock=clock,
         telemetry=telemetry,
     )
 
@@ -146,19 +215,13 @@ def spmd_spmv(
     mat: DistMatrix,
     x: DistVector,
     tracker: CommTracker | None = None,
-    *,
-    engine: str = "threads",
 ) -> DistVector:
     """Distributed SpMV executed with real messages; result equals BSP spmv."""
 
-    def _prog(comm: Comm):
-        p = comm.rank
-        lm = mat.locals[p]
-        halo = _halo_exchange(comm, mat, x.parts[p])
-        xin = np.concatenate([x.parts[p], halo]) if lm.n_halo else x.parts[p]
-        return lm.csr.spmv(xin)
+    async def _prog(comm: Comm):
+        return await _fused_spmv(comm, mat, _Operands(comm.rank), x.parts[comm.rank])
 
-    parts = run_spmd(_prog, mat.partition.nparts, tracker=tracker, engine=engine)
+    parts = run_spmd(_prog, mat.partition.nparts, tracker=tracker)
     return DistVector(mat.partition, parts)
 
 
@@ -166,17 +229,16 @@ def spmd_dot(
     x: DistVector,
     y: DistVector,
     tracker: CommTracker | None = None,
-    *,
-    engine: str = "threads",
 ) -> float:
     """Distributed dot product through a real allreduce on every rank."""
 
-    def _prog(comm: Comm):
+    async def _prog(comm: Comm):
         p = comm.rank
         partial = float(np.dot(x.parts[p], y.parts[p]))
-        return comm.allreduce(partial, SUM)
+        _charge_vectors(comm, x.parts[p].size, dots=1)
+        return await comm.allreduce(partial, SUM)
 
-    results = run_spmd(_prog, x.partition.nparts, tracker=tracker, engine=engine)
+    results = run_spmd(_prog, x.partition.nparts, tracker=tracker)
     first = results[0]
     assert all(abs(r - first) < 1e-9 * max(1.0, abs(first)) for r in results)
     return first
@@ -190,7 +252,8 @@ def spmd_cg(
     max_iterations: int = 10_000,
     precond_pair: tuple[DistMatrix, DistMatrix] | None = None,
     tracker: CommTracker | None = None,
-    engine: str = "threads",
+    engine: str = "events",
+    clock: ClockModel | None = None,
 ) -> tuple[DistVector, int]:
     """(Preconditioned) CG fully inside the SPMD runtime.
 
@@ -198,59 +261,62 @@ def spmd_cg(
     preconditioner application is ``z = Gᵀ(G·r)`` — two SpMVs, as in the
     paper.  Returns the solution and the iteration count.  This mirrors
     :func:`repro.core.cg.pcg` and exists to validate it end-to-end on real
-    message passing.
+    message passing.  ``clock`` is the run's
+    :class:`~repro.mpisim.ClockModel`; ``engine`` accepts only
+    ``"events"``.
     """
+    _check_engine(engine)
     part = mat.partition
 
-    def _prog(comm: Comm):
+    async def _prog(comm: Comm):
         p = comm.rank
-        lm = mat.locals[p]
+        n = mat.locals[p].n_local
         tracer = get_tracer()
+        operands = _Operands(p)
 
-        def local_spmv(m: DistMatrix, v: np.ndarray) -> np.ndarray:
-            halo = _halo_exchange(comm, m, v)
-            lmm = m.locals[p]
-            with tracer.span("spmd.compute", rank=p, kernel="spmv"):
-                vin = np.concatenate([v, halo]) if lmm.n_halo else v
-                return lmm.csr.spmv(vin)
-
-        def gdot(u: np.ndarray, v: np.ndarray) -> float:
+        async def gdot(u: np.ndarray, v: np.ndarray) -> float:
+            partial = float(np.dot(u, v))
+            _charge_vectors(comm, n, dots=1)
             with tracer.span("spmd.reduction", rank=p):
-                return comm.allreduce(float(np.dot(u, v)), SUM)
+                return await comm.allreduce(partial, SUM)
 
-        def apply_precond(v: np.ndarray) -> np.ndarray:
+        async def apply_precond(v: np.ndarray) -> np.ndarray:
             if precond_pair is None:
                 return v.copy()
             g, gt = precond_pair
-            return local_spmv(gt, local_spmv(g, v))
+            return await _fused_spmv(
+                comm, gt, operands, await _fused_spmv(comm, g, operands, v)
+            )
 
-        x = np.zeros(lm.n_local, dtype=np.float64)
+        x = np.zeros(n, dtype=np.float64)
         r = b.parts[p].copy()
-        norm0 = np.sqrt(gdot(r, r))
+        norm0 = np.sqrt(await gdot(r, r))
         if norm0 == 0.0:
             return x, 0
-        z = apply_precond(r)
+        z = await apply_precond(r)
         d = z.copy()
-        rz = gdot(r, z)
+        rz = await gdot(r, z)
         iterations = 0
         for _ in range(max_iterations):
-            if np.sqrt(gdot(r, r)) <= rtol * norm0:
+            if np.sqrt(await gdot(r, r)) <= rtol * norm0:
                 break
             with tracer.span("spmd.iteration", rank=p, index=iterations):
-                ad = local_spmv(mat, d)
-                alpha = rz / gdot(d, ad)
+                ad = await _fused_spmv(comm, mat, operands, d)
+                alpha = rz / await gdot(d, ad)
                 with tracer.span("spmd.compute", rank=p, kernel="axpy"):
                     x += alpha * d
                     r -= alpha * ad
-                z = apply_precond(r)
-                rz_new = gdot(r, z)
+                    _charge_vectors(comm, n, updates=2)
+                z = await apply_precond(r)
+                rz_new = await gdot(r, z)
                 beta = rz_new / rz
                 rz = rz_new
                 d = z + beta * d
+                _charge_vectors(comm, n, updates=1)
             iterations += 1
         return x, iterations
 
-    results = run_spmd(_prog, part.nparts, tracker=tracker, engine=engine)
+    results = run_spmd(_prog, part.nparts, tracker=tracker, clock=clock)
     iters = results[0][1]
     assert all(it == iters for _, it in results)
     return DistVector(part, [x for x, _ in results]), iters
@@ -265,10 +331,8 @@ def spmd_pipelined_pcg(
     precond_pair: tuple[DistMatrix, DistMatrix] | None = None,
     tracker: CommTracker | None = None,
     overlap: bool = True,
-    engine: str = "threads",
-    workers: int | None = None,
-    timeout: float = 120.0,
-    latency: float = 0.0,
+    engine: str = "events",
+    clock: ClockModel | None = None,
     telemetry=None,
 ) -> tuple[DistVector, int]:
     """Pipelined PCG fully inside the SPMD runtime, built for scale.
@@ -284,23 +348,23 @@ def spmd_pipelined_pcg(
       posted with :func:`_halo_exchange_start` (early receives + coalesced
       sends), the local column block ``A_ll·x_local`` is computed while
       peer traffic is in flight, and only then does the rank wait — so
-      ``spmd.halo.wait`` self-time in :mod:`repro.observe.timeline` drops
-      versus the blocking exchange.
+      summed ``spmd.halo.wait`` time in :mod:`repro.observe.timeline`
+      drops versus the blocking exchange.
 
-    ``engine="events"`` runs the ranks on the cooperative engine
-    (:mod:`repro.mpisim.events`), the practical choice beyond ~100 ranks.
-    ``latency`` forwards to :func:`repro.mpisim.run_spmd` — with a nonzero
-    modelled link latency the overlap benefit becomes directly visible as
-    reduced wait time (local compute runs inside the latency window).
+    ``clock`` is the run's :class:`~repro.mpisim.ClockModel`: with a link
+    latency the overlap benefit is directly visible as reduced modeled wait
+    time (the charged local compute runs inside the latency window).
     ``telemetry`` forwards a :class:`repro.observe.stream.TelemetryConfig`:
-    every compute block is additionally timed into the rank's bounded
-    ``compute`` histogram (waits and reductions are observed by the
+    every compute kernel's modeled seconds additionally go into the rank's
+    bounded ``compute`` histogram (waits and reductions are observed by the
     transport itself), giving :mod:`repro.observe.conformance` its
-    measured per-phase seconds without full tracing.
+    simulated per-phase seconds without full tracing.  ``engine`` accepts
+    only ``"events"``.
     Returns ``(solution, iterations)``; iterates match the BSP
     ``pipelined_pcg`` to roundoff (the overlapped split changes row
     summation order in the last ulps).
     """
+    _check_engine(engine)
     part = mat.partition
     blocks = mat.split_blocks() if overlap else None
     pre_blocks = (
@@ -309,58 +373,55 @@ def spmd_pipelined_pcg(
         else (None, None)
     )
 
-    def _prog(comm: Comm):
+    async def _prog(comm: Comm):
         p = comm.rank
+        n = mat.locals[p].n_local
         tracer = get_tracer()
-        tel = comm.telemetry
+        operands = _Operands(p)
 
-        def local_spmv(m: DistMatrix, m_blocks, v: np.ndarray) -> np.ndarray:
-            if m_blocks is not None:
-                reqs = _halo_exchange_start(comm, m, v)
-                a_ll, a_lh = m_blocks[p]
-                with tracer.span("spmd.compute", rank=p, kernel="spmv_local"):
-                    with _compute_probe(tel):
-                        y = a_ll.spmv(v)
-                halo = _halo_exchange_finish(comm, m, reqs)
-                if a_lh is not None:
-                    with tracer.span("spmd.compute", rank=p, kernel="spmv_halo"):
-                        with _compute_probe(tel):
-                            y += a_lh.spmv(halo)
-                return y
-            halo = _halo_exchange(comm, m, v)
-            lmm = m.locals[p]
-            with tracer.span("spmd.compute", rank=p, kernel="spmv"):
-                with _compute_probe(tel):
-                    vin = np.concatenate([v, halo]) if lmm.n_halo else v
-                    return lmm.csr.spmv(vin)
+        async def local_spmv(m: DistMatrix, m_blocks, v: np.ndarray) -> np.ndarray:
+            if m_blocks is None:
+                return await _fused_spmv(comm, m, operands, v)
+            reqs = _halo_exchange_start(comm, m, v)
+            a_ll, a_lh = m_blocks[p]
+            with tracer.span("spmd.compute", rank=p, kernel="spmv_local"):
+                y = a_ll.spmv(v)
+                _charge_spmv(comm, a_ll)
+            halo = await _halo_exchange_finish(comm, m, reqs, operands.of(m)[1])
+            if a_lh is not None:
+                with tracer.span("spmd.compute", rank=p, kernel="spmv_halo"):
+                    y += a_lh.spmv(halo)
+                    _charge_spmv(comm, a_lh)
+            return y
 
-        def fused_dots(*pairs: tuple[np.ndarray, np.ndarray]) -> list[float]:
+        async def fused_dots(*pairs: tuple[np.ndarray, np.ndarray]) -> list[float]:
             partials = np.array(
                 [float(np.dot(a, c)) for a, c in pairs], dtype=np.float64
             )
+            _charge_vectors(comm, n, dots=len(pairs))
             with tracer.span("spmd.reduction", rank=p, fused=len(pairs)):
-                return [float(v) for v in comm.allreduce(partials, SUM)]
+                return [float(v) for v in await comm.allreduce(partials, SUM)]
 
-        def apply_precond(v: np.ndarray) -> np.ndarray:
+        async def apply_precond(v: np.ndarray) -> np.ndarray:
             if precond_pair is None:
                 return v.copy()
             g, gt = precond_pair
             gb, gtb = pre_blocks
-            return local_spmv(gt, gtb, local_spmv(g, gb, v))
+            return await local_spmv(gt, gtb, await local_spmv(g, gb, v))
 
         a_blocks = blocks
-        x = np.zeros(mat.locals[p].n_local, dtype=np.float64)
+        x = np.zeros(n, dtype=np.float64)
         r = b.parts[p].copy()
-        (norm0_sq,) = fused_dots((r, r))
+        (norm0_sq,) = await fused_dots((r, r))
         norm0 = float(np.sqrt(max(norm0_sq, 0.0)))
         if norm0 == 0.0:
             return x, 0
         target = rtol * norm0
-        u = apply_precond(r)
-        w = local_spmv(mat, a_blocks, u)
-        gamma, delta = fused_dots((r, u), (w, u))
-        m_w = apply_precond(w)
-        n_vec = local_spmv(mat, a_blocks, m_w)
+        u = await apply_precond(r)
+        w = await local_spmv(mat, a_blocks, u)
+        gamma, delta = await fused_dots((r, u), (w, u))
+        m_w = await apply_precond(w)
+        n_vec = await local_spmv(mat, a_blocks, m_w)
         z = n_vec.copy()
         q = m_w.copy()
         pd = u.copy()
@@ -373,33 +434,32 @@ def spmd_pipelined_pcg(
                 break
             with tracer.span("spmd.iteration", rank=p, index=iterations):
                 with tracer.span("spmd.compute", rank=p, kernel="axpy"):
-                    with _compute_probe(tel):
-                        x += alpha * pd
-                        r -= alpha * s
-                        u -= alpha * q
-                        w -= alpha * z
-                rr, gamma_new, delta = fused_dots((r, r), (r, u), (w, u))
+                    x += alpha * pd
+                    r -= alpha * s
+                    u -= alpha * q
+                    w -= alpha * z
+                    _charge_vectors(comm, n, updates=4)
+                rr, gamma_new, delta = await fused_dots((r, r), (r, u), (w, u))
                 res = float(np.sqrt(max(rr, 0.0)))
                 iterations += 1
                 if res <= target:
                     break
-                m_w = apply_precond(w)
-                n_vec = local_spmv(mat, a_blocks, m_w)
+                m_w = await apply_precond(w)
+                n_vec = await local_spmv(mat, a_blocks, m_w)
                 beta = gamma_new / gamma if gamma != 0 else 0.0
                 gamma = gamma_new
                 denom = delta - beta * gamma / alpha if alpha != 0 else delta
                 alpha = gamma / denom if denom != 0 else 0.0
                 with tracer.span("spmd.compute", rank=p, kernel="axpy"):
-                    with _compute_probe(tel):
-                        z = n_vec + beta * z
-                        q = m_w + beta * q
-                        pd = u + beta * pd
-                        s = w + beta * s
+                    z = n_vec + beta * z
+                    q = m_w + beta * q
+                    pd = u + beta * pd
+                    s = w + beta * s
+                    _charge_vectors(comm, n, updates=4)
         return x, iterations
 
     results = run_spmd(
-        _prog, part.nparts, tracker=tracker, timeout=timeout, engine=engine,
-        workers=workers, latency=latency, telemetry=telemetry,
+        _prog, part.nparts, tracker=tracker, clock=clock, telemetry=telemetry,
     )
     iters = results[0][1]
     assert all(it == iters for _, it in results)

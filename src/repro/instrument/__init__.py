@@ -6,7 +6,8 @@ nonzero imbalance, byte-for-byte communication invariance.  This package
 gives the whole repo one event model for producing them:
 
 * :class:`Tracer` — nested, labeled spans (``span("pcg.iteration", rank=r)``)
-  with per-thread stacks, safe under the SPMD thread runtime;
+  with one stack per task (a thread, or one rank of an SPMD run on it,
+  stamped by that rank's modeled clock);
 * :class:`MetricsRegistry` — counters, gauges and histograms with per-rank
   tags;
 * exporters — plain JSON (:func:`write_json_trace`) and Chrome

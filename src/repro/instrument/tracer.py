@@ -1,8 +1,8 @@
 """Nested, labeled span tracing for the solver and setup hot paths.
 
 A :class:`Tracer` records *spans* — named intervals with tags — organised as
-a tree per thread: entering ``tracer.span("pcg.iteration", rank=2)`` pushes
-onto a thread-local stack, so spans opened inside it become its children.
+a tree per task: entering ``tracer.span("pcg.iteration", rank=2)`` pushes
+onto the running task's stack, so spans opened inside it become its children.
 This is the substrate the benchmarks and the ``repro trace`` CLI build on:
 the paper's measurements (SpMV vs halo exchange vs dot-product collectives,
 setup-phase breakdowns) all become queryable span durations instead of
@@ -13,17 +13,24 @@ When tracing is disabled (the default) every hot path goes through
 no allocation, no clock reads, no locking — so instrumented code pays only a
 function call when not observed.
 
-Spans run on SPMD threads (:mod:`repro.mpisim`) as well as the driver
-thread; the tracer is thread-safe and keeps one span stack per thread.
+A *task* is a thread, or one rank of an SPMD run on that thread: the
+:mod:`repro.mpisim` scheduler interleaves every rank coroutine on its
+caller's thread, and before each resume calls :meth:`Tracer.activate` with
+that rank's :class:`TaskContext` — its own span stack, and its own modeled clock
+as the time source — and restores the thread's context afterwards.  Spans
+opened by a rank program are therefore stamped in that rank's modeled
+seconds; spans opened by driver code read the tracer's wall clock.  The
+tracer is thread-safe (``serve`` workers each run their own scheduler).
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from typing import Callable
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
+__all__ = ["Span", "TaskContext", "Tracer", "NullTracer", "NULL_TRACER"]
 
 
 class Span:
@@ -42,7 +49,8 @@ class Span:
     span_id, parent_id:
         Tree structure: ``parent_id`` is None for root spans.
     thread:
-        Dense per-tracer thread index (0 = first thread seen).
+        Dense per-tracer track index (0 = first task seen): one per thread,
+        and one per rank of the SPMD runs made on a thread.
     """
 
     __slots__ = ("name", "tags", "start", "end", "span_id", "parent_id", "thread")
@@ -117,14 +125,29 @@ class _SpanContext:
         return False
 
 
+class TaskContext:
+    """Where one task's spans go: its span stack, clock and track index.
+
+    Built by :meth:`Tracer.task`, installed with :meth:`Tracer.activate`.
+    """
+
+    __slots__ = ("stack", "clock", "index")
+
+    def __init__(self, clock: Callable[[], float], index: int):
+        self.stack: list[Span] = []
+        self.clock = clock
+        self.index = index
+
+
 class Tracer:
-    """Collects spans from any number of threads.
+    """Collects spans from any number of tasks (threads, and ranks on them).
 
     Parameters
     ----------
     clock:
-        Monotonic time source (seconds).  Injectable for deterministic
-        tests; defaults to :func:`time.perf_counter`.
+        Monotonic time source (seconds) of spans opened outside a rank
+        program.  Injectable for deterministic tests; defaults to
+        :func:`time.perf_counter`.
     """
 
     enabled = True
@@ -134,37 +157,50 @@ class Tracer:
         self._lock = threading.Lock()
         self._spans: list[Span] = []
         self._local = threading.local()
-        self._next_id = 1
-        self._thread_index: dict[int, int] = {}
+        self._ids = itertools.count(1)  # next() on it is atomic
+        self._task_index: dict[tuple, int] = {}
 
     # ------------------------------------------------------------------
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
+    def task(self, key, clock: Callable[[], float] | None = None) -> TaskContext:
+        """A fresh context for task ``key`` of the calling thread.
 
-    def _alloc(self) -> tuple[int, int]:
-        """(span_id, dense thread index) under the lock."""
-        ident = threading.get_ident()
+        ``key`` is the rank for SPMD tasks (``None`` is the thread itself):
+        the same ``(thread, key)`` always maps to the same track index, so
+        rank ``r`` of consecutive runs shares one track.  ``clock``
+        defaults to the tracer's own.
+        """
+        ident = (threading.get_ident(), key)
         with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
-            tidx = self._thread_index.setdefault(ident, len(self._thread_index))
-        return span_id, tidx
+            index = self._task_index.setdefault(ident, len(self._task_index))
+        return TaskContext(clock if clock is not None else self._clock, index)
+
+    def activate(self, context: TaskContext) -> TaskContext:
+        """Make ``context`` the calling thread's current task; returns the
+        one it replaces (activate that to switch back)."""
+        previous = self._context()
+        self._local.context = context
+        return previous
+
+    def _context(self) -> TaskContext:
+        try:
+            return self._local.context
+        except AttributeError:  # first span on this thread: its own context
+            context = self._local.context = self.task(None)
+            return context
 
     def _open(self, name: str, tags: dict) -> Span:
-        span_id, tidx = self._alloc()
-        stack = self._stack()
+        context = self._context()
+        stack = context.stack
         parent_id = stack[-1].span_id if stack else None
-        span = Span(name, tags, self._clock(), span_id, parent_id, tidx)
+        span = Span(name, tags, context.clock(), next(self._ids), parent_id,
+                    context.index)
         stack.append(span)
         return span
 
     def _close(self, span: Span) -> None:
-        span.end = self._clock()
-        stack = self._stack()
+        context = self._context()
+        span.end = context.clock()
+        stack = context.stack
         if stack and stack[-1] is span:
             stack.pop()
         else:  # out-of-order exit; drop it from wherever it is
@@ -188,8 +224,8 @@ class Tracer:
         return span
 
     def current(self) -> Span | None:
-        """The innermost active span of the calling thread, if any."""
-        stack = self._stack()
+        """The innermost active span of the running task, if any."""
+        stack = self._context().stack
         return stack[-1] if stack else None
 
     # querying ----------------------------------------------------------

@@ -9,14 +9,21 @@ testable property.
 
 Public surface:
 
-* :func:`run_spmd` — execute a rank function on N ranks; pick the
-  substrate with ``engine="threads"`` (one OS thread per rank) or
-  ``engine="events"`` (cooperative tasks on a bounded worker pool,
-  practical at 1000+ ranks).
-* :class:`Comm`, :class:`ThreadComm`, :class:`EventComm`,
-  :class:`SelfComm` — communicators.
+* :func:`run_spmd` — execute a rank program on N ranks.  One engine: rank
+  programs are coroutines (``async def``) interleaved on the calling
+  thread by a cooperative scheduler, so a run is a pure function of the
+  program and the rank count, and thousands of ranks cost no threads.
+* :class:`ClockModel` — the modeled clock (α–β link, compute rates):
+  ``comm.now()`` reads a rank's clock, ``comm.advance(seconds)`` charges
+  compute; nothing in the runtime reads the host's clock or sleeps.
+* :class:`Comm`, :class:`SelfComm` — communicators.
 * :class:`Request`, :func:`waitall`, :func:`waitany` — nonblocking
   completion handles (``comm.isend`` / ``comm.irecv``).
+
+What a rank program awaits: ``recv``, ``sendrecv``, ``Request.wait`` /
+``test``, ``waitall`` / ``waitany`` and every collective.  What it calls
+plainly: ``send``, ``isend``, ``irecv``, ``coalescing()``, ``now()``,
+``advance()``.
 * ``comm.coalescing()`` — per-edge message coalescing epochs (fewer
   tracked messages, byte-identical per edge).
 * :data:`SUM`, :data:`MAX`, :data:`MIN` — reduction operators.
@@ -25,9 +32,17 @@ Public surface:
   the fault-injection hook consumed by :mod:`repro.resilience`.
 """
 
-from repro.mpisim.comm import ANY_TAG, MAX, MIN, SUM, Comm, ReduceOp, SelfComm
-from repro.mpisim.engine import Request, ThreadComm, run_spmd, waitall, waitany
-from repro.mpisim.events import EventComm, default_workers
+from repro.mpisim.comm import (
+    ANY_TAG,
+    MAX,
+    MIN,
+    SUM,
+    ClockModel,
+    Comm,
+    ReduceOp,
+    SelfComm,
+)
+from repro.mpisim.engine import Request, run_spmd, waitall, waitany
 from repro.mpisim.injection import (
     DuplicateEnvelope,
     clear_injector,
@@ -39,9 +54,7 @@ from repro.mpisim.tracker import CommTracker, payload_nbytes
 __all__ = [
     "Comm",
     "SelfComm",
-    "ThreadComm",
-    "EventComm",
-    "default_workers",
+    "ClockModel",
     "Request",
     "waitall",
     "waitany",

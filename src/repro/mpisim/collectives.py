@@ -1,5 +1,9 @@
 """Generic collective algorithms over blocking point-to-point primitives.
 
+Every collective is a coroutine (it receives, so it can block): rank
+programs ``await`` them, usually through the :class:`~repro.mpisim.Comm`
+wrappers.
+
 Each collective here uses a textbook message pattern (binomial trees,
 recursive doubling, rings) so the :class:`~repro.mpisim.tracker.CommTracker`
 records traffic shaped like a real MPI implementation:
@@ -18,8 +22,12 @@ deterministic for a fixed size because the combine order is fixed.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.errors import CommError
-from repro.mpisim.comm import Comm, ReduceOp
+
+if TYPE_CHECKING:  # annotations only: comm.py imports this module
+    from repro.mpisim.comm import Comm, ReduceOp
 
 __all__ = [
     "barrier",
@@ -46,7 +54,7 @@ _TAG_SCAN = 1_000_009
 _TAG_RSCAT = 1_000_010
 
 
-def barrier(comm: Comm) -> None:
+async def barrier(comm: Comm) -> None:
     """Dissemination barrier: round k exchanges with rank ± 2^k."""
     size, rank = comm.size, comm.rank
     if size == 1:
@@ -55,11 +63,11 @@ def barrier(comm: Comm) -> None:
     while k < size:
         dest = (rank + k) % size
         source = (rank - k) % size
-        comm.sendrecv(None, dest, source, tag=_TAG_BARRIER + k)
+        await comm.sendrecv(None, dest, source, tag=_TAG_BARRIER + k)
         k <<= 1
 
 
-def bcast(comm: Comm, obj, root: int = 0):
+async def bcast(comm: Comm, obj, root: int = 0):
     """Binomial-tree broadcast rooted at ``root``."""
     size, rank = comm.size, comm.rank
     if not 0 <= root < size:
@@ -72,7 +80,7 @@ def bcast(comm: Comm, obj, root: int = 0):
     while mask < size:
         if vrank & mask:
             src = (vrank - mask + root) % size
-            obj = comm.recv(src, _TAG_BCAST)
+            obj = await comm.recv(src, _TAG_BCAST)
             break
         mask <<= 1
     # send phase: forward to children below our receive bit (MPICH scheme)
@@ -85,7 +93,7 @@ def bcast(comm: Comm, obj, root: int = 0):
     return obj
 
 
-def reduce(comm: Comm, value, op: ReduceOp, root: int = 0):
+async def reduce(comm: Comm, value, op: ReduceOp, root: int = 0):
     """Binomial-tree reduction; only ``root`` receives the result."""
     size, rank = comm.size, comm.rank
     if not 0 <= root < size:
@@ -99,13 +107,13 @@ def reduce(comm: Comm, value, op: ReduceOp, root: int = 0):
             return None
         peer = vrank | mask
         if peer < size:
-            other = comm.recv((peer + root) % size, _TAG_REDUCE)
+            other = await comm.recv((peer + root) % size, _TAG_REDUCE)
             acc = op(acc, other)
         mask <<= 1
     return acc if rank == root else None
 
 
-def allreduce(comm: Comm, value, op: ReduceOp):
+async def allreduce(comm: Comm, value, op: ReduceOp):
     """Recursive-doubling allreduce (with pre/post folding when P not 2^k)."""
     size, rank = comm.size, comm.rank
     if size == 1:
@@ -122,7 +130,7 @@ def allreduce(comm: Comm, value, op: ReduceOp):
             comm.send(acc, rank - 1, _TAG_ALLREDUCE)
             newrank = -1
         else:
-            other = comm.recv(rank + 1, _TAG_ALLREDUCE)
+            other = await comm.recv(rank + 1, _TAG_ALLREDUCE)
             acc = op(acc, other)
             newrank = rank // 2
     else:
@@ -132,7 +140,7 @@ def allreduce(comm: Comm, value, op: ReduceOp):
         while mask < pof2:
             peer_new = newrank ^ mask
             peer = peer_new * 2 if peer_new < rem else peer_new + rem
-            other = comm.sendrecv(acc, peer, peer, tag=_TAG_ALLREDUCE + mask)
+            other = await comm.sendrecv(acc, peer, peer, tag=_TAG_ALLREDUCE + mask)
             acc = op(acc, other)
             mask <<= 1
     # unfold: send results back to the idle odd ranks
@@ -140,11 +148,11 @@ def allreduce(comm: Comm, value, op: ReduceOp):
         if rank % 2 == 0:
             comm.send(acc, rank + 1, _TAG_ALLREDUCE)
         else:
-            acc = comm.recv(rank - 1, _TAG_ALLREDUCE)
+            acc = await comm.recv(rank - 1, _TAG_ALLREDUCE)
     return acc
 
 
-def gather(comm: Comm, value, root: int = 0):
+async def gather(comm: Comm, value, root: int = 0):
     """Linear gather to ``root``; returns the list at root, None elsewhere."""
     size, rank = comm.size, comm.rank
     if not 0 <= root < size:
@@ -154,13 +162,13 @@ def gather(comm: Comm, value, root: int = 0):
         out[root] = value
         for src in range(size):
             if src != root:
-                out[src] = comm.recv(src, _TAG_GATHER)
+                out[src] = await comm.recv(src, _TAG_GATHER)
         return out
     comm.send(value, root, _TAG_GATHER)
     return None
 
 
-def allgather(comm: Comm, value):
+async def allgather(comm: Comm, value):
     """Ring allgather: P−1 rounds, each rank forwards what it just received."""
     size, rank = comm.size, comm.rank
     out = [None] * size
@@ -172,13 +180,13 @@ def allgather(comm: Comm, value):
     block = value
     src_rank = rank
     for _ in range(size - 1):
-        block = comm.sendrecv(block, right, left, tag=_TAG_ALLGATHER)
+        block = await comm.sendrecv(block, right, left, tag=_TAG_ALLGATHER)
         src_rank = (src_rank - 1) % size
         out[src_rank] = block
     return out
 
 
-def scatter(comm: Comm, values, root: int = 0):
+async def scatter(comm: Comm, values, root: int = 0):
     """Linear scatter from ``root``; ``values`` must have length ``size``."""
     size, rank = comm.size, comm.rank
     if not 0 <= root < size:
@@ -190,10 +198,10 @@ def scatter(comm: Comm, values, root: int = 0):
             if dst != root:
                 comm.send(values[dst], dst, _TAG_SCATTER)
         return values[root]
-    return comm.recv(root, _TAG_SCATTER)
+    return await comm.recv(root, _TAG_SCATTER)
 
 
-def alltoall(comm: Comm, values):
+async def alltoall(comm: Comm, values):
     """Pairwise-exchange all-to-all; ``values[j]`` goes to rank ``j``."""
     size, rank = comm.size, comm.rank
     if values is None or len(values) != size:
@@ -203,11 +211,11 @@ def alltoall(comm: Comm, values):
     for step in range(1, size):
         dest = (rank + step) % size
         source = (rank - step) % size
-        out[source] = comm.sendrecv(values[dest], dest, source, tag=_TAG_ALLTOALL + step)
+        out[source] = await comm.sendrecv(values[dest], dest, source, tag=_TAG_ALLTOALL + step)
     return out
 
 
-def scan(comm: Comm, value, op: ReduceOp):
+async def scan(comm: Comm, value, op: ReduceOp):
     """Inclusive prefix reduction: rank r receives op(v_0, ..., v_r).
 
     Linear-chain algorithm: rank r waits for the prefix of r−1, folds its
@@ -217,14 +225,14 @@ def scan(comm: Comm, value, op: ReduceOp):
     size, rank = comm.size, comm.rank
     acc = value
     if rank > 0:
-        prefix = comm.recv(rank - 1, _TAG_SCAN)
+        prefix = await comm.recv(rank - 1, _TAG_SCAN)
         acc = op(prefix, value)
     if rank + 1 < size:
         comm.send(acc, rank + 1, _TAG_SCAN)
     return acc
 
 
-def reduce_scatter(comm: Comm, values, op: ReduceOp):
+async def reduce_scatter(comm: Comm, values, op: ReduceOp):
     """Reduce a per-rank list element-wise, scatter: rank r gets element r.
 
     ``values`` must have one entry per rank.  Implemented as a pairwise
@@ -237,6 +245,6 @@ def reduce_scatter(comm: Comm, values, op: ReduceOp):
     for step in range(1, size):
         dest = (rank + step) % size
         source = (rank - step) % size
-        received = comm.sendrecv(values[dest], dest, source, tag=_TAG_RSCAT + step)
+        received = await comm.sendrecv(values[dest], dest, source, tag=_TAG_RSCAT + step)
         acc = op(acc, received)
     return acc

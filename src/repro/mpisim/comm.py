@@ -1,30 +1,80 @@
 """Communicator interface of the simulated MPI runtime.
 
 Mirrors the mpi4py surface the paper's solver would use (lower-case
-object-based methods): blocking ``send``/``recv``, ``sendrecv`` and the
-collectives from :mod:`repro.mpisim.collectives`.  Implementations:
+object-based methods): ``send``/``recv``, ``sendrecv`` and the collectives
+from :mod:`repro.mpisim.collectives`.  Rank programs are coroutines:
+everything that can block — ``recv``, ``sendrecv``, every collective — must
+be awaited, while ``send``/``isend``/``irecv`` and ``coalescing()`` are
+plain calls (sends are buffered and never block).  Implementations:
 
-* :class:`ThreadComm` (in :mod:`repro.mpisim.engine`) — real message passing
-  between SPMD threads.
+* the endpoint :func:`repro.mpisim.run_spmd` hands each rank (in
+  :mod:`repro.mpisim.engine`) — real message passing between rank
+  coroutines on one cooperative scheduler;
 * :class:`SelfComm` — the trivial single-process communicator, so SPMD code
   also runs with ``size == 1`` without special-casing.
+
+Time is *modeled*: every communicator carries its rank's clock
+(:meth:`Comm.now`), which only moves when a receive completes
+(``max(own, arrival)``) or the program charges compute with
+:meth:`Comm.advance`.  :class:`ClockModel` holds the parameters.
 """
 
 from __future__ import annotations
 
-import time
+import math
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.errors import CommError
 from repro.instrument import get_tracer
+from repro.mpisim import collectives
 from repro.mpisim.tracker import CommTracker
 
-__all__ = ["Comm", "SelfComm", "ReduceOp", "SUM", "MAX", "MIN", "ANY_TAG"]
+__all__ = [
+    "Comm", "SelfComm", "ClockModel", "ReduceOp", "SUM", "MAX", "MIN", "ANY_TAG",
+]
 
 ANY_TAG = -1
+
+
+@dataclass(frozen=True)
+class ClockModel:
+    """Modeled-time parameters of one SPMD run (all in seconds, default 0).
+
+    A message sent when its sender's clock reads ``t`` becomes matchable at
+    ``t + alpha + beta * nbytes``; a rank program charges a compute kernel
+    of ``flops`` operations streaming ``nbytes`` with
+    ``comm.advance(comm.clock.kernel_seconds(flops, nbytes))``.  The caller
+    supplies the numbers (:meth:`repro.perfmodel.MachineSpec.clock_model`
+    derives them from a machine); with the all-zero default every clock
+    stays at 0 and only the message order is simulated.
+    """
+
+    #: Link latency per message (α).
+    alpha: float = 0.0
+    #: Link time per payload byte (β, the inverse bandwidth).
+    beta: float = 0.0
+    #: Compute time per floating-point operation.
+    flop: float = 0.0
+    #: Compute time per byte streamed from memory.
+    byte: float = 0.0
+
+    def __post_init__(self):
+        for name in ("alpha", "beta", "flop", "byte"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and math.isfinite(value)
+                    and value >= 0):
+                raise CommError(
+                    f"ClockModel.{name} must be a finite number >= 0, got {value!r}"
+                )
+
+    def kernel_seconds(self, flops: float, nbytes: float) -> float:
+        """Roofline time of one rank-local kernel: the slower of its
+        arithmetic and its memory stream."""
+        return max(flops * self.flop, nbytes * self.byte)
 
 
 class ReduceOp:
@@ -41,13 +91,7 @@ class ReduceOp:
         return f"ReduceOp({self.name})"
 
 
-def _sum(a, b):
-    if isinstance(a, np.ndarray):
-        return a + b
-    return a + b
-
-
-SUM = ReduceOp("sum", _sum)
+SUM = ReduceOp("sum", lambda a, b: a + b)
 MAX = ReduceOp("max", lambda a, b: np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b))
 MIN = ReduceOp("min", lambda a, b: np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b))
 
@@ -55,15 +99,18 @@ MIN = ReduceOp("min", lambda a, b: np.minimum(a, b) if isinstance(a, np.ndarray)
 class Comm:
     """Abstract communicator.
 
-    Subclasses provide ``rank``, ``size``, :meth:`send` and :meth:`recv`;
-    every collective is implemented generically on top of those two
-    primitives in :mod:`repro.mpisim.collectives`, so the communication
-    tracker observes the genuine message pattern of each algorithm.
+    Subclasses provide ``rank``, ``size``, the clock and the point-to-point
+    primitives; every collective is implemented generically on top of
+    ``send``/``recv``/``sendrecv`` in :mod:`repro.mpisim.collectives`, so
+    the communication tracker observes the genuine message pattern of each
+    algorithm.
     """
 
     rank: int
     size: int
     tracker: CommTracker | None
+    #: The run's :class:`ClockModel` (rank programs read the compute rates).
+    clock: ClockModel
 
     #: This rank's bounded telemetry endpoint
     #: (:class:`repro.observe.stream.RankTelemetry`), installed by
@@ -77,49 +124,50 @@ class Comm:
     #: and is itself never observed into the telemetry histograms.
     _telemetry_mode = False
 
+    #: The tracer of the run this endpoint belongs to (``None``: look the
+    #: active one up per call).
+    _tracer = None
+
+    # modeled time ------------------------------------------------------
+    def now(self) -> float:
+        """This rank's modeled clock, in seconds since the launch."""
+        raise NotImplementedError
+
+    def advance(self, seconds: float) -> None:
+        """Charge ``seconds`` of modeled time to this rank (compute, a
+        stall, a retry back-off); never yields to other ranks."""
+        raise NotImplementedError
+
+    # point-to-point ----------------------------------------------------
     def send(self, obj, dest: int, tag: int = 0) -> None:
-        """Send ``obj`` to ``dest`` (implemented by subclasses)."""
+        """Buffered send of ``obj`` to ``dest``; a plain call, never blocks."""
         raise NotImplementedError
 
-    def recv(self, source: int, tag: int = ANY_TAG, *, timeout: float | None = None):
-        """Receive from ``source`` (implemented by subclasses)."""
+    async def recv(self, source: int, tag: int = ANY_TAG, *, timeout: float | None = None):
+        """Receive from ``source``; ``timeout`` is in modeled seconds."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
+    async def sendrecv(self, obj, dest: int, source: int, *, tag: int = 0):
+        """Exchange with two (possibly different) peers without deadlock."""
+        raise NotImplementedError
+
+    def isend(self, obj, dest: int, tag: int = 0):
+        """Nonblocking send; returns a completed request."""
+        raise NotImplementedError
+
+    def irecv(self, source: int, tag: int = ANY_TAG):
+        """Nonblocking receive; ``await`` the request's ``wait``/``test``."""
+        raise NotImplementedError
+
     def _check_peer(self, peer: int) -> None:
         if not 0 <= peer < self.size:
             raise CommError(f"peer rank {peer} out of range for size {self.size}")
 
-    def sendrecv(self, obj, dest: int, source: int, *, tag: int = 0):
-        """Exchange with two (possibly different) peers without deadlock.
-
-        Implemented as a nonblocking ``isend`` followed by a blocking
-        ``recv``: the send is buffered and completes immediately, so
-        symmetric exchanges are deadlock-free regardless of which peer
-        posts first — no rank-ordering protocol required.
-        """
-        self._check_peer(dest)
-        self._check_peer(source)
-        if self.rank == dest and self.rank == source:
-            return obj
-        req = self.isend(obj, dest, tag)
-        received = self.recv(source, tag)
-        req.wait()
-        return received
-
-    def isend(self, obj, dest: int, tag: int = 0):
-        """Nonblocking send (implemented by subclasses with transport)."""
-        raise NotImplementedError
-
-    def irecv(self, source: int, tag: int = ANY_TAG):
-        """Nonblocking receive (implemented by subclasses with transport)."""
-        raise NotImplementedError
-
     @contextmanager
     def coalescing(self):
         """Message-coalescing epoch; the base communicator has no transport
-        to batch, so this is a no-op context (overridden by
-        :class:`~repro.mpisim.engine.ThreadComm`)."""
+        to batch, so this is a no-op context (overridden by the SPMD
+        endpoint)."""
         yield self
 
     @contextmanager
@@ -140,105 +188,106 @@ class Comm:
             self._telemetry_mode = previous
 
     # collectives (generic algorithms over send/recv) -------------------
-    def barrier(self) -> None:
+    def _span(self, name: str):
+        tracer = self._tracer if self._tracer is not None else get_tracer()
+        return tracer.span(name, rank=self.rank)
+
+    async def barrier(self) -> None:
         """Block until every rank arrives."""
-        from repro.mpisim import collectives
+        with self._span("mpisim.barrier"):
+            await collectives.barrier(self)
 
-        with get_tracer().span("mpisim.barrier", rank=self.rank):
-            collectives.barrier(self)
-
-    def bcast(self, obj, root: int = 0):
+    async def bcast(self, obj, root: int = 0):
         """Broadcast ``obj`` from ``root`` to every rank."""
-        from repro.mpisim import collectives
+        with self._span("mpisim.bcast"):
+            return await collectives.bcast(self, obj, root)
 
-        with get_tracer().span("mpisim.bcast", rank=self.rank):
-            return collectives.bcast(self, obj, root)
-
-    def reduce(self, value, op: ReduceOp = SUM, root: int = 0):
+    async def reduce(self, value, op: ReduceOp = SUM, root: int = 0):
         """Reduce to ``root``; other ranks receive None."""
-        from repro.mpisim import collectives
+        with self._span("mpisim.reduce"):
+            return await collectives.reduce(self, value, op, root)
 
-        with get_tracer().span("mpisim.reduce", rank=self.rank):
-            return collectives.reduce(self, value, op, root)
-
-    def allreduce(self, value, op: ReduceOp = SUM):
+    async def allreduce(self, value, op: ReduceOp = SUM):
         """Reduce and deliver the result on every rank.
 
-        When a telemetry endpoint is installed, the whole recursive-doubling
-        exchange is timed into its ``reduction`` histogram — the measured
-        counterpart of the α–β model's ``reductions`` term.
+        When a telemetry endpoint is installed, the modeled duration of the
+        whole recursive-doubling exchange goes into its ``reduction``
+        histogram — the simulated counterpart of the α–β model's
+        ``reductions`` term.
         """
-        from repro.mpisim import collectives
-
         telemetry = self.telemetry if not self._telemetry_mode else None
-        start = time.monotonic() if telemetry is not None else 0.0
+        start = self.now() if telemetry is not None else 0.0
         try:
-            with get_tracer().span("mpisim.allreduce", rank=self.rank):
-                return collectives.allreduce(self, value, op)
+            with self._span("mpisim.allreduce"):
+                return await collectives.allreduce(self, value, op)
         finally:
             if telemetry is not None:
-                telemetry.observe("reduction", time.monotonic() - start)
+                end = self.now()
+                telemetry.observe("reduction", end - start, end=end)
 
-    def gather(self, value, root: int = 0):
+    async def gather(self, value, root: int = 0):
         """Collect one value per rank at ``root``."""
-        from repro.mpisim import collectives
+        with self._span("mpisim.gather"):
+            return await collectives.gather(self, value, root)
 
-        with get_tracer().span("mpisim.gather", rank=self.rank):
-            return collectives.gather(self, value, root)
-
-    def allgather(self, value):
+    async def allgather(self, value):
         """Collect one value per rank, everywhere."""
-        from repro.mpisim import collectives
+        with self._span("mpisim.allgather"):
+            return await collectives.allgather(self, value)
 
-        with get_tracer().span("mpisim.allgather", rank=self.rank):
-            return collectives.allgather(self, value)
-
-    def scatter(self, values, root: int = 0):
+    async def scatter(self, values, root: int = 0):
         """Distribute one value per rank from ``root``."""
-        from repro.mpisim import collectives
+        with self._span("mpisim.scatter"):
+            return await collectives.scatter(self, values, root)
 
-        with get_tracer().span("mpisim.scatter", rank=self.rank):
-            return collectives.scatter(self, values, root)
-
-    def alltoall(self, values):
+    async def alltoall(self, values):
         """Personalised exchange: ``values[j]`` goes to rank ``j``."""
-        from repro.mpisim import collectives
+        with self._span("mpisim.alltoall"):
+            return await collectives.alltoall(self, values)
 
-        with get_tracer().span("mpisim.alltoall", rank=self.rank):
-            return collectives.alltoall(self, values)
-
-    def scan(self, value, op: ReduceOp = SUM):
+    async def scan(self, value, op: ReduceOp = SUM):
         """Inclusive prefix reduction."""
-        from repro.mpisim import collectives
+        with self._span("mpisim.scan"):
+            return await collectives.scan(self, value, op)
 
-        with get_tracer().span("mpisim.scan", rank=self.rank):
-            return collectives.scan(self, value, op)
-
-    def reduce_scatter(self, values, op: ReduceOp = SUM):
+    async def reduce_scatter(self, values, op: ReduceOp = SUM):
         """Element-wise reduce, scatter slot ``r`` to rank ``r``."""
-        from repro.mpisim import collectives
-
-        with get_tracer().span("mpisim.reduce_scatter", rank=self.rank):
-            return collectives.reduce_scatter(self, values, op)
+        with self._span("mpisim.reduce_scatter"):
+            return await collectives.reduce_scatter(self, values, op)
 
 
 class SelfComm(Comm):
-    """The ``size == 1`` communicator: all operations are local no-ops."""
+    """The ``size == 1`` communicator: all operations are local no-ops.
 
-    def __init__(self, tracker: CommTracker | None = None):
+    Its coroutines never park, so one ``coro.send(None)`` runs a rank
+    program on it to completion.
+    """
+
+    def __init__(self, tracker: CommTracker | None = None,
+                 clock: ClockModel | None = None):
         self.rank = 0
         self.size = 1
         self.tracker = tracker
+        self.clock = clock if clock is not None else ClockModel()
+        self._now = 0.0
+
+    def now(self) -> float:
+        """The modeled clock: the sum of what was charged so far."""
+        return self._now
+
+    def advance(self, seconds: float) -> None:
+        """Charge ``seconds`` of modeled time."""
+        self._now += seconds
 
     def send(self, obj, dest: int, tag: int = 0) -> None:
         """SelfComm has no peers; always raises."""
         raise CommError("SelfComm has no peers to send to")
 
-    def recv(self, source: int, tag: int = ANY_TAG, *, timeout: float | None = None):
+    async def recv(self, source: int, tag: int = ANY_TAG, *, timeout: float | None = None):
         """SelfComm has no peers; always raises."""
         raise CommError("SelfComm has no peers to receive from")
 
-    def sendrecv(self, obj, dest: int, source: int, *, tag: int = 0):
+    async def sendrecv(self, obj, dest: int, source: int, *, tag: int = 0):
         """Self-exchange is the identity; peers are rejected."""
         if dest != 0 or source != 0:
             raise CommError("SelfComm has no peers")

@@ -1,28 +1,35 @@
-"""SPMD execution engine: run rank functions with real message passing.
+"""SPMD execution engine: rank coroutines on one thread, on a modeled clock.
 
-``send`` is *buffered* (eager-mode MPI): it enqueues and returns immediately,
-so the pairwise exchange patterns used by the collectives and halo updates
-cannot deadlock on matched sends.  ``recv`` blocks until a matching message
-(source, tag) arrives, with a configurable timeout that converts silent
-deadlocks into :class:`~repro.errors.CommError`.
+:func:`run_spmd` turns a rank program — an ``async def`` taking a
+:class:`~repro.mpisim.Comm` — into one coroutine per rank and drives them
+all on the calling thread with a cooperative scheduler:
 
-Two engines share this transport (selected by ``run_spmd(engine=...)``):
+* a FIFO **ready queue**; a rank runs until it finishes or parks in a
+  receive that nothing in its mailbox satisfies, recording the
+  ``(source, tag)`` it waits on, and the delivery that matches re-queues
+  it.  No threads, locks or wall-clock deadlines: the interleaving, every
+  result, every tracker snapshot and every final clock are a pure function
+  of the program and the rank count;
+* a **modeled clock** per rank (:meth:`Comm.now`): a message becomes
+  matchable at sender-clock + α + β·bytes (:class:`ClockModel`), a
+  completed receive sets the receiver's clock to ``max(own, arrival)``, and
+  :meth:`Comm.advance` charges compute, fault-injection stalls, delays and
+  retry back-off.  ``recv(timeout=)`` / ``waitany(timeout=)`` expire in
+  modeled seconds: when nothing is runnable the blocked rank with the
+  earliest deadline wakes as timed out;
+* **exact failure**: "nothing runnable, not everyone finished" is a
+  deadlock and raises :class:`~repro.errors.CommError` at once, naming what
+  each blocked rank waits on; a rank that raises closes every other
+  coroutine (open spans and coalescing epochs unwind) and re-raises as
+  ``CommError("rank r failed: …")`` immediately.
 
-* ``"threads"`` — one preemptively scheduled OS thread per rank (the
-  original engine; fine up to a few dozen ranks);
-* ``"events"`` — the cooperative engine in :mod:`repro.mpisim.events`:
-  rank tasks hold one of a bounded set of run slots while runnable and
-  park slot-free on their mailbox's condition variable while blocked, so
-  1000+ simulated ranks are practical on one machine.
-
-Delivery is condition-variable driven: each rank owns a :class:`_Mailbox`
-whose ``recv`` side scans pending messages under the mailbox lock and then
-*sleeps* on the condition until a sender's ``put`` wakes it — no poll loops,
-no busy-waiting, and one absolute deadline per receive (earlier revisions
-restarted the timeout every time an unrelated message arrived).
-
-NumPy payloads are copied on send so a rank mutating its buffer after the
-call cannot corrupt data in flight — the semantics of a real network.
+``send`` is *buffered* (eager-mode MPI): it enqueues and returns, so the
+pairwise exchange patterns used by the collectives and halo updates cannot
+deadlock on matched sends.  Messages between one pair of ranks never
+overtake each other, and a receive always names its source, so which
+message a receive matches does not depend on the clock — the clock only
+says *when*.  NumPy payloads are copied on send so a rank mutating its
+buffer after the call cannot corrupt data in flight.
 
 Per-edge message coalescing (``Comm.coalescing``) batches every payload
 sent to one destination inside the epoch into a single envelope: the
@@ -33,86 +40,181 @@ per-edge bytes, auditable with :func:`repro.observe.compare_snapshots`.
 
 from __future__ import annotations
 
-import threading
-import time
+import inspect
+import types
+from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Sequence
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.errors import CommError, RankFailedError
 from repro.instrument import get_metrics, get_tracer
-from repro.mpisim.comm import ANY_TAG, Comm
+from repro.mpisim.comm import ANY_TAG, ClockModel, Comm
 from repro.mpisim.injection import DuplicateEnvelope, get_injector
 from repro.mpisim.tracker import CommTracker, payload_nbytes
 
-__all__ = ["ThreadComm", "Request", "run_spmd", "waitall", "waitany"]
-
-_DEFAULT_TIMEOUT = 120.0
+__all__ = ["Request", "run_spmd", "waitall", "waitany"]
 
 #: Sentinel distinguishing "no matching message" from a ``None`` payload.
 _NOTHING = object()
 
+#: ``wait_src`` of a rank that is not blocked / is blocked in ``waitany``
+#: (real sources are >= 0, so neither can match a sender).
+_RUNNABLE = -1
+_ANY_SOURCE = -2
 
-class _Mailbox:
-    """One rank's incoming-message queue with (source, tag) matching.
 
-    A single consumer (the owning rank) pops the earliest message matching
-    a ``(source, tag)`` pair; non-matching messages stay queued in arrival
-    order.  Blocking receives sleep on the mailbox condition until a
-    sender's :meth:`put` notifies them — a true wakeup, never a poll loop.
+@types.coroutine
+def _park():
+    """Hand the thread back to the scheduler until this rank is re-queued."""
+    yield
 
-    Each entry carries an *availability* timestamp modelling link latency:
-    a message only becomes matchable once ``time.monotonic()`` passes it
-    (``0.0`` — the default — means immediately).
-    """
 
-    __slots__ = ("cond", "items")
+class _Scheduler:
+    """The shared state of one run: ready queue, mailboxes, wait records,
+    clocks.  Rank endpoints mutate it directly; only one of them runs at a
+    time, so nothing here is locked."""
 
-    def __init__(self):
-        self.cond = threading.Condition()
-        self.items: list[tuple[int, int, Any, float]] = []
+    __slots__ = (
+        "size", "clock", "alpha", "beta", "tracker", "tracer", "metrics",
+        "injector", "ready", "boxes", "wait_src", "wait_tag", "deadlines",
+        "expired", "clocks",
+    )
 
-    def put(self, src: int, tag: int, obj, avail: float = 0.0) -> None:
-        """Enqueue one message and wake the (single) receiver."""
-        with self.cond:
-            self.items.append((src, tag, obj, avail))
-            self.cond.notify()
+    def __init__(self, size: int, clock: ClockModel, tracker: CommTracker | None):
+        self.size = size
+        self.clock = clock
+        self.alpha = clock.alpha
+        self.beta = clock.beta
+        self.tracker = tracker
+        # looked up once per run, not per message
+        self.tracer = get_tracer()
+        self.metrics = get_metrics()
+        self.injector = get_injector()
+        self.ready: deque[int] = deque()
+        #: per rank: source -> FIFO of (tag, payload, arrival); a plain list,
+        #: it rarely holds more than a message or two
+        self.boxes: list[dict[int, list]] = [{} for _ in range(size)]
+        self.wait_src = [_RUNNABLE] * size
+        self.wait_tag = [ANY_TAG] * size
+        #: blocked rank -> modeled instant its receive gives up
+        self.deadlines: dict[int, float] = {}
+        #: ranks woken by their deadline rather than by a delivery
+        self.expired: set[int] = set()
+        self.clocks = [0.0] * size
 
-    def put_many(
-        self, entries: Sequence[tuple[int, int, Any, float]]
-    ) -> None:
-        """Enqueue several messages under one lock acquisition."""
-        with self.cond:
-            self.items.extend(entries)
-            self.cond.notify()
+    def enqueue(self, src: int, dest: int, tag: int, obj, arrival: float) -> None:
+        """Put one message in ``dest``'s mailbox; re-queue ``dest`` if this
+        is what it waits on."""
+        box = self.boxes[dest]
+        queue = box.get(src)
+        if queue is None:
+            box[src] = [(tag, obj, arrival)]
+        else:
+            queue.append((tag, obj, arrival))
+        waiting = self.wait_src[dest]
+        if waiting == src:
+            wanted = self.wait_tag[dest]
+            if wanted != tag and wanted != ANY_TAG:
+                return
+        elif waiting != _ANY_SOURCE:
+            return
+        if self.deadlines:
+            deadline = self.deadlines.get(dest)
+            if deadline is not None:
+                if arrival > deadline:
+                    return  # lands after the receiver gives up
+                del self.deadlines[dest]
+        self.wait_src[dest] = _RUNNABLE
+        self.ready.append(dest)
 
-    def pop_match(self, source: int, tag: int, now: float):
-        """Pop the earliest *available* message from ``source``/``tag``.
+    def expire_earliest(self) -> bool:
+        """Nothing is runnable: wake the blocked rank with the earliest
+        deadline (lowest rank on a tie) as timed out.  False if no blocked
+        rank has a deadline."""
+        if not self.deadlines:
+            return False
+        rank = min(self.deadlines, key=lambda r: (self.deadlines[r], r))
+        deadline = self.deadlines.pop(rank)
+        if deadline > self.clocks[rank]:
+            self.clocks[rank] = deadline
+        self.expired.add(rank)
+        self.wait_src[rank] = _RUNNABLE
+        self.ready.append(rank)
+        return True
 
-        Caller must hold :attr:`cond`.  Returns ``(entry, next_avail)``:
-        the matched ``(src, tag, obj, avail)`` tuple (or ``None``), and the
-        earliest future availability among matching in-flight messages (or
-        ``None``) so a blocked receiver knows when to wake and re-scan.
-        """
-        next_avail = None
-        for i, entry in enumerate(self.items):
-            if entry[0] == source and (tag == ANY_TAG or entry[1] == tag):
-                if entry[3] <= now:
-                    del self.items[i]
-                    return entry, None
-                if next_avail is None or entry[3] < next_avail:
-                    next_avail = entry[3]
-        return None, next_avail
+    def deadlock(self, poller: int | None = None) -> CommError:
+        """The error for "nothing runnable, not everyone finished"."""
+        blocked = []
+        for rank, source in enumerate(self.wait_src):
+            if source == _ANY_SOURCE:
+                blocked.append(f"rank {rank} waits in waitany")
+            elif source != _RUNNABLE:
+                tag = self.wait_tag[rank]
+                blocked.append(
+                    f"rank {rank} waits on recv(source={source}, "
+                    f"tag={'ANY_TAG' if tag == ANY_TAG else tag})"
+                )
+        if poller is not None:
+            blocked.append(f"rank {poller} polls a request nothing can complete")
+        return CommError(
+            f"deadlock: no rank can run and {len(blocked)} of {self.size} have "
+            "not finished (missing send?) — " + "; ".join(blocked)
+        )
+
+    def run(self, programs: list) -> list:
+        """Drive the rank coroutines to completion; returns their results."""
+        results: list[Any] = [None] * self.size
+        ready = self.ready
+        ready.extend(range(self.size))
+        tracer = self.tracer
+        # one span stack per rank, stamped by that rank's modeled clock
+        contexts = (
+            [tracer.task(r, partial(self.clocks.__getitem__, r))
+             for r in range(self.size)]
+            if tracer.enabled else None
+        )
+        outer = tracer.activate(contexts[0]) if contexts else None
+        live = self.size
+        try:
+            while live:
+                if not ready and not self.expire_earliest():
+                    raise self.deadlock()
+                rank = ready.popleft()
+                if contexts:
+                    tracer.activate(contexts[rank])
+                try:
+                    programs[rank].send(None)
+                except StopIteration as stop:
+                    results[rank] = stop.value
+                    programs[rank] = None
+                    live -= 1
+                except Exception as exc:
+                    programs[rank] = None
+                    raise CommError(f"rank {rank} failed: {exc!r}") from exc
+        finally:
+            # unwind whatever did not finish: spans close on their own
+            # rank's stack, coalescing epochs exit
+            for rank, program in enumerate(programs):
+                if program is not None:
+                    if contexts:
+                        tracer.activate(contexts[rank])
+                    program.close()
+            if contexts:
+                tracer.activate(outer)
+        return results
 
 
 class Request:
     """Handle for a nonblocking operation (mpi4py ``isend``/``irecv`` style).
 
     Send requests complete immediately (sends are buffered); receive
-    requests complete when a matching message is available.  ``wait`` blocks
-    and returns the payload (``None`` for sends); ``test`` polls.  Requests
-    compose with :func:`waitall` and :func:`waitany`.
+    requests complete when a matching message is in the mailbox.  ``await
+    req.wait()`` blocks and returns the payload (``None`` for sends);
+    ``await req.test()`` polls.  Requests compose with :func:`waitall` and
+    :func:`waitany`.
     """
 
     __slots__ = ("_comm", "_source", "_tag", "_done", "_value")
@@ -130,98 +232,103 @@ class Request:
         """Peer rank a receive request is matching on (``None`` for sends)."""
         return self._source
 
-    def wait(self, timeout: float | None = None):
+    async def wait(self, timeout: float | None = None):
         """Block until complete; returns the received payload (sends: None).
-
-        The blocking path parks on the mailbox condition variable — an idle
-        rank waiting on a request consumes no CPU.
-        """
+        ``timeout`` is in modeled seconds."""
         if not self._done:
-            self._value = self._comm.recv(self._source, self._tag, timeout=timeout)
+            self._value = await self._comm._recv(self._source, self._tag, timeout)
             self._done = True
         return self._value
 
-    def test(self) -> tuple[bool, object]:
-        """Non-blocking completion check: ``(done, payload_or_None)``."""
+    async def test(self) -> tuple[bool, object]:
+        """Completion check: ``(done, payload_or_None)``.
+
+        A message already on the wire completes the request at its arrival
+        time, as the spin loop this is written for would.  An incomplete
+        test re-queues the rank *behind every other runnable rank* before
+        returning ``(False, None)`` — polling is how the peers get to run —
+        and is a deadlock (:class:`~repro.errors.CommError`) when no other
+        rank can run or time out.
+        """
         if self._done:
             return True, self._value
-        value = self._comm._try_recv(self._source, self._tag)
+        value = self._comm._take(self._source, self._tag)
         if value is _NOTHING:
+            await self._comm._yield_to_peers()
             return False, None
         self._value = value
         self._done = True
-        return True, self._value
+        return True, value
 
 
-def waitall(requests) -> list:
+async def waitall(requests) -> list:
     """Wait on every request; returns their payloads in order."""
-    return [req.wait() for req in requests]
+    return [await req.wait() for req in requests]
 
 
-def waitany(requests, timeout: float | None = None) -> tuple[int, object]:
+async def waitany(requests, timeout: float | None = None) -> tuple[int, object]:
     """Wait until *one* request completes; returns ``(index, payload)``.
 
-    Completed requests are preferred (cheap test scan); otherwise the call
-    blocks on whichever incomplete request matches first, scanning in order
-    with short condition waits so a message for any pending request wakes
-    the caller.  Raises :class:`~repro.errors.CommError` when ``requests``
-    is empty or the timeout expires with nothing complete.
+    Requests are scanned in order and the first one that is complete or has
+    a matching message wins; otherwise the rank parks until any delivery
+    lands in its mailbox and scans again.  Raises
+    :class:`~repro.errors.CommError` when ``requests`` is empty or
+    ``timeout`` modeled seconds pass with nothing complete.
     """
     reqs = list(requests)
     if not reqs:
         raise CommError("waitany needs at least one request")
-    deadline = None if timeout is None else time.monotonic() + timeout
+    comm = next((r._comm for r in reqs if r._comm is not None), None)
+    deadline = None if timeout is None or comm is None else comm.now() + timeout
     while True:
         for i, req in enumerate(reqs):
-            done, value = req.test()
-            if done:
+            if req._done:
+                return i, req._value
+            value = comm._take(req._source, req._tag, deadline)
+            if value is not _NOTHING:
+                req._value = value
+                req._done = True
                 return i, value
-        # block until *anything* lands in the mailbox, then rescan
-        comm = next((r._comm for r in reqs if r._comm is not None), None)
-        if comm is None:  # all completed-at-construction, none matched above
-            return 0, reqs[0].wait()
-        remaining = None if deadline is None else deadline - time.monotonic()
-        if remaining is not None and remaining <= 0:
+        await comm._block(_ANY_SOURCE, ANY_TAG, deadline)
+        if comm._woke_expired():
             raise CommError("waitany timed out with no completed request")
-        comm._wait_for_any(remaining)
 
 
-class ThreadComm(Comm):
-    """Communicator endpoint for one SPMD rank (thread or event engine)."""
+class RankComm(Comm):
+    """One rank's endpoint on the scheduler (what :func:`run_spmd` passes
+    to the rank program)."""
 
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        mailboxes: Sequence[_Mailbox],
-        tracker: CommTracker | None,
-        timeout: float,
-        latency: float = 0.0,
-    ):
+    def __init__(self, rank: int, sched: _Scheduler, telemetry=None):
         self.rank = rank
-        self.size = size
-        self._mailboxes = mailboxes
-        self.tracker = tracker
-        self._timeout = timeout
-        self._latency = float(latency)
+        self.size = sched.size
+        self.tracker = sched.tracker
+        self.clock = sched.clock
+        self.telemetry = telemetry
+        self._sched = sched
+        self._tracer = sched.tracer
+        #: a send must be sized / a receive must be timed for someone
+        self._accounted = (
+            sched.tracker is not None or sched.tracer.enabled or telemetry is not None
+        )
+        self._watched = sched.tracer.enabled or telemetry is not None
+        #: dest -> [messages, bytes]; merged into the tracker when the run ends
+        self._edges: dict[int, list[int]] = {}
         self._seen_dups: set[int] = set()  # sequence ids of delivered duplicates
         self._coalesce_depth = 0
         self._coalesce_buf: dict[int, list[tuple[int, Any]]] = {}
 
-    def _avail(self) -> float:
-        """Earliest instant a message sent now becomes matchable."""
-        return time.monotonic() + self._latency if self._latency > 0.0 else 0.0
+    # -- modeled time ---------------------------------------------------
+    def now(self) -> float:
+        """This rank's modeled clock, in seconds since the launch."""
+        return self._sched.clocks[self.rank]
 
-    # -- engine hooks ---------------------------------------------------
-    def _on_park(self) -> None:
-        """Called once when a receive is about to block (event engine frees
-        its run slot here); the thread engine just sleeps on the condition."""
+    def advance(self, seconds: float) -> None:
+        """Charge ``seconds`` of modeled time to this rank."""
+        if not seconds >= 0:
+            raise CommError(f"cannot advance the clock by {seconds!r} seconds")
+        self._sched.clocks[self.rank] += seconds
 
-    def _on_unpark(self) -> None:
-        """Called once after a blocked receive resumes (event engine
-        re-acquires a run slot here)."""
-
-    # ------------------------------------------------------------------
+    # -- send -----------------------------------------------------------
     def send(self, obj, dest: int, tag: int = 0) -> None:
         """Buffered (eager) send: enqueue and return immediately.
 
@@ -234,28 +341,32 @@ class ThreadComm(Comm):
         self._check_peer(dest)
         if dest == self.rank:
             raise CommError("send to self is not supported; restructure the exchange")
+        self._send(obj, dest, tag)
+
+    def _send(self, obj, dest: int, tag: int) -> None:
+        """``send`` behind the peer checks."""
         if isinstance(obj, np.ndarray):
             obj = obj.copy()
-        injector = get_injector()
+        injector = self._sched.injector
         if injector is not None:
             obj = self._inject_on_send(injector, obj, dest, tag)
-        if self._coalesce_depth > 0 and injector is None:
+        elif self._coalesce_depth:
             self._coalesce_buf.setdefault(dest, []).append((tag, obj))
             return
         self._deliver(obj, dest, tag)
 
     def _deliver(self, obj, dest: int, tag: int) -> None:
         """Account for and enqueue one wire message."""
-        tracer = get_tracer()
-        if (
-            self.tracker is not None
-            or tracer.enabled
-            or (self.telemetry is not None and not self._telemetry_mode)
-        ):
-            self._account_send(dest, tag, payload_nbytes(obj), tracer)
-        self._mailboxes[dest].put(self.rank, tag, obj, self._avail())
+        sched = self._sched
+        arrival = sched.clocks[self.rank] + sched.alpha
+        if self._accounted or sched.beta:
+            nbytes = payload_nbytes(obj)
+            arrival += sched.beta * nbytes
+            if self._accounted:
+                self._account_send(dest, tag, nbytes)
+        sched.enqueue(self.rank, dest, tag, obj, arrival)
 
-    def _account_send(self, dest: int, tag: int, nbytes: int, tracer,
+    def _account_send(self, dest: int, tag: int, nbytes: int,
                       coalesced: int = 0) -> None:
         """Book one outgoing wire message with tracker, tracer and telemetry.
 
@@ -265,25 +376,31 @@ class ThreadComm(Comm):
         tagged ``channel="telemetry"`` (excluded from timelines), and it is
         never observed into the telemetry histograms themselves.
         """
+        tracer = self._tracer
         if self._telemetry_mode:
             if self.tracker is not None:
                 self.tracker.record_telemetry(self.rank, dest, nbytes)
             if tracer.enabled:
                 tracer.event("mpisim.send", src=self.rank, dst=dest, tag=tag,
                              bytes=nbytes, channel="telemetry")
-                metrics = get_metrics()
+                metrics = self._sched.metrics
                 metrics.counter("mpisim.telemetry_messages").inc()
                 metrics.counter("mpisim.telemetry_bytes").inc(nbytes)
             return
         if self.telemetry is not None:
             self.telemetry.observe_message(nbytes)
         if self.tracker is not None:
-            self.tracker.record_p2p(self.rank, dest, nbytes)
+            edge = self._edges.get(dest)
+            if edge is None:
+                self._edges[dest] = [1, nbytes]
+            else:
+                edge[0] += 1
+                edge[1] += nbytes
         if tracer.enabled:
             extra = {"coalesced": coalesced} if coalesced else {}
             tracer.event("mpisim.send", src=self.rank, dst=dest, tag=tag,
                          bytes=nbytes, **extra)
-            metrics = get_metrics()
+            metrics = self._sched.metrics
             metrics.counter("mpisim.messages").inc()
             metrics.counter("mpisim.bytes").inc(nbytes)
             if coalesced:
@@ -295,11 +412,11 @@ class ThreadComm(Comm):
         """Per-edge message coalescing epoch.
 
         Every ``send`` inside the epoch is staged per destination; on exit
-        (or before any blocking receive, to preserve progress) each
-        destination's staged payloads travel as **one** envelope.  The
-        tracker records one message per edge whose byte count is the exact
-        sum of the batched payloads — fewer messages, identical per-edge
-        bytes.  Nested epochs flush once, at the outermost exit.
+        (or before any receive, to preserve progress) each destination's
+        staged payloads travel as **one** envelope.  The tracker records
+        one message per edge whose byte count is the exact sum of the
+        batched payloads — fewer messages, identical per-edge bytes.
+        Nested epochs flush once, at the outermost exit.
 
         With a fault injector installed, coalescing deactivates so that
         drop/delay/duplicate verdicts keep their exact per-message
@@ -310,34 +427,29 @@ class ThreadComm(Comm):
             yield self
         finally:
             self._coalesce_depth -= 1
-            if self._coalesce_depth == 0:
+            if self._coalesce_depth == 0 and self._coalesce_buf:
                 self._flush_coalesced()
 
     def _flush_coalesced(self) -> None:
         """Ship every staged per-destination batch as a single envelope."""
-        if not self._coalesce_buf:
-            return
         buf, self._coalesce_buf = self._coalesce_buf, {}
-        tracer = get_tracer()
+        sched = self._sched
         for dest, items in buf.items():
             if len(items) == 1:
                 tag, obj = items[0]
                 self._deliver(obj, dest, tag)
                 continue
-            if (
-                self.tracker is not None
-                or tracer.enabled
-                or (self.telemetry is not None and not self._telemetry_mode)
-            ):
+            arrival = sched.clocks[self.rank] + sched.alpha
+            if self._accounted or sched.beta:
                 nbytes = sum(payload_nbytes(obj) for _, obj in items)
-                self._account_send(dest, items[0][0], nbytes, tracer,
-                                   coalesced=len(items))
+                arrival += sched.beta * nbytes
+                if self._accounted:
+                    self._account_send(dest, items[0][0], nbytes,
+                                       coalesced=len(items))
             # one envelope on the wire; the receiver matches the payloads
             # individually, in the order they were staged
-            avail = self._avail()
-            self._mailboxes[dest].put_many(
-                [(self.rank, tag, obj, avail) for tag, obj in items]
-            )
+            for tag, obj in items:
+                sched.enqueue(self.rank, dest, tag, obj, arrival)
 
     # -- fault injection ------------------------------------------------
     def _apply_rank_faults(self, injector) -> None:
@@ -345,31 +457,32 @@ class ThreadComm(Comm):
 
         Called on entry to every injected send/recv, so ``at_update`` in a
         stall/failure rule counts this rank's communication operations.
+        A stall advances the rank's clock; nothing sleeps.
         """
         if injector.rank_failed(self.rank):
             raise RankFailedError(self.rank)
         seconds = injector.consume_stall(self.rank)
         if seconds > 0:
-            tracer = get_tracer()
-            get_metrics().counter("resilience.stalls").inc()
-            with tracer.span("resilience.stall", rank=self.rank, seconds=seconds):
-                injector.sleep(seconds)
+            self._sched.metrics.counter("resilience.stalls").inc()
+            with self._tracer.span("resilience.stall", rank=self.rank,
+                                   seconds=seconds):
+                self.advance(seconds)
 
     def _inject_on_send(self, injector, obj, dest: int, tag: int):
         """Run one outgoing message through the installed fault plan.
 
         Reliable-transport semantics: drops and over-timeout delays cost a
-        retry (``mpisim.retries``) with linear backoff until the plan's
-        ``max_retries`` is exhausted (``mpisim.timeouts`` +
-        :class:`~repro.errors.CommError`).  Returns the payload to enqueue
-        — possibly bit-flipped, possibly wrapped in a
-        :class:`~repro.mpisim.injection.DuplicateEnvelope` (in which case
+        retry (``mpisim.retries``) with linear back-off — charged to this
+        rank's clock — until the plan's ``max_retries`` is exhausted
+        (``mpisim.timeouts`` + :class:`~repro.errors.CommError`).  Returns
+        the payload to enqueue — possibly bit-flipped, possibly wrapped in
+        a :class:`~repro.mpisim.injection.DuplicateEnvelope` (in which case
         the extra copy is enqueued here and deduplicated by the receiver).
         """
         self._apply_rank_faults(injector)
         plan = injector.plan
-        tracer = get_tracer()
-        metrics = get_metrics()
+        tracer = self._tracer
+        metrics = self._sched.metrics
         attempts = 0
         while True:
             verdict = injector.message_verdict(self.rank, dest, tag)
@@ -392,13 +505,13 @@ class ThreadComm(Comm):
                     )
                 with tracer.span("resilience.backoff", src=self.rank, dst=dest,
                                  attempt=attempts):
-                    injector.sleep(plan.backoff * attempts)
+                    self.advance(plan.backoff * attempts)
                 continue
             break
         if verdict.delay_s > 0:
             with tracer.span("resilience.delay", src=self.rank, dst=dest,
                              seconds=verdict.delay_s):
-                injector.sleep(verdict.delay_s)
+                self.advance(verdict.delay_s)
         if verdict.flip_bit is not None:
             obj = injector.corrupt(obj, verdict)
             metrics.counter("resilience.bitflips").inc()
@@ -408,17 +521,13 @@ class ThreadComm(Comm):
             obj = DuplicateEnvelope(injector.next_duplicate_seq(), obj)
             metrics.counter("mpisim.dup_messages").inc()
             tracer.event("resilience.duplicate", src=self.rank, dst=dest, seq=obj.seq)
-            self._mailboxes[dest].put(self.rank, tag, obj, self._avail())  # extra copy
+            sched = self._sched
+            sched.enqueue(  # the extra copy
+                self.rank, dest, tag, obj,
+                sched.clocks[self.rank] + sched.alpha
+                + sched.beta * payload_nbytes(obj),
+            )
         return obj
-
-    def _accept(self, obj) -> tuple[bool, Any]:
-        """Unwrap duplicate envelopes; ``(False, None)`` for stale copies."""
-        if isinstance(obj, DuplicateEnvelope):
-            if obj.seq in self._seen_dups:
-                return False, None
-            self._seen_dups.add(obj.seq)
-            return True, obj.payload
-        return True, obj
 
     # -- nonblocking ----------------------------------------------------
     def isend(self, obj, dest: int, tag: int = 0) -> Request:
@@ -427,125 +536,169 @@ class ThreadComm(Comm):
         return Request(completed=True)
 
     def irecv(self, source: int, tag: int = ANY_TAG) -> Request:
-        """Nonblocking receive; complete via ``Request.wait``/``test``."""
-        self._check_peer(source)
-        return Request(self, source, tag)
-
-    # -- receive --------------------------------------------------------
-    def _try_recv(self, source: int, tag: int):
-        """Deliver a matching message without blocking, else ``_NOTHING``."""
-        self._flush_coalesced()
-        mailbox = self._mailboxes[self.rank]
-        tracer = get_tracer()
-        while True:
-            with mailbox.cond:
-                entry, _ = mailbox.pop_match(source, tag, time.monotonic())
-            if entry is None:
-                return _NOTHING
-            deliver, payload = self._accept(entry[2])
-            if not deliver:
-                continue  # stale duplicate; keep scanning
-            if tracer.enabled:
-                tracer.event("mpisim.recv", src=entry[0], dst=self.rank, tag=entry[1])
-            return payload
-
-    def recv(self, source: int, tag: int = ANY_TAG, *, timeout: float | None = None):
-        """Block until a message matching ``(source, tag)`` arrives.
-
-        With tracing enabled, time spent blocked on the mailbox is recorded
-        as an ``mpisim.wait`` span tagged with the awaited source — the raw
-        material for the timeline layer's wait-time attribution.  A blocked
-        receive is also streamed into this rank's telemetry endpoint (when
-        installed) as a wait observation classified by tag; receives made
-        inside the telemetry channel record neither spans nor observations.
-        Any open coalescing epoch flushes first so peers never starve
-        waiting on a staged message.
-        """
+        """Nonblocking receive; complete via ``await req.wait()``/``test()``."""
         self._check_peer(source)
         if source == self.rank:
             raise CommError("recv from self is not supported")
-        injector = get_injector()
+        return Request(self, source, tag)
+
+    # -- receive --------------------------------------------------------
+    def _take(self, source: int, tag: int, latest: float | None = None):
+        """Complete a receive from the mailbox without parking.
+
+        Pops the earliest message from ``source`` matching ``tag`` and
+        moves the clock to ``max(own, arrival)``; ``_NOTHING`` when no
+        match is in the mailbox or the match lands after ``latest``.  Any
+        open coalescing epoch flushes first so peers never starve waiting
+        on a staged message.
+        """
+        if self._coalesce_buf:
+            self._flush_coalesced()
+        sched = self._sched
+        rank = self.rank
+        queue = sched.boxes[rank].get(source)
+        while queue:
+            index = 0
+            if tag != ANY_TAG and queue[0][0] != tag:
+                for index in range(1, len(queue)):
+                    if queue[index][0] == tag:
+                        break
+                else:
+                    return _NOTHING
+            got_tag, obj, arrival = queue[index]
+            if latest is not None and arrival > latest:
+                return _NOTHING
+            del queue[index]
+            if isinstance(obj, DuplicateEnvelope):
+                if obj.seq in self._seen_dups:
+                    continue  # stale copy of an already-delivered message
+                self._seen_dups.add(obj.seq)
+                obj = obj.payload
+            if arrival > sched.clocks[rank]:
+                sched.clocks[rank] = arrival
+            if self._tracer.enabled:
+                self._tracer.event("mpisim.recv", src=source, dst=rank, tag=got_tag)
+            return obj
+        return _NOTHING
+
+    def _block(self, source: int, tag: int, deadline: float | None):
+        """Record what this rank waits on (``deadline``: the modeled instant
+        it gives up) and return the awaitable that parks it until a
+        matching delivery, or the deadline, re-queues it."""
+        sched = self._sched
+        sched.wait_src[self.rank] = source
+        sched.wait_tag[self.rank] = tag
+        if deadline is not None:
+            sched.deadlines[self.rank] = deadline
+        return _park()
+
+    def _woke_expired(self) -> bool:
+        """After a park: was it the deadline (clock now at it) that woke us?"""
+        expired = self._sched.expired
+        if expired and self.rank in expired:
+            expired.discard(self.rank)
+            return True
+        return False
+
+    def _recv(self, source: int, tag: int, timeout: float | None):
+        """``recv`` behind the peer checks; returns the coroutine to await:
+        straight to the take-or-park loop unless a fault plan, the tracer
+        or telemetry watches receives."""
+        if self._watched or self._sched.injector is not None:
+            return self._observed_recv(source, tag, timeout)
+        return self._take_or_park(source, tag, timeout)
+
+    async def _take_or_park(self, source: int, tag: int, timeout: float | None):
+        """A receive: take the match from the mailbox, or park until taken."""
+        deadline = None if timeout is None else self.now() + timeout
+        value = self._take(source, tag, deadline)
+        while value is _NOTHING:
+            await self._block(source, tag, deadline)
+            if self._woke_expired():
+                raise CommError(
+                    f"rank {self.rank}: recv(source={source}, tag={tag}) timed "
+                    f"out after {timeout} modeled seconds"
+                )
+            value = self._take(source, tag, deadline)
+        return value
+
+    async def _observed_recv(self, source: int, tag: int, timeout: float | None):
+        """A receive someone watches: fault plan, tracer or telemetry.
+
+        With tracing enabled a receive whose message has not arrived yet is
+        an ``mpisim.wait`` span tagged with the awaited source — its
+        duration is the modeled time the rank waited, the raw material of
+        the timeline layer's wait attribution — and a receive that waited
+        is streamed into this rank's telemetry endpoint (when installed),
+        classified by tag.  Receives made inside the telemetry channel
+        record neither.
+        """
+        injector = self._sched.injector
         if injector is not None:
             self._apply_rank_faults(injector)
-        value = self._try_recv(source, tag)
+        if not self._watched or self._telemetry_mode:
+            return await self._take_or_park(source, tag, timeout)
+        start = self.now()
+        value = self._take(source, tag, start)
         if value is not _NOTHING:
-            return value
-        limit = self._timeout if timeout is None else timeout
-        tracer = get_tracer()
-        telemetry = self.telemetry if not self._telemetry_mode else None
-        start = time.monotonic() if telemetry is not None else 0.0
-        try:
-            if tracer.enabled and not self._telemetry_mode:
-                with tracer.span("mpisim.wait", rank=self.rank, src=source,
-                                 tag=tag):
-                    return self._recv_blocking(source, tag, limit, tracer)
-            return self._recv_blocking(source, tag, limit, tracer)
-        finally:
-            if telemetry is not None:
-                telemetry.observe_wait(time.monotonic() - start, tag=tag,
-                                       src=source)
+            return value  # it had already arrived: no wait to record
+        with self._tracer.span("mpisim.wait", rank=self.rank, src=source, tag=tag):
+            value = await self._take_or_park(source, tag, timeout)
+        end = self.now()
+        if self.telemetry is not None and end > start:
+            self.telemetry.observe_wait(end - start, tag=tag, src=source, end=end)
+        return value
 
-    def _recv_blocking(self, source: int, tag: int, limit: float, tracer):
-        """Sleep on the mailbox condition until a match arrives or ``limit``
-        (one absolute deadline) expires — a condition-variable wakeup, not a
-        poll loop, so idle ranks burn no CPU."""
-        mailbox = self._mailboxes[self.rank]
-        deadline = time.monotonic() + limit
-        parked = False
-        try:
-            while True:
-                timed_out = False
-                with mailbox.cond:
-                    now = time.monotonic()
-                    entry, next_avail = mailbox.pop_match(source, tag, now)
-                    while entry is None:
-                        remaining = deadline - now
-                        if remaining <= 0:
-                            timed_out = True
-                            break
-                        if next_avail is not None:
-                            # an in-flight match exists; wake when its
-                            # modelled link latency elapses
-                            remaining = min(remaining, max(next_avail - now, 0.0))
-                        if not parked:
-                            parked = True
-                            self._on_park()  # releasing a slot never blocks
-                        mailbox.cond.wait(remaining)
-                        now = time.monotonic()
-                        entry, next_avail = mailbox.pop_match(source, tag, now)
-                if timed_out:
-                    raise CommError(
-                        f"rank {self.rank}: recv(source={source}, tag={tag}) "
-                        f"timed out after {limit}s — likely deadlock or "
-                        "missing send"
-                    )
-                deliver, payload = self._accept(entry[2])
-                if not deliver:
-                    continue  # stale duplicate of an already-delivered message
-                if tracer.enabled:
-                    tracer.event("mpisim.recv", src=entry[0], dst=self.rank,
-                                 tag=entry[1])
-                return payload
-        finally:
-            if parked:
-                self._on_unpark()  # re-acquire outside the mailbox lock
+    async def recv(self, source: int, tag: int = ANY_TAG, *, timeout: float | None = None):
+        """Block until a message matching ``(source, tag)`` arrives;
+        ``timeout`` is in modeled seconds."""
+        self._check_peer(source)
+        if source == self.rank:
+            raise CommError("recv from self is not supported")
+        return await self._recv(source, tag, timeout)
 
-    def _wait_for_any(self, timeout: float | None) -> None:
-        """Park until *any* message lands in this rank's mailbox (or the
-        timeout passes); used by :func:`waitany` between matching scans."""
-        self._flush_coalesced()
-        mailbox = self._mailboxes[self.rank]
-        parked = False
-        try:
-            with mailbox.cond:
-                if any(e[3] <= time.monotonic() for e in mailbox.items):
-                    return
-                parked = True
-                self._on_park()
-                mailbox.cond.wait(0.05 if timeout is None else min(timeout, 0.05))
-        finally:
-            if parked:
-                self._on_unpark()
+    async def sendrecv(self, obj, dest: int, source: int, *, tag: int = 0):
+        """Exchange with two (possibly different) peers without deadlock.
+
+        A buffered send followed by a blocking receive: the send completes
+        immediately, so symmetric exchanges are deadlock-free regardless of
+        which peer posts first — no rank-ordering protocol required.
+        """
+        self._check_peer(dest)
+        self._check_peer(source)
+        if dest == self.rank:
+            if source == self.rank:
+                return obj
+            raise CommError("send to self is not supported; restructure the exchange")
+        if source == self.rank:
+            raise CommError("recv from self is not supported")
+        self._send(obj, dest, tag)
+        return await self._recv(source, tag, None)
+
+    async def _yield_to_peers(self) -> None:
+        """Go to the back of the ready queue (an incomplete ``test``)."""
+        sched = self._sched
+        if not sched.ready and not sched.expire_earliest():
+            raise sched.deadlock(poller=self.rank)
+        sched.ready.append(self.rank)
+        await _park()
+
+
+async def _rank_main(fn, comm: RankComm, telemetry, args, kwargs):
+    """One rank's coroutine: the program under its root span, then the
+    in-band telemetry reduction."""
+    with comm._tracer.span("spmd.rank", rank=comm.rank):
+        program = fn(comm, *args, **kwargs)
+        if not inspect.isawaitable(program):
+            raise CommError(
+                f"rank program {getattr(fn, '__name__', fn)!r} returned "
+                f"{type(program).__name__}, not a coroutine: declare it "
+                "`async def` and await everything that can block"
+            )
+        result = await program
+    if telemetry is not None:
+        await telemetry.collect(comm, comm.telemetry)
+    return result
 
 
 def run_spmd(
@@ -553,110 +706,50 @@ def run_spmd(
     size: int,
     *args,
     tracker: CommTracker | None = None,
-    timeout: float = _DEFAULT_TIMEOUT,
-    engine: str = "threads",
-    workers: int | None = None,
-    latency: float = 0.0,
+    clock: ClockModel | None = None,
     telemetry=None,
     **kwargs,
 ) -> list:
-    """Run ``fn(comm, *args, **kwargs)`` on ``size`` ranks; return all results.
+    """Run ``await fn(comm, *args, **kwargs)`` on ``size`` ranks; return all
+    results.
 
-    ``engine`` selects the execution substrate with identical messaging
-    semantics (collectives, fault injection, tracer spans and tracker
-    accounting behave the same on both):
+    ``fn`` is a coroutine function (``async def``): it awaits everything
+    that can block (``recv``, ``sendrecv``, ``Request.wait``/``test``,
+    ``waitall``/``waitany``, every collective) and calls ``send`` /
+    ``isend`` / ``irecv`` / ``coalescing()`` / ``advance()`` plainly.  All
+    ranks run interleaved on the calling thread; nothing about the run
+    depends on the host's scheduler or clock.
 
-    * ``"threads"`` (default) — one preemptive OS thread per rank.  Right
-      for small rank counts and for rank functions that genuinely benefit
-      from preemption.
-    * ``"events"`` — the cooperative engine (:mod:`repro.mpisim.events`):
-      at most ``workers`` rank tasks are runnable at once and blocked tasks
-      park slot-free on their mailbox condition, so 1000+ ranks simulate
-      without thrashing the OS scheduler.  ``workers`` defaults to a small
-      multiple of the CPU count.
-
-    ``latency`` models per-message link latency in seconds: a sent message
-    only becomes matchable on the receiver once the latency elapses (the
-    send itself stays nonblocking).  The default ``0.0`` delivers
-    immediately with zero overhead.  A nonzero latency is wall-clock a
-    receiver can hide by computing between posting receives and waiting —
-    the mechanism that makes communication/computation overlap measurable
-    in :mod:`repro.observe.timeline`.
+    ``clock`` is the run's :class:`ClockModel`: link latency and inverse
+    bandwidth for message arrival times, compute rates for the kernels a
+    rank program charges with ``comm.advance``.  The all-zero default
+    simulates message order only (every clock stays at 0).
 
     ``telemetry`` takes a :class:`repro.observe.stream.TelemetryConfig`
-    (duck-typed: anything with ``make_rank(rank, size)`` and
+    (duck-typed: anything with ``make_rank(rank, size)`` and an awaitable
     ``collect(comm, rank_telemetry)``): each rank gets a bounded telemetry
-    endpoint on ``comm.telemetry``, the transport streams blocked-receive
-    waits and message sizes into it, and after ``fn`` returns the per-rank
-    summaries are reduced in-band over an O(log P) tree — booked as
-    telemetry traffic, invisible to the audited solver schedule.
+    endpoint on ``comm.telemetry``, the transport streams modeled
+    receive waits and message sizes into it, and after ``fn`` returns the
+    per-rank summaries are reduced in-band over an O(log P) tree — booked
+    as telemetry traffic, invisible to the audited solver schedule.
 
-    The first exception raised by any rank is re-raised in the caller after
-    all ranks finish or are abandoned at the timeout.
-
-    Notes
-    -----
-    This is a *correctness* runtime: with CPython's GIL, NumPy-heavy rank
-    functions interleave rather than speed up.  Its purpose is to execute the
-    genuine distributed algorithm — real messages, real orderings — so the
-    deterministic BSP layer in :mod:`repro.dist` can be validated against it.
+    A rank that raises stops the run at once: every other rank's coroutine
+    is closed and the exception re-raised as ``CommError("rank r failed:
+    …")`` from it.  A state in which no rank can run and not all have
+    finished raises the deadlock :class:`~repro.errors.CommError`.
     """
     if size < 1:
         raise CommError("size must be >= 1")
-    if engine == "events":
-        from repro.mpisim.events import run_spmd_events
-
-        return run_spmd_events(
-            fn, size, *args, tracker=tracker, timeout=timeout, workers=workers,
-            latency=latency, telemetry=telemetry, **kwargs,
-        )
-    if engine != "threads":
-        raise CommError(f"unknown engine {engine!r}; use 'threads' or 'events'")
-    mailboxes = [_Mailbox() for _ in range(size)]
-    results: list[Any] = [None] * size
-    errors: list[tuple[int, BaseException]] = []
-    lock = threading.Lock()
-
-    # the launch event anchors per-rank clock offsets: each rank's root
-    # span records its start relative to this instant, so the timeline
-    # layer can align (and report) rank clock skew
-    tracer = get_tracer()
-    launch_t0 = None
-    if tracer.enabled:
-        launch_t0 = tracer.event("mpisim.launch", ranks=size).start
-
-    def _worker(rank: int) -> None:
-        comm = ThreadComm(rank, size, mailboxes, tracker, timeout, latency)
-        if telemetry is not None:
-            comm.telemetry = telemetry.make_rank(rank, size)
-        try:
-            if tracer.enabled:
-                with tracer.span("spmd.rank", rank=rank) as root:
-                    if launch_t0 is not None:
-                        root.set_tag("clock_offset", root.start - launch_t0)
-                    results[rank] = fn(comm, *args, **kwargs)
-            else:
-                results[rank] = fn(comm, *args, **kwargs)
-            if telemetry is not None:
-                telemetry.collect(comm, comm.telemetry)
-        except BaseException as exc:  # noqa: BLE001 — propagated to caller
-            with lock:
-                errors.append((rank, exc))
-
-    threads = [
-        threading.Thread(target=_worker, args=(r,), name=f"spmd-rank-{r}", daemon=True)
+    sched = _Scheduler(size, clock if clock is not None else ClockModel(), tracker)
+    comms = [
+        RankComm(r, sched, telemetry.make_rank(r, size) if telemetry is not None else None)
         for r in range(size)
     ]
-    for t in threads:
-        t.start()
-    join_deadline = time.monotonic() + timeout * 2
-    for t in threads:
-        t.join(timeout=max(0.0, join_deadline - time.monotonic()))
-    if errors:
-        errors.sort(key=lambda e: e[0])
-        rank, exc = errors[0]
-        raise CommError(f"rank {rank} failed: {exc!r}") from exc
-    alive = [t for t in threads if t.is_alive()]
-    if alive:
-        raise CommError(f"{len(alive)} ranks still running after timeout (deadlock?)")
-    return results
+    try:
+        return sched.run(
+            [_rank_main(fn, comm, telemetry, args, kwargs) for comm in comms]
+        )
+    finally:
+        if tracker is not None:
+            for comm in comms:
+                tracker.merge_p2p(comm.rank, comm._edges)

@@ -5,7 +5,7 @@ inject (a seeded, declarative :class:`~repro.resilience.FaultPlan`); this
 module defines *where* they plug in.  An injector object — anything
 implementing the small protocol below — is installed process-wide with
 :func:`install_injector`; the message-passing engine
-(:class:`~repro.mpisim.engine.ThreadComm`) and the BSP halo update
+(:func:`~repro.mpisim.run_spmd`) and the BSP halo update
 (:meth:`~repro.dist.halo.HaloSchedule.update`) consult
 :func:`get_injector` on every message and apply the verdicts.
 
@@ -72,7 +72,7 @@ class DuplicateEnvelope:
     """Wrapper marking a message that was injected as a duplicate.
 
     Both copies of a duplicated message travel wrapped with the same
-    sequence number; the receiving :class:`~repro.mpisim.engine.ThreadComm`
+    sequence number; the receiving rank endpoint
     unwraps the first copy and silently discards any later copy with an
     already-seen sequence — the at-most-once delivery a real transport's
     sequence numbers provide.

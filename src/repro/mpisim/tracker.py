@@ -74,6 +74,19 @@ class CommTracker:
             self.p2p_messages[key] = self.p2p_messages.get(key, 0) + 1
             self.p2p_bytes[key] = self.p2p_bytes.get(key, 0) + int(nbytes)
 
+    def merge_p2p(self, src: int, edges: dict[int, list[int]]) -> None:
+        """Add one sender's per-destination ``[messages, bytes]`` totals.
+
+        The SPMD engine counts each rank's messages without a lock while
+        the run is on one thread and books them here, once per rank, when
+        the run ends (``serve`` workers share no tracker but may share this
+        process)."""
+        with self._lock:
+            for dst, (messages, nbytes) in edges.items():
+                key = (src, dst)
+                self.p2p_messages[key] = self.p2p_messages.get(key, 0) + messages
+                self.p2p_bytes[key] = self.p2p_bytes.get(key, 0) + nbytes
+
     def record_telemetry(self, src: int, dst: int, nbytes: int) -> None:
         """Count one in-band telemetry message of ``nbytes`` — kept out of
         the solver's point-to-point accounting by design."""

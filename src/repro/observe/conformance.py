@@ -17,12 +17,14 @@ across a strong-scaled ladder and renders the confrontation as a versioned
   straight into :func:`repro.observe.explain.attribute`'s suspect list via
   :meth:`ConformanceReport.to_suspects`.
 
-Honesty note on ratios: measured seconds come from a GIL-interleaved
-simulation, so *absolute* predicted/measured ratios are machine- and
-load-dependent.  The report records them; the CI gate
-(``scripts/check_model_conformance.py``) therefore checks ratio **drift**
-against a recorded baseline plus the structural facts that are exact —
-schedule invariance with telemetry enabled, telemetry excluded from the
+What the ratios mean: "measured" seconds are the *simulated schedule* of
+the run — modeled waits, reductions and charged kernels on the engine's
+α–β clock (:class:`repro.mpisim.ClockModel`, fed the same machine numbers
+the model predicts with) — and "predicted" seconds are the model's
+closed-form bound.  Both are deterministic functions of the inputs, so the
+ratios are O(1), reproducible to the last digit, and gated in an absolute
+band by ``scripts/check_model_conformance.py`` next to the structural facts
+— schedule invariance with telemetry enabled, telemetry excluded from the
 audit, artifact sublinearity.
 
 The module is duck-typed over cost objects (anything with ``spmv_a`` /
@@ -220,9 +222,8 @@ class ConformanceReport:
 
     #: A phase whose measured *share* of total time differs from its
     #: predicted share by more than this is named a divergence verdict.
-    #: Shares — not raw ratios — because a global scale factor between
-    #: simulated seconds and modeled seconds is expected; a phase *mix*
-    #: that disagrees is what indicts the model.
+    #: Shares — not raw ratios — because a phase *mix* that disagrees is
+    #: what indicts the model, whatever the overall scale.
     share_tolerance: float = 0.25
 
     def verdicts(self) -> list[dict]:

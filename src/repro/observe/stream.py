@@ -29,8 +29,13 @@ as ``p2p_*`` traffic, so :func:`repro.observe.compare_snapshots` excludes
 it by construction and the solver's communication schedule stays provably
 unperturbed (the paper's §4 invariance claim survives with telemetry on).
 
+Every duration here is in *modeled* seconds: the transport and the rank
+programs report differences of ``comm.now()`` readings and pass the reading
+itself as ``end=``, so sampled spans sit on the run's one modeled time axis
+and nothing in this module reads the host's clock.
+
 Layering: this module is import-light (stdlib + :mod:`repro.errors` only)
-so the :mod:`repro.mpisim` engines can use it through the duck-typed
+so the :mod:`repro.mpisim` engine can use it through the duck-typed
 ``telemetry=`` hook of :func:`repro.mpisim.run_spmd` without a cycle.
 """
 
@@ -38,7 +43,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -338,20 +342,22 @@ class RankTelemetry:
             h = self.hists[name] = StreamingHistogram(lo=self.lo, base=self.base)
         return h
 
-    def observe(self, name: str, seconds, *, src: int | None = None) -> None:
-        """Stream one timed observation (``compute``, ``reduction``, ...)."""
+    def observe(self, name: str, seconds, *, end: float = 0.0,
+                src: int | None = None) -> None:
+        """Stream one timed observation (``compute``, ``reduction``, ...)
+        that ended at modeled instant ``end`` (the rank's ``comm.now()``)."""
         seconds = float(seconds)
         self.hist(name).observe(seconds)
         if self.sampled:
             if len(self.spans) < self.max_spans:
-                end = time.monotonic()
                 self.spans.append((name, end - seconds, end, src))
             else:
                 self.spans_dropped += 1
 
-    def observe_wait(self, seconds, *, tag: int = 0, src: int | None = None) -> None:
-        """Blocked-receive time, classified by the tag it matched on."""
-        self.observe(classify_wait_tag(tag), seconds, src=src)
+    def observe_wait(self, seconds, *, tag: int = 0, end: float = 0.0,
+                     src: int | None = None) -> None:
+        """Modeled time a receive waited, classified by the tag it matched on."""
+        self.observe(classify_wait_tag(tag), seconds, end=end, src=src)
 
     def observe_message(self, nbytes: int) -> None:
         """One delivered wire message of ``nbytes``."""
@@ -531,8 +537,8 @@ class TelemetryConfig:
     holds the in-band-reduced :class:`ClusterTelemetry` from rank 0::
 
         cfg = TelemetryConfig(rank_sample=8)
-        spmd_pipelined_pcg(da, b, ..., telemetry=cfg, engine="events")
-        cfg.result.phase_seconds()       # measured per-phase totals
+        spmd_pipelined_pcg(da, b, ..., telemetry=cfg, clock=machine.clock_model())
+        cfg.result.phase_seconds()       # simulated per-phase totals
     """
 
     rank_sample: int | str | None = 4
@@ -559,17 +565,9 @@ class TelemetryConfig:
             max_spans=self.max_spans,
         )
 
-    def collect(self, comm, telemetry: RankTelemetry) -> None:
-        """Aggregate in-band after the rank function returns (engine hook).
-
-        Best-effort: a run that already failed on another rank would leave
-        this rank's tree partner dead, so aggregation errors are swallowed
-        — the run's own error is what the caller must see.
-        """
-        try:
-            aggregate = aggregate_telemetry(comm, telemetry, top_k=self.top_k)
-        except ReproError:
-            return
+    async def collect(self, comm, telemetry: RankTelemetry) -> None:
+        """Aggregate in-band after the rank program returns (engine hook)."""
+        aggregate = await aggregate_telemetry(comm, telemetry, top_k=self.top_k)
         if aggregate is not None:
             self.result = aggregate
 
@@ -585,8 +583,9 @@ def _channel(comm):
         yield comm
 
 
-def aggregate_telemetry(comm, telemetry, *, top_k: int = 8):
-    """Reduce per-rank telemetry to rank 0 over a binomial tree.
+async def aggregate_telemetry(comm, telemetry, *, top_k: int = 8):
+    """Reduce per-rank telemetry to rank 0 over a binomial tree (a
+    coroutine: it receives, so rank programs ``await`` it).
 
     The same O(log P) pattern as :func:`repro.mpisim.collectives.reduce`,
     but on :data:`TELEMETRY_TAG` and inside the communicator's telemetry
@@ -613,7 +612,9 @@ def aggregate_telemetry(comm, telemetry, *, top_k: int = 8):
                 return None
             peer = rank | mask
             if peer < size:
-                partial = ClusterTelemetry.from_dict(comm.recv(peer, TELEMETRY_TAG))
+                partial = ClusterTelemetry.from_dict(
+                    await comm.recv(peer, TELEMETRY_TAG)
+                )
                 accumulator.merge(partial)
             mask <<= 1
     return accumulator

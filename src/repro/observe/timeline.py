@@ -1,21 +1,22 @@
 """Cross-rank timeline reconstruction and critical-path analysis.
 
 The SPMD runtime (:func:`repro.mpisim.run_spmd` driving
-:func:`repro.dist.spmd.spmd_cg`) produces one span stream per rank thread:
+:func:`repro.dist.spmd.spmd_cg`) produces one span stream per rank:
 ``spmd.compute`` / ``spmd.halo.pack`` / ``spmd.halo.wait`` /
-``spmd.reduction`` phase spans from the solver, ``mpisim.wait`` blocking
+``spmd.reduction`` phase spans from the solver, ``mpisim.wait`` receive
 spans and ``mpisim.send`` / ``mpisim.recv`` instant events from the
-communicator, plus one ``spmd.rank`` root span per rank whose
-``clock_offset`` tag records the rank's start relative to the
-``mpisim.launch`` event.  This module merges those streams into one global
-:class:`Timeline`:
+communicator, plus one ``spmd.rank`` root span per rank.  Every timestamp
+is that rank's *modeled* clock — seconds since the launch on the one time
+axis all ranks share — so there are no clock offsets to reconcile.  This
+module merges those streams into one global :class:`Timeline`:
 
 * spans are *flattened* to :class:`Segment` self-time intervals (a parent's
   interval minus its children), so per-rank segments never overlap and the
   total busy time equals the sum of root-span durations exactly;
 * each segment is classified as ``compute`` / ``pack`` / ``wait`` /
-  ``reduction`` (see :func:`classify_segment`), decomposing every CG
-  iteration the way the paper's cost model does;
+  ``reduction`` (see :func:`classify_segment`; a receive's wait inside a
+  reduction span counts as reduction), decomposing every CG iteration the
+  way the paper's cost model does;
 * :meth:`Timeline.critical_path` runs longest-path dynamic programming over
   the dependency DAG induced by same-rank program order plus the
   ``mpisim.send`` → wait-segment edges of the halo exchanges and allreduce
@@ -23,8 +24,8 @@ communicator, plus one ``spmd.rank`` root span per rank whose
 * documents round-trip via a versioned JSON form
   (``format: "repro-timeline"``) with monotonicity validation on load.
 
-For CI gating, wall-clock critical paths are nondeterministic; the *static*
-:func:`halo_critical_path` derives the bottleneck rank and its incoming
+A traced run's critical path is deterministic but depends on the clock
+model; the *static* :func:`halo_critical_path` derives the bottleneck rank and its incoming
 halo edges purely from a :class:`~repro.dist.halo.HaloSchedule` — a
 byte-for-byte comparable object that must be identical between FSAI and
 FSAIE-Comm (the paper's invariance claim, §4), and
@@ -217,7 +218,6 @@ class Timeline:
         segments,
         *,
         edges=None,
-        offsets: dict[int, float] | None = None,
         meta: dict | None = None,
     ):
         self.segments: list[Segment] = sorted(
@@ -225,7 +225,6 @@ class Timeline:
         )
         _validate_durations(self.segments)
         self.edges: list[CommEdge] = list(edges or [])
-        self.offsets: dict[int, float] = dict(offsets or {})
         self.meta: dict = dict(meta or {})
         self._critical: CriticalPath | None = None
 
@@ -244,17 +243,13 @@ class Timeline:
 
     @classmethod
     def from_spans(
-        cls, spans: list[dict], *, meta: dict | None = None, align: bool = False
+        cls, spans: list[dict], *, meta: dict | None = None
     ) -> "Timeline":
         """Merge raw span dictionaries into a timeline.
 
         Rank attribution: a span belongs to the rank in its ``rank`` tag,
         or its nearest ancestor's, or the rank of the ``spmd.rank`` root
-        span covering its interval on the same thread.  ``align=True``
-        additionally subtracts each rank's recorded ``clock_offset`` —
-        only meaningful when ranks genuinely run on separate clocks; the
-        thread runtime shares one clock, so offsets are recorded but not
-        applied by default.
+        span covering its interval on the same track.
 
         Spans tagged ``channel="telemetry"`` (in-band telemetry traffic,
         :mod:`repro.observe.stream`) are skipped: observability traffic
@@ -287,7 +282,6 @@ class Timeline:
 
         # thread -> [(start, end, rank)] windows from spmd.rank root spans
         windows: dict[int, list[tuple[float, float, int]]] = {}
-        offsets: dict[int, float] = {}
         for d in spans:
             if d.get("name") == "spmd.rank":
                 tags = d.get("tags", {})
@@ -298,8 +292,6 @@ class Timeline:
                 windows.setdefault(d.get("thread"), []).append(
                     (d["start"], end if end is not None else float("inf"), int(rank))
                 )
-                if "clock_offset" in tags:
-                    offsets[int(rank)] = float(tags["clock_offset"])
 
         def rank_of(d: dict) -> int | None:
             seen = 0
@@ -352,7 +344,6 @@ class Timeline:
 
         segments: list[Segment] = []
         for rank, ds in per_rank.items():
-            shift = offsets.get(rank, 0.0) if align else 0.0
             selected_ids = {d["span_id"] for d in ds if d.get("span_id") is not None}
             children: dict = {}
             for d in ds:
@@ -361,6 +352,15 @@ class Timeline:
                     children.setdefault(pid, []).append(d)
             for d in ds:
                 kind = classify_segment(d["name"])
+                if kind == "wait":
+                    # on a modeled clock a collective *is* its receives'
+                    # waits: time waited inside a reduction is reduction time
+                    node = by_id.get(d.get("parent_id"))
+                    while node is not None and node.get("span_id") in selected_ids:
+                        if classify_segment(node["name"]) == "reduction":
+                            kind = "reduction"
+                            break
+                        node = by_id.get(node.get("parent_id"))
                 tags = d.get("tags", {})
                 src = tags.get("src")
                 nbytes = int(tags.get("bytes", 0) or 0)
@@ -384,13 +384,13 @@ class Timeline:
                             rank=rank,
                             name=d["name"],
                             kind=kind,
-                            start=lo - shift,
-                            end=hi - shift,
+                            start=lo,
+                            end=hi,
                             src=int(src) if src is not None else None,
                             bytes=nbytes,
                         )
                     )
-        return cls(segments, edges=sends, offsets=offsets, meta=meta)
+        return cls(segments, edges=sends, meta=meta)
 
     # aggregate queries -------------------------------------------------
     @property
@@ -410,7 +410,7 @@ class Timeline:
 
     @property
     def makespan(self) -> float:
-        """Wall-clock extent of the merged timeline (seconds)."""
+        """Extent of the merged timeline (modeled seconds for a traced run)."""
         return self.t1 - self.t0
 
     def busy_seconds(self, rank: int | None = None):
@@ -449,9 +449,9 @@ class Timeline:
     def critical_path(self) -> CriticalPath:
         """Longest chain through program order plus message dependencies.
 
-        Same-rank segments chain sequentially; a wait segment additionally
-        depends on the sender-side segment that produced its matching
-        ``mpisim.send``.  The result's length is therefore at least the
+        Same-rank segments chain sequentially; a receive's segment (a halo
+        wait, or a hop of a reduction) additionally depends on the
+        sender-side segment that produced its matching ``mpisim.send``.  The result's length is therefore at least the
         maximum per-rank busy time.
         """
         if self._critical is not None:
@@ -492,7 +492,7 @@ class Timeline:
             k = pos_in_rank[i]
             if k > 0:
                 candidates.append((by_rank[seg.rank][k - 1], None))
-            if seg.kind == "wait" and seg.src is not None:
+            if seg.src is not None:  # a receive: halo wait or reduction hop
                 lane = sends.get((seg.src, seg.rank), [])
                 times = [e.time for e in lane]
                 j = bisect_right(times, seg.end) - 1
@@ -554,7 +554,6 @@ class Timeline:
             "max_wait_seconds": max(wait.values(), default=0.0),
             "kind_seconds": self.kind_seconds(),
             "critical_path": cp.to_dict(top_k=top_k),
-            "clock_offsets": {str(r): v for r, v in sorted(self.offsets.items())},
         }
 
     # persistence -------------------------------------------------------
@@ -564,7 +563,6 @@ class Timeline:
             "format": TIMELINE_FORMAT,
             "version": TIMELINE_VERSION,
             "meta": dict(self.meta),
-            "offsets": {str(r): v for r, v in sorted(self.offsets.items())},
             "segments": [s.to_dict() for s in self.segments],
             "edges": [e.to_dict() for e in self.edges],
             "summary": self.summary(),
@@ -615,12 +613,11 @@ class Timeline:
                 )
                 for d in doc.get("edges", [])
             ]
-            offsets = {int(r): float(v) for r, v in doc.get("offsets", {}).items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise TimelineError(f"malformed timeline document: {exc}") from exc
         _validate_durations(segments)
         _validate_monotonic(segments)  # document order is part of the schema
-        return cls(segments, edges=edges, offsets=offsets, meta=doc.get("meta", {}))
+        return cls(segments, edges=edges, meta=doc.get("meta", {}))
 
     @classmethod
     def load(cls, path) -> "Timeline":

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cachesim.cache import CacheConfig
+from repro.mpisim import ClockModel
 
 __all__ = ["MachineSpec", "SKYLAKE", "A64FX", "ZEN2", "MACHINES"]
 
@@ -58,6 +59,17 @@ class MachineSpec:
     def cache_line_bytes(self) -> int:
         """L1 line size in bytes (the extension parameter)."""
         return self.l1.line_bytes
+
+    def clock_model(self, threads_per_process: int = 1) -> ClockModel:
+        """The modeled clock of an SPMD run on this machine: the α–β link
+        and the per-process roofline rates :class:`CostModel` predicts with,
+        as the numbers :func:`repro.mpisim.run_spmd` takes."""
+        return ClockModel(
+            alpha=self.net_latency,
+            beta=1.0 / self.net_bandwidth,
+            flop=1.0 / (self.core_flops * threads_per_process),
+            byte=1.0 / (self.core_mem_bw * threads_per_process),
+        )
 
 
 #: MareNostrum 4 node: 2× Intel Xeon Platinum 8160 (Skylake), 2.1 GHz.

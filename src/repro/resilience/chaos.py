@@ -302,7 +302,7 @@ def run_chaos(
 
     ``precond_builder(A_global, partition)`` builds the preconditioner
     per run (``None`` solves unpreconditioned).  ``engine`` selects the
-    deterministic BSP solver (:func:`repro.core.pcg`) or the threaded
+    deterministic BSP solver (:func:`repro.core.pcg`) or the message-passing
     SPMD one (:func:`repro.dist.spmd_cg`); scenarios declaring other
     engines are skipped.  The clean baseline runs first, fault-free, and
     every scenario's final residual is compared against it.

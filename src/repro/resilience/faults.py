@@ -11,15 +11,19 @@ engine and the BSP halo update consult it on every message.
 Determinism: every verdict is derived from
 ``(plan.seed, src, dst, tag, sequence)`` through a dedicated
 :class:`numpy.random.Generator`, so a given plan injects the *same* faults
-into the same message sequence regardless of thread scheduling — chaos
-runs are replayable, and a checkpoint rollback that replays messages
+into the same message sequence, whatever the interleaving — chaos runs
+are replayable, and a checkpoint rollback that replays messages
 advances the sequence and therefore does not deterministically re-hit the
 same transient fault.
 
-Real time is only consumed in small, capped sleeps (``sleep_cap``): the
-semantics of a delay are carried by the retry/timeout accounting
-(``halo.retries`` / ``halo.timeouts`` metrics, ``resilience.*`` spans),
-not by actually waiting out the nominal delay.
+On the SPMD runtime nothing sleeps: a stall, a sub-timeout delay and a
+retry back-off each *advance the rank's modeled clock* by their full
+nominal seconds (``comm.advance``), so they show up in ``comm.now()``,
+in span durations and in the timeline, exactly and for free.  Only the BSP
+halo update, which has no clock, really sleeps, in small capped steps
+(``sleep_cap``); there the semantics of a delay are carried by the
+retry/timeout accounting (``halo.retries`` / ``halo.timeouts`` metrics,
+``resilience.*`` spans), not by waiting out the nominal delay.
 """
 
 from __future__ import annotations
@@ -64,8 +68,9 @@ class MessageDelay:
 
     A delay longer than the plan's ``message_timeout`` is indistinguishable
     from a loss to the receiver: it times the message out and triggers a
-    retry (counted in ``halo.retries``).  Shorter delays are slept (capped
-    at ``sleep_cap``) inside a ``resilience.delay`` span.
+    retry (counted in ``halo.retries``).  Shorter delays are charged to the
+    sender's modeled clock (SPMD) or slept, capped at ``sleep_cap`` (BSP),
+    inside a ``resilience.delay`` span.
     ``src``/``dst`` of ``None`` match any rank.
     """
 
@@ -187,7 +192,8 @@ class FaultPlan:
     it count as losses and trigger retries), ``max_retries`` bounds the
     retry loop before a :class:`~repro.errors.CommError` timeout,
     ``backoff`` is the base retry backoff (linear per attempt) and
-    ``sleep_cap`` caps every *real* sleep so chaos runs stay fast.
+    ``sleep_cap`` caps every *real* sleep of the BSP path so chaos runs stay
+    fast (the SPMD runtime advances modeled clocks and never sleeps).
     """
 
     seed: int = 0
@@ -422,7 +428,8 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
     def sleep(self, seconds: float) -> None:
-        """Really sleep, capped at the plan's ``sleep_cap``."""
+        """Really sleep, capped at the plan's ``sleep_cap`` (BSP halo update
+        only; the SPMD runtime calls ``comm.advance`` instead)."""
         if seconds > 0:
             time.sleep(min(seconds, self.plan.sleep_cap))
 

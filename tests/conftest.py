@@ -10,6 +10,17 @@ from repro.matgen import paper_rhs, poisson2d, poisson3d
 from repro.sparse import CSRMatrix
 
 
+def drive(coro):
+    """Run a coroutine that never parks (``SelfComm``'s, a completed
+    ``Request``'s) to its result, outside any ``run_spmd``."""
+    try:
+        coro.send(None)
+    except StopIteration as stop:
+        return stop.value
+    coro.close()
+    raise AssertionError("coroutine parked")
+
+
 def build_poisson2d(n: int) -> CSRMatrix:
     """5-point Poisson used across tests."""
     return poisson2d(n)

@@ -323,11 +323,11 @@ class TestSolverIntegration:
 
 
 class TestSpmdConcurrency:
-    """Tracer and MetricsRegistry under the SPMD thread engine.
+    """Tracer and MetricsRegistry under the SPMD engine.
 
     The observe layer reads rank-tagged spans and instruments recorded by
-    concurrently executing rank threads; these tests pin down that nothing
-    is lost or cross-attributed under that concurrency.
+    interleaved rank coroutines (one span stack per rank on the one
+    thread); these tests pin down that nothing is lost or cross-attributed.
     """
 
     RANKS = 4
@@ -338,14 +338,14 @@ class TestSpmdConcurrency:
 
         with tracing() as (tracer, metrics):
 
-            def prog(comm):
+            async def prog(comm):
                 for k in range(self.EVENTS_PER_RANK):
                     tracer.event("spmd.tick", rank=comm.rank, k=k)
                     metrics.counter("spmd.ticks", rank=comm.rank).inc()
                     metrics.counter("spmd.shared").inc()
                 return comm.rank
 
-            assert run_spmd(prog, self.RANKS, timeout=30) == list(range(self.RANKS))
+            assert run_spmd(prog, self.RANKS) == list(range(self.RANKS))
             ticks = [s for s in tracer.spans if s.name == "spmd.tick"]
             assert len(ticks) == self.RANKS * self.EVENTS_PER_RANK
             for rank in range(self.RANKS):
@@ -354,7 +354,7 @@ class TestSpmdConcurrency:
                 # per-rank event payloads intact, in program order
                 assert [s.tags["k"] for s in mine] == list(range(self.EVENTS_PER_RANK))
                 assert metrics.value("spmd.ticks", rank=rank) == self.EVENTS_PER_RANK
-            # one shared instrument incremented from every rank thread
+            # one shared instrument incremented from every rank
             assert metrics.value("spmd.shared") == self.RANKS * self.EVENTS_PER_RANK
 
     def test_span_parents_stay_per_thread(self):
@@ -362,13 +362,13 @@ class TestSpmdConcurrency:
 
         with tracing() as (tracer, _):
 
-            def prog(comm):
+            async def prog(comm):
                 with tracer.span("spmd.outer", rank=comm.rank):
                     tracer.event("spmd.inner", rank=comm.rank)
                     with tracer.span("spmd.mid", rank=comm.rank):
                         tracer.event("spmd.deep", rank=comm.rank)
 
-            run_spmd(prog, self.RANKS, timeout=30)
+            run_spmd(prog, self.RANKS)
             outer = {s.tags["rank"]: s for s in tracer.spans if s.name == "spmd.outer"}
             mid = {s.tags["rank"]: s for s in tracer.spans if s.name == "spmd.mid"}
             assert len(outer) == self.RANKS and len(mid) == self.RANKS
@@ -379,7 +379,7 @@ class TestSpmdConcurrency:
                 assert span.parent_id == mid[span.tags["rank"]].span_id
             for rank, span in mid.items():
                 assert span.parent_id == outer[rank].span_id
-            # everything a rank recorded sits on that rank's own thread
+            # everything a rank recorded sits on that rank's own track
             for span in (s for s in tracer.spans if s.name.startswith("spmd.")):
                 assert span.thread == outer[span.tags["rank"]].thread
 
@@ -388,12 +388,12 @@ class TestSpmdConcurrency:
 
         with tracing() as (_, metrics):
 
-            def prog(comm):
+            async def prog(comm):
                 hist = metrics.histogram("spmd.load")
                 for k in range(self.EVENTS_PER_RANK):
                     hist.observe(1.0)
 
-            run_spmd(prog, self.RANKS, timeout=30)
+            run_spmd(prog, self.RANKS)
             (hist,) = metrics.find("spmd.load")
             assert hist.count == self.RANKS * self.EVENTS_PER_RANK
             assert hist.total == pytest.approx(self.RANKS * self.EVENTS_PER_RANK)
@@ -401,14 +401,13 @@ class TestSpmdConcurrency:
     def test_nested_tracing_restores_sinks_around_spmd_run(self):
         from repro.mpisim import run_spmd
 
+        async def prog(comm):
+            get_tracer().event("spmd.tick", rank=comm.rank)
+
         with tracing() as (outer_tracer, outer_metrics):
             outer_tracer.event("outer.before")
             with tracing() as (inner_tracer, inner_metrics):
-                run_spmd(
-                    lambda comm: get_tracer().event("spmd.tick", rank=comm.rank),
-                    2,
-                    timeout=30,
-                )
+                run_spmd(prog, 2)
                 assert get_tracer() is inner_tracer
                 assert get_metrics() is inner_metrics
             # inner scope captured the SPMD events; outer sinks restored clean

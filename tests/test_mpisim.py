@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
+from conftest import drive
 
 from repro.errors import CommError
 from repro.mpisim import (
@@ -13,6 +15,7 @@ from repro.mpisim import (
     MAX,
     MIN,
     SUM,
+    ClockModel,
     CommTracker,
     ReduceOp,
     SelfComm,
@@ -25,74 +28,136 @@ SIZES = [1, 2, 3, 4, 5, 7, 8]
 
 class TestEngine:
     def test_returns_per_rank_results(self):
-        assert run_spmd(lambda comm: comm.rank * 10, 4) == [0, 10, 20, 30]
+        async def prog(comm):
+            return comm.rank * 10
+
+        assert run_spmd(prog, 4) == [0, 10, 20, 30]
+
+    def test_plain_function_is_rejected(self):
+        """Rank programs are coroutines; there is no plain-function path."""
+        with pytest.raises(CommError, match="async def"):
+            run_spmd(lambda comm: comm.rank, 2)
 
     def test_exception_propagates_with_rank(self):
-        def prog(comm):
+        async def prog(comm):
             if comm.rank == 2:
                 raise ValueError("boom")
             return comm.rank
 
         with pytest.raises(CommError, match="rank 2"):
-            run_spmd(prog, 4, timeout=5)
+            run_spmd(prog, 4)
 
     def test_point_to_point_order(self):
-        def prog(comm):
+        async def prog(comm):
             if comm.rank == 0:
                 comm.send("a", 1, tag=1)
                 comm.send("b", 1, tag=2)
                 return None
             if comm.rank == 1:
                 # receive out of order by tag
-                b = comm.recv(0, tag=2)
-                a = comm.recv(0, tag=1)
+                b = await comm.recv(0, tag=2)
+                a = await comm.recv(0, tag=1)
                 return (a, b)
             return None
 
-        assert run_spmd(prog, 2, timeout=5)[1] == ("a", "b")
+        assert run_spmd(prog, 2)[1] == ("a", "b")
 
     def test_any_tag(self):
-        def prog(comm):
+        async def prog(comm):
             if comm.rank == 0:
                 comm.send(42, 1, tag=7)
                 return None
-            return comm.recv(0, ANY_TAG)
+            return await comm.recv(0, ANY_TAG)
 
-        assert run_spmd(prog, 2, timeout=5)[1] == 42
+        assert run_spmd(prog, 2)[1] == 42
 
     def test_send_copies_numpy_payload(self):
-        def prog(comm):
+        async def prog(comm):
             if comm.rank == 0:
                 buf = np.ones(4)
                 comm.send(buf, 1)
                 buf[:] = -1.0  # mutation after send must not corrupt
                 return None
-            return comm.recv(0)
+            return await comm.recv(0)
 
-        assert np.allclose(run_spmd(prog, 2, timeout=5)[1], 1.0)
+        assert np.allclose(run_spmd(prog, 2)[1], 1.0)
 
     def test_recv_timeout_reports_deadlock(self):
-        def prog(comm):
+        """A receive nobody serves gives up at exactly its modeled deadline."""
+        clocks = {}
+
+        async def prog(comm):
             if comm.rank == 0:
-                return comm.recv(1, timeout=0.2)  # nobody sends
+                try:
+                    return await comm.recv(1, timeout=0.2)  # nobody sends
+                finally:
+                    clocks[0] = comm.now()
             return None
 
         with pytest.raises(CommError, match="timed out"):
-            run_spmd(prog, 2, timeout=5)
+            run_spmd(prog, 2)
+        assert clocks[0] == 0.2  # the receive gave up at exactly its deadline
+
+    def test_message_landing_after_the_deadline_times_out(self):
+        """A 0.05 s link cannot beat a 0.01 s timeout, whatever the order
+        the two ranks happen to run in."""
+
+        async def prog(comm):
+            if comm.rank == 0:
+                comm.send("late", 1)
+                return None
+            with pytest.raises(CommError, match="timed out"):
+                await comm.recv(0, timeout=0.01)
+            gave_up = comm.now()
+            return gave_up, await comm.recv(0), comm.now()
+
+        out = run_spmd(prog, 2, clock=ClockModel(alpha=0.05))
+        assert out[1] == (0.01, "late", 0.05)
+
+    def test_deadlock_is_immediate_and_names_the_waits(self):
+        async def prog(comm):
+            return await comm.recv(1 - comm.rank, tag=3)  # both receive first
+
+        t0 = time.perf_counter()
+        with pytest.raises(CommError, match="deadlock") as err:
+            run_spmd(prog, 2)
+        assert time.perf_counter() - t0 < 1.0
+        assert "rank 0 waits on recv(source=1, tag=3)" in str(err.value)
+        assert "rank 1 waits on recv(source=0, tag=3)" in str(err.value)
+
+    def test_failing_rank_stops_its_waiting_peers_at_once(self):
+        unwound = []
+
+        async def prog(comm):
+            if comm.rank == 15:
+                raise ValueError("boom")
+            try:
+                with comm.coalescing():
+                    return await comm.recv(15)  # 15 peers wait on the failing rank
+            finally:
+                unwound.append(comm.rank)
+
+        t0 = time.perf_counter()
+        with pytest.raises(CommError, match="rank 15 failed") as err:
+            run_spmd(prog, 16)
+        assert time.perf_counter() - t0 < 1.0
+        assert isinstance(err.value.__cause__, ValueError)
+        # every parked coroutine was closed: its epoch and finally unwound
+        assert unwound == list(range(15))
 
     def test_self_messaging_rejected(self):
-        def prog(comm):
+        async def prog(comm):
             comm.send(1, comm.rank)
 
         with pytest.raises(CommError):
-            run_spmd(prog, 2, timeout=5)
+            run_spmd(prog, 2)
 
     def test_bad_peer_rejected(self):
-        def prog(comm):
+        async def prog(comm):
             comm.send(1, 99)
 
         with pytest.raises(CommError):
-            run_spmd(prog, 2, timeout=5)
+            run_spmd(prog, 2)
 
     def test_zero_size_rejected(self):
         with pytest.raises(CommError):
@@ -102,85 +167,85 @@ class TestEngine:
 class TestCollectives:
     @pytest.mark.parametrize("size", SIZES)
     def test_allreduce_sum_scalar(self, size):
-        results = run_spmd(lambda c: c.allreduce(c.rank + 1, SUM), size, timeout=10)
+        results = run_spmd(lambda c: c.allreduce(c.rank + 1, SUM), size)
         assert results == [size * (size + 1) // 2] * size
 
     @pytest.mark.parametrize("size", SIZES)
     def test_allreduce_array(self, size):
-        def prog(comm):
-            return comm.allreduce(np.full(3, float(comm.rank)), SUM)
+        async def prog(comm):
+            return await comm.allreduce(np.full(3, float(comm.rank)), SUM)
 
-        for r in run_spmd(prog, size, timeout=10):
+        for r in run_spmd(prog, size):
             assert np.allclose(r, sum(range(size)))
 
     @pytest.mark.parametrize("size", SIZES)
     def test_allreduce_max_min(self, size):
-        assert run_spmd(lambda c: c.allreduce(c.rank, MAX), size, timeout=10) == [size - 1] * size
-        assert run_spmd(lambda c: c.allreduce(c.rank, MIN), size, timeout=10) == [0] * size
+        assert run_spmd(lambda c: c.allreduce(c.rank, MAX), size) == [size - 1] * size
+        assert run_spmd(lambda c: c.allreduce(c.rank, MIN), size) == [0] * size
 
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("root", [0, -1])
     def test_bcast(self, size, root):
         root = root % size
 
-        def prog(comm):
-            return comm.bcast({"v": 7} if comm.rank == root else None, root=root)
+        async def prog(comm):
+            return await comm.bcast({"v": 7} if comm.rank == root else None, root=root)
 
-        assert run_spmd(prog, size, timeout=10) == [{"v": 7}] * size
+        assert run_spmd(prog, size) == [{"v": 7}] * size
 
     @pytest.mark.parametrize("size", SIZES)
     def test_reduce_only_root_gets_result(self, size):
         root = size - 1
 
-        def prog(comm):
-            return comm.reduce(comm.rank + 1, SUM, root=root)
+        async def prog(comm):
+            return await comm.reduce(comm.rank + 1, SUM, root=root)
 
-        results = run_spmd(prog, size, timeout=10)
+        results = run_spmd(prog, size)
         assert results[root] == size * (size + 1) // 2
         assert all(r is None for i, r in enumerate(results) if i != root)
 
     @pytest.mark.parametrize("size", SIZES)
     def test_gather_scatter(self, size):
-        def prog(comm):
-            gathered = comm.gather(comm.rank**2, root=0)
+        async def prog(comm):
+            gathered = await comm.gather(comm.rank**2, root=0)
             values = [v * 10 for v in gathered] if comm.rank == 0 else None
-            return comm.scatter(values, root=0)
+            return await comm.scatter(values, root=0)
 
-        assert run_spmd(prog, size, timeout=10) == [10 * r * r for r in range(size)]
+        assert run_spmd(prog, size) == [10 * r * r for r in range(size)]
 
     @pytest.mark.parametrize("size", SIZES)
     def test_allgather(self, size):
-        results = run_spmd(lambda c: c.allgather(c.rank), size, timeout=10)
+        results = run_spmd(lambda c: c.allgather(c.rank), size)
         assert results == [list(range(size))] * size
 
     @pytest.mark.parametrize("size", SIZES)
     def test_alltoall(self, size):
-        def prog(comm):
-            return comm.alltoall([comm.rank * 100 + j for j in range(size)])
+        async def prog(comm):
+            return await comm.alltoall([comm.rank * 100 + j for j in range(size)])
 
-        results = run_spmd(prog, size, timeout=10)
+        results = run_spmd(prog, size)
         for r, row in enumerate(results):
             assert row == [j * 100 + r for j in range(size)]
 
     @pytest.mark.parametrize("size", SIZES)
     def test_barrier_completes(self, size):
-        def prog(comm):
-            comm.barrier()
+        async def prog(comm):
+            await comm.barrier()
             return True
 
-        assert all(run_spmd(prog, size, timeout=10))
+        assert all(run_spmd(prog, size))
 
     def test_float_allreduce_deterministic_across_ranks(self):
-        def prog(comm):
+        async def prog(comm):
             rng = np.random.default_rng(comm.rank)
-            return comm.allreduce(float(rng.standard_normal()), SUM)
+            return await comm.allreduce(float(rng.standard_normal()), SUM)
 
-        results = run_spmd(prog, 7, timeout=10)
+        results = run_spmd(prog, 7)
         assert all(r == results[0] for r in results)
 
     def test_custom_reduce_op(self):
         concat = ReduceOp("concat", lambda a, b: a + b)
-        results = run_spmd(lambda c: c.allreduce([c.rank], concat), 4, timeout=10)
+        results = run_spmd(lambda c: c.allreduce([c.rank], concat), 4)
         for r in results:
             assert sorted(r) == [0, 1, 2, 3]
 
@@ -188,31 +253,36 @@ class TestCollectives:
 class TestSelfComm:
     def test_collectives_are_local(self):
         comm = SelfComm()
-        assert comm.allreduce(5, SUM) == 5
-        assert comm.bcast("x") == "x"
-        assert comm.allgather(3) == [3]
-        assert comm.gather(2) == [2]
-        comm.barrier()
+        assert drive(comm.allreduce(5, SUM)) == 5
+        assert drive(comm.bcast("x")) == "x"
+        assert drive(comm.allgather(3)) == [3]
+        assert drive(comm.gather(2)) == [2]
+        drive(comm.barrier())
+
+    def test_clock_accumulates_what_is_charged(self):
+        comm = SelfComm(clock=ClockModel(flop=1e-9, byte=1e-10))
+        comm.advance(comm.clock.kernel_seconds(flops=1000, nbytes=4000))
+        assert comm.now() == max(1000 * 1e-9, 4000 * 1e-10)
 
     def test_p2p_rejected(self):
         comm = SelfComm()
         with pytest.raises(CommError):
             comm.send(1, 0)
         with pytest.raises(CommError):
-            comm.recv(0)
+            drive(comm.recv(0))
 
 
 class TestTracker:
     def test_records_messages(self):
         tracker = CommTracker()
 
-        def prog(comm):
+        async def prog(comm):
             if comm.rank == 0:
                 comm.send(np.ones(10), 1)
             elif comm.rank == 1:
-                comm.recv(0)
+                await comm.recv(0)
 
-        run_spmd(prog, 2, tracker=tracker, timeout=5)
+        run_spmd(prog, 2, tracker=tracker)
         assert tracker.p2p_messages[(0, 1)] == 1
         assert tracker.p2p_bytes[(0, 1)] == 80
         assert tracker.total_messages == 1
@@ -255,38 +325,38 @@ class TestTracker:
 class TestScanReduceScatter:
     @pytest.mark.parametrize("size", SIZES)
     def test_scan_prefix_sums(self, size):
-        results = run_spmd(lambda c: c.scan(c.rank + 1, SUM), size, timeout=10)
+        results = run_spmd(lambda c: c.scan(c.rank + 1, SUM), size)
         assert results == [sum(range(1, r + 2)) for r in range(size)]
 
     @pytest.mark.parametrize("size", SIZES)
     def test_reduce_scatter(self, size):
-        def prog(comm):
-            return comm.reduce_scatter(
+        async def prog(comm):
+            return await comm.reduce_scatter(
                 [comm.rank * 100 + j for j in range(comm.size)], SUM
             )
 
-        results = run_spmd(prog, size, timeout=10)
+        results = run_spmd(prog, size)
         for r, got in enumerate(results):
             assert got == sum(s * 100 + r for s in range(size))
 
     def test_reduce_scatter_needs_full_list(self):
-        def prog(comm):
-            comm.reduce_scatter([1], SUM)
+        async def prog(comm):
+            await comm.reduce_scatter([1], SUM)
 
         with pytest.raises(CommError):
-            run_spmd(prog, 3, timeout=5)
+            run_spmd(prog, 3)
 
     def test_scan_max(self):
         values = [3, 1, 4, 1, 5]
 
-        def prog(comm):
-            return comm.scan(values[comm.rank], MAX)
+        async def prog(comm):
+            return await comm.scan(values[comm.rank], MAX)
 
-        assert run_spmd(prog, 5, timeout=10) == [3, 3, 4, 4, 5]
+        assert run_spmd(prog, 5) == [3, 3, 4, 4, 5]
 
     def test_selfcomm_scan(self):
         from repro.mpisim import SelfComm
 
         comm = SelfComm()
-        assert comm.scan(7, SUM) == 7
-        assert comm.reduce_scatter([9], SUM) == 9
+        assert drive(comm.scan(7, SUM)) == 7
+        assert drive(comm.reduce_scatter([9], SUM)) == 9

@@ -2,46 +2,50 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
+from conftest import drive
 
 from repro.errors import CommError
 from repro.instrument import tracing
-from repro.mpisim import CommTracker, Request, run_spmd, waitall, waitany
+from repro.mpisim import ClockModel, CommTracker, Request, run_spmd, waitall, waitany
 
 
 class TestNonblocking:
     def test_isend_completes_immediately(self):
-        def prog(comm):
+        async def prog(comm):
             if comm.rank == 0:
                 req = comm.isend(5, 1)
-                done, _ = req.test()
+                done, _ = await req.test()
                 assert done
-                assert req.wait() is None
+                assert await req.wait() is None
                 return True
-            return comm.recv(0)
+            return await comm.recv(0)
 
-        assert run_spmd(prog, 2, timeout=5) == [True, 5]
+        assert run_spmd(prog, 2) == [True, 5]
 
     def test_irecv_wait(self):
-        def prog(comm):
+        async def prog(comm):
             if comm.rank == 0:
                 comm.send(np.arange(3.0), 1, tag=4)
                 return None
             req = comm.irecv(0, tag=4)
-            return req.wait().tolist()
+            return (await req.wait()).tolist()
 
-        assert run_spmd(prog, 2, timeout=5)[1] == [0.0, 1.0, 2.0]
+        assert run_spmd(prog, 2)[1] == [0.0, 1.0, 2.0]
 
     def test_irecv_test_polls(self):
-        def prog(comm):
+        """A spin loop on ``test()`` terminates: an incomplete test puts
+        the poller behind every other runnable rank, so the sender runs."""
+        polls = []
+
+        async def prog(comm):
             if comm.rank == 0:
                 got = []
                 req = comm.irecv(1)
                 while True:
-                    done, value = req.test()
+                    done, value = await req.test()
+                    polls.append(done)
                     if done:
                         got.append(value)
                         break
@@ -49,78 +53,106 @@ class TestNonblocking:
             comm.send("payload", 0)
             return None
 
-        assert run_spmd(prog, 2, timeout=5)[0] == ["payload"]
+        assert run_spmd(prog, 2)[0] == ["payload"]
+        assert polls == [False, True]  # one yield was enough, deterministically
+
+    def test_polling_with_no_runnable_peer_is_a_deadlock(self):
+        async def prog(comm):
+            if comm.rank == 0:
+                req = comm.irecv(1)
+                while not (await req.test())[0]:
+                    pass
+            else:
+                await comm.recv(0)  # never sends: nothing can complete the poll
+
+        with pytest.raises(CommError, match="deadlock.*rank 0 polls"):
+            run_spmd(prog, 2)
+
+    def test_test_completes_an_in_flight_message_at_its_arrival(self):
+        async def prog(comm):
+            if comm.rank == 0:
+                comm.send("x", 1)
+                return None
+            req = comm.irecv(0)
+            while not (await req.test())[0]:
+                pass
+            return comm.now()
+
+        assert run_spmd(prog, 2, clock=ClockModel(alpha=0.25))[1] == 0.25
 
     def test_wait_is_idempotent(self):
-        def prog(comm):
+        async def prog(comm):
             if comm.rank == 0:
                 comm.send(7, 1)
                 return None
             req = comm.irecv(0)
-            return (req.wait(), req.wait())  # second wait returns cached value
+            return (await req.wait(), await req.wait())  # second wait returns cached value
 
-        assert run_spmd(prog, 2, timeout=5)[1] == (7, 7)
+        assert run_spmd(prog, 2)[1] == (7, 7)
 
     def test_waitall_pairwise_exchange(self):
-        def prog(comm):
+        async def prog(comm):
             for dst in range(comm.size):
                 if dst != comm.rank:
                     comm.isend(comm.rank * 10, dst)
             reqs = [
                 comm.irecv(src) for src in range(comm.size) if src != comm.rank
             ]
-            return sorted(waitall(reqs))
+            return sorted(await waitall(reqs))
 
-        results = run_spmd(prog, 4, timeout=10)
+        results = run_spmd(prog, 4)
         for r, got in enumerate(results):
             assert got == sorted(10 * s for s in range(4) if s != r)
 
     def test_irecv_bad_peer(self):
-        def prog(comm):
+        async def prog(comm):
             comm.irecv(99)
 
         with pytest.raises(CommError):
-            run_spmd(prog, 2, timeout=5)
+            run_spmd(prog, 2)
 
     def test_standalone_completed_request(self):
         req = Request(completed=True, value=42)
-        assert req.test() == (True, 42)
-        assert req.wait() == 42
+        assert drive(req.test()) == (True, 42)
+        assert drive(req.wait()) == 42
 
 
 class TestWaitany:
     def test_returns_each_completion_once(self):
-        def prog(comm):
+        async def prog(comm):
             if comm.rank == 0:
                 reqs = [comm.irecv(src) for src in (1, 2, 3)]
                 got = []
                 while reqs:
-                    idx, value = waitany(reqs)
+                    idx, value = await waitany(reqs)
                     got.append(value)
                     reqs.pop(idx)
                 return sorted(got)
-            time.sleep(0.005 * comm.rank)  # stagger arrivals
+            comm.advance(0.005 * comm.rank)  # stagger arrivals
             comm.send(comm.rank * 11, 0)
             return None
 
-        assert run_spmd(prog, 4, timeout=10)[0] == [11, 22, 33]
+        assert run_spmd(prog, 4)[0] == [11, 22, 33]
 
     def test_empty_list_raises(self):
         with pytest.raises(CommError, match="at least one"):
-            waitany([])
+            drive(waitany([]))
 
     def test_timeout_raises(self):
-        def prog(comm):
+        """The timeout is modeled time: with rank 1 blocked on rank 0,
+        nothing is runnable, so the earliest deadline expires — exactly."""
+
+        async def prog(comm):
             if comm.rank == 0:
                 req = comm.irecv(1)
                 with pytest.raises(CommError, match="timed out"):
-                    waitany([req], timeout=0.05)
+                    await waitany([req], timeout=0.05)
                 comm.send("unblock", 1)
-                return True
-            comm.recv(0)
-            return True
+                return comm.now()
+            await comm.recv(0)
+            return comm.now()
 
-        assert run_spmd(prog, 2, timeout=10) == [True, True]
+        assert run_spmd(prog, 2) == [0.05, 0.05]
 
 
 class TestSendrecv:
@@ -129,36 +161,37 @@ class TestSendrecv:
         blocking-send implementation would deadlock here; the isend-based
         one must exchange the payloads."""
 
-        def prog(comm):
+        async def prog(comm):
             other = 1 - comm.rank
-            return comm.sendrecv(
+            got = await comm.sendrecv(
                 np.full(4, float(comm.rank)), dest=other, source=other
-            ).tolist()
+            )
+            return got.tolist()
 
-        out = run_spmd(prog, 2, timeout=10)
+        out = run_spmd(prog, 2)
         assert out[0] == [1.0] * 4
         assert out[1] == [0.0] * 4
 
     def test_ring_shifts_each_engine(self):
-        def prog(comm):
+        """(There is one engine now; the ring is the point.)"""
+        async def prog(comm):
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
-            return comm.sendrecv(comm.rank, dest=right, source=left)
+            return await comm.sendrecv(comm.rank, dest=right, source=left)
 
-        for engine in ("threads", "events"):
-            assert run_spmd(prog, 5, timeout=10, engine=engine) == [4, 0, 1, 2, 3]
+        assert run_spmd(prog, 5) == [4, 0, 1, 2, 3]
 
     def test_self_exchange_is_identity(self):
-        def prog(comm):
-            return comm.sendrecv("mine", dest=comm.rank, source=comm.rank)
+        async def prog(comm):
+            return await comm.sendrecv("mine", dest=comm.rank, source=comm.rank)
 
-        assert run_spmd(prog, 2, timeout=5) == ["mine", "mine"]
+        assert run_spmd(prog, 2) == ["mine", "mine"]
 
 
 class TestCoalescing:
     PAYLOADS = 5
 
-    def exchange(self, comm, coalesce):
+    async def exchange(self, comm, coalesce):
         if comm.rank == 0:
             if coalesce:
                 with comm.coalescing():
@@ -168,12 +201,12 @@ class TestCoalescing:
                 for i in range(self.PAYLOADS):
                     comm.send(np.full(8, float(i)), 1, tag=i)
             return None
-        return [float(comm.recv(0, tag=i)[0]) for i in range(self.PAYLOADS)]
+        return [float((await comm.recv(0, tag=i))[0]) for i in range(self.PAYLOADS)]
 
     def run(self, coalesce):
         tracker = CommTracker()
         with tracing() as (_, metrics):
-            out = run_spmd(self.exchange, 2, coalesce, tracker=tracker, timeout=10)
+            out = run_spmd(self.exchange, 2, coalesce, tracker=tracker)
         return out, tracker, metrics.sum_values("mpisim.coalesced_payloads")
 
     def test_one_message_per_edge_same_bytes(self):
@@ -190,7 +223,7 @@ class TestCoalescing:
         assert n_coal == self.PAYLOADS
 
     def test_nested_epochs_flush_once(self):
-        def prog(comm):
+        async def prog(comm):
             if comm.rank == 0:
                 with comm.coalescing():
                     comm.send(1, 1, tag=0)
@@ -198,10 +231,10 @@ class TestCoalescing:
                         comm.send(2, 1, tag=1)
                     comm.send(3, 1, tag=2)
                 return None
-            return [comm.recv(0, tag=t) for t in range(3)]
+            return [await comm.recv(0, tag=t) for t in range(3)]
 
         tracker = CommTracker()
-        out = run_spmd(prog, 2, tracker=tracker, timeout=10)
+        out = run_spmd(prog, 2, tracker=tracker)
         assert out[1] == [1, 2, 3]
         assert tracker.snapshot()["p2p_messages"][(0, 1)] == 1
 
@@ -210,36 +243,50 @@ class TestCoalescing:
         staged sends first, or two ranks could deadlock waiting on each
         other's unflushed traffic."""
 
-        def prog(comm):
+        async def prog(comm):
             other = 1 - comm.rank
             with comm.coalescing():
                 comm.send(comm.rank * 5, other)
-                return comm.recv(other)
+                return await comm.recv(other)
 
-        assert run_spmd(prog, 2, timeout=10) == [5, 0]
+        assert run_spmd(prog, 2) == [5, 0]
 
 
 class TestLatency:
-    def test_messages_arrive_after_the_modeled_delay(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send("late", 1)
-                return 0.0
-            t0 = time.perf_counter()
-            comm.recv(0)
-            return time.perf_counter() - t0
+    """Link latency is modeled, so these are equalities, not bands."""
 
-        elapsed = run_spmd(prog, 2, timeout=10, latency=0.05)[1]
-        assert elapsed >= 0.03
+    @staticmethod
+    async def prog(comm):
+        if comm.rank == 0:
+            comm.send(np.zeros(100), 1)
+            return comm.now()
+        await comm.recv(0)
+        return comm.now()
+
+    def test_messages_arrive_after_the_modeled_delay(self):
+        assert run_spmd(self.prog, 2, clock=ClockModel(alpha=0.05)) == [0.0, 0.05]
+
+    def test_bandwidth_term_scales_with_payload_bytes(self):
+        out = run_spmd(self.prog, 2, clock=ClockModel(alpha=0.05, beta=1e-3))
+        assert out == [0.0, 0.05 + 1e-3 * 800]
 
     def test_zero_latency_is_prompt(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send("now", 1)
-                return 0.0
-            t0 = time.perf_counter()
-            comm.recv(0)
-            return time.perf_counter() - t0
+        assert run_spmd(self.prog, 2) == [0.0, 0.0]
 
-        elapsed = run_spmd(prog, 2, timeout=10)[1]
-        assert elapsed < 1.0
+    def test_late_receiver_does_not_wait(self):
+        """A completed receive sets the clock to max(own, arrival)."""
+
+        async def prog(comm):
+            if comm.rank == 0:
+                comm.send("early", 1)
+                return comm.now()
+            comm.advance(1.0)  # busy past the arrival
+            await comm.recv(0)
+            return comm.now()
+
+        assert run_spmd(prog, 2, clock=ClockModel(alpha=0.05)) == [0.0, 1.0]
+
+    def test_negative_or_nan_rates_rejected(self):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(CommError, match="ClockModel"):
+                ClockModel(alpha=bad)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.cachesim import CacheConfig, simulate_misses
 from repro.dist import DistMatrix, DistVector, RowPartition
 from repro.matgen import poisson2d
-from repro.mpisim import MAX, MIN, SUM, run_spmd
+from repro.mpisim import MAX, MIN, SUM, ClockModel, run_spmd
 from repro.partition import graph_from_matrix, partition_matrix
 
 SETTINGS = settings(max_examples=15, deadline=None)
@@ -23,10 +23,10 @@ class TestCollectiveProperties:
         rng = np.random.default_rng(seed)
         values = rng.integers(-1000, 1000, size).tolist()
 
-        def prog(comm):
-            return comm.allreduce(values[comm.rank], SUM)
+        async def prog(comm):
+            return await comm.allreduce(values[comm.rank], SUM)
 
-        assert run_spmd(prog, size, timeout=15) == [sum(values)] * size
+        assert run_spmd(prog, size) == [sum(values)] * size
 
     @SETTINGS
     @given(st.integers(2, 8), st.integers(0, 2**31 - 1))
@@ -34,13 +34,13 @@ class TestCollectiveProperties:
         rng = np.random.default_rng(seed)
         values = rng.standard_normal(size).tolist()
 
-        def prog(comm):
+        async def prog(comm):
             return (
-                comm.allreduce(values[comm.rank], MAX),
-                comm.allreduce(values[comm.rank], MIN),
+                await comm.allreduce(values[comm.rank], MAX),
+                await comm.allreduce(values[comm.rank], MIN),
             )
 
-        for mx, mn in run_spmd(prog, size, timeout=15):
+        for mx, mn in run_spmd(prog, size):
             assert mx == max(values)
             assert mn == min(values)
 
@@ -49,10 +49,144 @@ class TestCollectiveProperties:
     def test_bcast_from_any_root(self, size, root):
         root = root % size
 
-        def prog(comm):
-            return comm.bcast(("payload", root) if comm.rank == root else None, root)
+        async def prog(comm):
+            return await comm.bcast(("payload", root) if comm.rank == root else None, root)
 
-        assert run_spmd(prog, size, timeout=15) == [("payload", root)] * size
+        assert run_spmd(prog, size) == [("payload", root)] * size
+
+
+# A random SPMD program is a tree: leaves are communication steps every rank
+# takes part in (or sits out), inner nodes run their children in order,
+# possibly repeated.  ``size`` is not known when the tree is drawn, so ranks
+# are drawn as large integers and reduced modulo the size at run time.
+_RANK = st.integers(0, 10_000)
+_LEAF = st.one_of(
+    st.tuples(st.just("p2p"), _RANK, _RANK, st.integers(-99, 99)),
+    st.tuples(st.just("ring"), st.integers(1, 8)),
+    st.tuples(st.just("allreduce"), st.sampled_from(["sum", "max", "min"])),
+    st.tuples(st.just("bcast"), _RANK),
+    st.tuples(st.just("reduce"), _RANK),
+    st.tuples(st.just("gather"), _RANK),
+    st.tuples(st.just("scan")),
+    st.tuples(st.just("allgather")),
+    st.tuples(st.just("alltoall")),
+    st.tuples(st.just("barrier")),
+    st.tuples(st.just("work"), _RANK, st.integers(1, 50)),
+)
+_TREE = st.recursive(
+    _LEAF,
+    lambda children: st.tuples(
+        st.just("seq"), st.integers(1, 2), st.lists(children, min_size=1, max_size=4)
+    ),
+    max_leaves=12,
+)
+_OPS = {"sum": SUM, "max": MAX, "min": MIN}
+_PY_OPS = {"sum": sum, "max": max, "min": min}
+
+
+def _leaves(node):
+    """The program a tree denotes: its leaves in execution order."""
+    if node[0] != "seq":
+        yield node
+        return
+    for _ in range(node[1]):
+        for child in node[2]:
+            yield from _leaves(child)
+
+
+def _oracle(tree, size):
+    """Run the program sequentially on a list of per-rank integers."""
+    state = list(range(1, size + 1))
+    for leaf in _leaves(tree):
+        kind = leaf[0]
+        if kind == "p2p":
+            src, dst = leaf[1] % size, leaf[2] % size
+            if src != dst:
+                state[dst] += state[src] + leaf[3]
+        elif kind == "ring":
+            shift = leaf[1] % size
+            if shift:
+                state = [state[r] + state[(r - shift) % size] for r in range(size)]
+        elif kind == "allreduce":
+            state = [_PY_OPS[leaf[1]](state)] * size
+        elif kind == "bcast":
+            state = [state[leaf[1] % size]] * size
+        elif kind == "reduce":
+            state[leaf[1] % size] = sum(state)
+        elif kind == "gather":
+            root = leaf[1] % size
+            state[root] = sum((r + 1) * v for r, v in enumerate(state))
+        elif kind == "scan":
+            state = [sum(state[: r + 1]) for r in range(size)]
+        elif kind == "allgather":
+            state = [sum((r + 1) * v for r, v in enumerate(state))] * size
+        elif kind == "alltoall":
+            state = [sum(state[s] * (r + 1) for s in range(size)) for r in range(size)]
+    return state
+
+
+async def _rank_program(comm, tree, alpha):
+    """The same program as one rank sees it.  Returns the final value and
+    the clock after every step; asserts on the way that no message is
+    received earlier than it was sent plus the link latency."""
+    size, rank = comm.size, comm.rank
+    value = rank + 1
+    clocks = [comm.now()]
+    for leaf in _leaves(tree):
+        kind = leaf[0]
+        if kind == "p2p":
+            src, dst = leaf[1] % size, leaf[2] % size
+            if src != dst and rank == src:
+                comm.send((value + leaf[3], comm.now()), dst, tag=5)
+            elif src != dst and rank == dst:
+                got, sent = await comm.recv(src, tag=5)
+                assert comm.now() >= sent + alpha
+                value += got
+        elif kind == "ring":
+            shift = leaf[1] % size
+            if shift:
+                got, sent = await comm.sendrecv(
+                    (value, comm.now()), dest=(rank + shift) % size,
+                    source=(rank - shift) % size, tag=6,
+                )
+                assert comm.now() >= sent + alpha
+                value += got
+        elif kind == "allreduce":
+            value = await comm.allreduce(value, _OPS[leaf[1]])
+        elif kind == "bcast":
+            value = await comm.bcast(value, root=leaf[1] % size)
+        elif kind == "reduce":
+            total = await comm.reduce(value, SUM, root=leaf[1] % size)
+            if rank == leaf[1] % size:
+                value = total
+        elif kind == "gather":
+            gathered = await comm.gather(value, root=leaf[1] % size)
+            if gathered is not None:
+                value = sum((r + 1) * v for r, v in enumerate(gathered))
+        elif kind == "scan":
+            value = await comm.scan(value, SUM)
+        elif kind == "allgather":
+            value = sum((r + 1) * v for r, v in enumerate(await comm.allgather(value)))
+        elif kind == "alltoall":
+            value = sum(await comm.alltoall([value * (d + 1) for d in range(size)]))
+        elif kind == "barrier":
+            await comm.barrier()
+        elif kind == "work" and rank == leaf[1] % size:
+            comm.advance(leaf[2] * 1e-6)
+        clocks.append(comm.now())
+    return value, clocks
+
+
+class TestRandomPrograms:
+    @settings(max_examples=40, deadline=None)
+    @given(_TREE, st.integers(2, 9), st.sampled_from([0.0, 1e-6, 2.5e-4]))
+    def test_random_program_matches_sequential_oracle(self, tree, size, alpha):
+        clock = ClockModel(alpha=alpha, beta=1e-9)
+        out = run_spmd(_rank_program, size, tree, alpha, clock=clock)
+        assert [value for value, _ in out] == _oracle(tree, size)
+        for _, clocks in out:
+            assert clocks == sorted(clocks)  # a rank's clock never runs backwards
+        assert out == run_spmd(_rank_program, size, tree, alpha, clock=clock)
 
 
 class TestPartitionProperties:

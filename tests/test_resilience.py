@@ -361,7 +361,7 @@ class TestSpmdInjection:
         the message already survived the injected retry loop."""
         plan = FaultPlan(seed=4, drops=(MessageDrop(probability=0.4),))
 
-        def prog(comm):
+        async def prog(comm):
             # sends are buffered, so rank 1 need not post a receive: the
             # failure fires in rank 0's send path, after the retry loop
             if comm.rank == 0:
@@ -369,7 +369,7 @@ class TestSpmdInjection:
 
         with fault_injection(plan):
             with pytest.raises(CommError, match="not picklable"):
-                run_spmd(prog, 2, tracker=CommTracker(), timeout=10.0)
+                run_spmd(prog, 2, tracker=CommTracker())
 
 
 # ---------------------------------------------------------------------------

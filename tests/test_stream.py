@@ -20,6 +20,7 @@ from repro.observe import (
     classify_wait_tag,
     sampled_ranks,
 )
+from repro.perfmodel import SKYLAKE
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +208,11 @@ class TestInBandAggregation:
         cfg = TelemetryConfig(rank_sample=4)
         results = {}
 
-        def fn(comm):
+        async def fn(comm):
             t = cfg.make_rank(comm.rank, comm.size)
             t.observe_wait(0.001 * (comm.rank + 1), tag=5)
             t.observe("compute", 0.01)
-            results[comm.rank] = aggregate_telemetry(comm, t)
+            results[comm.rank] = await aggregate_telemetry(comm, t)
 
         run_spmd(fn, size)
         assert all(results[r] is None for r in range(1, size))
@@ -227,10 +228,10 @@ class TestInBandAggregation:
         tracker = CommTracker()
         cfg = TelemetryConfig(rank_sample=2)
 
-        def fn(comm):
+        async def fn(comm):
             t = cfg.make_rank(comm.rank, comm.size)
             t.observe("compute", 0.01)
-            aggregate_telemetry(comm, t)
+            await aggregate_telemetry(comm, t)
 
         run_spmd(fn, 8, tracker=tracker)
         assert tracker.total_messages == 0  # nothing on the solver channel
@@ -249,13 +250,14 @@ class TestInBandAggregation:
         tracker = CommTracker()
         _, iterations = spmd_pipelined_pcg(
             da, b, rtol=1e-6, max_iterations=15, tracker=tracker,
-            telemetry=cfg,
+            telemetry=cfg, clock=SKYLAKE.clock_model(),
         )
         cluster = cfg.result
         assert cluster is not None and cluster.ranks == 4
-        phases = cluster.phase_seconds()
+        phases = cluster.phase_seconds()  # modeled seconds of the schedule
         assert phases["compute"] > 0
         assert phases["reduction"] > 0
+        assert phases["halo"] > 0
         assert cluster.hists["message_bytes"].count == tracker.total_messages
         assert cluster.counters["bytes"] == tracker.total_bytes
         assert len(cluster.sampled) == 2

@@ -24,6 +24,7 @@ import pytest
 
 from repro.core.precond import build_fsai, build_fsaie_comm
 from repro.instrument import tracing
+from repro.perfmodel import SKYLAKE
 from repro.observe import (
     CommEdge,
     HaloCriticalPath,
@@ -274,13 +275,23 @@ class TestSpmdReconstruction:
 
         mat, part, da, b = dist_poisson16
         pre = build_fsaie_comm(mat, part)
-        with tracing() as (tracer, _):
-            _, iterations = spmd_cg(
-                da, b, precond_pair=(pre.g, pre.gt), max_iterations=200
-            )
-        tl = Timeline.from_tracer(tracer, meta={"iterations": iterations})
+
+        def traced_timeline():
+            with tracing() as (tracer, _):
+                _, iterations = spmd_cg(
+                    da, b, precond_pair=(pre.g, pre.gt), max_iterations=200,
+                    clock=SKYLAKE.clock_model(),
+                )
+            roots.append([s.start for s in tracer.by_name("spmd.rank")])
+            return Timeline.from_tracer(tracer, meta={"iterations": iterations})
+
+        roots = []
+        tl = traced_timeline()
         assert tl.ranks == [0, 1, 2, 3]
-        assert set(tl.offsets) == {0, 1, 2, 3}
+        # modeled seconds on one shared axis: every rank launches at 0 (no
+        # clock offsets) and a second run reproduces the document exactly
+        assert roots == [[0.0] * 4]
+        assert traced_timeline().to_dict() == tl.to_dict()
         kinds = {s.kind for s in tl.segments}
         assert {"compute", "pack", "wait", "reduction"} <= kinds
         cp = tl.critical_path()
