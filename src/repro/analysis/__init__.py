@@ -4,12 +4,10 @@ from repro.analysis.convergence import (
     SpectralEstimate,
     convergence_rate,
     estimate_spectrum,
-    lanczos_tridiagonal,
 )
-from repro.analysis.histogram import format_histogram_pair, histogram_series
+from repro.analysis.histogram import format_histogram_pair
 from repro.analysis.metrics import (
     ImprovementSummary,
-    best_per_matrix,
     pct_decrease,
     pct_increase,
     summarize_improvements,
@@ -21,13 +19,10 @@ __all__ = [
     "pct_increase",
     "ImprovementSummary",
     "summarize_improvements",
-    "best_per_matrix",
     "format_table",
     "format_kv",
-    "histogram_series",
     "format_histogram_pair",
     "SpectralEstimate",
     "estimate_spectrum",
-    "lanczos_tridiagonal",
     "convergence_rate",
 ]

@@ -16,7 +16,6 @@ __all__ = [
     "pct_increase",
     "ImprovementSummary",
     "summarize_improvements",
-    "best_per_matrix",
 ]
 
 
@@ -80,9 +79,3 @@ def summarize_improvements(
         highest_degradation=float(time_imps.min()),
     )
 
-
-def best_per_matrix(times_by_filter: dict[float, np.ndarray]) -> np.ndarray:
-    """Per-matrix best (smallest) time across filter values — the paper's
-    "Best Filter" row picks the best configuration for each matrix."""
-    stacked = np.stack([np.asarray(v, dtype=np.float64) for v in times_by_filter.values()])
-    return stacked.min(axis=0)

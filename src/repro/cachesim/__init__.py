@@ -2,12 +2,12 @@
 
 * :class:`CacheConfig` — L1 geometry (size/line/associativity).
 * :class:`SetAssociativeCache`, :func:`simulate_misses` — LRU simulator.
-* :func:`spmv_x_misses`, :func:`precond_x_misses` — the paper's Fig. 3a/5a
-  metric: misses on the SpMV multiplying vector.
+* :func:`precond_x_misses_per_rank` — the paper's Fig. 3a/5a metric:
+  misses on the multiplying vector of ``Gᵀ(Gx)``, per rank.
 * line-geometry helpers used by the pattern extensions.
 
-Predefined L1 geometries for the three evaluated machines are exposed as
-:data:`L1_SKYLAKE`, :data:`L1_A64FX` and :data:`L1_ZEN2`.
+The L1 geometries of the three evaluated machines are defined here as
+``L1_SKYLAKE``, ``L1_A64FX`` and ``L1_ZEN2``.
 """
 
 from repro.cachesim.cache import (
@@ -16,22 +16,8 @@ from repro.cachesim.cache import (
     SetAssociativeCache,
     simulate_misses,
 )
-from repro.cachesim.hierarchy import (
-    L2_A64FX,
-    L2_SKYLAKE,
-    L2_ZEN2,
-    CacheHierarchy,
-    HierarchyResult,
-)
-from repro.cachesim.lines import doubles_per_line, line_block, line_ids, line_of
-from repro.cachesim.spmv_trace import (
-    X_MISSES_GAUGE,
-    entry_categories,
-    precond_x_misses,
-    precond_x_misses_per_rank,
-    spmv_x_misses,
-    x_access_lines,
-)
+from repro.cachesim.lines import doubles_per_line, line_ids
+from repro.cachesim.spmv_trace import precond_x_misses_per_rank, x_access_lines
 
 #: Intel Xeon Platinum 8160 (Skylake): 32 KiB, 8-way, 64 B lines.
 L1_SKYLAKE = CacheConfig(size_bytes=32 * 1024, line_bytes=64, associativity=8)
@@ -45,22 +31,8 @@ __all__ = [
     "CacheConfig",
     "SetAssociativeCache",
     "simulate_misses",
-    "CacheHierarchy",
-    "HierarchyResult",
-    "L2_SKYLAKE",
-    "L2_A64FX",
-    "L2_ZEN2",
     "doubles_per_line",
-    "line_of",
-    "line_block",
     "line_ids",
-    "X_MISSES_GAUGE",
     "x_access_lines",
-    "entry_categories",
-    "spmv_x_misses",
-    "precond_x_misses",
     "precond_x_misses_per_rank",
-    "L1_SKYLAKE",
-    "L1_A64FX",
-    "L1_ZEN2",
 ]

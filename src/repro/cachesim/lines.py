@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["doubles_per_line", "line_of", "line_block", "line_ids"]
+__all__ = ["doubles_per_line", "line_ids"]
 
 _DOUBLE_BYTES = 8
 
@@ -23,23 +23,6 @@ def doubles_per_line(line_bytes: int) -> int:
     return line_bytes // _DOUBLE_BYTES
 
 
-def line_of(col: int, line_bytes: int) -> int:
-    """Cache-line id containing ``x[col]``."""
-    return int(col) // doubles_per_line(line_bytes)
-
-
-def line_block(col: int, line_bytes: int, n: int) -> tuple[int, int]:
-    """Half-open range ``[start, end)`` of vector positions sharing the line
-    of ``x[col]``, clipped to a vector of length ``n``.
-
-    This is step 10 of Alg. 3: "compute the initial and final columns of the
-    block of entries matching the cache line of x_j".
-    """
-    dpl = doubles_per_line(line_bytes)
-    start = (int(col) // dpl) * dpl
-    return start, min(start + dpl, int(n))
-
-
 def line_ids(cols: np.ndarray, line_bytes: int) -> np.ndarray:
-    """Vectorised :func:`line_of` for an index array."""
+    """Cache-line id containing ``x[col]``, for every ``col`` of an index array."""
     return np.asarray(cols, dtype=np.int64) // doubles_per_line(line_bytes)

@@ -36,8 +36,6 @@ __all__ = [
     "X_MISSES_GAUGE",
     "x_access_lines",
     "entry_categories",
-    "spmv_x_misses",
-    "precond_x_misses",
     "precond_x_misses_per_rank",
 ]
 
@@ -78,11 +76,6 @@ def entry_categories(local: LocalMatrix, base_csr: CSRMatrix) -> np.ndarray:
     rows = np.repeat(local.global_rows, csr.row_nnz())
     out[base.contains(rows, col_map[csr.indices])] = CATEGORY_BASE
     return out
-
-
-def spmv_x_misses(mat: CSRMatrix, config: CacheConfig) -> int:
-    """L1 misses on ``x`` for one SpMV with ``mat`` on a cold cache."""
-    return simulate_misses(x_access_lines(mat, config.line_bytes), config)
 
 
 def _replay_attributed(
@@ -143,7 +136,7 @@ def precond_x_misses_per_rank(
     metrics = get_metrics()
     nparts = g.partition.nparts
     out = np.zeros(nparts, dtype=np.int64)
-    with tracer.span("cachesim.precond_x_misses", ranks=nparts):
+    with tracer.span("cachesim.precond_x_misses_per_rank", ranks=nparts):
         for p in range(nparts):
             stream = np.concatenate(
                 [
@@ -165,14 +158,3 @@ def precond_x_misses_per_rank(
                 metrics.gauge(X_MISSES_GAUGE, rank=p).set(int(out[p]))
     return out
 
-
-def precond_x_misses(
-    g: DistMatrix, gt: DistMatrix, config: CacheConfig
-) -> tuple[float, int]:
-    """Average per-rank misses and total ``G`` entries for normalisation.
-
-    Returns ``(mean misses per rank, nnz(G))`` — Figure 3a plots
-    ``mean_misses / nnz`` per matrix.
-    """
-    per_rank = precond_x_misses_per_rank(g, gt, config)
-    return float(per_rank.mean()), g.nnz

@@ -44,7 +44,7 @@ from repro.perfmodel import MACHINES, CostModel
 from repro.sparse import CSRMatrix, read_matrix_market
 from repro.sparse.ops import is_symmetric
 
-__all__ = ["main", "build_parser", "load_matrix"]
+__all__ = ["main"]
 
 _BUILDERS = {"fsai": build_fsai, "fsaie": build_fsaie, "comm": build_fsaie_comm}
 

@@ -15,19 +15,12 @@ Typical use::
 :func:`repro.core.cg.resolve_precond`.
 """
 
-from repro.core.adaptive import FSPAIOptions, fspai_factor, fspai_pattern
-from repro.core.baselines import block_jacobi_preconditioner, jacobi_preconditioner
+from repro.core.adaptive import FSPAIOptions, fspai_factor
 from repro.core.cg import CGResult, cg, pcg, resolve_precond
-from repro.core.extension import (
-    ExtensionMode,
-    RankExtension,
-    extend_dist_pattern,
-    extend_rank_pattern,
-)
+from repro.core.extension import ExtensionMode, RankExtension, extend_dist_pattern
 from repro.core.filtering import (
     FilterSpec,
     compute_dynamic_filters,
-    dynamic_filter_for_rank,
     entry_ratios,
     extension_entry_mask,
     imbalance_index,
@@ -37,12 +30,9 @@ from repro.core.fsai import (
     FSAIOptions,
     SetupOptions,
     compute_g_values,
-    fsai_factor,
     fsai_pattern,
 )
-from repro.core.solvers import bicgstab, pipelined_pcg, steepest_descent
-from repro.core.spai import spai, spai_values
-from repro.core.spmd_setup import spmd_build_fsaie_comm
+from repro.core.solvers import pipelined_pcg
 from repro.core.precond import (
     ExtensionWorkspace,
     Preconditioner,
@@ -58,24 +48,16 @@ __all__ = [
     "SetupOptions",
     "fsai_pattern",
     "compute_g_values",
-    "fsai_factor",
     "FSPAIOptions",
-    "fspai_pattern",
     "fspai_factor",
-    "spai",
-    "spai_values",
-    "bicgstab",
     "pipelined_pcg",
-    "steepest_descent",
     "ExtensionMode",
     "RankExtension",
-    "extend_rank_pattern",
     "extend_dist_pattern",
     "FilterSpec",
     "entry_ratios",
     "extension_entry_mask",
     "compute_dynamic_filters",
-    "dynamic_filter_for_rank",
     "imbalance_index",
     "relative_load",
     "PrecondOptions",
@@ -84,12 +66,9 @@ __all__ = [
     "build_fsai",
     "build_fsaie",
     "build_fsaie_comm",
-    "spmd_build_fsaie_comm",
     "check_comm_invariance",
     "CGResult",
     "pcg",
     "cg",
     "resolve_precond",
-    "jacobi_preconditioner",
-    "block_jacobi_preconditioner",
 ]

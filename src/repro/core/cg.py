@@ -155,8 +155,8 @@ class _FlightProbe:
     def iteration(self, index: int, residual: float, x: DistVector, **coeffs) -> None:
         """Record iteration ``index`` ending with ``residual`` and iterate ``x``.
 
-        ``coeffs`` carries the recurrence breakdown (``alpha=``, ``beta=`` /
-        ``omega=``) and rides in the event tags.
+        ``coeffs`` carries the recurrence coefficients (``alpha=``,
+        ``beta=``) and rides in the event tags.
         """
         self.tracer.event(
             "flight.iteration",

@@ -130,9 +130,9 @@ def dynamic_filter_for_rank(
     and cannot be recovered by filtering.
 
     ``monitor``, when given, is called as ``monitor(step, filter, load)`` at
-    the initial evaluation (``step=0``) and after every bisection step — the
-    load-balance monitor (:mod:`repro.observe.balance`) records these as the
-    rank's bisection trajectory.
+    the initial evaluation (``step=0``) and after every bisection step —
+    :func:`compute_dynamic_filters` records these as the rank's bisection
+    trajectory.
     """
     lo_band, hi_band = band
     if average_count <= 0:
@@ -170,7 +170,7 @@ def compute_dynamic_filters(
     """Per-rank filter values; static specs return the uniform value.
 
     When metrics are enabled (:func:`repro.instrument.get_metrics`), each
-    rank's bisection is recorded for the load-balance monitor: a
+    rank's bisection is recorded: a
     ``filter.bisection.load`` histogram (the load at every step, initial
     evaluation included), a ``filter.bisection.steps`` counter, and final
     ``filter.value`` / ``filter.load`` gauges — all tagged ``rank=r``.

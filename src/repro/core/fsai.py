@@ -27,8 +27,8 @@ Independence also makes the factor **incremental**: after entries are
 dropped from a computed ``G`` only the rows that lost one need a new solve.
 ``compute_g_values(..., rows=changed, out=values)`` solves exactly those rows
 into a caller-supplied value array and leaves every other entry untouched —
-the one "recompute after dropping" path, shared by :func:`fsai_factor`'s
-post-filter and :meth:`repro.core.precond.ExtensionWorkspace.finalize`.  The
+the "recompute after dropping" path of
+:meth:`repro.core.precond.ExtensionWorkspace.finalize`.  The
 one-small-system-per-row loop all of this replaced lives on in
 ``tests/test_fsai.py`` as the oracle the batched solves are checked against.
 """
@@ -42,7 +42,6 @@ import numpy as np
 from repro.errors import NotSPDError, ShapeError
 from repro.instrument import get_metrics
 from repro.sparse.csr import CSRMatrix, _check_out, _entry_keys, _row_entry_positions
-from repro.sparse.ops import drop_small_relative
 from repro.sparse.pattern import SparsityPattern, power_pattern, threshold_pattern
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "SetupOptions",
     "fsai_pattern",
     "compute_g_values",
-    "fsai_factor",
 ]
 
 # Tikhonov shift (relative to the submatrix diagonal) applied when a local
@@ -90,19 +88,14 @@ class FSAIOptions:
         paper's evaluation uses 0 — pattern of the lower triangle of ``A``.
     level:
         Sparse level ``N``: the pattern is ``lower(pattern(Ã^N))`` (step 2).
-    post_filter:
-        Relative tolerance dropping small computed entries of ``G`` followed
-        by a recompute on the filtered pattern (step 4).  The paper's
-        baseline filters "only null entries" (0.0).
     """
 
     threshold: float = 0.0
     level: int = 1
-    post_filter: float = 0.0
 
     def __post_init__(self):
-        if self.threshold < 0 or self.post_filter < 0:
-            raise ValueError("tolerances must be non-negative")
+        if self.threshold < 0:
+            raise ValueError("threshold must be non-negative")
         if self.level < 1:
             raise ValueError("level must be >= 1")
 
@@ -353,26 +346,3 @@ def _solve_rows_guarded(subs: np.ndarray) -> np.ndarray:
             )
     return out
 
-
-def fsai_factor(
-    mat: CSRMatrix,
-    options: FSAIOptions = FSAIOptions(),
-    *,
-    setup: SetupOptions | None = None,
-) -> CSRMatrix:
-    """Full Alg. 1: pattern, values, optional post-filter + recompute.
-
-    Returns the lower-triangular factor ``G`` with ``GᵀG ≈ A⁻¹``.
-    ``setup`` follows the :func:`compute_g_values` contract.
-    """
-    pattern = fsai_pattern(mat, options)
-    g = compute_g_values(mat, pattern, setup=setup)
-    if options.post_filter > 0.0:
-        # rows that lost no entry keep their values; the others are re-solved
-        filtered = drop_small_relative(g, options.post_filter)
-        changed = np.flatnonzero(filtered.row_nnz() != g.row_nnz())
-        g = compute_g_values(
-            mat, SparsityPattern.from_csr(filtered), setup=setup,
-            rows=changed, out=filtered.data,
-        )
-    return g

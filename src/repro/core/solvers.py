@@ -1,11 +1,4 @@
-"""Additional Krylov solvers beyond CG.
-
-The paper's method lives inside CG (SPD systems), but the SAI preconditioner
-family it builds on is routinely used with general Krylov methods.  This
-module provides a distributed BiCGSTAB so the :mod:`repro.core.spai`
-baseline is actually usable end to end, plus a steepest-descent reference
-used by tests as a convergence sanity check.
-"""
+"""Pipelined preconditioned CG: the communication-hiding variant of PCG."""
 
 from __future__ import annotations
 
@@ -20,161 +13,11 @@ from repro.core.cg import (
 )
 from repro.dist.matrix import DistMatrix
 from repro.dist.vector import DistVector
-from repro.errors import ConvergenceError
 from repro.instrument import get_metrics, get_tracer
 from repro.kernels.workspace import SolverWorkspace
 from repro.mpisim.tracker import CommTracker
 
-__all__ = ["bicgstab", "steepest_descent", "pipelined_pcg"]
-
-
-def bicgstab(
-    mat: DistMatrix,
-    b: DistVector,
-    *,
-    precond: PrecondLike = None,
-    rtol: float = 1e-8,
-    max_iterations: int = 50_000,
-    tracker: CommTracker | None = None,
-    raise_on_fail: bool = False,
-    workspace: SolverWorkspace | None = None,
-) -> CGResult:
-    """Right-preconditioned BiCGSTAB (van der Vorst 1992).
-
-    Solves ``A x = b`` for general (square, nonsingular) ``A``; with
-    ``precond`` it iterates on ``A M y = b``, ``x = M y``, so a
-    nonsymmetric SPAI ``M`` is admissible.  ``precond`` accepts a
-    preconditioner object (anything with ``.apply``) or a bare callable, like
-    :func:`repro.core.cg.pcg`, and the same result type is returned.
-    ``workspace`` follows the :func:`repro.core.cg.pcg` contract.
-    """
-    precond_fn = resolve_precond(precond)
-    ws = workspace if workspace is not None else SolverWorkspace(mat)
-    apply_m = _make_apply(precond_fn, ws, tracker)
-
-    x = DistVector.zeros(mat.partition)
-    r = ws.vector("bicgstab.r").copy_from(b)
-    norm0 = r.norm2(tracker)
-    history = [norm0]
-    if norm0 == 0.0:
-        return CGResult(x, 0, True, history)
-    target = rtol * norm0
-
-    # shadow residual
-    r_hat = ws.vector("bicgstab.r_hat").copy_from(r)
-    rho = alpha = omega = 1.0
-    v = ws.vector("bicgstab.v").fill(0.0)
-    p = ws.vector("bicgstab.p").fill(0.0)
-    s = ws.vector("bicgstab.s")
-    converged = False
-    iterations = 0
-    tracer = get_tracer()
-    iter_counter = get_metrics().counter("bicgstab.iterations")
-    probe = (
-        _FlightProbe(tracer, "bicgstab", mat, b, norm0, tracker)
-        if tracer.enabled
-        else None
-    )
-    for _ in range(max_iterations):
-        if history[-1] <= target:
-            converged = True
-            break
-        with tracer.span("bicgstab.iteration", index=iterations):
-            rho_new = r_hat.dot(r, tracker)
-            if rho_new == 0.0 or not np.isfinite(rho_new):
-                break  # breakdown
-            if iterations == 0:
-                p.copy_from(r)
-            else:
-                beta = (rho_new / rho) * (alpha / omega)
-                # p = r + beta (p − ω v)
-                p.axpy(-omega, v)
-                p.xpay(r, beta)
-            rho = rho_new
-            y = apply_m(p, "bicgstab.y")
-            ws.spmv(mat, y, out=v, tracker=tracker)
-            denom = r_hat.dot(v, tracker)
-            if denom == 0.0 or not np.isfinite(denom):
-                break
-            alpha = rho / denom
-            s.copy_from(r).axpy(-alpha, v)
-            s_norm = s.norm2(tracker)
-            if s_norm <= target:
-                x.axpy(alpha, y)
-                history.append(s_norm)
-                if probe is not None:
-                    probe.iteration(iterations, history[-1], x, alpha=alpha, omega=omega)
-                iterations += 1
-                iter_counter.inc()
-                converged = True
-                break
-            z = apply_m(s, "bicgstab.z")
-            t = ws.spmv(mat, z, out=ws.vector("bicgstab.t"), tracker=tracker)
-            tt = t.dot(t, tracker)
-            if tt == 0.0:
-                break
-            omega = t.dot(s, tracker) / tt
-            x.axpy(alpha, y)
-            x.axpy(omega, z)
-            r.copy_from(s).axpy(-omega, t)
-            history.append(r.norm2(tracker))
-            if probe is not None:
-                probe.iteration(iterations, history[-1], x, alpha=alpha, omega=omega)
-            iterations += 1
-            iter_counter.inc()
-            if omega == 0.0:
-                break
-
-    if history[-1] <= target:
-        converged = True
-    if not converged and raise_on_fail:
-        raise ConvergenceError(
-            f"BiCGSTAB did not converge in {iterations} iterations",
-            iterations,
-            history[-1],
-        )
-    return CGResult(x, iterations, converged, history)
-
-
-def steepest_descent(
-    mat: DistMatrix,
-    b: DistVector,
-    *,
-    rtol: float = 1e-8,
-    max_iterations: int = 200_000,
-    tracker: CommTracker | None = None,
-) -> CGResult:
-    """Steepest descent on SPD systems — the slow reference baseline.
-
-    Exists so tests can assert CG's superiority against an independent
-    implementation rather than against itself.
-    """
-    x = DistVector.zeros(mat.partition)
-    r = b.copy()
-    norm0 = r.norm2(tracker)
-    history = [norm0]
-    if norm0 == 0.0:
-        return CGResult(x, 0, True, history)
-    target = rtol * norm0
-    iterations = 0
-    converged = False
-    for _ in range(max_iterations):
-        if history[-1] <= target:
-            converged = True
-            break
-        ar = mat.spmv(r, tracker)
-        rr = r.dot(r, tracker)
-        rar = r.dot(ar, tracker)
-        if rar <= 0:
-            break
-        alpha = rr / rar
-        x.axpy(alpha, r)
-        r.axpy(-alpha, ar)
-        history.append(r.norm2(tracker))
-        iterations += 1
-    if history[-1] <= target:
-        converged = True
-    return CGResult(x, iterations, converged, history)
+__all__ = ["pipelined_pcg"]
 
 
 def pipelined_pcg(

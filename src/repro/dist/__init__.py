@@ -12,17 +12,10 @@ Two execution engines share these data structures:
 from repro.dist.halo import HaloSchedule
 from repro.dist.matrix import DistMatrix, LocalMatrix
 from repro.dist.partition_map import RowPartition
-from repro.dist.redistribute import (
-    migration_volume,
-    redistribute_matrix,
-    redistribute_vector,
-)
 from repro.dist.spmd import (
     spmd_cg,
-    spmd_dot,
     spmd_halo_update,
     spmd_pipelined_pcg,
-    spmd_spmv,
 )
 from repro.dist.vector import DistVector
 
@@ -32,11 +25,6 @@ __all__ = [
     "DistVector",
     "LocalMatrix",
     "DistMatrix",
-    "redistribute_vector",
-    "redistribute_matrix",
-    "migration_volume",
-    "spmd_spmv",
-    "spmd_dot",
     "spmd_halo_update",
     "spmd_cg",
     "spmd_pipelined_pcg",

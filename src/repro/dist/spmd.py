@@ -26,8 +26,6 @@ from repro.instrument import get_tracer
 from repro.mpisim import SUM, ClockModel, Comm, CommTracker, run_spmd
 
 __all__ = [
-    "spmd_spmv",
-    "spmd_dot",
     "spmd_halo_update",
     "spmd_cg",
     "spmd_pipelined_pcg",
@@ -209,39 +207,6 @@ def spmd_halo_update(
         _prog, mat.partition.nparts, tracker=tracker, clock=clock,
         telemetry=telemetry,
     )
-
-
-def spmd_spmv(
-    mat: DistMatrix,
-    x: DistVector,
-    tracker: CommTracker | None = None,
-) -> DistVector:
-    """Distributed SpMV executed with real messages; result equals BSP spmv."""
-
-    async def _prog(comm: Comm):
-        return await _fused_spmv(comm, mat, _Operands(comm.rank), x.parts[comm.rank])
-
-    parts = run_spmd(_prog, mat.partition.nparts, tracker=tracker)
-    return DistVector(mat.partition, parts)
-
-
-def spmd_dot(
-    x: DistVector,
-    y: DistVector,
-    tracker: CommTracker | None = None,
-) -> float:
-    """Distributed dot product through a real allreduce on every rank."""
-
-    async def _prog(comm: Comm):
-        p = comm.rank
-        partial = float(np.dot(x.parts[p], y.parts[p]))
-        _charge_vectors(comm, x.parts[p].size, dots=1)
-        return await comm.allreduce(partial, SUM)
-
-    results = run_spmd(_prog, x.partition.nparts, tracker=tracker)
-    first = results[0]
-    assert all(abs(r - first) < 1e-9 * max(1.0, abs(first)) for r in results)
-    return first
 
 
 def spmd_cg(

@@ -40,11 +40,6 @@ from contextlib import contextmanager
 from repro.instrument.export import (
     TraceError,
     read_json_trace,
-    spans_from_dicts,
-    spans_to_dicts,
-    to_chrome_trace,
-    trace_to_dict,
-    validate_span_monotonicity,
     write_chrome_trace,
     write_json_trace,
 )
@@ -71,17 +66,10 @@ __all__ = [
     "NULL_METRICS",
     "get_tracer",
     "get_metrics",
-    "enable_tracing",
-    "disable_tracing",
     "tracing",
     "TraceError",
-    "spans_to_dicts",
-    "trace_to_dict",
     "write_json_trace",
     "read_json_trace",
-    "spans_from_dicts",
-    "validate_span_monotonicity",
-    "to_chrome_trace",
     "write_chrome_trace",
 ]
 
@@ -98,29 +86,6 @@ def get_tracer() -> Tracer | NullTracer:
 def get_metrics() -> MetricsRegistry | NullMetricsRegistry:
     """The active metrics registry (:data:`NULL_METRICS` when disabled)."""
     return _active_metrics
-
-
-def enable_tracing(
-    tracer: Tracer | None = None, metrics: MetricsRegistry | None = None
-) -> tuple[Tracer, MetricsRegistry]:
-    """Install (and return) an active tracer and metrics registry.
-
-    Fresh instances are created when not supplied.  Returns the installed
-    ``(tracer, metrics)`` pair.
-    """
-    global _active_tracer, _active_metrics
-    with _state_lock:
-        _active_tracer = tracer if tracer is not None else Tracer()
-        _active_metrics = metrics if metrics is not None else MetricsRegistry()
-        return _active_tracer, _active_metrics
-
-
-def disable_tracing() -> None:
-    """Restore the zero-overhead no-op tracer and registry."""
-    global _active_tracer, _active_metrics
-    with _state_lock:
-        _active_tracer = NULL_TRACER
-        _active_metrics = NULL_METRICS
 
 
 @contextmanager

@@ -10,7 +10,7 @@ provides:
   allocation-free ``spmv(x, out=)`` / ``spmv_t(x, out=)``;
 * :class:`~repro.kernels.workspace.SolverWorkspace` — every Krylov solve
   temporary preallocated and reused, threaded through
-  :func:`repro.core.cg.pcg`, :func:`repro.core.solvers.bicgstab` and
+  :func:`repro.core.cg.pcg` and
   :func:`repro.core.solvers.pipelined_pcg` so warm solves perform zero
   hot-loop array allocations (counted, not asserted — see
   ``scripts/check_no_alloc.py``);

@@ -10,7 +10,6 @@ from repro.matgen.graphs import banded_spd, circuit_laplacian, electromagnetics_
 from repro.matgen.rhs import PAPER_RTOL, paper_rhs
 from repro.matgen.stencils import (
     anisotropic2d,
-    anisotropic3d,
     poisson2d,
     poisson3d,
     stretched_grid_2d,
@@ -29,7 +28,6 @@ __all__ = [
     "poisson2d",
     "poisson3d",
     "anisotropic2d",
-    "anisotropic3d",
     "wide_stencil_3d",
     "stretched_grid_2d",
     "elasticity2d",

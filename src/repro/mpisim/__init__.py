@@ -26,22 +26,14 @@ plainly: ``send``, ``isend``, ``irecv``, ``coalescing()``, ``now()``,
 ``advance()``.
 * ``comm.coalescing()`` — per-edge message coalescing epochs (fewer
   tracked messages, byte-identical per edge).
-* :data:`SUM`, :data:`MAX`, :data:`MIN` — reduction operators.
+* :data:`SUM` — the reduction operator the solvers use (``MAX`` / ``MIN``
+  live in :mod:`repro.mpisim.comm`).
 * :class:`CommTracker`, :func:`payload_nbytes` — traffic accounting.
 * :func:`get_injector` / :func:`install_injector` / :func:`clear_injector` —
   the fault-injection hook consumed by :mod:`repro.resilience`.
 """
 
-from repro.mpisim.comm import (
-    ANY_TAG,
-    MAX,
-    MIN,
-    SUM,
-    ClockModel,
-    Comm,
-    ReduceOp,
-    SelfComm,
-)
+from repro.mpisim.comm import ANY_TAG, SUM, ClockModel, Comm, ReduceOp, SelfComm
 from repro.mpisim.engine import Request, run_spmd, waitall, waitany
 from repro.mpisim.injection import (
     DuplicateEnvelope,
@@ -60,8 +52,6 @@ __all__ = [
     "waitany",
     "ReduceOp",
     "SUM",
-    "MAX",
-    "MIN",
     "ANY_TAG",
     "run_spmd",
     "CommTracker",

@@ -7,13 +7,10 @@ turns them into artifacts that answer the paper's questions directly:
   :class:`FlightRecord` parses per-iteration ``flight.*`` events (residual
   norms, alpha/beta, true-residual drift checks, divergence) out of a tracer
   and runs stagnation/divergence detectors over them;
-* :mod:`repro.observe.audit` — the communication-invariance auditor:
-  :class:`CommAuditor` / :func:`audit_preconditioners` prove or refute, with
-  the offending edges, that two preconditioners exchange identical halo
-  traffic (the paper's §4 claim as an executable check);
-* :mod:`repro.observe.balance` — the load-balance monitor:
-  :class:`BalanceReport` tracks per-rank nonzero imbalance across dynamic
-  filtering's bisection (Alg. 4's ±5 % band);
+* :mod:`repro.observe.audit` — communication-invariance verdicts:
+  :func:`compare_snapshots` proves or refutes, with the offending edges,
+  that two tracker snapshots (or two :func:`schedule_snapshot` s) carry
+  identical halo traffic (the paper's §4 claim as an executable check);
 * :mod:`repro.observe.report` — :class:`RunReport`, a versioned JSON
   aggregate of all of the above with text/markdown renderers, a ``repro
   report`` CLI subcommand, and a :meth:`RunReport.compare` regression gate;
@@ -27,7 +24,7 @@ turns them into artifacts that answer the paper's questions directly:
   named suspects when achieved diverges from predicted;
 * :mod:`repro.observe.prom` — Prometheus/OpenMetrics text exposition for
   any metrics registry and timeline aggregates
-  (:func:`render_openmetrics`);
+  (:func:`write_openmetrics`);
 * :mod:`repro.observe.stream` — bounded-memory streaming telemetry:
   per-rank log-bucketed :class:`StreamingHistogram` s over wait / compute /
   message-size distributions, deterministic rank sampling
@@ -53,169 +50,86 @@ importable without the observability layer and no cycle can form.
 """
 
 from repro.observe.memtraffic import (
-    CACHE_CONFORMANCE_FORMAT,
-    CACHE_CONFORMANCE_VERSION,
     CATEGORIES,
-    MEMTRAFFIC_FORMAT,
-    MEMTRAFFIC_VERSION,
     CacheConformance,
     FreeRideLedger,
     MemTrafficError,
-    MethodCacheProfile,
     RankLedger,
     cache_conformance_samples,
     ledger_samples,
 )
 from repro.observe.conformance import (
-    CONFORMANCE_FORMAT,
-    CONFORMANCE_VERSION,
-    PHASES,
     ConformanceError,
     ConformanceReport,
-    PhaseConformance,
     RankCountConformance,
     conformance_samples,
     predicted_phases,
 )
 from repro.observe.stream import (
-    TELEMETRY_TAG,
     ClusterTelemetry,
-    RankTelemetry,
     StreamingHistogram,
     TelemetryConfig,
-    TelemetryError,
     aggregate_telemetry,
-    classify_wait_tag,
     sampled_ranks,
 )
-from repro.observe.audit import (
-    CommAuditor,
-    InvarianceVerdict,
-    PrecondAudit,
-    audit_preconditioners,
-    audit_schedules,
-    compare_snapshots,
-    schedule_snapshot,
-)
-from repro.observe.balance import BalanceReport, balance_report
+from repro.observe.audit import InvarianceVerdict, compare_snapshots, schedule_snapshot
 from repro.observe.explain import (
-    EXPLAIN_FORMAT,
-    EXPLAIN_VERSION,
     AttributionVerdict,
     ExplainError,
     MethodFacts,
     Suspect,
     attribute,
 )
-from repro.observe.flight import (
-    DIVERGENCE_FACTOR,
-    TRUE_RESIDUAL_INTERVAL,
-    DriftCheck,
-    FlightRecord,
-)
-from repro.observe.prom import (
-    escape_label_value,
-    parse_exposition,
-    render_openmetrics,
-    sanitize_metric_name,
-    timeline_samples,
-    write_openmetrics,
-)
-from repro.observe.report import (
-    REPORT_FORMAT,
-    REPORT_VERSION,
-    MetricDelta,
-    ReportComparison,
-    ReportError,
-    RunReport,
-    flatten_metrics,
-)
+from repro.observe.flight import DIVERGENCE_FACTOR, TRUE_RESIDUAL_INTERVAL, FlightRecord
+from repro.observe.prom import timeline_samples, write_openmetrics
+from repro.observe.report import MetricDelta, ReportComparison, ReportError, RunReport
 from repro.observe.timeline import (
-    TIMELINE_FORMAT,
-    TIMELINE_VERSION,
-    CommEdge,
     CriticalPath,
     HaloCriticalPath,
-    Segment,
     Timeline,
     TimelineError,
     bsp_wait_times,
-    classify_segment,
     halo_critical_path,
 )
 
 __all__ = [
     "TRUE_RESIDUAL_INTERVAL",
     "DIVERGENCE_FACTOR",
-    "DriftCheck",
     "FlightRecord",
     "InvarianceVerdict",
-    "PrecondAudit",
-    "CommAuditor",
     "compare_snapshots",
     "schedule_snapshot",
-    "audit_schedules",
-    "audit_preconditioners",
-    "BalanceReport",
-    "balance_report",
-    "REPORT_FORMAT",
-    "REPORT_VERSION",
     "ReportError",
     "MetricDelta",
     "ReportComparison",
     "RunReport",
-    "flatten_metrics",
-    "TIMELINE_FORMAT",
-    "TIMELINE_VERSION",
     "TimelineError",
-    "Segment",
-    "CommEdge",
     "CriticalPath",
     "Timeline",
     "HaloCriticalPath",
     "halo_critical_path",
     "bsp_wait_times",
-    "classify_segment",
-    "EXPLAIN_FORMAT",
-    "EXPLAIN_VERSION",
     "ExplainError",
     "MethodFacts",
     "Suspect",
     "AttributionVerdict",
     "attribute",
-    "sanitize_metric_name",
-    "escape_label_value",
-    "render_openmetrics",
     "write_openmetrics",
-    "parse_exposition",
     "timeline_samples",
-    "TELEMETRY_TAG",
-    "TelemetryError",
     "StreamingHistogram",
     "sampled_ranks",
-    "classify_wait_tag",
-    "RankTelemetry",
     "ClusterTelemetry",
     "TelemetryConfig",
     "aggregate_telemetry",
-    "CONFORMANCE_FORMAT",
-    "CONFORMANCE_VERSION",
     "ConformanceError",
-    "PHASES",
     "predicted_phases",
-    "PhaseConformance",
     "RankCountConformance",
     "ConformanceReport",
     "conformance_samples",
-    "MEMTRAFFIC_FORMAT",
-    "MEMTRAFFIC_VERSION",
-    "CACHE_CONFORMANCE_FORMAT",
-    "CACHE_CONFORMANCE_VERSION",
     "CATEGORIES",
     "MemTrafficError",
     "RankLedger",
     "FreeRideLedger",
-    "MethodCacheProfile",
     "CacheConformance",
     "ledger_samples",
     "cache_conformance_samples",

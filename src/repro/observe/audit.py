@@ -4,17 +4,13 @@ FSAIE-Comm's central guarantee is that extending the preconditioner pattern
 leaves the SpMV communication schedule *byte-for-byte unchanged*.  This
 module turns that claim into a verdict object instead of a bare boolean:
 
-* :class:`CommAuditor` snapshots a :class:`~repro.mpisim.tracker.CommTracker`
-  per named solver phase (``auditor.phase("fsai")`` yields a fresh tracker
-  and records its snapshot on exit) and compares any two phases;
-* :func:`compare_snapshots` diffs two tracker snapshots edge by edge;
-* :func:`audit_schedules` proves two :class:`~repro.dist.halo.HaloSchedule`
-  objects move identical per-edge bytes *without running a solve* (static
-  accounting: 8 bytes per halo value per update);
-* :func:`audit_preconditioners` applies the schedule audit to both ``G`` and
-  ``Gᵀ`` of two preconditioners — the executable form of
-  :func:`repro.core.precond.check_comm_invariance`, with the offending edges
-  named when it fails.
+* :func:`compare_snapshots` diffs two
+  :meth:`~repro.mpisim.tracker.CommTracker.snapshot` dictionaries edge by
+  edge;
+* :func:`schedule_snapshot` is the snapshot one
+  :class:`~repro.dist.halo.HaloSchedule` update would record (static
+  accounting: 8 bytes per halo value per update), so two schedules compare
+  *without running a solve*.
 
 Every comparison returns an :class:`InvarianceVerdict`: either *invariant*
 (identical edge sets, message counts and byte counts) or a refutation
@@ -23,19 +19,12 @@ listing exactly which edges differ and by how much.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-
-from repro.mpisim.tracker import CommTracker
 
 __all__ = [
     "InvarianceVerdict",
-    "PrecondAudit",
-    "CommAuditor",
     "compare_snapshots",
     "schedule_snapshot",
-    "audit_schedules",
-    "audit_preconditioners",
 ]
 
 
@@ -244,151 +233,3 @@ def schedule_snapshot(schedule) -> dict:
         "collective_bytes": {},
     }
 
-
-def audit_schedules(
-    base, other, *, base_label: str = "base", other_label: str = "other"
-) -> InvarianceVerdict:
-    """Compare two halo schedules' per-edge accounting without running anything."""
-    return compare_snapshots(
-        schedule_snapshot(base),
-        schedule_snapshot(other),
-        base_label=base_label,
-        other_label=other_label,
-    )
-
-
-@dataclass
-class PrecondAudit:
-    """Invariance audit of a preconditioner pair: ``G`` and ``Gᵀ`` schedules."""
-
-    g: InvarianceVerdict
-    gt: InvarianceVerdict
-
-    @property
-    def invariant(self) -> bool:
-        """True iff both factor schedules are byte-for-byte identical."""
-        return self.g.invariant and self.gt.invariant
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form."""
-        return {"invariant": self.invariant, "g": self.g.to_dict(), "gt": self.gt.to_dict()}
-
-    def render(self) -> str:
-        """Human-readable text rendering."""
-        return "\n".join([self.g.render(), self.gt.render()])
-
-
-def audit_preconditioners(base, extended) -> PrecondAudit:
-    """Audit ``extended`` against ``base``: the executable, edge-naming form
-    of :func:`repro.core.precond.check_comm_invariance`.
-
-    Accepts any pair of objects with ``.g.schedule`` / ``.gt.schedule``
-    (e.g. :class:`repro.core.precond.Preconditioner`).
-    """
-    base_name = getattr(base, "name", "base")
-    ext_name = getattr(extended, "name", "extended")
-    return PrecondAudit(
-        g=audit_schedules(
-            base.g.schedule, extended.g.schedule,
-            base_label=f"{base_name}.G", other_label=f"{ext_name}.G",
-        ),
-        gt=audit_schedules(
-            base.gt.schedule, extended.gt.schedule,
-            base_label=f"{base_name}.Gt", other_label=f"{ext_name}.Gt",
-        ),
-    )
-
-
-# ----------------------------------------------------------------------
-class CommAuditor:
-    """Collects named communication snapshots and compares them.
-
-    Typical use — prove two solves exchanged identical halo traffic::
-
-        auditor = CommAuditor()
-        with auditor.phase("fsai") as tracker:
-            pcg(dA, b, precond=fsai, tracker=tracker)
-        with auditor.phase("comm") as tracker:
-            pcg(dA, b, precond=comm, tracker=tracker)
-        verdict = auditor.verdict("fsai", "comm", check_collectives=False)
-        assert verdict.invariant, verdict.render()
-
-    Iteration counts may differ between preconditioners, so per-*update*
-    comparison uses :meth:`per_update_verdict`, which divides each edge's
-    accounting by the phase's halo-update count before comparing.
-    """
-
-    def __init__(self):
-        self._snapshots: dict[str, dict] = {}
-        self._updates: dict[str, int] = {}
-
-    @property
-    def labels(self) -> list[str]:
-        """Recorded phase labels, in insertion order."""
-        return list(self._snapshots)
-
-    def record(self, label: str, tracker: CommTracker, *, updates: int | None = None) -> dict:
-        """Snapshot ``tracker`` under ``label``; returns the stored snapshot."""
-        snap = tracker.snapshot()
-        self._snapshots[label] = snap
-        if updates is not None:
-            self._updates[label] = int(updates)
-        return snap
-
-    @contextmanager
-    def phase(self, label: str):
-        """Context manager: yields a fresh tracker, snapshots it on exit."""
-        tracker = CommTracker()
-        try:
-            yield tracker
-        finally:
-            self.record(label, tracker)
-
-    def get(self, label: str) -> dict:
-        """The stored snapshot for ``label`` (KeyError when unknown)."""
-        return self._snapshots[label]
-
-    def verdict(
-        self, base: str, other: str, *, check_collectives: bool = True
-    ) -> InvarianceVerdict:
-        """Compare two recorded phases."""
-        return compare_snapshots(
-            self.get(base),
-            self.get(other),
-            base_label=base,
-            other_label=other,
-            check_collectives=check_collectives,
-        )
-
-    def per_update_verdict(self, base: str, other: str) -> InvarianceVerdict:
-        """Compare per-halo-update p2p accounting of two phases.
-
-        Each phase must have been recorded with ``updates=`` (the number of
-        halo updates it performed, e.g. the ``halo.updates`` metric); edge
-        messages and bytes are divided by it, so solves with different
-        iteration counts compare on the schedule they exercised per update.
-        """
-        missing = [lbl for lbl in (base, other) if lbl not in self._updates]
-        if missing:
-            raise ValueError(
-                f"phase(s) {missing} recorded without updates=; pass the halo "
-                "update count to record() to enable per-update comparison"
-            )
-
-        def scaled(label: str) -> dict:
-            snap = _normalise(self.get(label))
-            n = max(self._updates[label], 1)
-            return {
-                "p2p_messages": {e: v // n for e, v in snap["p2p_messages"].items()},
-                "p2p_bytes": {e: v // n for e, v in snap["p2p_bytes"].items()},
-                "collective_calls": {},
-                "collective_bytes": {},
-            }
-
-        return compare_snapshots(
-            scaled(base), scaled(other), base_label=f"{base}/update",
-            other_label=f"{other}/update", check_collectives=False,
-        )
-
-    def __repr__(self) -> str:
-        return f"CommAuditor(phases={self.labels})"

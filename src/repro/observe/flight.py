@@ -1,10 +1,9 @@
 """Solver flight recorder: per-iteration events and their interpretation.
 
 The Krylov solvers (:func:`repro.core.cg.pcg`,
-:func:`repro.core.solvers.bicgstab`,
 :func:`repro.core.solvers.pipelined_pcg`) emit one ``flight.iteration``
 instant event per iteration when tracing is enabled — residual norm, the
-``alpha``/``beta`` (or ``omega``) recurrence coefficients — plus a
+``alpha``/``beta`` recurrence coefficients — plus a
 ``flight.true_residual`` event every :data:`TRUE_RESIDUAL_INTERVAL`
 iterations comparing the recurrence residual against the explicitly computed
 ``‖b − A·x‖₂`` (recurrence *drift* is the classic failure mode of pipelined
@@ -89,7 +88,7 @@ class FlightRecord:
         """Parse the flight events recorded by a tracer.
 
         ``solver`` filters to one solver's events when several ran under the
-        same tracer (``"pcg"``, ``"bicgstab"``, ``"pipelined_pcg"``).
+        same tracer (``"pcg"``, ``"pipelined_pcg"``).
         """
         spans = [
             {"name": s.name, "tags": s.tags}
@@ -113,7 +112,7 @@ class FlightRecord:
                 rec.indices.append(int(tags.get("index", len(rec.indices))))
                 rec.residuals.append(float(tags.get("residual", math.nan)))
                 alpha = tags.get("alpha")
-                beta = tags.get("beta", tags.get("omega"))
+                beta = tags.get("beta")
                 rec.alphas.append(None if alpha is None else float(alpha))
                 rec.betas.append(None if beta is None else float(beta))
             elif name == TRUE_RESIDUAL_EVENT:

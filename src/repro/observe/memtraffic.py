@@ -62,9 +62,9 @@ CACHE_CONFORMANCE_FORMAT = "repro-cache-conformance"
 CACHE_CONFORMANCE_VERSION = 1
 
 #: Entry categories of a stored entry's ``x``-operand access, in the code
-#: order used by :func:`repro.cachesim.entry_categories`: in the baseline
-#: FSAI pattern / extension on a locally-owned column / extension on a halo
-#: column.
+#: order used by :func:`repro.cachesim.spmv_trace.entry_categories`: in the
+#: baseline FSAI pattern / extension on a locally-owned column / extension on
+#: a halo column.
 CATEGORIES = ("base", "ext_local", "ext_halo")
 
 #: The extension subset of :data:`CATEGORIES`.

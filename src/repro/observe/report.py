@@ -2,14 +2,13 @@
 regression comparator.
 
 A :class:`RunReport` aggregates what the other observe pieces produce —
-flight-recorder summaries, invariance verdicts, balance reports, timeline
-and attribution summaries, timer and metric snapshots — into a single
-document with a versioned schema (``format: "repro-run-report"``,
-``version: 2``; version-1 documents still load):
+flight-recorder summaries, invariance verdicts, timeline and attribution
+summaries, timer and metric snapshots — into a single document with a
+versioned schema (``format: "repro-run-report"``, ``version: 2``):
 
 * ``meta`` — free-form provenance (label, matrix, ranks, ...);
 * ``sections`` — named nested dictionaries (``flight``, ``invariance``,
-  ``balance``, ``bench``, ...), each the ``to_dict()``/``summary()`` of one
+  ``bench``, ...), each the ``to_dict()``/``summary()`` of one
   observe object;
 * ``metrics`` — a *flat* ``name -> number`` mapping, the comparable surface
   :meth:`RunReport.compare` diffs between two runs.
@@ -32,12 +31,12 @@ from pathlib import Path
 
 from repro.analysis.tables import format_kv, format_table
 from repro.errors import ReproError
+from repro.instrument import TraceError, read_json_trace
 from repro.observe.flight import FlightRecord
 
 __all__ = [
     "REPORT_FORMAT",
     "REPORT_VERSION",
-    "SUPPORTED_REPORT_VERSIONS",
     "ReportError",
     "flatten_metrics",
     "MetricDelta",
@@ -53,11 +52,6 @@ REPORT_VERSION = 2
 #: Duplicated literal, not an import — observe must stay below serve in the
 #: layering (same contract as the flight-recorder format string).
 _SERVE_REPORT_FORMAT = "repro-serve-report"
-
-#: Older schema versions this build still reads.  v2 added the optional
-#: ``timeline`` and ``attribution`` sections (plus ``timeline.*`` metrics);
-#: v1 documents simply lack them, so they load unchanged.
-SUPPORTED_REPORT_VERSIONS = (1, 2)
 
 
 class ReportError(ReproError):
@@ -453,10 +447,10 @@ class RunReport:
                 f"not a run report (format={fmt!r}, expected {REPORT_FORMAT!r})"
             )
         version = doc.get("version")
-        if version not in SUPPORTED_REPORT_VERSIONS:
+        if version != REPORT_VERSION:
             raise ReportError(
                 f"unsupported run-report schema version {version!r} "
-                f"(this build reads versions {SUPPORTED_REPORT_VERSIONS})"
+                f"(this build reads version {REPORT_VERSION})"
             )
         for key, want in (("meta", dict), ("sections", dict), ("metrics", dict)):
             if not isinstance(doc.get(key, want()), want):
@@ -498,11 +492,10 @@ class RunReport:
             except ReportError as exc:
                 raise ReportError(f"{path}: {exc}") from None
         if fmt == "repro-trace":
-            version = doc.get("version")
-            if version is not None and version > 1:
-                raise ReportError(
-                    f"{path}: trace schema version {version} is newer than this build"
-                )
+            try:
+                doc = read_json_trace(path)
+            except TraceError as exc:  # its message names the path
+                raise ReportError(str(exc)) from None
             return cls.from_trace_doc(doc, label=path.stem)
         if "summary" in doc and "solver" in doc:
             return cls.from_solver_bench(doc, label=path.stem)

@@ -4,20 +4,11 @@ Ordering controls the column locality the cache-friendly extensions exploit;
 see ``benchmarks/test_ablation_ordering.py`` for the quantified interaction.
 """
 
-from repro.order.permute import (
-    inverse_permutation,
-    permute_symmetric,
-    permute_vector,
-    unpermute_vector,
-)
-from repro.order.rcm import bandwidth, pseudo_peripheral_vertex, rcm_ordering
+from repro.order.permute import permute_symmetric
+from repro.order.rcm import bandwidth, rcm_ordering
 
 __all__ = [
     "rcm_ordering",
     "bandwidth",
-    "pseudo_peripheral_vertex",
     "permute_symmetric",
-    "permute_vector",
-    "unpermute_vector",
-    "inverse_permutation",
 ]

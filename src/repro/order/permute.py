@@ -1,4 +1,4 @@
-"""Symmetric permutations of sparse matrices and vectors.
+"""Symmetric permutations of sparse matrices.
 
 ``perm[k]`` = old index of new position ``k`` (the convention of
 :func:`repro.order.rcm.rcm_ordering`).  A symmetric permutation
@@ -13,7 +13,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["permute_symmetric", "permute_vector", "unpermute_vector", "inverse_permutation"]
+__all__ = ["permute_symmetric", "inverse_permutation"]
 
 
 def _check_perm(perm: np.ndarray, n: int) -> np.ndarray:
@@ -42,16 +42,3 @@ def permute_symmetric(mat: CSRMatrix, perm: np.ndarray) -> CSRMatrix:
     rows, cols, vals = mat.to_coo()
     return CSRMatrix.from_coo(mat.shape, inv[rows], inv[cols], vals)
 
-
-def permute_vector(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Reorder ``x`` to match a permuted matrix: ``out[k] = x[perm[k]]``."""
-    perm = _check_perm(perm, np.asarray(x).shape[0])
-    return np.asarray(x)[perm]
-
-
-def unpermute_vector(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`permute_vector`: recover original ordering."""
-    perm = _check_perm(perm, np.asarray(x).shape[0])
-    out = np.empty_like(np.asarray(x))
-    out[perm] = x
-    return out

@@ -18,21 +18,11 @@ import numpy as np
 from repro.instrument import get_metrics
 from repro.partition.graph import Graph
 
-__all__ = ["fm_refine", "bisection_balance"]
+__all__ = ["fm_refine"]
 
 #: A pass ends after ``clamp(n // _STALL_SHARE, _STALL_MIN, _STALL_MAX)`` moves
 #: in a row that did not improve on its best prefix (METIS' hill-climbing budget).
 _STALL_SHARE, _STALL_MIN, _STALL_MAX = 25, 30, 500
-
-
-def bisection_balance(graph: Graph, part: np.ndarray) -> float:
-    """Max side weight divided by ideal (1.0 = perfectly balanced)."""
-    w0 = int(graph.vwgt[part == 0].sum())
-    w1 = int(graph.vwgt[part == 1].sum())
-    ideal = (w0 + w1) / 2.0
-    if ideal == 0:
-        return 1.0
-    return max(w0, w1) / ideal
 
 
 def fm_refine(

@@ -1,20 +1,12 @@
-"""Performance model: machine specs, FLOP counts and the solver-time model.
+"""Performance model: machine specs and the solver-time model.
 
 Substitutes the paper's measured wall-clock with an explicit, documented
 model (see DESIGN.md §2) fed by real measured quantities — iteration counts,
 per-rank nonzeros, simulated cache misses and tracked halo traffic.
 """
 
-from repro.perfmodel.flops import (
-    axpy_flops,
-    dot_flops,
-    iteration_flops_per_rank,
-    precond_flops_per_rank,
-    spmv_flops,
-)
 from repro.perfmodel.machine import A64FX, MACHINES, SKYLAKE, ZEN2, MachineSpec
 from repro.perfmodel.model import CostModel, IterationCost, estimate_solver_time
-from repro.perfmodel.sizing import SizingResult, select_rank_count
 
 __all__ = [
     "MachineSpec",
@@ -25,11 +17,4 @@ __all__ = [
     "CostModel",
     "IterationCost",
     "estimate_solver_time",
-    "SizingResult",
-    "select_rank_count",
-    "spmv_flops",
-    "dot_flops",
-    "axpy_flops",
-    "precond_flops_per_rank",
-    "iteration_flops_per_rank",
 ]

@@ -28,37 +28,27 @@ See ``docs/RESILIENCE.md`` for the narrative walkthrough.
 """
 
 from repro.resilience.chaos import (
-    CHAOS_FORMAT,
-    CHAOS_VERSION,
     ChaosError,
     ChaosReport,
     ChaosScenario,
     ScenarioOutcome,
-    failure_scenario,
     quick_menu,
     run_chaos,
     standard_menu,
 )
-from repro.resilience.degraded import (
-    DegradedSystem,
-    FailoverResult,
-    degrade_system,
-    degrade_vector,
-    solve_with_failover,
-)
+from repro.resilience.degraded import FailoverResult, solve_with_failover
 from repro.resilience.faults import (
     FaultInjector,
     FaultPlan,
     MessageDelay,
     MessageDrop,
     MessageDuplicate,
-    MessageVerdict,
     PayloadBitFlip,
     RankFailure,
     RankStall,
     fault_injection,
 )
-from repro.resilience.recovery import Checkpoint, CheckpointManager, ResilienceConfig
+from repro.resilience.recovery import CheckpointManager, ResilienceConfig
 
 __all__ = [
     "MessageDelay",
@@ -68,25 +58,17 @@ __all__ = [
     "RankStall",
     "RankFailure",
     "FaultPlan",
-    "MessageVerdict",
     "FaultInjector",
     "fault_injection",
     "ResilienceConfig",
-    "Checkpoint",
     "CheckpointManager",
-    "DegradedSystem",
     "FailoverResult",
-    "degrade_system",
-    "degrade_vector",
     "solve_with_failover",
-    "CHAOS_FORMAT",
-    "CHAOS_VERSION",
     "ChaosError",
     "ChaosScenario",
     "ScenarioOutcome",
     "ChaosReport",
     "standard_menu",
     "quick_menu",
-    "failure_scenario",
     "run_chaos",
 ]

@@ -34,7 +34,6 @@ from repro.resilience.faults import (
     MessageDrop,
     MessageDuplicate,
     PayloadBitFlip,
-    RankFailure,
     RankStall,
     fault_injection,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "ChaosReport",
     "standard_menu",
     "quick_menu",
-    "failure_scenario",
     "run_chaos",
 ]
 
@@ -265,22 +263,6 @@ def quick_menu(ranks: int = 4) -> list[ChaosScenario]:
     """A two-scenario subset for smoke runs."""
     menu = standard_menu(ranks)
     return [menu[0], menu[2]]
-
-
-def failure_scenario(rank: int = 1, at_update: int = 3) -> ChaosScenario:
-    """A permanent rank-failure scenario (BSP failover path only).
-
-    Not part of :func:`standard_menu` because it re-partitions mid-run;
-    ``scripts/check_resilience.py`` exercises it explicitly through
-    :func:`repro.resilience.solve_with_failover`.
-    """
-    return ChaosScenario(
-        f"failure-r{rank}",
-        FaultPlan(failures=(RankFailure(rank=rank, at_update=at_update),)),
-        description=f"rank {rank} dies permanently at update {at_update}",
-        expect_identical=False,
-        engines=("bsp",),
-    )
 
 
 # ----------------------------------------------------------------------

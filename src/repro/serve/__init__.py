@@ -37,26 +37,11 @@ from repro.serve.cache import (
     estimate_precond_nbytes,
 )
 from repro.serve.farm import FarmConfig, SolveFarm, SolveOutcome, SolveRequest
-from repro.serve.fingerprint import (
-    StructureFingerprint,
-    fingerprint_structure,
-    values_digest,
-)
-from repro.serve.report import (
-    SERVE_FORMAT,
-    SERVE_VERSION,
-    ServeReport,
-    ServeReportError,
-)
-from repro.serve.tenancy import (
-    AdmissionController,
-    AdmissionVerdict,
-    TenantPolicy,
-    TenantStats,
-)
+from repro.serve.fingerprint import fingerprint_structure, values_digest
+from repro.serve.report import ServeReport, ServeReportError
+from repro.serve.tenancy import AdmissionController, AdmissionVerdict, TenantPolicy
 
 __all__ = [
-    "StructureFingerprint",
     "fingerprint_structure",
     "values_digest",
     "ArtifactCache",
@@ -67,14 +52,11 @@ __all__ = [
     "estimate_precond_nbytes",
     "TenantPolicy",
     "AdmissionVerdict",
-    "TenantStats",
     "AdmissionController",
     "SolveRequest",
     "SolveOutcome",
     "FarmConfig",
     "SolveFarm",
-    "SERVE_FORMAT",
-    "SERVE_VERSION",
     "ServeReportError",
     "ServeReport",
 ]

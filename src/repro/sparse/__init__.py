@@ -8,16 +8,14 @@ preconditioners are built on.  Public surface:
 * :func:`threshold_pattern`, :func:`power_pattern` — Alg. 1 pattern builders.
 * :func:`symbolic_spgemm`, :func:`spgemm` — sparse matrix products.
 * :func:`read_matrix_market`, :func:`write_matrix_market` — ``.mtx`` I/O.
-* BLAS-1 helpers (:func:`axpy`, :func:`dot`, ...) and SPD checks.
+* BLAS-1 helpers (:func:`axpy`, :func:`dot`, ...) and a symmetry check.
 """
 
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.io import read_matrix_market, write_matrix_market
 from repro.sparse.ops import (
     axpy,
-    check_spd,
     dot,
-    drop_small_relative,
     is_symmetric,
     max_norm,
     norm2,
@@ -41,6 +39,4 @@ __all__ = [
     "norm2",
     "max_norm",
     "is_symmetric",
-    "check_spd",
-    "drop_small_relative",
 ]

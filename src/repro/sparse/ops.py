@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import NotSPDError, ShapeError
+from repro.errors import ShapeError
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
@@ -20,8 +20,6 @@ __all__ = [
     "norm2",
     "max_norm",
     "is_symmetric",
-    "check_spd",
-    "drop_small_relative",
 ]
 
 
@@ -67,39 +65,3 @@ def is_symmetric(mat: CSRMatrix, *, rtol: float = 1e-10, atol: float = 1e-12) ->
         return False
     return mat.allclose(mat.transpose(), rtol=rtol, atol=atol)
 
-
-def check_spd(mat: CSRMatrix, *, probe_vectors: int = 4, seed: int = 0) -> None:
-    """Cheap SPD sanity check; raises :class:`NotSPDError` on failure.
-
-    Verifies symmetry, positive diagonal, and ``xᵀAx > 0`` for a few random
-    probes.  This is a guard for user-facing entry points, not a proof.
-    """
-    if not is_symmetric(mat):
-        raise NotSPDError("matrix is not symmetric")
-    diag = mat.diagonal()
-    if np.any(diag <= 0):
-        raise NotSPDError("matrix has non-positive diagonal entries")
-    rng = np.random.default_rng(seed)
-    for _ in range(probe_vectors):
-        x = rng.standard_normal(mat.nrows)
-        if float(x @ mat.spmv(x)) <= 0:
-            raise NotSPDError("random probe found non-positive curvature")
-
-
-def drop_small_relative(mat: CSRMatrix, tol: float) -> CSRMatrix:
-    """Drop off-diagonal entries with ``|a_ij| <= tol·sqrt(|a_ii·a_jj|)``.
-
-    The scale-independent dropping rule of Chow (2001), used both to build
-    ``Ã`` (Alg. 1 step 1) and to post-filter ``G`` (Alg. 1 step 4).
-    Diagonal entries are always kept.
-    """
-    if mat.nrows != mat.ncols:
-        raise ShapeError("drop_small_relative expects a square matrix")
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    diag = np.abs(mat.diagonal())
-    diag[diag == 0.0] = 1.0
-    rows = np.repeat(np.arange(mat.nrows, dtype=np.int64), mat.row_nnz())
-    scale = np.sqrt(diag[rows] * diag[mat.indices])
-    drop = (np.abs(mat.data) <= tol * scale) & (rows != mat.indices)
-    return mat.drop_entries(drop)

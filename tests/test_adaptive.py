@@ -5,13 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    FSPAIOptions,
-    build_fsai,
-    fspai_factor,
-    fspai_pattern,
-    pcg,
-)
+from repro.core import FSPAIOptions, build_fsai, fspai_factor, pcg
+from repro.core.adaptive import fspai_pattern
 from repro.core.precond import _distribute
 from repro.dist import DistMatrix, DistVector, RowPartition
 from repro.errors import ShapeError

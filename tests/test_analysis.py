@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    best_per_matrix,
     format_histogram_pair,
     format_kv,
     format_table,
-    histogram_series,
     pct_decrease,
     pct_increase,
     summarize_improvements,
 )
+from repro.analysis.histogram import histogram_series
 
 
 class TestMetrics:
@@ -38,13 +37,6 @@ class TestMetrics:
         assert s.highest_improvement == pytest.approx(20.0)
         assert s.highest_degradation == pytest.approx(-10.0)
         assert len(s.row()) == 4
-
-    def test_best_per_matrix(self):
-        times = {
-            0.01: np.array([1.0, 5.0, 3.0]),
-            0.1: np.array([2.0, 4.0, 1.0]),
-        }
-        assert np.allclose(best_per_matrix(times), [1.0, 4.0, 1.0])
 
 
 class TestTables:

@@ -11,7 +11,6 @@ from repro.core import (
     FSAIOptions,
     PrecondOptions,
     SetupOptions,
-    bicgstab,
     build_fsai,
     build_fsaie_comm,
     pcg,
@@ -56,7 +55,6 @@ class TestResolvePrecond:
         mat, part, da, b = dist_poisson16
         pre = build_fsai(mat, part)
         assert pipelined_pcg(da, b, precond=pre).converged
-        assert bicgstab(da, b, precond=pre).converged
 
 
 class TestPrecondOptions:
@@ -125,7 +123,6 @@ class TestRemovedSpellings:
             ExtensionWorkspace,
             build_fsaie,
             compute_g_values,
-            fsai_factor,
             fsai_pattern,
         )
         from repro.kernels import SolverWorkspace, SpMVPlan
@@ -142,7 +139,6 @@ class TestRemovedSpellings:
             lambda: da.plans("numpy"),
             lambda: fingerprint_structure(mat, ranks=4, backend="numpy"),
             lambda: compute_g_values(mat, fsai_pattern(mat), parallel=2),
-            lambda: fsai_factor(mat, parallel=2),
             lambda: build_fsai(mat, part, parallel=2),
             lambda: build_fsaie(mat, part, parallel=2),
             lambda: build_fsaie_comm(mat, part, parallel=2),

@@ -1,14 +1,15 @@
 """CI gate: the exported API surface matches the generated reference.
 
 Runs ``scripts/check_api_surface.py`` as a subprocess (exactly how CI and
-developers invoke it) and asserts a clean exit.  Failures mean either a stale
-``__all__`` entry or that ``docs/API.md`` needs regenerating with
-``scripts/gen_api_docs.py``.
+developers invoke it) and asserts a clean exit.  Failures mean a stale
+``__all__`` entry, an exported name nothing but tests calls, or that
+``docs/API.md`` needs regenerating with ``scripts/gen_api_docs.py``.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,15 +17,15 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str) -> subprocess.CompletedProcess:
+def run_script(name: str, root: Path = REPO) -> subprocess.CompletedProcess:
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, str(REPO / "scripts" / name)],
+        [sys.executable, str(root / "scripts" / name)],
         capture_output=True,
         text=True,
         env=env,
-        cwd=REPO,
+        cwd=root,
         timeout=120,
     )
 
@@ -68,3 +69,25 @@ def test_check_mode_flags_a_changed_signature(tmp_path, monkeypatch, capsys):
     assert stale.read_text() != committed
     assert gen_api_docs.main(["--check"]) == 1
     assert "is stale" in capsys.readouterr().err
+
+
+def test_gate_names_an_export_only_tests_call(tmp_path):
+    # a copy of the tree whose repro.analysis re-exports a name that only
+    # tests use: the surface gate must fail and say which name
+    for top in ("src", "scripts", "benchmarks", "examples"):
+        shutil.copytree(
+            REPO / top, tmp_path / top,
+            ignore=shutil.ignore_patterns("__pycache__", "*.json", "*.egg-info"),
+        )
+    init = tmp_path / "src" / "repro" / "analysis" / "__init__.py"
+    text = init.read_text()
+    for old, new in (
+        ("    estimate_spectrum,\n", "    estimate_spectrum,\n    lanczos_tridiagonal,\n"),
+        ('    "estimate_spectrum",\n', '    "estimate_spectrum",\n    "lanczos_tridiagonal",\n'),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    init.write_text(text)
+    proc = run_script("check_api_surface.py", root=tmp_path)
+    assert proc.returncode == 1
+    assert "repro.analysis.lanczos_tridiagonal: exported but no non-test code" in proc.stderr

@@ -13,11 +13,8 @@ from repro.cachesim import (
     CacheConfig,
     SetAssociativeCache,
     doubles_per_line,
-    line_block,
     line_ids,
-    line_of,
     simulate_misses,
-    spmv_x_misses,
     x_access_lines,
 )
 from repro.cachesim.cache import NO_LINE
@@ -87,16 +84,6 @@ class TestLineGeometry:
             doubles_per_line(0)
         with pytest.raises(ValueError):
             doubles_per_line(12)
-
-    def test_line_of(self):
-        assert line_of(0, 64) == 0
-        assert line_of(7, 64) == 0
-        assert line_of(8, 64) == 1
-
-    def test_line_block_clipping(self):
-        assert line_block(3, 64, 100) == (0, 8)
-        assert line_block(9, 64, 12) == (8, 12)  # clipped at vector end
-        assert line_block(5, 256, 100) == (0, 32)
 
     def test_line_ids_vectorised(self):
         cols = np.array([0, 7, 8, 15, 16])
@@ -220,6 +207,11 @@ class TestAgainstStampArrayReference:
         assert np.array_equal(cache.resident_lines(), ref.resident_lines())
 
 
+def cold_x_misses(mat: CSRMatrix, config: CacheConfig) -> int:
+    """L1 misses on ``x`` for one SpMV with ``mat`` on a cold cache."""
+    return simulate_misses(x_access_lines(mat, config.line_bytes), config)
+
+
 class TestSpMVTrace:
     def test_access_lines_follow_indices(self):
         mat = CSRMatrix.from_coo((2, 20), [0, 0, 1], [0, 9, 15], [1.0, 1.0, 1.0])
@@ -230,14 +222,14 @@ class TestSpMVTrace:
         mat = CSRMatrix.from_coo(
             (1, 64), np.zeros(64, dtype=int), np.arange(64), np.ones(64)
         )
-        assert spmv_x_misses(mat, L1_SKYLAKE) == 8
+        assert cold_x_misses(mat, L1_SKYLAKE) == 8
 
     def test_larger_lines_fewer_misses(self):
         rng = np.random.default_rng(0)
         n = 4096
         cols = np.sort(rng.choice(n, size=600, replace=False))
         mat = CSRMatrix.from_coo((1, n), np.zeros(600, dtype=int), cols, np.ones(600))
-        assert spmv_x_misses(mat, L1_A64FX) <= spmv_x_misses(mat, L1_SKYLAKE)
+        assert cold_x_misses(mat, L1_A64FX) <= cold_x_misses(mat, L1_SKYLAKE)
 
     @pytest.mark.parametrize(
         "config", [L1_SKYLAKE, L1_A64FX], ids=["64B", "256B"]
@@ -261,7 +253,7 @@ class TestSpMVTrace:
         ext = CSRMatrix.from_coo(
             (1, n), np.zeros(ext_cols.size, dtype=int), ext_cols, np.ones(ext_cols.size)
         )
-        assert spmv_x_misses(ext, config) == spmv_x_misses(base, config)
+        assert cold_x_misses(ext, config) == cold_x_misses(base, config)
         assert ext.nnz > base.nnz
 
     @pytest.mark.parametrize(

@@ -6,12 +6,20 @@ import numpy as np
 import pytest
 
 from repro.core import build_fsai, cg, pcg
-from repro.core.baselines import jacobi_preconditioner
 from repro.dist import DistMatrix, DistVector, RowPartition
 from repro.errors import ConvergenceError
 from repro.matgen import PAPER_RTOL, paper_rhs, poisson2d
 from repro.mpisim import CommTracker
 from repro.sparse import CSRMatrix
+
+
+@pytest.fixture(scope="module")
+def system():
+    mat = poisson2d(14)
+    part = RowPartition.from_matrix(mat, 3, seed=0)
+    da = DistMatrix.from_global(mat, part)
+    b = DistVector.from_global(paper_rhs(mat, 4), part)
+    return mat, part, da, b
 
 
 def residual(mat, x, b):
@@ -83,8 +91,14 @@ class TestPreconditionedCG:
         assert precond.iterations < plain.iterations
 
     def test_jacobi_preconditioner_converges(self, dist_poisson16):
+        """A bare callable ``z = M(r, tracker)`` works as ``precond=``."""
         mat, part, da, b = dist_poisson16
-        result = pcg(da, b, precond=jacobi_preconditioner(da))
+        inv_diag = DistVector.from_global(1.0 / mat.diagonal(), part)
+
+        def jacobi(r, tracker=None):
+            return DistVector(part, [d * x for d, x in zip(inv_diag.parts, r.parts)])
+
+        result = pcg(da, b, precond=jacobi)
         assert result.converged
         bg = b.to_global()
         assert residual(mat, result.x.to_global(), bg) <= 1.1e-8 * np.linalg.norm(bg)
@@ -125,3 +139,81 @@ class TestPreconditionedCG:
         )
         assert spmd_iters == bsp.iterations
         assert np.allclose(spmd_x.to_global(), bsp.x.to_global(), atol=1e-10)
+
+
+class TestPipelinedCG:
+    def test_matches_standard_pcg(self, system):
+        from repro.core import build_fsai, pcg, pipelined_pcg
+
+        mat, part, da, b = system
+        pre = build_fsai(mat, part)
+        std = pcg(da, b, precond=pre.apply, rtol=1e-10)
+        pipe = pipelined_pcg(da, b, precond=pre.apply, rtol=1e-10)
+        assert pipe.converged
+        # identical recurrence in exact arithmetic: same iteration count
+        # within rounding-induced slack of one step
+        assert abs(pipe.iterations - std.iterations) <= 1
+        assert np.allclose(pipe.x.to_global(), std.x.to_global(), atol=1e-8)
+
+    def test_unpreconditioned(self, system):
+        from repro.core import cg, pipelined_pcg
+
+        mat, _, da, b = system
+        std = cg(da, b, rtol=1e-9)
+        pipe = pipelined_pcg(da, b, rtol=1e-9)
+        assert pipe.converged
+        assert abs(pipe.iterations - std.iterations) <= 1
+
+    def test_fewer_reduction_phases(self, system):
+        """The point of pipelining: fewer allreduce calls per iteration."""
+        from repro.core import build_fsai, pcg, pipelined_pcg
+        from repro.mpisim import CommTracker
+
+        mat, part, da, b = system
+        pre = build_fsai(mat, part)
+        t_std, t_pipe = CommTracker(), CommTracker()
+        std = pcg(da, b, precond=pre.apply, tracker=t_std)
+        pipe = pipelined_pcg(da, b, precond=pre.apply, tracker=t_pipe)
+        per_iter_std = t_std.collective_calls["allreduce"] / max(std.iterations, 1)
+        per_iter_pipe = t_pipe.collective_calls["allreduce"] / max(pipe.iterations, 1)
+        assert per_iter_pipe <= per_iter_std
+
+    def test_allreduce_bytes_per_scalar_match_pcg(self, system):
+        """A fused allreduce of ``k`` scalars books ``k`` times what
+        ``DistVector.dot`` books for one: ``8·P`` bytes per scalar."""
+        from repro.core import build_fsai, pcg, pipelined_pcg
+        from repro.mpisim import CommTracker
+
+        mat, part, da, b = system
+        pre = build_fsai(mat, part)
+        t_std, t_pipe = CommTracker(), CommTracker()
+        pcg(da, b, precond=pre, tracker=t_std)
+        pipe = pipelined_pcg(da, b, precond=pre, tracker=t_pipe)
+        # ‖b‖², then (γ, δ), then three scalars per iteration
+        scalars = 1 + 2 + 3 * pipe.iterations
+        per_scalar_std = (
+            t_std.collective_bytes["allreduce"] / t_std.collective_calls["allreduce"]
+        )
+        per_scalar_pipe = t_pipe.collective_bytes["allreduce"] / scalars
+        assert per_scalar_pipe == per_scalar_std == 8 * part.nparts
+
+    def test_zero_rhs(self, system):
+        from repro.core import pipelined_pcg
+        from repro.dist import DistVector
+
+        _, part, da, _ = system
+        res = pipelined_pcg(da, DistVector.zeros(part))
+        assert res.converged and res.iterations == 0
+
+    def test_with_fsaie_comm(self, system):
+        from repro.core import build_fsaie_comm, pipelined_pcg
+
+        mat, part, da, b = system
+        pre = build_fsaie_comm(mat, part)
+        res = pipelined_pcg(da, b, precond=pre.apply)
+        assert res.converged
+        bg = b.to_global()
+        assert (
+            np.linalg.norm(mat.spmv(res.x.to_global()) - bg)
+            <= 2e-8 * np.linalg.norm(bg)
+        )

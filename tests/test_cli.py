@@ -204,6 +204,24 @@ class TestReport:
         assert err.startswith("error:")
         assert "version 99" in err
 
+    @pytest.mark.parametrize(
+        "spans",
+        [[{"name": "pcg.solve", "start": 2.0, "end": 1.0, "tags": {}}], {}],
+        ids=["span-ends-before-start", "spans-not-a-list"],
+    )
+    def test_malformed_trace_is_clear_error(self, tmp_path, capsys, spans):
+        import json as _json
+
+        path = tmp_path / "trace.json"
+        path.write_text(_json.dumps(
+            {"format": "repro-trace", "version": 1, "spans": spans, "metrics": []}
+        ))
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(path) in err
+        assert "Traceback" not in err
+
     def test_compare_pass_and_fail_exit_codes(self, tmp_path, capsys):
         base = self._write_report(tmp_path, "base.json", **{"pcg.iterations": 40.0})
         same = self._write_report(tmp_path, "same.json", **{"pcg.iterations": 40.0})

@@ -8,19 +8,18 @@ import math
 import pytest
 
 from repro.observe import (
-    CONFORMANCE_FORMAT,
     ClusterTelemetry,
     ConformanceError,
     ConformanceReport,
     MethodFacts,
-    PhaseConformance,
     RankCountConformance,
-    RankTelemetry,
     RunReport,
     attribute,
     conformance_samples,
     predicted_phases,
 )
+from repro.observe.conformance import CONFORMANCE_FORMAT, PhaseConformance
+from repro.observe.stream import RankTelemetry
 from repro.perfmodel import IterationCost
 
 

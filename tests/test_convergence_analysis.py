@@ -5,11 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    SpectralEstimate,
-    convergence_rate,
-    lanczos_tridiagonal,
-)
+from repro.analysis import SpectralEstimate, convergence_rate
+from repro.analysis.convergence import lanczos_tridiagonal
 from repro.core import build_fsai, build_fsaie_comm, cg, pcg
 from repro.dist import DistMatrix, DistVector, RowPartition
 from repro.matgen import paper_rhs, poisson2d

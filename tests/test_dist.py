@@ -11,9 +11,7 @@ from repro.dist import (
     HaloSchedule,
     RowPartition,
     spmd_cg,
-    spmd_dot,
     spmd_halo_update,
-    spmd_spmv,
 )
 from repro.errors import PartitionError, ShapeError
 from repro.mpisim import CommTracker
@@ -314,13 +312,6 @@ class TestConstructionAgainstPerRowReference:
 
 
 class TestSPMD:
-    def test_spmd_spmv_equals_bsp(self, dist_poisson16, rng):
-        mat, part, da, _ = dist_poisson16
-        x = DistVector.from_global(rng.standard_normal(mat.nrows), part)
-        bsp = da.spmv(x)
-        spmd = spmd_spmv(da, x)
-        assert np.allclose(spmd.to_global(), bsp.to_global())
-
     def test_spmd_halo_equals_bsp(self, dist_poisson16, rng):
         mat, part, da, _ = dist_poisson16
         x = DistVector.from_global(rng.standard_normal(mat.nrows), part)
@@ -337,12 +328,6 @@ class TestSPMD:
         assert tracker.edges() == da.schedule.edges()
         assert tracker.total_bytes == 8 * da.schedule.total_halo_values()
 
-    def test_spmd_dot(self, dist_poisson16, rng):
-        mat, part, _, _ = dist_poisson16
-        x = rng.standard_normal(mat.nrows)
-        dx = DistVector.from_global(x, part)
-        assert spmd_dot(dx, dx) == pytest.approx(float(x @ x))
-
     def test_spmd_cg_solves(self, dist_poisson16):
         mat, part, da, b = dist_poisson16
         sol, iters = spmd_cg(da, b, rtol=1e-8)
@@ -350,60 +335,3 @@ class TestSPMD:
         bg = b.to_global()
         assert np.linalg.norm(mat.spmv(x) - bg) <= 1.1e-8 * np.linalg.norm(bg)
         assert iters > 0
-
-
-class TestRedistribution:
-    def test_vector_roundtrip(self, poisson16, rng):
-        from repro.dist import redistribute_vector
-
-        old = RowPartition.from_matrix(poisson16, 3, seed=0)
-        new = RowPartition.contiguous(poisson16.nrows, 4)
-        x = rng.standard_normal(poisson16.nrows)
-        dx = DistVector.from_global(x, old)
-        moved = redistribute_vector(dx, new)
-        assert moved.partition == new
-        assert np.allclose(moved.to_global(), x)
-
-    def test_matrix_preserves_values_and_schedule_changes(self, poisson16):
-        from repro.dist import redistribute_matrix
-
-        old = RowPartition.from_matrix(poisson16, 3, seed=0)
-        new = RowPartition.from_matrix(poisson16, 5, seed=1)
-        da = DistMatrix.from_global(poisson16, old)
-        moved = redistribute_matrix(da, new)
-        assert moved.to_global().allclose(poisson16)
-        assert moved.partition.nparts == 5
-
-    def test_migration_volume_counts_changed_rows(self):
-        from repro.dist import migration_volume
-
-        old = RowPartition(np.array([0, 0, 1, 1]))
-        new = RowPartition(np.array([0, 1, 1, 0]))
-        vol = migration_volume(old, new)
-        assert vol == {(0, 1): 1, (1, 0): 1}
-
-    def test_identity_migration_is_free(self, poisson16):
-        from repro.dist import migration_volume
-
-        part = RowPartition.from_matrix(poisson16, 4, seed=2)
-        assert migration_volume(part, part) == {}
-
-    def test_tracker_records_traffic(self, poisson16, rng):
-        from repro.dist import redistribute_vector
-
-        old = RowPartition.contiguous(poisson16.nrows, 2)
-        new = RowPartition.contiguous(poisson16.nrows, 4)
-        tracker = CommTracker()
-        x = DistVector.from_global(rng.standard_normal(poisson16.nrows), old)
-        redistribute_vector(x, new, tracker)
-        assert tracker.total_bytes > 0
-
-    def test_shape_mismatch(self, poisson16, rng):
-        from repro.dist import redistribute_vector
-        from repro.errors import ShapeError as SE
-
-        old = RowPartition.contiguous(poisson16.nrows, 2)
-        bad = RowPartition.contiguous(poisson16.nrows + 1, 2)
-        x = DistVector.from_global(rng.standard_normal(poisson16.nrows), old)
-        with pytest.raises(SE):
-            redistribute_vector(x, bad)

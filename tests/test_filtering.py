@@ -8,13 +8,14 @@ import pytest
 from repro.core import (
     FilterSpec,
     compute_dynamic_filters,
-    dynamic_filter_for_rank,
+    compute_g_values,
     entry_ratios,
     extension_entry_mask,
     fsai_pattern,
     imbalance_index,
     relative_load,
 )
+from repro.core.filtering import dynamic_filter_for_rank
 from repro.core.filtering import static_filter_counts
 from repro.errors import ShapeError
 from repro.sparse import CSRMatrix, SparsityPattern
@@ -24,17 +25,13 @@ from conftest import random_sparse
 
 class TestEntryRatios:
     def test_diagonal_entries_have_ratio_one(self, small_spd):
-        from repro.core import fsai_factor
-
-        g = fsai_factor(small_spd)
+        g = compute_g_values(small_spd, fsai_pattern(small_spd))
         ratios = entry_ratios(g)
         rows = np.repeat(np.arange(g.nrows), g.row_nnz())
         assert np.allclose(ratios[rows == g.indices], 1.0)
 
     def test_scale_invariance(self, small_spd):
-        from repro.core import fsai_factor
-
-        g = fsai_factor(small_spd)
+        g = compute_g_values(small_spd, fsai_pattern(small_spd))
         scaled = CSRMatrix(g.shape, g.indptr, g.indices, g.data * 7.0, check=False)
         assert np.allclose(entry_ratios(g), entry_ratios(scaled))
 
@@ -53,8 +50,6 @@ class TestExtensionMask:
         assert mask.tolist() == [False, True, False, True, False]
 
     def test_all_base_gives_empty_mask(self, small_spd):
-        from repro.core import compute_g_values
-
         pat = fsai_pattern(small_spd)
         g = compute_g_values(small_spd, pat)
         assert not extension_entry_mask(g, pat).any()

@@ -9,7 +9,6 @@ from repro.core import (
     FSAIOptions,
     SetupOptions,
     compute_g_values,
-    fsai_factor,
     fsai_pattern,
 )
 from repro.errors import NotSPDError, ShapeError
@@ -17,6 +16,11 @@ from repro.matgen import poisson2d
 from repro.sparse import CSRMatrix, SparsityPattern
 
 from conftest import random_sparse
+
+
+def fsai_g(mat: CSRMatrix, options: FSAIOptions = FSAIOptions()) -> CSRMatrix:
+    """Alg. 1 end to end: the a-priori pattern, then its values."""
+    return compute_g_values(mat, fsai_pattern(mat, options))
 
 
 def condition_number(dense: np.ndarray) -> float:
@@ -57,25 +61,28 @@ class TestPattern:
             FSAIOptions(threshold=-1.0)
         with pytest.raises(ValueError):
             FSAIOptions(level=0)
-        with pytest.raises(ValueError):
-            FSAIOptions(post_filter=-0.1)
+
+    def test_no_post_filter_option(self):
+        """No builder read it, so it was silently ignored: it is gone."""
+        with pytest.raises(TypeError):
+            FSAIOptions(post_filter=0.1)
 
 
 class TestValues:
     def test_unit_diagonal_of_gagt(self, small_spd):
-        g = fsai_factor(small_spd)
+        g = fsai_g(small_spd)
         dense = g.to_dense() @ small_spd.to_dense() @ g.to_dense().T
         assert np.allclose(np.diag(dense), 1.0)
 
     def test_factor_is_lower_triangular_with_positive_diagonal(self, small_spd):
-        g = fsai_factor(small_spd)
+        g = fsai_g(small_spd)
         dense = g.to_dense()
         assert np.allclose(dense, np.tril(dense))
         assert np.all(np.diag(dense) > 0)
 
     def test_improves_conditioning(self, poisson16):
         a_dense = poisson16.to_dense()
-        g = fsai_factor(poisson16)
+        g = fsai_g(poisson16)
         precond = g.to_dense() @ a_dense @ g.to_dense().T
         assert condition_number(precond) < condition_number(a_dense)
 
@@ -83,14 +90,14 @@ class TestValues:
         a_dense = poisson16.to_dense()
         c = []
         for level in (1, 2):
-            g = fsai_factor(poisson16, FSAIOptions(level=level)).to_dense()
+            g = fsai_g(poisson16, FSAIOptions(level=level)).to_dense()
             c.append(condition_number(g @ a_dense @ g.T))
         assert c[1] < c[0]
 
     def test_diagonal_matrix_gives_exact_inverse_sqrt(self):
         diag = np.array([4.0, 9.0, 16.0])
         mat = CSRMatrix.from_dense(np.diag(diag))
-        g = fsai_factor(mat)
+        g = fsai_g(mat)
         assert np.allclose(g.to_dense(), np.diag(1.0 / np.sqrt(diag)))
 
     def test_full_pattern_reproduces_exact_inverse_factor(self, small_spd):
@@ -107,34 +114,9 @@ class TestValues:
         chol = np.linalg.cholesky(a_dense)
         errs = []
         for level in (1, 2):
-            g = fsai_factor(poisson16, FSAIOptions(level=level)).to_dense()
+            g = fsai_g(poisson16, FSAIOptions(level=level)).to_dense()
             errs.append(np.linalg.norm(np.eye(poisson16.nrows) - g @ chol))
         assert errs[1] < errs[0]
-
-    def test_post_filter_reduces_nnz(self, poisson16):
-        g_full = fsai_factor(poisson16, FSAIOptions(level=2))
-        g_filt = fsai_factor(poisson16, FSAIOptions(level=2, post_filter=0.2))
-        assert g_filt.nnz < g_full.nnz
-        # still a valid factor: unit diagonal of G A Gᵀ
-        dense = g_filt.to_dense() @ poisson16.to_dense() @ g_filt.to_dense().T
-        assert np.allclose(np.diag(dense), 1.0)
-
-    @pytest.mark.parametrize("tol", [0.05, 0.2])
-    def test_post_filter_resolves_only_rows_that_lost_an_entry(self, poisson16, tol):
-        """The post-filter keeps the values of untouched rows; the result is
-        bitwise the recompute of every row on the filtered pattern."""
-        from repro.instrument import NULL_TRACER, tracing
-
-        options = FSAIOptions(level=2, post_filter=tol)
-        pattern = fsai_pattern(poisson16, options)
-        with tracing(NULL_TRACER) as (_, metrics):
-            g = fsai_factor(poisson16, options)
-            solved = metrics.value("fsai.batched_rows")
-        full = compute_g_values(poisson16, SparsityPattern.from_csr(g))
-        assert g.data.tobytes() == full.data.tobytes()
-        changed = np.count_nonzero(g.row_nnz() != pattern.row_nnz())
-        assert changed == {0.05: 0, 0.2: 254}[tol]  # no row, all but the first two
-        assert solved == poisson16.nrows + changed
 
     def test_pattern_shape_mismatch(self, small_spd):
         with pytest.raises(ShapeError):
@@ -169,8 +151,8 @@ class TestValues:
         scale = rng.uniform(0.5, 2.0, mat.nrows)
         d = np.diag(scale)
         scaled = CSRMatrix.from_dense(d @ mat.to_dense() @ d)
-        g1 = fsai_factor(mat).to_dense()
-        g2 = fsai_factor(scaled).to_dense()
+        g1 = fsai_g(mat).to_dense()
+        g2 = fsai_g(scaled).to_dense()
         m1 = g1 @ mat.to_dense() @ g1.T
         m2 = g2 @ scaled.to_dense() @ g2.T
         assert np.allclose(m1, m2, atol=1e-10)
@@ -349,9 +331,9 @@ class TestBatchedEquivalence:
             ) == poisson16.nrows
 
     def test_halo_schedules_invariant_across_setup_paths(self):
-        from repro.core.precond import Preconditioner, build_fsai
+        from repro.core.precond import Preconditioner, build_fsai, check_comm_invariance
         from repro.dist import DistMatrix, RowPartition
-        from repro.observe import audit_preconditioners
+        from repro.observe import compare_snapshots, schedule_snapshot
 
         mat = poisson2d(10)
         part = RowPartition.contiguous(mat.nrows, 4)
@@ -365,10 +347,11 @@ class TestBatchedEquivalence:
             nnz=g_ref.nnz,
             filters=np.zeros(part.nparts),
         )
-        audit = audit_preconditioners(batched, per_row)
-        assert audit.invariant
+        assert check_comm_invariance(batched, per_row)
         for sched_b, sched_p in ((batched.g.schedule, per_row.g.schedule),
                                  (batched.gt.schedule, per_row.gt.schedule)):
+            verdict = compare_snapshots(schedule_snapshot(sched_b), schedule_snapshot(sched_p))
+            assert verdict.invariant, verdict.render()
             assert sched_b == sched_p
             for cb, cp in zip(sched_b.ext_cols, sched_p.ext_cols):
                 assert cb.tobytes() == cp.tobytes()

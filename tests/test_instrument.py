@@ -12,16 +12,14 @@ from repro.instrument import (
     NULL_TRACER,
     MetricsRegistry,
     Tracer,
-    disable_tracing,
-    enable_tracing,
     get_metrics,
     get_tracer,
     read_json_trace,
-    to_chrome_trace,
     tracing,
     write_chrome_trace,
     write_json_trace,
 )
+from repro.instrument.export import to_chrome_trace
 from repro.instrument.export import spans_from_dicts
 from repro.mpisim.tracker import CommTracker
 
@@ -130,17 +128,6 @@ class TestDisabledMode:
         NULL_METRICS.gauge("g", rank=0).set(1.0)
         NULL_METRICS.histogram("h").observe(2.0)
         assert NULL_METRICS.collect() == []
-
-    def test_enable_disable_roundtrip(self):
-        tracer, metrics = enable_tracing()
-        try:
-            assert get_tracer() is tracer
-            with get_tracer().span("visible"):
-                pass
-            assert len(tracer.by_name("visible")) == 1
-        finally:
-            disable_tracing()
-        assert get_tracer() is NULL_TRACER
 
     def test_tracing_context_restores_previous(self):
         with tracing() as (outer_tracer, _):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.cg import pcg, supports_workspace
 from repro.core.precond import build_fsai
-from repro.core.solvers import bicgstab, pipelined_pcg
+from repro.core.solvers import pipelined_pcg
 from repro.dist import DistMatrix, DistVector, RowPartition
 from repro.errors import ShapeError
 from repro.instrument import NULL_TRACER, tracing
@@ -376,7 +376,7 @@ class TestSolverWorkspace:
         for p in range(part.nparts):
             assert np.array_equal(first.x.parts[p], snapshot[p])
 
-    @pytest.mark.parametrize("solver", [bicgstab, pipelined_pcg])
+    @pytest.mark.parametrize("solver", [pipelined_pcg])
     def test_variant_solvers_match_textbook_oracle(self, dist_setup, solver):
         mat, part, dmat, b = dist_setup
         pre = build_fsai(mat, part)

@@ -11,17 +11,17 @@ import numpy as np
 import pytest
 
 from repro.cachesim import (
+    L1_SKYLAKE,
     NO_LINE,
     CacheConfig,
-    L1_SKYLAKE,
     SetAssociativeCache,
-    entry_categories,
     precond_x_misses_per_rank,
 )
 from repro.cachesim.spmv_trace import (
     CATEGORY_BASE,
     CATEGORY_EXT_HALO,
     CATEGORY_EXT_LOCAL,
+    entry_categories,
 )
 from repro.core import build_fsai, build_fsaie, build_fsaie_comm
 from repro.core.fsai import fsai_pattern
@@ -31,11 +31,11 @@ from repro.observe import (
     CacheConformance,
     FreeRideLedger,
     MemTrafficError,
-    MethodCacheProfile,
     RankLedger,
     cache_conformance_samples,
     ledger_samples,
 )
+from repro.observe.memtraffic import MethodCacheProfile
 from repro.observe.prom import render_openmetrics
 
 

@@ -12,8 +12,6 @@ from conftest import drive
 from repro.errors import CommError
 from repro.mpisim import (
     ANY_TAG,
-    MAX,
-    MIN,
     SUM,
     ClockModel,
     CommTracker,
@@ -22,6 +20,7 @@ from repro.mpisim import (
     payload_nbytes,
     run_spmd,
 )
+from repro.mpisim.comm import MAX, MIN
 
 SIZES = [1, 2, 3, 4, 5, 7, 8]
 

@@ -38,7 +38,8 @@ from repro.dist import (
 from repro.errors import CommError
 from repro.instrument import tracing
 from repro.matgen import paper_rhs, poisson2d
-from repro.mpisim import MAX, SUM, ClockModel, CommTracker, run_spmd
+from repro.mpisim import SUM, ClockModel, CommTracker, run_spmd
+from repro.mpisim.comm import MAX
 from repro.partition import block_partition_2d
 from repro.resilience import (
     FaultPlan,

@@ -4,11 +4,11 @@ Covers the four pieces and their solver/metric emission contracts:
 
 * flight recorder — per-iteration events from the Krylov solvers, parsed
   back by :class:`FlightRecord`, with stagnation/divergence detectors;
-* communication-invariance auditor — the paper's §4 claim as a verdict
+* communication-invariance verdicts — the paper's §4 claim as a verdict
   object, including the acceptance cases (FSAI vs FSAIE-Comm invariant on a
   2-D stencil across 4 ranks; a deliberately halo-widened pattern flagged);
-* load-balance monitor — bisection trajectories recorded by
-  ``compute_dynamic_filters`` read back into :class:`BalanceReport`;
+* load-balance metrics — bisection trajectories recorded by
+  ``compute_dynamic_filters``;
 * unified run reports — versioned JSON roundtrip, format dispatch, and the
   :meth:`RunReport.compare` regression comparator.
 """
@@ -25,8 +25,8 @@ import pytest
 from repro.core.cg import pcg
 from repro.core.filtering import FilterSpec, compute_dynamic_filters
 from repro.core.fsai import fsai_pattern
-from repro.core.precond import build_fsai, build_fsaie_comm
-from repro.core.solvers import bicgstab, pipelined_pcg
+from repro.core.precond import build_fsai, build_fsaie_comm, check_comm_invariance
+from repro.core.solvers import pipelined_pcg
 from repro.dist.halo import HaloSchedule
 from repro.dist.partition_map import RowPartition
 from repro.dist.vector import DistVector
@@ -35,18 +35,13 @@ from repro.mpisim.tracker import CommTracker
 from repro.observe import (
     DIVERGENCE_FACTOR,
     TRUE_RESIDUAL_INTERVAL,
-    BalanceReport,
-    CommAuditor,
     FlightRecord,
     ReportError,
     RunReport,
-    audit_preconditioners,
-    audit_schedules,
-    balance_report,
     compare_snapshots,
-    flatten_metrics,
     schedule_snapshot,
 )
+from repro.observe.report import flatten_metrics
 from repro.sparse.pattern import SparsityPattern
 
 
@@ -99,18 +94,17 @@ class TestFlightRecorder:
         )
         assert traced == tracker.total_bytes
 
-    def test_bicgstab_and_pipelined_emit_tagged_events(self, dist_poisson16):
+    def test_pcg_and_pipelined_emit_tagged_events(self, dist_poisson16):
         mat, part, da, b = dist_poisson16
         pre = build_fsai(mat, part)
         with tracing() as (tracer, _):
-            r1 = bicgstab(da, b, precond=pre)
+            r1 = pcg(da, b, precond=pre)
             r2 = pipelined_pcg(da, b, precond=pre)
-            stab = FlightRecord.from_tracer(tracer, solver="bicgstab")
+            std = FlightRecord.from_tracer(tracer, solver="pcg")
             pipe = FlightRecord.from_tracer(tracer, solver="pipelined_pcg")
-        assert stab.iterations == r1.iterations
+        assert std.iterations == r1.iterations
         assert pipe.iterations == r2.iterations
-        # bicgstab reports omega through the beta slot
-        assert any(v is not None for v in stab.betas)
+        assert all(a is not None for a in pipe.alphas)
 
     def test_disabled_tracing_records_nothing(self, dist_poisson16):
         from repro.instrument import get_tracer
@@ -141,20 +135,21 @@ class TestFlightRecorder:
         assert rec.divergence(factor=DIVERGENCE_FACTOR) == [2]
         assert rec.divergence(factor=1.5) == [1, 2]
 
-    def test_from_spans_omega_fallback_and_filtering(self):
+    def test_from_spans_filters_by_solver(self):
         spans = [
             {"name": "flight.iteration",
-             "tags": {"solver": "bicgstab", "index": 0, "residual": 1.0,
-                      "alpha": 0.5, "omega": 0.25}},
+             "tags": {"solver": "pipelined_pcg", "index": 0, "residual": 1.0,
+                      "alpha": 0.5}},
             {"name": "flight.iteration",
              "tags": {"solver": "pcg", "index": 0, "residual": 2.0,
                       "alpha": 0.1, "beta": 0.2}},
             {"name": "flight.divergence", "tags": {"solver": "pcg", "index": 7}},
             {"name": "pcg.iteration", "tags": {"solver": "pcg"}},  # not a flight event
         ]
-        rec = FlightRecord.from_spans(spans, solver="bicgstab")
+        rec = FlightRecord.from_spans(spans, solver="pipelined_pcg")
         assert rec.iterations == 1
-        assert rec.betas == [0.25]
+        assert rec.alphas == [0.5]
+        assert rec.betas == [None]
         assert rec.divergence_events == []
         rec = FlightRecord.from_spans(spans, solver="pcg")
         assert rec.betas == [0.2]
@@ -172,7 +167,7 @@ class TestFlightRecorder:
 
 
 # ----------------------------------------------------------------------
-# communication-invariance auditor (acceptance cases)
+# communication-invariance verdicts (acceptance cases)
 # ----------------------------------------------------------------------
 def _widened_pattern(pattern: SparsityPattern, partition) -> SparsityPattern:
     """Copy ``pattern`` with one extra entry coupling a rank-0 row to a
@@ -200,32 +195,40 @@ def _widened_pattern(pattern: SparsityPattern, partition) -> SparsityPattern:
     )
 
 
+def schedule_verdict(base, other, **labels):
+    """Verdict on the traffic of one halo update of each schedule."""
+    return compare_snapshots(schedule_snapshot(base), schedule_snapshot(other), **labels)
+
+
 class TestInvarianceAuditor:
-    """ISSUE acceptance: on a 2-D stencil across >= 4 simulated ranks, the
-    auditor proves FSAI vs FSAIE-Comm identical and refutes a widened halo."""
+    """On a 2-D stencil across >= 4 simulated ranks, the verdicts prove
+    FSAI vs FSAIE-Comm identical and refute a widened halo."""
 
     def test_fsai_vs_fsaie_comm_invariant(self, dist_poisson16):
         mat, part, _, _ = dist_poisson16
         assert part.nparts >= 4
         base = build_fsai(mat, part)
         extended = build_fsaie_comm(mat, part)
-        audit = audit_preconditioners(base, extended)
-        assert audit.invariant, audit.render()
-        for verdict in (audit.g, audit.gt):
-            assert verdict.invariant
+        assert check_comm_invariance(base, extended)
+        for factor in ("g", "gt"):
+            verdict = schedule_verdict(
+                getattr(base, factor).schedule,
+                getattr(extended, factor).schedule,
+                base_label=f"FSAI.{factor}",
+                other_label=f"FSAIE-Comm.{factor}",
+            )
+            assert verdict.invariant, verdict.render()
             assert verdict.violations == 0
             # identical edge/message/byte totals, not merely "no diff found"
             assert verdict.base_totals == verdict.other_totals
             assert verdict.base_totals[0] > 0  # the stencil does communicate
-        assert audit.g.base == "FSAI.G"
-        assert audit.g.other == "FSAIE-Comm.G"
-        assert "HOLDS" in audit.render()
+            assert "HOLDS" in verdict.render()
 
     def test_halo_widened_pattern_flagged(self, poisson16):
         mat, part = poisson16, RowPartition.contiguous(poisson16.nrows, 4)
         pattern = fsai_pattern(mat)
         widened = _widened_pattern(pattern, part)
-        verdict = audit_schedules(
+        verdict = schedule_verdict(
             HaloSchedule.from_pattern(pattern, part),
             HaloSchedule.from_pattern(widened, part),
             base_label="fsai",
@@ -241,7 +244,8 @@ class TestInvarianceAuditor:
         assert edge[1] == 0  # rank 0's halo was widened
 
     def test_halo_widened_preconditioner_object_flagged(self, poisson16):
-        """The duck-typed audit surface flags a doctored preconditioner."""
+        """A doctored preconditioner fails the invariance check; the verdict
+        names the edge it added."""
         mat, part = poisson16, RowPartition.contiguous(poisson16.nrows, 4)
         base = build_fsai(mat, part)
         widened_sched = HaloSchedule.from_pattern(
@@ -252,15 +256,12 @@ class TestInvarianceAuditor:
             g=SimpleNamespace(schedule=widened_sched),
             gt=SimpleNamespace(schedule=base.gt.schedule),
         )
-        audit = audit_preconditioners(base, doctored)
-        assert not audit.invariant
-        assert not audit.g.invariant
-        assert audit.gt.invariant  # only G was doctored
-        assert audit.g.other == "FSAI-widened.G"
-        doc = audit.to_dict()
+        assert not check_comm_invariance(base, doctored)
+        assert schedule_verdict(base.gt.schedule, doctored.gt.schedule).invariant
+        doc = schedule_verdict(base.g.schedule, doctored.g.schedule).to_dict()
         assert doc["invariant"] is False
-        assert doc["g"]["extra_edges"]  # "src->dst" strings
-        assert all("->" in e for e in doc["g"]["extra_edges"])
+        assert doc["extra_edges"]  # "src->dst" strings
+        assert all("->" in e for e in doc["extra_edges"])
 
     def test_schedule_snapshot_accounting(self, dist_poisson16):
         mat, part, _, _ = dist_poisson16
@@ -294,55 +295,8 @@ class TestInvarianceAuditor:
         assert "allreduce" not in p2p_only.collective_mismatches
 
 
-class TestCommAuditor:
-    def test_phase_records_and_compares(self, dist_poisson16):
-        mat, part, da, _ = dist_poisson16
-        x = DistVector.from_global(np.ones(mat.nrows), part)
-        auditor = CommAuditor()
-        with auditor.phase("first") as tracker:
-            da.spmv(x, tracker)
-        with auditor.phase("second") as tracker:
-            da.spmv(x, tracker)
-        assert auditor.labels == ["first", "second"]
-        verdict = auditor.verdict("first", "second")
-        assert verdict.invariant, verdict.render()
-        assert verdict.base_totals[2] > 0
-
-    def test_verdict_unknown_phase_raises(self):
-        with pytest.raises(KeyError):
-            CommAuditor().verdict("a", "b")
-
-    def test_per_update_verdict_normalises_counts(self, dist_poisson16):
-        """Solves with different halo-update counts still compare equal on
-        the per-update schedule — the form of the paper's claim."""
-        mat, part, da, _ = dist_poisson16
-        x = DistVector.from_global(np.ones(mat.nrows), part)
-        auditor = CommAuditor()
-        t1, t2 = CommTracker(), CommTracker()
-        da.spmv(x, t1)
-        for _ in range(3):
-            da.spmv(x, t2)
-        auditor.record("one", t1, updates=1)
-        auditor.record("three", t2, updates=3)
-        # raw totals differ...
-        assert not auditor.verdict("one", "three").invariant
-        # ...but per-update accounting is identical
-        per_update = auditor.per_update_verdict("one", "three")
-        assert per_update.invariant, per_update.render()
-
-    def test_per_update_requires_update_counts(self, dist_poisson16):
-        mat, part, da, _ = dist_poisson16
-        x = DistVector.from_global(np.ones(mat.nrows), part)
-        auditor = CommAuditor()
-        with auditor.phase("untagged") as tracker:
-            da.spmv(x, tracker)
-        auditor.record("tagged", CommTracker(), updates=1)
-        with pytest.raises(ValueError, match="updates="):
-            auditor.per_update_verdict("untagged", "tagged")
-
-
 # ----------------------------------------------------------------------
-# load-balance monitor
+# load-balance metrics
 # ----------------------------------------------------------------------
 def _imbalanced_inputs():
     """4 ranks, rank 0 heavily overloaded by extension entries."""
@@ -362,20 +316,20 @@ class TestBalanceMonitor:
         spec = FilterSpec(0.01, dynamic=True)
         with tracing() as (_, metrics):
             filters = compute_dynamic_filters(base_counts, ratios, spec)
-            report = BalanceReport.from_metrics(metrics, band=spec.band)
-        assert report.ranks == 4
-        assert report.filters == pytest.approx(list(filters))
+        for rank in range(4):
+            assert metrics.value("filter.value", rank=rank) == filters[rank]
         # the overloaded rank bisected: raised filter, multi-step trajectory
+        steps = metrics.value("filter.bisection.steps", rank=0)
         assert filters[0] > spec.value
-        assert report.steps.get(0, 0) >= 1
-        assert len(report.trajectories[0]) == report.steps[0] + 1
+        assert steps >= 1
+        assert len(metrics.value("filter.bisection.load", rank=0)) == steps + 1
         # underloaded ranks stop at the initial evaluation
         for rank in (1, 2, 3):
             assert filters[rank] == spec.value
-            assert report.steps.get(rank, 0) == 0
-            assert len(report.trajectories[rank]) == 1
+            assert metrics.value("filter.bisection.steps", rank=rank) == 0
+            assert len(metrics.value("filter.bisection.load", rank=rank)) == 1
         # final gauges reproduce the loads the bisection converged to
-        assert report.loads[0] <= spec.band[1] + 1e-12
+        assert metrics.value("filter.load", rank=0) <= spec.band[1] + 1e-12
 
     def test_metrics_silent_when_disabled(self):
         from repro.instrument import get_metrics
@@ -383,46 +337,6 @@ class TestBalanceMonitor:
         base_counts, ratios = _imbalanced_inputs()
         compute_dynamic_filters(base_counts, ratios, FilterSpec(0.01, dynamic=True))
         assert get_metrics().collect() == []
-
-    def test_from_counts_and_offenders(self):
-        report = BalanceReport.from_counts([100, 100, 100, 140], filters=[0.01] * 4)
-        assert report.ranks == 4
-        assert not report.within_band
-        assert 3 in report.offenders()  # the overloaded rank is named
-        assert report.imbalance == pytest.approx(1.4)
-        assert "IMBALANCED" in report.render()
-        assert "outside band" in report.render()
-
-    def test_from_precond_duck_typing(self, dist_poisson16):
-        mat, part, _, _ = dist_poisson16
-        pre = build_fsai(mat, part)
-        report = BalanceReport.from_precond(pre)
-        assert report.ranks == part.nparts
-        assert report.loads == pytest.approx(
-            list(pre.nnz_per_rank() / pre.nnz_per_rank().mean())
-        )
-        assert report.filters == pytest.approx([0.0] * part.nparts)
-
-    def test_balance_report_dispatch(self, dist_poisson16):
-        mat, part, _, _ = dist_poisson16
-        pre = build_fsai(mat, part)
-        assert balance_report(pre).ranks == part.nparts
-        assert balance_report([10, 10]).within_band
-        with tracing() as (_, metrics):
-            base_counts, ratios = _imbalanced_inputs()
-            compute_dynamic_filters(base_counts, ratios, FilterSpec(0.01))
-            assert balance_report(metrics).ranks == 4
-
-    def test_to_dict_roundtrips_through_json(self):
-        base_counts, ratios = _imbalanced_inputs()
-        with tracing() as (_, metrics):
-            compute_dynamic_filters(base_counts, ratios, FilterSpec(0.01))
-            report = BalanceReport.from_metrics(metrics)
-        doc = json.loads(json.dumps(report.to_dict()))
-        assert doc["ranks"] == 4
-        assert doc["within_band"] == report.within_band
-        assert doc["trajectories"]["0"] == report.trajectories[0]
-
 
 # ----------------------------------------------------------------------
 # halo traffic counters (satellite: per-rank accounting on both paths)
@@ -476,7 +390,7 @@ class TestHaloCounters:
 class TestRunReport:
     def _sample(self) -> RunReport:
         report = RunReport(meta={"label": "sample", "grid": 16})
-        report.add_section("balance", BalanceReport.from_counts([10, 10]))
+        report.add_section("flight", FlightRecord(solver="pcg", indices=[0], residuals=[1.0]))
         report.add_metric("pcg.iterations", 42)
         report.add_metric("kernels.hot_allocs", 0)
         return report
@@ -528,9 +442,9 @@ class TestRunReport:
         assert report.metrics["bench.pcg.iterations"] == 30.0
         assert report.sections["bench"]["spmv_speedup_largest"] == 1.5
 
-    def test_version_1_documents_still_load(self, tmp_path):
-        # v1 reports (written before the timeline/attribution sections
-        # existed) must keep loading under the v2 reader
+    def test_version_1_documents_rejected(self, tmp_path):
+        # nothing writes v1 reports any more: reading one is an error that
+        # names the version, like any other unsupported schema
         path = tmp_path / "v1.json"
         path.write_text(
             json.dumps(
@@ -543,9 +457,8 @@ class TestRunReport:
                 }
             )
         )
-        report = RunReport.load(path)
-        assert report.label == "old"
-        assert report.metrics["pcg.iterations"] == 12.0
+        with pytest.raises(ReportError, match="version 1"):
+            RunReport.load(path)
 
     def test_from_solver_bench_via_load(self, tmp_path):
         doc = {
@@ -629,6 +542,26 @@ class TestRunReport:
         with pytest.raises(ReportError, match="newer"):
             RunReport.load(path)
 
+    @pytest.mark.parametrize(
+        "spans, message",
+        [
+            ([{"name": "pcg.solve", "start": 2.0, "end": 1.0, "tags": {}}],
+             "ends before it starts"),
+            ({}, "'spans' must be a list"),
+        ],
+        ids=["span-ends-before-start", "spans-not-a-list"],
+    )
+    def test_load_validates_trace_documents(self, tmp_path, spans, message):
+        """A trace goes through the one trace reader, and its complaint
+        comes back as a ReportError naming the file."""
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(
+            {"format": "repro-trace", "version": 1, "spans": spans, "metrics": []}
+        ))
+        with pytest.raises(ReportError, match=message) as exc:
+            RunReport.load(path)
+        assert str(path) in str(exc.value)
+
     def test_add_section_rejects_non_dict(self):
         with pytest.raises(TypeError):
             self._sample().add_section("bad", 3)
@@ -692,7 +625,7 @@ class TestRunReport:
         md = report.to_markdown()
         assert "# Run report — sample" in md
         assert "| `pcg.iterations` | 42 |" in md
-        assert "## balance" in md
+        assert "## flight" in md
 
     def test_flatten_metrics_histogram_subkeys(self):
         with tracing() as (_, metrics):

@@ -1,4 +1,4 @@
-"""Unit tests for machine specs, FLOP counting and the time model."""
+"""Unit tests for machine specs and the time model."""
 
 from __future__ import annotations
 
@@ -15,9 +15,6 @@ from repro.perfmodel import (
     ZEN2,
     CostModel,
     estimate_solver_time,
-    iteration_flops_per_rank,
-    precond_flops_per_rank,
-    spmv_flops,
 )
 
 
@@ -45,23 +42,6 @@ class TestMachines:
     def test_cores_per_node(self):
         assert SKYLAKE.cores_per_node == 48
         assert ZEN2.cores_per_node == 128
-
-
-class TestFlops:
-    def test_spmv_flops(self):
-        assert spmv_flops(100) == 200
-
-    def test_precond_flops(self, setup):
-        _, _, _, fsai, _ = setup
-        per_rank = precond_flops_per_rank(fsai)
-        assert per_rank.sum() == 2 * (fsai.g.nnz + fsai.gt.nnz)
-
-    def test_iteration_flops_include_all_kernels(self, setup):
-        mat, _, da, fsai, _ = setup
-        with_pre = iteration_flops_per_rank(da, fsai)
-        without = iteration_flops_per_rank(da, None)
-        assert np.all(with_pre > without)
-        assert without.sum() == 2 * mat.nnz + 12 * mat.nrows
 
 
 class TestCostModel:

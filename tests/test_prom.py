@@ -12,16 +12,18 @@ import pytest
 from repro.instrument import MetricsRegistry
 from repro.observe import (
     ClusterTelemetry,
-    RankTelemetry,
     StreamingHistogram,
     Timeline,
+    timeline_samples,
+    write_openmetrics,
+)
+from repro.observe.prom import (
     escape_label_value,
     parse_exposition,
     render_openmetrics,
     sanitize_metric_name,
-    timeline_samples,
-    write_openmetrics,
 )
+from repro.observe.stream import RankTelemetry
 from tests.test_timeline import two_rank_spans
 
 

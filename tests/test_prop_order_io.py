@@ -6,14 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.order import (
-    bandwidth,
-    inverse_permutation,
-    permute_symmetric,
-    permute_vector,
-    rcm_ordering,
-    unpermute_vector,
-)
+from repro.order import bandwidth, permute_symmetric, rcm_ordering
+from repro.order.permute import inverse_permutation
 from repro.sparse import CSRMatrix, read_matrix_market, write_matrix_market
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -47,15 +41,6 @@ class TestPermutationProperties:
         perm = np.random.default_rng(seed).permutation(mat.nrows)
         back = permute_symmetric(permute_symmetric(mat, perm), inverse_permutation(perm))
         assert back.allclose(mat, atol=0)
-
-    @SETTINGS
-    @given(st.integers(2, 30), st.integers(0, 2**31 - 1))
-    def test_vector_permutation_inverse(self, n, seed):
-        rng = np.random.default_rng(seed)
-        perm = rng.permutation(n)
-        x = rng.standard_normal(n)
-        assert np.allclose(unpermute_vector(permute_vector(x, perm), perm), x)
-        assert np.allclose(permute_vector(unpermute_vector(x, perm), perm), x)
 
 
 class TestRCMProperties:

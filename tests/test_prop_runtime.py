@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from repro.cachesim import CacheConfig, simulate_misses
 from repro.dist import DistMatrix, DistVector, RowPartition
 from repro.matgen import poisson2d
-from repro.mpisim import MAX, MIN, SUM, ClockModel, run_spmd
+from repro.mpisim import SUM, ClockModel, run_spmd
+from repro.mpisim.comm import MAX, MIN
 from repro.partition import graph_from_matrix, partition_matrix
 
 SETTINGS = settings(max_examples=15, deadline=None)

@@ -18,12 +18,8 @@ import pytest
 from repro.core import build_fsai, pcg
 from repro.dist import DistVector, RowPartition, spmd_cg
 from repro.errors import CommError, ConvergenceError, FaultPlanError
-from repro.instrument import (
-    TraceError,
-    spans_to_dicts,
-    tracing,
-    validate_span_monotonicity,
-)
+from repro.instrument import TraceError, tracing
+from repro.instrument.export import spans_to_dicts, validate_span_monotonicity
 from repro.mpisim import CommTracker, get_injector, run_spmd
 from repro.resilience import (
     ChaosError,
@@ -38,11 +34,10 @@ from repro.resilience import (
     RankFailure,
     RankStall,
     ResilienceConfig,
-    degrade_system,
-    degrade_vector,
     fault_injection,
     solve_with_failover,
 )
+from repro.resilience.degraded import degrade_system, degrade_vector
 
 RTOL = 1e-8
 IDENTICAL_RTOL = 1e-10

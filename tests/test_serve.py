@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.dist import DistMatrix, RowPartition
-from repro.instrument import disable_tracing, enable_tracing
+from repro.instrument import tracing
 from repro.matgen import poisson2d
 from repro.observe import ReportError, RunReport
 from repro.observe.audit import compare_snapshots, schedule_snapshot
@@ -124,8 +124,7 @@ class TestArtifactCache:
         assert cache.stats.evictions == 1
 
     def test_metrics_mirrored_to_registry(self):
-        _, registry = enable_tracing()
-        try:
+        with tracing() as (_, registry):
             cache = ArtifactCache(name="mirrored")
             cache.get("nope")
             cache.put("a", "A", 64)
@@ -133,8 +132,6 @@ class TestArtifactCache:
             assert registry.value("serve.cache.hits", tier="mirrored") == 1
             assert registry.value("serve.cache.misses", tier="mirrored") == 1
             assert registry.value("serve.cache.bytes", tier="mirrored") == 64
-        finally:
-            disable_tracing()
 
 
 class TestWorkspacePool:

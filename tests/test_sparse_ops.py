@@ -1,17 +1,15 @@
-"""Unit tests for BLAS-1 helpers and sparse utility operations."""
+"""Unit tests for BLAS-1 helpers and sparse matrix checks."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import NotSPDError, ShapeError
+from repro.errors import ShapeError
 from repro.sparse import (
     CSRMatrix,
     axpy,
-    check_spd,
     dot,
-    drop_small_relative,
     is_symmetric,
     max_norm,
     norm2,
@@ -62,57 +60,3 @@ class TestMatrixChecks:
         assert is_symmetric(small_spd)
         assert not is_symmetric(random_sparse(rng, 6, 6))
         assert not is_symmetric(random_sparse(rng, 4, 6))
-
-    def test_check_spd_accepts(self, small_spd):
-        check_spd(small_spd)
-
-    def test_check_spd_rejects_asymmetric(self, rng):
-        with pytest.raises(NotSPDError):
-            check_spd(random_sparse(rng, 6, 6))
-
-    def test_check_spd_rejects_negative_diagonal(self):
-        mat = CSRMatrix.from_dense(np.diag([1.0, -1.0, 2.0]))
-        with pytest.raises(NotSPDError):
-            check_spd(mat)
-
-    def test_check_spd_rejects_indefinite(self):
-        dense = np.array([[1.0, 4.0], [4.0, 1.0]])  # eigenvalues 5 and -3
-        with pytest.raises(NotSPDError):
-            check_spd(CSRMatrix.from_dense(dense))
-
-
-class TestRelativeDropping:
-    def test_drops_small_keeps_diagonal(self):
-        dense = np.array(
-            [[10.0, 0.01, 0.0], [0.01, 10.0, 5.0], [0.0, 5.0, 10.0]]
-        )
-        mat = CSRMatrix.from_dense(dense)
-        out = drop_small_relative(mat, 0.1)
-        got = out.to_dense()
-        assert got[0, 1] == 0.0
-        assert got[1, 2] == 5.0
-        assert np.allclose(np.diag(got), 10.0)
-
-    def test_scale_independent(self, small_spd):
-        scaled = CSRMatrix(
-            small_spd.shape,
-            small_spd.indptr,
-            small_spd.indices,
-            small_spd.data * 1e6,
-            check=False,
-        )
-        a = drop_small_relative(small_spd, 0.05)
-        b = drop_small_relative(scaled, 0.05)
-        assert np.array_equal(a.indices, b.indices)
-
-    def test_zero_tolerance_keeps_all(self, small_spd):
-        out = drop_small_relative(small_spd, 0.0)
-        assert out.nnz == small_spd.nnz
-
-    def test_rejects_negative_tolerance(self, small_spd):
-        with pytest.raises(ValueError):
-            drop_small_relative(small_spd, -1.0)
-
-    def test_rejects_rectangular(self, rng):
-        with pytest.raises(ShapeError):
-            drop_small_relative(random_sparse(rng, 3, 5), 0.1)

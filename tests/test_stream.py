@@ -11,15 +11,13 @@ from repro.dist.spmd import spmd_pipelined_pcg
 from repro.matgen import paper_rhs, poisson2d
 from repro.mpisim import CommTracker, run_spmd
 from repro.observe import (
-    TELEMETRY_TAG,
     ClusterTelemetry,
-    RankTelemetry,
     StreamingHistogram,
     TelemetryConfig,
     aggregate_telemetry,
-    classify_wait_tag,
     sampled_ranks,
 )
+from repro.observe.stream import classify_wait_tag, RankTelemetry, TELEMETRY_TAG
 from repro.perfmodel import SKYLAKE
 
 

@@ -26,15 +26,13 @@ from repro.core.precond import build_fsai, build_fsaie_comm
 from repro.instrument import tracing
 from repro.perfmodel import SKYLAKE
 from repro.observe import (
-    CommEdge,
     HaloCriticalPath,
-    Segment,
     Timeline,
     TimelineError,
     bsp_wait_times,
-    classify_segment,
     halo_critical_path,
 )
+from repro.observe.timeline import classify_segment, CommEdge, Segment
 
 
 def span(name, start, end, *, sid, parent=None, thread=0, **tags):
