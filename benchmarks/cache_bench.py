@@ -18,41 +18,27 @@ claims on the repo's own simulator, per grid, method and line geometry:
   not worse than FSAI** — as pass/fail records in the document;
 * every count, fraction and flag lands in the flat ``summary`` surface
   (``g{grid}.{method}.l{line}.*``) consumed by
-  :meth:`repro.observe.RunReport.from_cache_bench`.
+  :meth:`repro.observe.RunReport.from_bench`.
 
-Everything here is a deterministic pure function of the matrix, partition
-seed and cache geometry — no timings — so ``scripts/check_cache_reuse.py``
-and ``scripts/check_bench_regression.py --cache`` gate the summary exactly
-against ``benchmarks/baselines/cache_baseline.json``.  ``--quick`` runs the
-first grid only, producing a strict key-subset with identical values.
+The ladder itself is :func:`repro.perfmodel.ladders.cache_ladder`, the one
+``repro cache`` runs.  Everything here is a deterministic pure function of
+the matrix, partition seed and cache geometry — no timings — so
+``scripts/check_bench.py cache`` gates the summary exactly against
+``benchmarks/baselines/cache_baseline.json``.  ``--quick`` runs the first
+grid only, producing a strict key-subset with identical values.
 
 Run::
 
-    PYTHONPATH=src python benchmarks/cache_bench.py           # full ladder
-    PYTHONPATH=src python benchmarks/cache_bench.py --quick   # first grid only
+    PYTHONPATH=src python benchmarks/suites.py cache           # full ladder
+    PYTHONPATH=src python benchmarks/suites.py cache --quick   # first grid only
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.cachesim import CacheConfig, precond_x_misses_per_rank  # noqa: E402
-from repro.core import (  # noqa: E402
-    PrecondOptions,
-    build_fsai,
-    build_fsaie,
-    build_fsaie_comm,
-)
-from repro.core.fsai import fsai_pattern  # noqa: E402
-from repro.dist import RowPartition  # noqa: E402
-from repro.matgen import poisson2d  # noqa: E402
-from repro.observe import CacheConformance, FreeRideLedger  # noqa: E402
-from repro.perfmodel import MACHINES, CostModel  # noqa: E402
+from repro.dist import RowPartition
+from repro.matgen import poisson2d
+from repro.perfmodel import MACHINES
+from repro.perfmodel.ladders import cache_ladder
 
 #: Poisson grids of the ladder (``grid``² rows each).  ``--quick`` keeps the
 #: first grid only, so quick summaries are a strict key-subset of the full
@@ -67,8 +53,8 @@ LINE_SIZES = (64, 256)
 #: line size sweeps, so the geometry effect is isolated.
 MACHINE = "skylake"
 
-#: Ladder methods: summary key → builder.
-BUILDERS = {"fsai": build_fsai, "fsaie": build_fsaie, "comm": build_fsaie_comm}
+#: Ladder methods: summary key → preconditioner name.
+METHODS = {"fsai": "FSAI", "fsaie": "FSAIE", "comm": "FSAIE-Comm"}
 
 #: Claim name → summary flag key (``free-ride-rises-with-line-size`` is one
 #: flag per method, the others one per method and line geometry).
@@ -79,56 +65,11 @@ CLAIM_FLAGS = {
 }
 
 
-def run_rung(grid: int) -> tuple[CacheConformance, dict]:
-    """One grid: attributed replay of every (method, line geometry) cell.
-
-    Returns the conformance report and the method-key → preconditioner-name
-    mapping used to spell summary keys.
-    """
-    machine = MACHINES[MACHINE]
-    mat = poisson2d(grid)
-    part = RowPartition.from_matrix(mat, RANKS, seed=PART_SEED)
-    model = CostModel(machine, threads_per_process=1)
-    report = CacheConformance(
-        meta={
-            "matrix": f"poisson2d:{grid}",
-            "ranks": RANKS,
-            "machine": MACHINE,
-            "line_sizes": list(LINE_SIZES),
-        }
-    )
-    names: dict[str, str] = {}
-    for line_bytes in LINE_SIZES:
-        options = PrecondOptions(line_bytes=line_bytes)
-        base_pattern = fsai_pattern(mat, options.fsai)
-        base_g = base_pattern.to_csr()
-        base_gt = base_pattern.transpose().to_csr()
-        config = CacheConfig(
-            machine.l1.size_bytes, line_bytes, machine.l1.associativity
-        )
-        for key, build in BUILDERS.items():
-            pre = build(mat, part, options)
-            names[key] = pre.name
-            ledger = FreeRideLedger(
-                method=pre.name,
-                line_bytes=line_bytes,
-                base_g=base_g,
-                base_gt=base_gt,
-                meta={"matrix": f"poisson2d:{grid}", "ranks": RANKS},
-            )
-            precond_x_misses_per_rank(pre.g, pre.gt, config, ledger=ledger)
-            report.add_ledger(
-                ledger,
-                modeled_x_bytes=float(model.precond_x_read_bytes(pre).sum()),
-            )
-    return report, names
-
-
-def _rung_summary(grid: int, report: CacheConformance, names: dict) -> dict:
+def _rung_summary(grid: int, report) -> dict:
     """Flatten one rung into ``g{grid}.{method}.l{line}.*`` summary keys."""
     summary: dict = {}
-    by_name = {name: key for key, name in names.items()}
-    for key, name in names.items():
+    by_name = {name: key for key, name in METHODS.items()}
+    for key, name in METHODS.items():
         for line_bytes in LINE_SIZES:
             e = report.profile(name, line_bytes)
             if e is None:
@@ -170,9 +111,14 @@ def run_cache_suite(*, quick: bool = False) -> dict:
     cache: dict = {}
     summary: dict = {}
     for grid in grids:
-        report, names = run_rung(grid)
+        mat = poisson2d(grid)
+        report, _ = cache_ladder(
+            mat, RowPartition.from_matrix(mat, RANKS, seed=PART_SEED),
+            machine=MACHINES[MACHINE], methods=tuple(METHODS),
+            line_sizes=LINE_SIZES, meta={"matrix": f"poisson2d:{grid}"},
+        )
         cache[f"g{grid}"] = report.to_dict()
-        summary.update(_rung_summary(grid, report, names))
+        summary.update(_rung_summary(grid, report))
     return {
         "suite": "cache",
         "config": {
@@ -181,24 +127,11 @@ def run_cache_suite(*, quick: bool = False) -> dict:
             "part_seed": PART_SEED,
             "line_sizes": list(LINE_SIZES),
             "machine": MACHINE,
-            "methods": list(BUILDERS),
+            "methods": list(METHODS),
         },
         "cache": cache,
         "summary": summary,
     }
-
-
-def write_cache_suite(result: dict, path, *, report: bool = True) -> Path:
-    """Write the suite JSON (and its ``.report.json`` companion)."""
-    path = Path(path)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    if report:
-        from repro.observe import RunReport
-
-        RunReport.from_cache_bench(result, label=path.stem).save(
-            path.with_suffix(".report.json")
-        )
-    return path
 
 
 def format_summary(result: dict) -> str:
@@ -236,25 +169,3 @@ def format_summary(result: dict) -> str:
     lines.append(f"failed claims: {total_failed}")
     return "\n".join(lines)
 
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_cache.json")
-    parser.add_argument("--quick", action="store_true",
-                        help="first grid only (exact key-subset of the full run)")
-    args = parser.parse_args(argv)
-    result = run_cache_suite(quick=args.quick)
-    print(format_summary(result))
-    path = write_cache_suite(result, args.output)
-    print(f"\nwritten: {path}")
-    failed = sum(
-        1
-        for doc in result["cache"].values()
-        for c in doc.get("claims", [])
-        if not c["ok"]
-    )
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -28,39 +28,33 @@ Per scale the suite records:
   their tracker snapshots must match edge-for-edge
   (:func:`repro.observe.compare_snapshots`).
 
-``scripts/check_bench_regression.py --scaling`` gates the deterministic
-metrics against ``benchmarks/baselines/scaling_baseline.json``.
+``scripts/check_bench.py scaling`` gates the deterministic metrics against
+``benchmarks/baselines/scaling_baseline.json``.
 
 Run::
 
-    PYTHONPATH=src python benchmarks/scaling_bench.py            # BENCH_scaling.json
-    PYTHONPATH=src python benchmarks/scaling_bench.py --quick    # 64 ranks only
+    PYTHONPATH=src python benchmarks/suites.py scaling           # BENCH_scaling.json
+    PYTHONPATH=src python benchmarks/suites.py scaling --quick   # 64 ranks only
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from repro.core import build_fsai, build_fsaie_comm, check_comm_invariance  # noqa: E402
-from repro.dist import (  # noqa: E402
+from repro.core import build_fsai, build_fsaie_comm, check_comm_invariance
+from repro.dist import (
     DistMatrix,
     DistVector,
     RowPartition,
     spmd_halo_update,
     spmd_pipelined_pcg,
 )
-from repro.matgen import paper_rhs, poisson2d  # noqa: E402
-from repro.mpisim import CommTracker  # noqa: E402
-from repro.observe import bsp_wait_times, compare_snapshots  # noqa: E402
-from repro.perfmodel import MACHINES, CostModel  # noqa: E402
+from repro.matgen import paper_rhs, poisson2d
+from repro.mpisim import CommTracker
+from repro.observe import bsp_wait_times, compare_snapshots
+from repro.perfmodel import MACHINES, CostModel
 
 #: Weak-scaling ladder: (ranks, Poisson grid side).  ``n*n / ranks`` stays at
 #: 64 rows per rank, so per-rank work is constant and growth in wait/traffic
@@ -159,7 +153,7 @@ def run_scaling_suite(*, quick: bool = False) -> dict:
     """Run the weak-scaling ladder; returns the suite document.
 
     The ``summary`` mapping is the flat comparable surface (consumed by
-    :meth:`repro.observe.RunReport.from_scaling_bench`): per-scale iteration
+    :meth:`repro.observe.RunReport.from_bench`): per-scale iteration
     counts, exact message/byte totals, modeled milliseconds, max BSP wait
     and the two invariance flags.  ``wall_s`` is recorded for context but
     never gated — it is the only machine-dependent number here.
@@ -197,19 +191,6 @@ def run_scaling_suite(*, quick: bool = False) -> dict:
     }
 
 
-def write_scaling_suite(result: dict, path, *, report: bool = True) -> Path:
-    """Write the suite JSON (and its ``.report.json`` companion)."""
-    path = Path(path)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    if report:
-        from repro.observe import RunReport
-
-        RunReport.from_scaling_bench(result, label=path.stem).save(
-            path.with_suffix(".report.json")
-        )
-    return path
-
-
 def format_summary(result: dict) -> str:
     lines = [
         "weak scaling on the SPMD engine (modeled on %s)"
@@ -233,18 +214,3 @@ def format_summary(result: dict) -> str:
         )
     return "\n".join(lines)
 
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_scaling.json")
-    parser.add_argument("--quick", action="store_true", help="64-rank scale only")
-    args = parser.parse_args(argv)
-    result = run_scaling_suite(quick=args.quick)
-    print(format_summary(result))
-    path = write_scaling_suite(result, args.output)
-    print(f"\nwritten: {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -20,8 +20,8 @@ a *setup*.  This suite proves it per concurrency rung:
   ``r{n}.warm_cold_speedup`` against the cold phase.
 
 That a warm request does no set-up is gated by counts, never by the clock
-(:func:`failed_claims`, run by ``check_bench_regression.py --serve`` on
-every document): the warm farm builds each value variant once, in the
+(:func:`failed_claims`, the suite's claims in ``scripts/check_bench.py
+serve``, run on every document): the warm farm builds each value variant once, in the
 pre-warm, and the cold farm builds once per request and hits nothing.
 The speedup itself is a timing like the throughputs it divides — about
 1 + set-up/solve of this one small system — so it is reported and carries
@@ -38,22 +38,16 @@ key-subset with identical gateable values.
 
 Run::
 
-    PYTHONPATH=src python benchmarks/serve_bench.py           # full ladder
-    PYTHONPATH=src python benchmarks/serve_bench.py --quick   # first rung only
+    PYTHONPATH=src python benchmarks/suites.py serve           # full ladder
+    PYTHONPATH=src python benchmarks/suites.py serve --quick   # first rung only
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.matgen import poisson2d  # noqa: E402
-from repro.serve import (  # noqa: E402
+from repro.matgen import poisson2d
+from repro.serve import (
     AdmissionController,
     FarmConfig,
     ServeReport,
@@ -61,7 +55,7 @@ from repro.serve import (  # noqa: E402
     SolveRequest,
     TenantPolicy,
 )
-from repro.sparse.csr import CSRMatrix  # noqa: E402
+from repro.sparse.csr import CSRMatrix
 
 #: Concurrency rungs (requests per phase).  ``--quick`` keeps the first
 #: rung only, so quick summaries are a strict key-subset of the full run.
@@ -250,8 +244,8 @@ def run_serve_suite(*, quick: bool = False) -> dict:
 
     The ``serve`` section holds the per-rung cold/warm
     ``repro-serve-report`` documents; ``summary`` is the flat surface
-    consumed by :meth:`repro.observe.RunReport.from_serve_bench` and gated
-    by ``check_bench_regression.py --serve``.
+    consumed by :meth:`repro.observe.RunReport.from_bench` and gated by
+    ``scripts/check_bench.py serve``.
     """
     rungs = QUICK_RUNGS if quick else RUNGS
     mats = make_variants(GRID, VARIANTS)
@@ -275,19 +269,6 @@ def run_serve_suite(*, quick: bool = False) -> dict:
         "serve": serve,
         "summary": summary,
     }
-
-
-def write_serve_suite(result: dict, path, *, report: bool = True) -> Path:
-    """Write the suite JSON (and its ``.report.json`` companion)."""
-    path = Path(path)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    if report:
-        from repro.observe import RunReport
-
-        RunReport.from_serve_bench(result, label=path.stem).save(
-            path.with_suffix(".report.json")
-        )
-    return path
 
 
 def failed_claims(result: dict) -> list[str]:
@@ -364,19 +345,3 @@ def format_summary(result: dict) -> str:
     lines.extend(f"  {p}" for p in problems)
     return "\n".join(lines)
 
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_serve.json")
-    parser.add_argument("--quick", action="store_true",
-                        help="first rung only (exact key-subset of the full run)")
-    args = parser.parse_args(argv)
-    result = run_serve_suite(quick=args.quick)
-    print(format_summary(result))
-    path = write_serve_suite(result, args.output)
-    print(f"\nwritten: {path}")
-    return 1 if failed_claims(result) else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

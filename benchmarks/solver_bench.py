@@ -6,27 +6,19 @@ pattern growth, per-rank imbalance, modeled time per machine — for each
 preconditioner pattern on a subset of the Table 1 catalog.  Every number is
 deterministic (iteration counts and the analytic cost model, no wall
 clocks), so the committed artifact is byte-stable across machines and
-``scripts/check_bench_regression.py --solver`` can gate it exactly.
+``scripts/check_bench.py solver`` can gate it exactly.
 
 Run::
 
-    PYTHONPATH=src python benchmarks/solver_bench.py            # BENCH_solver.json
-    PYTHONPATH=src python benchmarks/solver_bench.py --quick    # fewer matrices
+    PYTHONPATH=src python benchmarks/suites.py solver           # BENCH_solver.json
+    PYTHONPATH=src python benchmarks/suites.py solver --quick   # fewer matrices
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-import harness  # noqa: E402 — sibling module, shared caches
-from repro.core import check_comm_invariance, imbalance_index  # noqa: E402
-from repro.perfmodel import MACHINES  # noqa: E402
+import harness  # sibling module, shared caches
+from repro.core import check_comm_invariance, imbalance_index
+from repro.perfmodel import MACHINES
 
 #: Catalog subset: small enough for CI, varied enough to show the tradeoff
 #: (msdoor / af_shell7 have clear FSAIE iteration reductions).
@@ -34,24 +26,20 @@ DEFAULT_MATRICES = ("PFlow_742", "Fault_639", "msdoor", "af_shell7")
 QUICK_MATRICES = ("PFlow_742", "msdoor")
 METHODS = ("fsai", "fsaie", "comm")
 MODEL_MACHINE = "skylake"
+#: The extension filter of every solve: the paper's default, dynamic (Alg. 4).
+FILTER_VALUE = 0.01
+DYNAMIC = True
 
 
-def run_solver_suite(
-    matrices=DEFAULT_MATRICES,
-    *,
-    filter_value: float = 0.01,
-    dynamic: bool = True,
-    quick: bool = False,
-) -> dict:
+def run_solver_suite(*, quick: bool = False) -> dict:
     """Solve every (matrix, method) pair; returns the suite document.
 
     The ``summary`` mapping is the flat, comparable surface (consumed by
-    :meth:`repro.observe.RunReport.from_solver_bench`): iteration counts,
-    nnz growth, imbalance and modeled milliseconds per configuration, plus
-    a 0/1 communication-invariance flag per matrix.
+    :meth:`repro.observe.RunReport.from_bench`): iteration counts, nnz
+    counts and modeled milliseconds per configuration, plus a 0/1
+    communication-invariance flag per matrix.
     """
-    if quick:
-        matrices = QUICK_MATRICES
+    matrices = QUICK_MATRICES if quick else DEFAULT_MATRICES
     machine = MACHINES[MODEL_MACHINE]
     solver: dict = {}
     summary: dict = {}
@@ -62,15 +50,15 @@ def run_solver_suite(
         for method in METHODS:
             pre = harness.preconditioner(
                 name, method=method, line_bytes=machine.cache_line_bytes,
-                filter_value=filter_value, dynamic=dynamic,
+                filter_value=FILTER_VALUE, dynamic=DYNAMIC,
             )
             result = harness.solve(
                 name, method=method, line_bytes=machine.cache_line_bytes,
-                filter_value=filter_value, dynamic=dynamic,
+                filter_value=FILTER_VALUE, dynamic=DYNAMIC,
             )
             modeled = harness.modeled_time(
                 name, machine, method=method,
-                filter_value=filter_value, dynamic=dynamic,
+                filter_value=FILTER_VALUE, dynamic=DYNAMIC,
             )
             preconds[method] = pre
             per_method[method] = {
@@ -98,8 +86,8 @@ def run_solver_suite(
         "suite": "solver",
         "config": {
             "matrices": list(matrices),
-            "filter": filter_value,
-            "dynamic": dynamic,
+            "filter": FILTER_VALUE,
+            "dynamic": DYNAMIC,
             "machine": MODEL_MACHINE,
             "rtol": "paper",
             "scale": harness.scale(),
@@ -107,19 +95,6 @@ def run_solver_suite(
         "solver": solver,
         "summary": summary,
     }
-
-
-def write_solver_suite(result: dict, path, *, report: bool = True) -> Path:
-    """Write the suite JSON (and its ``.report.json`` companion)."""
-    path = Path(path)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    if report:
-        from repro.observe import RunReport
-
-        RunReport.from_solver_bench(result, label=path.stem).save(
-            path.with_suffix(".report.json")
-        )
-    return path
 
 
 def format_summary(result: dict) -> str:
@@ -140,19 +115,3 @@ def format_summary(result: dict) -> str:
         )
     return "\n".join(lines)
 
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_solver.json")
-    parser.add_argument("--quick", action="store_true", help="smaller matrix subset")
-    parser.add_argument("--filter", type=float, default=0.01)
-    args = parser.parse_args(argv)
-    result = run_solver_suite(filter_value=args.filter, quick=args.quick)
-    print(format_summary(result))
-    path = write_solver_suite(result, args.output)
-    print(f"\nwritten: {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -73,10 +73,24 @@ def load_matrix(args) -> CSRMatrix:
     raise ReproError(f"unknown generator {kind!r}")
 
 
-def _setup(args):
+def _symmetric_matrix(args) -> CSRMatrix:
+    """:func:`load_matrix` for the CG-based subcommands."""
     mat = load_matrix(args)
     if not is_symmetric(mat):
         raise ReproError("matrix must be symmetric (CG/FSAI requirement)")
+    return mat
+
+
+def _ints(text: str, flag: str, what: str) -> list[int]:
+    """Parse a comma-separated integer option."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ReproError(f"{flag} expects comma-separated {what}, got {text!r}") from None
+
+
+def _setup(args):
+    mat = _symmetric_matrix(args)
     part = RowPartition.from_matrix(mat, args.ranks, seed=args.seed)
     da = DistMatrix.from_global(mat, part)
     b = DistVector.from_global(paper_rhs(mat, seed=args.seed), part)
@@ -364,98 +378,33 @@ def cmd_explain(args) -> int:
 def cmd_conformance(args) -> int:
     """``repro conformance``: α–β model predictions vs streamed measurements.
 
-    Strong-scales one matrix over a ladder of rank counts on the simulated
-    SPMD runtime with in-band telemetry enabled, compares
-    :meth:`~repro.perfmodel.CostModel.phase_seconds` predictions against the
-    streamed per-phase measurements at each rung, re-proves the paper's §4
-    halo-schedule invariance *with telemetry on* (telemetry traffic rides
-    its own tag and is excluded from the audit by construction), and prints
+    Runs :func:`repro.perfmodel.ladders.conformance_ladder`: strong-scales
+    one matrix over a ladder of rank counts on the simulated SPMD runtime
+    with in-band telemetry, compares the model's per-phase predictions with
+    the streamed measurements at each rung, and re-proves the paper's §4
+    halo-schedule invariance (``G`` and ``Gᵀ``) *with telemetry on*.  Prints
     the per-phase ratio table with named divergence verdicts.  ``--json``
     saves the versioned ``repro-conformance`` document; ``--prom`` writes
     the OpenMetrics exposition.  Exit code 1 when a structural fact fails
     (invariance broken, or no telemetry traffic observed); divergence
     verdicts alone are informational.
     """
-    from repro.dist.spmd import spmd_halo_update, spmd_pipelined_pcg
-    from repro.mpisim.tracker import CommTracker
-    from repro.observe import (
-        ConformanceReport,
-        RankCountConformance,
-        TelemetryConfig,
-        compare_snapshots,
-        conformance_samples,
-    )
+    from repro.observe import conformance_samples
     from repro.observe.prom import write_openmetrics
+    from repro.perfmodel.ladders import STRUCTURAL_FLAGS, conformance_ladder
 
-    mat = load_matrix(args)
-    if not is_symmetric(mat):
-        raise ReproError("matrix must be symmetric (CG/FSAI requirement)")
-    try:
-        ladder = [int(r) for r in args.ladder.split(",")]
-    except ValueError:
-        raise ReproError(f"--ladder expects comma-separated rank counts, "
-                         f"got {args.ladder!r}") from None
+    mat = _symmetric_matrix(args)
+    ladder = _ints(args.ladder, "--ladder", "rank counts")
     try:
         rank_sample = int(args.rank_sample)
     except ValueError:
         rank_sample = args.rank_sample  # "all" / "sqrt" / "first:K" / "stride:K"
-    model = CostModel(MACHINES[args.machine], threads_per_process=args.threads)
-    clock = MACHINES[args.machine].clock_model(args.threads)
-    entries = []
-    structural_ok = True
-    for ranks in ladder:
-        part = RowPartition.from_matrix(mat, ranks, seed=args.seed)
-        da = DistMatrix.from_global(mat, part)
-        b = DistVector.from_global(paper_rhs(mat, seed=args.seed), part)
-        pre = _BUILDERS[args.method](mat, part, _options(args))
-        telemetry = TelemetryConfig(rank_sample=rank_sample)
-        tracker = CommTracker()
-        _, iterations = spmd_pipelined_pcg(
-            da, b, precond_pair=(pre.g, pre.gt), rtol=args.rtol,
-            max_iterations=args.max_iterations, tracker=tracker,
-            clock=clock, telemetry=telemetry,
-        )
-        cluster = telemetry.result
-        if cluster is None:
-            raise ReproError(f"no telemetry aggregated at {ranks} ranks "
-                             f"(rank_sample={args.rank_sample!r})")
-        predicted = model.phase_seconds(
-            da, pre, iterations=iterations, reduction_phases=1
-        )
-        # §4 invariance, re-proved with telemetry enabled: the FSAI and
-        # FSAIE-Comm halo schedules must stay byte-identical even while
-        # both runs stream telemetry over the same communicator.
-        base = _BUILDERS["fsai"](mat, part, _options(args))
-        snaps = []
-        telemetry_bytes = 0
-        for g in (base.g, pre.g):
-            t = CommTracker()
-            spmd_halo_update(g, b, t, clock=clock,
-                             telemetry=TelemetryConfig(rank_sample=rank_sample))
-            snaps.append(t.snapshot())
-            telemetry_bytes += t.total_telemetry_bytes
-        audit = compare_snapshots(snaps[0], snaps[1], base_label="fsai",
-                                  other_label=args.method,
-                                  check_collectives=False)
-        extras = {
-            "halo_invariant": audit.invariant,
-            "telemetry_excluded": audit.invariant and telemetry_bytes > 0,
-            "messages": tracker.total_messages,
-            "bytes": tracker.total_bytes,
-            "telemetry_messages": tracker.total_telemetry_messages,
-            "telemetry_bytes": tracker.total_telemetry_bytes,
-        }
-        structural_ok &= extras["halo_invariant"] and extras["telemetry_excluded"]
-        entries.append(RankCountConformance.from_cluster(
-            ranks=ranks, iterations=iterations, predicted=predicted,
-            cluster=cluster, extras=extras,
-        ))
-        print(f"ranks {ranks:>5}: {iterations} iterations, "
-              f"{len(cluster.sampled)} sampled ranks, "
-              f"payload {cluster.payload_bytes()} B, "
-              f"invariant={extras['halo_invariant']}")
-    report = ConformanceReport(
-        entries=entries,
+    report, clusters = conformance_ladder(
+        mat, ladder, machine=MACHINES[args.machine], method=args.method,
+        options=_options(args), threads=args.threads, seed=args.seed,
+        rhs_seed=args.seed, rank_sample=rank_sample, rtol=args.rtol,
+        max_iterations=args.max_iterations,
+        share_tolerance=args.share_tolerance,
         meta={
             "case": args.generate or args.matrix,
             "method": args.method,
@@ -465,25 +414,31 @@ def cmd_conformance(args) -> int:
             "rank_sample": args.rank_sample,
             "filter": args.filter,
         },
-        share_tolerance=args.share_tolerance,
     )
+    for entry in report.entries:
+        print(f"ranks {entry.ranks:>5}: {entry.iterations} iterations, "
+              f"{entry.sampled_ranks} sampled ranks, "
+              f"payload {entry.telemetry_payload_bytes} B, "
+              f"invariant={entry.extras['halo_invariant']}")
     print()
     print(report.render())
     if args.json:
         print(f"\nconformance written: {report.save(args.json)}")
     if args.prom:
         samples = conformance_samples(report)
-        samples += cluster.to_prom_samples()  # last rung's streamed histograms
+        samples += clusters[-1].to_prom_samples()  # last rung's histograms
         print(f"openmetrics        : {write_openmetrics(args.prom, samples)}")
-    return 0 if structural_ok else 1
+    held = all(e.extras[f] for e in report.entries for f in STRUCTURAL_FLAGS)
+    return 0 if held else 1
 
 
 def cmd_cache(args) -> int:
     """``repro cache``: per-line free-ride ledgers and conformance verdicts.
 
-    Replays the ``Gᵀ(Gx)`` access stream of every ladder method through the
-    attributed cache simulator at each requested line geometry, classifying
-    every extension-entry ``x`` access as free ride vs new fill against the
+    Runs :func:`repro.perfmodel.ladders.cache_ladder`: replays the
+    ``Gᵀ(Gx)`` access stream of every ladder method through the attributed
+    cache simulator at each requested line geometry, classifying every
+    extension-entry ``x`` access as free ride vs new fill against the
     baseline FSAI pattern, and confronts the measured fill traffic with the
     perfmodel's ``x``-read memory term.  Prints the conformance table with
     the paper's gated cache claims (free-ride majority, larger lines ⇒
@@ -492,67 +447,26 @@ def cmd_cache(args) -> int:
     OpenMetrics exposition including reuse-distance histograms.  Exit code
     1 when a gated claim fails.
     """
-    from repro.cachesim import CacheConfig, precond_x_misses_per_rank
-    from repro.core.fsai import fsai_pattern
-    from repro.observe import (
-        CacheConformance,
-        FreeRideLedger,
-        cache_conformance_samples,
-        ledger_samples,
-    )
+    from repro.observe import cache_conformance_samples, ledger_samples
     from repro.observe.prom import write_openmetrics
+    from repro.perfmodel.ladders import cache_ladder
 
     mat, part, _, _ = _setup(args)
-    machine = MACHINES[args.machine]
     methods = [m.strip() for m in args.ladder.split(",") if m.strip()]
     unknown = [m for m in methods if m not in _BUILDERS]
     if unknown:
         raise ReproError(
             f"--ladder expects methods from {sorted(_BUILDERS)}, got {unknown}"
         )
-    try:
-        line_sizes = [int(s) for s in args.line_bytes.split(",")]
-    except ValueError:
-        raise ReproError(
-            f"--line-bytes expects comma-separated byte counts, "
-            f"got {args.line_bytes!r}"
-        ) from None
-    report = CacheConformance(
-        meta={
-            "case": args.generate or args.matrix,
-            "matrix": args.generate or args.matrix,
-            "ranks": args.ranks,
-            "machine": args.machine,
-            "threads": args.threads,
-            "filter": args.filter,
-            "line_sizes": line_sizes,
-        }
+    case = args.generate or args.matrix
+    report, ledgers = cache_ladder(
+        mat, part, machine=MACHINES[args.machine], methods=methods,
+        line_sizes=_ints(args.line_bytes, "--line-bytes", "byte counts"),
+        threads=args.threads,
+        filter=FilterSpec(args.filter, dynamic=not args.static),
+        meta={"case": case, "matrix": case, "threads": args.threads,
+              "filter": args.filter},
     )
-    model = CostModel(machine, threads_per_process=args.threads)
-    ledgers: list = []
-    for lb in line_sizes:
-        options = PrecondOptions(
-            line_bytes=lb,
-            filter=FilterSpec(args.filter, dynamic=not args.static),
-        )
-        base_pattern = fsai_pattern(mat, options.fsai)
-        base_g = base_pattern.to_csr()
-        base_gt = base_pattern.transpose().to_csr()
-        config = CacheConfig(
-            machine.l1.size_bytes, lb, machine.l1.associativity
-        ).scaled(args.threads)
-        for method in methods:
-            pre = _BUILDERS[method](mat, part, options)
-            ledger = FreeRideLedger(
-                method=pre.name, line_bytes=lb, base_g=base_g, base_gt=base_gt,
-                meta={"case": args.generate or args.matrix, "ranks": args.ranks},
-            )
-            precond_x_misses_per_rank(pre.g, pre.gt, config, ledger=ledger)
-            report.add_ledger(
-                ledger,
-                modeled_x_bytes=float(model.precond_x_read_bytes(pre).sum()),
-            )
-            ledgers.append(ledger)
     print(report.render())
     if args.json:
         print(f"\ncache conformance written: {report.save(args.json)}")
@@ -569,7 +483,7 @@ def cmd_bench(args) -> int:
     """``repro bench``: run the kernel microbenchmarks, write BENCH_kernels.json."""
     from repro.kernels.bench import DEFAULT_SIZES, format_summary, run_suite, write_suite
 
-    sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else DEFAULT_SIZES
+    sizes = _ints(args.sizes, "--sizes", "grid sizes") if args.sizes else DEFAULT_SIZES
     result = run_suite(sizes=sizes, reps=args.reps, quick=args.quick)
     path = write_suite(result, args.output)
     print(format_summary(result))
@@ -581,7 +495,7 @@ def cmd_report(args) -> int:
     """``repro report``: render or compare unified run reports.
 
     ``PATH`` may be a saved :class:`~repro.observe.RunReport`, an exported
-    ``repro-trace`` document, or a ``BENCH_kernels.json`` suite — anything
+    ``repro-trace`` document, or a ``BENCH_<suite>.json`` document — anything
     :meth:`RunReport.load` understands.  With ``--compare OTHER``, ``PATH``
     is the baseline and the exit code reflects the regression verdict
     (0 pass, 1 fail), making the subcommand usable directly as a CI gate.
@@ -624,9 +538,7 @@ def cmd_chaos(args) -> int:
     """
     from repro.resilience import quick_menu, run_chaos, standard_menu
 
-    mat = load_matrix(args)
-    if not is_symmetric(mat):
-        raise ReproError("matrix must be symmetric (CG/FSAI requirement)")
+    mat = _symmetric_matrix(args)
     builder = None
     if args.method != "none":
         build = _BUILDERS[args.method]
@@ -677,9 +589,7 @@ def cmd_serve(args) -> int:
         TenantPolicy,
     )
 
-    mat = load_matrix(args)
-    if not is_symmetric(mat):
-        raise ReproError("matrix must be symmetric (CG/FSAI requirement)")
+    mat = _symmetric_matrix(args)
     tenants = [t.strip() for t in args.tenants.split(",") if t.strip()]
     if not tenants:
         raise ReproError("--tenants needs at least one name")

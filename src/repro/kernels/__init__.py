@@ -12,8 +12,8 @@ provides:
   temporary preallocated and reused, threaded through
   :func:`repro.core.cg.pcg` and
   :func:`repro.core.solvers.pipelined_pcg` so warm solves perform zero
-  hot-loop array allocations (counted, not asserted — see
-  ``scripts/check_no_alloc.py``);
+  hot-loop array allocations (counted, not asserted — the kernels suite's
+  claim in ``benchmarks/suites.py`` holds the count at zero);
 * :func:`~repro.kernels.bench.run_suite` — the microbenchmark suite behind
   ``BENCH_kernels.json`` (``repro bench``).
 

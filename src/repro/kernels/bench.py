@@ -15,9 +15,11 @@ Measures (never asserts) the :mod:`repro.kernels` layer:
   FSAIE-Comm): stored entries, µs per apply and ns per stored entry — the
   paper's claim that extension entries are nearly free, in wall clock.
 
-Entry points: :func:`run_suite` returns the result dict, :func:`write_suite`
-writes it as JSON, :func:`format_summary` renders the human-readable table
-printed by ``repro bench`` and ``benchmarks/microbench.py``.
+Entry points: :func:`run_suite` returns the suite document,
+:func:`write_suite` writes any suite document as JSON with its
+``.report.json`` companion, :func:`format_summary` renders the
+human-readable table printed by ``repro bench`` and
+``benchmarks/suites.py kernels``.
 
 Timings are best-of-``reps`` wall clock; sizes stay small enough that the
 full suite runs in seconds (``quick=True`` trims further for smoke tests).
@@ -190,10 +192,13 @@ def run_suite(
     *,
     quick: bool = False,
 ) -> dict:
-    """Run the full microbenchmark suite and return the result dict.
+    """Run the full microbenchmark suite and return the suite document.
 
-    ``quick=True`` shrinks sizes and repetitions to smoke-test territory
-    (used by ``pytest -m bench_smoke``); numbers are then indicative only.
+    ``quick=True`` shrinks sizes and repetitions to smoke-test territory;
+    numbers are then indicative only.  The ``kernels`` section holds the
+    per-kernel records; ``summary`` is the flat comparable surface,
+    including the warm solve's iterations and hot allocations and the rows
+    each re-filter kept, copied from the base factor and solved again.
     """
     if quick:
         sizes = tuple(sizes[:2]) or (16,)
@@ -202,34 +207,43 @@ def run_suite(
     spmv = _bench_spmv(sizes, reps)
     largest = max(sizes)
     fsai, comm = precond_apply = _bench_precond_apply(largest, reps)
-    result = {
-        "suite": "kernels",
-        "config": {"sizes": list(sizes), "reps": reps, "quick": quick},
-        "spmv": spmv,
-        "pcg": _bench_pcg(min(largest, 48), reps),
-        "setup": _bench_setup(largest, reps),
-        "precond_apply": precond_apply,
-    }
+    pcg_rec = _bench_pcg(min(largest, 48), reps)
+    setup = _bench_setup(largest, reps)
     by_grid = {rec["grid"]: rec for rec in spmv}
-    result["summary"] = {
+    summary = {
         "spmv_speedup_largest": by_grid[largest]["speedup"],
         "spmv_transpose_speedup_largest": by_grid[largest]["speedup_transpose"],
-        "pcg_hot_allocs": result["pcg"]["workspace_allocs_hot"],
+        "pcg_hot_allocs": pcg_rec["workspace_allocs_hot"],
+        "pcg.iterations": pcg_rec["iterations"],
+        "pcg.workspace_allocs_hot": pcg_rec["workspace_allocs_hot"],
         # extension entries are nearly free when the time ratio stays below
         # the entry ratio
         "precond_nnz_ratio": comm["nnz"] / fsai["nnz"],
         "precond_apply_ratio": comm["apply_us"] / fsai["apply_us"],
     }
-    return result
+    for rec in setup["refilter"]:
+        for key in ("rows_kept", "rows_base", "rows_solved", "ms"):
+            summary[f"refilter.{rec['filter']}.{key}"] = rec[key]
+    return {
+        "suite": "kernels",
+        "config": {"sizes": list(sizes), "reps": reps, "quick": quick},
+        "summary": summary,
+        "kernels": {
+            "spmv": spmv,
+            "pcg": pcg_rec,
+            "setup": setup,
+            "precond_apply": precond_apply,
+        },
+    }
 
 
 def write_suite(result: dict, path: str | Path, *, report: bool = True) -> Path:
-    """Write a suite result as pretty-printed JSON; returns the path.
+    """Write a suite document (any ``BENCH_<suite>.json``) as pretty-printed
+    JSON; returns the path.
 
     Unless ``report=False``, a companion :class:`repro.observe.RunReport`
     document is written next to it (``<stem>.report.json``) — the comparable
-    form consumed by ``repro report --compare`` and
-    ``scripts/check_bench_regression.py``.
+    form consumed by ``repro report --compare``.
     """
     path = Path(path)
     path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
@@ -244,10 +258,11 @@ def write_suite(result: dict, path: str | Path, *, report: bool = True) -> Path:
 
 def format_summary(result: dict) -> str:
     """Human-readable table of a :func:`run_suite` result."""
+    kernels = result["kernels"]
     lines = ["kernel microbenchmarks (best-of-%d)" % result["config"]["reps"], ""]
     lines.append(f"{'grid':>6} {'nnz':>9} {'spmv':>9} {'planned':>9} {'x':>6} "
                  f"{'spmv_t':>9} {'planned_t':>10} {'x':>6}")
-    for rec in result["spmv"]:
+    for rec in kernels["spmv"]:
         lines.append(
             f"{rec['grid']:>6} {rec['nnz']:>9} "
             f"{rec['unplanned_s'] * 1e6:>8.1f}µ {rec['planned_s'] * 1e6:>8.1f}µ "
@@ -256,14 +271,14 @@ def format_summary(result: dict) -> str:
             f"{rec['planned_transpose_s'] * 1e6:>9.1f}µ "
             f"{rec['speedup_transpose']:>5.2f}x"
         )
-    p = result["pcg"]
+    p = kernels["pcg"]
     lines += [
         "",
         f"pcg {p['grid']}x{p['grid']} on {p['ranks']} ranks: warm workspace "
         f"{p['workspace_s'] * 1e3:.2f} ms, {p['iterations']} iterations, "
         f"{p['workspace_allocs_hot']} hot-loop allocations",
     ]
-    s = result["setup"]
+    s = kernels["setup"]
     lines.append(
         f"fsai setup {s['grid']}x{s['grid']}: batched {s['batched_s'] * 1e3:.2f} ms"
     )
@@ -273,7 +288,7 @@ def format_summary(result: dict) -> str:
             f"{rec['rows_kept']:>6} rows kept {rec['rows_base']:>6} from base "
             f"{rec['rows_solved']:>6} solved {rec['ms']:>8.2f} ms"
         )
-    for rec in result["precond_apply"]:
+    for rec in kernels["precond_apply"]:
         lines.append(
             f"precond apply {rec['method']:<10} {rec['grid']}x{rec['grid']} on "
             f"{rec['ranks']} ranks: {rec['nnz']:>8} nnz {rec['apply_us']:>8.1f}µ "

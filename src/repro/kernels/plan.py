@@ -16,7 +16,7 @@ arrays (no copy, no int32 narrowing, no stored transpose):
 The routines are the private ``scipy.sparse._sparsetools`` ones, not
 ``csr_array @ x``: the public product allocates its result on every call,
 which would break the zero-hot-loop-allocation gate
-(``scripts/check_no_alloc.py``), and measured 5–17 % slower.  Their contract
+(``scripts/check_bench.py kernels``), and measured 5–17 % slower.  Their contract
 (accumulate into ``y``, int64 indices accepted, float32 ``y`` rejected) is
 pinned by name in ``tests/test_kernels.py``.
 

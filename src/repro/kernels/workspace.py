@@ -10,7 +10,8 @@ The contract: after warm-up (the first acquisition of each named buffer),
 repeated solves through the same workspace perform **zero hot-loop array
 allocations**.  The workspace counts every array it creates in
 :attr:`allocations` (mirrored to the ``kernels.allocs`` counter of
-:mod:`repro.instrument`), which is how ``scripts/check_no_alloc.py`` and the
+:mod:`repro.instrument`), which is how the kernels suite's
+``pcg_hot_allocs == 0`` claim (``scripts/check_bench.py kernels``) and the
 test suite enforce the invariant.
 
 Workspaces hold scratch state and are therefore **not thread-safe**; use one
@@ -67,7 +68,7 @@ class SolverWorkspace:
     allocations:
         Total arrays this workspace has allocated.  Constant once every
         buffer is warm — the no-allocation invariant asserted by
-        ``scripts/check_no_alloc.py``.
+        ``scripts/check_bench.py kernels``.
     """
 
     def __init__(self, mat: DistMatrix):

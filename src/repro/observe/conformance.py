@@ -23,7 +23,7 @@ the run — modeled waits, reductions and charged kernels on the engine's
 the model predicts with) — and "predicted" seconds are the model's
 closed-form bound.  Both are deterministic functions of the inputs, so the
 ratios are O(1), reproducible to the last digit, and gated in an absolute
-band by ``scripts/check_model_conformance.py`` next to the structural facts
+band by ``scripts/check_bench.py conformance`` next to the structural facts
 — schedule invariance with telemetry enabled, telemetry excluded from the
 audit, artifact sublinearity.
 

@@ -8,18 +8,19 @@ versioned schema (``format: "repro-run-report"``, ``version: 2``):
 
 * ``meta`` — free-form provenance (label, matrix, ranks, ...);
 * ``sections`` — named nested dictionaries (``flight``, ``invariance``,
-  ``bench``, ...), each the ``to_dict()``/``summary()`` of one
+  ``kernels``, ...), each the ``to_dict()``/``summary()`` of one
   observe object;
 * ``metrics`` — a *flat* ``name -> number`` mapping, the comparable surface
   :meth:`RunReport.compare` diffs between two runs.
 
 Builders exist for every producer in the repo: a live tracer/metrics pair
 (:meth:`from_run`), an exported ``repro-trace`` document
-(:meth:`from_trace_doc`), and a kernel-microbenchmark suite
-(:meth:`from_bench`); :meth:`load` dispatches on the file's declared format
-and raises :class:`ReportError` — not a traceback — on malformed or
-unsupported input.  :meth:`compare` implements the CI gate used by
-``scripts/check_bench_regression.py`` and the ``repro report --compare``
+(:meth:`from_trace_doc`), a solve-farm report (:meth:`from_serve_report`)
+and any benchmark suite document (:meth:`from_bench`); :meth:`load`
+dispatches on the file's declared format (a suite document on its
+``suite`` key) and raises :class:`ReportError` — not a traceback — on
+malformed or unsupported input.  :meth:`compare` implements the comparator
+of ``scripts/check_bench.py`` and the ``repro report --compare``
 subcommand.
 """
 
@@ -100,7 +101,7 @@ class MetricDelta:
 
     @property
     def delta(self) -> float | None:
-        """Signed relative change against the baseline (``None`` if undefined)."""
+        """Signed absolute change ``other − base`` (``None`` if undefined)."""
         if self.base is None or self.other is None:
             return None
         return self.other - self.base
@@ -164,6 +165,7 @@ class ReportComparison:
                     "-" if d.other is None else f"{d.other:g}",
                     "-" if d.delta is None else f"{d.delta:+g}",
                     f"{d.rel_tol:g}",
+                    f"{d.abs_tol:g}",
                     "ok" if d.ok else "FAIL",
                 ]
             )
@@ -175,9 +177,8 @@ class ReportComparison:
             if self.deltas:
                 return title + f"\n({len(self.deltas)} metric(s) within tolerance)"
             return title + "\n(no metrics compared)"
-        return format_table(
-            ["metric", "base", "other", "delta", "rel_tol", "status"], rows, title=title
-        )
+        header = ["metric", "base", "other", "delta", "rel_tol", "abs_tol", "status"]
+        return format_table(header, rows, title=title)
 
     def __repr__(self) -> str:
         return (
@@ -249,143 +250,25 @@ class RunReport:
 
     @classmethod
     def from_bench(cls, doc: dict, *, label: str = "bench") -> "RunReport":
-        """Build from a kernel-microbenchmark suite document
-        (``BENCH_kernels.json``, see :func:`repro.kernels.run_suite`)."""
-        if "summary" not in doc:
-            raise ReportError("not a benchmark suite document (no 'summary')")
-        report = cls(
-            meta={"label": label, "source": "bench", "config": doc.get("config", {})}
-        )
-        report.sections["bench"] = dict(doc["summary"])
-        for key, value in doc["summary"].items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                report.metrics[f"bench.{key}"] = float(value)
-        pcg = doc.get("pcg", {})
-        for key in ("iterations", "workspace_allocs_hot"):
-            if isinstance(pcg.get(key), (int, float)):
-                report.metrics[f"bench.pcg.{key}"] = float(pcg[key])
-        for rec in doc.get("setup", {}).get("refilter", []):
-            for key in ("rows_kept", "rows_base", "rows_solved", "ms"):
-                report.metrics[f"bench.refilter.{rec['filter']}.{key}"] = float(rec[key])
-        return report
+        """Build from a benchmark suite document (``BENCH_<suite>.json``).
 
-    @classmethod
-    def from_solver_bench(cls, doc: dict, *, label: str = "solver-bench") -> "RunReport":
-        """Build from a solve-level benchmark document (``BENCH_solver.json``,
-        see :mod:`benchmarks.solver_bench`): per-pattern iteration counts and
-        nnz tradeoffs become ``solver.*`` metrics."""
-        if "summary" not in doc or "solver" not in doc:
+        Every suite document has ``suite``, ``config``, ``summary`` and one
+        section named after the suite.  The section is kept as is; every
+        numeric summary key becomes the metric ``<suite>.<key>``.
+        """
+        suite = doc.get("suite") if isinstance(doc, dict) else None
+        if not (isinstance(suite, str) and isinstance(doc.get("summary"), dict)
+                and isinstance(doc.get(suite), dict)):
             raise ReportError(
-                "not a solver benchmark document (needs 'summary' and 'solver')"
+                "not a benchmark suite document (needs 'suite', 'summary' "
+                "and a section named after the suite)"
             )
-        report = cls(
-            meta={
-                "label": label,
-                "source": "solver-bench",
-                "config": doc.get("config", {}),
-            }
-        )
-        report.sections["solver"] = dict(doc["solver"])
+        report = cls(meta={"label": label, "suite": suite,
+                           "config": doc.get("config", {})})
+        report.sections[suite] = dict(doc[suite])
         for key, value in doc["summary"].items():
             if isinstance(value, (int, float)) and not isinstance(value, bool):
-                report.metrics[f"solver.{key}"] = float(value)
-        return report
-
-    @classmethod
-    def from_scaling_bench(cls, doc: dict, *, label: str = "scaling-bench") -> "RunReport":
-        """Build from a weak-scaling benchmark document (``BENCH_scaling.json``,
-        see :mod:`benchmarks.scaling_bench`): per-scale iteration counts,
-        message/byte totals and invariance flags become ``scaling.*`` metrics."""
-        if "summary" not in doc or "scaling" not in doc:
-            raise ReportError(
-                "not a scaling benchmark document (needs 'summary' and 'scaling')"
-            )
-        report = cls(
-            meta={
-                "label": label,
-                "source": "scaling-bench",
-                "config": doc.get("config", {}),
-            }
-        )
-        report.sections["scaling"] = dict(doc["scaling"])
-        for key, value in doc["summary"].items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                report.metrics[f"scaling.{key}"] = float(value)
-        return report
-
-    @classmethod
-    def from_conformance_bench(
-        cls, doc: dict, *, label: str = "conformance-bench"
-    ) -> "RunReport":
-        """Build from a model-conformance benchmark document
-        (``BENCH_conformance.json``, see :mod:`benchmarks.conformance_bench`):
-        per-rank-count phase ratios, straggler counts, telemetry payload
-        sizes and the structural invariance flags become ``conformance.*``
-        metrics gated by ``check_bench_regression.py --conformance``."""
-        if "summary" not in doc or "conformance" not in doc:
-            raise ReportError(
-                "not a conformance benchmark document "
-                "(needs 'summary' and 'conformance')"
-            )
-        report = cls(
-            meta={
-                "label": label,
-                "source": "conformance-bench",
-                "config": doc.get("config", {}),
-            }
-        )
-        report.sections["conformance"] = dict(doc["conformance"])
-        for key, value in doc["summary"].items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                report.metrics[f"conformance.{key}"] = float(value)
-        return report
-
-    @classmethod
-    def from_cache_bench(cls, doc: dict, *, label: str = "cache-bench") -> "RunReport":
-        """Build from a cache free-ride benchmark document
-        (``BENCH_cache.json``, see :mod:`benchmarks.cache_bench`): per-grid,
-        per-method, per-line-geometry miss counts, free-ride fractions and
-        claim flags become ``cache.*`` metrics gated by
-        ``check_bench_regression.py --cache``."""
-        if "summary" not in doc or "cache" not in doc:
-            raise ReportError(
-                "not a cache benchmark document (needs 'summary' and 'cache')"
-            )
-        report = cls(
-            meta={
-                "label": label,
-                "source": "cache-bench",
-                "config": doc.get("config", {}),
-            }
-        )
-        report.sections["cache"] = dict(doc["cache"])
-        for key, value in doc["summary"].items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                report.metrics[f"cache.{key}"] = float(value)
-        return report
-
-    @classmethod
-    def from_serve_bench(cls, doc: dict, *, label: str = "serve-bench") -> "RunReport":
-        """Build from a solve-farm benchmark document (``BENCH_serve.json``,
-        see :mod:`benchmarks.serve_bench`): per-rung throughput, latency
-        percentiles, cache hit rates, shed fractions and invariance flags
-        become ``serve.*`` metrics gated by ``check_bench_regression.py
-        --serve``."""
-        if "summary" not in doc or "serve" not in doc:
-            raise ReportError(
-                "not a serve benchmark document (needs 'summary' and 'serve')"
-            )
-        report = cls(
-            meta={
-                "label": label,
-                "source": "serve-bench",
-                "config": doc.get("config", {}),
-            }
-        )
-        report.sections["serve"] = dict(doc["serve"])
-        for key, value in doc["summary"].items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                report.metrics[f"serve.{key}"] = float(value)
+                report.metrics[f"{suite}.{key}"] = float(value)
         return report
 
     @classmethod
@@ -481,34 +364,21 @@ class RunReport:
         if not isinstance(doc, dict):
             raise ReportError(f"{path}: expected a JSON object at top level")
         fmt = doc.get("format")
-        if fmt == REPORT_FORMAT:
-            try:
+        try:
+            if fmt == REPORT_FORMAT:
                 return cls.from_dict(doc)
-            except ReportError as exc:
-                raise ReportError(f"{path}: {exc}") from None
-        if fmt == _SERVE_REPORT_FORMAT:
-            try:
+            if fmt == _SERVE_REPORT_FORMAT:
                 return cls.from_serve_report(doc, label=path.stem)
-            except ReportError as exc:
-                raise ReportError(f"{path}: {exc}") from None
+            if "suite" in doc:
+                return cls.from_bench(doc, label=path.stem)
+        except ReportError as exc:
+            raise ReportError(f"{path}: {exc}") from None
         if fmt == "repro-trace":
             try:
                 doc = read_json_trace(path)
             except TraceError as exc:  # its message names the path
                 raise ReportError(str(exc)) from None
             return cls.from_trace_doc(doc, label=path.stem)
-        if "summary" in doc and "solver" in doc:
-            return cls.from_solver_bench(doc, label=path.stem)
-        if "summary" in doc and "scaling" in doc:
-            return cls.from_scaling_bench(doc, label=path.stem)
-        if "summary" in doc and "conformance" in doc:
-            return cls.from_conformance_bench(doc, label=path.stem)
-        if "summary" in doc and "cache" in doc:
-            return cls.from_cache_bench(doc, label=path.stem)
-        if "summary" in doc and "serve" in doc:
-            return cls.from_serve_bench(doc, label=path.stem)
-        if "summary" in doc and ("suite" in doc or "spmv" in doc):
-            return cls.from_bench(doc, label=path.stem)
         if fmt == "repro-chaos-report":
             raise ReportError(
                 f"{path} is a chaos survival report — inspect it with "

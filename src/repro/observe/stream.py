@@ -19,7 +19,7 @@ Per rank (:class:`RankTelemetry`):
 
 The artifact size is therefore O(sampled ranks + log-bucket count), not
 O(P x spans) — sublinear in rank count versus full tracing, which
-``scripts/check_model_conformance.py`` gates explicitly.
+``scripts/check_bench.py conformance`` gates explicitly.
 
 Aggregation (:func:`aggregate_telemetry`) merges :class:`ClusterTelemetry`
 partials up a binomial tree on a dedicated tag while the communicator's

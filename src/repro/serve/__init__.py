@@ -24,8 +24,8 @@ to reuse, and :mod:`repro.serve` turns that into service economics:
   artifact.
 
 Operator documentation lives in ``docs/SERVING.md``; the benchmark is
-``benchmarks/serve_bench.py`` (gated by ``check_bench_regression.py
---serve``); the CLI driver is ``repro serve``.
+``benchmarks/serve_bench.py`` (gated by ``scripts/check_bench.py
+serve``); the CLI driver is ``repro serve``.
 """
 
 from repro.serve.cache import (

@@ -153,8 +153,8 @@ class AdmissionController:
     tenants (the global queue); each tenant additionally spends from its
     own ``max_in_flight`` token budget.  All state transitions happen under
     one lock, so the admitted/shed counts are deterministic for a given
-    request sequence — which is what lets ``check_bench_regression.py
-    --serve`` gate them exactly.
+    request sequence — which is what lets ``scripts/check_bench.py
+    serve`` gate them exactly.
     """
 
     def __init__(self, tenants, *, queue_limit: int = 64):

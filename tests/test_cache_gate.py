@@ -1,9 +1,9 @@
-"""Smoke tier for the cache free-ride suite and its reuse gate.
+"""Smoke tier for the cache free-ride suite and its gate.
 
 Runs the first grid of :mod:`benchmarks.cache_bench` with full per-line
-attribution, then drives ``scripts/check_cache_reuse.py --quick``
+attribution, then drives ``scripts/check_bench.py cache --quick``
 end-to-end against the recorded baseline, exactly how CI invokes it.
-Carries the ``cache_smoke`` marker — deselect with ``-m "not cache_smoke"``
+Carries the ``suite_smoke`` marker — deselect with ``-m "not suite_smoke"``
 for a faster tier-1 run.
 """
 
@@ -22,7 +22,7 @@ sys.path.insert(0, str(REPO / "benchmarks"))
 from cache_bench import LINE_SIZES, run_cache_suite  # noqa: E402
 
 
-@pytest.mark.cache_smoke
+@pytest.mark.suite_smoke
 def test_quick_suite_holds_ledger_claims():
     result = run_cache_suite(quick=True)
     assert result["suite"] == "cache"
@@ -58,12 +58,12 @@ def test_quick_suite_holds_ledger_claims():
                 assert f"g32.{method}.l{lb}.{metric}" in summary
 
 
-@pytest.mark.cache_smoke
+@pytest.mark.suite_smoke
 def test_cache_gate_is_clean():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "check_cache_reuse.py"),
+        [sys.executable, str(REPO / "scripts" / "check_bench.py"), "cache",
          "--quick"],
         capture_output=True,
         text=True,
@@ -72,6 +72,6 @@ def test_cache_gate_is_clean():
         timeout=480,
     )
     assert proc.returncode == 0, (
-        f"check_cache_reuse.py --quick failed:\n{proc.stdout}{proc.stderr}"
+        f"check_bench.py cache --quick failed:\n{proc.stdout}{proc.stderr}"
     )
-    assert "OK: extension entries ride recorded cache lines" in proc.stdout
+    assert "OK: cache: 64 key(s) within policy" in proc.stdout

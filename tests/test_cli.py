@@ -329,3 +329,65 @@ class TestExplain:
 
         verdict = AttributionVerdict.load(path)
         assert {f.method for f in verdict.facts} == {"FSAI", "FSAIE", "FSAIE-Comm"}
+
+
+class TestLadders:
+    """``repro conformance`` / ``repro cache`` print what the shared ladder
+    functions of :mod:`repro.perfmodel.ladders` return."""
+
+    @pytest.fixture
+    def returned(self, monkeypatch):
+        """Record each ladder's return value and every audited halo matrix."""
+        from repro.perfmodel import ladders
+
+        seen = {"reports": [], "audited": []}
+        for name in ("conformance_ladder", "cache_ladder"):
+            def spy(*args, _real=getattr(ladders, name), **kwargs):
+                out = _real(*args, **kwargs)
+                seen["reports"].append(out[0])
+                return out
+            monkeypatch.setattr(ladders, name, spy)
+        real_update = ladders.spmd_halo_update
+
+        def update(mat, x, tracker=None, **kwargs):
+            seen["audited"].append(mat)
+            return real_update(mat, x, tracker, **kwargs)
+        monkeypatch.setattr(ladders, "spmd_halo_update", update)
+        return seen
+
+    def test_conformance_json_is_the_ladder_report(self, tmp_path, capsys, returned):
+        import json
+
+        path = tmp_path / "conformance.json"
+        assert main(["conformance", "--generate", "poisson2d:16", "--ladder", "4,8",
+                     "--json", str(path)]) == 0
+        (report,) = returned["reports"]
+        assert json.loads(path.read_text()) == json.loads(json.dumps(report.to_dict()))
+        assert [e.ranks for e in report.entries] == [4, 8]
+        for entry in report.entries:
+            assert entry.extras["invariant"] and entry.extras["halo_invariant"]
+            assert entry.extras["telemetry_excluded"]
+        # per rung: FSAI and FSAIE-Comm, each G and Gᵀ
+        assert len(returned["audited"]) == 2 * 4
+        assert "ranks     8:" in capsys.readouterr().out
+
+    def test_cache_json_is_the_ladder_report(self, tmp_path, returned):
+        import json
+
+        path = tmp_path / "cache.json"
+        assert main(["cache", "--generate", "poisson2d:16", "--json", str(path)]) == 0
+        (report,) = returned["reports"]
+        assert json.loads(path.read_text()) == json.loads(json.dumps(report.to_dict()))
+        assert report.line_sizes() == [64, 256]
+        assert all(c["ok"] for c in report.claims())
+
+    @pytest.mark.parametrize("argv", [
+        ["conformance", "--ladder", "4,x"],
+        ["conformance", "--ladder", ""],
+        ["cache", "--line-bytes", "64,big"],
+        ["cache", "--ladder", "fsai,spai"],
+    ])
+    def test_malformed_ladder_option_is_clear_error(self, argv, capsys):
+        assert main([*argv, "--generate", "poisson2d:8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err

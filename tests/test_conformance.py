@@ -195,8 +195,8 @@ class TestRunReportIntegration:
         }
 
     def test_from_conformance_bench(self):
-        run = RunReport.from_conformance_bench(self._doc())
-        assert run.meta["source"] == "conformance-bench"
+        run = RunReport.from_bench(self._doc())
+        assert run.meta["suite"] == "conformance"
         assert run.metrics["conformance.r8.iterations"] == 10
         assert "conformance" in run.sections
 
@@ -204,5 +204,5 @@ class TestRunReportIntegration:
         path = tmp_path / "BENCH_conformance.json"
         path.write_text(json.dumps(self._doc()))
         run = RunReport.load(path)
-        assert run.meta["source"] == "conformance-bench"
+        assert run.meta["suite"] == "conformance"
         assert run.sections["conformance"]["entries"][0]["ranks"] == 8

@@ -432,15 +432,30 @@ class TestRunReport:
         doc = {
             "suite": "kernels",
             "config": {"sizes": [12], "reps": 1},
-            "summary": {"pcg_hot_allocs": 0, "spmv_speedup_largest": 1.5},
-            "pcg": {"iterations": 30, "workspace_allocs_hot": 0},
+            "summary": {"pcg_hot_allocs": 0, "pcg.iterations": 30,
+                        "spmv_speedup_largest": 1.5, "quick": True},
+            "kernels": {"pcg": {"iterations": 30, "workspace_allocs_hot": 0}},
         }
         path = tmp_path / "BENCH_kernels.json"
         path.write_text(json.dumps(doc))
         report = RunReport.load(path)
-        assert report.metrics["bench.pcg_hot_allocs"] == 0.0
-        assert report.metrics["bench.pcg.iterations"] == 30.0
-        assert report.sections["bench"]["spmv_speedup_largest"] == 1.5
+        assert report.meta["suite"] == "kernels"
+        assert report.meta["config"] == {"sizes": [12], "reps": 1}
+        assert report.metrics == {
+            "kernels.pcg_hot_allocs": 0.0,
+            "kernels.pcg.iterations": 30.0,
+            "kernels.spmv_speedup_largest": 1.5,
+        }  # booleans are not metrics
+        assert report.sections["kernels"]["pcg"]["iterations"] == 30
+
+    @pytest.mark.parametrize("doc", [
+        {"suite": "kernels", "summary": {}},  # no section named after the suite
+        {"suite": "kernels", "kernels": {}},  # no summary
+        {"summary": {}, "kernels": {}},  # no suite
+    ])
+    def test_from_bench_rejects_other_shapes(self, doc):
+        with pytest.raises(ReportError, match="not a benchmark suite document"):
+            RunReport.from_bench(doc)
 
     def test_version_1_documents_rejected(self, tmp_path):
         # nothing writes v1 reports any more: reading one is an error that
@@ -474,7 +489,7 @@ class TestRunReport:
         path = tmp_path / "BENCH_solver.json"
         path.write_text(json.dumps(doc))
         report = RunReport.load(path)
-        assert report.meta["source"] == "solver-bench"
+        assert report.meta["suite"] == "solver"
         assert report.metrics["solver.msdoor.fsai.iterations"] == 106.0
         assert report.metrics["solver.msdoor.comm.invariant"] == 1.0
         assert report.sections["solver"]["msdoor"]["methods"]["fsai"]["iterations"] == 106
@@ -616,6 +631,17 @@ class TestRunReport:
         passing = base.compare(self._sample())
         assert "within tolerance" in passing.render(only_failures=True)
         assert "PASS" in passing.render()
+
+    def test_render_shows_both_tolerances_and_the_absolute_delta(self):
+        base, other = self._sample(), self._sample()
+        other.metrics["pcg.iterations"] = 45.0
+        comparison = base.compare(other, {"pcg.iterations": {"rel": 0, "abs": 2}})
+        (row,) = comparison.regressions()
+        assert row.delta == 3.0  # other − base, not a relative change
+        header, rule, line = comparison.render(only_failures=True).splitlines()[1:4]
+        assert header.split() == ["metric", "base", "other", "delta", "rel_tol",
+                                  "abs_tol", "status"]
+        assert line.split() == ["pcg.iterations", "42", "45", "+3", "0", "2", "FAIL"]
 
     def test_to_text_and_markdown(self):
         report = self._sample()

@@ -2,10 +2,9 @@
 
 Runs the 64-rank rung of :mod:`benchmarks.scaling_bench` on the SPMD
 engine (the quick configuration CI gates on) and then drives
-``scripts/check_bench_regression.py --scaling`` end-to-end against the
-recorded baseline, exactly how CI invokes it.  Carries the
-``scaling_smoke`` marker — deselect with ``-m "not scaling_smoke"`` for a
-faster tier-1 run.
+``scripts/check_bench.py scaling --quick`` end-to-end against the recorded
+baseline, exactly how CI invokes it.  Carries the ``suite_smoke`` marker —
+deselect with ``-m "not suite_smoke"`` for a faster tier-1 run.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ sys.path.insert(0, str(REPO / "benchmarks"))
 from scaling_bench import run_scaling_suite  # noqa: E402
 
 
-@pytest.mark.scaling_smoke
+@pytest.mark.suite_smoke
 def test_quick_suite_is_complete_and_invariant():
     result = run_scaling_suite(quick=True)
     assert "engine" not in result["config"]  # there is one
@@ -41,13 +40,13 @@ def test_quick_suite_is_complete_and_invariant():
         assert f"r64.{metric}" in summary
 
 
-@pytest.mark.scaling_smoke
+@pytest.mark.suite_smoke
 def test_scaling_gate_is_clean():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "check_bench_regression.py"),
-         "--scaling"],
+        [sys.executable, str(REPO / "scripts" / "check_bench.py"), "scaling",
+         "--quick"],
         capture_output=True,
         text=True,
         env=env,
@@ -55,6 +54,6 @@ def test_scaling_gate_is_clean():
         timeout=480,
     )
     assert proc.returncode == 0, (
-        f"check_bench_regression.py --scaling failed:\n{proc.stdout}{proc.stderr}"
+        f"check_bench.py scaling --quick failed:\n{proc.stdout}{proc.stderr}"
     )
-    assert "OK: benchmark counters within tolerance" in proc.stdout
+    assert "OK: scaling: 5 key(s) within policy" in proc.stdout

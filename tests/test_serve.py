@@ -2,7 +2,7 @@
 
 The cheap unit tiers (fingerprint equality, LRU accounting, admission
 verdicts, report round-trips) always run; the end-to-end farm solves carry
-the ``serve_smoke`` marker — deselect with ``-m "not serve_smoke"`` for a
+the ``suite_smoke`` marker — deselect with ``-m "not suite_smoke"`` for a
 faster tier-1 run.
 """
 
@@ -225,7 +225,7 @@ def two_tenants():
             TenantPolicy("beta", max_in_flight=32)]
 
 
-@pytest.mark.serve_smoke
+@pytest.mark.suite_smoke
 class TestSolveFarm:
     def test_same_structure_different_values_hits_structure_tier(self):
         mat = poisson2d(12)
@@ -334,7 +334,7 @@ class TestSolveFarm:
 # --------------------------------------------------------------------- report
 
 
-@pytest.mark.serve_smoke
+@pytest.mark.suite_smoke
 class TestServeReport:
     def run_farm(self, tmp_path):
         mat = poisson2d(12)

@@ -3,10 +3,9 @@
 Runs the first concurrency rung of :mod:`benchmarks.serve_bench`, checks
 its deterministic claims (exact admission counts, exact warm-cache hit
 pattern, clean §4 audits, no build by a timed warm request), then drives
-``scripts/check_bench_regression.py --serve`` end-to-end against the
-recorded baseline, exactly how CI invokes it.  Carries the
-``serve_smoke`` marker — deselect with ``-m "not serve_smoke"`` for a
-faster tier-1 run.
+``scripts/check_bench.py serve`` end-to-end against the recorded baseline,
+exactly how CI invokes it.  Carries the ``suite_smoke`` marker — deselect
+with ``-m "not suite_smoke"`` for a faster tier-1 run.
 """
 
 from __future__ import annotations
@@ -27,8 +26,9 @@ from serve_bench import (  # noqa: E402
     VARIANTS,
     failed_claims,
     run_serve_suite,
-    write_serve_suite,
 )
+
+from repro.kernels import write_suite  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def quick_suite():
     return run_serve_suite(quick=True)
 
 
-@pytest.mark.serve_smoke
+@pytest.mark.suite_smoke
 def test_quick_suite_holds_serving_claims(quick_suite):
     result = quick_suite
     assert result["suite"] == "serve"
@@ -75,7 +75,7 @@ def test_quick_suite_holds_serving_claims(quick_suite):
     assert result["serve"][f"r{n}"]["warm"]["format"] == "repro-serve-report"
 
 
-@pytest.mark.serve_smoke
+@pytest.mark.suite_smoke
 def test_claims_reject_builds_in_the_wrong_phase(quick_suite):
     (n,) = QUICK_RUNGS
     for key, delta in ((f"r{n}.warm.system_misses", 1),
@@ -86,14 +86,14 @@ def test_claims_reject_builds_in_the_wrong_phase(quick_suite):
         assert failed_claims({**quick_suite, "summary": summary}), key
 
 
-@pytest.mark.serve_smoke
+@pytest.mark.suite_smoke
 def test_serve_gate_is_clean(quick_suite, tmp_path):
-    bench = write_serve_suite(quick_suite, tmp_path / "BENCH_serve.json")
+    bench = write_suite(quick_suite, tmp_path / "BENCH_serve.json")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "check_bench_regression.py"),
-         "--serve", "--bench", str(bench)],
+        [sys.executable, str(REPO / "scripts" / "check_bench.py"), "serve",
+         "--bench", str(bench)],
         capture_output=True,
         text=True,
         env=env,
@@ -101,13 +101,12 @@ def test_serve_gate_is_clean(quick_suite, tmp_path):
         timeout=480,
     )
     assert proc.returncode == 0, (
-        f"check_bench_regression.py --serve failed:\n{proc.stdout}{proc.stderr}"
+        f"check_bench.py serve failed:\n{proc.stdout}{proc.stderr}"
     )
-    assert "serve cache:" in proc.stdout
-    assert "OK: benchmark counters within tolerance of the baseline" in proc.stdout
+    assert "OK: serve: 25 key(s) within policy" in proc.stdout
 
 
-@pytest.mark.serve_smoke
+@pytest.mark.suite_smoke
 def test_gate_rejects_a_regressed_hit_count(quick_suite, tmp_path):
     doc = {
         **quick_suite,
@@ -116,13 +115,12 @@ def test_gate_rejects_a_regressed_hit_count(quick_suite, tmp_path):
     (n,) = QUICK_RUNGS
     doc["summary"][f"r{n}.warm.structure_hits"] -= 1
     doc["summary"][f"r{n}.warm.structure_misses"] += 1
-    bench = write_serve_suite(doc, tmp_path / "BENCH_regressed.json",
-                              report=False)
+    bench = write_suite(doc, tmp_path / "BENCH_regressed.json", report=False)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "check_bench_regression.py"),
-         "--serve", "--bench", str(bench)],
+        [sys.executable, str(REPO / "scripts" / "check_bench.py"), "serve",
+         "--bench", str(bench)],
         capture_output=True,
         text=True,
         env=env,
