@@ -18,8 +18,8 @@ Per scale the suite records:
   (deterministic, gated exactly) plus ``reductions`` (collective calls);
 * ``modeled_ms`` — analytic solve time from :class:`repro.perfmodel.CostModel`
   with ``reduction_phases=1`` (pipelined PCG's single fused reduction);
-* ``max_bsp_wait_ms`` — worst per-rank bulk-synchronous wait from
-  :func:`repro.observe.bsp_wait_times` over modeled per-rank busy time;
+* ``max_bsp_wait_ms`` — the model's worst per-rank bulk-synchronous wait
+  for the slowest rank (``IterationCost.waits``) over the solve;
 * ``wall_s`` — wall clock of the simulation itself (recorded, never gated);
 * ``invariant`` — the paper's guarantee that FSAIE-Comm exchanges exactly
   the FSAI halos (:func:`repro.core.check_comm_invariance`);
@@ -53,7 +53,7 @@ from repro.dist import (
 )
 from repro.matgen import paper_rhs, poisson2d
 from repro.mpisim import CommTracker
-from repro.observe import bsp_wait_times, compare_snapshots
+from repro.observe import compare_snapshots
 from repro.perfmodel import MACHINES, CostModel
 
 #: Weak-scaling ladder: (ranks, Poisson grid side).  ``n*n / ranks`` stays at
@@ -123,14 +123,7 @@ def run_scale(ranks: int, n: int, *, machine_name: str = MODEL_MACHINE) -> dict:
         np.linalg.norm(residual) / np.linalg.norm(b.to_global())
     )
 
-    model = CostModel(machine, threads_per_process=1)
-    per_iter = model.iteration_cost(da, pre, reduction_phases=1).total
-    busy = [
-        (a + g + gt) / machine.core_flops
-        for a, g, gt in zip(
-            da.flops_per_rank(), pre.g.flops_per_rank(), pre.gt.flops_per_rank()
-        )
-    ]
+    cost = CostModel(machine).iteration_cost(da, pre, reduction_phases=1)
     return {
         "ranks": ranks,
         "grid": n,
@@ -141,8 +134,8 @@ def run_scale(ranks: int, n: int, *, machine_name: str = MODEL_MACHINE) -> dict:
         "rel_residual": rel_residual,
         "messages": int(tracker.total_messages),
         "bytes": int(tracker.total_bytes),
-        "modeled_ms": float(per_iter * iterations * 1e3),
-        "max_bsp_wait_ms": float(max(bsp_wait_times(busy)) * iterations * 1e3),
+        "modeled_ms": float(cost.total * iterations * 1e3),
+        "max_bsp_wait_ms": float(cost.waits.max() * iterations * 1e3),
         "wall_s": float(wall),
         "invariant": bool(invariant),
         "halo_invariant": bool(halo_invariant),

@@ -84,9 +84,15 @@ class Suite:
 
 # ---------------------------------------------------------------- claims
 #: Every measured/predicted phase ratio of a conformance rung lies in this
-#: band; a phase the model prices at zero while the simulation spent time in
-#: it (ratio ``inf``) falls outside.
-RATIO_BAND = (0.05, 2.0)
+#: band: the model prices the engine's own kernels, messages and allreduces
+#: (DESIGN.md §2), so the ratios sit near 1.  A phase the model prices at
+#: zero while the simulation spent time in it (ratio ``inf``) falls outside.
+RATIO_BAND = (0.8, 1.25)
+#: The one exemption: the halo's lower edge.  The ladder runs pipelined PCG
+#: with overlap, which hides up to each exchange's local-block product
+#: behind its messages, while the model prices the blocking exchange; at 64
+#: ranks (144 rows each) that hides 43 % of the halo (ratio 0.57).
+HALO_FLOOR = 0.5
 #: The telemetry payload stays below this fraction of the full-trace volume.
 TRACE_FRACTION = 0.25
 #: Payload growth across the ladder stays below this fraction of rank growth.
@@ -123,11 +129,12 @@ def conformance_claims(doc: dict) -> list[str]:
         if not e["phases"]:
             failures.append(f"{rung}: no phase ratio recorded")
         for p in e["phases"]:
-            if not lo <= p["ratio"] <= hi:  # also catches inf and nan
+            floor = HALO_FLOOR if p["phase"] == "halo" else lo
+            if not floor <= p["ratio"] <= hi:  # also catches inf and nan
                 failures.append(
                     f"{rung}: {p['phase']} ratio {p['ratio']:.3g} (simulated "
                     f"{p['measured_seconds']:.3g} s / predicted "
-                    f"{p['predicted_seconds']:.3g} s) is outside [{lo}, {hi}]"
+                    f"{p['predicted_seconds']:.3g} s) is outside [{floor}, {hi}]"
                 )
     if len(entries) >= 2:
         first = min(entries, key=lambda e: e["ranks"])

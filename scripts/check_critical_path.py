@@ -12,9 +12,9 @@ together pin down FSAIE-Comm's contract:
    PCG iterations than FSAI on this case, and the attribution explainer
    reports the reduction with no suspects against FSAIE-Comm.
 3. **Dynamic filtering earns its keep** — building the comm pattern with
-   filtering disabled yields a strictly higher BSP max wait (per-rank nnz
-   imbalance, :func:`repro.observe.bsp_wait_times`) than the dynamically
-   filtered build.
+   filtering disabled yields a strictly larger preconditioner imbalance
+   (the spread of the cost model's per-rank ``Gᵀ(G·v)`` seconds, the load
+   Alg. 4 balances) than the dynamically filtered build.
 4. **Timeline reconstruction is sound and exact** — an SPMD solve traced on
    the Skylake clock model yields a timeline in modeled seconds that
    satisfies ``max per-rank busy ≤ critical path ≤ makespan``, and a second
@@ -49,10 +49,9 @@ from repro.observe import (  # noqa: E402
     MethodFacts,
     Timeline,
     attribute,
-    bsp_wait_times,
     halo_critical_path,
 )
-from repro.perfmodel import SKYLAKE  # noqa: E402
+from repro.perfmodel import SKYLAKE, CostModel  # noqa: E402
 
 GRID = 16
 RANKS = 4
@@ -111,21 +110,23 @@ def main() -> int:
         f"iterations ({reduction:+.1f}%), suspects clean"
     )
 
-    # 3. unfiltered pattern must show strictly worse BSP imbalance
+    # 3. unfiltered pattern must show strictly worse preconditioner imbalance
+    # (the whole iteration's waits on this case are set by halo asymmetry)
     unfiltered = build_fsaie_comm(mat, part, filter=FilterSpec(0.0, dynamic=False))
-    waits = {
-        name: bsp_wait_times(np.asarray(pre.nnz_per_rank(), dtype=float))
+    model = CostModel(SKYLAKE)
+    spread = {
+        name: np.ptp(model.iteration_cost(da, pre).per_rank["precond"]) * 1e6
         for name, pre in (("dynamic", comm), ("unfiltered", unfiltered))
     }
-    if not max(waits["unfiltered"]) > max(waits["dynamic"]):
+    if not spread["unfiltered"] > spread["dynamic"]:
         return fail(
-            f"dynamic filtering did not reduce max BSP wait "
-            f"(unfiltered {max(waits['unfiltered']):.1f}, "
-            f"dynamic {max(waits['dynamic']):.1f} nnz)"
+            f"dynamic filtering did not reduce the preconditioner imbalance "
+            f"(unfiltered {spread['unfiltered']:.3f}, "
+            f"dynamic {spread['dynamic']:.3f} us per apply)"
         )
     print(
-        f"ok: max BSP wait (nnz) unfiltered {max(waits['unfiltered']):.0f} "
-        f"> dynamic {max(waits['dynamic']):.0f}"
+        f"ok: preconditioner imbalance unfiltered {spread['unfiltered']:.3f} "
+        f"> dynamic {spread['dynamic']:.3f} us per apply on {SKYLAKE.name}"
     )
 
     # 4. reconstructed SPMD timeline obeys its bracketing invariant, exactly

@@ -253,10 +253,6 @@ class DistMatrix:
             return out
         return DistVector(self.partition, out_parts)
 
-    def flops_per_rank(self) -> np.ndarray:
-        """SpMV floating-point operations per rank (2 per stored entry)."""
-        return 2 * self.nnz_per_rank()
-
     def __repr__(self) -> str:
         return (
             f"DistMatrix(shape={self.shape}, nparts={self.partition.nparts}, "

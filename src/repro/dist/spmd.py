@@ -13,9 +13,16 @@ collectives, and charge each rank-local kernel's *modeled* cost to the
 rank's clock (:func:`_charge`) — nothing reads the host's clock.  The
 functions callers use (:func:`spmd_cg`, …) stay plain: they build the rank
 program and hand it to ``run_spmd``.
+
+The work of a kernel (:func:`spmv_work`, :func:`vector_work`,
+:func:`pack_work`) and of an iteration (:data:`CG_ITERATION`,
+:data:`PIPELINED_ITERATION`) is defined once, here: the rank programs
+charge it and :class:`repro.perfmodel.CostModel` predicts from it.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +40,46 @@ __all__ = [
 
 _TAG_HALO = 7_000
 
-_ENTRY_BYTES = 12  # 8 B value + 4 B column index (CSR streaming)
-_VALUE_BYTES = 8
+#: Streamed bytes per stored CSR entry (8 B value + 4 B column index) and
+#: per vector value.
+ENTRY_BYTES = 12
+VALUE_BYTES = 8
+
+
+def spmv_work(nnz, nrows):
+    """``(flops, bytes)`` of one CSR product: stream the matrix, gather
+    ``x``, write ``y``."""
+    return 2 * nnz, nnz * ENTRY_BYTES + 2 * nrows * VALUE_BYTES
+
+
+def vector_work(n, updates: int = 0, dots: int = 0):
+    """``(flops, bytes)`` of length-``n`` vector work: each update reads two
+    vectors and writes one, each dot product reads two."""
+    return 2 * n * (updates + dots), n * VALUE_BYTES * (3 * updates + 2 * dots)
+
+
+def pack_work(values):
+    """``(flops, bytes)`` of packing ``values`` outgoing halo values: the
+    gather reads and writes each once."""
+    return 0, 2 * values * VALUE_BYTES
+
+
+@dataclass(frozen=True)
+class IterationWork:
+    """One iteration of a Krylov rank program besides its one product with
+    ``A`` and one ``Gᵀ(G·v)``: rank-length vector updates and dot products,
+    and allreduces of ``allreduce_values`` float64 each."""
+
+    updates: int
+    dots: int
+    allreduces: int
+    allreduce_values: int
+
+
+#: :func:`spmd_cg`: ``x``, ``r``, ``d`` updates; three scalar allreduces.
+CG_ITERATION = IterationWork(updates=3, dots=3, allreduces=3, allreduce_values=1)
+#: :func:`spmd_pipelined_pcg`: eight updates; three dots, one fused allreduce.
+PIPELINED_ITERATION = IterationWork(updates=8, dots=3, allreduces=1, allreduce_values=3)
 
 
 def _check_engine(engine: str) -> None:
@@ -49,28 +94,15 @@ def _check_engine(engine: str) -> None:
         raise CommError(f"unknown engine {engine!r}; the only engine is 'events'")
 
 
-def _charge(comm: Comm, flops: float, nbytes: float) -> None:
-    """Charge one rank-local kernel to the rank's modeled clock (roofline
-    of ``flops`` and streamed ``nbytes`` at the run's
-    :class:`~repro.mpisim.ClockModel` rates) and stream the same seconds
-    into the rank's telemetry ``compute`` histogram when one is installed."""
-    seconds = comm.clock.kernel_seconds(flops, nbytes)
+def _charge(comm: Comm, work: tuple) -> None:
+    """Charge one rank-local kernel's ``(flops, bytes)`` to the rank's
+    modeled clock (the run's :meth:`~repro.mpisim.ClockModel.kernel_seconds`)
+    and stream the same seconds into the rank's telemetry ``compute``
+    histogram when one is installed."""
+    seconds = comm.clock.kernel_seconds(*work)
     comm.advance(seconds)
     if comm.telemetry is not None:
         comm.telemetry.observe("compute", seconds, end=comm.now())
-
-
-def _charge_spmv(comm: Comm, csr) -> None:
-    """One CSR product: stream the matrix, gather ``x``, write ``y``."""
-    nnz = csr.nnz
-    _charge(comm, 2 * nnz, nnz * _ENTRY_BYTES + 2 * csr.nrows * _VALUE_BYTES)
-
-
-def _charge_vectors(comm: Comm, n: int, updates: int = 0, dots: int = 0) -> None:
-    """Length-``n`` vector work: each update reads two vectors and writes
-    one, each dot product reads two."""
-    _charge(comm, 2 * n * (updates + dots),
-            n * _VALUE_BYTES * (3 * updates + 2 * dots))
 
 
 def _halo_exchange_start(comm: Comm, mat: DistMatrix, x_local: np.ndarray) -> list:
@@ -101,10 +133,9 @@ def _halo_exchange_start(comm: Comm, mat: DistMatrix, x_local: np.ndarray) -> li
             for q, ids in sched.send_to[p].items()
             if ids.size
         ]
-        packed_bytes = sum(payload.nbytes for payload, _ in sends)
-        # the gather reads and writes every packed value once
-        comm.advance(comm.clock.kernel_seconds(0, 2 * packed_bytes))
-        pack.set_tag("bytes", packed_bytes)
+        packed = sum(payload.size for payload, _ in sends)
+        comm.advance(comm.clock.kernel_seconds(*pack_work(packed)))
+        pack.set_tag("bytes", packed * VALUE_BYTES)
     with comm.coalescing():
         for payload, q in sends:
             comm.send(payload, q, _TAG_HALO)
@@ -127,7 +158,7 @@ async def _halo_exchange_finish(
         if tracer.enabled:
             with tracer.span(
                 "spmd.halo.wait", rank=p, src=q,
-                bytes=8 * int(sched.recv_from[p][q].size),
+                bytes=VALUE_BYTES * int(sched.recv_from[p][q].size),
             ):
                 values = await req.wait()
         else:
@@ -176,7 +207,7 @@ async def _fused_spmv(comm: Comm, mat: DistMatrix, operands: _Operands,
             operand[: lm.n_local] = v
             v = operand
         y = lm.csr.spmv(v)
-        _charge_spmv(comm, lm.csr)
+        _charge(comm, spmv_work(lm.csr.nnz, lm.csr.nrows))
     return y
 
 
@@ -241,7 +272,7 @@ def spmd_cg(
 
         async def gdot(u: np.ndarray, v: np.ndarray) -> float:
             partial = float(np.dot(u, v))
-            _charge_vectors(comm, n, dots=1)
+            _charge(comm, vector_work(n, dots=1))
             with tracer.span("spmd.reduction", rank=p):
                 return await comm.allreduce(partial, SUM)
 
@@ -271,13 +302,13 @@ def spmd_cg(
                 with tracer.span("spmd.compute", rank=p, kernel="axpy"):
                     x += alpha * d
                     r -= alpha * ad
-                    _charge_vectors(comm, n, updates=2)
+                    _charge(comm, vector_work(n, updates=2))
                 z = await apply_precond(r)
                 rz_new = await gdot(r, z)
                 beta = rz_new / rz
                 rz = rz_new
                 d = z + beta * d
-                _charge_vectors(comm, n, updates=1)
+                _charge(comm, vector_work(n, updates=1))
             iterations += 1
         return x, iterations
 
@@ -351,19 +382,19 @@ def spmd_pipelined_pcg(
             a_ll, a_lh = m_blocks[p]
             with tracer.span("spmd.compute", rank=p, kernel="spmv_local"):
                 y = a_ll.spmv(v)
-                _charge_spmv(comm, a_ll)
+                _charge(comm, spmv_work(a_ll.nnz, a_ll.nrows))
             halo = await _halo_exchange_finish(comm, m, reqs, operands.of(m)[1])
             if a_lh is not None:
                 with tracer.span("spmd.compute", rank=p, kernel="spmv_halo"):
                     y += a_lh.spmv(halo)
-                    _charge_spmv(comm, a_lh)
+                    _charge(comm, spmv_work(a_lh.nnz, a_lh.nrows))
             return y
 
         async def fused_dots(*pairs: tuple[np.ndarray, np.ndarray]) -> list[float]:
             partials = np.array(
                 [float(np.dot(a, c)) for a, c in pairs], dtype=np.float64
             )
-            _charge_vectors(comm, n, dots=len(pairs))
+            _charge(comm, vector_work(n, dots=len(pairs)))
             with tracer.span("spmd.reduction", rank=p, fused=len(pairs)):
                 return [float(v) for v in await comm.allreduce(partials, SUM)]
 
@@ -403,7 +434,7 @@ def spmd_pipelined_pcg(
                     r -= alpha * s
                     u -= alpha * q
                     w -= alpha * z
-                    _charge_vectors(comm, n, updates=4)
+                    _charge(comm, vector_work(n, updates=4))
                 rr, gamma_new, delta = await fused_dots((r, r), (r, u), (w, u))
                 res = float(np.sqrt(max(rr, 0.0)))
                 iterations += 1
@@ -420,7 +451,7 @@ def spmd_pipelined_pcg(
                     q = m_w + beta * q
                     pd = u + beta * pd
                     s = w + beta * s
-                    _charge_vectors(comm, n, updates=4)
+                    _charge(comm, vector_work(n, updates=4))
         return x, iterations
 
     results = run_spmd(

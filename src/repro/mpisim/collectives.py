@@ -34,6 +34,7 @@ __all__ = [
     "bcast",
     "reduce",
     "allreduce",
+    "allreduce_rounds",
     "gather",
     "allgather",
     "scatter",
@@ -113,15 +114,20 @@ async def reduce(comm: Comm, value, op: ReduceOp, root: int = 0):
     return acc if rank == root else None
 
 
+def allreduce_rounds(size: int) -> int:
+    """Messages on the critical path of :func:`allreduce` over ``size``
+    ranks: one per doubling round, plus the fold and the unfold when
+    ``size`` is not a power of two."""
+    doublings = size.bit_length() - 1
+    return doublings + (2 if size > 1 << doublings else 0)
+
+
 async def allreduce(comm: Comm, value, op: ReduceOp):
     """Recursive-doubling allreduce (with pre/post folding when P not 2^k)."""
     size, rank = comm.size, comm.rank
     if size == 1:
         return value
-    # largest power of two <= size
-    pof2 = 1
-    while pof2 * 2 <= size:
-        pof2 *= 2
+    pof2 = 1 << (size.bit_length() - 1)  # largest power of two <= size
     rem = size - pof2
     acc = value
     # fold the remainder ranks into the power-of-two group

@@ -47,7 +47,10 @@ class ClockModel:
     A message sent when its sender's clock reads ``t`` becomes matchable at
     ``t + alpha + beta * nbytes``; a rank program charges a compute kernel
     of ``flops`` operations streaming ``nbytes`` with
-    ``comm.advance(comm.clock.kernel_seconds(flops, nbytes))``.  The caller
+    ``comm.advance(comm.clock.kernel_seconds(flops, nbytes))``.  The
+    ``*_seconds`` methods are the one price list of the machine: the engine
+    and the rank programs run on them and
+    :class:`repro.perfmodel.CostModel` predicts with them.  The caller
     supplies the numbers (:meth:`repro.perfmodel.MachineSpec.clock_model`
     derives them from a machine); with the all-zero default every clock
     stays at 0 and only the message order is simulated.
@@ -75,6 +78,20 @@ class ClockModel:
         """Roofline time of one rank-local kernel: the slower of its
         arithmetic and its memory stream."""
         return max(flops * self.flop, nbytes * self.byte)
+
+    def message_seconds(self, nbytes: float) -> float:
+        """Link time of one message, from its send until it is matchable."""
+        return self.alpha + self.beta * nbytes
+
+    def exchange_seconds(self, incoming) -> float:
+        """A rank's wait in a neighbour exchange receiving messages of
+        ``incoming`` bytes: all sends leave together, so the largest
+        message ends it (0 with none)."""
+        return self.message_seconds(max(incoming)) if len(incoming) else 0.0
+
+    def allreduce_seconds(self, size: int, nbytes: float) -> float:
+        """One :meth:`Comm.allreduce` of ``nbytes`` over ``size`` ranks."""
+        return collectives.allreduce_rounds(size) * self.message_seconds(nbytes)
 
 
 class ReduceOp:

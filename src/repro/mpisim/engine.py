@@ -356,7 +356,9 @@ class RankComm(Comm):
         self._deliver(obj, dest, tag)
 
     def _deliver(self, obj, dest: int, tag: int) -> None:
-        """Account for and enqueue one wire message."""
+        """Account for and enqueue one wire message.  Its arrival is
+        :meth:`ClockModel.message_seconds` after the sender's clock, inlined
+        here and in :meth:`_flush_coalesced` (the hot path)."""
         sched = self._sched
         arrival = sched.clocks[self.rank] + sched.alpha
         if self._accounted or sched.beta:
@@ -524,8 +526,8 @@ class RankComm(Comm):
             sched = self._sched
             sched.enqueue(  # the extra copy
                 self.rank, dest, tag, obj,
-                sched.clocks[self.rank] + sched.alpha
-                + sched.beta * payload_nbytes(obj),
+                sched.clocks[self.rank]
+                + sched.clock.message_seconds(payload_nbytes(obj)),
             )
         return obj
 

@@ -63,7 +63,6 @@ from repro.observe.conformance import (
     ConformanceReport,
     RankCountConformance,
     conformance_samples,
-    predicted_phases,
 )
 from repro.observe.stream import (
     ClusterTelemetry,
@@ -88,7 +87,6 @@ from repro.observe.timeline import (
     HaloCriticalPath,
     Timeline,
     TimelineError,
-    bsp_wait_times,
     halo_critical_path,
 )
 
@@ -108,7 +106,6 @@ __all__ = [
     "Timeline",
     "HaloCriticalPath",
     "halo_critical_path",
-    "bsp_wait_times",
     "ExplainError",
     "MethodFacts",
     "Suspect",
@@ -122,7 +119,6 @@ __all__ = [
     "TelemetryConfig",
     "aggregate_telemetry",
     "ConformanceError",
-    "predicted_phases",
     "RankCountConformance",
     "ConformanceReport",
     "conformance_samples",

@@ -19,18 +19,19 @@ across a strong-scaled ladder and renders the confrontation as a versioned
 
 What the ratios mean: "measured" seconds are the *simulated schedule* of
 the run — modeled waits, reductions and charged kernels on the engine's
-α–β clock (:class:`repro.mpisim.ClockModel`, fed the same machine numbers
-the model predicts with) — and "predicted" seconds are the model's
-closed-form bound.  Both are deterministic functions of the inputs, so the
-ratios are O(1), reproducible to the last digit, and gated in an absolute
-band by ``scripts/check_bench.py conformance`` next to the structural facts
-— schedule invariance with telemetry enabled, telemetry excluded from the
-audit, artifact sublinearity.
+α–β clock (:class:`repro.mpisim.ClockModel`) — and "predicted" seconds are
+the model's closed-form phases of the critical rank, priced by that same
+clock from the same kernel work.  Both are deterministic functions of the
+inputs, so the ratios sit near 1 wherever the program runs what the model
+prices, are reproducible to the last digit, and are gated in a tight band
+by ``scripts/check_bench.py conformance`` next to the structural facts —
+schedule invariance with telemetry enabled, telemetry excluded from the
+audit, artifact sublinearity.  DESIGN.md §2 names the phases where the
+program differs from the model (communication overlap, load imbalance).
 
-The module is duck-typed over cost objects (anything with ``spmv_a`` /
-``precond`` / ``halo`` / ``reductions`` / ``vector_ops`` attributes — e.g.
-:class:`repro.perfmodel.model.IterationCost`) so observe keeps its layering
-below :mod:`repro.perfmodel`.
+Predictions arrive as plain per-phase seconds
+(:func:`repro.perfmodel.ladders.conformance_ladder` computes them), so
+observe keeps its layering below :mod:`repro.perfmodel`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "CONFORMANCE_VERSION",
     "ConformanceError",
     "PHASES",
-    "predicted_phases",
     "PhaseConformance",
     "RankCountConformance",
     "ConformanceReport",
@@ -57,32 +57,15 @@ __all__ = [
 CONFORMANCE_FORMAT = "repro-conformance"
 CONFORMANCE_VERSION = 1
 
-#: The measured/predicted phase taxonomy.  ``compute`` folds the model's
-#: SpMV-A, preconditioner-apply and vector-op terms (they are one fused
-#: stretch of rank-local work on the wire); ``halo`` is blocked halo-wait
-#: time; ``reduction`` is allreduce time.
+#: The measured/predicted phase taxonomy.  ``compute`` is the charged
+#: rank-local kernels (the model's SpMV-A, preconditioner-apply and
+#: vector-op terms); ``halo`` is blocked halo-wait time; ``reduction`` is
+#: allreduce time.
 PHASES = ("compute", "halo", "reduction")
 
 
 class ConformanceError(ReproError):
     """Malformed conformance document or inconsistent entry data."""
-
-
-def predicted_phases(cost, iterations: int) -> dict[str, float]:
-    """Fold a per-iteration cost object into per-phase predicted seconds.
-
-    ``cost`` is duck-typed over the α–β model's per-iteration breakdown
-    (``spmv_a`` + ``precond`` + ``vector_ops`` → compute, ``halo`` → halo,
-    ``reductions`` → reduction), scaled by the iteration count — the same
-    folding :meth:`repro.perfmodel.CostModel.phase_seconds` applies.
-    """
-    k = float(iterations)
-    return {
-        "compute": (float(cost.spmv_a) + float(cost.precond)
-                    + float(cost.vector_ops)) * k,
-        "halo": float(cost.halo) * k,
-        "reduction": float(cost.reductions) * k,
-    }
 
 
 @dataclass

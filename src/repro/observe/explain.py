@@ -92,7 +92,8 @@ class MethodFacts:
         breakdown: dict = {}
         modeled = None
         if cost is not None:
-            for name in ("spmv_a", "precond", "halo", "reductions", "vector_ops"):
+            for name in ("spmv_a", "precond", "misses", "halo", "reductions",
+                         "vector_ops"):
                 value = getattr(cost, name, None)
                 if value is not None:
                     breakdown[name] = float(value)

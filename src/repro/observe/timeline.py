@@ -28,9 +28,7 @@ A traced run's critical path is deterministic but depends on the clock
 model; the *static* :func:`halo_critical_path` derives the bottleneck rank and its incoming
 halo edges purely from a :class:`~repro.dist.halo.HaloSchedule` — a
 byte-for-byte comparable object that must be identical between FSAI and
-FSAIE-Comm (the paper's invariance claim, §4), and
-:func:`bsp_wait_times` converts per-rank busy work into the BSP wait times
-dynamic filtering (Alg. 4) is designed to shrink.
+FSAIE-Comm (the paper's invariance claim, §4).
 
 Layering: like the rest of :mod:`repro.observe` this module reads spans and
 schedules back; it never imports :mod:`repro.core`.
@@ -55,7 +53,6 @@ __all__ = [
     "Timeline",
     "HaloCriticalPath",
     "halo_critical_path",
-    "bsp_wait_times",
     "classify_segment",
 ]
 
@@ -774,19 +771,3 @@ def halo_critical_path(schedule, *, value_bytes: int = 8) -> HaloCriticalPath:
         total_bytes=sum(b for _, _, b in edges),
         messages=len(edges),
     )
-
-
-def bsp_wait_times(busy) -> list[float]:
-    """BSP wait time per rank given per-rank busy work.
-
-    In a bulk-synchronous step every rank waits for the slowest:
-    ``wait[p] = max(busy) - busy[p]``.  Feeding per-rank nonzeros (or
-    modeled per-rank seconds) in shows exactly the imbalance dynamic
-    filtering (Alg. 4) removes — an unfiltered extension has strictly
-    larger max wait than a ±5 %-banded one.
-    """
-    values = [float(v) for v in busy]
-    if not values:
-        return []
-    peak = max(values)
-    return [peak - v for v in values]

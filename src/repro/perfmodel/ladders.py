@@ -2,8 +2,8 @@
 ``repro cache`` and the ``conformance`` / ``cache`` benchmark suites.
 
 * :func:`conformance_ladder` strong-scales one matrix over rank counts on
-  the SPMD runtime with in-band telemetry, confronts
-  :meth:`CostModel.phase_seconds` with the streamed per-phase measurement,
+  the SPMD runtime with in-band telemetry, confronts the
+  :class:`CostModel` iteration with the streamed per-phase measurement,
   and re-proves §4 halo invariance (``G`` and ``Gᵀ``) with telemetry on.
 * :func:`cache_ladder` replays every method's ``Gᵀ(Gx)`` stream at every
   line geometry through the attributed cache simulator and confronts the
@@ -102,7 +102,7 @@ def conformance_ladder(
     """
     options = options or PrecondOptions()
     model = CostModel(machine, threads_per_process=threads)
-    clock = machine.clock_model(threads)
+    clock = model.clock
     entries, clusters = [], []
     for ranks in ladder:
         part = RowPartition.from_matrix(
@@ -128,11 +128,16 @@ def conformance_ladder(
             raise ReproError(f"no telemetry aggregated at {ranks} ranks "
                              f"(rank_sample={rank_sample!r})")
         clusters.append(cluster)
+        # the critical rank's phases; the engine charges no miss latency
+        cost = model.iteration_cost(da, pre, reduction_phases=1)
         entries.append(RankCountConformance.from_cluster(
             ranks=ranks,
             iterations=iterations,
-            predicted=model.phase_seconds(da, pre, iterations=iterations,
-                                          reduction_phases=1),
+            predicted={
+                "compute": (cost.spmv_a + cost.precond + cost.vector_ops) * iterations,
+                "halo": cost.halo * iterations,
+                "reduction": cost.reductions * iterations,
+            },
             cluster=cluster,
             extras={
                 "invariant": bool(check_comm_invariance(pres["fsai"], pres["comm"])),

@@ -1,24 +1,24 @@
 """Analytic time model: counts → modeled solver time on a target machine.
 
 The paper reports measured wall times; offline, the reproduction computes
-them from first principles.  One PCG iteration decomposes into
-
-* SpMV with ``A``         — roofline of FLOPs vs streamed bytes,
-* preconditioner ``Gᵀ(Gx)`` — same, plus the *simulated* L1 misses on the
-  multiplying vector (the quantity Figures 3a/5a measure) as a latency term,
-* halo updates            — α–β per neighbour message, max over ranks,
-* reductions              — three allreduces of ⌈log₂P⌉ rounds,
-* vector updates          — streamed bytes.
-
-Time per rank is the max over ranks of its compute plus its communication —
-the bulk-synchronous bound that makes load *imbalance* (§5.3.3) directly
-visible in modeled time.  ``threads_per_process`` scales per-process compute
-capacity and aggregated L1, reproducing the hybrid study of Table 4.
+them with the SPMD engine's own price list: the kernel work the rank
+programs charge (:mod:`repro.dist.spmd`), priced by the machine's
+:class:`repro.mpisim.ClockModel`.  One iteration on rank ``p`` is its
+product with ``A`` (``spmv_a``), the two products of ``Gᵀ(G·v)``
+(``precond``), the *simulated* L1 misses on the multiplying vector times
+the miss latency (``misses``, Figures 3a/5a — the one term the engine does
+not charge), three halo updates (``halo``: pack, then wait for the largest
+incoming message), the method's allreduces (``reductions``) and its vector
+updates and dots (``vector_ops``).  Each rank's components are summed and
+the slowest rank sets the iteration — the bulk-synchronous bound that makes
+load *imbalance* (§5.3.3) visible.  ``threads_per_process`` scales
+per-process rates and aggregated L1 (Table 4).  DESIGN.md §2 states how
+concurrent halo sends, pipelined PCG's overlap and the miss term are priced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,28 +26,54 @@ from repro.cachesim.spmv_trace import precond_x_misses_per_rank, x_access_lines
 from repro.cachesim.cache import simulate_misses
 from repro.core.precond import Preconditioner
 from repro.dist.matrix import DistMatrix
+from repro.dist.spmd import (
+    CG_ITERATION,
+    PIPELINED_ITERATION,
+    VALUE_BYTES,
+    pack_work,
+    spmv_work,
+    vector_work,
+)
 from repro.perfmodel.machine import MachineSpec
 
 __all__ = ["IterationCost", "CostModel", "estimate_solver_time"]
 
-_BYTES_PER_ENTRY = 12  # 8 B value + 4 B column index (CSR streaming)
-_BYTES_PER_VALUE = 8
+#: ``reduction_phases`` → the rank program whose iteration is priced.
+_ITERATIONS = {3: CG_ITERATION, 1: PIPELINED_ITERATION}
 
 
 @dataclass(frozen=True)
 class IterationCost:
-    """Breakdown of the modeled time of one PCG iteration (seconds)."""
+    """Modeled seconds of one Krylov iteration.
+
+    ``per_rank`` maps each component to every rank's seconds.  The slowest
+    rank — the critical one — sets the iteration time :attr:`total`, and the
+    named fields are that rank's components, so they sum to ``total`` and
+    the largest names its bottleneck.
+    """
 
     spmv_a: float
     precond: float
+    misses: float
     halo: float
     reductions: float
     vector_ops: float
+    per_rank: dict = field(repr=False, compare=False)
+
+    @property
+    def rank_seconds(self) -> np.ndarray:
+        """Every rank's iteration seconds: the sum of its components."""
+        return sum(self.per_rank.values())
 
     @property
     def total(self) -> float:
-        """Sum of all components."""
-        return self.spmv_a + self.precond + self.halo + self.reductions + self.vector_ops
+        """The iteration's seconds: the slowest rank's."""
+        return float(self.rank_seconds.max())
+
+    @property
+    def waits(self) -> np.ndarray:
+        """Every rank's bulk-synchronous wait for the slowest one."""
+        return self.total - self.rank_seconds
 
 
 class CostModel:
@@ -61,9 +87,9 @@ class CostModel:
         Hybrid configuration: cores (OpenMP threads) per MPI process.  Scales
         per-process FLOP rate, memory bandwidth and aggregated L1 capacity.
     simulate_cache:
-        Run the L1 simulator for the preconditioner's ``x`` accesses.  When
-        off, misses are approximated by one per distinct touched line per
-        SpMV (fast, used by large parameter sweeps).
+        Run the L1 simulator for the ``x`` accesses.  When off, misses are
+        approximated by one per distinct touched line per SpMV (fast, used
+        by large parameter sweeps).
     """
 
     def __init__(
@@ -78,28 +104,28 @@ class CostModel:
         self.machine = machine
         self.threads = threads_per_process
         self.simulate_cache = simulate_cache
-        self.process_flops = machine.core_flops * threads_per_process
-        self.process_bw = machine.core_mem_bw * threads_per_process
+        self.clock = machine.clock_model(threads_per_process)
         self.l1 = machine.l1.scaled(threads_per_process)
 
     # ------------------------------------------------------------------
-    def _roofline(self, flops: np.ndarray, bytes_: np.ndarray) -> np.ndarray:
-        """Per-rank kernel time: max of compute and memory streams."""
-        return np.maximum(flops / self.process_flops, bytes_ / self.process_bw)
+    def _spmv_seconds(self, mat: DistMatrix) -> np.ndarray:
+        """Per-rank seconds of one product with ``mat`` (misses aside)."""
+        return np.array([self.clock.kernel_seconds(*spmv_work(lm.csr.nnz, lm.csr.nrows))
+                         for lm in mat.locals])
 
-    def _halo_time(self, mat: DistMatrix) -> float:
-        """α–β cost of one halo update; max over ranks of its receive side."""
-        m = self.machine
-        per_rank = np.zeros(mat.partition.nparts)
-        for p, by_owner in enumerate(mat.schedule.recv_from):
-            msgs = sum(1 for ids in by_owner.values() if ids.size)
-            values = sum(int(ids.size) for ids in by_owner.values())
-            per_rank[p] = msgs * m.net_latency + values * _BYTES_PER_VALUE / m.net_bandwidth
-        return float(per_rank.max()) if per_rank.size else 0.0
-
-    def _allreduce_time(self, nparts: int) -> float:
-        rounds = int(np.ceil(np.log2(max(nparts, 2)))) if nparts > 1 else 0
-        return rounds * (self.machine.net_latency + _BYTES_PER_VALUE / self.machine.net_bandwidth)
+    def _halo_seconds(self, mat: DistMatrix) -> np.ndarray:
+        """Per-rank seconds of one halo update of ``mat``: pack what the
+        rank sends, then wait for the largest message it receives."""
+        sched = mat.schedule
+        return np.array([
+            self.clock.kernel_seconds(
+                *pack_work(sum(ids.size for ids in sched.send_to[p].values()))
+            )
+            + self.clock.exchange_seconds(
+                [VALUE_BYTES * ids.size for ids in sched.recv_from[p].values() if ids.size]
+            )
+            for p in range(mat.partition.nparts)
+        ])
 
     def spmv_misses_per_rank(self, mat: DistMatrix) -> np.ndarray:
         """L1 misses on ``x`` per rank for one SpMV with ``mat``."""
@@ -112,6 +138,13 @@ class CostModel:
                 out[p] = np.unique(stream).size
         return out
 
+    def _precond_misses(self, precond: Preconditioner) -> np.ndarray:
+        """L1 misses on ``x`` per rank for one ``Gᵀ(G·x)``: both products
+        through one simulated cache, or one per distinct line of each."""
+        if self.simulate_cache:
+            return precond_x_misses_per_rank(precond.g, precond.gt, self.l1)
+        return self.spmv_misses_per_rank(precond.g) + self.spmv_misses_per_rank(precond.gt)
+
     # ------------------------------------------------------------------
     def iteration_cost(
         self,
@@ -121,107 +154,56 @@ class CostModel:
         precond_misses: np.ndarray | None = None,
         reduction_phases: int = 3,
     ) -> IterationCost:
-        """Modeled time of one PCG iteration.
+        """Modeled time of one iteration of PCG (``reduction_phases=3``:
+        :func:`repro.dist.spmd.spmd_cg`'s work) or of pipelined PCG (``1``:
+        :func:`repro.dist.spmd.spmd_pipelined_pcg`'s, one fused allreduce).
 
         ``precond_misses`` lets callers reuse simulated miss counts across
         filter sweeps; when omitted they are computed here.
-        ``reduction_phases`` is the number of allreduce synchronisations per
-        iteration: 3 for textbook PCG, 1 for pipelined PCG
-        (:func:`repro.core.solvers.pipelined_pcg`).
         """
-        m = self.machine
-        sizes = mat.partition.sizes().astype(np.float64)
+        work = _ITERATIONS.get(reduction_phases)
+        if work is None:
+            raise ValueError(
+                f"reduction_phases must be 3 (PCG) or 1 (pipelined PCG), "
+                f"got {reduction_phases!r}"
+            )
         nparts = mat.partition.nparts
-
-        # SpMV with A: stream matrix + gather x + write y
-        a_nnz = mat.nnz_per_rank().astype(np.float64)
-        a_bytes = a_nnz * _BYTES_PER_ENTRY + sizes * 2 * _BYTES_PER_VALUE
-        a_misses = self.spmv_misses_per_rank(mat).astype(np.float64)
-        spmv_a = self._roofline(2 * a_nnz, a_bytes) + a_misses * m.miss_penalty
-        halo = self._halo_time(mat)
-
+        misses = self.spmv_misses_per_rank(mat)
+        halo = self._halo_seconds(mat)
         precond_t = np.zeros(nparts)
         if precond is not None:
-            g_nnz = precond.g.nnz_per_rank().astype(np.float64)
-            gt_nnz = precond.gt.nnz_per_rank().astype(np.float64)
-            p_bytes = (g_nnz + gt_nnz) * _BYTES_PER_ENTRY + sizes * 4 * _BYTES_PER_VALUE
-            if precond_misses is None:
-                if self.simulate_cache:
-                    precond_misses = precond_x_misses_per_rank(
-                        precond.g, precond.gt, self.l1
-                    )
-                else:
-                    precond_misses = np.array(
-                        [
-                            np.unique(
-                                x_access_lines(precond.g.locals[p].csr, self.l1.line_bytes)
-                            ).size
-                            + np.unique(
-                                x_access_lines(precond.gt.locals[p].csr, self.l1.line_bytes)
-                            ).size
-                            for p in range(nparts)
-                        ],
-                        dtype=np.int64,
-                    )
-            precond_t = (
-                self._roofline(2 * (g_nnz + gt_nnz), p_bytes)
-                + precond_misses.astype(np.float64) * m.miss_penalty
-            )
-            halo += self._halo_time(precond.g) + self._halo_time(precond.gt)
-
-        # three dots + three updates: ~6 streamed vectors each way
-        vec_bytes = 12 * sizes * _BYTES_PER_VALUE
-        vector_ops = self._roofline(12 * sizes, vec_bytes)
-        reductions = reduction_phases * self._allreduce_time(nparts)
-
-        return IterationCost(
-            spmv_a=float(spmv_a.max()),
-            precond=float(precond_t.max()) if precond is not None else 0.0,
-            halo=halo,
-            reductions=reductions,
-            vector_ops=float(vector_ops.max()),
+            precond_t = self._spmv_seconds(precond.g) + self._spmv_seconds(precond.gt)
+            misses = misses + (self._precond_misses(precond) if precond_misses is None
+                               else precond_misses)
+            halo = halo + self._halo_seconds(precond.g) + self._halo_seconds(precond.gt)
+        allreduce = self.clock.allreduce_seconds(
+            nparts, work.allreduce_values * VALUE_BYTES
         )
-
-    def phase_seconds(
-        self,
-        mat: DistMatrix,
-        precond: Preconditioner | None,
-        *,
-        iterations: int = 1,
-        precond_misses: np.ndarray | None = None,
-        reduction_phases: int = 3,
-    ) -> dict[str, float]:
-        """Predicted per-rank seconds per phase over a whole solve.
-
-        The prediction side of :mod:`repro.observe.conformance`: the
-        per-iteration :meth:`iteration_cost` folded into the measured-phase
-        taxonomy (``compute`` = SpMV-A + preconditioner + vector ops,
-        ``halo``, ``reduction``) and scaled by the iteration count —
-        directly comparable against
-        :meth:`repro.observe.stream.ClusterTelemetry.phase_seconds`.
-        """
-        from repro.observe.conformance import predicted_phases
-
-        cost = self.iteration_cost(
-            mat,
-            precond,
-            precond_misses=precond_misses,
-            reduction_phases=reduction_phases,
-        )
-        return predicted_phases(cost, iterations)
+        per_rank = {
+            "spmv_a": self._spmv_seconds(mat),
+            "precond": precond_t,
+            "misses": misses * self.machine.miss_penalty,
+            "halo": halo,
+            "reductions": np.full(nparts, work.allreduces * allreduce),
+            "vector_ops": np.array([
+                self.clock.kernel_seconds(*vector_work(n, work.updates, work.dots))
+                for n in mat.partition.sizes()
+            ]),
+        }
+        critical = int(np.argmax(sum(per_rank.values())))
+        return IterationCost(**{c: float(v[critical]) for c, v in per_rank.items()},
+                             per_rank=per_rank)
 
     def precond_x_read_bytes(self, precond: Preconditioner) -> np.ndarray:
         """Per-rank modeled ``x``-read stream bytes of one ``Gᵀ(Gx)``.
 
-        The multiplying-vector share of the memory term in
-        :meth:`iteration_cost` — one full ``x`` read per SpMV, two SpMVs —
-        directly comparable against the cachesim fill traffic
-        (misses × line size) in
+        The multiplying-vector share of the products' memory stream — one
+        full ``x`` read per SpMV, two SpMVs — directly comparable against
+        the cachesim fill traffic (misses × line size) in
         :class:`repro.observe.memtraffic.CacheConformance`: conforming
         cache behaviour keeps measured fills at or below this stream.
         """
-        sizes = precond.g.partition.sizes().astype(np.float64)
-        return sizes * 2 * _BYTES_PER_VALUE
+        return precond.g.partition.sizes() * 2.0 * VALUE_BYTES
 
     def precond_gflops_per_rank(
         self,
@@ -229,21 +211,15 @@ class CostModel:
         *,
         precond_misses: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Per-rank GFLOP/s of the preconditioning SpMVs (Figures 3b/5b/7)."""
-        m = self.machine
-        sizes = precond.g.partition.sizes().astype(np.float64)
-        g_nnz = precond.g.nnz_per_rank().astype(np.float64)
-        gt_nnz = precond.gt.nnz_per_rank().astype(np.float64)
-        flops = 2 * (g_nnz + gt_nnz)
-        p_bytes = (g_nnz + gt_nnz) * _BYTES_PER_ENTRY + sizes * 4 * _BYTES_PER_VALUE
+        """Per-rank GFLOP/s of the preconditioning SpMVs (Figures 3b/5b/7):
+        their flops over the seconds :meth:`iteration_cost` charges them
+        (``precond`` plus their share of ``misses``)."""
         if precond_misses is None:
-            precond_misses = precond_x_misses_per_rank(precond.g, precond.gt, self.l1)
-        time = (
-            self._roofline(flops, p_bytes)
-            + precond_misses.astype(np.float64) * m.miss_penalty
-        )
-        time = np.where(time > 0, time, np.inf)
-        return flops / time / 1e9
+            precond_misses = self._precond_misses(precond)
+        seconds = (self._spmv_seconds(precond.g) + self._spmv_seconds(precond.gt)
+                   + precond_misses * self.machine.miss_penalty)
+        flops, _ = spmv_work(precond.g.nnz_per_rank() + precond.gt.nnz_per_rank(), 0)
+        return flops / np.where(seconds > 0, seconds, np.inf) / 1e9
 
 
 def estimate_solver_time(

@@ -16,11 +16,9 @@ from repro.observe import (
     RunReport,
     attribute,
     conformance_samples,
-    predicted_phases,
 )
 from repro.observe.conformance import CONFORMANCE_FORMAT, PhaseConformance
 from repro.observe.stream import RankTelemetry
-from repro.perfmodel import IterationCost
 
 
 def _cluster(ranks, *, wait=0.010, compute=0.100, reduction=0.020,
@@ -49,24 +47,6 @@ def _entry(ranks=8, *, predicted=None, extras=None, **cluster_kw):
         cluster=_cluster(ranks, **cluster_kw),
         extras=extras,
     )
-
-
-class TestPredictedPhases:
-    def test_folds_iteration_cost_into_phase_taxonomy(self):
-        cost = IterationCost(spmv_a=1.0, precond=2.0, halo=0.5,
-                             reductions=0.25, vector_ops=0.125)
-        phases = predicted_phases(cost, 10)
-        assert phases == pytest.approx(
-            {"compute": 31.25, "halo": 5.0, "reduction": 2.5}
-        )
-
-    def test_duck_typed_over_plain_namespace(self):
-        class Cost:
-            spmv_a, precond, halo, reductions, vector_ops = 1, 0, 2, 3, 0
-
-        assert predicted_phases(Cost(), 2) == pytest.approx(
-            {"compute": 2.0, "halo": 4.0, "reduction": 6.0}
-        )
 
 
 class TestPhaseConformance:

@@ -29,7 +29,6 @@ from repro.observe import (
     HaloCriticalPath,
     Timeline,
     TimelineError,
-    bsp_wait_times,
     halo_critical_path,
 )
 from repro.observe.timeline import classify_segment, CommEdge, Segment
@@ -259,11 +258,6 @@ class TestStaticHaloPath:
             assert base == ext  # edge-for-edge, byte-for-byte
             assert base.total_bytes == sum(b for _, _, b in base.edges)
             assert str(base.rank) in base.render()
-
-    def test_bsp_wait_times(self):
-        waits = bsp_wait_times([10.0, 30.0, 20.0])
-        assert waits == [20.0, 0.0, 10.0]
-        assert bsp_wait_times([]) == []
 
 
 @pytest.mark.timeline_smoke
