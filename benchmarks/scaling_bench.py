@@ -5,16 +5,14 @@ paper's iteration/nnz tradeoff on the Table 1 catalog, this suite proves the
 *runtime* claims at scale: :func:`repro.dist.spmd.spmd_pipelined_pcg`
 completes an FSAI-preconditioned solve at 64, 256, 1024 and 4096 simulated
 ranks under weak scaling (a fixed ~64 rows per rank on growing Poisson
-grids; every rank a coroutine on one thread), with per-edge message
-coalescing keeping the
-:class:`repro.mpisim.CommTracker` byte accounting exact while cutting
-message counts.
+grids; every rank a coroutine on one thread), with the
+:class:`repro.mpisim.CommTracker` message and byte accounting exact.
 
 Per scale the suite records:
 
 * ``iterations`` — pipelined-PCG iterations to the configured tolerance
   (deterministic: the fused allreduce is bitwise identical on all ranks);
-* ``messages`` / ``bytes`` — total point-to-point traffic under coalescing
+* ``messages`` / ``bytes`` — total point-to-point traffic
   (deterministic, gated exactly) plus ``reductions`` (collective calls);
 * ``modeled_ms`` — analytic solve time from :class:`repro.perfmodel.CostModel`
   with ``reduction_phases=1`` (pipelined PCG's single fused reduction);
@@ -24,7 +22,7 @@ Per scale the suite records:
 * ``invariant`` — the paper's guarantee that FSAIE-Comm exchanges exactly
   the FSAI halos (:func:`repro.core.check_comm_invariance`);
 * ``halo_invariant`` — the same guarantee re-proved on the wire: halo
-  updates for both preconditioners run on the coalescing transport and
+  updates for both preconditioners run on the SPMD transport and
   their tracker snapshots must match edge-for-edge
   (:func:`repro.observe.compare_snapshots`).
 
@@ -75,7 +73,7 @@ MODEL_MACHINE = "skylake"
 
 def _halo_invariance(pre, pre_comm, b: DistVector) -> bool:
     """Prove comm-invariance on the wire: run both preconditioners' halo
-    updates (G and Gᵀ) on the coalescing transport and require
+    updates (G and Gᵀ) on the SPMD transport and require
     edge-identical tracker snapshots."""
     trackers = []
     for pre_k in (pre, pre_comm):

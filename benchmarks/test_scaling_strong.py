@@ -68,7 +68,7 @@ def test_strong_scaling_regime(benchmark):
 
     # The largest configuration re-runs on the SPMD engine:
     # the same FSAI-preconditioned solve over real (simulated) message
-    # passing with per-edge coalescing must reach the paper tolerance.
+    # passing must reach the paper tolerance.
     part = RowPartition.from_matrix(mat, RANKS[-1], seed=RANKS[-1])
     da = DistMatrix.from_global(mat, part)
     b = DistVector.from_global(paper_rhs(mat, 9), part)

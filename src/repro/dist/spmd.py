@@ -108,12 +108,11 @@ def _charge(comm: Comm, work: tuple) -> None:
 def _halo_exchange_start(comm: Comm, mat: DistMatrix, x_local: np.ndarray) -> list:
     """Post one rank's halo exchange; complete with ``_halo_exchange_finish``.
 
-    Receives are posted first (``irecv`` per incoming edge), then all
-    outgoing payloads ship inside one coalescing epoch — each (src, dst)
-    pair's traffic is a single tracked envelope.  The caller can run local
-    compute between start and finish, overlapping it with in-flight halo
-    traffic from the other ranks.  Nothing here can block, so this is a
-    plain function.
+    Receives are posted first (``irecv`` per incoming edge), then one
+    payload is sent per outgoing edge.  The caller can run local compute
+    between start and finish, overlapping it with in-flight halo traffic
+    from the other ranks.  Nothing here can block, so this is a plain
+    function.
 
     The pack phase is a ``spmd.halo.pack`` span tagged with the total
     payload bytes, and charges the gather's streamed bytes to the clock.
@@ -136,9 +135,8 @@ def _halo_exchange_start(comm: Comm, mat: DistMatrix, x_local: np.ndarray) -> li
         packed = sum(payload.size for payload, _ in sends)
         comm.advance(comm.clock.kernel_seconds(*pack_work(packed)))
         pack.set_tag("bytes", packed * VALUE_BYTES)
-    with comm.coalescing():
-        for payload, q in sends:
-            comm.send(payload, q, _TAG_HALO)
+    for payload, q in sends:
+        comm.send(payload, q, _TAG_HALO)
     return reqs
 
 
@@ -341,8 +339,8 @@ def spmd_pipelined_pcg(
       fewer reduction messages per edge per iteration, byte-identical
       totals (auditable with :class:`~repro.mpisim.CommTracker`);
     * **overlapped SpMV** (``overlap=True``) — each halo exchange is
-      posted with :func:`_halo_exchange_start` (early receives + coalesced
-      sends), the local column block ``A_ll·x_local`` is computed while
+      posted with :func:`_halo_exchange_start` (early receives, one send
+      per edge), the local column block ``A_ll·x_local`` is computed while
       peer traffic is in flight, and only then does the rank wait — so
       summed ``spmd.halo.wait`` time in :mod:`repro.observe.timeline`
       drops versus the blocking exchange.

@@ -21,11 +21,10 @@ Public surface:
   completion handles (``comm.isend`` / ``comm.irecv``).
 
 What a rank program awaits: ``recv``, ``sendrecv``, ``Request.wait`` /
-``test``, ``waitall`` / ``waitany`` and every collective.  What it calls
-plainly: ``send``, ``isend``, ``irecv``, ``coalescing()``, ``now()``,
-``advance()``.
-* ``comm.coalescing()`` — per-edge message coalescing epochs (fewer
-  tracked messages, byte-identical per edge).
+``test``, ``waitall`` / ``waitany`` and every collective (``allreduce`` is
+a scheduler primitive with the recursive-doubling pattern's exact traffic
+and clocks).  What it calls plainly: ``send``, ``isend``, ``irecv``,
+``now()``, ``advance()``.
 * :data:`SUM` — the reduction operator the solvers use (``MAX`` / ``MIN``
   live in :mod:`repro.mpisim.comm`).
 * :class:`CommTracker`, :func:`payload_nbytes` — traffic accounting.

@@ -18,6 +18,13 @@ records traffic shaped like a real MPI implementation:
 
 Reduction operators must be associative; floating-point reductions are
 deterministic for a fixed size because the combine order is fixed.
+
+``allreduce`` is the one collective the SPMD engine also runs natively
+(:mod:`repro.mpisim.engine`): :func:`allreduce_schedule` lists its rounds,
+and the scheduler runs each round across all ranks at once with the same
+operand order, messages, bytes and clocks.  The point-to-point text below
+stays the reference, and is what every rank runs while a fault injector is
+installed: a drop, delay or bit-flip in one round changes every later one.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ __all__ = [
     "reduce",
     "allreduce",
     "allreduce_rounds",
+    "allreduce_schedule",
     "gather",
     "allgather",
     "scatter",
@@ -120,6 +128,32 @@ def allreduce_rounds(size: int) -> int:
     ``size`` is not a power of two."""
     doublings = size.bit_length() - 1
     return doublings + (2 if size > 1 << doublings else 0)
+
+
+def allreduce_schedule(size: int) -> list[tuple[list[int], list[int], int, bool]]:
+    """The message rounds of :func:`allreduce` over ``size`` ranks.
+
+    Each round is ``(sources, dests, tag, combine)``: rank ``sources[i]``
+    sends its partial result to ``dests[i]``, which folds it in as
+    ``acc = op(acc, received)`` when ``combine`` is set and takes it as its
+    result otherwise (the unfold).  Within a round every rank sends before
+    it receives, and receives at most once, as in :func:`allreduce`.
+    """
+    pof2 = 1 << (size.bit_length() - 1)
+    rem = size - pof2
+    odd = list(range(1, 2 * rem, 2))
+    even = [r - 1 for r in odd]
+    # the power-of-two group, indexed by the rank's place in it
+    group = [n * 2 if n < rem else n + rem for n in range(pof2)]
+    rounds = [(odd, even, _TAG_ALLREDUCE, True)] if rem else []
+    mask = 1
+    while mask < pof2:
+        peers = [group[n ^ mask] for n in range(pof2)]
+        rounds.append((peers, group, _TAG_ALLREDUCE + mask, True))
+        mask <<= 1
+    if rem:
+        rounds.append((even, odd, _TAG_ALLREDUCE, False))
+    return rounds
 
 
 async def allreduce(comm: Comm, value, op: ReduceOp):

@@ -4,8 +4,8 @@ Mirrors the mpi4py surface the paper's solver would use (lower-case
 object-based methods): ``send``/``recv``, ``sendrecv`` and the collectives
 from :mod:`repro.mpisim.collectives`.  Rank programs are coroutines:
 everything that can block — ``recv``, ``sendrecv``, every collective — must
-be awaited, while ``send``/``isend``/``irecv`` and ``coalescing()`` are
-plain calls (sends are buffered and never block).  Implementations:
+be awaited, while ``send``/``isend``/``irecv`` are plain calls (sends are
+buffered and never block).  Implementations:
 
 * the endpoint :func:`repro.mpisim.run_spmd` hands each rank (in
   :mod:`repro.mpisim.engine`) — real message passing between rank
@@ -120,7 +120,8 @@ class Comm:
     primitives; every collective is implemented generically on top of
     ``send``/``recv``/``sendrecv`` in :mod:`repro.mpisim.collectives`, so
     the communication tracker observes the genuine message pattern of each
-    algorithm.
+    algorithm.  The SPMD endpoint runs ``allreduce`` natively and books the
+    same messages (:mod:`repro.mpisim.engine`).
     """
 
     rank: int
@@ -181,13 +182,6 @@ class Comm:
             raise CommError(f"peer rank {peer} out of range for size {self.size}")
 
     @contextmanager
-    def coalescing(self):
-        """Message-coalescing epoch; the base communicator has no transport
-        to batch, so this is a no-op context (overridden by the SPMD
-        endpoint)."""
-        yield self
-
-    @contextmanager
     def telemetry_channel(self):
         """Book traffic sent inside this context as in-band telemetry.
 
@@ -236,11 +230,17 @@ class Comm:
         start = self.now() if telemetry is not None else 0.0
         try:
             with self._span("mpisim.allreduce"):
-                return await collectives.allreduce(self, value, op)
+                return await self._allreduce(value, op)
         finally:
             if telemetry is not None:
                 end = self.now()
                 telemetry.observe("reduction", end - start, end=end)
+
+    def _allreduce(self, value, op: ReduceOp):
+        """The algorithm behind :meth:`allreduce` (a coroutine to await):
+        recursive doubling over point-to-point messages here; the SPMD
+        endpoint runs it natively on its scheduler."""
+        return collectives.allreduce(self, value, op)
 
     async def gather(self, value, root: int = 0):
         """Collect one value per rank at ``root``."""

@@ -20,7 +20,7 @@ all on the calling thread with a cooperative scheduler:
 * **exact failure**: "nothing runnable, not everyone finished" is a
   deadlock and raises :class:`~repro.errors.CommError` at once, naming what
   each blocked rank waits on; a rank that raises closes every other
-  coroutine (open spans and coalescing epochs unwind) and re-raises as
+  coroutine (open spans unwind) and re-raises as
   ``CommError("rank r failed: …")`` immediately.
 
 ``send`` is *buffered* (eager-mode MPI): it enqueues and returns, so the
@@ -31,11 +31,18 @@ message a receive matches does not depend on the clock — the clock only
 says *when*.  NumPy payloads are copied on send so a rank mutating its
 buffer after the call cannot corrupt data in flight.
 
-Per-edge message coalescing (``Comm.coalescing``) batches every payload
-sent to one destination inside the epoch into a single envelope: the
-:class:`~repro.mpisim.tracker.CommTracker` records one message whose byte
-count is the exact sum of the batched payloads — fewer messages, identical
-per-edge bytes, auditable with :func:`repro.observe.compare_snapshots`.
+``allreduce`` is a primitive of the scheduler.  Each rank's call parks it
+in the run's collective slot; the last rank to arrive runs every round of
+:func:`~repro.mpisim.collectives.allreduce_schedule` for all ranks — one
+NumPy pass per round for ``SUM``/``MAX``/``MIN`` over floats or equal
+arrays, a pair-by-pair loop for any other operator — and re-queues the
+rest.  It gives each rank the result, in the operand order, and the clock,
+``max(own, partner + α + β·bytes)`` per round, of the point-to-point
+algorithm, and books the same per-edge messages and bytes.  Traced and
+telemetered runs also get that algorithm's per-message events, wait spans
+and observations, each on its own rank at its modeled instant.  While a
+fault injector is installed every rank runs the point-to-point algorithm
+instead: a fault in one round changes every later one.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from __future__ import annotations
 import inspect
 import types
 from collections import deque
-from contextlib import contextmanager
+from contextlib import nullcontext
 from functools import partial
 from typing import Any, Callable
 
@@ -51,7 +58,8 @@ import numpy as np
 
 from repro.errors import CommError, RankFailedError
 from repro.instrument import get_metrics, get_tracer
-from repro.mpisim.comm import ANY_TAG, ClockModel, Comm
+from repro.mpisim import collectives
+from repro.mpisim.comm import ANY_TAG, MAX, MIN, SUM, ClockModel, Comm
 from repro.mpisim.injection import DuplicateEnvelope, get_injector
 from repro.mpisim.tracker import CommTracker, payload_nbytes
 
@@ -64,12 +72,58 @@ _NOTHING = object()
 #: (real sources are >= 0, so neither can match a sender).
 _RUNNABLE = -1
 _ANY_SOURCE = -2
+#: ``wait_src`` of a rank parked in a native allreduce.
+_COLLECTIVE = -3
 
 
 @types.coroutine
 def _park():
     """Hand the thread back to the scheduler until this rank is re-queued."""
     yield
+
+
+#: ``SUM``/``MAX``/``MIN`` as one elementwise pass across ranks: over
+#: Python floats (``max(a, b)`` is ``a`` unless ``b`` is larger), and over
+#: arrays, where the operators are already ufuncs.
+_FLOAT_OPS = {SUM: np.add, MAX: lambda a, b: np.where(b > a, b, a),
+              MIN: lambda a, b: np.where(b < a, b, a)}
+_ARRAY_OPS = {SUM: np.add, MAX: np.maximum, MIN: np.minimum}
+
+
+def _stacked(values: list, op):
+    """``(array, combine)``: the allreduce operands stacked across ranks
+    and ``op``'s elementwise form, when ``op`` is ``SUM``/``MAX``/``MIN``
+    and the operands are all Python floats or all numeric arrays of one
+    shape and dtype; ``(None, None)`` otherwise."""
+    first = values[0]
+    if op in _FLOAT_OPS and all(type(v) is float for v in values):
+        return np.array(values), _FLOAT_OPS[op]
+    if op in _ARRAY_OPS and type(first) is np.ndarray and first.ndim \
+            and first.dtype.kind in "fiu" \
+            and all(type(v) is np.ndarray and v.shape == first.shape
+                    and v.dtype == first.dtype for v in values):
+        return np.stack(values), _ARRAY_OPS[op]
+    return None, None
+
+
+def _combine_pairs(acc: list, op, sources, dests, combine: bool) -> None:
+    """One allreduce round pair by pair, in place: ``dests[i]`` folds in
+    (or takes) a copy of ``sources[i]``'s partial, as if sent."""
+    sent = [acc[s].copy() if isinstance(acc[s], np.ndarray) else acc[s]
+            for s in sources]
+    for src, dest, got in zip(sources, dests, sent):
+        if not combine:
+            acc[dest] = got
+            continue
+        try:
+            acc[dest] = op(acc[dest], got)
+        except Exception as exc:
+            mine = acc[dest]
+            raise CommError(
+                f"allreduce: rank {dest} cannot combine its payload "
+                f"{getattr(mine, 'shape', type(mine).__name__)} with rank {src}'s "
+                f"{getattr(got, 'shape', type(got).__name__)}: {exc}"
+            ) from exc
 
 
 class _Scheduler:
@@ -80,7 +134,8 @@ class _Scheduler:
     __slots__ = (
         "size", "clock", "alpha", "beta", "tracker", "tracer", "metrics",
         "injector", "ready", "boxes", "wait_src", "wait_tag", "deadlines",
-        "expired", "clocks",
+        "expired", "clocks", "comms", "contexts", "arrived", "arrivals",
+        "results", "rounds", "booked_calls",
     )
 
     def __init__(self, size: int, clock: ClockModel, tracker: CommTracker | None):
@@ -104,6 +159,16 @@ class _Scheduler:
         #: ranks woken by their deadline rather than by a delivery
         self.expired: set[int] = set()
         self.clocks = [0.0] * size
+        self.comms: list[RankComm] = []
+        self.contexts = None  # per-rank tracer task contexts, when tracing
+        # the native allreduce: who arrived with what, the last results, and
+        # its rounds (built on first use), each with the bytes untraced runs
+        # booked per edge; every call sends one message per edge
+        self.arrived = 0
+        self.arrivals: list = [None] * size
+        self.results: list = []
+        self.rounds: list | None = None
+        self.booked_calls = 0
 
     def enqueue(self, src: int, dest: int, tag: int, obj, arrival: float) -> None:
         """Put one message in ``dest``'s mailbox; re-queue ``dest`` if this
@@ -151,6 +216,11 @@ class _Scheduler:
         for rank, source in enumerate(self.wait_src):
             if source == _ANY_SOURCE:
                 blocked.append(f"rank {rank} waits in waitany")
+            elif source == _COLLECTIVE:
+                blocked.append(
+                    f"rank {rank} waits in allreduce ({self.arrived} of "
+                    f"{self.size} ranks arrived)"
+                )
             elif source != _RUNNABLE:
                 tag = self.wait_tag[rank]
                 blocked.append(
@@ -164,6 +234,103 @@ class _Scheduler:
             "not finished (missing send?) — " + "; ".join(blocked)
         )
 
+    # -- the native allreduce -------------------------------------------
+    async def allreduce(self, rank: int, value, op):
+        """One rank's side of a native allreduce: park until every rank has
+        arrived; the last to arrive runs all rounds for everyone and
+        re-queues the others."""
+        self.arrivals[rank] = (value, op)
+        self.arrived += 1
+        if self.arrived < self.size:
+            self.wait_src[rank] = _COLLECTIVE
+            await _park()
+            return self.results[rank]
+        entries, self.arrivals = self.arrivals, [None] * self.size
+        self.arrived = 0
+        self.results = self._reduce(entries)
+        if self.contexts:
+            self.tracer.activate(self.contexts[rank])
+        # every other rank is parked in this allreduce
+        self.wait_src = [_RUNNABLE] * self.size
+        self.ready.extend(r for r in range(self.size) if r != rank)
+        return self.results[rank]
+
+    def _reduce(self, entries: list) -> list:
+        """Run every round of the allreduce across all ranks: returns each
+        rank's result, moves the clocks and books the messages."""
+        op = entries[0][1]
+        for rank, (_, other) in enumerate(entries):
+            if other is not op:
+                raise CommError(
+                    f"allreduce: ranks disagree on the operator: rank 0 passed "
+                    f"{op!r}, rank {rank} passed {other!r}"
+                )
+        acc = [value for value, _ in entries]
+        stacked, combine = _stacked(acc, op)
+        if self.rounds is None:
+            self.rounds = [
+                (np.array(sources), np.array(dests), tag, combines,
+                 np.zeros(len(sources), dtype=np.int64))
+                for sources, dests, tag, combines
+                in collectives.allreduce_schedule(self.size)
+            ]
+        comms = self.comms
+        watched = comms[0]._watched or any(c._telemetry_mode for c in comms)
+        book = self.tracker is not None and not watched
+        sized = watched or self.tracker is not None or self.beta
+        nbytes = payload_nbytes(acc[0]) if stacked is not None else 0
+        clocks = np.array(self.clocks)
+        for src, dst, tag, combines, booked in self.rounds:
+            if stacked is None and sized:
+                nbytes = np.array([payload_nbytes(acc[s]) for s in src.tolist()])
+            # a round's sends all leave at their sender's pre-round clock
+            arrival = clocks[src] + self.alpha
+            if self.beta:
+                arrival += self.beta * nbytes
+            if watched:
+                self._replay(src.tolist(), dst.tolist(), tag, nbytes, arrival)
+            clocks[dst] = np.maximum(clocks[dst], arrival)
+            if book:
+                booked += nbytes
+            if stacked is None:
+                _combine_pairs(acc, op, src.tolist(), dst.tolist(), combines)
+            elif combines:
+                stacked[dst] = combine(stacked[dst], stacked[src])
+            else:
+                stacked[dst] = stacked[src]
+        if book:
+            self.booked_calls += 1
+        self.clocks[:] = clocks.tolist()
+        if stacked is None:
+            return acc
+        return stacked.tolist() if stacked.ndim == 1 else list(stacked)
+
+    def _replay(self, sources, dests, tag, nbytes, arrival) -> None:
+        """One round's per-message observations, as the point-to-point
+        round makes them: each send, then each receive, on its own rank's
+        task context at its modeled instant (the clock list still holds
+        the round's starting clocks)."""
+        comms, contexts, tracer = self.comms, self.contexts, self.tracer
+        sizes = (nbytes.tolist() if isinstance(nbytes, np.ndarray)
+                 else [nbytes] * len(sources))
+        for src, dest, size in zip(sources, dests, sizes):
+            if contexts:
+                tracer.activate(contexts[src])
+            comms[src]._account_send(dest, tag, size)
+        for src, dest, landed in zip(sources, dests, arrival.tolist()):
+            if contexts:
+                tracer.activate(contexts[dest])
+            comms[dest]._replay_recv(src, tag, landed)
+
+    def book_collectives(self) -> None:
+        """Add the bulk-booked allreduce traffic (one message per edge per
+        call) to each sender's per-edge cells."""
+        for src, dst, _, _, booked in self.rounds if self.booked_calls else ():
+            for s, d, nbytes in zip(src.tolist(), dst.tolist(), booked.tolist()):
+                cell = self.comms[s]._edges.setdefault(d, [0, 0])
+                cell[0] += self.booked_calls
+                cell[1] += nbytes
+
     def run(self, programs: list) -> list:
         """Drive the rank coroutines to completion; returns their results."""
         results: list[Any] = [None] * self.size
@@ -171,7 +338,7 @@ class _Scheduler:
         ready.extend(range(self.size))
         tracer = self.tracer
         # one span stack per rank, stamped by that rank's modeled clock
-        contexts = (
+        contexts = self.contexts = (
             [tracer.task(r, partial(self.clocks.__getitem__, r))
              for r in range(self.size)]
             if tracer.enabled else None
@@ -196,7 +363,7 @@ class _Scheduler:
                     raise CommError(f"rank {rank} failed: {exc!r}") from exc
         finally:
             # unwind whatever did not finish: spans close on their own
-            # rank's stack, coalescing epochs exit
+            # rank's stack
             for rank, program in enumerate(programs):
                 if program is not None:
                     if contexts:
@@ -314,8 +481,6 @@ class RankComm(Comm):
         #: dest -> [messages, bytes]; merged into the tracker when the run ends
         self._edges: dict[int, list[int]] = {}
         self._seen_dups: set[int] = set()  # sequence ids of delivered duplicates
-        self._coalesce_depth = 0
-        self._coalesce_buf: dict[int, list[tuple[int, Any]]] = {}
 
     # -- modeled time ---------------------------------------------------
     def now(self) -> float:
@@ -334,9 +499,7 @@ class RankComm(Comm):
 
         Each message is recorded in the tracker (when attached) and, with
         tracing enabled, emitted as an ``mpisim.send`` instant event tagged
-        with source, destination, tag and payload bytes.  Inside a
-        :meth:`Comm.coalescing` epoch the payload is staged per destination
-        and shipped in one envelope at flush time instead.
+        with source, destination, tag and payload bytes.
         """
         self._check_peer(dest)
         if dest == self.rank:
@@ -350,15 +513,12 @@ class RankComm(Comm):
         injector = self._sched.injector
         if injector is not None:
             obj = self._inject_on_send(injector, obj, dest, tag)
-        elif self._coalesce_depth:
-            self._coalesce_buf.setdefault(dest, []).append((tag, obj))
-            return
         self._deliver(obj, dest, tag)
 
     def _deliver(self, obj, dest: int, tag: int) -> None:
         """Account for and enqueue one wire message.  Its arrival is
         :meth:`ClockModel.message_seconds` after the sender's clock, inlined
-        here and in :meth:`_flush_coalesced` (the hot path)."""
+        here (the hot path)."""
         sched = self._sched
         arrival = sched.clocks[self.rank] + sched.alpha
         if self._accounted or sched.beta:
@@ -368,8 +528,7 @@ class RankComm(Comm):
                 self._account_send(dest, tag, nbytes)
         sched.enqueue(self.rank, dest, tag, obj, arrival)
 
-    def _account_send(self, dest: int, tag: int, nbytes: int,
-                      coalesced: int = 0) -> None:
+    def _account_send(self, dest: int, tag: int, nbytes: int) -> None:
         """Book one outgoing wire message with tracker, tracer and telemetry.
 
         Inside a :meth:`Comm.telemetry_channel` context the message is
@@ -399,59 +558,37 @@ class RankComm(Comm):
                 edge[0] += 1
                 edge[1] += nbytes
         if tracer.enabled:
-            extra = {"coalesced": coalesced} if coalesced else {}
             tracer.event("mpisim.send", src=self.rank, dst=dest, tag=tag,
-                         bytes=nbytes, **extra)
+                         bytes=nbytes)
             metrics = self._sched.metrics
             metrics.counter("mpisim.messages").inc()
             metrics.counter("mpisim.bytes").inc(nbytes)
-            if coalesced:
-                metrics.counter("mpisim.coalesced_payloads").inc(coalesced)
 
-    # -- coalescing -----------------------------------------------------
-    @contextmanager
-    def coalescing(self):
-        """Per-edge message coalescing epoch.
+    # -- collectives ----------------------------------------------------
+    def _allreduce(self, value, op):
+        """Native on the scheduler; point to point while a fault injector
+        is installed (and on one rank, where it returns ``value``)."""
+        if self._sched.injector is not None or self.size == 1:
+            return collectives.allreduce(self, value, op)
+        return self._sched.allreduce(self.rank, value, op)
 
-        Every ``send`` inside the epoch is staged per destination; on exit
-        (or before any receive, to preserve progress) each destination's
-        staged payloads travel as **one** envelope.  The tracker records
-        one message per edge whose byte count is the exact sum of the
-        batched payloads — fewer messages, identical per-edge bytes.
-        Nested epochs flush once, at the outermost exit.
-
-        With a fault injector installed, coalescing deactivates so that
-        drop/delay/duplicate verdicts keep their exact per-message
-        semantics (the chaos gates depend on them).
-        """
-        self._coalesce_depth += 1
-        try:
-            yield self
-        finally:
-            self._coalesce_depth -= 1
-            if self._coalesce_depth == 0 and self._coalesce_buf:
-                self._flush_coalesced()
-
-    def _flush_coalesced(self) -> None:
-        """Ship every staged per-destination batch as a single envelope."""
-        buf, self._coalesce_buf = self._coalesce_buf, {}
-        sched = self._sched
-        for dest, items in buf.items():
-            if len(items) == 1:
-                tag, obj = items[0]
-                self._deliver(obj, dest, tag)
-                continue
-            arrival = sched.clocks[self.rank] + sched.alpha
-            if self._accounted or sched.beta:
-                nbytes = sum(payload_nbytes(obj) for _, obj in items)
-                arrival += sched.beta * nbytes
-                if self._accounted:
-                    self._account_send(dest, items[0][0], nbytes,
-                                       coalesced=len(items))
-            # one envelope on the wire; the receiver matches the payloads
-            # individually, in the order they were staged
-            for tag, obj in items:
-                sched.enqueue(self.rank, dest, tag, obj, arrival)
+    def _replay_recv(self, source: int, tag: int, arrival: float) -> None:
+        """The receive of a native allreduce round, observed as
+        :meth:`_observed_recv` observes a point-to-point one: a message
+        landing after this rank's clock is an ``mpisim.wait`` span and a
+        telemetry wait; the clock moves to it and ``mpisim.recv`` is
+        emitted."""
+        clocks = self._sched.clocks
+        start = clocks[self.rank]
+        tracer = self._tracer
+        waited = arrival > start and not self._telemetry_mode
+        with (tracer.span("mpisim.wait", rank=self.rank, src=source, tag=tag)
+              if waited else nullcontext()):
+            clocks[self.rank] = max(start, arrival)
+            if tracer.enabled:
+                tracer.event("mpisim.recv", src=source, dst=self.rank, tag=tag)
+        if waited and self.telemetry is not None:
+            self.telemetry.observe_wait(arrival - start, tag=tag, src=source, end=arrival)
 
     # -- fault injection ------------------------------------------------
     def _apply_rank_faults(self, injector) -> None:
@@ -550,12 +687,8 @@ class RankComm(Comm):
 
         Pops the earliest message from ``source`` matching ``tag`` and
         moves the clock to ``max(own, arrival)``; ``_NOTHING`` when no
-        match is in the mailbox or the match lands after ``latest``.  Any
-        open coalescing epoch flushes first so peers never starve waiting
-        on a staged message.
+        match is in the mailbox or the match lands after ``latest``.
         """
-        if self._coalesce_buf:
-            self._flush_coalesced()
         sched = self._sched
         rank = self.rank
         queue = sched.boxes[rank].get(source)
@@ -718,7 +851,7 @@ def run_spmd(
     ``fn`` is a coroutine function (``async def``): it awaits everything
     that can block (``recv``, ``sendrecv``, ``Request.wait``/``test``,
     ``waitall``/``waitany``, every collective) and calls ``send`` /
-    ``isend`` / ``irecv`` / ``coalescing()`` / ``advance()`` plainly.  All
+    ``isend`` / ``irecv`` / ``advance()`` plainly.  All
     ranks run interleaved on the calling thread; nothing about the run
     depends on the host's scheduler or clock.
 
@@ -743,7 +876,7 @@ def run_spmd(
     if size < 1:
         raise CommError("size must be >= 1")
     sched = _Scheduler(size, clock if clock is not None else ClockModel(), tracker)
-    comms = [
+    comms = sched.comms = [
         RankComm(r, sched, telemetry.make_rank(r, size) if telemetry is not None else None)
         for r in range(size)
     ]
@@ -753,5 +886,6 @@ def run_spmd(
         )
     finally:
         if tracker is not None:
+            sched.book_collectives()
             for comm in comms:
                 tracker.merge_p2p(comm.rank, comm._edges)

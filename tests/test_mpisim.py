@@ -131,8 +131,7 @@ class TestEngine:
             if comm.rank == 15:
                 raise ValueError("boom")
             try:
-                with comm.coalescing():
-                    return await comm.recv(15)  # 15 peers wait on the failing rank
+                return await comm.recv(15)  # 15 peers wait on the failing rank
             finally:
                 unwound.append(comm.rank)
 
@@ -141,7 +140,7 @@ class TestEngine:
             run_spmd(prog, 16)
         assert time.perf_counter() - t0 < 1.0
         assert isinstance(err.value.__cause__, ValueError)
-        # every parked coroutine was closed: its epoch and finally unwound
+        # every parked coroutine was closed: its finally unwound
         assert unwound == list(range(15))
 
     def test_self_messaging_rejected(self):
@@ -247,6 +246,50 @@ class TestCollectives:
         results = run_spmd(lambda c: c.allreduce([c.rank], concat), 4)
         for r in results:
             assert sorted(r) == [0, 1, 2, 3]
+
+
+class TestAllreduceFailures:
+    """A misused allreduce fails typed and names the ranks involved."""
+
+    def test_ranks_passing_different_operators(self):
+        async def prog(comm):
+            return await comm.allreduce(float(comm.rank), MAX if comm.rank == 2 else SUM)
+
+        with pytest.raises(CommError, match=r"disagree on the operator.*rank 0.*rank 2"):
+            run_spmd(prog, 4)
+
+    def test_payload_shapes_that_cannot_combine(self):
+        async def prog(comm):
+            return await comm.allreduce(np.zeros(3 if comm.rank else 2), SUM)
+
+        with pytest.raises(
+            CommError,
+            match=r"rank 0 cannot combine its payload \(2,\) with rank 1's \(3,\)",
+        ):
+            run_spmd(prog, 4)
+
+    def test_deadlock_when_a_rank_skips_it(self):
+        async def prog(comm):
+            if comm.rank == 2:
+                return None
+            return await comm.allreduce(1.0)
+
+        with pytest.raises(CommError, match="deadlock") as err:
+            run_spmd(prog, 4)
+        for rank in (0, 1, 3):
+            assert f"rank {rank} waits in allreduce (3 of 4 ranks arrived)" in str(err.value)
+
+    def test_deadlock_when_a_rank_calls_another_collective(self):
+        async def prog(comm):
+            if comm.rank == 1:
+                return await comm.bcast("x", root=0)
+            return await comm.allreduce(1.0)
+
+        with pytest.raises(CommError, match="deadlock") as err:
+            run_spmd(prog, 3)
+        message = str(err.value)
+        assert "rank 0 waits in allreduce (2 of 3 ranks arrived)" in message
+        assert "rank 1 waits on recv(source=0" in message
 
 
 class TestSelfComm:

@@ -7,8 +7,7 @@ import pytest
 from conftest import drive
 
 from repro.errors import CommError
-from repro.instrument import tracing
-from repro.mpisim import ClockModel, CommTracker, Request, run_spmd, waitall, waitany
+from repro.mpisim import ClockModel, Request, run_spmd, waitall, waitany
 
 
 class TestNonblocking:
@@ -186,70 +185,6 @@ class TestSendrecv:
             return await comm.sendrecv("mine", dest=comm.rank, source=comm.rank)
 
         assert run_spmd(prog, 2) == ["mine", "mine"]
-
-
-class TestCoalescing:
-    PAYLOADS = 5
-
-    async def exchange(self, comm, coalesce):
-        if comm.rank == 0:
-            if coalesce:
-                with comm.coalescing():
-                    for i in range(self.PAYLOADS):
-                        comm.send(np.full(8, float(i)), 1, tag=i)
-            else:
-                for i in range(self.PAYLOADS):
-                    comm.send(np.full(8, float(i)), 1, tag=i)
-            return None
-        return [float((await comm.recv(0, tag=i))[0]) for i in range(self.PAYLOADS)]
-
-    def run(self, coalesce):
-        tracker = CommTracker()
-        with tracing() as (_, metrics):
-            out = run_spmd(self.exchange, 2, coalesce, tracker=tracker)
-        return out, tracker, metrics.sum_values("mpisim.coalesced_payloads")
-
-    def test_one_message_per_edge_same_bytes(self):
-        """The coalescing contract: per-edge byte accounting is exact while
-        the message count collapses to one per epoch."""
-        plain, tr_plain, n_plain = self.run(coalesce=False)
-        coal, tr_coal, n_coal = self.run(coalesce=True)
-        assert plain == coal  # payloads and ordering are unchanged
-        snap_plain, snap_coal = tr_plain.snapshot(), tr_coal.snapshot()
-        assert snap_plain["p2p_bytes"] == snap_coal["p2p_bytes"]
-        assert snap_plain["p2p_messages"][(0, 1)] == self.PAYLOADS
-        assert snap_coal["p2p_messages"][(0, 1)] == 1
-        assert n_plain == 0
-        assert n_coal == self.PAYLOADS
-
-    def test_nested_epochs_flush_once(self):
-        async def prog(comm):
-            if comm.rank == 0:
-                with comm.coalescing():
-                    comm.send(1, 1, tag=0)
-                    with comm.coalescing():
-                        comm.send(2, 1, tag=1)
-                    comm.send(3, 1, tag=2)
-                return None
-            return [await comm.recv(0, tag=t) for t in range(3)]
-
-        tracker = CommTracker()
-        out = run_spmd(prog, 2, tracker=tracker)
-        assert out[1] == [1, 2, 3]
-        assert tracker.snapshot()["p2p_messages"][(0, 1)] == 1
-
-    def test_blocking_recv_inside_epoch_flushes(self):
-        """Progress guarantee: a receive inside an open epoch must flush
-        staged sends first, or two ranks could deadlock waiting on each
-        other's unflushed traffic."""
-
-        async def prog(comm):
-            other = 1 - comm.rank
-            with comm.coalescing():
-                comm.send(comm.rank * 5, other)
-                return await comm.recv(other)
-
-        assert run_spmd(prog, 2) == [5, 0]
 
 
 class TestLatency:

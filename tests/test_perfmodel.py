@@ -228,28 +228,26 @@ def test_gflops_without_the_cache_simulator(setup, monkeypatch):
 
 def test_engine_message_arrival_is_message_seconds():
     """The engine inlines α + β·bytes on its hot path; it is the clock
-    model's ``message_seconds``, for single and coalesced messages."""
+    model's ``message_seconds``, for point-to-point messages and for each
+    round of the native allreduce."""
     clock = ClockModel(alpha=1e-6, beta=1e-9)
-    single, first, second = np.zeros(5), np.zeros(3), np.zeros(2)
+    single = np.zeros(5)
 
     async def prog(comm):
         if comm.rank == 0:
             comm.advance(3e-6)
             comm.send(single, 1, tag=1)
-            with comm.coalescing():
-                comm.send(first, 1, tag=2)
-                comm.send(second, 1, tag=3)
-            return None
-        arrivals = []
-        for tag in (1, 2, 3):
-            await comm.recv(0, tag)
-            arrivals.append(comm.now())
-        return arrivals
+        else:
+            await comm.recv(0, 1)
+        arrived = comm.now()
+        await comm.allreduce(np.zeros(3))
+        return arrived, comm.now()
 
-    _, arrivals = run_spmd(prog, 2, clock=clock)
-    assert arrivals[0] == pytest.approx(3e-6 + clock.message_seconds(payload_nbytes(single)))
-    coalesced = clock.message_seconds(payload_nbytes(first) + payload_nbytes(second))
-    assert arrivals[1:] == pytest.approx([3e-6 + coalesced] * 2)
+    (_, reduced0), (arrived, reduced1) = run_spmd(prog, 2, clock=clock)
+    assert arrived == pytest.approx(3e-6 + clock.message_seconds(payload_nbytes(single)))
+    # one round: rank 0 waits for rank 1's partial; rank 1's has landed
+    assert reduced0 == pytest.approx(arrived + clock.message_seconds(24))
+    assert reduced1 == arrived
 
 
 def _per_iteration(solve, da, b, pre, **kwargs):

@@ -3,16 +3,22 @@ halo exchange, cache simulation."""
 
 from __future__ import annotations
 
+import copy
+from contextlib import nullcontext
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cachesim import CacheConfig, simulate_misses
 from repro.dist import DistMatrix, DistVector, RowPartition
+from repro.instrument import tracing
 from repro.matgen import poisson2d
-from repro.mpisim import SUM, ClockModel, run_spmd
+from repro.mpisim import SUM, ClockModel, CommTracker, ReduceOp, run_spmd
 from repro.mpisim.comm import MAX, MIN
+from repro.observe.stream import TelemetryConfig
 from repro.partition import graph_from_matrix, partition_matrix
+from repro.resilience import FaultPlan, fault_injection
 
 SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -54,6 +60,107 @@ class TestCollectiveProperties:
             return await comm.bcast(("payload", root) if comm.rank == root else None, root)
 
         assert run_spmd(prog, size) == [("payload", root)] * size
+
+
+#: Tuple concatenation: associative, not commutative, so every rank's
+#: result spells out the operand order it was combined in.
+_CONCAT = ReduceOp("concat", lambda a, b: a + b)
+#: Adds into its first operand: a received partial must be a copy.
+_IADD = ReduceOp(
+    "iadd", lambda a, b: np.add(a, b, out=a) if isinstance(a, np.ndarray) else a + b
+)
+_NATIVE_OPS = {"sum": SUM, "max": MAX, "min": MIN, "concat": _CONCAT, "iadd": _IADD}
+
+
+def _canonical(x):
+    """A form equal only for bitwise-equal payloads of the same type."""
+    if isinstance(x, np.ndarray):
+        return ("array", x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, float):
+        return ("float", x.hex())
+    if isinstance(x, (list, tuple)):
+        return (type(x).__name__, [_canonical(v) for v in x])
+    return (type(x).__name__, x)
+
+
+async def _two_allreduces(comm, values, skews, op):
+    """Two allreduces from skewed clocks; the second one's operands are
+    the first's rotated by one rank.  Each rank reduces its own copy, as
+    ranks share no memory (an in-place operator writes into it)."""
+    comm.advance(skews[comm.rank])
+    first = await comm.allreduce(copy.deepcopy(values[comm.rank]), op)
+    comm.advance(skews[-1 - comm.rank])
+    second = await comm.allreduce(copy.deepcopy(values[(comm.rank + 1) % comm.size]), op)
+    return _canonical(first), _canonical(second), comm.now()
+
+
+class TestNativeAllreduceOracle:
+    """The engine runs ``allreduce`` natively, across all ranks at once.
+    Its oracle is the textbook point-to-point algorithm, which every rank
+    runs while a fault injector is installed: an empty ``FaultPlan``
+    injects nothing and leaves only the algorithm different."""
+
+    @staticmethod
+    def run(size, values, skews, op, clock, observe, point_to_point):
+        tracker = CommTracker()
+        telemetry = TelemetryConfig(rank_sample="all") if observe == "telemetry" else None
+        counters = events = None
+        with tracing() if observe == "traced" else nullcontext() as traced:
+            with fault_injection(FaultPlan()) if point_to_point else nullcontext():
+                out = run_spmd(_two_allreduces, size, values, skews, op,
+                               tracker=tracker, clock=clock, telemetry=telemetry)
+        if traced:
+            tracer, metrics = traced
+            counters = [metrics.sum_values(name) for name in ("mpisim.messages", "mpisim.bytes")]
+            # every message event on its rank's track at its modeled instant,
+            # and every wait that took modeled time (the point-to-point
+            # algorithm also opens empty wait spans when a peer has not run)
+            events = sorted(
+                (s.name, s.thread, s.start, s.end, sorted(s.tags.items()))
+                for s in tracer.spans
+                if s.name in ("mpisim.send", "mpisim.recv")
+                or (s.name == "mpisim.wait" and s.end > s.start)
+            )
+        return {
+            "results": out,
+            "snapshot": tracker.snapshot(),
+            "telemetry": telemetry.result.to_dict() if telemetry else None,
+            "counters": counters,
+            "events": events,
+        }
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.sampled_from(["scalar", "list", "array"]),
+        st.sampled_from(sorted(_NATIVE_OPS)),
+        st.booleans(),
+        st.sampled_from([ClockModel(), ClockModel(alpha=2e-6, beta=1e-9)]),
+        st.sampled_from(["plain", "telemetry", "traced"]),
+        st.integers(0, 2**31 - 1),
+    )
+    # always run: an in-place operator at a size that folds, and signed zeros
+    @example(6, "array", "iadd", False, ClockModel(alpha=2e-6, beta=1e-9), "plain", 0)
+    @example(5, "scalar", "max", True, ClockModel(), "traced", 1)
+    def test_native_equals_point_to_point(self, size, kind, op_name, zeros, clock,
+                                          observe, seed):
+        rng = np.random.default_rng(seed)
+        draws = rng.standard_normal((size, 3))
+        if zeros:  # signed zeros tell max(a, b) from np.maximum(a, b)
+            draws = np.where(rng.random((size, 3)) < 0.5, -0.0, 0.0)
+        if op_name == "concat":
+            values = [(r, float(draws[r, 0])) for r in range(size)]
+        elif kind == "scalar":
+            values = [float(v) for v in draws[:, 0]]
+        elif kind == "list":
+            values = [draws[r, :2].tolist() for r in range(size)]
+        else:
+            values = list(draws)
+        skews = (rng.integers(0, 5, size) * 1e-6).tolist()
+        op = _NATIVE_OPS[op_name]
+        native = self.run(size, values, skews, op, clock, observe, point_to_point=False)
+        oracle = self.run(size, values, skews, op, clock, observe, point_to_point=True)
+        assert native == oracle
 
 
 # A random SPMD program is a tree: leaves are communication steps every rank
