@@ -241,16 +241,12 @@ SUITES = {
         run=serve_bench.run_serve_suite,
         format=serve_bench.format_summary,
         policy={
-            **_rules(EXACT, "admitted", "shed", "shed_queue_full",
-                     "shed_tenant_budget", "shed_unknown", "solves",
-                     "structure_builds", "cache_hits", "cache_misses",
-                     "structure_hits", "structure_misses", "system_hits",
-                     "system_misses", "audits", "audit_violations",
-                     "schedule_invariant", "converged"),
-            **_rules(ROUND_OFF, "hit_rate", "shed_fraction"),
+            **_rules(EXACT, "solves", "structure_hits", "structure_misses",
+                     "system_hits", "system_misses", "audits",
+                     "audit_violations", "schedule_invariant", "converged"),
+            **_rules(ROUND_OFF, "hit_rate"),
             **_rules(ITERATIONS, "iterations_total"),
-            **_rules(Rule("timing", rel=0.9), "throughput_rps",
-                     "warm_cold_speedup", "p50_ms", "p95_ms", "p99_ms"),
+            **_rules(Rule("timing", rel=0.9), "throughput_rps"),
         },
         claims=serve_bench.failed_claims,
     ),

@@ -77,9 +77,6 @@ ALLOWED_UNCALLED = {
     "repro.matgen.PaperRecord": "what MatrixCase.paper holds",
     "repro.analysis.ImprovementSummary": "returned by summarize_improvements",
     "repro.analysis.SpectralEstimate": "returned by CGResult.spectral_estimate",
-    "repro.serve.SolveOutcome": "returned by SolveFarm.submit",
-    "repro.serve.AdmissionVerdict": "returned by AdmissionController.admit",
-    "repro.serve.ServeReportError": "raised by ServeReport.load on a malformed document",
 }
 
 #: The allow-list stays short enough to review.

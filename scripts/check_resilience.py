@@ -15,8 +15,9 @@ Four checks, mirroring the contracts documented in docs/RESILIENCE.md:
 3. **Degraded mode** — a permanent rank failure must be absorbed by
    :func:`repro.resilience.solve_with_failover`, with the unaffected-edge
    invariance audit passing and the degraded solve converging.
-4. **Chaos report** — the quick chaos menu must survive end-to-end and
-   its versioned JSON artifact must round-trip through
+4. **Chaos report** — the quick chaos menu on the BSP solver and the
+   standard menu on the SPMD engine must survive end-to-end, and the
+   versioned JSON artifact must round-trip through
    :class:`repro.resilience.ChaosReport`.
 
 Exit code 0 when all pass; 1 with one line per failure otherwise.  Wired
@@ -49,6 +50,7 @@ from repro.resilience import (  # noqa: E402
     quick_menu,
     run_chaos,
     solve_with_failover,
+    standard_menu,
 )
 
 RANKS = 4
@@ -147,30 +149,32 @@ def check_failover(problems: list[str]) -> None:
 
 
 def check_chaos_report(problems: list[str]) -> None:
-    """Quick menu survives; report artifact round-trips."""
+    """Quick menu (BSP) and standard menu (SPMD) survive; the report
+    artifact round-trips."""
     mat, _, _, _ = _system()
-    report = run_chaos(
-        mat,
-        ranks=RANKS,
-        seed=SEED,
-        rtol=RTOL,
-        menu=quick_menu(RANKS),
-        precond_builder=lambda a, part: build_fsai(a, part),
-        matrix_label="poisson2d:16",
-    )
-    if not report.survived:
-        failed = [s.name for s in report.scenarios if not s.survived]
-        problems.append(f"chaos: scenarios failed: {failed}")
+    for engine, menu in (("bsp", quick_menu(RANKS)), ("spmd", standard_menu(RANKS))):
+        report = run_chaos(
+            mat,
+            ranks=RANKS,
+            seed=SEED,
+            rtol=RTOL,
+            menu=menu,
+            engine=engine,
+            precond_builder=lambda a, part: build_fsai(a, part),
+            matrix_label="poisson2d:16",
+        )
+        if not report.survived:
+            failed = [s.name for s in report.scenarios if not s.survived]
+            problems.append(f"chaos ({engine}): scenarios failed: {failed}")
+        print(
+            f"chaos {engine:<6}: {len(report.scenarios)} scenario(s), survived="
+            f"{report.survived} — {'ok' if report.survived else 'FAIL'}"
+        )
     with tempfile.TemporaryDirectory() as tmp:
         path = report.save(Path(tmp) / "chaos.json")
         loaded = ChaosReport.load(path)
     if loaded.to_dict() != report.to_dict():
         problems.append("chaos: report did not round-trip through JSON")
-    print(
-        f"chaos        : {len(report.scenarios)} scenario(s), survived="
-        f"{report.survived}, artifact round-trip ok — "
-        f"{'ok' if report.survived else 'FAIL'}"
-    )
 
 
 def main() -> int:

@@ -10,7 +10,7 @@ Usage::
     python -m repro chaos   --generate poisson2d:16 --ranks 4 --json chaos.json
     python -m repro conformance --generate poisson2d:24 --ladder 4,8,16
     python -m repro cache   --generate poisson2d:32 --line-bytes 64,256
-    python -m repro serve   --generate poisson2d:24 --requests 32 --chaos beta
+    python -m repro serve   --generate poisson2d:24 --requests 32 --json serve.json
 
 Matrix sources: ``--matrix FILE`` reads MatrixMarket; ``--generate SPEC``
 builds a synthetic problem, where SPEC is one of
@@ -566,95 +566,45 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    """``repro serve``: run a multi-tenant solve farm over one structure.
+    """``repro serve``: solve same-structure systems through the set-up cache.
 
     Builds ``--variants`` same-structure/different-values copies of the
-    source system (diagonal shifts, all SPD), then serves ``--requests``
-    concurrent solve requests alternating across ``--tenants`` through the
-    fingerprint-keyed artifact cache — so the first request per structure
-    pays the setup and the rest reuse it, with the §4 invariance audit run
-    on every warm-structure build.  ``--chaos TENANT`` turns one tenant
-    into a chaos tenant (seeded message delays via
-    :mod:`repro.resilience`, forced through the SPMD engine).  Prints the
-    farm report; ``--json`` writes the versioned ``repro-serve-report``
-    artifact that ``repro report`` and :meth:`RunReport.load` understand.
-    Exit code 0 when every admitted request solved, 1 otherwise.
+    source system (diagonal shifts, all SPD) and solves ``--requests`` of
+    them, cycling through the variants, with
+    :meth:`repro.serve.ArtifactCache.solve_many`: the first solve builds
+    the set-up, the rest reuse it, and every new values variant is audited
+    against the cached halo schedule (§4).  Prints the cache counts as a
+    run report; ``--json`` saves it (``repro-run-report``) for ``repro
+    report``.  Exit code 0 when every solve converged, 1 otherwise.
     """
-    from repro.resilience import FaultPlan, MessageDelay
-    from repro.serve import (
-        FarmConfig,
-        ServeReport,
-        SolveFarm,
-        SolveRequest,
-        TenantPolicy,
-    )
+    from repro.observe import RunReport
+    from repro.serve import ArtifactCache, value_variants
 
-    mat = _symmetric_matrix(args)
-    tenants = [t.strip() for t in args.tenants.split(",") if t.strip()]
-    if not tenants:
-        raise ReproError("--tenants needs at least one name")
-    if args.chaos is not None and args.chaos not in tenants:
-        raise ReproError(f"--chaos tenant {args.chaos!r} not in --tenants")
-
-    # same-structure value variants: shift the diagonal, keep SPD
-    diag_pos = np.empty(mat.nrows, dtype=np.int64)
-    for row in range(mat.nrows):
-        cols = mat.indices[mat.indptr[row]:mat.indptr[row + 1]]
-        diag_pos[row] = mat.indptr[row] + int(np.searchsorted(cols, row))
-    mats = [mat]
-    for v in range(1, max(1, args.variants)):
-        data = mat.data.copy()
-        data[diag_pos] += 0.05 * v
-        mats.append(CSRMatrix(mat.shape, mat.indptr, mat.indices, data,
-                              check=False))
-
-    policies = []
-    for name in tenants:
-        plan = None
-        if name == args.chaos:
-            plan = FaultPlan(seed=args.seed,
-                             delays=(MessageDelay(0.2, 0.002),))
-        policies.append(TenantPolicy(name, max_in_flight=args.max_in_flight,
-                                     fault_plan=plan))
-    config = FarmConfig(
+    mats = value_variants(_symmetric_matrix(args), args.variants)
+    cache = ArtifactCache(
         ranks=args.ranks,
         method=args.method,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
         line_bytes=MACHINES[args.machine].cache_line_bytes,
         filter_value=args.filter,
-        dynamic_filter=not args.static,
-        partition_seed=args.seed,
+        dynamic=not args.static,
+        seed=args.seed,
     )
-    requests = []
-    for i in range(args.requests):
-        tenant = tenants[i % len(tenants)]
-        # fault injection hooks the simulated transport, so chaos-tenant
-        # requests must run on the SPMD engine to see their faults
-        engine = "spmd" if tenant == args.chaos else args.engine
-        requests.append(
-            SolveRequest(
-                tenant=tenant,
-                mat=mats[i % len(mats)],
-                rtol=args.rtol,
-                max_iterations=args.max_iterations,
-                engine=engine,
-                tag=f"req{i}",
-            )
-        )
-    with SolveFarm(policies, config) as farm:
-        outcomes = farm.serve(requests)
-        report = ServeReport.from_farm(
-            farm,
-            outcomes=outcomes,
-            matrix=args.generate or args.matrix or "?",
-            requests=args.requests,
-        )
-    print(report.render())
+    outcomes = cache.solve_many(
+        [mats[i % len(mats)] for i in range(args.requests)],
+        rtol=args.rtol,
+        max_iterations=args.max_iterations,
+    )
+    report = RunReport(
+        meta={"label": "serve", "matrix": args.generate or args.matrix,
+              "method": args.method, "ranks": args.ranks,
+              "requests": args.requests, "variants": len(mats)},
+        metrics={f"serve.{key}": float(value) for key, value in cache.counts.items()},
+    )
+    report.add_metric("serve.iterations_total", sum(o.iterations for o in outcomes))
+    print(report.to_text(), end="")
     if args.json:
         print(f"\nserve report written: {report.save(args.json)}")
-    failed = [o for o in outcomes if o.admitted and not o.ok]
-    return 0 if not failed else 1
+    return 0 if all(o.converged for o in outcomes) else 1
 
 
 def cmd_info(args) -> int:
@@ -825,28 +775,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="multi-tenant solve farm with a fingerprint-keyed artifact cache",
+        help="solve same-structure systems through the fingerprint-keyed "
+             "set-up cache",
     )
     add_common(p_serve, with_solver=True)
     p_serve.add_argument("--method", choices=sorted(_BUILDERS), default="comm")
     p_serve.add_argument("--requests", type=int, default=16,
-                         help="number of solve requests to serve")
-    p_serve.add_argument("--workers", type=int, default=4,
-                         help="solver worker threads")
-    p_serve.add_argument("--tenants", default="alpha,beta",
-                         help="comma-separated tenant names")
+                         help="number of systems to solve")
     p_serve.add_argument("--variants", type=int, default=4,
                          help="same-structure value variants of the system")
-    p_serve.add_argument("--max-in-flight", type=int, default=64,
-                         help="per-tenant in-flight budget")
-    p_serve.add_argument("--queue-limit", type=int, default=256,
-                         help="global admission queue bound")
-    p_serve.add_argument("--engine", choices=("bsp", "spmd"), default="bsp",
-                         help="solver engine for non-chaos requests")
-    p_serve.add_argument("--chaos", metavar="TENANT", default=None,
-                         help="inject seeded message delays for this tenant "
-                              "(its requests run on the SPMD engine)")
-    p_serve.add_argument("--json", help="write the repro-serve-report here")
+    p_serve.add_argument("--json", help="write the run report here")
     p_serve.set_defaults(fn=cmd_serve)
 
     p_info = sub.add_parser("info", help="matrix statistics")

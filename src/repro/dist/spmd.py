@@ -296,7 +296,10 @@ def spmd_cg(
                 break
             with tracer.span("spmd.iteration", rank=p, index=iterations):
                 ad = await _fused_spmv(comm, mat, operands, d)
-                alpha = rz / await gdot(d, ad)
+                dad = await gdot(d, ad)
+                if dad <= 0 or not np.isfinite(dad):
+                    break  # not SPD, or breakdown: allreduced, so all ranks stop
+                alpha = rz / dad
                 with tracer.span("spmd.compute", rank=p, kernel="axpy"):
                     x += alpha * d
                     r -= alpha * ad

@@ -20,7 +20,7 @@ that rank's :class:`TaskContext` — its own span stack, and its own modeled clo
 as the time source — and restores the thread's context afterwards.  Spans
 opened by a rank program are therefore stamped in that rank's modeled
 seconds; spans opened by driver code read the tracer's wall clock.  The
-tracer is thread-safe (``serve`` workers each run their own scheduler).
+tracer is thread-safe: threads may each run their own scheduler.
 """
 
 from __future__ import annotations

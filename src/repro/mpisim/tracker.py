@@ -79,8 +79,7 @@ class CommTracker:
 
         The SPMD engine counts each rank's messages without a lock while
         the run is on one thread and books them here, once per rank, when
-        the run ends (``serve`` workers share no tracker but may share this
-        process)."""
+        the run ends (runs on other threads may share this tracker)."""
         with self._lock:
             for dst, (messages, nbytes) in edges.items():
                 key = (src, dst)

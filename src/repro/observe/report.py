@@ -15,8 +15,8 @@ versioned schema (``format: "repro-run-report"``, ``version: 2``):
 
 Builders exist for every producer in the repo: a live tracer/metrics pair
 (:meth:`from_run`), an exported ``repro-trace`` document
-(:meth:`from_trace_doc`), a solve-farm report (:meth:`from_serve_report`)
-and any benchmark suite document (:meth:`from_bench`); :meth:`load`
+(:meth:`from_trace_doc`) and any benchmark suite document
+(:meth:`from_bench`); :meth:`load`
 dispatches on the file's declared format (a suite document on its
 ``suite`` key) and raises :class:`ReportError` — not a traceback — on
 malformed or unsupported input.  :meth:`compare` implements the comparator
@@ -48,11 +48,6 @@ __all__ = [
 #: Schema identifier and version stamped into every saved report.
 REPORT_FORMAT = "repro-run-report"
 REPORT_VERSION = 2
-
-#: The solve-farm report format (:class:`repro.serve.report.ServeReport`).
-#: Duplicated literal, not an import — observe must stay below serve in the
-#: layering (same contract as the flight-recorder format string).
-_SERVE_REPORT_FORMAT = "repro-serve-report"
 
 
 class ReportError(ReproError):
@@ -272,54 +267,6 @@ class RunReport:
         return report
 
     @classmethod
-    def from_serve_report(cls, doc: dict, *, label: str = "serve") -> "RunReport":
-        """Build from a versioned ``repro-serve-report`` document (see
-        :class:`repro.serve.report.ServeReport`; the format string is
-        duplicated here because the observe layer must not import
-        :mod:`repro.serve`).  Admission, per-tenant and cache accounting
-        become comparable ``serve.*`` metrics."""
-        if doc.get("format") != _SERVE_REPORT_FORMAT:
-            raise ReportError(
-                f"not a serve report (format={doc.get('format')!r}, "
-                f"expected {_SERVE_REPORT_FORMAT!r})"
-            )
-        version = doc.get("version")
-        if version not in (1,):
-            raise ReportError(
-                f"unsupported serve-report schema version {version!r} "
-                "(this build reads version 1)"
-            )
-        farm = doc.get("farm", {})
-        if not isinstance(farm, dict):
-            raise ReportError("serve report field 'farm' must be an object")
-        meta = doc.get("meta", {}) if isinstance(doc.get("meta"), dict) else {}
-        report = cls(
-            meta={"label": meta.get("label", label), "source": "serve-report", **meta}
-        )
-        admission = farm.get("admission", {})
-        report.sections["serve"] = {
-            "config": farm.get("config", {}),
-            "admission": admission,
-            "caches": farm.get("caches", {}),
-            "counters": farm.get("counters", {}),
-        }
-        for key in ("admitted", "shed", "shed_fraction"):
-            if isinstance(admission.get(key), (int, float)):
-                report.metrics[f"serve.{key}"] = float(admission[key])
-        for name, tstats in admission.get("tenants", {}).items():
-            for key in ("admitted", "shed", "completed", "failed", "shed_fraction"):
-                if isinstance(tstats.get(key), (int, float)):
-                    report.metrics[f"serve.tenant.{name}.{key}"] = float(tstats[key])
-        for tier, cstats in farm.get("caches", {}).items():
-            for key in ("hits", "misses", "evictions", "hit_rate"):
-                if isinstance(cstats.get(key), (int, float)):
-                    report.metrics[f"serve.cache.{tier}.{key}"] = float(cstats[key])
-        for key, value in farm.get("counters", {}).items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                report.metrics[f"serve.{key}"] = float(value)
-        return report
-
-    @classmethod
     def from_dict(cls, doc: dict) -> "RunReport":
         """Validate and load the saved document form."""
         if not isinstance(doc, dict):
@@ -367,8 +314,6 @@ class RunReport:
         try:
             if fmt == REPORT_FORMAT:
                 return cls.from_dict(doc)
-            if fmt == _SERVE_REPORT_FORMAT:
-                return cls.from_serve_report(doc, label=path.stem)
             if "suite" in doc:
                 return cls.from_bench(doc, label=path.stem)
         except ReportError as exc:

@@ -69,7 +69,8 @@ class ChaosScenario:
     ``expect_identical`` requires the final residual to match the clean
     run to ``identical_rtol``; otherwise convergence alone suffices.
     ``engines`` restricts the scenario to the engines where its faults
-    are meaningful (duplicates need real mailboxes, so SPMD only).
+    are meaningful (duplicates need real mailboxes, so SPMD only; bit-flips
+    need checkpoint-restart, which only the BSP ``pcg`` has).
     """
 
     name: str
@@ -255,6 +256,7 @@ def standard_menu(ranks: int = 4) -> list[ChaosScenario]:
             FaultPlan(bitflips=(PayloadBitFlip(probability=0.002, bit=62),)),
             description="rare high-exponent bit-flips (checkpoint-restart path)",
             expect_identical=False,
+            engines=("bsp",),
         ),
     ]
 

@@ -1,273 +1,224 @@
-"""Fingerprint-keyed artifact cache with LRU eviction under a byte bound.
+"""Fingerprint-keyed set-up reuse: build once per structure, solve many.
 
-One :class:`ArtifactCache` instance holds one *tier* of reusable setup
-state; the farm runs two:
+An :class:`ArtifactCache` holds two tiers of set-up state, as plain dicts:
 
-* the **structure tier**, keyed by
-  :class:`~repro.serve.fingerprint.StructureFingerprint` — holds
-  :class:`SetupArtifacts` (partition, preconditioner, the halo-schedule
-  snapshot used to prove bit-identity on later hits);
-* the **system tier**, keyed by ``(structure digest, values digest)`` —
-  holds :class:`SystemArtifacts` (the distributed operator and a
-  :class:`WorkspacePool` of warm :class:`~repro.kernels.SolverWorkspace`
-  objects, so repeated solves of the bit-identical system run
-  allocation-free).
+* :attr:`~ArtifactCache.structures`, keyed by the structure digest
+  (:func:`~repro.serve.fingerprint.fingerprint_structure`) — the partition,
+  the preconditioner and the halo-schedule snapshot of the first operator
+  built on that structure (:class:`SetupArtifacts`);
+* :attr:`~ArtifactCache.systems`, keyed by ``(structure digest, values
+  digest)`` — the distributed operator of one bitwise matrix and one warm
+  :class:`~repro.kernels.SolverWorkspace` (:class:`SystemArtifacts`).
 
-Entries carry a byte estimate; inserting past ``max_bytes`` evicts least
-recently used entries (never the one just inserted).  Hits, misses,
-evictions and resident bytes are mirrored to the instrumentation registry
-as ``serve.cache.{hits,misses,evictions,bytes}`` counters/gauges tagged by
-tier, alongside the cache's own always-on counters — the numbers
-``BENCH_serve.json`` reports.  All operations are thread-safe.
+:meth:`ArtifactCache.solve_many` solves each matrix against the paper's
+right-hand side with :func:`repro.core.cg.pcg`.  Every system build that
+follows a structure hit re-derives the halo schedule and compares it with
+the cached snapshot (:func:`repro.observe.audit.compare_snapshots`, the §4
+audit), so same-structure reuse is proven to move byte-identical traffic
+rather than assumed to.  The cache lives as long as its object.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.instrument import get_metrics
+import numpy as np
 
-__all__ = [
-    "ArtifactCache",
-    "SetupArtifacts",
-    "SystemArtifacts",
-    "WorkspacePool",
-    "estimate_dist_nbytes",
-    "estimate_precond_nbytes",
-]
+from repro.core.cg import pcg
+from repro.core.precond import (
+    FilterSpec,
+    PrecondOptions,
+    build_fsai,
+    build_fsaie,
+    build_fsaie_comm,
+)
+from repro.dist.matrix import DistMatrix
+from repro.dist.partition_map import RowPartition
+from repro.dist.vector import DistVector
+from repro.errors import ReproError, SparseFormatError
+from repro.kernels.workspace import SolverWorkspace
+from repro.matgen.rhs import paper_rhs
+from repro.observe.audit import compare_snapshots, schedule_snapshot
+from repro.serve.fingerprint import fingerprint_structure, values_digest
+from repro.sparse.csr import CSRMatrix
+
+__all__ = ["ArtifactCache", "SolveOutcome", "value_variants"]
+
+_BUILDERS = {"fsai": build_fsai, "fsaie": build_fsaie, "comm": build_fsaie_comm}
+
+#: Diagonal shift between consecutive :func:`value_variants`.
+DIAG_SHIFT = 0.05
+
+#: The counters :attr:`ArtifactCache.counts` keeps.
+COUNTS = (
+    "solves",
+    "structure_hits",
+    "structure_misses",
+    "system_hits",
+    "system_misses",
+    "audits",
+    "audit_violations",
+)
 
 
-def estimate_dist_nbytes(dmat) -> int:
-    """Rough resident-byte estimate of a :class:`~repro.dist.DistMatrix`
-    (CSR arrays plus halo-schedule index lists)."""
-    total = 0
-    for lm in dmat.locals:
-        total += 8 * (lm.csr.indptr.size + lm.csr.indices.size + lm.csr.data.size)
-        total += 8 * lm.global_rows.size + 8 * lm.ext_cols.size
-    return total
+def value_variants(mat: CSRMatrix, count: int) -> list[CSRMatrix]:
+    """``mat`` plus ``count - 1`` copies whose diagonal is shifted by
+    ``DIAG_SHIFT``, ``2·DIAG_SHIFT``, …: the same structure (shared
+    ``indptr`` / ``indices``) with different values, SPD when ``mat`` is.
 
-
-def estimate_precond_nbytes(pre) -> int:
-    """Rough resident-byte estimate of a
-    :class:`~repro.core.precond.Preconditioner` (both factors)."""
-    return estimate_dist_nbytes(pre.g) + estimate_dist_nbytes(pre.gt)
-
-
-class WorkspacePool:
-    """Checkout pool of :class:`~repro.kernels.SolverWorkspace` objects.
-
-    Workspaces hold scratch state and are not thread-safe; the pool hands
-    each concurrent solve its own, and returns finished workspaces to the
-    free list so later solves of the same system reuse the warm buffers
-    (zero hot-loop allocations, the PR-2 contract).
+    Raises :class:`~repro.errors.SparseFormatError` naming the first row
+    that stores no diagonal entry.
     """
-
-    def __init__(self, factory):
-        self._factory = factory
-        self._free: list = []
-        self._lock = threading.Lock()
-        #: Workspaces ever created by this pool (monotonic).
-        self.created = 0
-
-    def acquire(self):
-        """A free workspace, or a freshly built one when none is idle."""
-        with self._lock:
-            if self._free:
-                return self._free.pop()
-            self.created += 1
-        return self._factory()
-
-    def release(self, workspace) -> None:
-        """Return ``workspace`` to the free list."""
-        with self._lock:
-            self._free.append(workspace)
-
-    @property
-    def idle(self) -> int:
-        """Workspaces currently parked in the free list."""
-        with self._lock:
-            return len(self._free)
-
-    def __repr__(self) -> str:
-        return f"WorkspacePool(created={self.created}, idle={self.idle})"
+    rows = np.repeat(np.arange(mat.nrows, dtype=np.int64), mat.row_nnz())
+    diag = np.flatnonzero(mat.indices == rows)
+    if diag.size < mat.nrows:
+        missing = np.setdiff1d(np.arange(mat.nrows), rows[diag])[0]
+        raise SparseFormatError(
+            f"row {missing} stores no diagonal entry, so its diagonal cannot "
+            "be shifted"
+        )
+    variants = [mat]
+    for v in range(1, count):
+        data = mat.data.copy()
+        data[diag] += DIAG_SHIFT * v
+        variants.append(CSRMatrix(mat.shape, mat.indptr, mat.indices, data, check=False))
+    return variants
 
 
 @dataclass
 class SetupArtifacts:
-    """Structure-tier cache entry: everything derived from the sparsity
-    structure plus setup options, reusable across matrices that share the
-    fingerprint.
+    """Structure-tier entry: what the sparsity structure and the set-up
+    options determine, reusable by every matrix with the same digest.
 
-    ``schedule_snapshot`` is the static per-edge accounting of the
-    operator's halo schedule (see
-    :func:`repro.observe.audit.schedule_snapshot`), stored at build time so
-    later same-structure solves can *prove* their fresh schedule is
-    bit-identical instead of assuming it.
+    ``schedule_snapshot`` is the per-edge accounting of the first
+    operator's halo schedule (:func:`repro.observe.audit.schedule_snapshot`),
+    kept so later builds on this structure can prove theirs identical.
     """
 
-    fingerprint: object
-    partition: object
+    partition: RowPartition
     preconditioner: object
     schedule_snapshot: dict
-    nbytes: int = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"SetupArtifacts({self.preconditioner.name}, "
-            f"ranks={self.partition.nparts}, nbytes={self.nbytes})"
-        )
 
 
 @dataclass
 class SystemArtifacts:
-    """System-tier cache entry: the distributed operator of one bitwise
-    matrix (structure *and* values) plus its workspace pool."""
+    """System-tier entry: the distributed operator of one bitwise matrix and
+    the workspace its solves reuse."""
 
-    values_digest: str
-    dist_a: object
-    workspaces: WorkspacePool
-    nbytes: int = 0
-
-    def __repr__(self) -> str:
-        return f"SystemArtifacts({self.values_digest[:12]}…, nbytes={self.nbytes})"
+    dist_a: DistMatrix
+    workspace: SolverWorkspace
 
 
 @dataclass
-class _Entry:
-    payload: object
-    nbytes: int
-    hits: int = 0
+class SolveOutcome:
+    """One solve of :meth:`ArtifactCache.solve_many`.
 
+    ``schedule_invariant`` is the §4 audit's verdict when this solve built a
+    system on a cached structure, ``None`` when it audited nothing.
+    """
 
-@dataclass
-class CacheStats:
-    """Always-on counters of one cache tier (independent of whether the
-    instrumentation registry is enabled)."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    inserts: int = 0
-    bytes: int = 0
-    evicted_bytes: int = 0
-    entries: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups (hits + misses)."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 before the first lookup)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "inserts": self.inserts,
-            "bytes": self.bytes,
-            "evicted_bytes": self.evicted_bytes,
-            "entries": self.entries,
-            "hit_rate": self.hit_rate,
-        }
+    converged: bool
+    iterations: int
+    structure_hit: bool
+    system_hit: bool
+    schedule_invariant: bool | None
 
 
 class ArtifactCache:
-    """Thread-safe LRU cache of setup artifacts, bounded by bytes.
+    """Set-up artifacts keyed by fingerprint, and the solves that reuse them.
 
-    ``max_bytes=None`` means unbounded; ``max_bytes=0`` disables caching
-    entirely (every lookup misses, every insert is dropped) — the switch the
-    benchmark's cold phase uses to measure the no-reuse baseline.  Metrics
-    are double-booked: the returned :class:`CacheStats` always counts, and
-    when :mod:`repro.instrument` is enabled the same events land in
-    ``serve.cache.*`` instruments tagged ``tier=<name>``.
+    The six keywords are the set-up options the structure digest covers:
+    ``ranks`` and ``seed`` partition, ``method`` (``fsai`` / ``fsaie`` /
+    ``comm``), ``line_bytes``, ``filter_value`` and ``dynamic`` build the
+    preconditioner.  :attr:`counts` holds the tier hits and misses, the
+    solves and the §4 audits.
     """
 
-    def __init__(self, max_bytes: int | None = None, *, name: str = "default"):
-        self.name = name
-        self.max_bytes = max_bytes
-        self.stats = CacheStats()
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.RLock()
-
-    def _metric(self, kind: str, amount: int = 1) -> None:
-        get_metrics().counter(f"serve.cache.{kind}", tier=self.name).inc(amount)
-
-    def get(self, key):
-        """The cached payload for ``key`` (refreshed to most-recently-used),
-        or ``None`` on a miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                self._metric("misses")
-                return None
-            self._entries.move_to_end(key)
-            entry.hits += 1
-            self.stats.hits += 1
-            self._metric("hits")
-            return entry.payload
-
-    def put(self, key, payload, nbytes: int) -> list:
-        """Insert ``payload`` under ``key``; returns the evicted payloads.
-
-        Inserting an existing key replaces the entry.  Eviction drops least
-        recently used entries until the byte bound holds again, but never
-        the entry just inserted — a single oversized artifact stays resident
-        (documented and tested) rather than thrashing.  With ``max_bytes=0``
-        the insert itself is dropped and the payload returned as "evicted".
-        """
-        nbytes = int(nbytes)
-        with self._lock:
-            if self.max_bytes == 0:
-                self.stats.evictions += 1
-                self.stats.evicted_bytes += nbytes
-                self._metric("evictions")
-                return [payload]
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self.stats.bytes -= old.nbytes
-            self._entries[key] = _Entry(payload, nbytes)
-            self.stats.inserts += 1
-            self.stats.bytes += nbytes
-            evicted = []
-            if self.max_bytes is not None:
-                while self.stats.bytes > self.max_bytes and len(self._entries) > 1:
-                    _, victim = self._entries.popitem(last=False)
-                    self.stats.bytes -= victim.nbytes
-                    self.stats.evictions += 1
-                    self.stats.evicted_bytes += victim.nbytes
-                    self._metric("evictions")
-                    evicted.append(victim.payload)
-            self.stats.entries = len(self._entries)
-            metrics = get_metrics()
-            metrics.gauge("serve.cache.bytes", tier=self.name).set(self.stats.bytes)
-            metrics.gauge("serve.cache.entries", tier=self.name).set(
-                self.stats.entries
+    def __init__(
+        self,
+        *,
+        ranks: int = 4,
+        method: str = "comm",
+        line_bytes: int = 64,
+        filter_value: float = 0.01,
+        dynamic: bool = True,
+        seed: int = 0,
+    ):
+        if method not in _BUILDERS:
+            raise ReproError(
+                f"method must be one of {sorted(_BUILDERS)}, got {method!r}"
             )
-            return evicted
+        self.options = dict(
+            ranks=ranks, method=method, line_bytes=line_bytes,
+            filter_value=filter_value, dynamic=dynamic, seed=seed,
+        )
+        self.counts = dict.fromkeys(COUNTS, 0)
+        self.structures: dict[str, SetupArtifacts] = {}
+        self.systems: dict[tuple[str, str], SystemArtifacts] = {}
 
-    def __contains__(self, key) -> bool:
-        with self._lock:
-            return key in self._entries
+    def solve_many(
+        self, mats, *, rtol: float = 1e-8, max_iterations: int = 10_000
+    ) -> list[SolveOutcome]:
+        """Solve each matrix against :func:`~repro.matgen.rhs.paper_rhs`,
+        reusing every cached artifact; outcomes come back in input order."""
+        return [self._solve(mat, rtol, max_iterations) for mat in mats]
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    def _setup(self, mat, digest: str) -> tuple[SetupArtifacts, bool]:
+        """Structure tier: the cached set-up, or a fresh build that also
+        seeds the system tier with the operator it distributed."""
+        setup = self.structures.get(digest)
+        if setup is not None:
+            self.counts["structure_hits"] += 1
+            return setup, True
+        self.counts["structure_misses"] += 1
+        opts = self.options
+        part = RowPartition.from_matrix(mat, opts["ranks"], seed=opts["seed"])
+        pre = _BUILDERS[opts["method"]](mat, part, PrecondOptions(
+            line_bytes=opts["line_bytes"],
+            filter=FilterSpec(opts["filter_value"], dynamic=opts["dynamic"]),
+        ))
+        dist_a = DistMatrix.from_global(mat, part)
+        setup = SetupArtifacts(part, pre, schedule_snapshot(dist_a.schedule))
+        self.structures[digest] = setup
+        self.systems[digest, values_digest(mat)] = SystemArtifacts(
+            dist_a, SolverWorkspace(dist_a)
+        )
+        return setup, False
 
-    def keys(self) -> list:
-        """Resident keys, least recently used first."""
-        with self._lock:
-            return list(self._entries)
-
-    def __repr__(self) -> str:
-        return (
-            f"ArtifactCache({self.name!r}, entries={len(self)}, "
-            f"bytes={self.stats.bytes}, max_bytes={self.max_bytes})"
+    def _solve(self, mat, rtol: float, max_iterations: int) -> SolveOutcome:
+        digest = fingerprint_structure(mat, **self.options)
+        setup, structure_hit = self._setup(mat, digest)
+        key = (digest, values_digest(mat))
+        system = self.systems.get(key)
+        invariant = None
+        if system is not None:
+            self.counts["system_hits"] += 1
+        else:
+            # a structure build seeds its own system, so a system miss
+            # always follows a structure hit: audit the fresh schedule
+            self.counts["system_misses"] += 1
+            dist_a = DistMatrix.from_global(mat, setup.partition)
+            invariant = compare_snapshots(
+                setup.schedule_snapshot, schedule_snapshot(dist_a.schedule),
+                base_label="cached-structure", other_label="fresh-operator",
+            ).invariant
+            self.counts["audits"] += 1
+            self.counts["audit_violations"] += int(not invariant)
+            system = self.systems[key] = SystemArtifacts(
+                dist_a, SolverWorkspace(dist_a)
+            )
+        b = DistVector.from_global(
+            paper_rhs(mat, seed=self.options["seed"]), setup.partition
+        )
+        result = pcg(
+            system.dist_a, b, precond=setup.preconditioner, rtol=rtol,
+            max_iterations=max_iterations, workspace=system.workspace,
+        )
+        self.counts["solves"] += 1
+        return SolveOutcome(
+            converged=bool(result.converged),
+            iterations=int(result.iterations),
+            structure_hit=structure_hit,
+            system_hit=invariant is None,
+            schedule_invariant=invariant,
         )

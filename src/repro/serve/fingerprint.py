@@ -1,18 +1,16 @@
-"""Structure fingerprints: the cache keys of the solve farm.
+"""Structure fingerprints: the keys of the set-up cache.
 
-The paper's economics — setup artifacts are expensive to build but cheap to
-reuse — only pay off if the serving layer can *recognise* that two solve
-requests share a setup.  A :class:`StructureFingerprint` is that
-recognition: a SHA-256 digest over everything the setup artifacts depend on
-structurally —
+Set-up artifacts are expensive to build and cheap to reuse, but only if the
+cache can *recognise* that two matrices share a set-up.
+:func:`fingerprint_structure` is that recognition: a SHA-256 hex digest over
+everything the set-up depends on structurally —
 
 * the matrix **shape** and the CSR **indptr/indices** arrays (the sparsity
   pattern; values are deliberately excluded),
-* the **partitioning** inputs (rank count, partition seed),
-* the **pattern options** (method, cache-line bytes, filter spec), and
-* the **runtime option** (compute dtype).
+* the **partitioning** inputs (rank count, partition seed), and
+* the **pattern options** (method, cache-line bytes, filter spec).
 
-Two matrices with the same fingerprint produce bit-identical FSAI patterns,
+Two matrices with the same digest produce bit-identical FSAI patterns,
 halo schedules, :class:`~repro.kernels.plan.SpMVPlan` layouts and
 :class:`~repro.kernels.workspace.SolverWorkspace` geometries — which is what
 makes the :class:`~repro.serve.cache.ArtifactCache` sound.  The factor
@@ -20,55 +18,15 @@ makes the :class:`~repro.serve.cache.ArtifactCache` sound.  The factor
 them across same-structure/different-values solves is the classic
 time-stepping amortization (the preconditioner stays symmetric positive
 definite, so CG still converges to the new system's solution — only the
-iteration count may drift as the values drift).  Requests that must not
-share factor values additionally key on :func:`values_digest`.
+iteration count may drift as the values drift).  Systems that must not
+share an operator additionally key on :func:`values_digest`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
-__all__ = ["StructureFingerprint", "fingerprint_structure", "values_digest"]
-
-
-@dataclass(frozen=True)
-class StructureFingerprint:
-    """Identity of one setup-artifact family in the cache.
-
-    ``digest`` is the SHA-256 hex over the structure and options;
-    ``options`` keeps the human-readable ingredients for reports and
-    eviction logs.  Hashable — usable directly as a cache key.
-    """
-
-    digest: str
-    shape: tuple[int, int]
-    nnz: int
-    ranks: int
-    options: tuple[tuple[str, str], ...] = field(default_factory=tuple)
-
-    @property
-    def key(self) -> str:
-        """The cache-key string (digest prefixed with shape/ranks for logs)."""
-        return f"{self.shape[0]}x{self.shape[1]}/p{self.ranks}/{self.digest}"
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form."""
-        return {
-            "digest": self.digest,
-            "shape": list(self.shape),
-            "nnz": self.nnz,
-            "ranks": self.ranks,
-            "options": {k: v for k, v in self.options},
-        }
-
-    def __repr__(self) -> str:
-        return f"StructureFingerprint({self.key[:40]}…, nnz={self.nnz})"
-
-
-def _hash_arrays(h, *arrays) -> None:
-    for arr in arrays:
-        h.update(arr.tobytes())
+__all__ = ["fingerprint_structure", "values_digest"]
 
 
 def fingerprint_structure(
@@ -79,44 +37,36 @@ def fingerprint_structure(
     line_bytes: int = 64,
     filter_value: float = 0.01,
     dynamic: bool = True,
-    dtype: str = "float64",
     seed: int = 0,
-) -> StructureFingerprint:
-    """Fingerprint a CSR matrix's structure plus the setup options.
+) -> str:
+    """SHA-256 hex digest of a CSR matrix's structure plus the set-up options.
 
     The digest covers shape, ``indptr``, ``indices`` and the canonicalised
-    option string — **not** ``data``: requests whose matrices differ only in
-    values map to the same fingerprint and therefore share every
-    structure-derived artifact (pattern, schedules, plans, workspaces).
+    option string — **not** ``data``: matrices that differ only in values
+    get the same digest and therefore share every structure-derived
+    artifact (partition, pattern, schedules, plans, workspaces).
     """
     opts = (
+        ("ranks", str(int(ranks))),
         ("method", str(method)),
         ("line_bytes", str(int(line_bytes))),
         ("filter_value", f"{float(filter_value):.12g}"),
         ("dynamic", str(bool(dynamic))),
-        ("dtype", str(dtype)),
         ("seed", str(int(seed))),
     )
     h = hashlib.sha256()
     h.update(f"shape={mat.shape!r};".encode())
-    _hash_arrays(h, mat.indptr, mat.indices)
+    h.update(mat.indptr.tobytes())
+    h.update(mat.indices.tobytes())
     h.update(";".join(f"{k}={v}" for k, v in opts).encode())
-    return StructureFingerprint(
-        digest=h.hexdigest(),
-        shape=(int(mat.shape[0]), int(mat.shape[1])),
-        nnz=int(mat.nnz),
-        ranks=int(ranks),
-        options=opts,
-    )
+    return h.hexdigest()
 
 
 def values_digest(mat) -> str:
     """SHA-256 hex over the matrix's stored values (``data`` array only).
 
-    Combined with a :class:`StructureFingerprint` this identifies the matrix
-    bitwise: same structure digest + same values digest means the distributed
-    operator and its factor values are reusable verbatim.
+    Combined with :func:`fingerprint_structure` this identifies the matrix
+    bitwise: same structure digest + same values digest means the
+    distributed operator is reusable verbatim.
     """
-    h = hashlib.sha256()
-    h.update(mat.data.tobytes())
-    return h.hexdigest()
+    return hashlib.sha256(mat.data.tobytes()).hexdigest()

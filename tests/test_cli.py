@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import re
+
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, load_matrix, main
-from repro.sparse import write_matrix_market
+from repro.sparse import CSRMatrix, write_matrix_market
 
 from conftest import build_poisson2d
 
@@ -391,3 +395,49 @@ class TestLadders:
         assert main([*argv, "--generate", "poisson2d:8"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestServe:
+    ARGV = ["serve", "--generate", "poisson2d:12", "--requests", "6", "--variants", "3"]
+
+    def test_serve_prints_the_cache_counts(self, capsys):
+        assert main(self.ARGV) == 0
+        out = capsys.readouterr().out
+        assert "run report: serve" in out
+        # one structure build, two more value variants, each audited once
+        for metric, value in (("serve.structure_misses", 1), ("serve.structure_hits", 5),
+                              ("serve.system_misses", 2), ("serve.system_hits", 4),
+                              ("serve.audits", 2), ("serve.audit_violations", 0)):
+            assert re.search(rf"{re.escape(metric)}\s+{value}\b", out), metric
+
+    def test_serve_json_loads_through_run_report(self, tmp_path, capsys):
+        from repro.observe import RunReport
+
+        path = tmp_path / "serve.json"
+        assert main([*self.ARGV, "--json", str(path)]) == 0
+        report = RunReport.load(path)
+        assert report.meta["label"] == "serve"
+        assert report.metrics["serve.solves"] == 6
+        assert report.metrics["serve.audits"] == 2
+        assert report.metrics["serve.iterations_total"] > 0
+        assert main(["report", str(path)]) == 0
+
+    def test_old_serve_report_format_is_clear_error(self, tmp_path, capsys):
+        path = tmp_path / "farm.json"
+        path.write_text(json.dumps(
+            {"format": "repro-serve-report", "version": 1, "meta": {}, "farm": {}}
+        ))
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "'repro-serve-report'" in err
+
+    def test_missing_diagonal_is_clear_error(self, tmp_path, capsys):
+        dense = 2 * np.eye(6) - np.eye(6, k=1) - np.eye(6, k=-1)
+        dense[5, 5] = 0.0  # the last row stores no diagonal entry
+        path = tmp_path / "nodiag.mtx"
+        write_matrix_market(path, CSRMatrix.from_dense(dense), symmetric=True)
+        assert main(["serve", "--matrix", str(path), "--ranks", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "row 5 " in err

@@ -351,6 +351,20 @@ class TestSpmdInjection:
         assert it_dup == it_clean
         np.testing.assert_array_equal(x_dup.to_global(), x_clean.to_global())
 
+    def test_bitflip_breakdown_stops_every_rank(self, dist_poisson16):
+        """A flipped exponent bit drives ``dᵀAd`` to inf/NaN, which no
+        residual test ever meets: the allreduced breakdown check stops all
+        ranks together instead of running out the iteration budget."""
+        mat, part, da, b = dist_poisson16
+        pre = build_fsai(mat, part)
+        plan = FaultPlan(seed=0, bitflips=(PayloadBitFlip(probability=0.002, bit=62),))
+        with fault_injection(plan) as inj, np.errstate(over="ignore", invalid="ignore"):
+            _, iterations = spmd_cg(
+                da, b, rtol=RTOL, max_iterations=300, precond_pair=(pre.g, pre.gt)
+            )
+        assert inj.counts["bitflips"] > 0
+        assert iterations < 100  # 300 before the breakdown check, 6 with it
+
     def test_unpicklable_payload_raises_comm_error_under_retry(self):
         """The tracker must refuse to size an unpicklable payload even when
         the message already survived the injected retry loop."""

@@ -1,11 +1,11 @@
-"""Smoke tier for the solve-farm serving suite and its regression gate.
+"""Smoke tier for the set-up reuse suite and its regression gate.
 
-Runs the first concurrency rung of :mod:`benchmarks.serve_bench`, checks
-its deterministic claims (exact admission counts, exact warm-cache hit
-pattern, clean §4 audits, no build by a timed warm request), then drives
-``scripts/check_bench.py serve`` end-to-end against the recorded baseline,
-exactly how CI invokes it.  Carries the ``suite_smoke`` marker — deselect
-with ``-m "not suite_smoke"`` for a faster tier-1 run.
+Runs the first rung of :mod:`benchmarks.serve_bench`, checks its
+deterministic claims (exact cache hit pattern, clean §4 audits, no build
+by a timed solve), then drives ``scripts/check_bench.py serve`` end-to-end
+against the recorded baseline, exactly how CI invokes it.  Carries the
+``suite_smoke`` marker — deselect with ``-m "not suite_smoke"`` for a
+faster tier-1 run.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "benchmarks"))
 
 from serve_bench import (  # noqa: E402
-    ADMISSION_PATTERN,
     QUICK_RUNGS,
     VARIANTS,
     failed_claims,
@@ -43,44 +42,28 @@ def test_quick_suite_holds_serving_claims(quick_suite):
     assert result["config"]["rungs"] == list(QUICK_RUNGS)
     assert failed_claims(result) == [], failed_claims(result)
     s = result["summary"]
-    # admission replay: the fixed pattern sheds exactly one request per
-    # reason class beyond each deterministic bound (the unknown tenant has
-    # no registered stats, so it rides outside the per-tenant shed total)
-    assert (
-        s["admission.admitted"] + s["admission.shed"]
-        + s["admission.shed_unknown"]
-    ) == len(ADMISSION_PATTERN)
-    assert s["admission.shed_unknown"] == 1
-    assert s["admission.shed_queue_full"] == 2
-    assert s["admission.shed_tenant_budget"] == 2
     (n,) = QUICK_RUNGS
-    # cold phase: caching disabled, every request pays the full setup
-    assert s[f"r{n}.cold.structure_builds"] == n
-    assert s[f"r{n}.cold.cache_hits"] == 0
-    # warm phase: one pre-warm build, then everything hits the structure
-    # tier; the invariance audit ran once per non-base value variant
+    # one pre-warm build, then everything hits the structure tier; the
+    # invariance audit ran once per non-base value variant
     assert s[f"r{n}.warm.structure_misses"] == 1
     assert s[f"r{n}.warm.structure_hits"] == n + VARIANTS - 1
     assert s[f"r{n}.warm.audits"] == VARIANTS - 1
     assert s[f"r{n}.warm.audit_violations"] == 0
     assert s[f"r{n}.warm.schedule_invariant"] == 1
-    # "a warm request costs an apply, not a set-up", in counts: the pre-warm
-    # made every build, the timed requests hit the system tier
+    # "a served solve costs an apply, not a set-up", in counts: the
+    # pre-warm made every build, the timed solves hit the system tier
     assert s[f"r{n}.warm.system_misses"] == VARIANTS - 1
     assert s[f"r{n}.warm.system_hits"] == n + 1
     assert s[f"r{n}.warm.hit_rate"] == (n + VARIANTS - 1) / (n + VARIANTS)
-    assert s[f"r{n}.warm_cold_speedup"] > 0.0
-    # per-rung serve-report documents ride along for drill-down
-    assert result["serve"][f"r{n}"]["cold"]["format"] == "repro-serve-report"
-    assert result["serve"][f"r{n}"]["warm"]["format"] == "repro-serve-report"
+    assert result["serve"][f"r{n}"]["solves"] == n + VARIANTS
 
 
 @pytest.mark.suite_smoke
 def test_claims_reject_builds_in_the_wrong_phase(quick_suite):
     (n,) = QUICK_RUNGS
     for key, delta in ((f"r{n}.warm.system_misses", 1),
-                       (f"r{n}.cold.cache_hits", 1),
-                       (f"r{n}.cold.structure_builds", -1)):
+                       (f"r{n}.warm.structure_misses", 1),
+                       (f"r{n}.warm.system_misses", -1)):
         summary = dict(quick_suite["summary"])
         summary[key] += delta
         assert failed_claims({**quick_suite, "summary": summary}), key
@@ -103,7 +86,7 @@ def test_serve_gate_is_clean(quick_suite, tmp_path):
     assert proc.returncode == 0, (
         f"check_bench.py serve failed:\n{proc.stdout}{proc.stderr}"
     )
-    assert "OK: serve: 25 key(s) within policy" in proc.stdout
+    assert "OK: serve: 11 key(s) within policy" in proc.stdout
 
 
 @pytest.mark.suite_smoke
