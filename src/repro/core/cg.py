@@ -108,6 +108,10 @@ def _make_apply(precond_fn, ws, tracker):
     return apply_m
 
 
+#: Largest ``‖b − A x − r‖ / ‖b‖`` a resilient ``pcg`` takes for rounding
+#: when it checkpoints; a lost halo value moves it by O(1).
+_DRIFT = 1e-6
+
 #: Flight-recorder emission contract, parsed by :mod:`repro.observe.flight`.
 #: The numbers are duplicated there on purpose: core must stay importable
 #: without the observe layer, so neither package imports the other.
@@ -284,10 +288,16 @@ def pcg(
         target = rtol * norm0
 
         ad_buf = ws.vector("pcg.ad")
-        with tracer.span("pcg.precond"):
-            z = apply_m(r, "pcg.z")
-        d = ws.vector("pcg.d").copy_from(z)
-        rz = r.dot(z, tracker)
+        d = ws.vector("pcg.d")
+
+        def _start() -> float:
+            """``z = M r``, ``d = z``; returns ``rᵀz``."""
+            with tracer.span("pcg.precond"):
+                z = apply_m(r, "pcg.z")
+            d.copy_from(z)
+            return r.dot(z, tracker)
+
+        rz = _start()
         converged = False
         iterations = 0
         alphas: list[float] = []
@@ -314,14 +324,25 @@ def pcg(
                     raise
                 return None
 
+        def _drifted() -> bool:
+            """``r`` has left ``b − A x`` by more than rounding: a fault the
+            recurrence's own checks cannot see (a lost value in ``A·d``)."""
+            gap = ws.vector("pcg.gap").copy_from(b).axpy(-1.0, r)
+            gap.axpy(-1.0, ws.spmv(mat, x, out=ad_buf, tracker=tracker))
+            return not gap.norm2(tracker) <= _DRIFT * norm0
+
         def _restore(state) -> tuple[float, int]:
-            """Rewind (x, r, d) and the recorded histories to ``state``."""
+            """Rewind (x, r, d) and the recorded histories to ``state``.
+            Iteration 0 restarts from its exact ``x`` and ``r``: nothing
+            before the loop checked the ``d`` and ``rᵀz`` it saved."""
             ckpt.restore_into(state.x_parts, x)
             ckpt.restore_into(state.r_parts, r)
-            ckpt.restore_into(state.d_parts, d)
             del history[state.history_len :]
             del alphas[state.coeff_len :]
             del betas[state.coeff_len :]
+            if state.iteration == 0:
+                return _start(), 0
+            ckpt.restore_into(state.d_parts, d)
             return state.rz, state.iteration
 
         for _ in range(max_iterations):
@@ -329,6 +350,12 @@ def pcg(
                 converged = True
                 break
             if ckpt is not None and ckpt.due(iterations):
+                if iterations and _drifted():  # never save a derailed state
+                    state = _try_rollback("drift")
+                    if state is None:
+                        break
+                    rz, iterations = _restore(state)
+                    continue
                 ckpt.save(iterations, history[-1], rz, x, r, d)
             with tracer.span("pcg.iteration", index=iterations) as it_span:
                 with tracer.span("pcg.spmv"):
@@ -349,13 +376,15 @@ def pcg(
                     r.axpy(-alpha, ad)
                 with tracer.span("pcg.dot", kind="norm"):
                     history.append(r.norm2(tracker))
-                if ckpt is not None and ckpt.should_rollback(history[-1]):
-                    state = _try_rollback("divergence")
-                    if state is None:
-                        it_span.set_tag("aborted", "rollback budget exhausted")
-                        break
-                    rz, iterations = _restore(state)
-                    continue
+                if ckpt is not None:
+                    if ckpt.should_rollback(history[-1]):
+                        state = _try_rollback("divergence")
+                        if state is None:
+                            it_span.set_tag("aborted", "rollback budget exhausted")
+                            break
+                        rz, iterations = _restore(state)
+                        continue
+                    ckpt.confirm()
                 with tracer.span("pcg.precond"):
                     z = apply_m(r, "pcg.z")
                 with tracer.span("pcg.dot"):

@@ -47,7 +47,8 @@ class HaloSchedule:
         ``ext_cols[p]`` (where received values land in the halo buffer).
     """
 
-    __slots__ = ("partition", "ext_cols", "recv_from", "send_to", "recv_pos", "recv_src")
+    __slots__ = ("partition", "ext_cols", "recv_from", "send_to", "recv_pos", "recv_src",
+                 "__weakref__")
 
     def __init__(self, partition: RowPartition, ext_cols: list[np.ndarray]):
         if len(ext_cols) != partition.nparts:

@@ -92,7 +92,8 @@ class LocalMatrix:
 class DistMatrix:
     """A sparse matrix distributed by rows with a halo exchange schedule."""
 
-    __slots__ = ("partition", "locals", "schedule", "shape", "_plans", "_split")
+    __slots__ = ("partition", "locals", "schedule", "shape", "_plans", "_split",
+                 "__weakref__")
 
     def __init__(
         self,

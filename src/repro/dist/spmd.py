@@ -2,9 +2,10 @@
 
 The BSP layer (:class:`~repro.dist.matrix.DistMatrix`) applies operations
 rank-by-rank in the driver — deterministic and fast.  This module runs the
-*same* data structures through genuine message passing on
-:func:`repro.mpisim.run_spmd`: every halo value travels in a real
-point-to-point message and every reduction is a real allreduce.  Tests assert
+*same* data structures as rank programs on :func:`repro.mpisim.run_spmd`:
+a halo update is the engine's neighbourhood exchange and a reduction its
+allreduce, with the clocks and per-edge traffic of point-to-point messages
+(real ones under a fault injector, tracer or telemetry).  Tests assert
 both engines agree, which validates the BSP shortcut.
 
 The rank programs here are coroutines (``async def``; see
@@ -105,20 +106,22 @@ def _charge(comm: Comm, work: tuple) -> None:
         comm.telemetry.observe("compute", seconds, end=comm.now())
 
 
-def _halo_exchange_start(comm: Comm, mat: DistMatrix, x_local: np.ndarray) -> list:
+def _halo_exchange_start(comm: Comm, mat: DistMatrix, x_local: np.ndarray):
     """Post one rank's halo exchange; complete with ``_halo_exchange_finish``.
 
-    Receives are posted first (``irecv`` per incoming edge), then one
-    payload is sent per outgoing edge.  The caller can run local compute
-    between start and finish, overlapping it with in-flight halo traffic
-    from the other ranks.  Nothing here can block, so this is a plain
-    function.
-
-    The pack phase is a ``spmd.halo.pack`` span tagged with the total
-    payload bytes, and charges the gather's streamed bytes to the clock.
+    The caller can run local compute between start and finish, overlapping
+    it with the other ranks' exchanges.  Nothing here can block, so this
+    is a plain function.  The pack charges the gather's streamed bytes to
+    the clock.  On the run's plan it is one ``halo_start``; point to point,
+    one ``irecv`` per incoming edge, a ``spmd.halo.pack`` span tagged with
+    the payload bytes, and one send per outgoing edge.
     """
     p = comm.rank
     sched = mat.schedule
+    plan = comm.halo_plan(sched)
+    if plan is not None:
+        comm.advance(comm.clock.kernel_seconds(*pack_work(plan.gather[p].size)))
+        return comm.halo_start(plan, x_local)
     part = mat.partition
     tracer = get_tracer()
     reqs = [
@@ -141,18 +144,20 @@ def _halo_exchange_start(comm: Comm, mat: DistMatrix, x_local: np.ndarray) -> li
 
 
 async def _halo_exchange_finish(
-    comm: Comm, mat: DistMatrix, reqs: list, halo: np.ndarray
+    comm: Comm, mat: DistMatrix, pending, halo: np.ndarray
 ) -> np.ndarray:
     """Complete a posted halo exchange into the rank's ``halo`` buffer.
 
-    Each incoming edge's completion is a ``spmd.halo.wait`` span (tagged
-    with the awaited source and payload bytes) — the segments the timeline
-    layer classifies as wait time, and the ones overlap shrinks.
+    Point to point, each incoming edge's completion is a ``spmd.halo.wait``
+    span (tagged with the awaited source and payload bytes) — the segments
+    the timeline layer classifies as wait time, and overlap shrinks.
     """
+    if not isinstance(pending, list):  # the plan, not receive requests
+        return await comm.halo_finish(pending, halo)
     p = comm.rank
     sched = mat.schedule
     tracer = get_tracer()
-    for q, req in reqs:
+    for q, req in pending:
         if tracer.enabled:
             with tracer.span(
                 "spmd.halo.wait", rank=p, src=q,
@@ -342,9 +347,9 @@ def spmd_pipelined_pcg(
       fewer reduction messages per edge per iteration, byte-identical
       totals (auditable with :class:`~repro.mpisim.CommTracker`);
     * **overlapped SpMV** (``overlap=True``) — each halo exchange is
-      posted with :func:`_halo_exchange_start` (early receives, one send
-      per edge), the local column block ``A_ll·x_local`` is computed while
-      peer traffic is in flight, and only then does the rank wait — so
+      posted with :func:`_halo_exchange_start`, the local column block
+      ``A_ll·x_local`` is computed while peer traffic is in flight, and
+      only then does the rank wait — so
       summed ``spmd.halo.wait`` time in :mod:`repro.observe.timeline`
       drops versus the blocking exchange.
 
@@ -379,12 +384,12 @@ def spmd_pipelined_pcg(
         async def local_spmv(m: DistMatrix, m_blocks, v: np.ndarray) -> np.ndarray:
             if m_blocks is None:
                 return await _fused_spmv(comm, m, operands, v)
-            reqs = _halo_exchange_start(comm, m, v)
+            pending = _halo_exchange_start(comm, m, v)
             a_ll, a_lh = m_blocks[p]
             with tracer.span("spmd.compute", rank=p, kernel="spmv_local"):
                 y = a_ll.spmv(v)
                 _charge(comm, spmv_work(a_ll.nnz, a_ll.nrows))
-            halo = await _halo_exchange_finish(comm, m, reqs, operands.of(m)[1])
+            halo = await _halo_exchange_finish(comm, m, pending, operands.of(m)[1])
             if a_lh is not None:
                 with tracer.span("spmd.compute", rank=p, kernel="spmv_halo"):
                     y += a_lh.spmv(halo)

@@ -21,10 +21,11 @@ Public surface:
   completion handles (``comm.isend`` / ``comm.irecv``).
 
 What a rank program awaits: ``recv``, ``sendrecv``, ``Request.wait`` /
-``test``, ``waitall`` / ``waitany`` and every collective (``allreduce`` is
-a scheduler primitive with the recursive-doubling pattern's exact traffic
-and clocks).  What it calls plainly: ``send``, ``isend``, ``irecv``,
-``now()``, ``advance()``.
+``test``, ``waitall`` / ``waitany``, ``halo_finish`` and every collective
+(``allreduce`` and the halo exchange are scheduler primitives with the
+point-to-point pattern's exact traffic and clocks).  What it calls plainly:
+``send``, ``isend``, ``irecv``, ``halo_plan``, ``halo_start``, ``now()``,
+``advance()``.
 * :data:`SUM` — the reduction operator the solvers use (``MAX`` / ``MIN``
   live in :mod:`repro.mpisim.comm`).
 * :class:`CommTracker`, :func:`payload_nbytes` — traffic accounting.

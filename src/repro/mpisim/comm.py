@@ -177,6 +177,11 @@ class Comm:
         """Nonblocking receive; ``await`` the request's ``wait``/``test``."""
         raise NotImplementedError
 
+    def halo_plan(self, schedule):
+        """A native exchange plan of a halo ``schedule`` (the SPMD endpoint's,
+        :mod:`repro.mpisim.engine`), or ``None``: exchange point to point."""
+        return None
+
     def _check_peer(self, peer: int) -> None:
         if not 0 <= peer < self.size:
             raise CommError(f"peer rank {peer} out of range for size {self.size}")

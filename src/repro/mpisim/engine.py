@@ -31,18 +31,24 @@ message a receive matches does not depend on the clock — the clock only
 says *when*.  NumPy payloads are copied on send so a rank mutating its
 buffer after the call cannot corrupt data in flight.
 
-``allreduce`` is a primitive of the scheduler.  Each rank's call parks it
-in the run's collective slot; the last rank to arrive runs every round of
+``allreduce`` and the halo exchange are primitives of the scheduler.  An
+allreduce parks each rank in the run's collective slot; the last rank to
+arrive runs every round of
 :func:`~repro.mpisim.collectives.allreduce_schedule` for all ranks — one
 NumPy pass per round for ``SUM``/``MAX``/``MIN`` over floats or equal
 arrays, a pair-by-pair loop for any other operator — and re-queues the
-rest.  It gives each rank the result, in the operand order, and the clock,
-``max(own, partner + α + β·bytes)`` per round, of the point-to-point
-algorithm, and books the same per-edge messages and bytes.  Traced and
-telemetered runs also get that algorithm's per-message events, wait spans
-and observations, each on its own rank at its modeled instant.  While a
-fault injector is installed every rank runs the point-to-point algorithm
-instead: a fault in one round changes every later one.
+rest.  The halo exchange is split-phase, MPI-3 ``MPI_Neighbor_alltoallv``
+over a persistent plan per halo schedule per run: ``halo_start`` packs a
+rank's outgoing values with one ``take`` and stamps them clock + α, and
+``await halo_finish`` parks until every source has posted that exchange,
+unpacks with one ``take`` and sets the clock to ``max(own, post +
+β·bytes)`` over the sources.  Both give each rank the results and clocks
+of the point-to-point algorithm and book its per-edge messages and bytes.
+Traced and telemetered allreduces also get its per-message events, wait
+spans and observations, each on its own rank at its modeled instant.
+While a fault injector is installed every rank runs the point-to-point
+algorithms instead (a fault in one message changes what follows), and
+while the tracer or telemetry watches, so does the halo exchange.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ import types
 from collections import deque
 from contextlib import nullcontext
 from functools import partial
+from operator import add
 from typing import Any, Callable
 
 import numpy as np
@@ -72,8 +79,9 @@ _NOTHING = object()
 #: (real sources are >= 0, so neither can match a sender).
 _RUNNABLE = -1
 _ANY_SOURCE = -2
-#: ``wait_src`` of a rank parked in a native allreduce.
+#: ``wait_src`` of a rank parked in a native allreduce / halo finish.
 _COLLECTIVE = -3
+_HALO = -4
 
 
 @types.coroutine
@@ -126,6 +134,54 @@ def _combine_pairs(acc: list, op, sources, dests, combine: bool) -> None:
             ) from exc
 
 
+class _HaloPlan:
+    """One halo schedule's exchange plan in one run (``schedule`` is a
+    :class:`~repro.dist.HaloSchedule`, duck-typed).  Rank ``p`` packs
+    ``x_local[gather[p]]``, every destination's values in ``send_to``
+    order, into ``wire[offset[p]:offset[p + 1]]`` and unpacks its halo as
+    ``wire[scatter[p]]``; it receives ``link[p]`` = β·bytes (8 per float64
+    value) from each of ``sources[p]``.  Neighbour lists are plain lists:
+    on a handful of entries, list code beats NumPy calls."""
+
+    __slots__ = ("dests", "sources", "gather", "offset", "scatter", "link",
+                 "started", "finished", "generations")
+
+    def __init__(self, schedule, size: int, beta: float):
+        ranks = range(size)
+        self.dests = [[q for q, ids in schedule.send_to[p].items() if ids.size] for p in ranks]
+        self.sources = [[q for q, ids in schedule.recv_from[p].items() if ids.size]
+                        for p in ranks]
+        self.gather = [np.concatenate([schedule.recv_src[q][p] for q in self.dests[p]]
+                                      or [np.empty(0, np.intp)]) for p in ranks]
+        self.offset = np.cumsum([0] + [g.size for g in self.gather]).tolist()
+        self.scatter = [np.zeros(schedule.ext_cols[p].size, dtype=np.intp) for p in ranks]
+        for p in ranks:
+            start = self.offset[p]
+            for q in self.dests[p]:  # p's values for q land in q's halo here
+                pos = schedule.recv_pos[q][p]
+                self.scatter[q][pos] = start + np.arange(pos.size)
+                start += pos.size
+        self.link = [[beta * (8 * schedule.recv_pos[p][q].size) for q in self.sources[p]]
+                     for p in ranks]
+        self.started, self.finished = [0] * size, [0] * size
+        #: exchange k -> its _Exchange, from its first start to its last finish
+        self.generations: dict[int, _Exchange] = {}
+
+
+class _Exchange:
+    """One generation of a plan: its wire, post clocks (+ α), unposted
+    sources per rank, parked ranks and number of finishes."""
+
+    __slots__ = ("wire", "posts", "missing", "parked", "finished")
+
+    def __init__(self, plan: _HaloPlan):
+        self.wire = np.empty(plan.offset[-1])
+        self.posts = [0.0] * len(plan.sources)
+        self.missing = [len(s) for s in plan.sources]
+        self.parked: set[int] = set()
+        self.finished = 0
+
+
 class _Scheduler:
     """The shared state of one run: ready queue, mailboxes, wait records,
     clocks.  Rank endpoints mutate it directly; only one of them runs at a
@@ -135,7 +191,7 @@ class _Scheduler:
         "size", "clock", "alpha", "beta", "tracker", "tracer", "metrics",
         "injector", "ready", "boxes", "wait_src", "wait_tag", "deadlines",
         "expired", "clocks", "comms", "contexts", "arrived", "arrivals",
-        "results", "rounds", "booked_calls",
+        "results", "rounds", "booked_calls", "plans",
     )
 
     def __init__(self, size: int, clock: ClockModel, tracker: CommTracker | None):
@@ -153,7 +209,8 @@ class _Scheduler:
         #: it rarely holds more than a message or two
         self.boxes: list[dict[int, list]] = [{} for _ in range(size)]
         self.wait_src = [_RUNNABLE] * size
-        self.wait_tag = [ANY_TAG] * size
+        #: the tag a blocked rank waits on; (plan, exchange) in a halo finish
+        self.wait_tag: list = [ANY_TAG] * size
         #: blocked rank -> modeled instant its receive gives up
         self.deadlines: dict[int, float] = {}
         #: ranks woken by their deadline rather than by a delivery
@@ -169,6 +226,8 @@ class _Scheduler:
         self.results: list = []
         self.rounds: list | None = None
         self.booked_calls = 0
+        #: id(schedule) -> (schedule, its _HaloPlan), for this run only
+        self.plans: dict[int, tuple] = {}
 
     def enqueue(self, src: int, dest: int, tag: int, obj, arrival: float) -> None:
         """Put one message in ``dest``'s mailbox; re-queue ``dest`` if this
@@ -220,6 +279,13 @@ class _Scheduler:
                 blocked.append(
                     f"rank {rank} waits in allreduce ({self.arrived} of "
                     f"{self.size} ranks arrived)"
+                )
+            elif source == _HALO:
+                plan, k = self.wait_tag[rank]
+                unposted = [q for q in plan.sources[rank] if plan.started[q] <= k]
+                blocked.append(
+                    f"rank {rank} waits in halo_finish for exchange {k + 1} "
+                    f"from ranks {unposted}, which have not posted it"
                 )
             elif source != _RUNNABLE:
                 tag = self.wait_tag[rank]
@@ -322,14 +388,24 @@ class _Scheduler:
                 tracer.activate(contexts[dest])
             comms[dest]._replay_recv(src, tag, landed)
 
-    def book_collectives(self) -> None:
-        """Add the bulk-booked allreduce traffic (one message per edge per
-        call) to each sender's per-edge cells."""
-        for src, dst, _, _, booked in self.rounds if self.booked_calls else ():
-            for s, d, nbytes in zip(src.tolist(), dst.tolist(), booked.tolist()):
-                cell = self.comms[s]._edges.setdefault(d, [0, 0])
-                cell[0] += self.booked_calls
-                cell[1] += nbytes
+    def book(self) -> None:
+        """Add the traffic booked in bulk — one message per edge per native
+        allreduce and per halo start — to each sender's per-edge cells."""
+        calls = self.booked_calls
+        traffic = [
+            (s, d, calls, nbytes)
+            for src, dst, _, _, booked in (self.rounds if calls else ())
+            for s, d, nbytes in zip(src.tolist(), dst.tolist(), booked.tolist())
+        ] + [
+            (p, d, starts, starts * 8 * schedule.send_to[p][d].size)
+            for schedule, plan in self.plans.values()
+            for p, starts in enumerate(plan.started) if starts
+            for d in plan.dests[p]
+        ]
+        for src, dest, messages, nbytes in traffic:
+            cell = self.comms[src]._edges.setdefault(dest, [0, 0])
+            cell[0] += messages
+            cell[1] += nbytes
 
     def run(self, programs: list) -> list:
         """Drive the rank coroutines to completion; returns their results."""
@@ -478,6 +554,7 @@ class RankComm(Comm):
             sched.tracker is not None or sched.tracer.enabled or telemetry is not None
         )
         self._watched = sched.tracer.enabled or telemetry is not None
+        self._faulted = sched.injector is not None  # no native primitives
         #: dest -> [messages, bytes]; merged into the tracker when the run ends
         self._edges: dict[int, list[int]] = {}
         self._seen_dups: set[int] = set()  # sequence ids of delivered duplicates
@@ -568,9 +645,69 @@ class RankComm(Comm):
     def _allreduce(self, value, op):
         """Native on the scheduler; point to point while a fault injector
         is installed (and on one rank, where it returns ``value``)."""
-        if self._sched.injector is not None or self.size == 1:
+        if self._faulted or self.size == 1:
             return collectives.allreduce(self, value, op)
         return self._sched.allreduce(self.rank, value, op)
+
+    # -- the native halo exchange -----------------------------------------
+    def halo_plan(self, schedule):
+        """This run's exchange plan of a halo ``schedule`` (built on first
+        use), or ``None`` to exchange point to point: under a fault
+        injector, or while the tracer or telemetry watches every message."""
+        if self._faulted or self._watched:
+            return None
+        plans = self._sched.plans  # holding the schedule pins its id
+        if id(schedule) not in plans:
+            plans[id(schedule)] = schedule, _HaloPlan(schedule, self.size, self._sched.beta)
+        return plans[id(schedule)][1]
+
+    def halo_start(self, plan: _HaloPlan, x_local: np.ndarray) -> _HaloPlan:
+        """Post this rank's next exchange on ``plan``: pack ``x_local``'s
+        outgoing values and stamp them with the clock + α.  Never blocks;
+        returns the handle for :meth:`halo_finish`."""
+        sched, p = self._sched, self.rank
+        k = plan.started[p]
+        plan.started[p] = k + 1
+        exchange = plan.generations.get(k)
+        if exchange is None:
+            exchange = plan.generations[k] = _Exchange(plan)
+        x_local.take(plan.gather[p], mode="clip",
+                     out=exchange.wire[plan.offset[p]:plan.offset[p + 1]])
+        exchange.posts[p] = sched.clocks[p] + sched.alpha
+        missing, parked = exchange.missing, exchange.parked
+        for dest in plan.dests[p]:  # no call per edge: count down, wake the last
+            missing[dest] -= 1
+            if not missing[dest] and dest in parked:
+                parked.discard(dest)
+                sched.wait_src[dest] = _RUNNABLE
+                sched.ready.append(dest)
+        return plan
+
+    async def halo_finish(self, plan: _HaloPlan, halo: np.ndarray) -> np.ndarray:
+        """Complete this rank's oldest unfinished exchange on ``plan`` into
+        ``halo``: park until every source has posted it, then take the
+        values and move the clock to the latest arrival."""
+        sched, p = self._sched, self.rank
+        k = plan.finished[p]
+        if k >= plan.started[p]:
+            raise CommError(f"rank {p}: halo_finish without a matching halo_start "
+                            f"({k} started and finished on this plan)")
+        plan.finished[p] = k + 1
+        exchange = plan.generations[k]
+        if exchange.missing[p]:
+            exchange.parked.add(p)
+            sched.wait_src[p], sched.wait_tag[p] = _HALO, (plan, k)
+            await _park()
+        sources = plan.sources[p]
+        if sources:
+            arrival = max(map(add, map(exchange.posts.__getitem__, sources), plan.link[p]))
+            if arrival > sched.clocks[p]:
+                sched.clocks[p] = arrival
+            exchange.wire.take(plan.scatter[p], mode="clip", out=halo)
+        exchange.finished += 1
+        if exchange.finished == self.size:
+            del plan.generations[k]
+        return halo
 
     def _replay_recv(self, source: int, tag: int, arrival: float) -> None:
         """The receive of a native allreduce round, observed as
@@ -739,7 +876,7 @@ class RankComm(Comm):
         """``recv`` behind the peer checks; returns the coroutine to await:
         straight to the take-or-park loop unless a fault plan, the tracer
         or telemetry watches receives."""
-        if self._watched or self._sched.injector is not None:
+        if self._watched or self._faulted:
             return self._observed_recv(source, tag, timeout)
         return self._take_or_park(source, tag, timeout)
 
@@ -886,6 +1023,7 @@ def run_spmd(
         )
     finally:
         if tracker is not None:
-            sched.book_collectives()
+            sched.book()
             for comm in comms:
                 tracker.merge_p2p(comm.rank, comm._edges)
+        sched.plans.clear()  # they hold the run's schedules

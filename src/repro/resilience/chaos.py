@@ -20,7 +20,7 @@ gates on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -57,6 +57,13 @@ CHAOS_VERSION = 1
 #: Tolerance for "same final residual as the fault-free run" (relative).
 IDENTICAL_RTOL = 1e-10
 
+#: The bit-flip scenario's rate, in flips per halo update.  Per message it
+#: would grow with the rank count: at 0.002 per message, FSAI's three halo
+#: updates per iteration carry 0.32 flips per 10-iteration checkpoint window
+#: at 4 ranks (poisson2d:16), 2.96 at 16 (poisson2d:32) and 14 at 64
+#: (poisson2d:64), and checkpoint-restart recovers from rare flips only.
+BITFLIPS_PER_UPDATE = 0.01
+
 
 class ChaosError(ReproError):
     """A chaos report artifact is malformed or has the wrong format."""
@@ -70,7 +77,9 @@ class ChaosScenario:
     run to ``identical_rtol``; otherwise convergence alone suffices.
     ``engines`` restricts the scenario to the engines where its faults
     are meaningful (duplicates need real mailboxes, so SPMD only; bit-flips
-    need checkpoint-restart, which only the BSP ``pcg`` has).
+    need checkpoint-restart, which only the BSP ``pcg`` has).  A bit-flip
+    rule's probability is per halo update: :func:`run_chaos` spreads it
+    over the messages of one update of the solve it runs.
     """
 
     name: str
@@ -253,7 +262,7 @@ def standard_menu(ranks: int = 4) -> list[ChaosScenario]:
         ),
         ChaosScenario(
             "bitflip",
-            FaultPlan(bitflips=(PayloadBitFlip(probability=0.002, bit=62),)),
+            FaultPlan(bitflips=(PayloadBitFlip(probability=BITFLIPS_PER_UPDATE, bit=62),)),
             description="rare high-exponent bit-flips (checkpoint-restart path)",
             expect_identical=False,
             engines=("bsp",),
@@ -265,6 +274,17 @@ def quick_menu(ranks: int = 4) -> list[ChaosScenario]:
     """A two-scenario subset for smoke runs."""
     menu = standard_menu(ranks)
     return [menu[0], menu[2]]
+
+
+def _per_message(plan: FaultPlan, messages_per_update: float) -> FaultPlan:
+    """``plan`` with its bit-flip rates, given per halo update, spread over
+    the ``messages_per_update`` messages of one update."""
+    if not plan.bitflips or not messages_per_update:
+        return plan
+    return replace(plan, bitflips=tuple(
+        replace(rule, probability=rule.probability / messages_per_update)
+        for rule in plan.bitflips
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -310,6 +330,8 @@ def run_chaos(
     b = DistVector.from_global(paper_rhs(mat, seed=seed), part)
     pre = precond_builder(mat, part) if precond_builder is not None else None
     pair = (pre.g, pre.gt) if pre is not None else None
+    updates = [da.schedule] + ([pre.g.schedule, pre.gt.schedule] if pre is not None else [])
+    messages_per_update = sum(len(s.edges()) for s in updates) / len(updates)
 
     def solve(with_resilience: bool):
         """One solve on the selected engine → (converged, iters, final_rel)."""
@@ -338,12 +360,17 @@ def run_chaos(
     for idx, sc in enumerate(menu):
         if engine not in sc.engines:
             continue
-        plan = sc.plan.with_seed(seed + idx if sc.plan.seed == 0 else sc.plan.seed)
+        plan = _per_message(
+            sc.plan.with_seed(seed + idx if sc.plan.seed == 0 else sc.plan.seed),
+            messages_per_update,
+        )
         needs_ckpt = bool(plan.bitflips)
         error = None
         converged, iters, final = False, 0, float("nan")
         with tracing() as (_, metrics):
-            with fault_injection(plan) as injector:
+            # a flipped exponent overflows dot products until the rollback
+            with fault_injection(plan) as injector, \
+                    np.errstate(over="ignore", invalid="ignore"):
                 try:
                     converged, iters, final = solve(with_resilience=needs_ckpt)
                 except ReproError as exc:

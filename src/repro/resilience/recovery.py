@@ -7,7 +7,13 @@ recovery path here is the classic lightweight in-memory scheme:
 
 * every ``checkpoint_interval`` iterations the solver snapshots its
   recurrence state — ``(x, r, d, rz)`` plus the history lengths — via
-  :class:`CheckpointManager.save`;
+  :class:`CheckpointManager.save`.  A snapshot becomes the rollback target
+  only once the iteration started from it has passed the divergence
+  checks (:meth:`CheckpointManager.confirm`): a fault in the tail of the
+  previous iteration (``z = M r``, ``rᵀz``, the new ``d``) shows only
+  there, and a target holding it would fail every replay.  The first
+  snapshot is the target at once; the solver restarts it from its exact
+  ``x`` and ``r`` rather than trusting its ``d`` and ``rz``;
 * a divergence trigger (:meth:`CheckpointManager.should_rollback`:
   non-finite residual, residual exploding past ``divergence_factor`` times
   the checkpointed residual, or a ``dᵀAd ≤ 0`` breakdown) restores the
@@ -52,8 +58,11 @@ class ResilienceConfig:
         the residual at the last checkpoint.
     max_rollbacks:
         Give up (raise :class:`~repro.errors.ConvergenceError`) after this
-        many rollbacks — persistent divergence is a real breakdown, not a
-        transient fault.
+        many rollbacks to one checkpoint — persistent divergence is a real
+        breakdown, not a transient fault.  The count restarts when a newer
+        checkpoint is confirmed: a solve that recovered and made progress
+        has not diverged persistently, however many transient faults a
+        long solve meets.
     """
 
     checkpoint_interval: int = 10
@@ -88,7 +97,11 @@ class CheckpointManager:
     def __init__(self, config: ResilienceConfig):
         self.config = config
         self.checkpoint: Checkpoint | None = None
+        #: the last snapshot, until :meth:`confirm` makes it the checkpoint
+        self.pending: Checkpoint | None = None
         self.rollbacks = 0
+        #: rollbacks to the current checkpoint (the budgeted count)
+        self.rollbacks_here = 0
 
     def due(self, iteration: int) -> bool:
         """Whether a snapshot should be taken before this iteration."""
@@ -96,8 +109,9 @@ class CheckpointManager:
         return iteration % interval == 0
 
     def save(self, iteration: int, residual: float, rz: float, x, r, d) -> None:
-        """Snapshot the recurrence state entering ``iteration``."""
-        self.checkpoint = Checkpoint(
+        """Snapshot the recurrence state entering ``iteration`` (the
+        rollback target at once if it is the first, else once confirmed)."""
+        snapshot = Checkpoint(
             iteration=iteration,
             residual=float(residual),
             rz=float(rz),
@@ -107,12 +121,24 @@ class CheckpointManager:
             history_len=iteration + 1,
             coeff_len=iteration,
         )
+        if self.checkpoint is None:
+            self.checkpoint = snapshot
+        else:
+            self.pending = snapshot
         get_metrics().counter("pcg.checkpoints").inc()
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
                 "resilience.checkpoint", index=iteration, residual=float(residual)
             )
+
+    def confirm(self) -> None:
+        """The iteration started from the pending snapshot passed the
+        divergence checks: make it the rollback target."""
+        if self.pending is not None:
+            if self.pending.iteration > self.checkpoint.iteration:
+                self.rollbacks_here = 0  # progress
+            self.checkpoint, self.pending = self.pending, None
 
     def should_rollback(self, residual: float) -> bool:
         """Divergence trigger: non-finite or exploded recurrence residual."""
@@ -131,6 +157,7 @@ class CheckpointManager:
         budget is exhausted or no checkpoint was ever taken.
         """
         ckpt = self.checkpoint
+        self.pending = None
         if ckpt is None:
             raise ConvergenceError(
                 "divergence detected before any checkpoint was taken",
@@ -138,6 +165,7 @@ class CheckpointManager:
                 float("nan"),
             )
         self.rollbacks += 1
+        self.rollbacks_here += 1
         get_metrics().counter("pcg.rollbacks").inc()
         tracer = get_tracer()
         if tracer.enabled:
@@ -147,10 +175,11 @@ class CheckpointManager:
                 cause=cause,
                 rollbacks=self.rollbacks,
             )
-        if self.rollbacks > self.config.max_rollbacks:
+        if self.rollbacks_here > self.config.max_rollbacks:
             raise ConvergenceError(
-                f"solver rolled back {self.rollbacks} times (cause: {cause}) — "
-                "persistent divergence, not a transient fault",
+                f"solver rolled back {self.rollbacks_here} times to iteration "
+                f"{ckpt.iteration} (cause: {cause}) — persistent divergence, "
+                "not a transient fault",
                 ckpt.iteration,
                 ckpt.residual,
             )

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.dist import DistMatrix, DistVector, RowPartition
+from repro.dist import DistMatrix, DistVector, HaloSchedule, RowPartition
 from repro.matgen import paper_rhs, poisson2d, poisson3d
 from repro.sparse import CSRMatrix
 
@@ -19,6 +21,16 @@ def drive(coro):
         return stop.value
     coro.close()
     raise AssertionError("coroutine parked")
+
+
+def ring_halo(offsets, ranks: int = 12, rows: int = 4) -> SimpleNamespace:
+    """What a halo exchange reads of a ``DistMatrix`` (``schedule`` and
+    ``partition``) for ``ranks`` contiguous ranks of ``rows`` rows each, in
+    which rank ``p`` receives the first row of rank ``(p + d) % ranks`` for
+    every ``d`` in ``offsets``."""
+    part = RowPartition.contiguous(ranks * rows, ranks)
+    ext = [np.unique([(p + d) % ranks * rows for d in offsets]) for p in range(ranks)]
+    return SimpleNamespace(schedule=HaloSchedule(part, ext), partition=part)
 
 
 def build_poisson2d(n: int) -> CSRMatrix:

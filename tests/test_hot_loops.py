@@ -10,19 +10,25 @@ frames entered (``sys.setprofile`` ``call`` events; C builtins raise
 ``HaloSchedule.from_row_structure`` is counted in executed lines
 (``sys.settrace``) instead, because its old per-row loop made no calls.
 ``ExtensionWorkspace.finalize`` sorts rows into classes (kept, base, solved
-again) and must do that, too, without a Python call per row.
+again) and must do that, too, without a Python call per row.  An SPMD halo
+exchange must cost a rank as many Python calls with eight neighbours as
+with two: no call per message.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import numpy as np
 import pytest
+from conftest import ring_halo
 
 from repro.cachesim import CacheConfig, SetAssociativeCache
 from repro.core import ExtensionMode, ExtensionWorkspace, FilterSpec, extension_entry_mask
 from repro.dist import DistMatrix, HaloSchedule, RowPartition
+from repro.dist.spmd import _halo_exchange_finish, _halo_exchange_start
+from repro.mpisim import run_spmd
 from repro.sparse import CSRMatrix, SparsityPattern
 
 SMALL, GROWTH = 96, 8
@@ -141,4 +147,37 @@ def test_finalize_makes_no_per_row_python_call():
     # fewer is fine: batches too large for the table gather skip its helpers
     assert 0 < large <= small, (
         f"finalize: {small} Python calls at n={SMALL}, {large} at n={GROWTH * SMALL}"
+    )
+
+
+def calls_per_halo_exchange(offsets, ranks=12) -> float:
+    """Python calls per rank per SPMD halo exchange on a ring in which each
+    rank receives from ``len(offsets)`` others: the difference between
+    runs of three exchanges and of one, so the per-run set-up cancels."""
+    ring = ring_halo(offsets, ranks=ranks)
+
+    async def prog(comm, exchanges):
+        x, halo = np.ones(4), np.zeros(len(offsets))
+        for _ in range(exchanges):
+            pending = _halo_exchange_start(comm, ring, x)
+            await comm.allreduce(0.0)  # everyone has posted: no finish parks
+            await _halo_exchange_finish(comm, ring, pending, halo)
+
+    run_spmd(prog, ranks, 1)
+    gc.collect()
+    gc.disable()  # a collection would run other objects' finalizers
+    try:
+        one, three = (python_calls(lambda: run_spmd(prog, ranks, n)) for n in (1, 3))
+    finally:
+        gc.enable()
+    return (three - one) / (2 * ranks)
+
+
+def test_a_halo_exchange_makes_no_python_call_per_neighbour():
+    two = calls_per_halo_exchange((-1, 1))
+    eight = calls_per_halo_exchange((-4, -3, -2, -1, 1, 2, 3, 4))
+    assert two > 0
+    assert eight == two, (
+        f"{two} Python calls per rank per halo exchange with 2 neighbours, "
+        f"{eight} with 8 — per-message Python is back"
     )

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from conftest import drive
+from conftest import drive, ring_halo
 
+from repro.dist import DistMatrix, DistVector, RowPartition, spmd_halo_update
+from repro.dist.spmd import _halo_exchange_finish, _halo_exchange_start
 from repro.errors import CommError
+from repro.instrument import tracing
+from repro.matgen import poisson2d
 from repro.mpisim import (
     ANY_TAG,
     SUM,
@@ -21,6 +28,8 @@ from repro.mpisim import (
     run_spmd,
 )
 from repro.mpisim.comm import MAX, MIN
+from repro.observe.stream import TelemetryConfig
+from repro.resilience import FaultPlan, fault_injection
 
 SIZES = [1, 2, 3, 4, 5, 7, 8]
 
@@ -290,6 +299,70 @@ class TestAllreduceFailures:
         message = str(err.value)
         assert "rank 0 waits in allreduce (2 of 3 ranks arrived)" in message
         assert "rank 1 waits on recv(source=0" in message
+
+
+class TestNativeHalo:
+    """The engine's split-phase halo exchange: its failures are typed, and
+    nothing of a run's plans outlives the run."""
+
+    def test_deadlock_names_the_sources_that_have_not_posted(self):
+        ring = ring_halo((-1, 1), ranks=4)
+
+        async def prog(comm):
+            if comm.rank == 1:
+                return None  # never posts
+            halo = np.zeros(2)
+            pending = _halo_exchange_start(comm, ring, np.ones(4))
+            return await _halo_exchange_finish(comm, ring, pending, halo)
+
+        with pytest.raises(CommError, match="deadlock") as err:
+            run_spmd(prog, 4)
+        message = str(err.value)
+        for rank in (0, 2):
+            assert (f"rank {rank} waits in halo_finish for exchange 1 from ranks [1], "
+                    "which have not posted it") in message
+        assert "rank 3" not in message  # its sources 0 and 2 posted
+
+    @pytest.mark.parametrize("starts", [0, 1])
+    def test_a_finish_without_a_start_raises(self, starts):
+        ring = ring_halo((-1, 1), ranks=4)
+
+        async def prog(comm):
+            plan = comm.halo_plan(ring.schedule)
+            for _ in range(starts):
+                await comm.halo_finish(comm.halo_start(plan, np.ones(4)), np.zeros(2))
+            await comm.halo_finish(plan, np.zeros(2))
+
+        with pytest.raises(CommError, match="halo_finish without a matching halo_start"):
+            run_spmd(prog, 4)
+
+    @pytest.mark.parametrize("watch", ["faults", "tracing", "telemetry"])
+    def test_faulted_and_watched_runs_exchange_point_to_point(self, watch):
+        ring = ring_halo((-1, 1), ranks=4)
+
+        async def prog(comm):
+            return comm.halo_plan(ring.schedule)
+
+        assert all(plan is not None for plan in run_spmd(prog, 4))
+        telemetry = TelemetryConfig() if watch == "telemetry" else None
+        watching = {"faults": lambda: fault_injection(FaultPlan()),
+                    "tracing": tracing, "telemetry": nullcontext}[watch]
+        with watching():
+            assert run_spmd(prog, 4, telemetry=telemetry) == [None] * 4
+
+    def test_the_engine_keeps_nothing_of_the_matrix(self):
+        """A plan holds its schedule only while the run lasts: with the
+        collector off, dropping the caller's references frees both."""
+        mat, part = poisson2d(8), RowPartition.contiguous(64, 4)
+        gc.disable()
+        try:
+            da = DistMatrix.from_global(mat, part)
+            spmd_halo_update(da, DistVector.from_global(np.ones(64), part))
+            refs = weakref.ref(da), weakref.ref(da.schedule)
+            del da
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestSelfComm:

@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 
 from repro.cachesim import CacheConfig, simulate_misses
 from repro.dist import DistMatrix, DistVector, RowPartition
+from repro.dist.spmd import _halo_exchange_finish, _halo_exchange_start
 from repro.instrument import tracing
 from repro.matgen import poisson2d
 from repro.mpisim import SUM, ClockModel, CommTracker, ReduceOp, run_spmd
 from repro.mpisim.comm import MAX, MIN
 from repro.observe.stream import TelemetryConfig
 from repro.partition import graph_from_matrix, partition_matrix
+from repro.perfmodel import SKYLAKE
+from repro.sparse import CSRMatrix
 from repro.resilience import FaultPlan, fault_injection
 
 SETTINGS = settings(max_examples=15, deadline=None)
@@ -161,6 +164,71 @@ class TestNativeAllreduceOracle:
         native = self.run(size, values, skews, op, clock, observe, point_to_point=False)
         oracle = self.run(size, values, skews, op, clock, observe, point_to_point=True)
         assert native == oracle
+
+
+async def _three_exchanges(comm, mat, values, skews, work):
+    """Two exchanges outstanding on one plan, local compute between their
+    starts and finishes, then a third; returns each halo's bytes and the
+    clock after each finish."""
+    p = comm.rank
+    halos = [np.full(mat.schedule.ext_cols[p].size, np.nan) for _ in range(3)]
+    comm.advance(skews[p])
+    first = _halo_exchange_start(comm, mat, values[p])
+    second = _halo_exchange_start(comm, mat, 2.0 * values[p])
+    comm.advance(work[p])
+    await _halo_exchange_finish(comm, mat, first, halos[0])
+    clocks = [comm.now()]
+    await _halo_exchange_finish(comm, mat, second, halos[1])
+    clocks.append(comm.now())
+    comm.advance(work[-1 - p])
+    await _halo_exchange_finish(
+        comm, mat, _halo_exchange_start(comm, mat, 3.0 * values[p]), halos[2]
+    )
+    clocks.append(comm.now())
+    return [h.tobytes() for h in halos], clocks
+
+
+class TestNativeHaloOracle:
+    """The engine's halo exchange against the point-to-point one every
+    rank runs under an installed (here empty) ``FaultPlan``, on random
+    schedules: ragged and empty edges, ranks with no neighbours."""
+
+    @staticmethod
+    def run(mat, values, skews, work, clock, point_to_point):
+        tracker = CommTracker()
+        with fault_injection(FaultPlan()) if point_to_point else nullcontext():
+            out = run_spmd(_three_exchanges, mat.partition.nparts, mat, values, skews,
+                           work, tracker=tracker, clock=clock)
+        return out, tracker.snapshot()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(0, 30),
+        st.sampled_from([0.0, 0.05, 0.4]),
+        st.sampled_from([ClockModel(), SKYLAKE.clock_model()]),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_native_equals_point_to_point(self, size, extra_rows, density, clock, seed):
+        rng = np.random.default_rng(seed)
+        n = size + extra_rows
+        owner = rng.permutation(
+            np.concatenate([np.arange(size), rng.integers(0, size, extra_rows)])
+        )
+        rows, cols = np.nonzero(rng.random((n, n)) < density)
+        mat = DistMatrix.from_global(
+            CSRMatrix.from_coo((n, n), rows, cols, np.ones(rows.size)),
+            RowPartition(owner, size),
+        )
+        values = [rng.standard_normal(lm.n_local) for lm in mat.locals]
+        skews = (rng.integers(0, 5, size) * 1e-6).tolist()
+        work = (rng.integers(0, 5, size) * 1e-6).tolist()
+        native = self.run(mat, values, skews, work, clock, point_to_point=False)
+        oracle = self.run(mat, values, skews, work, clock, point_to_point=True)
+        assert native == oracle
+        # and the first exchange delivers what the BSP update does
+        expected = mat.schedule.update(values)
+        assert [halos[0] for halos, _ in native[0]] == [h.tobytes() for h in expected]
 
 
 # A random SPMD program is a tree: leaves are communication steps every rank

@@ -20,6 +20,7 @@ from repro.dist import DistVector, RowPartition, spmd_cg
 from repro.errors import CommError, ConvergenceError, FaultPlanError
 from repro.instrument import TraceError, tracing
 from repro.instrument.export import spans_to_dicts, validate_span_monotonicity
+from repro.matgen import poisson2d
 from repro.mpisim import CommTracker, get_injector, run_spmd
 from repro.resilience import (
     ChaosError,
@@ -35,7 +36,9 @@ from repro.resilience import (
     RankStall,
     ResilienceConfig,
     fault_injection,
+    run_chaos,
     solve_with_failover,
+    standard_menu,
 )
 from repro.resilience.degraded import degrade_system, degrade_vector
 
@@ -283,6 +286,79 @@ class TestCheckpointRestart:
             assert metrics.sum_values("pcg.checkpoints") > 0
         assert guarded.iterations == clean.iterations
         assert guarded.final_residual == clean.final_residual
+
+    @pytest.mark.parametrize(
+        "corrupt_calls, interval, rollbacks",
+        [({1}, 10, 1), ({11}, 10, 1), (set(range(4, 200, 9)), 5, 6)],
+        ids=["before-the-loop", "before-a-checkpoint", "every-ninth"],
+    )
+    def test_a_corrupted_preconditioner_is_rolled_back_and_replayed(
+        self, dist_poisson16, corrupt_calls, interval, rollbacks
+    ):
+        """A NaN from ``z = M r`` is rolled back and replayed exactly: before
+        the loop (call 1) and in the last iteration before the second
+        checkpoint (call 11) it never reaches a checkpoint, and six spaced
+        faults, each recovered from with progress in between, do not
+        exhaust a budget of four rollbacks to one checkpoint."""
+        _, part, da, b = dist_poisson16
+        pre = build_fsai(da.to_global(), part)
+        calls = 0
+
+        def flaky(r, tracker):
+            nonlocal calls
+            calls += 1
+            z = pre.apply(r, tracker)
+            if calls in corrupt_calls:
+                z.parts[0][0] = np.nan
+            return z
+
+        clean = pcg(da, b, precond=lambda r, tracker: pre.apply(r, tracker), rtol=RTOL)
+        with tracing() as (_, metrics), np.errstate(invalid="ignore"):
+            faulty = pcg(da, b, precond=flaky, rtol=RTOL,
+                         resilience=ResilienceConfig(checkpoint_interval=interval))
+            assert metrics.sum_values("pcg.rollbacks") == rollbacks
+        assert faulty.converged
+        assert faulty.iterations == clean.iterations
+        assert faulty.final_residual == clean.final_residual
+
+    def test_a_silent_fault_is_caught_when_checkpointing(self, dist_poisson16):
+        """A value lost from ``r`` trips no recurrence check, and CG would
+        converge its recurrence to the wrong ``x``; the checkpoint's
+        ``b − A x`` comparison rolls it back instead."""
+        _, part, da, b = dist_poisson16
+        pre = build_fsai(da.to_global(), part)
+        calls = 0
+
+        def flaky(r, tracker):
+            nonlocal calls
+            calls += 1
+            if calls == 5:
+                r.parts[0][0] += 1.0
+            return pre.apply(r, tracker)
+
+        clean = pcg(da, b, precond=lambda r, tracker: pre.apply(r, tracker), rtol=RTOL)
+        with tracing() as (_, metrics):
+            faulty = pcg(da, b, precond=flaky, rtol=RTOL, resilience=ResilienceConfig())
+            assert metrics.sum_values("pcg.rollbacks") == 1
+        assert faulty.iterations == clean.iterations
+        assert faulty.final_residual == clean.final_residual
+        true = b.copy().axpy(-1.0, da.spmv(faulty.x)).norm2()
+        assert true <= 10 * RTOL * b.norm2()
+
+    def test_bitflips_at_sixteen_ranks_are_rare_per_checkpoint_window(self):
+        """The bit-flip scenario's rate is per halo update.  Per message,
+        poisson2d(32) on 16 ranks sends 9x the messages of poisson2d(16) on
+        4 per iteration, ~3 flips per checkpoint window, and every rollback
+        budget ran out."""
+        menu = [sc for sc in standard_menu(16) if sc.name == "bitflip"]
+        report = run_chaos(
+            poisson2d(32), ranks=16, menu=menu,
+            precond_builder=lambda a, part: build_fsai(a, part),
+        )
+        (outcome,) = report.scenarios
+        assert outcome.survived, report.render()
+        assert outcome.injected["bitflips"] > 0
+        assert outcome.rollbacks > 0
 
 
 # ---------------------------------------------------------------------------
