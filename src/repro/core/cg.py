@@ -268,8 +268,12 @@ def pcg(
         snapshotted every ``checkpoint_interval`` iterations, and a
         divergence trigger (non-finite/exploding residual or a
         ``dᵀAd ≤ 0`` breakdown) rolls back to the last snapshot and
-        replays deterministically.  ``None`` (the default) imports and
-        checks nothing — the hot loop is unchanged.
+        replays deterministically.  ``b − A x`` is compared with ``r`` at
+        every checkpoint and once more before convergence is declared, so
+        a value lost in the last window is rolled back too; a solve whose
+        rollback budget runs out returns ``converged=False``.  ``None``
+        (the default) imports and checks nothing — the hot loop is
+        unchanged.
     """
     precond_fn = resolve_precond(precond)
     ws = workspace if workspace is not None else SolverWorkspace(mat)
@@ -315,13 +319,17 @@ def pcg(
 
             ckpt = CheckpointManager(resilience)
 
+        exhausted = False
+
         def _try_rollback(cause: str):
             """One rollback, or ``None`` when the budget is exhausted."""
+            nonlocal exhausted
             try:
                 return ckpt.rollback(cause)
             except ConvergenceError:
                 if raise_on_fail:
                     raise
+                exhausted = True
                 return None
 
         def _drifted() -> bool:
@@ -347,6 +355,14 @@ def pcg(
 
         for _ in range(max_iterations):
             if history[-1] <= target:
+                # a value lost since the last checkpoint leaves the
+                # recurrence converging to the wrong x: check once more
+                if ckpt is not None and iterations and _drifted():
+                    state = _try_rollback("drift")
+                    if state is None:
+                        break
+                    rz, iterations = _restore(state)
+                    continue
                 converged = True
                 break
             if ckpt is not None and ckpt.due(iterations):
@@ -399,8 +415,9 @@ def pcg(
                 iterations += 1
                 iter_counter.inc()
 
-        if history[-1] <= target:
-            converged = True
+        if not converged and not exhausted and history[-1] <= target:
+            # the iteration budget ran out on the converging iteration
+            converged = ckpt is None or not _drifted()
         metrics.gauge("pcg.converged").set(converged)
         metrics.gauge("pcg.final_residual").set(history[-1])
     if not converged and raise_on_fail:

@@ -52,10 +52,7 @@ def pipelined_pcg(
 
     def fused_dots(*pairs: tuple[DistVector, DistVector]) -> list[float]:
         """Several global dots in ONE allreduce — the pipelining payoff."""
-        partials = [
-            sum(float(np.dot(a, b_)) for a, b_ in zip(x_.parts, y_.parts))
-            for x_, y_ in pairs
-        ]
+        partials = [x_.dot(y_) for x_, y_ in pairs]
         if tracker is not None:
             # 8 bytes per scalar per rank, as DistVector.dot books them
             tracker.record_collective(

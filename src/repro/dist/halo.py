@@ -48,7 +48,7 @@ class HaloSchedule:
     """
 
     __slots__ = ("partition", "ext_cols", "recv_from", "send_to", "recv_pos", "recv_src",
-                 "__weakref__")
+                 "_flat", "__weakref__")
 
     def __init__(self, partition: RowPartition, ext_cols: list[np.ndarray]):
         if len(ext_cols) != partition.nparts:
@@ -83,6 +83,7 @@ class HaloSchedule:
             {q: partition.local_index[ids] for q, ids in by_owner.items()}
             for by_owner in self.recv_from
         ]
+        self._flat: tuple | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -106,6 +107,35 @@ class HaloSchedule:
         return cls.from_row_structure(partition, pattern.indptr, pattern.indices)
 
     # ------------------------------------------------------------------
+    @property
+    def halo_offsets(self) -> np.ndarray:
+        """``halo_offsets[p]`` — where rank ``p``'s halo starts in the one
+        buffer holding every rank's halo, rank after rank (``nparts + 1``
+        entries)."""
+        return (self._flat or self._flat_layout())[0]
+
+    def _flat_layout(self) -> tuple:
+        """``(halo_offsets, source, message bytes)``, built on first use —
+        most schedules (set-up, invariance checks) never run an update.
+        ``source`` holds, for every position of the one-buffer halo, the
+        position of its value in a :class:`~repro.dist.vector.DistVector`'s
+        rank-ordered ``values``."""
+        part = self.partition
+        offsets = np.zeros(part.nparts + 1, dtype=np.int64)
+        np.cumsum([c.size for c in self.ext_cols], out=offsets[1:])
+        row_offsets = np.zeros(part.nparts + 1, dtype=np.int64)
+        np.cumsum(np.bincount(part.owner, minlength=part.nparts), out=row_offsets[1:])
+        ext = np.concatenate([*self.ext_cols, np.empty(0, dtype=np.int64)])
+        src = row_offsets[part.owner[ext]] + part.local_index[ext]
+        # (sender, receiver) -> bytes of every message, in update order
+        message_bytes = {
+            (q, p): 8 * int(ids.size)
+            for p, by_owner in enumerate(self.recv_from)
+            for q, ids in by_owner.items()
+        }
+        self._flat = (offsets, src, message_bytes)
+        return self._flat
+
     def halo_size(self, rank: int) -> int:
         """Number of halo values the rank receives per update."""
         return self.ext_cols[rank].size
@@ -143,11 +173,10 @@ class HaloSchedule:
         exchanged message is recorded in ``tracker`` (8 bytes per value).
 
         ``out`` supplies preallocated receive buffers (one per rank, each of
-        length ``halo_size(p)``) — e.g. tail views of a
-        :class:`~repro.kernels.workspace.SolverWorkspace` SpMV input vector —
-        making the update allocation-free.  Received values cover every halo
-        position, so the buffers need no zeroing.  Without ``out``, fresh
-        buffers are allocated and counted in the ``kernels.allocs`` metric.
+        length ``halo_size(p)``), making the update allocation-free.
+        Received values cover every halo position, so the buffers need no
+        zeroing.  Without ``out``, fresh buffers are allocated and counted in
+        the ``kernels.allocs`` metric.
 
         With tracing enabled, the update emits a ``halo.update`` span with
         one ``halo.exchange`` child per receiving rank (tagged ``rank`` and
@@ -163,22 +192,49 @@ class HaloSchedule:
         injector = get_injector()
         if tracer.enabled or injector is not None:
             return self._update_traced(x_parts, tracker, tracer, out, injector)
-        part = self.partition
-        metrics = get_metrics()
-        record = metrics.enabled
         halos = self._recv_buffers(out)
-        for p in range(part.nparts):
-            for q, ids in self.recv_from[p].items():
-                if ids.size == 0:
-                    continue
-                values = x_parts[q][self.recv_src[p][q]]
-                halos[p][self.recv_pos[p][q]] = values
-                if tracker is not None:
-                    tracker.record_p2p(q, p, 8 * ids.size)
-                if record:
-                    metrics.counter("halo.bytes_sent", rank=q).inc(8 * int(ids.size))
-                    metrics.counter("halo.msgs", rank=q).inc()
+        for p, by_owner in enumerate(self.recv_from):
+            for q in by_owner:
+                halos[p][self.recv_pos[p][q]] = x_parts[q][self.recv_src[p][q]]
+        self._book(tracker)
         return halos
+
+    def gather(self, x, halo: np.ndarray, tracker: CommTracker | None = None) -> None:
+        """Halo update into one buffer: every rank's halo, rank after rank.
+
+        ``x`` is a :class:`~repro.dist.vector.DistVector`; ``halo`` has
+        :attr:`halo_offsets` ``[-1]`` entries.  The update is one gather from
+        ``x.values`` — no Python per rank or per message — and books every
+        message exactly as :meth:`update` does.  Traced and fault-injected
+        runs take :meth:`update`'s per-message path into per-rank views of
+        ``halo`` instead, so spans, retries and bit-flips still act message
+        by message.
+        """
+        offsets, src, _ = self._flat or self._flat_layout()
+        tracer = get_tracer()
+        injector = get_injector()
+        if tracer.enabled or injector is not None:
+            bounds = offsets.tolist()
+            views = [halo[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            self._update_traced(x.parts, tracker, tracer, views, injector)
+            return
+        # indices are in range by construction; "clip" skips the buffered
+        # copy NumPy makes of ``out`` under the default bounds check
+        x.values.take(src, out=halo, mode="clip")
+        self._book(tracker)
+
+    def _book(self, tracker: CommTracker | None) -> None:
+        """Account one untraced update: tracker and per-sender metrics."""
+        metrics = get_metrics()
+        if tracker is None and not metrics.enabled:
+            return
+        message_bytes = (self._flat or self._flat_layout())[2]
+        if tracker is not None:
+            tracker.record_p2p_many(message_bytes)
+        if metrics.enabled:
+            for (q, _), nbytes in message_bytes.items():
+                metrics.counter("halo.bytes_sent", rank=q).inc(nbytes)
+                metrics.counter("halo.msgs", rank=q).inc()
 
     def _recv_buffers(self, out: list[np.ndarray] | None) -> list[np.ndarray]:
         """Validate supplied receive buffers, or allocate (and count) fresh ones.

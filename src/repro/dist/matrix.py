@@ -7,9 +7,17 @@ positions ``[n_local, n_local + n_halo)`` are the halo unknowns in the order
 of :attr:`HaloSchedule.ext_cols`.  The SpMV multiplying vector is the
 concatenation ``[x_local | x_halo]`` — the memory layout whose cache lines
 the FSAIE/FSAIE-Comm extensions exploit.
+
+The solvers apply all ranks' blocks at once: :meth:`DistMatrix.operator`
+stacks them into one CSR matrix over ``[every x_local | every x_halo]``, so
+a distributed product is one compiled call whose every row is summed
+exactly as its rank's block sums it.
 """
 
 from __future__ import annotations
+
+import weakref
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,6 +28,9 @@ from repro.errors import ShapeError
 from repro.instrument import get_metrics
 from repro.mpisim.tracker import CommTracker
 from repro.sparse.csr import CSRMatrix
+
+if TYPE_CHECKING:
+    from repro.kernels.plan import SpMVPlan
 
 __all__ = ["LocalMatrix", "DistMatrix"]
 
@@ -92,8 +103,8 @@ class LocalMatrix:
 class DistMatrix:
     """A sparse matrix distributed by rows with a halo exchange schedule."""
 
-    __slots__ = ("partition", "locals", "schedule", "shape", "_plans", "_split",
-                 "__weakref__")
+    __slots__ = ("partition", "locals", "schedule", "shape", "_values", "_operator",
+                 "_split", "__weakref__")
 
     def __init__(
         self,
@@ -108,7 +119,8 @@ class DistMatrix:
         self.locals = locals_
         self.schedule = schedule
         self.shape = (int(shape[0]), int(shape[1]))
-        self._plans: list | None = None
+        self._values: np.ndarray | None = None
+        self._operator: weakref.ref[SpMVPlan] | None = None
         self._split: list | None = None
 
     # ------------------------------------------------------------------
@@ -120,6 +132,10 @@ class DistMatrix:
         if mat.nrows != partition.nrows:
             raise ShapeError("partition size does not match the matrix")
         schedule = HaloSchedule.from_row_structure(partition, mat.indptr, mat.indices)
+        # every row lands on one rank: the blocks' values are slices of one
+        # array, rank after rank — the operator's (see operator())
+        values = np.empty(mat.nnz, dtype=np.float64)
+        pos = 0
         locals_: list[LocalMatrix] = []
         for p in range(partition.nparts):
             rows = partition.global_ids[p]
@@ -140,12 +156,14 @@ class DistMatrix:
             keys = np.repeat(np.arange(n_local, dtype=np.int64) * width, counts)
             keys += local_cols
             order = np.argsort(keys, kind="stable")
-            csr = CSRMatrix(
-                (n_local, width), indptr, local_cols[order], mat.data[src[order]],
-                check=False,
-            )
+            data = values[pos : pos + src.size]
+            np.take(mat.data, src[order], out=data, mode="clip")  # in range: no buffer
+            pos += src.size
+            csr = CSRMatrix((n_local, width), indptr, local_cols[order], data, check=False)
             locals_.append(LocalMatrix(p, csr, rows, ext))
-        return cls(partition, locals_, schedule, mat.shape)
+        dmat = cls(partition, locals_, schedule, mat.shape)
+        dmat._values = values
+        return dmat
 
     def to_global(self) -> CSRMatrix:
         """Reassemble the global matrix (testing/debugging helper)."""
@@ -175,21 +193,70 @@ class DistMatrix:
         """Stored entries per rank."""
         return np.array([lm.nnz for lm in self.locals], dtype=np.int64)
 
-    def plans(self) -> list:
-        """Per-rank :class:`~repro.kernels.plan.SpMVPlan` set, built lazily.
+    def operator(self) -> SpMVPlan:
+        """Every rank's block as one :class:`~repro.kernels.plan.SpMVPlan`.
 
-        Cached on the matrix (plans reference its arrays, so the matrix must
-        not be mutated after the first call).  Cache hits and misses
-        accumulate in the ``kernels.plan_cache.*`` metrics.
+        The stacked matrix has the ranks' rows, rank after rank — the layout
+        of :attr:`DistVector.values` — and its columns index one input
+        buffer ``X = [every rank's x_local, rank after rank | every rank's
+        halo, at HaloSchedule.halo_offsets]``: rank ``p``'s local column
+        ``c`` becomes ``row_offset[p] + c`` and its halo column
+        ``n_local + k`` becomes ``nrows + halo_offsets[p] + k``.  The remap
+        keeps each row's stored order, so the compiled kernel sums every
+        row exactly as it sums the rank's own block: the product is bitwise
+        the per-rank one.
+
+        Built lazily and cached on the matrix, which must not be mutated
+        afterwards.  The plan's values are the blocks' own: each local
+        block's ``data`` is a view of one array (from
+        :meth:`from_global` on; blocks built otherwise are stacked and
+        rebound on first use), so every value is stored once.  The matrix
+        holds the plan weakly; its users (each
+        :class:`~repro.kernels.workspace.SolverWorkspace` that applies the
+        matrix) hold it strongly.  The stacked indices cost 8 B per stored
+        entry, so a matrix nothing applies any more gives them back: a
+        filter sweep that keeps its 18 preconditioners would otherwise hold
+        the indices of 37 operators (17 MiB) at once.
         """
-        if self._plans is None:
+        plan = self._operator() if self._operator is not None else None
+        if plan is None:
+            # imported with the first operator, not with the package (see SpMVPlan)
             from repro.kernels.plan import SpMVPlan
 
-            get_metrics().counter("kernels.plan_cache.misses").inc()
-            self._plans = [SpMVPlan(lm.csr) for lm in self.locals]
-        else:
-            get_metrics().counter("kernels.plan_cache.hits").inc()
-        return self._plans
+            plan = SpMVPlan(self._stacked())
+            self._operator = weakref.ref(plan)
+        return plan
+
+    def _stacked(self) -> CSRMatrix:
+        nrows = self.shape[0]
+        halo_offsets = self.schedule.halo_offsets
+        indptr = np.zeros(nrows + 1, dtype=np.int64)
+        np.cumsum(np.concatenate([np.diff(lm.csr.indptr) for lm in self.locals]),
+                  out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int64)
+        row, pos = 0, 0
+        for lm, halo_start in zip(self.locals, halo_offsets.tolist()):
+            cols, end = lm.csr.indices, pos + lm.nnz
+            out = indices[pos:end]
+            np.add(cols, row, out=out)
+            out[cols >= lm.n_local] += nrows + halo_start - row - lm.n_local
+            row, pos = row + lm.n_local, end
+        return CSRMatrix(
+            (nrows, nrows + int(halo_offsets[-1])), indptr, indices, self._stacked_values(),
+            check=False,
+        )
+
+    def _stacked_values(self) -> np.ndarray:
+        """Every block's values in one array, each block's ``data`` a view."""
+        values = self._values
+        if values is None or any(lm.csr.data.base is not values for lm in self.locals):
+            values = np.concatenate([np.empty(0), *(lm.csr.data for lm in self.locals)])
+            pos = 0
+            for lm in self.locals:
+                lm.csr.data = values[pos : pos + lm.nnz]
+                pos += lm.nnz
+            self._values = values
+        return values
 
     def split_blocks(self) -> list[tuple[CSRMatrix, CSRMatrix | None]]:
         """Per-rank ``(A_ll, A_lh)`` column split of the local blocks.
@@ -259,3 +326,4 @@ class DistMatrix:
             f"DistMatrix(shape={self.shape}, nparts={self.partition.nparts}, "
             f"nnz={self.nnz})"
         )
+

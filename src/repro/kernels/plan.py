@@ -54,6 +54,7 @@ class SpMVPlan:
 
     __slots__ = (
         "mat", "nrows", "ncols", "nnz", "_csr", "_matvec", "_matvec_t", "calls", "calls_t",
+        "__weakref__",
     )
 
     def __init__(self, mat: CSRMatrix):

@@ -1,10 +1,11 @@
 """Preallocated solver workspaces — zero-allocation distributed hot loops.
 
 A :class:`SolverWorkspace` owns every temporary a Krylov solve needs — the
-residual/direction/preconditioned vectors, the per-rank SpMV input vectors
-``[x_local | x_halo]`` (whose tail doubles as the halo receive buffer, so the
-halo update writes straight into the SpMV operand with no copy), and the
-:class:`~repro.kernels.plan.SpMVPlan` set of every operator it applies.
+residual/direction/preconditioned vectors and, per operator it applies, one
+SpMV input buffer ``[every rank's x_local | every rank's halo]`` whose tail
+doubles as the halo receive buffer (the halo update writes straight into
+the SpMV operand with no copy).  Each product is one compiled CSR call over
+the matrix's stacked :meth:`~repro.dist.matrix.DistMatrix.operator`.
 
 The contract: after warm-up (the first acquisition of each named buffer),
 repeated solves through the same workspace perform **zero hot-loop array
@@ -32,43 +33,38 @@ __all__ = ["SolverWorkspace"]
 
 
 class _OperatorState:
-    """Per-operator plan set and SpMV input buffers (one per rank)."""
+    """One operator's stacked plan and its input buffer
+    ``X = [x_local of every rank | halo of every rank]``."""
 
-    __slots__ = ("dmat", "plans", "xin", "halo_views")
+    __slots__ = ("dmat", "plan", "xin", "x_local", "halo")
 
     def __init__(self, dmat: DistMatrix):
         self.dmat = dmat
-        self.plans = dmat.plans()
-        self.xin: list[np.ndarray] = []
-        self.halo_views: list[np.ndarray] = []
-        for lm in dmat.locals:
-            buf = np.empty(lm.n_local + lm.n_halo, dtype=np.float64)
-            self.xin.append(buf)
-            self.halo_views.append(buf[lm.n_local:])
-
-    @property
-    def narrays(self) -> int:
-        return len(self.xin)
+        self.plan = dmat.operator()
+        self.xin = np.empty(self.plan.ncols, dtype=np.float64)
+        self.x_local = self.xin[: self.plan.nrows]
+        self.halo = self.xin[self.plan.nrows :]
 
 
 class SolverWorkspace:
-    """Reusable buffers and kernel plans for distributed Krylov solves.
+    """Reusable buffers for distributed Krylov solves.
 
     Parameters
     ----------
     mat:
-        The system matrix; its partition defines every vector buffer.  Plans
-        and input buffers for further operators (e.g. the preconditioner's
-        ``G`` / ``Gᵀ``) are registered lazily on first application.  Operand
-        vectors must be float64 NumPy arrays; anything else raises
-        :class:`ValueError` rather than silently casting into the buffers.
+        The system matrix; its partition defines every vector buffer.  Input
+        buffers for further operators (e.g. the preconditioner's ``G`` /
+        ``Gᵀ``) are registered lazily on first application.  Operand vectors
+        must keep their parts as views of their float64 buffer
+        (:meth:`DistVector.check_views`); anything else raises
+        :class:`ValueError` rather than being silently ignored or cast.
 
     Attributes
     ----------
     allocations:
-        Total arrays this workspace has allocated.  Constant once every
-        buffer is warm — the no-allocation invariant asserted by
-        ``scripts/check_bench.py kernels``.
+        Total arrays this workspace has allocated (one per vector, one per
+        operator).  Constant once every buffer is warm — the no-allocation
+        invariant asserted by ``scripts/check_bench.py kernels``.
     """
 
     def __init__(self, mat: DistMatrix):
@@ -87,21 +83,14 @@ class SolverWorkspace:
     def _register(self, dmat: DistMatrix) -> _OperatorState:
         state = _OperatorState(dmat)
         self._ops[id(dmat)] = state
-        self._count_allocs(state.narrays)
+        self._count_allocs(1)
         return state
 
     def operator(self, dmat: DistMatrix) -> _OperatorState:
-        """Plan/buffer state for ``dmat``, registered on first use.
-
-        Reuse is counted in the ``kernels.plan_cache.hits`` /
-        ``kernels.plan_cache.misses`` instrumentation counters.
-        """
+        """Operator/buffer state for ``dmat``, registered on first use."""
         state = self._ops.get(id(dmat))
         if state is None:
-            get_metrics().counter("kernels.plan_cache.misses").inc()
             state = self._register(dmat)
-        else:
-            get_metrics().counter("kernels.plan_cache.hits").inc()
         return state
 
     def vector(self, name: str) -> DistVector:
@@ -114,7 +103,7 @@ class SolverWorkspace:
         if vec is None:
             vec = DistVector.zeros(self.partition)
             self._vectors[name] = vec
-            self._count_allocs(len(vec.parts))
+            self._count_allocs(1)
         return vec
 
     # ------------------------------------------------------------------
@@ -125,41 +114,25 @@ class SolverWorkspace:
         out: DistVector | None = None,
         tracker=None,
     ) -> DistVector:
-        """Distributed ``out = dmat · x`` through cached plans and buffers.
+        """Distributed ``out = dmat · x``: one copy, one gather, one product.
 
-        The halo update writes directly into the tail of each rank's
-        preallocated ``[x_local | x_halo]`` input vector; the local products
-        run through :class:`SpMVPlan` with ``out=`` — zero allocations once
-        the operator is warm.
+        ``x.values`` is copied into the head of the operator's input buffer
+        ``X``, the halo update gathers every rank's halo into its tail
+        (:meth:`HaloSchedule.gather`), and one compiled CSR call over the
+        stacked operator (:meth:`DistMatrix.operator`) writes
+        ``out.values`` — zero allocations once the operator is warm.
         """
         if x.partition != dmat.partition:
             raise ShapeError("operand lives on a different partition")
         state = self.operator(dmat)
         if out is None:
             out = self.vector(f"spmv.out.{id(dmat)}")
-        self._check_parts(x, "x")
-        self._check_parts(out, "out")
-        dmat.schedule.update(x.parts, tracker, out=state.halo_views)
-        for p, lm in enumerate(dmat.locals):
-            xin = state.xin[p]
-            xin[: lm.n_local] = x.parts[p]
-            state.plans[p].spmv(xin, out=out.parts[p])
+        x.check_views("x")
+        out.check_views("out")
+        np.copyto(state.x_local, x.values)
+        dmat.schedule.gather(x, state.halo, tracker)
+        state.plan.spmv(state.xin, out=out.values)
         return out
-
-    def _check_parts(self, vec: DistVector, label: str) -> None:
-        """Reject operand vectors that would silently cast into the buffers."""
-        for p, part in enumerate(vec.parts):
-            if not isinstance(part, np.ndarray):
-                raise ValueError(
-                    f"{label}.parts[{p}] is {type(part).__name__}; workspace "
-                    "operands must be numpy arrays"
-                )
-            if part.dtype != np.float64:
-                raise ValueError(
-                    f"{label}.parts[{p}] has dtype {part.dtype}; workspace "
-                    "buffers are float64 and refuse to cast silently — "
-                    "convert the operand explicitly"
-                )
 
     def __repr__(self) -> str:
         return (

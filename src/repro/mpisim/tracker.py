@@ -74,6 +74,14 @@ class CommTracker:
             self.p2p_messages[key] = self.p2p_messages.get(key, 0) + 1
             self.p2p_bytes[key] = self.p2p_bytes.get(key, 0) + int(nbytes)
 
+    def record_p2p_many(self, messages: dict[tuple[int, int], int]) -> None:
+        """Count one message per ``(src, dst)`` key, of the mapped bytes —
+        a whole halo update under one lock, with no call per message."""
+        with self._lock:
+            for key, nbytes in messages.items():
+                self.p2p_messages[key] = self.p2p_messages.get(key, 0) + 1
+                self.p2p_bytes[key] = self.p2p_bytes.get(key, 0) + nbytes
+
     def merge_p2p(self, src: int, edges: dict[int, list[int]]) -> None:
         """Add one sender's per-destination ``[messages, bytes]`` totals.
 

@@ -136,7 +136,7 @@ class TestRemovedSpellings:
             lambda: SetupOptions(backend="numpy"),
             lambda: SpMVPlan(da.locals[0].csr, backend="numpy"),
             lambda: SolverWorkspace(da, backend="numpy"),
-            lambda: da.plans("numpy"),
+            lambda: da.operator("numpy"),
             lambda: fingerprint_structure(mat, ranks=4, backend="numpy"),
             lambda: compute_g_values(mat, fsai_pattern(mat), parallel=2),
             lambda: build_fsai(mat, part, parallel=2),

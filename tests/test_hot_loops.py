@@ -12,11 +12,13 @@ frames entered (``sys.setprofile`` ``call`` events; C builtins raise
 ``ExtensionWorkspace.finalize`` sorts rows into classes (kept, base, solved
 again) and must do that, too, without a Python call per row.  An SPMD halo
 exchange must cost a rank as many Python calls with eight neighbours as
-with two: no call per message.
+with two: no call per message.  A BSP ``pcg`` / ``pipelined_pcg`` iteration
+must cost as many Python calls on 16 ranks as on 2: no call per rank.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import sys
 
@@ -25,15 +27,43 @@ import pytest
 from conftest import ring_halo
 
 from repro.cachesim import CacheConfig, SetAssociativeCache
-from repro.core import ExtensionMode, ExtensionWorkspace, FilterSpec, extension_entry_mask
-from repro.dist import DistMatrix, HaloSchedule, RowPartition
+from repro.core import (
+    ExtensionMode,
+    ExtensionWorkspace,
+    FilterSpec,
+    extension_entry_mask,
+    pcg,
+    pipelined_pcg,
+)
+from repro.dist import DistMatrix, DistVector, HaloSchedule, RowPartition
 from repro.dist.spmd import _halo_exchange_finish, _halo_exchange_start
-from repro.mpisim import run_spmd
+from repro.kernels import SolverWorkspace
+from repro.matgen import paper_rhs, poisson2d
+from repro.mpisim import CommTracker, run_spmd
+from repro.partition import block_partition_2d
 from repro.sparse import CSRMatrix, SparsityPattern
 
 SMALL, GROWTH = 96, 8
 
 
+def without_collector(count):
+    """Run a count with the cyclic collector off: a collection would run
+    other objects' finalizers (closing a stray generator enters its
+    frame) inside the count."""
+
+    @functools.wraps(count)
+    def counted(fn) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            return count(fn)
+        finally:
+            gc.enable()
+
+    return counted
+
+
+@without_collector
 def python_calls(fn) -> int:
     """Python frames entered while ``fn()`` runs."""
     calls = 0
@@ -51,6 +81,7 @@ def python_calls(fn) -> int:
     return calls
 
 
+@without_collector
 def python_lines(fn) -> int:
     """Source lines executed (in any Python frame) while ``fn()`` runs."""
     lines = 0
@@ -164,12 +195,7 @@ def calls_per_halo_exchange(offsets, ranks=12) -> float:
             await _halo_exchange_finish(comm, ring, pending, halo)
 
     run_spmd(prog, ranks, 1)
-    gc.collect()
-    gc.disable()  # a collection would run other objects' finalizers
-    try:
-        one, three = (python_calls(lambda: run_spmd(prog, ranks, n)) for n in (1, 3))
-    finally:
-        gc.enable()
+    one, three = (python_calls(lambda: run_spmd(prog, ranks, n)) for n in (1, 3))
     return (three - one) / (2 * ranks)
 
 
@@ -180,4 +206,37 @@ def test_a_halo_exchange_makes_no_python_call_per_neighbour():
     assert eight == two, (
         f"{two} Python calls per rank per halo exchange with 2 neighbours, "
         f"{eight} with 8 — per-message Python is back"
+    )
+
+
+def calls_per_iteration(solver, px: int, py: int, n: int = 48) -> float:
+    """Python calls per iteration of a BSP solve of poisson2d(n) with
+    FSAIE-Comm on a ``px × py`` rank grid, with a tracker booking every
+    message: the difference between budgets of 30 and 10 iterations on a
+    warm workspace, so the per-solve set-up cancels."""
+    mat = poisson2d(n)
+    part = RowPartition(block_partition_2d(n, n, px, py), px * py)
+    da = DistMatrix.from_global(mat, part)
+    b = DistVector.from_global(paper_rhs(mat, seed=0), part)
+    pre = ExtensionWorkspace("FSAIE-Comm", mat, part, ExtensionMode.COMM).finalize(
+        FilterSpec(0.01, dynamic=True)
+    )
+    ws, tracker = SolverWorkspace(da), CommTracker()
+
+    def run(budget):
+        return lambda: solver(da, b, precond=pre, rtol=0.0, max_iterations=budget,
+                              workspace=ws, tracker=tracker)
+
+    run(3)()
+    return (python_calls(run(30)) - python_calls(run(10))) / 20
+
+
+@pytest.mark.parametrize("solver", [pcg, pipelined_pcg], ids=lambda s: s.__name__)
+def test_a_krylov_iteration_makes_no_python_call_per_rank(solver):
+    two = calls_per_iteration(solver, 2, 1)
+    sixteen = calls_per_iteration(solver, 4, 4)
+    assert two > 0
+    assert sixteen == two, (
+        f"{solver.__name__}: {two} Python calls per iteration on 2 ranks, "
+        f"{sixteen} on 16 — per-rank Python is back"
     )

@@ -345,6 +345,52 @@ class TestCheckpointRestart:
         true = b.copy().axpy(-1.0, da.spmv(faulty.x)).norm2()
         assert true <= 10 * RTOL * b.norm2()
 
+    @staticmethod
+    def _lose_a_value_after_the_last_checkpoint(dist_poisson16, max_rollbacks):
+        """The silent fault of the test above, with no checkpoint after it:
+        one interval longer than the whole solve."""
+        _, part, da, b = dist_poisson16
+        pre = build_fsai(da.to_global(), part)
+        calls = 0
+
+        def flaky(r, tracker):
+            nonlocal calls
+            calls += 1
+            if calls == 5:
+                r.parts[0][0] += 1.0
+            return pre.apply(r, tracker)
+
+        clean = pcg(da, b, precond=lambda r, tracker: pre.apply(r, tracker), rtol=RTOL)
+        config = ResilienceConfig(checkpoint_interval=10_000, max_rollbacks=max_rollbacks)
+        with tracing() as (_, metrics):
+            faulty = pcg(da, b, precond=flaky, rtol=RTOL, resilience=config)
+            rollbacks = metrics.sum_values("pcg.rollbacks")
+        true = b.copy().axpy(-1.0, da.spmv(faulty.x)).norm2()
+        return clean, faulty, rollbacks, true / b.norm2()
+
+    def test_a_silent_fault_in_the_last_window_is_caught_before_converging(
+        self, dist_poisson16
+    ):
+        clean, faulty, rollbacks, true_rel = self._lose_a_value_after_the_last_checkpoint(
+            dist_poisson16, max_rollbacks=4
+        )
+        assert rollbacks == 1
+        assert faulty.converged
+        assert faulty.iterations == clean.iterations
+        assert faulty.final_residual == clean.final_residual
+        assert true_rel <= 10 * RTOL
+
+    def test_an_exhausted_rollback_budget_is_not_convergence(self, dist_poisson16):
+        """The recurrence reached its target, but ``x`` is wrong and no
+        rollback is left: the solve must say it did not converge."""
+        _, faulty, rollbacks, true_rel = self._lose_a_value_after_the_last_checkpoint(
+            dist_poisson16, max_rollbacks=0
+        )
+        assert rollbacks == 1
+        assert faulty.final_residual <= RTOL * faulty.residual_norms[0]
+        assert true_rel > 1e3 * RTOL
+        assert not faulty.converged
+
     def test_bitflips_at_sixteen_ranks_are_rare_per_checkpoint_window(self):
         """The bit-flip scenario's rate is per halo update.  Per message,
         poisson2d(32) on 16 ranks sends 9x the messages of poisson2d(16) on
