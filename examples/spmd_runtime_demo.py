@@ -5,7 +5,7 @@ Run:  python examples/spmd_runtime_demo.py
 
 Everything else in this repo uses the deterministic bulk-synchronous engine;
 this example executes the identical algorithm on `repro.mpisim` — one
-coroutine per rank, real blocking messages, real collectives, a modeled
+coroutine per rank, real blocking messages, a real allreduce, a modeled
 clock — and shows that:
 
 * the results agree bit-for-bit in iteration count,
@@ -13,7 +13,7 @@ clock — and shows that:
   update for FSAI and FSAIE-Comm (the paper's core guarantee, measured on
   the wire rather than proven on schedules),
 * a hand-written rank program is an `async def`: it awaits what can block
-  (`recv`, `sendrecv`, collectives, `Request.wait`) and calls `send`,
+  (`recv`, `Request.wait`, `allreduce`, `halo_finish`) and calls `send`,
   `irecv` and `advance` plainly; its timing is modeled seconds, identical
   on every run.
 """
@@ -34,7 +34,7 @@ from repro import (
 )
 from repro.dist import spmd_cg
 from repro.matgen import poisson2d
-from repro.mpisim import SUM, CommTracker, run_spmd
+from repro.mpisim import CommTracker, run_spmd
 from repro.perfmodel import SKYLAKE
 
 
@@ -45,7 +45,7 @@ async def ring_then_sum(comm, work_flops: float):
     comm.advance(comm.clock.kernel_seconds(work_flops * (comm.rank + 1), 0))
     comm.send(comm.rank, right)             # buffered send: plain call
     token = await request.wait()            # may block: awaited
-    total = await comm.allreduce(comm.now(), SUM)  # collectives block too
+    total = await comm.allreduce(comm.now())  # the allreduce blocks too
     return token, comm.now(), total
 
 

@@ -31,7 +31,7 @@ from repro.dist.matrix import DistMatrix
 from repro.dist.vector import DistVector
 from repro.errors import CommError
 from repro.instrument import get_tracer
-from repro.mpisim import SUM, ClockModel, Comm, CommTracker, run_spmd
+from repro.mpisim import ClockModel, Comm, CommTracker, run_spmd
 
 __all__ = [
     "spmd_halo_update",
@@ -277,7 +277,7 @@ def spmd_cg(
             partial = float(np.dot(u, v))
             _charge(comm, vector_work(n, dots=1))
             with tracer.span("spmd.reduction", rank=p):
-                return await comm.allreduce(partial, SUM)
+                return await comm.allreduce(partial)
 
         async def apply_precond(v: np.ndarray) -> np.ndarray:
             if precond_pair is None:
@@ -402,7 +402,7 @@ def spmd_pipelined_pcg(
             )
             _charge(comm, vector_work(n, dots=len(pairs)))
             with tracer.span("spmd.reduction", rank=p, fused=len(pairs)):
-                return [float(v) for v in await comm.allreduce(partials, SUM)]
+                return [float(v) for v in await comm.allreduce(partials)]
 
         async def apply_precond(v: np.ndarray) -> np.ndarray:
             if precond_pair is None:

@@ -1,11 +1,12 @@
 """Simulated MPI runtime (the repo's distributed-memory substrate).
 
 The paper runs on MPI over up to 32 768 cores; offline we substitute an
-MPI-like SPMD runtime with identical semantics for everything the algorithms
-depend on: ranks, blocking point-to-point messages with tags, and collective
-operations with realistic message patterns.  A :class:`CommTracker` records
-every message so communication-invariance (the paper's core guarantee) is a
-testable property.
+MPI-like SPMD runtime with identical semantics for the traffic the solvers
+send: ranks, blocking point-to-point messages with tags, the halo exchange
+of each SpMV and the allreduce of each dot product, with realistic message
+patterns.  A :class:`CommTracker` records every message so
+communication-invariance (the paper's core guarantee) is a testable
+property.
 
 Public surface:
 
@@ -16,25 +17,22 @@ Public surface:
 * :class:`ClockModel` — the modeled clock (α–β link, compute rates):
   ``comm.now()`` reads a rank's clock, ``comm.advance(seconds)`` charges
   compute; nothing in the runtime reads the host's clock or sleeps.
-* :class:`Comm`, :class:`SelfComm` — communicators.
-* :class:`Request`, :func:`waitall`, :func:`waitany` — nonblocking
-  completion handles (``comm.isend`` / ``comm.irecv``).
+* :class:`Comm` — the communicator each rank program receives.
+* :class:`Request` — the handle ``comm.irecv`` returns.
 
-What a rank program awaits: ``recv``, ``sendrecv``, ``Request.wait`` /
-``test``, ``waitall`` / ``waitany``, ``halo_finish`` and every collective
-(``allreduce`` and the halo exchange are scheduler primitives with the
-point-to-point pattern's exact traffic and clocks).  What it calls plainly:
-``send``, ``isend``, ``irecv``, ``halo_plan``, ``halo_start``, ``now()``,
-``advance()``.
-* :data:`SUM` — the reduction operator the solvers use (``MAX`` / ``MIN``
-  live in :mod:`repro.mpisim.comm`).
+What a rank program awaits: ``recv``, ``Request.wait``, ``allreduce``
+and ``halo_finish`` (``allreduce`` and the halo exchange are scheduler
+primitives with the point-to-point pattern's exact traffic and clocks;
+``allreduce`` sums).  What it calls plainly: ``send``, ``irecv``,
+``halo_plan``, ``halo_start``, ``now()``, ``advance()``.
+
 * :class:`CommTracker`, :func:`payload_nbytes` — traffic accounting.
 * :func:`get_injector` / :func:`install_injector` / :func:`clear_injector` —
   the fault-injection hook consumed by :mod:`repro.resilience`.
 """
 
-from repro.mpisim.comm import ANY_TAG, SUM, ClockModel, Comm, ReduceOp, SelfComm
-from repro.mpisim.engine import Request, run_spmd, waitall, waitany
+from repro.mpisim.comm import ANY_TAG, ClockModel
+from repro.mpisim.engine import Comm, Request, run_spmd
 from repro.mpisim.injection import (
     DuplicateEnvelope,
     clear_injector,
@@ -45,13 +43,8 @@ from repro.mpisim.tracker import CommTracker, payload_nbytes
 
 __all__ = [
     "Comm",
-    "SelfComm",
     "ClockModel",
     "Request",
-    "waitall",
-    "waitany",
-    "ReduceOp",
-    "SUM",
     "ANY_TAG",
     "run_spmd",
     "CommTracker",

@@ -14,9 +14,7 @@ all on the calling thread with a cooperative scheduler:
   matchable at sender-clock + α + β·bytes (:class:`ClockModel`), a
   completed receive sets the receiver's clock to ``max(own, arrival)``, and
   :meth:`Comm.advance` charges compute, fault-injection stalls, delays and
-  retry back-off.  ``recv(timeout=)`` / ``waitany(timeout=)`` expire in
-  modeled seconds: when nothing is runnable the blocked rank with the
-  earliest deadline wakes as timed out;
+  retry back-off;
 * **exact failure**: "nothing runnable, not everyone finished" is a
   deadlock and raises :class:`~repro.errors.CommError` at once, naming what
   each blocked rank waits on; a rank that raises closes every other
@@ -24,7 +22,7 @@ all on the calling thread with a cooperative scheduler:
   ``CommError("rank r failed: …")`` immediately.
 
 ``send`` is *buffered* (eager-mode MPI): it enqueues and returns, so the
-pairwise exchange patterns used by the collectives and halo updates cannot
+pairwise exchange patterns of the allreduce and the halo updates cannot
 deadlock on matched sends.  Messages between one pair of ranks never
 overtake each other, and a receive always names its source, so which
 message a receive matches does not depend on the clock — the clock only
@@ -35,14 +33,13 @@ buffer after the call cannot corrupt data in flight.
 allreduce parks each rank in the run's collective slot; the last rank to
 arrive runs every round of
 :func:`~repro.mpisim.collectives.allreduce_schedule` for all ranks — one
-NumPy pass per round for ``SUM``/``MAX``/``MIN`` over floats or equal
-arrays, a pair-by-pair loop for any other operator — and re-queues the
-rest.  The halo exchange is split-phase, MPI-3 ``MPI_Neighbor_alltoallv``
-over a persistent plan per halo schedule per run: ``halo_start`` packs a
-rank's outgoing values with one ``take`` and stamps them clock + α, and
-``await halo_finish`` parks until every source has posted that exchange,
-unpacks with one ``take`` and sets the clock to ``max(own, post +
-β·bytes)`` over the sources.  Both give each rank the results and clocks
+NumPy sum per round over the ranks' floats or equal-shape arrays — and
+re-queues the rest.  The halo exchange is split-phase, MPI-3
+``MPI_Neighbor_alltoallv`` over a persistent plan per halo schedule per
+run: ``halo_start`` packs a rank's outgoing values with one ``take`` and
+stamps them clock + α, and ``await halo_finish`` parks until every source
+has posted that exchange, unpacks with one ``take`` and sets the clock to
+``max(own, post + β·bytes)`` over the sources.  Both give each rank the results and clocks
 of the point-to-point algorithm and book its per-edge messages and bytes.
 Traced and telemetered allreduces also get its per-message events, wait
 spans and observations, each on its own rank at its modeled instant.
@@ -54,11 +51,12 @@ while the tracer or telemetry watches, so does the halo exchange.
 from __future__ import annotations
 
 import inspect
+import math
+import operator
 import types
 from collections import deque
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from functools import partial
-from operator import add
 from typing import Any, Callable
 
 import numpy as np
@@ -66,22 +64,21 @@ import numpy as np
 from repro.errors import CommError, RankFailedError
 from repro.instrument import get_metrics, get_tracer
 from repro.mpisim import collectives
-from repro.mpisim.comm import ANY_TAG, MAX, MIN, SUM, ClockModel, Comm
+from repro.mpisim.comm import ANY_TAG, ClockModel
 from repro.mpisim.injection import DuplicateEnvelope, get_injector
 from repro.mpisim.tracker import CommTracker, payload_nbytes
 
-__all__ = ["Request", "run_spmd", "waitall", "waitany"]
+__all__ = ["Comm", "Request", "run_spmd"]
 
 #: Sentinel distinguishing "no matching message" from a ``None`` payload.
 _NOTHING = object()
 
-#: ``wait_src`` of a rank that is not blocked / is blocked in ``waitany``
-#: (real sources are >= 0, so neither can match a sender).
+#: ``wait_src`` of a rank that is not blocked (real sources are >= 0, so
+#: it cannot match a sender), and of one parked in a native allreduce /
+#: halo finish.
 _RUNNABLE = -1
-_ANY_SOURCE = -2
-#: ``wait_src`` of a rank parked in a native allreduce / halo finish.
-_COLLECTIVE = -3
-_HALO = -4
+_COLLECTIVE = -2
+_HALO = -3
 
 
 @types.coroutine
@@ -90,48 +87,32 @@ def _park():
     yield
 
 
-#: ``SUM``/``MAX``/``MIN`` as one elementwise pass across ranks: over
-#: Python floats (``max(a, b)`` is ``a`` unless ``b`` is larger), and over
-#: arrays, where the operators are already ufuncs.
-_FLOAT_OPS = {SUM: np.add, MAX: lambda a, b: np.where(b > a, b, a),
-              MIN: lambda a, b: np.where(b < a, b, a)}
-_ARRAY_OPS = {SUM: np.add, MAX: np.maximum, MIN: np.minimum}
+def _describe(value) -> str:
+    """An allreduce operand, for an error message."""
+    if type(value) is np.ndarray:
+        return f"a {value.dtype} array of shape {value.shape}"
+    return f"{type(value).__name__} {value!r:.40}"
 
 
-def _stacked(values: list, op):
-    """``(array, combine)``: the allreduce operands stacked across ranks
-    and ``op``'s elementwise form, when ``op`` is ``SUM``/``MAX``/``MIN``
-    and the operands are all Python floats or all numeric arrays of one
-    shape and dtype; ``(None, None)`` otherwise."""
+def _stacked(values: list) -> np.ndarray:
+    """The ranks' allreduce operands stacked into one array: all Python
+    floats, or all arrays of one shape and dtype; otherwise
+    :class:`~repro.errors.CommError` names the first rank that differs from
+    rank 0."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return np.array(values)
     first = values[0]
-    if op in _FLOAT_OPS and all(type(v) is float for v in values):
-        return np.array(values), _FLOAT_OPS[op]
-    if op in _ARRAY_OPS and type(first) is np.ndarray and first.ndim \
-            and first.dtype.kind in "fiu" \
-            and all(type(v) is np.ndarray and v.shape == first.shape
-                    and v.dtype == first.dtype for v in values):
-        return np.stack(values), _ARRAY_OPS[op]
-    return None, None
-
-
-def _combine_pairs(acc: list, op, sources, dests, combine: bool) -> None:
-    """One allreduce round pair by pair, in place: ``dests[i]`` folds in
-    (or takes) a copy of ``sources[i]``'s partial, as if sent."""
-    sent = [acc[s].copy() if isinstance(acc[s], np.ndarray) else acc[s]
-            for s in sources]
-    for src, dest, got in zip(sources, dests, sent):
-        if not combine:
-            acc[dest] = got
-            continue
-        try:
-            acc[dest] = op(acc[dest], got)
-        except Exception as exc:
-            mine = acc[dest]
-            raise CommError(
-                f"allreduce: rank {dest} cannot combine its payload "
-                f"{getattr(mine, 'shape', type(mine).__name__)} with rank {src}'s "
-                f"{getattr(got, 'shape', type(got).__name__)}: {exc}"
-            ) from exc
+    shape = (first.shape, first.dtype) if type(first) is np.ndarray else None
+    if kinds == {np.ndarray} and {(v.shape, v.dtype) for v in values} == {shape}:
+        return np.stack(values)
+    rank = next(r for r, v in enumerate(values) if type(v) is not type(first)
+                or (shape is not None and (v.shape, v.dtype) != shape))
+    raise CommError(
+        f"allreduce: rank {rank} passed {_describe(values[rank])} but rank 0 "
+        f"passed {_describe(first)}; every rank must pass a Python float or "
+        "a numeric array of one shape and dtype"
+    )
 
 
 class _HaloPlan:
@@ -189,9 +170,9 @@ class _Scheduler:
 
     __slots__ = (
         "size", "clock", "alpha", "beta", "tracker", "tracer", "metrics",
-        "injector", "ready", "boxes", "wait_src", "wait_tag", "deadlines",
-        "expired", "clocks", "comms", "contexts", "arrived", "arrivals",
-        "results", "rounds", "booked_calls", "plans",
+        "injector", "ready", "boxes", "wait_src", "wait_tag", "clocks",
+        "comms", "contexts", "arrived", "arrivals", "results", "rounds",
+        "booked_calls", "plans",
     )
 
     def __init__(self, size: int, clock: ClockModel, tracker: CommTracker | None):
@@ -211,12 +192,8 @@ class _Scheduler:
         self.wait_src = [_RUNNABLE] * size
         #: the tag a blocked rank waits on; (plan, exchange) in a halo finish
         self.wait_tag: list = [ANY_TAG] * size
-        #: blocked rank -> modeled instant its receive gives up
-        self.deadlines: dict[int, float] = {}
-        #: ranks woken by their deadline rather than by a delivery
-        self.expired: set[int] = set()
         self.clocks = [0.0] * size
-        self.comms: list[RankComm] = []
+        self.comms: list[Comm] = []
         self.contexts = None  # per-rank tracer task contexts, when tracing
         # the native allreduce: who arrived with what, the last results, and
         # its rounds (built on first use), each with the bytes untraced runs
@@ -238,44 +215,17 @@ class _Scheduler:
             box[src] = [(tag, obj, arrival)]
         else:
             queue.append((tag, obj, arrival))
-        waiting = self.wait_src[dest]
-        if waiting == src:
+        if self.wait_src[dest] == src:
             wanted = self.wait_tag[dest]
-            if wanted != tag and wanted != ANY_TAG:
-                return
-        elif waiting != _ANY_SOURCE:
-            return
-        if self.deadlines:
-            deadline = self.deadlines.get(dest)
-            if deadline is not None:
-                if arrival > deadline:
-                    return  # lands after the receiver gives up
-                del self.deadlines[dest]
-        self.wait_src[dest] = _RUNNABLE
-        self.ready.append(dest)
+            if wanted == tag or wanted == ANY_TAG:
+                self.wait_src[dest] = _RUNNABLE
+                self.ready.append(dest)
 
-    def expire_earliest(self) -> bool:
-        """Nothing is runnable: wake the blocked rank with the earliest
-        deadline (lowest rank on a tie) as timed out.  False if no blocked
-        rank has a deadline."""
-        if not self.deadlines:
-            return False
-        rank = min(self.deadlines, key=lambda r: (self.deadlines[r], r))
-        deadline = self.deadlines.pop(rank)
-        if deadline > self.clocks[rank]:
-            self.clocks[rank] = deadline
-        self.expired.add(rank)
-        self.wait_src[rank] = _RUNNABLE
-        self.ready.append(rank)
-        return True
-
-    def deadlock(self, poller: int | None = None) -> CommError:
+    def deadlock(self) -> CommError:
         """The error for "nothing runnable, not everyone finished"."""
         blocked = []
         for rank, source in enumerate(self.wait_src):
-            if source == _ANY_SOURCE:
-                blocked.append(f"rank {rank} waits in waitany")
-            elif source == _COLLECTIVE:
+            if source == _COLLECTIVE:
                 blocked.append(
                     f"rank {rank} waits in allreduce ({self.arrived} of "
                     f"{self.size} ranks arrived)"
@@ -293,27 +243,25 @@ class _Scheduler:
                     f"rank {rank} waits on recv(source={source}, "
                     f"tag={'ANY_TAG' if tag == ANY_TAG else tag})"
                 )
-        if poller is not None:
-            blocked.append(f"rank {poller} polls a request nothing can complete")
         return CommError(
             f"deadlock: no rank can run and {len(blocked)} of {self.size} have "
             "not finished (missing send?) — " + "; ".join(blocked)
         )
 
     # -- the native allreduce -------------------------------------------
-    async def allreduce(self, rank: int, value, op):
+    async def allreduce(self, rank: int, value):
         """One rank's side of a native allreduce: park until every rank has
         arrived; the last to arrive runs all rounds for everyone and
         re-queues the others."""
-        self.arrivals[rank] = (value, op)
+        self.arrivals[rank] = value
         self.arrived += 1
         if self.arrived < self.size:
             self.wait_src[rank] = _COLLECTIVE
             await _park()
             return self.results[rank]
-        entries, self.arrivals = self.arrivals, [None] * self.size
+        values, self.arrivals = self.arrivals, [None] * self.size
         self.arrived = 0
-        self.results = self._reduce(entries)
+        self.results = self._reduce(values)
         if self.contexts:
             self.tracer.activate(self.contexts[rank])
         # every other rank is parked in this allreduce
@@ -321,18 +269,10 @@ class _Scheduler:
         self.ready.extend(r for r in range(self.size) if r != rank)
         return self.results[rank]
 
-    def _reduce(self, entries: list) -> list:
+    def _reduce(self, values: list) -> list:
         """Run every round of the allreduce across all ranks: returns each
         rank's result, moves the clocks and books the messages."""
-        op = entries[0][1]
-        for rank, (_, other) in enumerate(entries):
-            if other is not op:
-                raise CommError(
-                    f"allreduce: ranks disagree on the operator: rank 0 passed "
-                    f"{op!r}, rank {rank} passed {other!r}"
-                )
-        acc = [value for value, _ in entries]
-        stacked, combine = _stacked(acc, op)
+        stacked = _stacked(values)
         if self.rounds is None:
             self.rounds = [
                 (np.array(sources), np.array(dests), tag, combines,
@@ -343,12 +283,9 @@ class _Scheduler:
         comms = self.comms
         watched = comms[0]._watched or any(c._telemetry_mode for c in comms)
         book = self.tracker is not None and not watched
-        sized = watched or self.tracker is not None or self.beta
-        nbytes = payload_nbytes(acc[0]) if stacked is not None else 0
+        nbytes = payload_nbytes(values[0])
         clocks = np.array(self.clocks)
         for src, dst, tag, combines, booked in self.rounds:
-            if stacked is None and sized:
-                nbytes = np.array([payload_nbytes(acc[s]) for s in src.tolist()])
             # a round's sends all leave at their sender's pre-round clock
             arrival = clocks[src] + self.alpha
             if self.beta:
@@ -358,17 +295,13 @@ class _Scheduler:
             clocks[dst] = np.maximum(clocks[dst], arrival)
             if book:
                 booked += nbytes
-            if stacked is None:
-                _combine_pairs(acc, op, src.tolist(), dst.tolist(), combines)
-            elif combines:
-                stacked[dst] = combine(stacked[dst], stacked[src])
+            if combines:
+                stacked[dst] = stacked[dst] + stacked[src]
             else:
                 stacked[dst] = stacked[src]
         if book:
             self.booked_calls += 1
         self.clocks[:] = clocks.tolist()
-        if stacked is None:
-            return acc
         return stacked.tolist() if stacked.ndim == 1 else list(stacked)
 
     def _replay(self, sources, dests, tag, nbytes, arrival) -> None:
@@ -377,12 +310,10 @@ class _Scheduler:
         task context at its modeled instant (the clock list still holds
         the round's starting clocks)."""
         comms, contexts, tracer = self.comms, self.contexts, self.tracer
-        sizes = (nbytes.tolist() if isinstance(nbytes, np.ndarray)
-                 else [nbytes] * len(sources))
-        for src, dest, size in zip(sources, dests, sizes):
+        for src, dest in zip(sources, dests):
             if contexts:
                 tracer.activate(contexts[src])
-            comms[src]._account_send(dest, tag, size)
+            comms[src]._account_send(dest, tag, nbytes)
         for src, dest, landed in zip(sources, dests, arrival.tolist()):
             if contexts:
                 tracer.activate(contexts[dest])
@@ -423,7 +354,7 @@ class _Scheduler:
         live = self.size
         try:
             while live:
-                if not ready and not self.expire_earliest():
+                if not ready:
                     raise self.deadlock()
                 rank = ready.popleft()
                 if contexts:
@@ -451,102 +382,56 @@ class _Scheduler:
 
 
 class Request:
-    """Handle for a nonblocking operation (mpi4py ``isend``/``irecv`` style).
-
-    Send requests complete immediately (sends are buffered); receive
-    requests complete when a matching message is in the mailbox.  ``await
-    req.wait()`` blocks and returns the payload (``None`` for sends);
-    ``await req.test()`` polls.  Requests compose with :func:`waitall` and
-    :func:`waitany`.
-    """
+    """Handle of a nonblocking receive (mpi4py ``irecv`` style):
+    ``await req.wait()`` blocks until the message is in the mailbox and
+    returns its payload (again on every later call)."""
 
     __slots__ = ("_comm", "_source", "_tag", "_done", "_value")
 
-    def __init__(self, comm=None, source: int | None = None, tag: int = ANY_TAG,
-                 *, completed: bool = False, value=None):
+    def __init__(self, comm: Comm, source: int, tag: int):
         self._comm = comm
         self._source = source
         self._tag = tag
-        self._done = completed
-        self._value = value
+        self._done = False
+        self._value = None
 
-    @property
-    def source(self) -> int | None:
-        """Peer rank a receive request is matching on (``None`` for sends)."""
-        return self._source
-
-    async def wait(self, timeout: float | None = None):
-        """Block until complete; returns the received payload (sends: None).
-        ``timeout`` is in modeled seconds."""
+    async def wait(self):
+        """Block until complete; returns the received payload."""
         if not self._done:
-            self._value = await self._comm._recv(self._source, self._tag, timeout)
+            self._value = await self._comm._recv(self._source, self._tag)
             self._done = True
         return self._value
 
-    async def test(self) -> tuple[bool, object]:
-        """Completion check: ``(done, payload_or_None)``.
 
-        A message already on the wire completes the request at its arrival
-        time, as the spin loop this is written for would.  An incomplete
-        test re-queues the rank *behind every other runnable rank* before
-        returning ``(False, None)`` — polling is how the peers get to run —
-        and is a deadlock (:class:`~repro.errors.CommError`) when no other
-        rank can run or time out.
-        """
-        if self._done:
-            return True, self._value
-        value = self._comm._take(self._source, self._tag)
-        if value is _NOTHING:
-            await self._comm._yield_to_peers()
-            return False, None
-        self._value = value
-        self._done = True
-        return True, value
+class Comm:
+    """One rank's communicator: its endpoint on the scheduler, which
+    :func:`run_spmd` passes to the rank program.
 
-
-async def waitall(requests) -> list:
-    """Wait on every request; returns their payloads in order."""
-    return [await req.wait() for req in requests]
-
-
-async def waitany(requests, timeout: float | None = None) -> tuple[int, object]:
-    """Wait until *one* request completes; returns ``(index, payload)``.
-
-    Requests are scanned in order and the first one that is complete or has
-    a matching message wins; otherwise the rank parks until any delivery
-    lands in its mailbox and scans again.  Raises
-    :class:`~repro.errors.CommError` when ``requests`` is empty or
-    ``timeout`` modeled seconds pass with nothing complete.
+    Mirrors the mpi4py calls the paper's solver makes (lower-case
+    object-based methods): buffered ``send``, ``recv`` / ``irecv``, the
+    dot products' ``allreduce`` and the halo exchange
+    (``halo_plan`` / ``halo_start`` / ``halo_finish``).  What can block —
+    ``recv``, ``Request.wait``, ``allreduce``, ``halo_finish`` — is a
+    coroutine the rank program awaits; the rest are plain calls.
     """
-    reqs = list(requests)
-    if not reqs:
-        raise CommError("waitany needs at least one request")
-    comm = next((r._comm for r in reqs if r._comm is not None), None)
-    deadline = None if timeout is None or comm is None else comm.now() + timeout
-    while True:
-        for i, req in enumerate(reqs):
-            if req._done:
-                return i, req._value
-            value = comm._take(req._source, req._tag, deadline)
-            if value is not _NOTHING:
-                req._value = value
-                req._done = True
-                return i, value
-        await comm._block(_ANY_SOURCE, ANY_TAG, deadline)
-        if comm._woke_expired():
-            raise CommError("waitany timed out with no completed request")
-
-
-class RankComm(Comm):
-    """One rank's endpoint on the scheduler (what :func:`run_spmd` passes
-    to the rank program)."""
 
     def __init__(self, rank: int, sched: _Scheduler, telemetry=None):
         self.rank = rank
         self.size = sched.size
+        #: The run's :class:`~repro.mpisim.CommTracker`, or ``None``.
         self.tracker = sched.tracker
+        #: The run's :class:`ClockModel` (rank programs read the compute rates).
         self.clock = sched.clock
+        #: This rank's bounded telemetry endpoint
+        #: (:class:`repro.observe.stream.RankTelemetry`), installed by
+        #: :func:`run_spmd` when a ``telemetry=`` config is passed.
+        #: Duck-typed — the transport only calls ``observe_message`` /
+        #: ``observe_wait`` / ``observe`` on it.
         self.telemetry = telemetry
+        #: True while inside :meth:`telemetry_channel`: traffic is booked as
+        #: telemetry (``CommTracker.record_telemetry``) instead of solver
+        #: p2p, and is itself never observed into the telemetry histograms.
+        self._telemetry_mode = False
         self._sched = sched
         self._tracer = sched.tracer
         #: a send must be sized / a receive must be timed for someone
@@ -565,10 +450,39 @@ class RankComm(Comm):
         return self._sched.clocks[self.rank]
 
     def advance(self, seconds: float) -> None:
-        """Charge ``seconds`` of modeled time to this rank."""
-        if not seconds >= 0:
+        """Charge ``seconds`` of modeled time to this rank (compute, a
+        stall, a retry back-off): a finite number >= 0.  Never yields to
+        other ranks."""
+        if not 0 <= seconds < math.inf:
             raise CommError(f"cannot advance the clock by {seconds!r} seconds")
         self._sched.clocks[self.rank] += seconds
+
+    def _check_peer(self, peer) -> None:
+        try:
+            valid = 0 <= operator.index(peer) < self.size
+        except TypeError:
+            valid = False
+        if not valid:
+            raise CommError(
+                f"peer rank {peer!r} is not an integer in [0, {self.size})"
+            )
+
+    @contextmanager
+    def telemetry_channel(self):
+        """Book traffic sent inside this context as in-band telemetry.
+
+        The in-band aggregation of :mod:`repro.observe.stream` wraps its
+        reduction-tree hops in this context so the transport routes their
+        accounting to :meth:`CommTracker.record_telemetry` — keeping the
+        solver's audited ``p2p_*`` schedule byte-identical with telemetry
+        on or off.
+        """
+        previous = self._telemetry_mode
+        self._telemetry_mode = True
+        try:
+            yield self
+        finally:
+            self._telemetry_mode = previous
 
     # -- send -----------------------------------------------------------
     def send(self, obj, dest: int, tag: int = 0) -> None:
@@ -581,10 +495,6 @@ class RankComm(Comm):
         self._check_peer(dest)
         if dest == self.rank:
             raise CommError("send to self is not supported; restructure the exchange")
-        self._send(obj, dest, tag)
-
-    def _send(self, obj, dest: int, tag: int) -> None:
-        """``send`` behind the peer checks."""
         if isinstance(obj, np.ndarray):
             obj = obj.copy()
         injector = self._sched.injector
@@ -608,7 +518,7 @@ class RankComm(Comm):
     def _account_send(self, dest: int, tag: int, nbytes: int) -> None:
         """Book one outgoing wire message with tracker, tracer and telemetry.
 
-        Inside a :meth:`Comm.telemetry_channel` context the message is
+        Inside a :meth:`telemetry_channel` context the message is
         in-band telemetry: it lands in the tracker's separate telemetry
         accounting (excluded from the invariance audit), its trace event is
         tagged ``channel="telemetry"`` (excluded from timelines), and it is
@@ -641,13 +551,36 @@ class RankComm(Comm):
             metrics.counter("mpisim.messages").inc()
             metrics.counter("mpisim.bytes").inc(nbytes)
 
-    # -- collectives ----------------------------------------------------
-    def _allreduce(self, value, op):
-        """Native on the scheduler; point to point while a fault injector
-        is installed (and on one rank, where it returns ``value``)."""
-        if self._faulted or self.size == 1:
-            return collectives.allreduce(self, value, op)
-        return self._sched.allreduce(self.rank, value, op)
+    # -- allreduce ------------------------------------------------------
+    async def allreduce(self, value):
+        """The sum of every rank's ``value`` — a Python float, or a numeric
+        array of one shape and dtype on every rank — delivered to every
+        rank.
+
+        Native on the scheduler; point to point
+        (:func:`repro.mpisim.collectives.allreduce`) while a fault injector
+        is installed.  When a telemetry endpoint is installed, the modeled
+        duration of the whole exchange goes into its ``reduction``
+        histogram — the simulated counterpart of the α–β model's
+        ``reductions`` term.
+        """
+        if not (type(value) is float or (type(value) is np.ndarray and value.ndim
+                                         and value.dtype.kind in "fiu")):
+            raise CommError(
+                f"allreduce: rank {self.rank} passed {_describe(value)}; it sums "
+                "a Python float or a numeric array"
+            )
+        telemetry = self.telemetry if not self._telemetry_mode else None
+        start = self.now() if telemetry is not None else 0.0
+        try:
+            with self._tracer.span("mpisim.allreduce", rank=self.rank):
+                if self._faulted or self.size == 1:
+                    return await collectives.allreduce(self, value)
+                return await self._sched.allreduce(self.rank, value)
+        finally:
+            if telemetry is not None:
+                end = self.now()
+                telemetry.observe("reduction", end - start, end=end)
 
     # -- the native halo exchange -----------------------------------------
     def halo_plan(self, schedule):
@@ -700,7 +633,8 @@ class RankComm(Comm):
             await _park()
         sources = plan.sources[p]
         if sources:
-            arrival = max(map(add, map(exchange.posts.__getitem__, sources), plan.link[p]))
+            arrival = max(map(operator.add, map(exchange.posts.__getitem__, sources),
+                              plan.link[p]))
             if arrival > sched.clocks[p]:
                 sched.clocks[p] = arrival
             exchange.wire.take(plan.scatter[p], mode="clip", out=halo)
@@ -805,20 +739,21 @@ class RankComm(Comm):
             )
         return obj
 
-    # -- nonblocking ----------------------------------------------------
-    def isend(self, obj, dest: int, tag: int = 0) -> Request:
-        """Nonblocking send: buffered, hence complete on return."""
-        self.send(obj, dest, tag)
-        return Request(completed=True)
-
+    # -- receive --------------------------------------------------------
     def irecv(self, source: int, tag: int = ANY_TAG) -> Request:
-        """Nonblocking receive; complete via ``await req.wait()``/``test()``."""
+        """Nonblocking receive; complete it with ``await req.wait()``."""
         self._check_peer(source)
         if source == self.rank:
             raise CommError("recv from self is not supported")
         return Request(self, source, tag)
 
-    # -- receive --------------------------------------------------------
+    async def recv(self, source: int, tag: int = ANY_TAG):
+        """Block until a message matching ``(source, tag)`` arrives."""
+        self._check_peer(source)
+        if source == self.rank:
+            raise CommError("recv from self is not supported")
+        return await self._recv(source, tag)
+
     def _take(self, source: int, tag: int, latest: float | None = None):
         """Complete a receive from the mailbox without parking.
 
@@ -853,48 +788,27 @@ class RankComm(Comm):
             return obj
         return _NOTHING
 
-    def _block(self, source: int, tag: int, deadline: float | None):
-        """Record what this rank waits on (``deadline``: the modeled instant
-        it gives up) and return the awaitable that parks it until a
-        matching delivery, or the deadline, re-queues it."""
-        sched = self._sched
-        sched.wait_src[self.rank] = source
-        sched.wait_tag[self.rank] = tag
-        if deadline is not None:
-            sched.deadlines[self.rank] = deadline
-        return _park()
-
-    def _woke_expired(self) -> bool:
-        """After a park: was it the deadline (clock now at it) that woke us?"""
-        expired = self._sched.expired
-        if expired and self.rank in expired:
-            expired.discard(self.rank)
-            return True
-        return False
-
-    def _recv(self, source: int, tag: int, timeout: float | None):
+    def _recv(self, source: int, tag: int):
         """``recv`` behind the peer checks; returns the coroutine to await:
         straight to the take-or-park loop unless a fault plan, the tracer
         or telemetry watches receives."""
         if self._watched or self._faulted:
-            return self._observed_recv(source, tag, timeout)
-        return self._take_or_park(source, tag, timeout)
+            return self._observed_recv(source, tag)
+        return self._take_or_park(source, tag)
 
-    async def _take_or_park(self, source: int, tag: int, timeout: float | None):
-        """A receive: take the match from the mailbox, or park until taken."""
-        deadline = None if timeout is None else self.now() + timeout
-        value = self._take(source, tag, deadline)
+    async def _take_or_park(self, source: int, tag: int):
+        """A receive: take the match from the mailbox, or park until a
+        matching delivery re-queues this rank."""
+        value = self._take(source, tag)
         while value is _NOTHING:
-            await self._block(source, tag, deadline)
-            if self._woke_expired():
-                raise CommError(
-                    f"rank {self.rank}: recv(source={source}, tag={tag}) timed "
-                    f"out after {timeout} modeled seconds"
-                )
-            value = self._take(source, tag, deadline)
+            sched = self._sched
+            sched.wait_src[self.rank] = source
+            sched.wait_tag[self.rank] = tag
+            await _park()
+            value = self._take(source, tag)
         return value
 
-    async def _observed_recv(self, source: int, tag: int, timeout: float | None):
+    async def _observed_recv(self, source: int, tag: int):
         """A receive someone watches: fault plan, tracer or telemetry.
 
         With tracing enabled a receive whose message has not arrived yet is
@@ -909,54 +823,20 @@ class RankComm(Comm):
         if injector is not None:
             self._apply_rank_faults(injector)
         if not self._watched or self._telemetry_mode:
-            return await self._take_or_park(source, tag, timeout)
+            return await self._take_or_park(source, tag)
         start = self.now()
         value = self._take(source, tag, start)
         if value is not _NOTHING:
             return value  # it had already arrived: no wait to record
         with self._tracer.span("mpisim.wait", rank=self.rank, src=source, tag=tag):
-            value = await self._take_or_park(source, tag, timeout)
+            value = await self._take_or_park(source, tag)
         end = self.now()
         if self.telemetry is not None and end > start:
             self.telemetry.observe_wait(end - start, tag=tag, src=source, end=end)
         return value
 
-    async def recv(self, source: int, tag: int = ANY_TAG, *, timeout: float | None = None):
-        """Block until a message matching ``(source, tag)`` arrives;
-        ``timeout`` is in modeled seconds."""
-        self._check_peer(source)
-        if source == self.rank:
-            raise CommError("recv from self is not supported")
-        return await self._recv(source, tag, timeout)
 
-    async def sendrecv(self, obj, dest: int, source: int, *, tag: int = 0):
-        """Exchange with two (possibly different) peers without deadlock.
-
-        A buffered send followed by a blocking receive: the send completes
-        immediately, so symmetric exchanges are deadlock-free regardless of
-        which peer posts first — no rank-ordering protocol required.
-        """
-        self._check_peer(dest)
-        self._check_peer(source)
-        if dest == self.rank:
-            if source == self.rank:
-                return obj
-            raise CommError("send to self is not supported; restructure the exchange")
-        if source == self.rank:
-            raise CommError("recv from self is not supported")
-        self._send(obj, dest, tag)
-        return await self._recv(source, tag, None)
-
-    async def _yield_to_peers(self) -> None:
-        """Go to the back of the ready queue (an incomplete ``test``)."""
-        sched = self._sched
-        if not sched.ready and not sched.expire_earliest():
-            raise sched.deadlock(poller=self.rank)
-        sched.ready.append(self.rank)
-        await _park()
-
-
-async def _rank_main(fn, comm: RankComm, telemetry, args, kwargs):
+async def _rank_main(fn, comm: Comm, telemetry, args, kwargs):
     """One rank's coroutine: the program under its root span, then the
     in-band telemetry reduction."""
     with comm._tracer.span("spmd.rank", rank=comm.rank):
@@ -986,9 +866,9 @@ def run_spmd(
     results.
 
     ``fn`` is a coroutine function (``async def``): it awaits everything
-    that can block (``recv``, ``sendrecv``, ``Request.wait``/``test``,
-    ``waitall``/``waitany``, every collective) and calls ``send`` /
-    ``isend`` / ``irecv`` / ``advance()`` plainly.  All
+    that can block (``recv``, ``Request.wait``, ``allreduce``,
+    ``halo_finish``) and calls ``send`` / ``irecv`` / ``halo_plan`` /
+    ``halo_start`` / ``now()`` / ``advance()`` plainly.  All
     ranks run interleaved on the calling thread; nothing about the run
     depends on the host's scheduler or clock.
 
@@ -1014,7 +894,7 @@ def run_spmd(
         raise CommError("size must be >= 1")
     sched = _Scheduler(size, clock if clock is not None else ClockModel(), tracker)
     comms = sched.comms = [
-        RankComm(r, sched, telemetry.make_rank(r, size) if telemetry is not None else None)
+        Comm(r, sched, telemetry.make_rank(r, size) if telemetry is not None else None)
         for r in range(size)
     ]
     try:

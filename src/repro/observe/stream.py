@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
@@ -572,25 +571,14 @@ class TelemetryConfig:
             self.result = aggregate
 
 
-@contextmanager
-def _channel(comm):
-    """The communicator's telemetry channel, tolerating bare test doubles."""
-    channel = getattr(comm, "telemetry_channel", None)
-    if channel is None:
-        yield comm
-        return
-    with channel():
-        yield comm
-
-
 async def aggregate_telemetry(comm, telemetry, *, top_k: int = 8):
     """Reduce per-rank telemetry to rank 0 over a binomial tree (a
     coroutine: it receives, so rank programs ``await`` it).
 
-    The same O(log P) pattern as :func:`repro.mpisim.collectives.reduce`,
-    but on :data:`TELEMETRY_TAG` and inside the communicator's telemetry
-    channel, so every hop is booked as telemetry traffic (excluded from the
-    invariance audit) rather than solver traffic.  Returns the merged
+    A binomial-tree reduction (O(log P) hops) on :data:`TELEMETRY_TAG`,
+    inside the communicator's telemetry channel, so every hop is booked as
+    telemetry traffic (excluded from the invariance audit) rather than
+    solver traffic.  Returns the merged
     :class:`ClusterTelemetry` on rank 0 and ``None`` elsewhere.
 
     ``telemetry`` may be a :class:`RankTelemetry` (lifted automatically) or
@@ -600,11 +588,10 @@ async def aggregate_telemetry(comm, telemetry, *, top_k: int = 8):
         accumulator = ClusterTelemetry.from_rank(telemetry, top_k=top_k)
     else:
         accumulator = telemetry
-    size = getattr(comm, "size", 1)
-    rank = getattr(comm, "rank", 0)
+    size, rank = comm.size, comm.rank
     if size <= 1:
         return accumulator
-    with _channel(comm):
+    with comm.telemetry_channel():
         mask = 1
         while mask < size:
             if rank & mask:

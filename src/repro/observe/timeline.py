@@ -74,9 +74,6 @@ _KIND_RULES = (
     ("halo.update", "pack"),
     ("halo.exchange", "pack"),
     ("allreduce", "reduction"),
-    ("allgather", "reduction"),
-    ("barrier", "reduction"),
-    ("reduce", "reduction"),
     ("reduction", "reduction"),
     (".dot", "reduction"),
 )

@@ -10,6 +10,7 @@ the solver expects.
 from __future__ import annotations
 
 import gzip
+import math
 from pathlib import Path
 from typing import TextIO
 
@@ -28,43 +29,71 @@ def _open_text(path: Path, mode: str) -> TextIO:
 
 
 def read_matrix_market(path) -> CSRMatrix:
-    """Read a MatrixMarket coordinate file into a :class:`CSRMatrix`."""
+    """Read a MatrixMarket coordinate file into a :class:`CSRMatrix`.
+
+    A malformed file — a bad banner or size line, an entry with missing,
+    non-numeric or non-finite tokens or an index out of range, a
+    ``symmetric`` banner on a non-square size, too few entries — raises
+    :class:`SparseFormatError` naming the file and the 1-based line.
+    """
     path = Path(path)
     with _open_text(path, "r") as fh:
-        header = fh.readline()
+        lines = enumerate(fh, start=1)
+        lineno = 1
+
+        def fail(message: str, at: int | None = None) -> SparseFormatError:
+            return SparseFormatError(f"{path}: line {at or lineno}: {message}")
+
+        header = next(lines, (1, ""))[1]
         if not header.startswith("%%MatrixMarket"):
-            raise SparseFormatError(f"{path}: missing MatrixMarket banner")
+            raise fail("missing MatrixMarket banner")
         tokens = header.strip().split()
         if len(tokens) < 5:
-            raise SparseFormatError(f"{path}: malformed banner: {header!r}")
+            raise fail(f"malformed banner: {header!r}")
         _, obj, fmt, field, symmetry = tokens[:5]
         obj, fmt = obj.lower(), fmt.lower()
         field, symmetry = field.lower(), symmetry.lower()
         if obj != "matrix" or fmt != "coordinate":
-            raise SparseFormatError(f"{path}: only coordinate matrices supported")
+            raise fail("only coordinate matrices supported")
         if field not in ("real", "integer", "pattern"):
-            raise SparseFormatError(f"{path}: unsupported field {field!r}")
+            raise fail(f"unsupported field {field!r}")
         if symmetry not in ("general", "symmetric"):
-            raise SparseFormatError(f"{path}: unsupported symmetry {symmetry!r}")
+            raise fail(f"unsupported symmetry {symmetry!r}")
 
-        line = fh.readline()
-        while line.startswith("%") or not line.strip():
-            line = fh.readline()
+        for lineno, line in lines:
+            if line.strip() and not line.startswith("%"):
+                break
+        else:
+            raise fail("the file ends before its size line", lineno + 1)
         try:
             nrows, ncols, nnz = (int(t) for t in line.split())
         except ValueError as exc:
-            raise SparseFormatError(f"{path}: bad size line {line!r}") from exc
+            raise fail(f"bad size line {line!r}") from exc
+        if min(nrows, ncols, nnz) < 0:
+            raise fail(f"negative size in {line!r}")
+        if symmetry == "symmetric" and nrows != ncols:
+            raise fail(f"a symmetric matrix must be square, not {nrows} x {ncols}")
 
+        width = 2 if field == "pattern" else 3
         rows = np.empty(nnz, dtype=np.int64)
         cols = np.empty(nnz, dtype=np.int64)
         vals = np.empty(nnz, dtype=np.float64)
         for k in range(nnz):
-            parts = fh.readline().split()
-            if not parts:
-                raise SparseFormatError(f"{path}: truncated at entry {k}")
-            rows[k] = int(parts[0]) - 1
-            cols[k] = int(parts[1]) - 1
-            vals[k] = 1.0 if field == "pattern" else float(parts[2])
+            lineno, line = next(lines, (lineno + 1, ""))
+            parts = line.split()
+            if len(parts) < width:
+                raise fail(f"truncated at entry {k + 1} of {nnz}: expected "
+                           f"{width} tokens, got {line.strip()!r}")
+            try:
+                row, col = int(parts[0]), int(parts[1])
+                value = float(parts[2]) if width == 3 else 1.0
+            except ValueError as exc:
+                raise fail(f"entry {k + 1} is not numeric: {line.strip()!r}") from exc
+            if not (1 <= row <= nrows and 1 <= col <= ncols):
+                raise fail(f"entry {k + 1} lies outside the {nrows} x {ncols} matrix")
+            if not math.isfinite(value):
+                raise fail(f"entry {k + 1} has the non-finite value {parts[2]!r}")
+            rows[k], cols[k], vals[k] = row - 1, col - 1, value
 
     if symmetry == "symmetric":
         off = rows != cols

@@ -12,17 +12,6 @@ from repro.matgen import paper_rhs, poisson2d, poisson3d
 from repro.sparse import CSRMatrix
 
 
-def drive(coro):
-    """Run a coroutine that never parks (``SelfComm``'s, a completed
-    ``Request``'s) to its result, outside any ``run_spmd``."""
-    try:
-        coro.send(None)
-    except StopIteration as stop:
-        return stop.value
-    coro.close()
-    raise AssertionError("coroutine parked")
-
-
 def ring_halo(offsets, ranks: int = 12, rows: int = 4) -> SimpleNamespace:
     """What a halo exchange reads of a ``DistMatrix`` (``schedule`` and
     ``partition``) for ``ranks`` contiguous ranks of ``rows`` rows each, in

@@ -13,7 +13,9 @@ frames entered (``sys.setprofile`` ``call`` events; C builtins raise
 again) and must do that, too, without a Python call per row.  An SPMD halo
 exchange must cost a rank as many Python calls with eight neighbours as
 with two: no call per message.  A BSP ``pcg`` / ``pipelined_pcg`` iteration
-must cost as many Python calls on 16 ranks as on 2: no call per rank.
+must cost as many Python calls on 16 ranks as on 2: no call per rank.  A
+native SPMD allreduce must cost exactly ``a`` calls per rank plus ``b`` per
+call: no call per round or per message.
 """
 
 from __future__ import annotations
@@ -239,4 +241,34 @@ def test_a_krylov_iteration_makes_no_python_call_per_rank(solver):
     assert sixteen == two, (
         f"{solver.__name__}: {two} Python calls per iteration on 2 ranks, "
         f"{sixteen} on 16 — per-rank Python is back"
+    )
+
+
+def calls_per_allreduce(ranks: int) -> float:
+    """Python calls per native allreduce of a float on ``ranks`` ranks, all
+    ranks together: the difference between runs of eleven allreduces and
+    of one, so the per-run set-up cancels."""
+
+    async def prog(comm, allreduces):
+        for _ in range(allreduces):
+            await comm.allreduce(1.0)
+
+    run_spmd(prog, ranks, 1)
+    one, eleven = (python_calls(lambda: run_spmd(prog, ranks, n)) for n in (1, 11))
+    return (eleven - one) / 10
+
+
+def test_an_allreduce_makes_no_python_call_per_round_or_peer():
+    """The scheduler runs all ⌈log₂P⌉ (+ fold) rounds for every rank in
+    NumPy: an allreduce costs ``a`` Python calls per rank plus ``b`` per
+    call, ``a·P + b`` exactly, at powers of two and between them.  A call
+    per round would add ⌈log₂P⌉ (+ 2), and one per message P·log₂P, and
+    neither lies on a line."""
+    counts = {ranks: calls_per_allreduce(ranks) for ranks in (16, 64, 96, 256)}
+    per_rank = (counts[64] - counts[16]) / 48
+    per_call = counts[16] - 16 * per_rank
+    assert per_rank > 0 and per_rank == int(per_rank), counts
+    assert {ranks: per_rank * ranks + per_call for ranks in counts} == counts, (
+        f"Python calls per allreduce by rank count: {counts}, not "
+        f"{per_rank:g}·P {per_call:+g} — per-round or per-peer Python is back"
     )

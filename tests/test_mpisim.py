@@ -1,33 +1,30 @@
-"""Unit tests for the simulated MPI runtime: engine, collectives, tracker."""
+"""Unit tests for the simulated MPI runtime: engine, allreduce, tracker.
+
+The textbook collectives beyond ``allreduce`` are test workloads here
+(:mod:`p2p_collectives`, rank programs over ``send`` / ``recv``): they pin
+the engine's point-to-point matching on trees, rings and pairwise
+exchanges."""
 
 from __future__ import annotations
 
 import gc
+import operator
 import threading
 import time
 import weakref
 from contextlib import nullcontext
 
 import numpy as np
+import p2p_collectives as coll
 import pytest
-from conftest import drive, ring_halo
+from conftest import ring_halo
 
 from repro.dist import DistMatrix, DistVector, RowPartition, spmd_halo_update
 from repro.dist.spmd import _halo_exchange_finish, _halo_exchange_start
 from repro.errors import CommError
 from repro.instrument import tracing
 from repro.matgen import poisson2d
-from repro.mpisim import (
-    ANY_TAG,
-    SUM,
-    ClockModel,
-    CommTracker,
-    ReduceOp,
-    SelfComm,
-    payload_nbytes,
-    run_spmd,
-)
-from repro.mpisim.comm import MAX, MIN
+from repro.mpisim import ANY_TAG, ClockModel, CommTracker, payload_nbytes, run_spmd
 from repro.observe.stream import TelemetryConfig
 from repro.resilience import FaultPlan, fault_injection
 
@@ -90,38 +87,6 @@ class TestEngine:
 
         assert np.allclose(run_spmd(prog, 2)[1], 1.0)
 
-    def test_recv_timeout_reports_deadlock(self):
-        """A receive nobody serves gives up at exactly its modeled deadline."""
-        clocks = {}
-
-        async def prog(comm):
-            if comm.rank == 0:
-                try:
-                    return await comm.recv(1, timeout=0.2)  # nobody sends
-                finally:
-                    clocks[0] = comm.now()
-            return None
-
-        with pytest.raises(CommError, match="timed out"):
-            run_spmd(prog, 2)
-        assert clocks[0] == 0.2  # the receive gave up at exactly its deadline
-
-    def test_message_landing_after_the_deadline_times_out(self):
-        """A 0.05 s link cannot beat a 0.01 s timeout, whatever the order
-        the two ranks happen to run in."""
-
-        async def prog(comm):
-            if comm.rank == 0:
-                comm.send("late", 1)
-                return None
-            with pytest.raises(CommError, match="timed out"):
-                await comm.recv(0, timeout=0.01)
-            gave_up = comm.now()
-            return gave_up, await comm.recv(0), comm.now()
-
-        out = run_spmd(prog, 2, clock=ClockModel(alpha=0.05))
-        assert out[1] == (0.01, "late", 0.05)
-
     def test_deadlock_is_immediate_and_names_the_waits(self):
         async def prog(comm):
             return await comm.recv(1 - comm.rank, tag=3)  # both receive first
@@ -166,6 +131,46 @@ class TestEngine:
         with pytest.raises(CommError):
             run_spmd(prog, 2)
 
+    @pytest.mark.parametrize("call", ["send", "recv", "irecv"])
+    @pytest.mark.parametrize("peer", [1.0, "1", None])
+    def test_a_peer_that_is_not_an_integer_is_rejected(self, call, peer):
+        """A float peer once passed the range check and died as a
+        ``TypeError`` inside the scheduler."""
+
+        async def prog(comm):
+            if comm.rank == 0:
+                if call == "send":
+                    comm.send(1, peer)
+                elif call == "recv":
+                    await comm.recv(peer)
+                else:
+                    comm.irecv(peer)
+
+        with pytest.raises(CommError, match="rank 0 failed") as err:
+            run_spmd(prog, 2)
+        assert isinstance(err.value.__cause__, CommError)
+        assert f"peer rank {peer!r} is not an integer in [0, 2)" in str(err.value)
+
+    def test_an_integer_like_peer_is_accepted(self):
+        async def prog(comm):
+            if comm.rank == 0:
+                comm.send("x", np.int64(1))
+                return None
+            return await comm.recv(np.int64(0))
+
+        assert run_spmd(prog, 2) == [None, "x"]
+
+    @pytest.mark.parametrize("seconds", [float("inf"), float("nan"), -1.0])
+    def test_advance_rejects_what_is_not_a_finite_duration(self, seconds):
+        """An infinite charge was once accepted, and every later clock read
+        ``inf``."""
+
+        async def prog(comm):
+            comm.advance(seconds)
+
+        with pytest.raises(CommError, match="cannot advance the clock"):
+            run_spmd(prog, 1)
+
     def test_zero_size_rejected(self):
         with pytest.raises(CommError):
             run_spmd(lambda comm: None, 0)
@@ -174,21 +179,30 @@ class TestEngine:
 class TestCollectives:
     @pytest.mark.parametrize("size", SIZES)
     def test_allreduce_sum_scalar(self, size):
-        results = run_spmd(lambda c: c.allreduce(c.rank + 1, SUM), size)
-        assert results == [size * (size + 1) // 2] * size
+        results = run_spmd(lambda c: c.allreduce(float(c.rank + 1)), size)
+        assert results == [size * (size + 1) / 2] * size
 
     @pytest.mark.parametrize("size", SIZES)
     def test_allreduce_array(self, size):
         async def prog(comm):
-            return await comm.allreduce(np.full(3, float(comm.rank)), SUM)
+            return await comm.allreduce(np.full(3, float(comm.rank)))
 
         for r in run_spmd(prog, size):
             assert np.allclose(r, sum(range(size)))
 
     @pytest.mark.parametrize("size", SIZES)
     def test_allreduce_max_min(self, size):
-        assert run_spmd(lambda c: c.allreduce(c.rank, MAX), size) == [size - 1] * size
-        assert run_spmd(lambda c: c.allreduce(c.rank, MIN), size) == [0] * size
+        """The allreduce only sums: a rank program gets the max and the min
+        from the sum of one-hot rows (adding zeros is exact)."""
+
+        async def prog(comm):
+            row = np.zeros(comm.size)
+            row[comm.rank] = float((comm.rank * 7) % 5)
+            everyone = await comm.allreduce(row)
+            return everyone.max(), everyone.min()
+
+        values = [float((r * 7) % 5) for r in range(size)]
+        assert run_spmd(prog, size) == [(max(values), min(values))] * size
 
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("root", [0, -1])
@@ -196,7 +210,7 @@ class TestCollectives:
         root = root % size
 
         async def prog(comm):
-            return await comm.bcast({"v": 7} if comm.rank == root else None, root=root)
+            return await coll.bcast(comm, {"v": 7} if comm.rank == root else None, root=root)
 
         assert run_spmd(prog, size) == [{"v": 7}] * size
 
@@ -205,7 +219,7 @@ class TestCollectives:
         root = size - 1
 
         async def prog(comm):
-            return await comm.reduce(comm.rank + 1, SUM, root=root)
+            return await coll.reduce(comm, comm.rank + 1, operator.add, root=root)
 
         results = run_spmd(prog, size)
         assert results[root] == size * (size + 1) // 2
@@ -214,21 +228,21 @@ class TestCollectives:
     @pytest.mark.parametrize("size", SIZES)
     def test_gather_scatter(self, size):
         async def prog(comm):
-            gathered = await comm.gather(comm.rank**2, root=0)
+            gathered = await coll.gather(comm, comm.rank**2, root=0)
             values = [v * 10 for v in gathered] if comm.rank == 0 else None
-            return await comm.scatter(values, root=0)
+            return await coll.scatter(comm, values, root=0)
 
         assert run_spmd(prog, size) == [10 * r * r for r in range(size)]
 
     @pytest.mark.parametrize("size", SIZES)
     def test_allgather(self, size):
-        results = run_spmd(lambda c: c.allgather(c.rank), size)
+        results = run_spmd(lambda c: coll.allgather(c, c.rank), size)
         assert results == [list(range(size))] * size
 
     @pytest.mark.parametrize("size", SIZES)
     def test_alltoall(self, size):
         async def prog(comm):
-            return await comm.alltoall([comm.rank * 100 + j for j in range(size)])
+            return await coll.alltoall(comm, [comm.rank * 100 + j for j in range(size)])
 
         results = run_spmd(prog, size)
         for r, row in enumerate(results):
@@ -237,7 +251,7 @@ class TestCollectives:
     @pytest.mark.parametrize("size", SIZES)
     def test_barrier_completes(self, size):
         async def prog(comm):
-            await comm.barrier()
+            await coll.barrier(comm)
             return True
 
         assert all(run_spmd(prog, size))
@@ -245,36 +259,53 @@ class TestCollectives:
     def test_float_allreduce_deterministic_across_ranks(self):
         async def prog(comm):
             rng = np.random.default_rng(comm.rank)
-            return await comm.allreduce(float(rng.standard_normal()), SUM)
+            return await comm.allreduce(float(rng.standard_normal()))
 
         results = run_spmd(prog, 7)
         assert all(r == results[0] for r in results)
-
-    def test_custom_reduce_op(self):
-        concat = ReduceOp("concat", lambda a, b: a + b)
-        results = run_spmd(lambda c: c.allreduce([c.rank], concat), 4)
-        for r in results:
-            assert sorted(r) == [0, 1, 2, 3]
 
 
 class TestAllreduceFailures:
     """A misused allreduce fails typed and names the ranks involved."""
 
-    def test_ranks_passing_different_operators(self):
+    @pytest.mark.parametrize("payload", [
+        3, np.float64(1.0), [1.0], np.array(1.0), np.array(["a"]), np.ones(2, bool),
+    ], ids=["int", "float64", "list", "0-d", "str-array", "bool-array"])
+    def test_a_payload_it_cannot_sum(self, payload):
         async def prog(comm):
-            return await comm.allreduce(float(comm.rank), MAX if comm.rank == 2 else SUM)
+            return await comm.allreduce(payload if comm.rank == 2 else 1.0)
 
-        with pytest.raises(CommError, match=r"disagree on the operator.*rank 0.*rank 2"):
+        with pytest.raises(CommError, match="rank 2 failed") as err:
             run_spmd(prog, 4)
+        assert "allreduce: rank 2 passed " in str(err.value)
+        assert "it sums a Python float or a numeric array" in str(err.value)
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["native", "point-to-point"])
+    def test_a_payload_it_cannot_sum_fails_on_either_path(self, faulted):
+        async def prog(comm):
+            return await comm.allreduce(comm.rank if comm.rank else 0.0)
+
+        with fault_injection(FaultPlan()) if faulted else nullcontext():
+            with pytest.raises(CommError, match="allreduce: rank 1 passed int 1"):
+                run_spmd(prog, 3)
 
     def test_payload_shapes_that_cannot_combine(self):
         async def prog(comm):
-            return await comm.allreduce(np.zeros(3 if comm.rank else 2), SUM)
+            return await comm.allreduce(np.zeros(3 if comm.rank else 2))
 
         with pytest.raises(
             CommError,
-            match=r"rank 0 cannot combine its payload \(2,\) with rank 1's \(3,\)",
+            match=r"rank 1 passed a float64 array of shape \(3,\) but rank 0 passed "
+                  r"a float64 array of shape \(2,\)",
         ):
+            run_spmd(prog, 4)
+
+    def test_a_float_and_an_array_cannot_combine(self):
+        async def prog(comm):
+            return await comm.allreduce(np.zeros(1) if comm.rank == 3 else 0.0)
+
+        with pytest.raises(CommError, match=r"rank 3 passed a float64 array of shape "
+                                            r"\(1,\) but rank 0 passed float 0.0"):
             run_spmd(prog, 4)
 
     def test_deadlock_when_a_rank_skips_it(self):
@@ -289,16 +320,22 @@ class TestAllreduceFailures:
             assert f"rank {rank} waits in allreduce (3 of 4 ranks arrived)" in str(err.value)
 
     def test_deadlock_when_a_rank_calls_another_collective(self):
+        """Rank 1 enters the halo exchange while ranks 0 and 2 wait in the
+        allreduce: the message names both collectives."""
+        ring = ring_halo((-1,), ranks=3)
+
         async def prog(comm):
             if comm.rank == 1:
-                return await comm.bcast("x", root=0)
+                plan = comm.halo_plan(ring.schedule)
+                return await comm.halo_finish(comm.halo_start(plan, np.ones(4)), np.zeros(1))
             return await comm.allreduce(1.0)
 
         with pytest.raises(CommError, match="deadlock") as err:
             run_spmd(prog, 3)
         message = str(err.value)
         assert "rank 0 waits in allreduce (2 of 3 ranks arrived)" in message
-        assert "rank 1 waits on recv(source=0" in message
+        assert ("rank 1 waits in halo_finish for exchange 1 from ranks [0], "
+                "which have not posted it") in message
 
 
 class TestNativeHalo:
@@ -366,25 +403,39 @@ class TestNativeHalo:
 
 
 class TestSelfComm:
+    """The one-rank communicator is a one-rank run: SPMD code runs with
+    ``size == 1`` without special-casing."""
+
     def test_collectives_are_local(self):
-        comm = SelfComm()
-        assert drive(comm.allreduce(5, SUM)) == 5
-        assert drive(comm.bcast("x")) == "x"
-        assert drive(comm.allgather(3)) == [3]
-        assert drive(comm.gather(2)) == [2]
-        drive(comm.barrier())
+        async def prog(comm):
+            await coll.barrier(comm)
+            return (await comm.allreduce(5.0), await coll.bcast(comm, "x"),
+                    await coll.allgather(comm, 3), await coll.gather(comm, 2),
+                    await comm.allreduce(np.arange(2.0)))
+
+        total, token, everyone, gathered, array = run_spmd(prog, 1)[0]
+        assert (total, token, everyone, gathered) == (5.0, "x", [3], [2])
+        assert array.tolist() == [0.0, 1.0]
 
     def test_clock_accumulates_what_is_charged(self):
-        comm = SelfComm(clock=ClockModel(flop=1e-9, byte=1e-10))
-        comm.advance(comm.clock.kernel_seconds(flops=1000, nbytes=4000))
-        assert comm.now() == max(1000 * 1e-9, 4000 * 1e-10)
+        async def prog(comm):
+            comm.advance(comm.clock.kernel_seconds(flops=1000, nbytes=4000))
+            return comm.now()
+
+        clock = ClockModel(flop=1e-9, byte=1e-10)
+        assert run_spmd(prog, 1, clock=clock) == [max(1000 * 1e-9, 4000 * 1e-10)]
 
     def test_p2p_rejected(self):
-        comm = SelfComm()
-        with pytest.raises(CommError):
+        async def send(comm):
             comm.send(1, 0)
-        with pytest.raises(CommError):
-            drive(comm.recv(0))
+
+        async def recv(comm):
+            await comm.recv(0)
+
+        with pytest.raises(CommError, match="send to self"):
+            run_spmd(send, 1)
+        with pytest.raises(CommError, match="recv from self"):
+            run_spmd(recv, 1)
 
 
 class TestTracker:
@@ -440,14 +491,14 @@ class TestTracker:
 class TestScanReduceScatter:
     @pytest.mark.parametrize("size", SIZES)
     def test_scan_prefix_sums(self, size):
-        results = run_spmd(lambda c: c.scan(c.rank + 1, SUM), size)
+        results = run_spmd(lambda c: coll.scan(c, c.rank + 1, operator.add), size)
         assert results == [sum(range(1, r + 2)) for r in range(size)]
 
     @pytest.mark.parametrize("size", SIZES)
     def test_reduce_scatter(self, size):
         async def prog(comm):
-            return await comm.reduce_scatter(
-                [comm.rank * 100 + j for j in range(comm.size)], SUM
+            return await coll.reduce_scatter(
+                comm, [comm.rank * 100 + j for j in range(comm.size)], operator.add
             )
 
         results = run_spmd(prog, size)
@@ -456,22 +507,22 @@ class TestScanReduceScatter:
 
     def test_reduce_scatter_needs_full_list(self):
         async def prog(comm):
-            await comm.reduce_scatter([1], SUM)
+            await coll.reduce_scatter(comm, [1], operator.add)
 
-        with pytest.raises(CommError):
+        with pytest.raises(CommError, match="list index out of range"):
             run_spmd(prog, 3)
 
     def test_scan_max(self):
         values = [3, 1, 4, 1, 5]
 
         async def prog(comm):
-            return await comm.scan(values[comm.rank], MAX)
+            return await coll.scan(comm, values[comm.rank], max)
 
         assert run_spmd(prog, 5) == [3, 3, 4, 4, 5]
 
     def test_selfcomm_scan(self):
-        from repro.mpisim import SelfComm
+        async def prog(comm):
+            return (await coll.scan(comm, 7, operator.add),
+                    await coll.reduce_scatter(comm, [9], operator.add))
 
-        comm = SelfComm()
-        assert drive(comm.scan(7, SUM)) == 7
-        assert drive(comm.reduce_scatter([9], SUM)) == 9
+        assert run_spmd(prog, 1) == [(7, 9)]

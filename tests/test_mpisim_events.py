@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
+import p2p_collectives as coll
 import pytest
 
 from repro.core import build_fsai
@@ -38,8 +40,7 @@ from repro.dist import (
 from repro.errors import CommError
 from repro.instrument import tracing
 from repro.matgen import paper_rhs, poisson2d
-from repro.mpisim import SUM, ClockModel, CommTracker, run_spmd
-from repro.mpisim.comm import MAX
+from repro.mpisim import ClockModel, CommTracker, run_spmd
 from repro.partition import block_partition_2d
 from repro.resilience import (
     FaultPlan,
@@ -93,28 +94,26 @@ def assert_parity(prog, name):
 
 
 class TestCollectiveParity:
+    """The allreduce, and the textbook collectives as rank programs over
+    ``send`` / ``recv`` (:mod:`p2p_collectives`), which the recorded
+    engines ran as runtime collectives with the same messages."""
+
     def test_bcast(self):
         async def prog(comm):
-            return await comm.bcast("payload" if comm.rank == 3 else None, root=3)
+            return await coll.bcast(comm, "payload" if comm.rank == 3 else None, root=3)
 
         assert_parity(prog, "bcast")
 
     def test_allreduce(self):
         async def prog(comm):
-            total = await comm.allreduce(np.full(4, float(comm.rank + 1)), SUM)
+            total = await comm.allreduce(np.full(4, float(comm.rank + 1)))
             return total.tolist()
 
         assert_parity(prog, "allreduce")
 
-    def test_allreduce_max_scalar(self):
-        async def prog(comm):
-            return await comm.allreduce(float((comm.rank * 7) % 5), MAX)
-
-        assert_parity(prog, "allreduce_max_scalar")
-
     def test_alltoall(self):
         async def prog(comm):
-            return await comm.alltoall([comm.rank * 100 + d for d in range(comm.size)])
+            return await coll.alltoall(comm, [comm.rank * 100 + d for d in range(comm.size)])
 
         assert_parity(prog, "alltoall")
 
@@ -124,16 +123,16 @@ class TestCollectiveParity:
                 np.full(2, float(comm.rank + d), dtype=np.float64)
                 for d in range(comm.size)
             ]
-            return (await comm.reduce_scatter(chunks, SUM)).tolist()
+            return (await coll.reduce_scatter(comm, chunks, operator.add)).tolist()
 
         assert_parity(prog, "reduce_scatter")
 
     def test_barrier_and_sendrecv_ring(self):
         async def prog(comm):
-            await comm.barrier()
+            await coll.barrier(comm)
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
-            got = await comm.sendrecv(comm.rank, dest=right, source=left)
+            got = await coll.sendrecv(comm, comm.rank, dest=right, source=left)
             return got == left
 
         assert_parity(prog, "barrier_and_sendrecv_ring")
@@ -235,7 +234,7 @@ class TestEventScheduling:
 
     def test_many_ranks_complete_quickly(self):
         async def prog(comm):
-            return float(await comm.allreduce(1.0, SUM))
+            return float(await comm.allreduce(1.0))
 
         assert run_spmd(prog, 256) == [256.0] * 256
 
@@ -314,9 +313,10 @@ class TestDeterminism:
             comm.advance(1e-6 * ((comm.rank * 7 + step * 3) % 5))
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
-            acc += await comm.sendrecv(float(comm.rank + step), dest=right, source=left)
-            acc += await comm.allreduce(acc, SUM)
-            gathered = await comm.gather(acc, root=step % comm.size)
+            acc += await coll.sendrecv(comm, float(comm.rank + step), dest=right,
+                                       source=left)
+            acc += await comm.allreduce(acc)
+            gathered = await coll.gather(comm, acc, root=step % comm.size)
             if gathered is not None:
                 acc += sum(gathered)
         return acc, comm.now()

@@ -1,28 +1,17 @@
-"""Unit tests for nonblocking point-to-point operations (isend/irecv)."""
+"""Unit tests for nonblocking receives (``irecv`` + ``Request.wait``),
+buffered sends and the modeled link."""
 
 from __future__ import annotations
 
 import numpy as np
+import p2p_collectives as coll
 import pytest
-from conftest import drive
 
 from repro.errors import CommError
-from repro.mpisim import ClockModel, Request, run_spmd, waitall, waitany
+from repro.mpisim import ClockModel, run_spmd
 
 
 class TestNonblocking:
-    def test_isend_completes_immediately(self):
-        async def prog(comm):
-            if comm.rank == 0:
-                req = comm.isend(5, 1)
-                done, _ = await req.test()
-                assert done
-                assert await req.wait() is None
-                return True
-            return await comm.recv(0)
-
-        assert run_spmd(prog, 2) == [True, 5]
-
     def test_irecv_wait(self):
         async def prog(comm):
             if comm.rank == 0:
@@ -33,48 +22,13 @@ class TestNonblocking:
 
         assert run_spmd(prog, 2)[1] == [0.0, 1.0, 2.0]
 
-    def test_irecv_test_polls(self):
-        """A spin loop on ``test()`` terminates: an incomplete test puts
-        the poller behind every other runnable rank, so the sender runs."""
-        polls = []
-
-        async def prog(comm):
-            if comm.rank == 0:
-                got = []
-                req = comm.irecv(1)
-                while True:
-                    done, value = await req.test()
-                    polls.append(done)
-                    if done:
-                        got.append(value)
-                        break
-                return got
-            comm.send("payload", 0)
-            return None
-
-        assert run_spmd(prog, 2)[0] == ["payload"]
-        assert polls == [False, True]  # one yield was enough, deterministically
-
-    def test_polling_with_no_runnable_peer_is_a_deadlock(self):
-        async def prog(comm):
-            if comm.rank == 0:
-                req = comm.irecv(1)
-                while not (await req.test())[0]:
-                    pass
-            else:
-                await comm.recv(0)  # never sends: nothing can complete the poll
-
-        with pytest.raises(CommError, match="deadlock.*rank 0 polls"):
-            run_spmd(prog, 2)
-
-    def test_test_completes_an_in_flight_message_at_its_arrival(self):
+    def test_wait_completes_an_in_flight_message_at_its_arrival(self):
         async def prog(comm):
             if comm.rank == 0:
                 comm.send("x", 1)
                 return None
             req = comm.irecv(0)
-            while not (await req.test())[0]:
-                pass
+            await req.wait()
             return comm.now()
 
         assert run_spmd(prog, 2, clock=ClockModel(alpha=0.25))[1] == 0.25
@@ -89,15 +43,18 @@ class TestNonblocking:
 
         assert run_spmd(prog, 2)[1] == (7, 7)
 
-    def test_waitall_pairwise_exchange(self):
+    def test_irecv_pairwise_exchange(self):
+        """Post every receive, send to everyone, then wait on each: the
+        order the point-to-point halo exchange uses."""
+
         async def prog(comm):
-            for dst in range(comm.size):
-                if dst != comm.rank:
-                    comm.isend(comm.rank * 10, dst)
             reqs = [
                 comm.irecv(src) for src in range(comm.size) if src != comm.rank
             ]
-            return sorted(await waitall(reqs))
+            for dst in range(comm.size):
+                if dst != comm.rank:
+                    comm.send(comm.rank * 10, dst)
+            return sorted([await req.wait() for req in reqs])
 
         results = run_spmd(prog, 4)
         for r, got in enumerate(results):
@@ -110,60 +67,19 @@ class TestNonblocking:
         with pytest.raises(CommError):
             run_spmd(prog, 2)
 
-    def test_standalone_completed_request(self):
-        req = Request(completed=True, value=42)
-        assert drive(req.test()) == (True, 42)
-        assert drive(req.wait()) == 42
-
-
-class TestWaitany:
-    def test_returns_each_completion_once(self):
-        async def prog(comm):
-            if comm.rank == 0:
-                reqs = [comm.irecv(src) for src in (1, 2, 3)]
-                got = []
-                while reqs:
-                    idx, value = await waitany(reqs)
-                    got.append(value)
-                    reqs.pop(idx)
-                return sorted(got)
-            comm.advance(0.005 * comm.rank)  # stagger arrivals
-            comm.send(comm.rank * 11, 0)
-            return None
-
-        assert run_spmd(prog, 4)[0] == [11, 22, 33]
-
-    def test_empty_list_raises(self):
-        with pytest.raises(CommError, match="at least one"):
-            drive(waitany([]))
-
-    def test_timeout_raises(self):
-        """The timeout is modeled time: with rank 1 blocked on rank 0,
-        nothing is runnable, so the earliest deadline expires — exactly."""
-
-        async def prog(comm):
-            if comm.rank == 0:
-                req = comm.irecv(1)
-                with pytest.raises(CommError, match="timed out"):
-                    await waitany([req], timeout=0.05)
-                comm.send("unblock", 1)
-                return comm.now()
-            await comm.recv(0)
-            return comm.now()
-
-        assert run_spmd(prog, 2) == [0.05, 0.05]
 
 
 class TestSendrecv:
+    """A buffered send then a receive: rings of them cannot deadlock."""
+
     def test_two_rank_ring_does_not_deadlock(self):
-        """Regression: both ranks call sendrecv simultaneously.  A
-        blocking-send implementation would deadlock here; the isend-based
-        one must exchange the payloads."""
+        """Both ranks send first, then receive: a blocking-send
+        implementation would deadlock here."""
 
         async def prog(comm):
             other = 1 - comm.rank
-            got = await comm.sendrecv(
-                np.full(4, float(comm.rank)), dest=other, source=other
+            got = await coll.sendrecv(
+                comm, np.full(4, float(comm.rank)), dest=other, source=other
             )
             return got.tolist()
 
@@ -176,15 +92,9 @@ class TestSendrecv:
         async def prog(comm):
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
-            return await comm.sendrecv(comm.rank, dest=right, source=left)
+            return await coll.sendrecv(comm, comm.rank, dest=right, source=left)
 
         assert run_spmd(prog, 5) == [4, 0, 1, 2, 3]
-
-    def test_self_exchange_is_identity(self):
-        async def prog(comm):
-            return await comm.sendrecv("mine", dest=comm.rank, source=comm.rank)
-
-        assert run_spmd(prog, 2) == ["mine", "mine"]
 
 
 class TestLatency:

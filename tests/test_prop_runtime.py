@@ -3,20 +3,21 @@ halo exchange, cache simulation."""
 
 from __future__ import annotations
 
-import copy
+import operator
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 import numpy as np
+import p2p_collectives as coll
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cachesim import CacheConfig, simulate_misses
-from repro.dist import DistMatrix, DistVector, RowPartition
+from repro.dist import DistMatrix, DistVector, HaloSchedule, RowPartition
 from repro.dist.spmd import _halo_exchange_finish, _halo_exchange_start
 from repro.instrument import tracing
 from repro.matgen import poisson2d
-from repro.mpisim import SUM, ClockModel, CommTracker, ReduceOp, run_spmd
-from repro.mpisim.comm import MAX, MIN
+from repro.mpisim import ClockModel, CommTracker, run_spmd
 from repro.observe.stream import TelemetryConfig
 from repro.partition import graph_from_matrix, partition_matrix
 from repro.perfmodel import SKYLAKE
@@ -31,28 +32,27 @@ class TestCollectiveProperties:
     @given(st.integers(1, 9), st.integers(0, 2**31 - 1))
     def test_allreduce_equals_sequential_sum(self, size, seed):
         rng = np.random.default_rng(seed)
-        values = rng.integers(-1000, 1000, size).tolist()
+        # integers in floats: every partial sum is exact, in any order
+        values = rng.integers(-1000, 1000, size).astype(float).tolist()
 
         async def prog(comm):
-            return await comm.allreduce(values[comm.rank], SUM)
+            return await comm.allreduce(values[comm.rank])
 
         assert run_spmd(prog, size) == [sum(values)] * size
 
     @SETTINGS
     @given(st.integers(2, 8), st.integers(0, 2**31 - 1))
     def test_minmax_consistency(self, size, seed):
-        rng = np.random.default_rng(seed)
-        values = rng.standard_normal(size).tolist()
+        """Max and min through the summing allreduce of one-hot rows."""
+        values = np.random.default_rng(seed).standard_normal(size)
 
         async def prog(comm):
-            return (
-                await comm.allreduce(values[comm.rank], MAX),
-                await comm.allreduce(values[comm.rank], MIN),
-            )
+            row = np.zeros(comm.size)
+            row[comm.rank] = values[comm.rank]
+            everyone = await comm.allreduce(row)
+            return everyone.max(), everyone.min()
 
-        for mx, mn in run_spmd(prog, size):
-            assert mx == max(values)
-            assert mn == min(values)
+        assert run_spmd(prog, size) == [(values.max(), values.min())] * size
 
     @SETTINGS
     @given(st.integers(1, 8), st.integers(0, 7))
@@ -60,40 +60,25 @@ class TestCollectiveProperties:
         root = root % size
 
         async def prog(comm):
-            return await comm.bcast(("payload", root) if comm.rank == root else None, root)
+            return await coll.bcast(comm, ("payload", root) if comm.rank == root else None, root)
 
         assert run_spmd(prog, size) == [("payload", root)] * size
-
-
-#: Tuple concatenation: associative, not commutative, so every rank's
-#: result spells out the operand order it was combined in.
-_CONCAT = ReduceOp("concat", lambda a, b: a + b)
-#: Adds into its first operand: a received partial must be a copy.
-_IADD = ReduceOp(
-    "iadd", lambda a, b: np.add(a, b, out=a) if isinstance(a, np.ndarray) else a + b
-)
-_NATIVE_OPS = {"sum": SUM, "max": MAX, "min": MIN, "concat": _CONCAT, "iadd": _IADD}
 
 
 def _canonical(x):
     """A form equal only for bitwise-equal payloads of the same type."""
     if isinstance(x, np.ndarray):
         return ("array", x.dtype.str, x.shape, x.tobytes())
-    if isinstance(x, float):
-        return ("float", x.hex())
-    if isinstance(x, (list, tuple)):
-        return (type(x).__name__, [_canonical(v) for v in x])
-    return (type(x).__name__, x)
+    return (type(x).__name__, x.hex())
 
 
-async def _two_allreduces(comm, values, skews, op):
+async def _two_allreduces(comm, values, skews):
     """Two allreduces from skewed clocks; the second one's operands are
-    the first's rotated by one rank.  Each rank reduces its own copy, as
-    ranks share no memory (an in-place operator writes into it)."""
+    the first's rotated by one rank."""
     comm.advance(skews[comm.rank])
-    first = await comm.allreduce(copy.deepcopy(values[comm.rank]), op)
+    first = await comm.allreduce(values[comm.rank])
     comm.advance(skews[-1 - comm.rank])
-    second = await comm.allreduce(copy.deepcopy(values[(comm.rank + 1) % comm.size]), op)
+    second = await comm.allreduce(values[(comm.rank + 1) % comm.size])
     return _canonical(first), _canonical(second), comm.now()
 
 
@@ -104,13 +89,13 @@ class TestNativeAllreduceOracle:
     injects nothing and leaves only the algorithm different."""
 
     @staticmethod
-    def run(size, values, skews, op, clock, observe, point_to_point):
+    def run(size, values, skews, clock, observe, point_to_point):
         tracker = CommTracker()
         telemetry = TelemetryConfig(rank_sample="all") if observe == "telemetry" else None
         counters = events = None
         with tracing() if observe == "traced" else nullcontext() as traced:
             with fault_injection(FaultPlan()) if point_to_point else nullcontext():
-                out = run_spmd(_two_allreduces, size, values, skews, op,
+                out = run_spmd(_two_allreduces, size, values, skews,
                                tracker=tracker, clock=clock, telemetry=telemetry)
         if traced:
             tracer, metrics = traced
@@ -135,34 +120,24 @@ class TestNativeAllreduceOracle:
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(1, 40),
-        st.sampled_from(["scalar", "list", "array"]),
-        st.sampled_from(sorted(_NATIVE_OPS)),
+        st.sampled_from(["scalar", "array"]),
         st.booleans(),
         st.sampled_from([ClockModel(), ClockModel(alpha=2e-6, beta=1e-9)]),
         st.sampled_from(["plain", "telemetry", "traced"]),
         st.integers(0, 2**31 - 1),
     )
-    # always run: an in-place operator at a size that folds, and signed zeros
-    @example(6, "array", "iadd", False, ClockModel(alpha=2e-6, beta=1e-9), "plain", 0)
-    @example(5, "scalar", "max", True, ClockModel(), "traced", 1)
-    def test_native_equals_point_to_point(self, size, kind, op_name, zeros, clock,
-                                          observe, seed):
+    # always run: arrays at a size that folds, and signed zeros
+    @example(6, "array", False, ClockModel(alpha=2e-6, beta=1e-9), "plain", 0)
+    @example(5, "scalar", True, ClockModel(), "traced", 1)
+    def test_native_equals_point_to_point(self, size, kind, zeros, clock, observe, seed):
         rng = np.random.default_rng(seed)
         draws = rng.standard_normal((size, 3))
-        if zeros:  # signed zeros tell max(a, b) from np.maximum(a, b)
+        if zeros:  # a sum of signed zeros is -0.0 only if every operand is
             draws = np.where(rng.random((size, 3)) < 0.5, -0.0, 0.0)
-        if op_name == "concat":
-            values = [(r, float(draws[r, 0])) for r in range(size)]
-        elif kind == "scalar":
-            values = [float(v) for v in draws[:, 0]]
-        elif kind == "list":
-            values = [draws[r, :2].tolist() for r in range(size)]
-        else:
-            values = list(draws)
+        values = [float(v) for v in draws[:, 0]] if kind == "scalar" else list(draws)
         skews = (rng.integers(0, 5, size) * 1e-6).tolist()
-        op = _NATIVE_OPS[op_name]
-        native = self.run(size, values, skews, op, clock, observe, point_to_point=False)
-        oracle = self.run(size, values, skews, op, clock, observe, point_to_point=True)
+        native = self.run(size, values, skews, clock, observe, point_to_point=False)
+        oracle = self.run(size, values, skews, clock, observe, point_to_point=True)
         assert native == oracle
 
 
@@ -234,12 +209,20 @@ class TestNativeHaloOracle:
 # A random SPMD program is a tree: leaves are communication steps every rank
 # takes part in (or sits out), inner nodes run their children in order,
 # possibly repeated.  ``size`` is not known when the tree is drawn, so ranks
-# are drawn as large integers and reduced modulo the size at run time.
+# are drawn as large integers and reduced modulo the size at run time.  The
+# steps are the runtime's primitives — ``send`` / ``recv``, ``irecv`` +
+# ``wait``, the summing ``allreduce``, the halo exchange, ``advance`` — and
+# textbook collectives written over them (:mod:`p2p_collectives`).  Values
+# are integers reduced modulo ``_MOD`` after every step, so the allreduce's
+# float sums are exact in any order.
+_MOD = 1 << 20
 _RANK = st.integers(0, 10_000)
 _LEAF = st.one_of(
     st.tuples(st.just("p2p"), _RANK, _RANK, st.integers(-99, 99)),
     st.tuples(st.just("ring"), st.integers(1, 8)),
-    st.tuples(st.just("allreduce"), st.sampled_from(["sum", "max", "min"])),
+    st.tuples(st.just("irecv_ring"), st.integers(1, 8)),
+    st.tuples(st.just("allreduce")),
+    st.tuples(st.just("halo"), st.integers(1, 8)),
     st.tuples(st.just("bcast"), _RANK),
     st.tuples(st.just("reduce"), _RANK),
     st.tuples(st.just("gather"), _RANK),
@@ -256,8 +239,6 @@ _TREE = st.recursive(
     ),
     max_leaves=12,
 )
-_OPS = {"sum": SUM, "max": MAX, "min": MIN}
-_PY_OPS = {"sum": sum, "max": max, "min": min}
 
 
 def _leaves(node):
@@ -279,12 +260,12 @@ def _oracle(tree, size):
             src, dst = leaf[1] % size, leaf[2] % size
             if src != dst:
                 state[dst] += state[src] + leaf[3]
-        elif kind == "ring":
+        elif kind in ("ring", "irecv_ring", "halo"):
             shift = leaf[1] % size
             if shift:
                 state = [state[r] + state[(r - shift) % size] for r in range(size)]
         elif kind == "allreduce":
-            state = [_PY_OPS[leaf[1]](state)] * size
+            state = [sum(state)] * size
         elif kind == "bcast":
             state = [state[leaf[1] % size]] * size
         elif kind == "reduce":
@@ -298,10 +279,22 @@ def _oracle(tree, size):
             state = [sum((r + 1) * v for r, v in enumerate(state))] * size
         elif kind == "alltoall":
             state = [sum(state[s] * (r + 1) for s in range(size)) for r in range(size)]
+        state = [v % _MOD for v in state]
     return state
 
 
-async def _rank_program(comm, tree, alpha):
+def _shift_halo(size: int, shift: int, cache: dict) -> SimpleNamespace:
+    """What a halo exchange reads of a ``DistMatrix`` for two rows per rank,
+    rank ``r`` receiving both of rank ``r - shift``'s; one per shift and
+    run, so repeated exchanges reuse the engine's plan."""
+    if shift not in cache:
+        part = RowPartition.contiguous(2 * size, size)
+        ext = [2 * ((r - shift) % size) + np.arange(2) for r in range(size)]
+        cache[shift] = SimpleNamespace(schedule=HaloSchedule(part, ext), partition=part)
+    return cache[shift]
+
+
+async def _rank_program(comm, tree, alpha, halos):
     """The same program as one rank sees it.  Returns the final value and
     the clock after every step; asserts on the way that no message is
     received earlier than it was sent plus the link latency."""
@@ -321,34 +314,54 @@ async def _rank_program(comm, tree, alpha):
         elif kind == "ring":
             shift = leaf[1] % size
             if shift:
-                got, sent = await comm.sendrecv(
-                    (value, comm.now()), dest=(rank + shift) % size,
+                got, sent = await coll.sendrecv(
+                    comm, (value, comm.now()), dest=(rank + shift) % size,
                     source=(rank - shift) % size, tag=6,
                 )
                 assert comm.now() >= sent + alpha
                 value += got
+        elif kind == "irecv_ring":
+            shift = leaf[1] % size
+            if shift:
+                request = comm.irecv((rank - shift) % size, tag=7)
+                comm.send((value, comm.now()), (rank + shift) % size, tag=7)
+                got, sent = await request.wait()
+                assert comm.now() >= sent + alpha
+                value += got
         elif kind == "allreduce":
-            value = await comm.allreduce(value, _OPS[leaf[1]])
+            value = int(await comm.allreduce(float(value)))
+        elif kind == "halo":
+            shift = leaf[1] % size
+            if shift:
+                halo = np.zeros(2)
+                mat = _shift_halo(size, shift, halos)
+                rows = np.array([float(value), comm.now()])
+                await _halo_exchange_finish(
+                    comm, mat, _halo_exchange_start(comm, mat, rows), halo
+                )
+                assert comm.now() >= halo[1] + alpha
+                value += int(halo[0])
         elif kind == "bcast":
-            value = await comm.bcast(value, root=leaf[1] % size)
+            value = await coll.bcast(comm, value, root=leaf[1] % size)
         elif kind == "reduce":
-            total = await comm.reduce(value, SUM, root=leaf[1] % size)
+            total = await coll.reduce(comm, value, operator.add, root=leaf[1] % size)
             if rank == leaf[1] % size:
                 value = total
         elif kind == "gather":
-            gathered = await comm.gather(value, root=leaf[1] % size)
+            gathered = await coll.gather(comm, value, root=leaf[1] % size)
             if gathered is not None:
                 value = sum((r + 1) * v for r, v in enumerate(gathered))
         elif kind == "scan":
-            value = await comm.scan(value, SUM)
+            value = await coll.scan(comm, value, operator.add)
         elif kind == "allgather":
-            value = sum((r + 1) * v for r, v in enumerate(await comm.allgather(value)))
+            value = sum((r + 1) * v for r, v in enumerate(await coll.allgather(comm, value)))
         elif kind == "alltoall":
-            value = sum(await comm.alltoall([value * (d + 1) for d in range(size)]))
+            value = sum(await coll.alltoall(comm, [value * (d + 1) for d in range(size)]))
         elif kind == "barrier":
-            await comm.barrier()
+            await coll.barrier(comm)
         elif kind == "work" and rank == leaf[1] % size:
             comm.advance(leaf[2] * 1e-6)
+        value %= _MOD
         clocks.append(comm.now())
     return value, clocks
 
@@ -358,11 +371,11 @@ class TestRandomPrograms:
     @given(_TREE, st.integers(2, 9), st.sampled_from([0.0, 1e-6, 2.5e-4]))
     def test_random_program_matches_sequential_oracle(self, tree, size, alpha):
         clock = ClockModel(alpha=alpha, beta=1e-9)
-        out = run_spmd(_rank_program, size, tree, alpha, clock=clock)
+        out = run_spmd(_rank_program, size, tree, alpha, {}, clock=clock)
         assert [value for value, _ in out] == _oracle(tree, size)
         for _, clocks in out:
             assert clocks == sorted(clocks)  # a rank's clock never runs backwards
-        assert out == run_spmd(_rank_program, size, tree, alpha, clock=clock)
+        assert out == run_spmd(_rank_program, size, tree, alpha, {}, clock=clock)
 
 
 class TestPartitionProperties:

@@ -35,7 +35,7 @@ from repro.core.extension import ExtensionMode, extend_rank_pattern
 from repro.core.filtering import dynamic_filter_for_rank
 from repro.dist import DistMatrix, DistVector, RowPartition
 from repro.matgen import get_case, paper_rhs, poisson2d
-from repro.mpisim import SUM, CommTracker, run_spmd
+from repro.mpisim import CommTracker, run_spmd
 from repro.sparse import CSRMatrix, SparsityPattern
 
 from test_fsai import compute_g_values_per_row
@@ -178,7 +178,7 @@ def fsaie_comm_in_ranks(
         base_count = sum(base_rows[g].size for g in pattern_rows)
         ratios = np.concatenate([ratios_of(g)[1] for g in pattern_rows])
         my_count = base_count + int(np.count_nonzero(ratios > filter_spec.value))
-        average = await comm.allreduce(my_count, SUM) / comm.size
+        average = await comm.allreduce(float(my_count)) / comm.size
         my_filter = filter_spec.value
         if filter_spec.dynamic:
             my_filter = dynamic_filter_for_rank(
