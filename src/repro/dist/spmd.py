@@ -11,9 +11,23 @@ both engines agree, which validates the BSP shortcut.
 The rank programs here are coroutines (``async def``; see
 :mod:`repro.mpisim`): they ``await`` receives, request completion and
 collectives, and charge each rank-local kernel's *modeled* cost to the
-rank's clock (:func:`_charge`) — nothing reads the host's clock.  The
-functions callers use (:func:`spmd_cg`, …) stay plain: they build the rank
-program and hand it to ``run_spmd``.
+rank's clock — nothing reads the host's clock.  The functions callers use
+(:func:`spmd_cg`, …) stay plain: they build the rank program and hand it
+to ``run_spmd``.
+
+A rank program holds one :class:`_Rank` — the tracer, resolved once (the
+per-kernel spans open only while it is enabled), and the clock charge —
+and per matrix a :class:`_Block`, built when the program starts: the
+compiled plans (:class:`~repro.kernels.plan.SpMVPlan`) of the rank's block
+(the fused block, or ``A_ll`` / ``A_lh`` when overlapped), its
+``[x_local | halo]`` operand buffer and the modeled seconds of its products
+and its halo pack.  Every product is one call of the compiled CSR loop the
+BSP solvers run, which sums each row strictly left to right in stored
+order: a fused rank product equals that rank's rows of
+:meth:`DistMatrix.operator`'s product bitwise (the NumPy reference
+:meth:`CSRMatrix.spmv` did not, so the solutions moved in the last bits).
+Kernel seconds are computed once per rank; each charge adds the same float
+a per-call computation gave, so the modeled clocks are unchanged by it.
 
 The work of a kernel (:func:`spmv_work`, :func:`vector_work`,
 :func:`pack_work`) and of an iteration (:data:`CG_ITERATION`,
@@ -31,6 +45,7 @@ from repro.dist.matrix import DistMatrix
 from repro.dist.vector import DistVector
 from repro.errors import CommError
 from repro.instrument import get_tracer
+from repro.kernels.plan import SpMVPlan
 from repro.mpisim import ClockModel, Comm, CommTracker, run_spmd
 
 __all__ = [
@@ -93,17 +108,6 @@ def _check_engine(engine: str) -> None:
         )
     if engine != "events":
         raise CommError(f"unknown engine {engine!r}; the only engine is 'events'")
-
-
-def _charge(comm: Comm, work: tuple) -> None:
-    """Charge one rank-local kernel's ``(flops, bytes)`` to the rank's
-    modeled clock (the run's :meth:`~repro.mpisim.ClockModel.kernel_seconds`)
-    and stream the same seconds into the rank's telemetry ``compute``
-    histogram when one is installed."""
-    seconds = comm.clock.kernel_seconds(*work)
-    comm.advance(seconds)
-    if comm.telemetry is not None:
-        comm.telemetry.observe("compute", seconds, end=comm.now())
 
 
 def _halo_exchange_start(comm: Comm, mat: DistMatrix, x_local: np.ndarray):
@@ -179,39 +183,103 @@ async def _halo_exchange(
     )
 
 
-class _Operands:
-    """One rank's ``[x_local | halo]`` SpMV operands, one buffer per matrix
-    of the solve, allocated on first use and refilled per product."""
+class _Block:
+    """One rank's block of one matrix in a run: its compiled plans, its
+    ``[x_local | halo]`` operand buffer and halo view, its exchange plan
+    (``None``: point to point) and the modeled seconds of its products and
+    of its halo pack."""
 
-    def __init__(self, rank: int):
-        self.rank = rank
-        self._buffers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    __slots__ = ("mat", "n_local", "fused", "local", "remote", "operand", "halo",
+                 "exchange", "pack_seconds")
 
-    def of(self, mat: DistMatrix) -> tuple[np.ndarray, np.ndarray]:
-        """``(operand, halo)``: the full buffer and its halo tail (a view)."""
-        pair = self._buffers.get(id(mat))
-        if pair is None:
-            lm = mat.locals[self.rank]
-            buf = np.zeros(lm.n_local + lm.n_halo, dtype=np.float64)
-            pair = self._buffers[id(mat)] = (buf, buf[lm.n_local:])
-        return pair
+    def __init__(self, comm: Comm, mat: DistMatrix, overlap: bool):
+        p, seconds = comm.rank, comm.clock.kernel_seconds
+        lm = mat.locals[p]
+        self.mat, self.n_local = mat, lm.n_local
+
+        def priced(block):  # the plan and the modeled seconds of one product
+            return SpMVPlan(block), seconds(*spmv_work(block.nnz, block.nrows))
+
+        if overlap:
+            a_ll, a_lh = mat.split_blocks()[p]
+            self.fused, self.local = None, priced(a_ll)
+            self.remote = priced(a_lh) if a_lh is not None else (None, 0.0)
+        else:
+            self.fused, self.local, self.remote = priced(lm.csr), None, None
+        self.operand = np.zeros(lm.n_local + lm.n_halo, dtype=np.float64)
+        self.halo = self.operand[lm.n_local:]
+        self.exchange = comm.halo_plan(mat.schedule)
+        outgoing = sum(ids.size for ids in mat.schedule.send_to[p].values())
+        self.pack_seconds = seconds(*pack_work(outgoing))
 
 
-async def _fused_spmv(comm: Comm, mat: DistMatrix, operands: _Operands,
-                      v: np.ndarray) -> np.ndarray:
-    """Blocking-exchange SpMV of one rank: update the halo, then one
-    product with the rank's full local block."""
-    p = comm.rank
-    lm = mat.locals[p]
-    operand, halo = operands.of(mat)
-    await _halo_exchange(comm, mat, v, halo)
-    with get_tracer().span("spmd.compute", rank=p, kernel="spmv"):
-        if lm.n_halo:
-            operand[: lm.n_local] = v
-            v = operand
-        y = lm.csr.spmv(v)
-        _charge(comm, spmv_work(lm.csr.nnz, lm.csr.nrows))
-    return y
+class _Rank:
+    """One rank's side of a solve: the tracer, resolved once, the clock
+    charge, and the products over the rank's blocks (:class:`_Block`).
+
+    ``charge(seconds)`` is ``comm.advance``, which also streams the seconds
+    into the rank's telemetry ``compute`` histogram when one is installed;
+    :meth:`compute` is a charge inside an ``spmd.compute`` span while
+    tracing.  The span holds only the charge: the kernel itself does not
+    move the modeled clock, so the span's times are those of a span around
+    kernel and charge.
+    """
+
+    def __init__(self, comm: Comm):
+        self.comm, self.rank = comm, comm.rank
+        self.tracer = get_tracer()
+        self.traced = self.tracer.enabled
+        self.charge = comm.advance if comm.telemetry is None else self._observed
+
+    def _observed(self, seconds: float) -> None:
+        self.comm.advance(seconds)
+        self.comm.telemetry.observe("compute", seconds, end=self.comm.now())
+
+    def compute(self, kernel: str, seconds: float) -> None:
+        if self.traced:
+            with self.tracer.span("spmd.compute", rank=self.rank, kernel=kernel):
+                self.charge(seconds)
+        else:
+            self.charge(seconds)
+
+    async def allreduce(self, value, **tags):
+        """``comm.allreduce`` inside an ``spmd.reduction`` span while tracing."""
+        if not self.traced:
+            return await self.comm.allreduce(value)
+        with self.tracer.span("spmd.reduction", rank=self.rank, **tags):
+            return await self.comm.allreduce(value)
+
+    def _start(self, blk: _Block, v: np.ndarray):
+        if blk.exchange is None:
+            return _halo_exchange_start(self.comm, blk.mat, v)
+        self.comm.advance(blk.pack_seconds)
+        return self.comm.halo_start(blk.exchange, v)
+
+    async def spmv(self, blk: _Block, v: np.ndarray) -> np.ndarray:
+        """Blocking-exchange product: update the halo, then one product
+        with the fused block."""
+        await _halo_exchange_finish(self.comm, blk.mat, self._start(blk, v), blk.halo)
+        plan, seconds = blk.fused
+        if blk.halo.size:
+            blk.operand[: blk.n_local] = v
+            v = blk.operand
+        y = plan.spmv(v)
+        self.compute("spmv", seconds)
+        return y
+
+    async def spmv_overlapped(self, blk: _Block, v: np.ndarray) -> np.ndarray:
+        """Overlapped product: post the halo exchange, apply ``A_ll`` while
+        it is in flight, then add ``A_lh`` times the halo."""
+        pending = self._start(blk, v)
+        plan, seconds = blk.local
+        y = plan.spmv(v)
+        self.compute("spmv_local", seconds)
+        halo = await _halo_exchange_finish(self.comm, blk.mat, pending, blk.halo)
+        plan, seconds = blk.remote
+        if plan is not None:
+            y += plan.spmv(halo)
+            self.compute("spmv_halo", seconds)
+        return y
 
 
 def spmd_halo_update(
@@ -270,22 +338,24 @@ def spmd_cg(
     async def _prog(comm: Comm):
         p = comm.rank
         n = mat.locals[p].n_local
-        tracer = get_tracer()
-        operands = _Operands(p)
+        rank = _Rank(comm)
+        seconds = comm.clock.kernel_seconds
+        dot_s = seconds(*vector_work(n, dots=1))
+        axpy_s = seconds(*vector_work(n, updates=2))
+        update_s = seconds(*vector_work(n, updates=1))
+        a = _Block(comm, mat, overlap=False)
+        pre = ([_Block(comm, m, overlap=False) for m in precond_pair]
+               if precond_pair is not None else None)
 
         async def gdot(u: np.ndarray, v: np.ndarray) -> float:
             partial = float(np.dot(u, v))
-            _charge(comm, vector_work(n, dots=1))
-            with tracer.span("spmd.reduction", rank=p):
-                return await comm.allreduce(partial)
+            rank.charge(dot_s)
+            return await rank.allreduce(partial)
 
         async def apply_precond(v: np.ndarray) -> np.ndarray:
-            if precond_pair is None:
+            if pre is None:
                 return v.copy()
-            g, gt = precond_pair
-            return await _fused_spmv(
-                comm, gt, operands, await _fused_spmv(comm, g, operands, v)
-            )
+            return await rank.spmv(pre[1], await rank.spmv(pre[0], v))
 
         x = np.zeros(n, dtype=np.float64)
         r = b.parts[p].copy()
@@ -299,22 +369,21 @@ def spmd_cg(
         for _ in range(max_iterations):
             if np.sqrt(await gdot(r, r)) <= rtol * norm0:
                 break
-            with tracer.span("spmd.iteration", rank=p, index=iterations):
-                ad = await _fused_spmv(comm, mat, operands, d)
+            with rank.tracer.span("spmd.iteration", rank=p, index=iterations):
+                ad = await rank.spmv(a, d)
                 dad = await gdot(d, ad)
                 if dad <= 0 or not np.isfinite(dad):
                     break  # not SPD, or breakdown: allreduced, so all ranks stop
                 alpha = rz / dad
-                with tracer.span("spmd.compute", rank=p, kernel="axpy"):
-                    x += alpha * d
-                    r -= alpha * ad
-                    _charge(comm, vector_work(n, updates=2))
+                x += alpha * d
+                r -= alpha * ad
+                rank.compute("axpy", axpy_s)
                 z = await apply_precond(r)
                 rz_new = await gdot(r, z)
                 beta = rz_new / rz
                 rz = rz_new
                 d = z + beta * d
-                _charge(comm, vector_work(n, updates=1))
+                rank.charge(update_s)
             iterations += 1
         return x, iterations
 
@@ -368,50 +437,31 @@ def spmd_pipelined_pcg(
     """
     _check_engine(engine)
     part = mat.partition
-    blocks = mat.split_blocks() if overlap else None
-    pre_blocks = (
-        (precond_pair[0].split_blocks(), precond_pair[1].split_blocks())
-        if overlap and precond_pair is not None
-        else (None, None)
-    )
 
     async def _prog(comm: Comm):
         p = comm.rank
         n = mat.locals[p].n_local
-        tracer = get_tracer()
-        operands = _Operands(p)
-
-        async def local_spmv(m: DistMatrix, m_blocks, v: np.ndarray) -> np.ndarray:
-            if m_blocks is None:
-                return await _fused_spmv(comm, m, operands, v)
-            pending = _halo_exchange_start(comm, m, v)
-            a_ll, a_lh = m_blocks[p]
-            with tracer.span("spmd.compute", rank=p, kernel="spmv_local"):
-                y = a_ll.spmv(v)
-                _charge(comm, spmv_work(a_ll.nnz, a_ll.nrows))
-            halo = await _halo_exchange_finish(comm, m, pending, operands.of(m)[1])
-            if a_lh is not None:
-                with tracer.span("spmd.compute", rank=p, kernel="spmv_halo"):
-                    y += a_lh.spmv(halo)
-                    _charge(comm, spmv_work(a_lh.nnz, a_lh.nrows))
-            return y
+        rank = _Rank(comm)
+        seconds = comm.clock.kernel_seconds
+        dots_s = [seconds(*vector_work(n, dots=k)) for k in range(4)]
+        update_s = seconds(*vector_work(n, updates=4))
+        product = rank.spmv_overlapped if overlap else rank.spmv
+        a = _Block(comm, mat, overlap)
+        pre = ([_Block(comm, m, overlap) for m in precond_pair]
+               if precond_pair is not None else None)
 
         async def fused_dots(*pairs: tuple[np.ndarray, np.ndarray]) -> list[float]:
             partials = np.array(
-                [float(np.dot(a, c)) for a, c in pairs], dtype=np.float64
+                [float(np.dot(u, v)) for u, v in pairs], dtype=np.float64
             )
-            _charge(comm, vector_work(n, dots=len(pairs)))
-            with tracer.span("spmd.reduction", rank=p, fused=len(pairs)):
-                return [float(v) for v in await comm.allreduce(partials)]
+            rank.charge(dots_s[len(pairs)])
+            return [float(v) for v in await rank.allreduce(partials, fused=len(pairs))]
 
         async def apply_precond(v: np.ndarray) -> np.ndarray:
-            if precond_pair is None:
+            if pre is None:
                 return v.copy()
-            g, gt = precond_pair
-            gb, gtb = pre_blocks
-            return await local_spmv(gt, gtb, await local_spmv(g, gb, v))
+            return await product(pre[1], await product(pre[0], v))
 
-        a_blocks = blocks
         x = np.zeros(n, dtype=np.float64)
         r = b.parts[p].copy()
         (norm0_sq,) = await fused_dots((r, r))
@@ -420,10 +470,10 @@ def spmd_pipelined_pcg(
             return x, 0
         target = rtol * norm0
         u = await apply_precond(r)
-        w = await local_spmv(mat, a_blocks, u)
+        w = await product(a, u)
         gamma, delta = await fused_dots((r, u), (w, u))
         m_w = await apply_precond(w)
-        n_vec = await local_spmv(mat, a_blocks, m_w)
+        n_vec = await product(a, m_w)
         z = n_vec.copy()
         q = m_w.copy()
         pd = u.copy()
@@ -434,30 +484,28 @@ def spmd_pipelined_pcg(
         for _ in range(max_iterations):
             if res <= target or delta == 0 or not np.isfinite(alpha):
                 break
-            with tracer.span("spmd.iteration", rank=p, index=iterations):
-                with tracer.span("spmd.compute", rank=p, kernel="axpy"):
-                    x += alpha * pd
-                    r -= alpha * s
-                    u -= alpha * q
-                    w -= alpha * z
-                    _charge(comm, vector_work(n, updates=4))
+            with rank.tracer.span("spmd.iteration", rank=p, index=iterations):
+                x += alpha * pd
+                r -= alpha * s
+                u -= alpha * q
+                w -= alpha * z
+                rank.compute("axpy", update_s)
                 rr, gamma_new, delta = await fused_dots((r, r), (r, u), (w, u))
                 res = float(np.sqrt(max(rr, 0.0)))
                 iterations += 1
                 if res <= target:
                     break
                 m_w = await apply_precond(w)
-                n_vec = await local_spmv(mat, a_blocks, m_w)
+                n_vec = await product(a, m_w)
                 beta = gamma_new / gamma if gamma != 0 else 0.0
                 gamma = gamma_new
                 denom = delta - beta * gamma / alpha if alpha != 0 else delta
                 alpha = gamma / denom if denom != 0 else 0.0
-                with tracer.span("spmd.compute", rank=p, kernel="axpy"):
-                    z = n_vec + beta * z
-                    q = m_w + beta * q
-                    pd = u + beta * pd
-                    s = w + beta * s
-                    _charge(comm, vector_work(n, updates=4))
+                z = n_vec + beta * z
+                q = m_w + beta * q
+                pd = u + beta * pd
+                s = w + beta * s
+                rank.compute("axpy", update_s)
         return x, iterations
 
     results = run_spmd(

@@ -20,14 +20,24 @@ which would break the zero-hot-loop-allocation gate
 (accumulate into ``y``, int64 indices accepted, float32 ``y`` rejected) is
 pinned by name in ``tests/test_kernels.py``.
 
+The extension module is loaded by itself, with the first plan, and
+registered under its own name: ``import scipy.sparse._sparsetools`` would
+run the ``scipy.sparse`` package first, which pulls in ``numpy.f2py``
+through ``scipy._lib._array_api`` — +20.7 MiB resident and 0.16 s, against
++0.2 MiB and 1 ms for the module alone (SciPy 1.17.1), which every process
+that applies a plan pays, the SPMD engine's 256 ranks included.  A later
+``import scipy.sparse`` finds the module in ``sys.modules`` and reuses it.
+There is no fallback: a SciPy without the module raises
+:class:`ImportError` naming where it looked.
+
 The compiled loop does no bounds checking and reads ``x`` while it writes
 ``out``, so the plan validates the structure once at construction
 (:class:`~repro.errors.ShapeError` on a malformed matrix — blocks built with
-``check=False`` included) and every call rejects a non-float64 operand
-(SciPy would silently allocate an upcast copy) and an ``out`` that may share
-memory with ``x``.  Rows are summed left to right in stored order, which
-agrees with the NumPy reference :meth:`CSRMatrix.spmv` to rounding, not
-bitwise.
+``check=False`` included — and on strided arrays, which SciPy would copy on
+every call) and every call rejects a non-float64 or strided operand (SciPy
+would silently allocate a copy) and an ``out`` that may share memory with
+``x``.  Rows are summed strictly left to right in stored order; the NumPy
+reference :meth:`CSRMatrix.spmv` agrees to rounding, not bitwise.
 
 A plan holds no scratch, so it may be applied from many threads at once
 (each with its own ``out``); the matrix must not be mutated afterwards.
@@ -37,12 +47,41 @@ concurrency — instrumentation, not accounting.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
 
 from repro.errors import ShapeError
 from repro.sparse.csr import CSRMatrix, _check_out
 
 __all__ = ["SpMVPlan"]
+
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+def _sparsetools():
+    """SciPy's compiled sparse loops, without the ``scipy.sparse`` package."""
+    module = sys.modules.get(_SPARSETOOLS)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy.submodule_search_locations if scipy is not None else ()
+    where = [os.path.join(root, "sparse") for root in roots]
+    for path in (os.path.join(d, "_sparsetools" + suffix) for d in where
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES):
+        if os.path.exists(path):
+            spec = importlib.util.spec_from_file_location(_SPARSETOOLS, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_SPARSETOOLS] = module
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(
+        f"{_SPARSETOOLS}: no compiled module in {where or 'sys.path (no scipy package)'}",
+        name=_SPARSETOOLS,
+    )
 
 
 class SpMVPlan:
@@ -58,10 +97,7 @@ class SpMVPlan:
     )
 
     def __init__(self, mat: CSRMatrix):
-        # imported with the first plan, not with the package: scipy.sparse is
-        # ~20 MiB resident, +21 % on an SPMD-engine run, which applies no plan
-        from scipy.sparse._sparsetools import csc_matvec, csr_matvec
-
+        loops = _sparsetools()  # loaded with the first plan, not with the package
         indptr, indices, data = mat.indptr, mat.indices, mat.data
         nrows, ncols = mat.shape
         if indptr.dtype != indices.dtype or indptr.dtype not in (np.int32, np.int64):
@@ -69,6 +105,8 @@ class SpMVPlan:
                 f"indptr ({indptr.dtype}) and indices ({indices.dtype}) must "
                 "share one of int32/int64"
             )
+        if not (indptr.flags.c_contiguous and indices.flags.c_contiguous):
+            raise ShapeError("indptr and indices must be C-contiguous arrays")
         if data.dtype != np.float64 or not data.flags.c_contiguous:
             raise ShapeError("data must be a C-contiguous float64 array")
         if (
@@ -84,15 +122,19 @@ class SpMVPlan:
         self.mat = mat
         self.nrows, self.ncols, self.nnz = nrows, ncols, indices.size
         self._csr = (indptr, indices, data)
-        self._matvec, self._matvec_t = csr_matvec, csc_matvec
+        self._matvec, self._matvec_t = loops.csr_matvec, loops.csc_matvec
         self.calls = 0
         self.calls_t = 0
 
     def _operands(self, x, out, n_in: int, n_out: int) -> np.ndarray:
         _check_out(x, n_in, "x")
+        if not x.flags.c_contiguous:  # SciPy would copy it on every call
+            raise ValueError("x must be C-contiguous")
         if out is None:
             return np.empty(n_out, dtype=np.float64)
         _check_out(out, n_out)
+        if not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
         if np.may_share_memory(x, out):
             raise ValueError("out must not share memory with x")
         return out

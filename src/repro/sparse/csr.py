@@ -32,7 +32,9 @@ __all__ = ["CSRMatrix"]
 
 
 def _as_index_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
+    # C order: the compiled kernel would copy a strided view (np.nonzero's
+    # columns are one) on every product
+    arr = np.asarray(values, dtype=np.int64, order="C")
     if arr.ndim != 1:
         raise SparseFormatError(f"{name} must be one-dimensional, got shape {arr.shape}")
     return arr
@@ -277,9 +279,14 @@ class CSRMatrix:
 
         ``out`` must be a float64 vector of length ``nrows``; it may alias
         ``x`` (the gathered products are materialised before ``out`` is
-        written).  This is the NumPy reference; the solvers run the same
-        product through :class:`repro.kernels.plan.SpMVPlan` (a compiled CSR
-        loop on these arrays, equal to this kernel to rounding).
+        written).  This is the NumPy reference; the solvers (BSP and SPMD)
+        run the same product through :class:`repro.kernels.plan.SpMVPlan`
+        (a compiled CSR loop on these arrays, equal to this kernel to
+        rounding, not bitwise).  The loop sums a row strictly left to
+        right, ``((p0 + p1) + p2) + …``; ``reduceat`` seeds the row's sum
+        with ``p0`` and adds the reduction of ``p1 … pk``, which NumPy forms
+        itself (left to right up to eight products, in unrolled partial
+        sums beyond), ``p0 + ((p1 + p2) + …)``.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.ncols,):

@@ -15,7 +15,10 @@ exchange must cost a rank as many Python calls with eight neighbours as
 with two: no call per message.  A BSP ``pcg`` / ``pipelined_pcg`` iteration
 must cost as many Python calls on 16 ranks as on 2: no call per rank.  A
 native SPMD allreduce must cost exactly ``a`` calls per rank plus ``b`` per
-call: no call per round or per message.
+call: no call per round or per message.  An SPMD ``spmd_cg`` /
+``spmd_pipelined_pcg`` iteration must cost exactly ``a`` calls per rank
+plus ``b``, with ``a`` within its budget: nothing per run (the plans, the
+kernel seconds, the tracer) is recomputed per product.
 """
 
 from __future__ import annotations
@@ -33,11 +36,19 @@ from repro.core import (
     ExtensionMode,
     ExtensionWorkspace,
     FilterSpec,
+    build_fsai,
     extension_entry_mask,
     pcg,
     pipelined_pcg,
 )
-from repro.dist import DistMatrix, DistVector, HaloSchedule, RowPartition
+from repro.dist import (
+    DistMatrix,
+    DistVector,
+    HaloSchedule,
+    RowPartition,
+    spmd_cg,
+    spmd_pipelined_pcg,
+)
 from repro.dist.spmd import _halo_exchange_finish, _halo_exchange_start
 from repro.kernels import SolverWorkspace
 from repro.matgen import paper_rhs, poisson2d
@@ -271,4 +282,48 @@ def test_an_allreduce_makes_no_python_call_per_round_or_peer():
     assert {ranks: per_rank * ranks + per_call for ranks in counts} == counts, (
         f"Python calls per allreduce by rank count: {counts}, not "
         f"{per_rank:g}·P {per_call:+g} — per-round or per-peer Python is back"
+    )
+
+
+def calls_per_spmd_iteration(solver, px: int) -> float:
+    """Python calls per iteration of an SPMD solve of poisson2d(8·px) with
+    FSAI on a ``px × px`` rank grid (64 rows a rank), all ranks together:
+    the difference between budgets of 11 and 1 iterations, so the per-run
+    set-up cancels."""
+    n = 8 * px
+    mat = poisson2d(n)
+    part = RowPartition(block_partition_2d(n, n, px, px), px * px)
+    da = DistMatrix.from_global(mat, part)
+    b = DistVector.from_global(paper_rhs(mat, seed=0), part)
+    fsai = build_fsai(mat, part)
+
+    def run(budget):
+        return lambda: solver(da, b, rtol=0.0, max_iterations=budget,
+                              precond_pair=(fsai.g, fsai.gt))
+
+    run(1)()
+    return (python_calls(run(11)) - python_calls(run(1))) / 10
+
+
+#: Python calls per rank per iteration: 185 (spmd_cg) and 174
+#: (spmd_pipelined_pcg) while each product ran the NumPy reference and
+#: recomputed its kernel seconds and opened its spans on every call.
+SPMD_CALLS_PER_RANK = {spmd_cg: 112, spmd_pipelined_pcg: 94}
+
+
+@pytest.mark.parametrize("solver", [spmd_cg, spmd_pipelined_pcg], ids=lambda s: s.__name__)
+def test_an_spmd_iteration_makes_a_fixed_number_of_calls_per_rank(solver):
+    """``a·P + b`` exactly at 16, 64 and 256 ranks, with ``a`` an integer
+    within the budget: one more call per product adds 3 to ``a``."""
+    counts = {px * px: calls_per_spmd_iteration(solver, px) for px in (4, 8, 16)}
+    per_rank = (counts[64] - counts[16]) / 48
+    per_call = counts[16] - 16 * per_rank
+    assert per_rank == int(per_rank), counts
+    assert {ranks: per_rank * ranks + per_call for ranks in counts} == counts, (
+        f"{solver.__name__}: Python calls per iteration by rank count {counts} "
+        f"lie on no line — per-message Python is back"
+    )
+    assert per_rank <= SPMD_CALLS_PER_RANK[solver], (
+        f"{solver.__name__}: {per_rank:g} Python calls per rank per iteration, "
+        f"budget {SPMD_CALLS_PER_RANK[solver]}"
     )

@@ -125,6 +125,33 @@ class TestSpMVPlan:
         with pytest.raises(ShapeError, match="contiguous"):
             SpMVPlan(mat)
 
+    @pytest.mark.parametrize("name", ["indptr", "indices"])
+    def test_strided_index_arrays_rejected_at_construction(self, name):
+        # SciPy would copy a strided index array on every product
+        mat = CSRMatrix((2, 3), [0, 2, 3], [0, 1, 1], [1.0, 2.0, 3.0])
+        setattr(mat, name, np.repeat(getattr(mat, name), 2)[::2])
+        with pytest.raises(ShapeError, match="contiguous"):
+            SpMVPlan(mat)
+
+    def test_index_arrays_are_stored_contiguous(self):
+        # np.nonzero's columns are a strided view: from_dense must not keep it
+        mat = CSRMatrix.from_dense(np.eye(4) + np.eye(4, k=1))
+        assert mat.indptr.flags.c_contiguous and mat.indices.flags.c_contiguous
+        SpMVPlan(mat)
+
+    def test_strided_operands_rejected_per_call(self, rng):
+        # SciPy would copy a strided x or out on every call
+        plan = SpMVPlan(random_sparse(rng, 8, 5, density=0.4))
+        with pytest.raises(ValueError, match="x must be C-contiguous"):
+            plan.spmv(np.ones(10)[::2])
+        with pytest.raises(ValueError, match="out must be C-contiguous"):
+            plan.spmv(np.ones(5), out=np.empty(16)[::2])
+        with pytest.raises(ValueError, match="x must be C-contiguous"):
+            plan.spmv_t(np.ones(16)[::2])
+        with pytest.raises(ValueError, match="out must be C-contiguous"):
+            plan.spmv_t(np.ones(8), out=np.empty(10)[::2])
+        assert plan.calls == plan.calls_t == 0
+
     def test_private_scipy_routine_contract(self):
         """What ``SpMVPlan`` relies on from ``scipy.sparse._sparsetools``:
         a SciPy upgrade that changes any of it fails here, by name."""
@@ -144,16 +171,32 @@ class TestSpMVPlan:
             csr_matvec(2, 3, indptr, indices, data, x, np.zeros(2, dtype=np.float32))
 
     def test_scipy_is_imported_with_the_first_plan_not_the_package(self):
-        # scipy.sparse costs ~20 MiB resident: processes that never apply a
-        # plan (the SPMD engine's) must not pay it for importing repro
+        # scipy.sparse costs ~22 MiB resident (it pulls in numpy.f2py), the
+        # compiled loops alone ~2 MiB: importing repro loads neither, the
+        # first plan only the loops, and a later import of scipy.sparse
+        # reuses them
         import subprocess
         import sys
+        import textwrap
 
-        code = (
-            "import sys, repro, repro.kernels; from repro.matgen import poisson2d; "
-            "assert 'scipy' not in sys.modules; repro.SpMVPlan(poisson2d(4)); "
-            "assert 'scipy.sparse._sparsetools' in sys.modules"
-        )
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import repro, repro.kernels
+            from repro.matgen import poisson2d
+            assert not [m for m in sys.modules if m.startswith("scipy")]
+            mat = poisson2d(4)
+            plan = repro.SpMVPlan(mat)
+            loops = sys.modules["scipy.sparse._sparsetools"]
+            loaded = {"scipy", "scipy.sparse", "numpy.f2py"} & set(sys.modules)
+            assert not loaded, loaded
+            import scipy.sparse
+            from scipy.sparse import _sparsetools
+            assert _sparsetools is loops
+            x = np.arange(16.0)
+            a = scipy.sparse.csr_array((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+            assert np.array_equal(a @ x, plan.spmv(x))
+        """)
         src = str(Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.run(
             [sys.executable, "-c", code], env={"PYTHONPATH": src},

@@ -8,9 +8,12 @@ is pinned here instead:
 * **parity with recorded facts** — ``tests/fixtures/spmd_parent_facts.json``
   holds what the last commit with both engines produced (they agreed on
   every entry): collective results, tracker snapshots, ``mpisim.*``
-  counters, fault-plan verdicts, and the solution digests of ``spmd_cg`` /
-  ``spmd_pipelined_pcg`` on ``poisson2d(32)`` over 16 ranks.  The new
-  engine must reproduce them bitwise;
+  counters, fault-plan verdicts, and the iterations, traffic and
+  solutions of ``spmd_cg`` / ``spmd_pipelined_pcg`` on ``poisson2d(32)``
+  over 16 ranks.  The new engine must reproduce them bitwise — except the
+  solutions, which moved by rounding when the rank programs took the
+  compiled CSR kernel: they are pinned by digest and must stay within
+  1e-12 relative of the deleted engines' solutions;
 * **determinism** — two runs give identical results, snapshots, per-rank
   final clocks and message order, also under a ``FaultPlan``;
 * **tracing under one thread** — spans held across an ``await`` on
@@ -254,7 +257,10 @@ class TestEventScheduling:
 
 
 class TestRecordedSolves:
-    """Bitwise parity of the two SPMD solvers with the deleted engines."""
+    """Parity of the two SPMD solvers with the deleted engines: iterations,
+    messages, bytes and snapshots bitwise; the solution to 1e-12 relative
+    (the compiled kernel sums rows in another order than ``add.reduceat``),
+    and bitwise the digest pinned when it moved."""
 
     @pytest.fixture(scope="class")
     def system(self):
@@ -280,9 +286,14 @@ class TestRecordedSolves:
         recorded = FACTS["solves"][solver.__name__]
         tracker = CommTracker()
         x, iterations = solver(da, b, rtol=1e-8, precond_pair=pair, tracker=tracker)
-        digest = hashlib.sha256(np.ascontiguousarray(x.to_global()).tobytes()).hexdigest()
+        solution = np.ascontiguousarray(x.to_global())
+        digest = hashlib.sha256(solution.tobytes()).hexdigest()
         assert iterations == recorded["iterations"]
         assert digest == recorded["solution_sha256"]
+        deleted = np.array(recorded["deleted_engines_solution"])
+        assert (hashlib.sha256(deleted.tobytes()).hexdigest()
+                == recorded["deleted_engines_solution_sha256"])
+        assert np.linalg.norm(solution - deleted) <= 1e-12 * np.linalg.norm(deleted)
         assert self.snapshot_digest(tracker) == recorded["snapshot_sha256"]
         assert tracker.total_messages == recorded["messages"]
         assert tracker.total_bytes == recorded["bytes"]

@@ -8,7 +8,9 @@ which holds only while every row is summed in its stored order.  Each
 oracle below first shows that its data can tell: summing the rows in
 reverse order changes some bits.  Traced and fault-injected runs take the
 per-message halo path into the same buffer; their solves must equal the
-plain ones bit for bit as well.
+plain ones bit for bit as well.  The SPMD rank programs run each rank's
+block through the same compiled loop, so their fused products are the
+operator's rows bit for bit too.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ import pytest
 
 from repro.core import ExtensionMode, ExtensionWorkspace, FilterSpec, pcg, pipelined_pcg
 from repro.dist import DistMatrix, DistVector, LocalMatrix, RowPartition
+from repro.dist.spmd import _Block, _Rank
 from repro.instrument import tracing
 from repro.kernels import SolverWorkspace, SpMVPlan
 from repro.matgen import paper_rhs, poisson2d
-from repro.mpisim import CommTracker
+from repro.mpisim import CommTracker, run_spmd
+from repro.partition import block_partition_2d
 from repro.resilience import FaultPlan, fault_injection
 from repro.sparse import CSRMatrix
 
@@ -111,6 +115,32 @@ def test_fsaie_comm_factor_and_its_transpose(seed):
     assert_stacked_is_per_rank(rng, DistMatrix.from_global(mat, part))
     assert_stacked_is_per_rank(rng, pre.g)
     assert_stacked_is_per_rank(rng, pre.gt)
+
+
+def spmd_products(dmat: DistMatrix, x: DistVector) -> np.ndarray:
+    """Every rank program's fused product of ``x``, rank after rank."""
+
+    async def prog(comm):
+        return await _Rank(comm).spmv(_Block(comm, dmat, overlap=False),
+                                      x.parts[comm.rank])
+
+    return np.concatenate(run_spmd(prog, dmat.partition.nparts))
+
+
+def test_spmd_rank_products_are_the_operator_rows():
+    """At 16 ranks, each rank program's fused product of A, G and Gᵀ
+    (FSAIE-Comm) equals its rows of the stacked operator's product."""
+    rng = np.random.default_rng(4)
+    mat = poisson2d(16)
+    part = RowPartition(block_partition_2d(16, 16, 4, 4), 16)
+    pre = ExtensionWorkspace("FSAIE-Comm", mat, part, ExtensionMode.COMM).finalize(
+        FilterSpec(0.01, dynamic=True)
+    )
+    for dmat in (DistMatrix.from_global(mat, part), pre.g, pre.gt):
+        x = spread_vector(rng, part)
+        stacked = SolverWorkspace(dmat).spmv(dmat, x).values
+        assert not np.array_equal(per_rank_product(dmat, x, reverse_rows=True), stacked)
+        assert spmd_products(dmat, x).tobytes() == stacked.tobytes()
 
 
 def test_blocks_built_outside_from_global_are_stacked_on_first_use():
