@@ -5,8 +5,9 @@ Two execution engines share these data structures:
 * the deterministic bulk-synchronous (BSP) methods on
   :class:`DistMatrix`/:class:`DistVector`, used by the solver and benchmarks;
 * the SPMD functions in :mod:`repro.dist.spmd`, which run the identical
-  algorithms over real message passing on :mod:`repro.mpisim` and validate
-  the BSP shortcut.
+  algorithms as rank programs on :mod:`repro.mpisim` while a run is
+  watched, and otherwise as one text over all ranks with a per-rank clock
+  ledger.
 """
 
 from repro.dist.halo import HaloSchedule

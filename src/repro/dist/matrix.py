@@ -104,7 +104,7 @@ class DistMatrix:
     """A sparse matrix distributed by rows with a halo exchange schedule."""
 
     __slots__ = ("partition", "locals", "schedule", "shape", "_values", "_operator",
-                 "_split", "__weakref__")
+                 "_split", "_split_operator", "__weakref__")
 
     def __init__(
         self,
@@ -122,6 +122,7 @@ class DistMatrix:
         self._values: np.ndarray | None = None
         self._operator: weakref.ref[SpMVPlan] | None = None
         self._split: list | None = None
+        self._split_operator: tuple[SpMVPlan, SpMVPlan] | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -293,6 +294,24 @@ class DistMatrix:
             blocks.append((a_ll, a_lh))
         self._split = blocks
         return blocks
+
+    def split_operator(self) -> tuple[SpMVPlan, SpMVPlan]:
+        """:meth:`split_blocks` stacked, rank after rank, into two cached
+        plans: ``A_ll`` over :attr:`DistVector.values` and ``A_lh`` over
+        :meth:`operator`'s one-buffer halo.  Rows sorted by column, as there
+        (and as :meth:`from_global` stores them), so each row sums alike."""
+        if self._split_operator is None:
+            from repro.kernels.plan import SpMVPlan
+
+            op, nrows = self.operator().mat, self.shape[0]
+            rows = np.repeat(np.arange(nrows), np.diff(op.indptr))
+            local = op.indices < nrows
+            self._split_operator = tuple(
+                SpMVPlan(CSRMatrix.from_coo((nrows, ncols), rows[keep],
+                                            op.indices[keep] - shift, op.data[keep]))
+                for keep, ncols, shift in ((local, nrows, 0), (~local, op.ncols - nrows, nrows))
+            )
+        return self._split_operator
 
     def spmv(
         self,

@@ -5,15 +5,18 @@ rank-by-rank in the driver — deterministic and fast.  This module runs the
 *same* data structures as rank programs on :func:`repro.mpisim.run_spmd`:
 a halo update is the engine's neighbourhood exchange and a reduction its
 allreduce, with the clocks and per-edge traffic of point-to-point messages
-(real ones under a fault injector, tracer or telemetry).  Tests assert
-both engines agree, which validates the BSP shortcut.
+(real ones under a fault injector, tracer or telemetry).
 
 The rank programs here are coroutines (``async def``; see
 :mod:`repro.mpisim`): they ``await`` receives, request completion and
 collectives, and charge each rank-local kernel's *modeled* cost to the
 rank's clock — nothing reads the host's clock.  The functions callers use
-(:func:`spmd_cg`, …) stay plain: they build the rank program and hand it
-to ``run_spmd``.
+(:func:`spmd_cg`, …) stay plain and run the rank program on ``run_spmd``
+only while a fault injector, the tracer or telemetry watches.  Otherwise
+the *clocked executor* (the end of this module) runs its statements once
+over all ranks with a :class:`_Ledger` of every rank's clock, bitwise the
+engine: each rank's dot partial is its own ``ndarray.dot``, summed by the
+engine's rounds (:func:`repro.mpisim.collectives.reduce_rounds`).
 
 A rank program holds one :class:`_Rank` — the tracer, resolved once (the
 per-kernel spans open only while it is enabled), and the clock charge —
@@ -38,6 +41,7 @@ charge it and :class:`repro.perfmodel.CostModel` predicts from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +50,9 @@ from repro.dist.vector import DistVector
 from repro.errors import CommError
 from repro.instrument import get_tracer
 from repro.kernels.plan import SpMVPlan
-from repro.mpisim import ClockModel, Comm, CommTracker, run_spmd
+from repro.mpisim import ClockModel, Comm, CommTracker, get_injector, run_spmd
+from repro.mpisim.collectives import reduce_rounds
+from repro.mpisim.engine import book_bulk
 
 __all__ = [
     "spmd_halo_update",
@@ -108,6 +114,11 @@ def _check_engine(engine: str) -> None:
         )
     if engine != "events":
         raise CommError(f"unknown engine {engine!r}; the only engine is 'events'")
+
+
+def _watched(telemetry=None) -> bool:
+    """A fault injector, the tracer or telemetry watches each message."""
+    return telemetry is not None or get_tracer().enabled or get_injector() is not None
 
 
 def _halo_exchange_start(comm: Comm, mat: DistMatrix, x_local: np.ndarray):
@@ -327,12 +338,19 @@ def spmd_cg(
     ``precond_pair`` is ``(G, Gᵀ)`` as row-distributed matrices; the
     preconditioner application is ``z = Gᵀ(G·r)`` — two SpMVs, as in the
     paper.  Returns the solution and the iteration count.  This mirrors
-    :func:`repro.core.cg.pcg` and exists to validate it end-to-end on real
-    message passing.  ``clock`` is the run's
+    :func:`repro.core.cg.pcg` as a rank program; an unwatched run takes
+    the clocked executor.  ``clock`` is the run's
     :class:`~repro.mpisim.ClockModel`; ``engine`` accepts only
     ``"events"``.
     """
     _check_engine(engine)
+    run = _engine_cg if _watched() else _clocked_cg
+    return run(mat, b, rtol, max_iterations, precond_pair, tracker,
+               clock if clock is not None else ClockModel())[:2]
+
+
+def _engine_cg(mat, b, rtol, max_iterations, precond_pair, tracker, clock):
+    """The rank program on the engine: solution, iterations, final clocks."""
     part = mat.partition
 
     async def _prog(comm: Comm):
@@ -361,7 +379,7 @@ def spmd_cg(
         r = b.parts[p].copy()
         norm0 = np.sqrt(await gdot(r, r))
         if norm0 == 0.0:
-            return x, 0
+            return x, 0, comm.now()
         z = await apply_precond(r)
         d = z.copy()
         rz = await gdot(r, z)
@@ -385,12 +403,16 @@ def spmd_cg(
                 d = z + beta * d
                 rank.charge(update_s)
             iterations += 1
-        return x, iterations
+        return x, iterations, comm.now()
 
-    results = run_spmd(_prog, part.nparts, tracker=tracker, clock=clock)
+    return _gathered(part, run_spmd(_prog, part.nparts, tracker=tracker, clock=clock))
+
+
+def _gathered(part, results):
+    """The rank programs' ``(x, iterations, clock)`` results, gathered."""
     iters = results[0][1]
-    assert all(it == iters for _, it in results)
-    return DistVector(part, [x for x, _ in results]), iters
+    assert all(it == iters for _, it, _ in results)
+    return DistVector(part, [x for x, _, _ in results]), iters, [t for *_, t in results]
 
 
 def spmd_pipelined_pcg(
@@ -436,6 +458,15 @@ def spmd_pipelined_pcg(
     summation order in the last ulps).
     """
     _check_engine(engine)
+    run = (partial(_engine_pipelined_pcg, telemetry=telemetry) if _watched(telemetry)
+           else _clocked_pipelined_pcg)
+    return run(mat, b, rtol, max_iterations, precond_pair, tracker, overlap,
+               clock if clock is not None else ClockModel())[:2]
+
+
+def _engine_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker, overlap,
+                          clock, telemetry=None):
+    """The rank program on the engine: solution, iterations, final clocks."""
     part = mat.partition
 
     async def _prog(comm: Comm):
@@ -467,7 +498,7 @@ def spmd_pipelined_pcg(
         (norm0_sq,) = await fused_dots((r, r))
         norm0 = float(np.sqrt(max(norm0_sq, 0.0)))
         if norm0 == 0.0:
-            return x, 0
+            return x, 0, comm.now()
         target = rtol * norm0
         u = await apply_precond(r)
         w = await product(a, u)
@@ -506,11 +537,202 @@ def spmd_pipelined_pcg(
                 pd = u + beta * pd
                 s = w + beta * s
                 rank.compute("axpy", update_s)
-        return x, iterations
+        return x, iterations, comm.now()
 
-    results = run_spmd(
+    return _gathered(part, run_spmd(
         _prog, part.nparts, tracker=tracker, clock=clock, telemetry=telemetry,
-    )
-    iters = results[0][1]
-    assert all(it == iters for _, it in results)
-    return DistVector(part, [x for x, _ in results]), iters
+    ))
+
+
+# -- the clocked executor -----------------------------------------------
+class _Ledger:
+    """Every rank's modeled clock in a clocked run, and its traffic."""
+
+    def __init__(self, part, clock):
+        self.clock, self.clocks = clock, np.zeros(part.nparts)
+        self.sizes = part.sizes().tolist()
+        self.cuts = np.cumsum(self.sizes)[:-1]
+        self.reduced: list[int] = []  # the bytes of each allreduce
+        self.halos: dict[int, list] = {}  # id(schedule) -> [schedule, starts]
+
+    def priced(self, works) -> np.ndarray:
+        """The modeled seconds of one ``(flops, bytes)`` per rank."""
+        return np.array([self.clock.kernel_seconds(*work) for work in works])
+
+    def dots(self, seconds: np.ndarray, *pairs) -> list[float]:
+        """Each rank's ``ndarray.dot`` of each pair of views, allreduced."""
+        partials = np.array([list(map(np.ndarray.dot, us, vs)) for us, vs in pairs]).T
+        self.clocks += seconds
+        self.reduced.append(partials[0].nbytes)
+        reduce_rounds(self.clocks, partials, self.clock.alpha, self.clock.beta, self.reduced[-1])
+        return partials[0].tolist()
+
+    def finish(self, part, x: np.ndarray, iterations: int, tracker):
+        """Book the traffic as the engine does; solution, iterations, clocks."""
+        if tracker is not None:
+            book_bulk(tracker, [{} for _ in self.sizes], len(self.reduced), sum(self.reduced),
+                      [(sched, [n] * len(self.sizes)) for sched, n in self.halos.values()])
+        return DistVector.from_values(part, x), iterations, self.clocks
+
+
+class _Product:
+    """One matrix's products and halo exchanges in a clocked run: a
+    receiving rank's clock becomes ``max(own, post + β·bytes)`` over its
+    sources, one segment max over the edges sorted by destination."""
+
+    def __init__(self, ledger: _Ledger, mat: DistMatrix, overlap: bool):
+        sched, locals_ = mat.schedule, mat.locals
+        self.ledger, self.n = ledger, mat.shape[0]
+        # every (source, destination) message's bytes, by destination
+        offsets, self.source, messages = sched._flat or sched._flat_layout()
+        edges = np.array(list(messages), np.intp).reshape(-1, 2)
+        self.src = edges[:, 0]
+        self.link = ledger.clock.beta * np.array(list(messages.values()), np.float64)
+        self.dests, self.segments = np.unique(edges[:, 1], return_index=True)
+        self.starts = ledger.halos.setdefault(id(sched), [sched, 0])
+        self.pack_s = ledger.priced(pack_work(sum(ids.size for ids in to.values()))
+                                    for to in sched.send_to)
+        if overlap:  # a rank without halo: empty A_lh rows, charged 0.0 s
+            a_ll, a_lh = mat.split_operator()
+            self.local = a_ll, ledger.priced(
+                spmv_work(lm.local_nnz(), lm.n_local) for lm in locals_)
+            self.remote = a_lh, ledger.priced(
+                spmv_work(lm.halo_nnz(), lm.n_local) if lm.n_halo else (0, 0)
+                for lm in locals_)
+            self.halo, self.operand, self.fused = np.empty(int(offsets[-1])), None, None
+        else:
+            self.fused = mat.operator(), ledger.priced(
+                spmv_work(lm.nnz, lm.n_local) for lm in locals_)
+            self.operand = np.empty(self.n + int(offsets[-1]))
+            self.halo = self.operand[self.n:]
+
+    def _finish(self, post: np.ndarray, v: np.ndarray) -> np.ndarray:
+        clocks = self.ledger.clocks
+        arrival = np.maximum.reduceat(post[self.src] + self.link, self.segments)
+        clocks[self.dests] = np.maximum(clocks[self.dests], arrival)
+        return v.take(self.source, out=self.halo, mode="clip")  # in range: no buffer
+
+    def product(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A product with the rank programs' charges, in their order."""
+        self.ledger.clocks += self.pack_s
+        self.starts[1] += 1
+        post = self.ledger.clocks + self.ledger.clock.alpha
+        if self.fused is not None:
+            self._finish(post, v)
+            plan, seconds = self.fused
+            self.operand[: self.n] = v
+            y = plan.spmv(self.operand, out)
+        else:
+            plan, seconds = self.local
+            y = plan.spmv(v, out)
+            self.ledger.clocks += seconds
+            plan, seconds = self.remote
+            y += plan.spmv(self._finish(post, v))
+        self.ledger.clocks += seconds
+        return y
+
+
+def _clocked_cg(mat, b, rtol, max_iterations, precond_pair, tracker, clock):
+    """``spmd_cg``'s rank program over all ranks; the dotted vectors are
+    updated in place, so their rank views are made once."""
+    part = mat.partition
+    ledger = _Ledger(part, clock)
+    dot_s, axpy_s, update_s = (ledger.priced(vector_work(n, **w) for n in ledger.sizes)
+                               for w in ({"dots": 1}, {"updates": 2}, {"updates": 1}))
+    a = _Product(ledger, mat, overlap=False)
+    pre = precond_pair and [_Product(ledger, m, overlap=False) for m in precond_pair]
+    x, r = np.zeros(part.nrows), b.values.copy()
+    z, d, ad = np.empty(part.nrows), np.empty(part.nrows), np.empty(part.nrows)
+    rs, zs, ds, ads = (np.split(v, ledger.cuts) for v in (r, z, d, ad))
+
+    def gdot(us, vs) -> float:
+        return ledger.dots(dot_s, (us, vs))[0]
+
+    def apply_precond(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if pre is None:
+            np.copyto(out, v)
+            return out
+        return pre[1].product(pre[0].product(v), out)
+
+    norm0 = np.sqrt(gdot(rs, rs))
+    if norm0 == 0.0:
+        return ledger.finish(part, x, 0, tracker)
+    np.copyto(d, apply_precond(r, z))
+    rz = gdot(rs, zs)
+    iterations = 0
+    for _ in range(max_iterations):
+        if np.sqrt(gdot(rs, rs)) <= rtol * norm0:
+            break
+        a.product(d, ad)
+        dad = gdot(ds, ads)
+        if dad <= 0 or not np.isfinite(dad):
+            break  # not SPD, or breakdown
+        alpha = rz / dad
+        x += alpha * d
+        r -= alpha * ad
+        ledger.clocks += axpy_s
+        apply_precond(r, z)
+        rz_new = gdot(rs, zs)
+        beta = rz_new / rz
+        rz = rz_new
+        np.add(z, beta * d, out=d)
+        ledger.clocks += update_s
+        iterations += 1
+    return ledger.finish(part, x, iterations, tracker)
+
+
+def _clocked_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker, overlap, clock):
+    """``spmd_pipelined_pcg``'s rank program over all ranks, as
+    :func:`_clocked_cg`; ``r``, ``u`` and ``w`` are updated in place."""
+    part = mat.partition
+    ledger = _Ledger(part, clock)
+    dots_s = [ledger.priced(vector_work(n, dots=k) for n in ledger.sizes) for k in range(4)]
+    update_s = ledger.priced(vector_work(n, updates=4) for n in ledger.sizes)
+    a = _Product(ledger, mat, overlap)
+    pre = precond_pair and [_Product(ledger, m, overlap) for m in precond_pair]
+
+    def apply_precond(v: np.ndarray) -> np.ndarray:
+        return v.copy() if pre is None else pre[1].product(pre[0].product(v))
+
+    x, r = np.zeros(part.nrows), b.values.copy()
+    rs = np.split(r, ledger.cuts)
+    (norm0_sq,) = ledger.dots(dots_s[1], (rs, rs))
+    norm0 = float(np.sqrt(max(norm0_sq, 0.0)))
+    if norm0 == 0.0:
+        return ledger.finish(part, x, 0, tracker)
+    target = rtol * norm0
+    u = apply_precond(r)
+    w = a.product(u)
+    us, ws = np.split(u, ledger.cuts), np.split(w, ledger.cuts)
+    gamma, delta = ledger.dots(dots_s[2], (rs, us), (ws, us))
+    m_w = apply_precond(w)
+    n_vec = a.product(m_w)
+    z, q, pd, s = n_vec.copy(), m_w.copy(), u.copy(), w.copy()
+    alpha = gamma / delta if delta != 0 else 0.0
+    res = norm0
+    iterations = 0
+    for _ in range(max_iterations):
+        if res <= target or delta == 0 or not np.isfinite(alpha):
+            break
+        x += alpha * pd
+        r -= alpha * s
+        u -= alpha * q
+        w -= alpha * z
+        ledger.clocks += update_s
+        rr, gamma_new, delta = ledger.dots(dots_s[3], (rs, rs), (rs, us), (ws, us))
+        res = float(np.sqrt(max(rr, 0.0)))
+        iterations += 1
+        if res <= target:
+            break
+        m_w = apply_precond(w)
+        n_vec = a.product(m_w)
+        beta = gamma_new / gamma if gamma != 0 else 0.0
+        gamma = gamma_new
+        denom = delta - beta * gamma / alpha if alpha != 0 else delta
+        alpha = gamma / denom if denom != 0 else 0.0
+        z = n_vec + beta * z
+        q = m_w + beta * q
+        pd = u + beta * pd
+        s = w + beta * s
+        ledger.clocks += update_s
+    return ledger.finish(part, x, iterations, tracker)

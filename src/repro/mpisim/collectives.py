@@ -11,20 +11,24 @@ a fixed size because the combine order is fixed.
 The SPMD engine runs ``allreduce`` natively (:mod:`repro.mpisim.engine`):
 :func:`allreduce_schedule` lists its rounds, and the scheduler runs each
 round across all ranks at once with the same operand order, messages,
-bytes and clocks.  :func:`allreduce` below, a coroutine over blocking
-point-to-point messages, stays the reference, and is what every rank runs
-while a fault injector is installed: a drop, delay or bit-flip in one round
-changes every later one.
+bytes and clocks (:func:`reduce_rounds`, which the clocked executor runs
+too).  :func:`allreduce` below, a coroutine over blocking point-to-point
+messages, stays the reference, and is what every rank runs while a fault
+injector is installed: a drop, delay or bit-flip in one round changes
+every later one.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 if TYPE_CHECKING:  # annotations only: engine.py imports this module
     from repro.mpisim.engine import Comm
 
-__all__ = ["allreduce", "allreduce_rounds", "allreduce_schedule"]
+__all__ = ["allreduce", "allreduce_rounds", "allreduce_schedule", "reduce_rounds"]
 
 _TAG_ALLREDUCE = 1_000_004
 
@@ -37,14 +41,16 @@ def allreduce_rounds(size: int) -> int:
     return doublings + (2 if size > 1 << doublings else 0)
 
 
-def allreduce_schedule(size: int) -> list[tuple[list[int], list[int], int, bool]]:
+@lru_cache(maxsize=16)
+def allreduce_schedule(size: int) -> tuple[tuple[np.ndarray, np.ndarray, int, bool], ...]:
     """The message rounds of :func:`allreduce` over ``size`` ranks.
 
     Each round is ``(sources, dests, tag, combine)``: rank ``sources[i]``
     sends its partial sum to ``dests[i]``, which adds it in as
     ``acc = acc + received`` when ``combine`` is set and takes it as its
     result otherwise (the unfold).  Within a round every rank sends before
-    it receives, and receives at most once, as in :func:`allreduce`.
+    it receives, and receives at most once, as in :func:`allreduce`.  The
+    rank lists are read-only index arrays, shared by every caller.
     """
     pof2 = 1 << (size.bit_length() - 1)
     rem = size - pof2
@@ -60,7 +66,28 @@ def allreduce_schedule(size: int) -> list[tuple[list[int], list[int], int, bool]
         mask <<= 1
     if rem:
         rounds.append((even, odd, _TAG_ALLREDUCE, False))
-    return rounds
+    arrays = tuple((np.array(s, np.intp), np.array(d, np.intp), tag, combine)
+                   for s, d, tag, combine in rounds)
+    for src, dst, _, _ in arrays:
+        src.flags.writeable = dst.flags.writeable = False
+    return arrays
+
+
+def reduce_rounds(clocks, partials, alpha: float, beta: float, nbytes: int, replay=None):
+    """Every allreduce round for all ranks at once, in place: ``clocks``
+    move as the point-to-point rounds move them and ``partials`` (a row per
+    rank) become each rank's sum; ``replay`` sees each round's arrivals."""
+    for src, dst, tag, combines in allreduce_schedule(len(clocks)):
+        arrival = clocks[src] + alpha
+        if beta:
+            arrival += beta * nbytes
+        if replay is not None:
+            replay(src, dst, tag, arrival)
+        clocks[dst] = np.maximum(clocks[dst], arrival)
+        if combines:
+            partials[dst] = partials[dst] + partials[src]
+        else:
+            partials[dst] = partials[src]
 
 
 async def allreduce(comm: Comm, value):

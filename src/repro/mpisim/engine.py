@@ -171,8 +171,8 @@ class _Scheduler:
     __slots__ = (
         "size", "clock", "alpha", "beta", "tracker", "tracer", "metrics",
         "injector", "ready", "boxes", "wait_src", "wait_tag", "clocks",
-        "comms", "contexts", "arrived", "arrivals", "results", "rounds",
-        "booked_calls", "plans",
+        "comms", "contexts", "arrived", "arrivals", "results", "booked_calls",
+        "booked_bytes", "plans",
     )
 
     def __init__(self, size: int, clock: ClockModel, tracker: CommTracker | None):
@@ -196,13 +196,13 @@ class _Scheduler:
         self.comms: list[Comm] = []
         self.contexts = None  # per-rank tracer task contexts, when tracing
         # the native allreduce: who arrived with what, the last results, and
-        # its rounds (built on first use), each with the bytes untraced runs
-        # booked per edge; every call sends one message per edge
+        # the calls untraced runs booked with the bytes each sent per edge
+        # (every call sends one message on every edge of every round)
         self.arrived = 0
         self.arrivals: list = [None] * size
         self.results: list = []
-        self.rounds: list | None = None
         self.booked_calls = 0
+        self.booked_bytes = 0
         #: id(schedule) -> (schedule, its _HaloPlan), for this run only
         self.plans: dict[int, tuple] = {}
 
@@ -261,7 +261,18 @@ class _Scheduler:
             return self.results[rank]
         values, self.arrivals = self.arrivals, [None] * self.size
         self.arrived = 0
-        self.results = self._reduce(values)
+        stacked = _stacked(values)
+        comms = self.comms
+        watched = comms[0]._watched or any(c._telemetry_mode for c in comms)
+        nbytes = payload_nbytes(values[0])
+        clocks = np.array(self.clocks)
+        collectives.reduce_rounds(clocks, stacked, self.alpha, self.beta, nbytes,
+                                  partial(self._replay, nbytes) if watched else None)
+        if self.tracker is not None and not watched:
+            self.booked_calls += 1
+            self.booked_bytes += nbytes
+        self.clocks[:] = clocks.tolist()
+        self.results = stacked.tolist() if stacked.ndim == 1 else list(stacked)
         if self.contexts:
             self.tracer.activate(self.contexts[rank])
         # every other rank is parked in this allreduce
@@ -269,47 +280,13 @@ class _Scheduler:
         self.ready.extend(r for r in range(self.size) if r != rank)
         return self.results[rank]
 
-    def _reduce(self, values: list) -> list:
-        """Run every round of the allreduce across all ranks: returns each
-        rank's result, moves the clocks and books the messages."""
-        stacked = _stacked(values)
-        if self.rounds is None:
-            self.rounds = [
-                (np.array(sources), np.array(dests), tag, combines,
-                 np.zeros(len(sources), dtype=np.int64))
-                for sources, dests, tag, combines
-                in collectives.allreduce_schedule(self.size)
-            ]
-        comms = self.comms
-        watched = comms[0]._watched or any(c._telemetry_mode for c in comms)
-        book = self.tracker is not None and not watched
-        nbytes = payload_nbytes(values[0])
-        clocks = np.array(self.clocks)
-        for src, dst, tag, combines, booked in self.rounds:
-            # a round's sends all leave at their sender's pre-round clock
-            arrival = clocks[src] + self.alpha
-            if self.beta:
-                arrival += self.beta * nbytes
-            if watched:
-                self._replay(src.tolist(), dst.tolist(), tag, nbytes, arrival)
-            clocks[dst] = np.maximum(clocks[dst], arrival)
-            if book:
-                booked += nbytes
-            if combines:
-                stacked[dst] = stacked[dst] + stacked[src]
-            else:
-                stacked[dst] = stacked[src]
-        if book:
-            self.booked_calls += 1
-        self.clocks[:] = clocks.tolist()
-        return stacked.tolist() if stacked.ndim == 1 else list(stacked)
-
-    def _replay(self, sources, dests, tag, nbytes, arrival) -> None:
+    def _replay(self, nbytes, sources, dests, tag, arrival) -> None:
         """One round's per-message observations, as the point-to-point
         round makes them: each send, then each receive, on its own rank's
         task context at its modeled instant (the clock list still holds
         the round's starting clocks)."""
         comms, contexts, tracer = self.comms, self.contexts, self.tracer
+        sources, dests = sources.tolist(), dests.tolist()  # index arrays
         for src, dest in zip(sources, dests):
             if contexts:
                 tracer.activate(contexts[src])
@@ -318,25 +295,6 @@ class _Scheduler:
             if contexts:
                 tracer.activate(contexts[dest])
             comms[dest]._replay_recv(src, tag, landed)
-
-    def book(self) -> None:
-        """Add the traffic booked in bulk — one message per edge per native
-        allreduce and per halo start — to each sender's per-edge cells."""
-        calls = self.booked_calls
-        traffic = [
-            (s, d, calls, nbytes)
-            for src, dst, _, _, booked in (self.rounds if calls else ())
-            for s, d, nbytes in zip(src.tolist(), dst.tolist(), booked.tolist())
-        ] + [
-            (p, d, starts, starts * 8 * schedule.send_to[p][d].size)
-            for schedule, plan in self.plans.values()
-            for p, starts in enumerate(plan.started) if starts
-            for d in plan.dests[p]
-        ]
-        for src, dest, messages, nbytes in traffic:
-            cell = self.comms[src]._edges.setdefault(dest, [0, 0])
-            cell[0] += messages
-            cell[1] += nbytes
 
     def run(self, programs: list) -> list:
         """Drive the rank coroutines to completion; returns their results."""
@@ -379,6 +337,29 @@ class _Scheduler:
             if contexts:
                 tracer.activate(outer)
         return results
+
+
+def book_bulk(tracker: CommTracker, edges: list[dict], calls: int, nbytes: int, halos) -> None:
+    """Merge each sender's ``edges`` (destination -> ``[messages, bytes]``)
+    into ``tracker`` with the bulk traffic: a message per round edge per
+    allreduce, and per non-empty halo edge per start (``starts[p]``)."""
+    traffic = [
+        (s, d, calls, nbytes)
+        for sources, dests, _, _ in (collectives.allreduce_schedule(len(edges))
+                                     if calls else ())
+        for s, d in zip(sources.tolist(), dests.tolist())
+    ] + [
+        (p, d, n, n * 8 * ids.size)
+        for schedule, starts in halos
+        for p, n in enumerate(starts) if n
+        for d, ids in schedule.send_to[p].items() if ids.size
+    ]
+    for src, dest, messages, size in traffic:
+        cell = edges[src].setdefault(dest, [0, 0])
+        cell[0] += messages
+        cell[1] += size
+    for rank, cells in enumerate(edges):
+        tracker.merge_p2p(rank, cells)
 
 
 class Request:
@@ -903,7 +884,6 @@ def run_spmd(
         )
     finally:
         if tracker is not None:
-            sched.book()
-            for comm in comms:
-                tracker.merge_p2p(comm.rank, comm._edges)
+            book_bulk(tracker, [comm._edges for comm in comms], sched.booked_calls,
+                      sched.booked_bytes, [(s, plan.started) for s, plan in sched.plans.values()])
         sched.plans.clear()  # they hold the run's schedules

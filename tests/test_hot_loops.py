@@ -16,9 +16,11 @@ with two: no call per message.  A BSP ``pcg`` / ``pipelined_pcg`` iteration
 must cost as many Python calls on 16 ranks as on 2: no call per rank.  A
 native SPMD allreduce must cost exactly ``a`` calls per rank plus ``b`` per
 call: no call per round or per message.  An SPMD ``spmd_cg`` /
-``spmd_pipelined_pcg`` iteration must cost exactly ``a`` calls per rank
-plus ``b``, with ``a`` within its budget: nothing per run (the plans, the
-kernel seconds, the tracer) is recomputed per product.
+``spmd_pipelined_pcg`` rank program on the engine must cost exactly ``a``
+calls per rank plus ``b`` per iteration, its pinned line: nothing per run
+(the plans, the kernel seconds, the tracer) is recomputed per product.  The
+clocked executor, which runs an unwatched solve, must cost a fixed number
+of calls per iteration on 16 ranks as on 256: nothing per rank.
 """
 
 from __future__ import annotations
@@ -49,10 +51,15 @@ from repro.dist import (
     spmd_cg,
     spmd_pipelined_pcg,
 )
-from repro.dist.spmd import _halo_exchange_finish, _halo_exchange_start
+from repro.dist.spmd import (
+    _engine_cg,
+    _engine_pipelined_pcg,
+    _halo_exchange_finish,
+    _halo_exchange_start,
+)
 from repro.kernels import SolverWorkspace
 from repro.matgen import paper_rhs, poisson2d
-from repro.mpisim import CommTracker, run_spmd
+from repro.mpisim import ClockModel, CommTracker, run_spmd
 from repro.partition import block_partition_2d
 from repro.sparse import CSRMatrix, SparsityPattern
 
@@ -289,7 +296,7 @@ def calls_per_spmd_iteration(solver, px: int) -> float:
     """Python calls per iteration of an SPMD solve of poisson2d(8·px) with
     FSAI on a ``px × px`` rank grid (64 rows a rank), all ranks together:
     the difference between budgets of 11 and 1 iterations, so the per-run
-    set-up cancels."""
+    set-up cancels.  ``solver(da, b, budget, precond_pair)``."""
     n = 8 * px
     mat = poisson2d(n)
     part = RowPartition(block_partition_2d(n, n, px, px), px * px)
@@ -298,32 +305,56 @@ def calls_per_spmd_iteration(solver, px: int) -> float:
     fsai = build_fsai(mat, part)
 
     def run(budget):
-        return lambda: solver(da, b, rtol=0.0, max_iterations=budget,
-                              precond_pair=(fsai.g, fsai.gt))
+        return lambda: solver(da, b, budget, (fsai.g, fsai.gt))
 
     run(1)()
     return (python_calls(run(11)) - python_calls(run(1))) / 10
 
 
-#: Python calls per rank per iteration: 185 (spmd_cg) and 174
-#: (spmd_pipelined_pcg) while each product ran the NumPy reference and
-#: recomputed its kernel seconds and opened its spans on every call.
-SPMD_CALLS_PER_RANK = {spmd_cg: 112, spmd_pipelined_pcg: 94}
+def engine_cg(da, b, budget, pair):
+    return _engine_cg(da, b, 0.0, budget, pair, None, ClockModel())
 
 
-@pytest.mark.parametrize("solver", [spmd_cg, spmd_pipelined_pcg], ids=lambda s: s.__name__)
+def engine_pipelined_pcg(da, b, budget, pair):
+    return _engine_pipelined_pcg(da, b, 0.0, budget, pair, None, True, ClockModel())
+
+
+#: ``(a, b)`` of the rank programs' a·P + b Python calls per iteration on
+#: the engine: (185, −21) and (174, −31) while each product ran the NumPy
+#: reference and recomputed its kernel seconds and opened its spans on
+#: every call.  One more call per product adds 3 to ``a``.
+ENGINE_CALLS = {engine_cg: (112, -20), engine_pipelined_pcg: (94, -14)}
+
+
+@pytest.mark.parametrize("solver", list(ENGINE_CALLS), ids=["spmd_cg", "spmd_pipelined_pcg"])
 def test_an_spmd_iteration_makes_a_fixed_number_of_calls_per_rank(solver):
-    """``a·P + b`` exactly at 16, 64 and 256 ranks, with ``a`` an integer
-    within the budget: one more call per product adds 3 to ``a``."""
+    """The rank programs under ``run_spmd``: exactly their pinned
+    ``a·P + b`` at 16, 64 and 256 ranks."""
     counts = {px * px: calls_per_spmd_iteration(solver, px) for px in (4, 8, 16)}
-    per_rank = (counts[64] - counts[16]) / 48
-    per_call = counts[16] - 16 * per_rank
-    assert per_rank == int(per_rank), counts
-    assert {ranks: per_rank * ranks + per_call for ranks in counts} == counts, (
-        f"{solver.__name__}: Python calls per iteration by rank count {counts} "
-        f"lie on no line — per-message Python is back"
+    per_rank, per_call = ENGINE_CALLS[solver]
+    assert counts == {ranks: per_rank * ranks + per_call for ranks in counts}, (
+        f"{solver.__name__}: Python calls per iteration by rank count {counts}, "
+        f"not {per_rank}·P {per_call:+d}"
     )
-    assert per_rank <= SPMD_CALLS_PER_RANK[solver], (
-        f"{solver.__name__}: {per_rank:g} Python calls per rank per iteration, "
-        f"budget {SPMD_CALLS_PER_RANK[solver]}"
+
+
+def clocked_cg(da, b, budget, pair):
+    return spmd_cg(da, b, rtol=0.0, max_iterations=budget, precond_pair=pair)
+
+
+def clocked_pipelined_pcg(da, b, budget, pair):
+    return spmd_pipelined_pcg(da, b, rtol=0.0, max_iterations=budget, precond_pair=pair)
+
+
+#: Python calls per iteration of an unwatched solve, on any number of
+#: ranks: the clocked executor runs the rank program's text once.
+CLOCKED_CALLS = {clocked_cg: 32, clocked_pipelined_pcg: 28}
+
+
+@pytest.mark.parametrize("solver", list(CLOCKED_CALLS), ids=lambda s: s.__name__)
+def test_a_clocked_iteration_makes_no_python_call_per_rank(solver):
+    counts = {px * px: calls_per_spmd_iteration(solver, px) for px in (4, 8, 16)}
+    assert counts == dict.fromkeys(counts, CLOCKED_CALLS[solver]), (
+        f"{solver.__name__}: Python calls per iteration by rank count {counts}, "
+        f"not {CLOCKED_CALLS[solver]} on each — per-rank Python is back"
     )
