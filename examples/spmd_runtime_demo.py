@@ -13,9 +13,13 @@ clock — and shows that:
   update for FSAI and FSAIE-Comm (the paper's core guarantee, measured on
   the wire rather than proven on schedules),
 * a hand-written rank program is an `async def`: it awaits what can block
-  (`recv`, `Request.wait`, `allreduce`, `halo_finish`) and calls `send`,
-  `irecv` and `advance` plainly; its timing is modeled seconds, identical
-  on every run.
+  (`recv`, `Request.wait`, `allreduce`) and calls `send`, `irecv` and
+  `advance` plainly; its timing is modeled seconds, identical on every run.
+
+`spmd_cg` runs its rank program on the engine, message by message, only
+while the tracer, telemetry or a fault injector watches the run; the
+unwatched solve below takes the clocked executor, which computes the same
+solution, clocks and tracker traffic for all ranks at once.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 The BSP layer (:class:`~repro.dist.matrix.DistMatrix`) applies operations
 rank-by-rank in the driver — deterministic and fast.  This module runs the
 *same* data structures as rank programs on :func:`repro.mpisim.run_spmd`:
-a halo update is the engine's neighbourhood exchange and a reduction its
-allreduce, with the clocks and per-edge traffic of point-to-point messages
-(real ones under a fault injector, tracer or telemetry).
+a halo update is one ``irecv`` and one ``send`` per edge and a reduction
+the engine's point-to-point allreduce: real messages, which the tracker,
+the tracer, telemetry and a fault injector each see.
 
 The rank programs here are coroutines (``async def``; see
 :mod:`repro.mpisim`): they ``await`` receives, request completion and
@@ -16,15 +16,18 @@ only while a fault injector, the tracer or telemetry watches.  Otherwise
 the *clocked executor* (the end of this module) runs its statements once
 over all ranks with a :class:`_Ledger` of every rank's clock, bitwise the
 engine: each rank's dot partial is its own ``ndarray.dot``, summed by the
-engine's rounds (:func:`repro.mpisim.collectives.reduce_rounds`).
+allreduce's rounds over all ranks at once
+(:func:`repro.mpisim.collectives.reduce_rounds`), and its traffic is booked
+in bulk when the solve ends (:func:`book_bulk`).  The rank programs, which
+share none of that arithmetic, are the executor's oracle.
 
 A rank program holds one :class:`_Rank` — the tracer, resolved once (the
 per-kernel spans open only while it is enabled), and the clock charge —
 and per matrix a :class:`_Block`, built when the program starts: the
 compiled plans (:class:`~repro.kernels.plan.SpMVPlan`) of the rank's block
 (the fused block, or ``A_ll`` / ``A_lh`` when overlapped), its
-``[x_local | halo]`` operand buffer and the modeled seconds of its products
-and its halo pack.  Every product is one call of the compiled CSR loop the
+``[x_local | halo]`` operand buffer and the modeled seconds of its
+products.  Every product is one call of the compiled CSR loop the
 BSP solvers run, which sums each row strictly left to right in stored
 order: a fused rank product equals that rank's rows of
 :meth:`DistMatrix.operator`'s product bitwise (the NumPy reference
@@ -51,8 +54,7 @@ from repro.errors import CommError
 from repro.instrument import get_tracer
 from repro.kernels.plan import SpMVPlan
 from repro.mpisim import ClockModel, Comm, CommTracker, get_injector, run_spmd
-from repro.mpisim.collectives import reduce_rounds
-from repro.mpisim.engine import book_bulk
+from repro.mpisim.collectives import allreduce_schedule, reduce_rounds
 
 __all__ = [
     "spmd_halo_update",
@@ -126,17 +128,12 @@ def _halo_exchange_start(comm: Comm, mat: DistMatrix, x_local: np.ndarray):
 
     The caller can run local compute between start and finish, overlapping
     it with the other ranks' exchanges.  Nothing here can block, so this
-    is a plain function.  The pack charges the gather's streamed bytes to
-    the clock.  On the run's plan it is one ``halo_start``; point to point,
-    one ``irecv`` per incoming edge, a ``spmd.halo.pack`` span tagged with
-    the payload bytes, and one send per outgoing edge.
+    is a plain function: one ``irecv`` per incoming edge, a
+    ``spmd.halo.pack`` span tagged with the payload bytes, whose charge is
+    the gather's streamed bytes, and one send per outgoing edge.
     """
     p = comm.rank
     sched = mat.schedule
-    plan = comm.halo_plan(sched)
-    if plan is not None:
-        comm.advance(comm.clock.kernel_seconds(*pack_work(plan.gather[p].size)))
-        return comm.halo_start(plan, x_local)
     part = mat.partition
     tracer = get_tracer()
     reqs = [
@@ -163,12 +160,10 @@ async def _halo_exchange_finish(
 ) -> np.ndarray:
     """Complete a posted halo exchange into the rank's ``halo`` buffer.
 
-    Point to point, each incoming edge's completion is a ``spmd.halo.wait``
-    span (tagged with the awaited source and payload bytes) — the segments
-    the timeline layer classifies as wait time, and overlap shrinks.
+    Each incoming edge's completion is a ``spmd.halo.wait`` span (tagged
+    with the awaited source and payload bytes) — the segments the timeline
+    layer classifies as wait time, and overlap shrinks.
     """
-    if not isinstance(pending, list):  # the plan, not receive requests
-        return await comm.halo_finish(pending, halo)
     p = comm.rank
     sched = mat.schedule
     tracer = get_tracer()
@@ -196,12 +191,10 @@ async def _halo_exchange(
 
 class _Block:
     """One rank's block of one matrix in a run: its compiled plans, its
-    ``[x_local | halo]`` operand buffer and halo view, its exchange plan
-    (``None``: point to point) and the modeled seconds of its products and
-    of its halo pack."""
+    ``[x_local | halo]`` operand buffer and halo view, and the modeled
+    seconds of its products."""
 
-    __slots__ = ("mat", "n_local", "fused", "local", "remote", "operand", "halo",
-                 "exchange", "pack_seconds")
+    __slots__ = ("mat", "n_local", "fused", "local", "remote", "operand", "halo")
 
     def __init__(self, comm: Comm, mat: DistMatrix, overlap: bool):
         p, seconds = comm.rank, comm.clock.kernel_seconds
@@ -219,9 +212,6 @@ class _Block:
             self.fused, self.local, self.remote = priced(lm.csr), None, None
         self.operand = np.zeros(lm.n_local + lm.n_halo, dtype=np.float64)
         self.halo = self.operand[lm.n_local:]
-        self.exchange = comm.halo_plan(mat.schedule)
-        outgoing = sum(ids.size for ids in mat.schedule.send_to[p].values())
-        self.pack_seconds = seconds(*pack_work(outgoing))
 
 
 class _Rank:
@@ -260,16 +250,10 @@ class _Rank:
         with self.tracer.span("spmd.reduction", rank=self.rank, **tags):
             return await self.comm.allreduce(value)
 
-    def _start(self, blk: _Block, v: np.ndarray):
-        if blk.exchange is None:
-            return _halo_exchange_start(self.comm, blk.mat, v)
-        self.comm.advance(blk.pack_seconds)
-        return self.comm.halo_start(blk.exchange, v)
-
     async def spmv(self, blk: _Block, v: np.ndarray) -> np.ndarray:
         """Blocking-exchange product: update the halo, then one product
         with the fused block."""
-        await _halo_exchange_finish(self.comm, blk.mat, self._start(blk, v), blk.halo)
+        await _halo_exchange(self.comm, blk.mat, v, blk.halo)
         plan, seconds = blk.fused
         if blk.halo.size:
             blk.operand[: blk.n_local] = v
@@ -281,7 +265,7 @@ class _Rank:
     async def spmv_overlapped(self, blk: _Block, v: np.ndarray) -> np.ndarray:
         """Overlapped product: post the halo exchange, apply ``A_ll`` while
         it is in flight, then add ``A_lh`` times the halo."""
-        pending = self._start(blk, v)
+        pending = _halo_exchange_start(self.comm, blk.mat, v)
         plan, seconds = blk.local
         y = plan.spmv(v)
         self.compute("spmv_local", seconds)
@@ -570,9 +554,33 @@ class _Ledger:
     def finish(self, part, x: np.ndarray, iterations: int, tracker):
         """Book the traffic as the engine does; solution, iterations, clocks."""
         if tracker is not None:
-            book_bulk(tracker, [{} for _ in self.sizes], len(self.reduced), sum(self.reduced),
-                      [(sched, [n] * len(self.sizes)) for sched, n in self.halos.values()])
+            book_bulk(tracker, len(self.sizes), len(self.reduced), sum(self.reduced),
+                      self.halos.values())
         return DistVector.from_values(part, x), iterations, self.clocks
+
+
+def book_bulk(tracker: CommTracker, size: int, calls: int, nbytes: int, halos) -> None:
+    """Book into ``tracker`` the messages of a run on ``size`` ranks, as
+    the engine counts them: one per round edge per allreduce (``calls``
+    allreduces of ``nbytes`` operand bytes in all), and one per non-empty
+    halo edge per exchange (``halos``: ``(schedule, exchanges)`` pairs)."""
+    edges: list[dict] = [{} for _ in range(size)]
+    traffic = [
+        (s, d, calls, nbytes)
+        for sources, dests, _, _ in (allreduce_schedule(size) if calls else ())
+        for s, d in zip(sources.tolist(), dests.tolist())
+    ] + [
+        (p, d, n, n * VALUE_BYTES * ids.size)
+        for schedule, n in halos if n
+        for p in range(size)
+        for d, ids in schedule.send_to[p].items() if ids.size
+    ]
+    for src, dest, messages, total in traffic:
+        cell = edges[src].setdefault(dest, [0, 0])
+        cell[0] += messages
+        cell[1] += total
+    for rank, cells in enumerate(edges):
+        tracker.merge_p2p(rank, cells)
 
 
 class _Product:

@@ -2,11 +2,10 @@
 
 The paper runs on MPI over up to 32 768 cores; offline we substitute an
 MPI-like SPMD runtime with identical semantics for the traffic the solvers
-send: ranks, blocking point-to-point messages with tags, the halo exchange
-of each SpMV and the allreduce of each dot product, with realistic message
-patterns.  A :class:`CommTracker` records every message so
-communication-invariance (the paper's core guarantee) is a testable
-property.
+send: ranks, blocking point-to-point messages with tags, and over them the
+halo exchange of each SpMV and the allreduce of each dot product.  A
+:class:`CommTracker` records every message so communication-invariance
+(the paper's core guarantee) is a testable property.
 
 Public surface:
 
@@ -20,11 +19,11 @@ Public surface:
 * :class:`Comm` — the communicator each rank program receives.
 * :class:`Request` — the handle ``comm.irecv`` returns.
 
-What a rank program awaits: ``recv``, ``Request.wait``, ``allreduce``
-and ``halo_finish`` (``allreduce`` and the halo exchange are scheduler
-primitives with the point-to-point pattern's exact traffic and clocks;
-``allreduce`` sums).  What it calls plainly: ``send``, ``irecv``,
-``halo_plan``, ``halo_start``, ``now()``, ``advance()``.
+What a rank program awaits: ``recv``, ``Request.wait`` and ``allreduce``
+(a sum, by recursive doubling over ``send`` / ``recv``).  What it calls
+plainly: ``send``, ``irecv``, ``now()``, ``advance()``.  Every exchange is
+point-to-point messages, so the tracker, the tracer, telemetry and the
+fault injector see each one, in every run.
 
 * :class:`CommTracker`, :func:`payload_nbytes` — traffic accounting.
 * :func:`get_injector` / :func:`install_injector` / :func:`clear_injector` —

@@ -1,4 +1,4 @@
-"""The allreduce's recursive-doubling schedule, and its point-to-point form.
+"""The allreduce: recursive doubling over point-to-point messages.
 
 The solvers' dot products are the one collective this runtime carries:
 ``comm.allreduce(value)`` sums a Python float or equal-shape numeric arrays
@@ -8,14 +8,13 @@ so the :class:`~repro.mpisim.tracker.CommTracker` records traffic shaped
 like a real MPI implementation.  Floating-point sums are deterministic for
 a fixed size because the combine order is fixed.
 
-The SPMD engine runs ``allreduce`` natively (:mod:`repro.mpisim.engine`):
-:func:`allreduce_schedule` lists its rounds, and the scheduler runs each
-round across all ranks at once with the same operand order, messages,
-bytes and clocks (:func:`reduce_rounds`, which the clocked executor runs
-too).  :func:`allreduce` below, a coroutine over blocking point-to-point
-messages, stays the reference, and is what every rank runs while a fault
-injector is installed: a drop, delay or bit-flip in one round changes
-every later one.
+:func:`allreduce` is what every rank of a :func:`~repro.mpisim.run_spmd`
+run executes: a coroutine of blocking ``send`` / ``recv`` messages, so a
+drop, delay or bit-flip in one round changes every later one, and the
+tracer sees each message.  :func:`allreduce_schedule` lists the same
+rounds as index arrays, and :func:`reduce_rounds` runs them for all ranks
+at once with the same operand order, bytes and clocks — the clocked
+executor's allreduce (:mod:`repro.dist.spmd`), checked against this one.
 """
 
 from __future__ import annotations
@@ -24,6 +23,8 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from repro.errors import CommError
 
 if TYPE_CHECKING:  # annotations only: engine.py imports this module
     from repro.mpisim.engine import Comm
@@ -73,21 +74,46 @@ def allreduce_schedule(size: int) -> tuple[tuple[np.ndarray, np.ndarray, int, bo
     return arrays
 
 
-def reduce_rounds(clocks, partials, alpha: float, beta: float, nbytes: int, replay=None):
+def reduce_rounds(clocks, partials, alpha: float, beta: float, nbytes: int) -> None:
     """Every allreduce round for all ranks at once, in place: ``clocks``
     move as the point-to-point rounds move them and ``partials`` (a row per
-    rank) become each rank's sum; ``replay`` sees each round's arrivals."""
-    for src, dst, tag, combines in allreduce_schedule(len(clocks)):
+    rank) become each rank's sum."""
+    for src, dst, _, combines in allreduce_schedule(len(clocks)):
         arrival = clocks[src] + alpha
         if beta:
             arrival += beta * nbytes
-        if replay is not None:
-            replay(src, dst, tag, arrival)
         clocks[dst] = np.maximum(clocks[dst], arrival)
         if combines:
             partials[dst] = partials[dst] + partials[src]
         else:
             partials[dst] = partials[src]
+
+
+def _describe(value) -> str:
+    """An allreduce operand, for an error message: a float by its type (a
+    partial sum is no one rank's value), anything else with its value."""
+    if type(value) is np.ndarray:
+        return f"a {value.dtype} array of shape {value.shape}"
+    if type(value) is float:
+        return "a Python float"
+    return f"{type(value).__name__} {value!r:.40}"
+
+
+def _combine(acc, received, src: int, dst: int):
+    """``acc + received`` on rank ``dst``, ``received`` being rank ``src``'s
+    partial: both Python floats, or arrays of one shape and dtype.  A
+    partial keeps its rank's operand type and shape, so the error names two
+    ranks whose operands differ."""
+    if type(received) is not type(acc) or (
+        type(acc) is np.ndarray
+        and (received.shape != acc.shape or received.dtype != acc.dtype)
+    ):
+        raise CommError(
+            f"allreduce: rank {src} passed {_describe(received)} but rank {dst} "
+            f"passed {_describe(acc)}; every rank must pass a Python float or a "
+            "numeric array of one shape and dtype"
+        )
+    return acc + received
 
 
 async def allreduce(comm: Comm, value):
@@ -104,7 +130,7 @@ async def allreduce(comm: Comm, value):
             comm.send(acc, rank - 1, _TAG_ALLREDUCE)
             newrank = -1
         else:
-            acc = acc + await comm.recv(rank + 1, _TAG_ALLREDUCE)
+            acc = _combine(acc, await comm.recv(rank + 1, _TAG_ALLREDUCE), rank + 1, rank)
             newrank = rank // 2
     else:
         newrank = rank - rem
@@ -114,7 +140,7 @@ async def allreduce(comm: Comm, value):
             peer_new = newrank ^ mask
             peer = peer_new * 2 if peer_new < rem else peer_new + rem
             comm.send(acc, peer, _TAG_ALLREDUCE + mask)
-            acc = acc + await comm.recv(peer, _TAG_ALLREDUCE + mask)
+            acc = _combine(acc, await comm.recv(peer, _TAG_ALLREDUCE + mask), peer, rank)
             mask <<= 1
     # unfold: send results back to the idle odd ranks
     if rank < 2 * rem:

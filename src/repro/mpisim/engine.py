@@ -29,23 +29,15 @@ message a receive matches does not depend on the clock — the clock only
 says *when*.  NumPy payloads are copied on send so a rank mutating its
 buffer after the call cannot corrupt data in flight.
 
-``allreduce`` and the halo exchange are primitives of the scheduler.  An
-allreduce parks each rank in the run's collective slot; the last rank to
-arrive runs every round of
-:func:`~repro.mpisim.collectives.allreduce_schedule` for all ranks — one
-NumPy sum per round over the ranks' floats or equal-shape arrays — and
-re-queues the rest.  The halo exchange is split-phase, MPI-3
-``MPI_Neighbor_alltoallv`` over a persistent plan per halo schedule per
-run: ``halo_start`` packs a rank's outgoing values with one ``take`` and
-stamps them clock + α, and ``await halo_finish`` parks until every source
-has posted that exchange, unpacks with one ``take`` and sets the clock to
-``max(own, post + β·bytes)`` over the sources.  Both give each rank the results and clocks
-of the point-to-point algorithm and book its per-edge messages and bytes.
-Traced and telemetered allreduces also get its per-message events, wait
-spans and observations, each on its own rank at its modeled instant.
-While a fault injector is installed every rank runs the point-to-point
-algorithms instead (a fault in one message changes what follows), and
-while the tracer or telemetry watches, so does the halo exchange.
+Everything a rank program exchanges is such a message: the allreduce is
+the recursive doubling of :func:`~repro.mpisim.collectives.allreduce`, and
+a halo update one ``irecv`` and one ``send`` per edge
+(:mod:`repro.dist.spmd`).  So the tracker, the tracer, telemetry and the
+fault injector each see every message, on its own rank at its modeled
+instant, and one code path serves watched, faulted and plain runs alike.
+Timed solves do not run here: the clocked executor of
+:mod:`repro.dist.spmd` computes the same clocks and traffic for all ranks
+at once, and the rank programs run here are its oracle.
 """
 
 from __future__ import annotations
@@ -55,7 +47,7 @@ import math
 import operator
 import types
 from collections import deque
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from functools import partial
 from typing import Any, Callable
 
@@ -64,6 +56,7 @@ import numpy as np
 from repro.errors import CommError, RankFailedError
 from repro.instrument import get_metrics, get_tracer
 from repro.mpisim import collectives
+from repro.mpisim.collectives import _describe
 from repro.mpisim.comm import ANY_TAG, ClockModel
 from repro.mpisim.injection import DuplicateEnvelope, get_injector
 from repro.mpisim.tracker import CommTracker, payload_nbytes
@@ -74,93 +67,14 @@ __all__ = ["Comm", "Request", "run_spmd"]
 _NOTHING = object()
 
 #: ``wait_src`` of a rank that is not blocked (real sources are >= 0, so
-#: it cannot match a sender), and of one parked in a native allreduce /
-#: halo finish.
+#: it cannot match a sender).
 _RUNNABLE = -1
-_COLLECTIVE = -2
-_HALO = -3
 
 
 @types.coroutine
 def _park():
     """Hand the thread back to the scheduler until this rank is re-queued."""
     yield
-
-
-def _describe(value) -> str:
-    """An allreduce operand, for an error message."""
-    if type(value) is np.ndarray:
-        return f"a {value.dtype} array of shape {value.shape}"
-    return f"{type(value).__name__} {value!r:.40}"
-
-
-def _stacked(values: list) -> np.ndarray:
-    """The ranks' allreduce operands stacked into one array: all Python
-    floats, or all arrays of one shape and dtype; otherwise
-    :class:`~repro.errors.CommError` names the first rank that differs from
-    rank 0."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return np.array(values)
-    first = values[0]
-    shape = (first.shape, first.dtype) if type(first) is np.ndarray else None
-    if kinds == {np.ndarray} and {(v.shape, v.dtype) for v in values} == {shape}:
-        return np.stack(values)
-    rank = next(r for r, v in enumerate(values) if type(v) is not type(first)
-                or (shape is not None and (v.shape, v.dtype) != shape))
-    raise CommError(
-        f"allreduce: rank {rank} passed {_describe(values[rank])} but rank 0 "
-        f"passed {_describe(first)}; every rank must pass a Python float or "
-        "a numeric array of one shape and dtype"
-    )
-
-
-class _HaloPlan:
-    """One halo schedule's exchange plan in one run (``schedule`` is a
-    :class:`~repro.dist.HaloSchedule`, duck-typed).  Rank ``p`` packs
-    ``x_local[gather[p]]``, every destination's values in ``send_to``
-    order, into ``wire[offset[p]:offset[p + 1]]`` and unpacks its halo as
-    ``wire[scatter[p]]``; it receives ``link[p]`` = β·bytes (8 per float64
-    value) from each of ``sources[p]``.  Neighbour lists are plain lists:
-    on a handful of entries, list code beats NumPy calls."""
-
-    __slots__ = ("dests", "sources", "gather", "offset", "scatter", "link",
-                 "started", "finished", "generations")
-
-    def __init__(self, schedule, size: int, beta: float):
-        ranks = range(size)
-        self.dests = [[q for q, ids in schedule.send_to[p].items() if ids.size] for p in ranks]
-        self.sources = [[q for q, ids in schedule.recv_from[p].items() if ids.size]
-                        for p in ranks]
-        self.gather = [np.concatenate([schedule.recv_src[q][p] for q in self.dests[p]]
-                                      or [np.empty(0, np.intp)]) for p in ranks]
-        self.offset = np.cumsum([0] + [g.size for g in self.gather]).tolist()
-        self.scatter = [np.zeros(schedule.ext_cols[p].size, dtype=np.intp) for p in ranks]
-        for p in ranks:
-            start = self.offset[p]
-            for q in self.dests[p]:  # p's values for q land in q's halo here
-                pos = schedule.recv_pos[q][p]
-                self.scatter[q][pos] = start + np.arange(pos.size)
-                start += pos.size
-        self.link = [[beta * (8 * schedule.recv_pos[p][q].size) for q in self.sources[p]]
-                     for p in ranks]
-        self.started, self.finished = [0] * size, [0] * size
-        #: exchange k -> its _Exchange, from its first start to its last finish
-        self.generations: dict[int, _Exchange] = {}
-
-
-class _Exchange:
-    """One generation of a plan: its wire, post clocks (+ α), unposted
-    sources per rank, parked ranks and number of finishes."""
-
-    __slots__ = ("wire", "posts", "missing", "parked", "finished")
-
-    def __init__(self, plan: _HaloPlan):
-        self.wire = np.empty(plan.offset[-1])
-        self.posts = [0.0] * len(plan.sources)
-        self.missing = [len(s) for s in plan.sources]
-        self.parked: set[int] = set()
-        self.finished = 0
 
 
 class _Scheduler:
@@ -171,8 +85,6 @@ class _Scheduler:
     __slots__ = (
         "size", "clock", "alpha", "beta", "tracker", "tracer", "metrics",
         "injector", "ready", "boxes", "wait_src", "wait_tag", "clocks",
-        "comms", "contexts", "arrived", "arrivals", "results", "booked_calls",
-        "booked_bytes", "plans",
     )
 
     def __init__(self, size: int, clock: ClockModel, tracker: CommTracker | None):
@@ -190,21 +102,8 @@ class _Scheduler:
         #: it rarely holds more than a message or two
         self.boxes: list[dict[int, list]] = [{} for _ in range(size)]
         self.wait_src = [_RUNNABLE] * size
-        #: the tag a blocked rank waits on; (plan, exchange) in a halo finish
-        self.wait_tag: list = [ANY_TAG] * size
+        self.wait_tag = [ANY_TAG] * size  # the tag a blocked rank waits on
         self.clocks = [0.0] * size
-        self.comms: list[Comm] = []
-        self.contexts = None  # per-rank tracer task contexts, when tracing
-        # the native allreduce: who arrived with what, the last results, and
-        # the calls untraced runs booked with the bytes each sent per edge
-        # (every call sends one message on every edge of every round)
-        self.arrived = 0
-        self.arrivals: list = [None] * size
-        self.results: list = []
-        self.booked_calls = 0
-        self.booked_bytes = 0
-        #: id(schedule) -> (schedule, its _HaloPlan), for this run only
-        self.plans: dict[int, tuple] = {}
 
     def enqueue(self, src: int, dest: int, tag: int, obj, arrival: float) -> None:
         """Put one message in ``dest``'s mailbox; re-queue ``dest`` if this
@@ -225,19 +124,7 @@ class _Scheduler:
         """The error for "nothing runnable, not everyone finished"."""
         blocked = []
         for rank, source in enumerate(self.wait_src):
-            if source == _COLLECTIVE:
-                blocked.append(
-                    f"rank {rank} waits in allreduce ({self.arrived} of "
-                    f"{self.size} ranks arrived)"
-                )
-            elif source == _HALO:
-                plan, k = self.wait_tag[rank]
-                unposted = [q for q in plan.sources[rank] if plan.started[q] <= k]
-                blocked.append(
-                    f"rank {rank} waits in halo_finish for exchange {k + 1} "
-                    f"from ranks {unposted}, which have not posted it"
-                )
-            elif source != _RUNNABLE:
+            if source != _RUNNABLE:
                 tag = self.wait_tag[rank]
                 blocked.append(
                     f"rank {rank} waits on recv(source={source}, "
@@ -248,54 +135,6 @@ class _Scheduler:
             "not finished (missing send?) — " + "; ".join(blocked)
         )
 
-    # -- the native allreduce -------------------------------------------
-    async def allreduce(self, rank: int, value):
-        """One rank's side of a native allreduce: park until every rank has
-        arrived; the last to arrive runs all rounds for everyone and
-        re-queues the others."""
-        self.arrivals[rank] = value
-        self.arrived += 1
-        if self.arrived < self.size:
-            self.wait_src[rank] = _COLLECTIVE
-            await _park()
-            return self.results[rank]
-        values, self.arrivals = self.arrivals, [None] * self.size
-        self.arrived = 0
-        stacked = _stacked(values)
-        comms = self.comms
-        watched = comms[0]._watched or any(c._telemetry_mode for c in comms)
-        nbytes = payload_nbytes(values[0])
-        clocks = np.array(self.clocks)
-        collectives.reduce_rounds(clocks, stacked, self.alpha, self.beta, nbytes,
-                                  partial(self._replay, nbytes) if watched else None)
-        if self.tracker is not None and not watched:
-            self.booked_calls += 1
-            self.booked_bytes += nbytes
-        self.clocks[:] = clocks.tolist()
-        self.results = stacked.tolist() if stacked.ndim == 1 else list(stacked)
-        if self.contexts:
-            self.tracer.activate(self.contexts[rank])
-        # every other rank is parked in this allreduce
-        self.wait_src = [_RUNNABLE] * self.size
-        self.ready.extend(r for r in range(self.size) if r != rank)
-        return self.results[rank]
-
-    def _replay(self, nbytes, sources, dests, tag, arrival) -> None:
-        """One round's per-message observations, as the point-to-point
-        round makes them: each send, then each receive, on its own rank's
-        task context at its modeled instant (the clock list still holds
-        the round's starting clocks)."""
-        comms, contexts, tracer = self.comms, self.contexts, self.tracer
-        sources, dests = sources.tolist(), dests.tolist()  # index arrays
-        for src, dest in zip(sources, dests):
-            if contexts:
-                tracer.activate(contexts[src])
-            comms[src]._account_send(dest, tag, nbytes)
-        for src, dest, landed in zip(sources, dests, arrival.tolist()):
-            if contexts:
-                tracer.activate(contexts[dest])
-            comms[dest]._replay_recv(src, tag, landed)
-
     def run(self, programs: list) -> list:
         """Drive the rank coroutines to completion; returns their results."""
         results: list[Any] = [None] * self.size
@@ -303,7 +142,7 @@ class _Scheduler:
         ready.extend(range(self.size))
         tracer = self.tracer
         # one span stack per rank, stamped by that rank's modeled clock
-        contexts = self.contexts = (
+        contexts = (
             [tracer.task(r, partial(self.clocks.__getitem__, r))
              for r in range(self.size)]
             if tracer.enabled else None
@@ -339,29 +178,6 @@ class _Scheduler:
         return results
 
 
-def book_bulk(tracker: CommTracker, edges: list[dict], calls: int, nbytes: int, halos) -> None:
-    """Merge each sender's ``edges`` (destination -> ``[messages, bytes]``)
-    into ``tracker`` with the bulk traffic: a message per round edge per
-    allreduce, and per non-empty halo edge per start (``starts[p]``)."""
-    traffic = [
-        (s, d, calls, nbytes)
-        for sources, dests, _, _ in (collectives.allreduce_schedule(len(edges))
-                                     if calls else ())
-        for s, d in zip(sources.tolist(), dests.tolist())
-    ] + [
-        (p, d, n, n * 8 * ids.size)
-        for schedule, starts in halos
-        for p, n in enumerate(starts) if n
-        for d, ids in schedule.send_to[p].items() if ids.size
-    ]
-    for src, dest, messages, size in traffic:
-        cell = edges[src].setdefault(dest, [0, 0])
-        cell[0] += messages
-        cell[1] += size
-    for rank, cells in enumerate(edges):
-        tracker.merge_p2p(rank, cells)
-
-
 class Request:
     """Handle of a nonblocking receive (mpi4py ``irecv`` style):
     ``await req.wait()`` blocks until the message is in the mailbox and
@@ -389,11 +205,10 @@ class Comm:
     :func:`run_spmd` passes to the rank program.
 
     Mirrors the mpi4py calls the paper's solver makes (lower-case
-    object-based methods): buffered ``send``, ``recv`` / ``irecv``, the
-    dot products' ``allreduce`` and the halo exchange
-    (``halo_plan`` / ``halo_start`` / ``halo_finish``).  What can block —
-    ``recv``, ``Request.wait``, ``allreduce``, ``halo_finish`` — is a
-    coroutine the rank program awaits; the rest are plain calls.
+    object-based methods): buffered ``send``, ``recv`` / ``irecv`` and the
+    dot products' ``allreduce``.  What can block — ``recv``,
+    ``Request.wait``, ``allreduce`` — is a coroutine the rank program
+    awaits; the rest are plain calls.
     """
 
     def __init__(self, rank: int, sched: _Scheduler, telemetry=None):
@@ -420,7 +235,8 @@ class Comm:
             sched.tracker is not None or sched.tracer.enabled or telemetry is not None
         )
         self._watched = sched.tracer.enabled or telemetry is not None
-        self._faulted = sched.injector is not None  # no native primitives
+        #: a fault plan, the tracer or telemetry watches every receive
+        self._observed = self._watched or sched.injector is not None
         #: dest -> [messages, bytes]; merged into the tracker when the run ends
         self._edges: dict[int, list[int]] = {}
         self._seen_dups: set[int] = set()  # sequence ids of delivered duplicates
@@ -538,12 +354,13 @@ class Comm:
         array of one shape and dtype on every rank — delivered to every
         rank.
 
-        Native on the scheduler; point to point
-        (:func:`repro.mpisim.collectives.allreduce`) while a fault injector
-        is installed.  When a telemetry endpoint is installed, the modeled
-        duration of the whole exchange goes into its ``reduction``
-        histogram — the simulated counterpart of the α–β model's
-        ``reductions`` term.
+        Point to point: the recursive doubling of
+        :func:`repro.mpisim.collectives.allreduce`, which raises
+        :class:`~repro.errors.CommError` naming two ranks whose operands
+        differ in type, shape or dtype.  When a telemetry endpoint is
+        installed, the modeled duration of the whole exchange goes into its
+        ``reduction`` histogram — the simulated counterpart of the α–β
+        model's ``reductions`` term.
         """
         if not (type(value) is float or (type(value) is np.ndarray and value.ndim
                                          and value.dtype.kind in "fiu")):
@@ -555,92 +372,11 @@ class Comm:
         start = self.now() if telemetry is not None else 0.0
         try:
             with self._tracer.span("mpisim.allreduce", rank=self.rank):
-                if self._faulted or self.size == 1:
-                    return await collectives.allreduce(self, value)
-                return await self._sched.allreduce(self.rank, value)
+                return await collectives.allreduce(self, value)
         finally:
             if telemetry is not None:
                 end = self.now()
                 telemetry.observe("reduction", end - start, end=end)
-
-    # -- the native halo exchange -----------------------------------------
-    def halo_plan(self, schedule):
-        """This run's exchange plan of a halo ``schedule`` (built on first
-        use), or ``None`` to exchange point to point: under a fault
-        injector, or while the tracer or telemetry watches every message."""
-        if self._faulted or self._watched:
-            return None
-        plans = self._sched.plans  # holding the schedule pins its id
-        if id(schedule) not in plans:
-            plans[id(schedule)] = schedule, _HaloPlan(schedule, self.size, self._sched.beta)
-        return plans[id(schedule)][1]
-
-    def halo_start(self, plan: _HaloPlan, x_local: np.ndarray) -> _HaloPlan:
-        """Post this rank's next exchange on ``plan``: pack ``x_local``'s
-        outgoing values and stamp them with the clock + α.  Never blocks;
-        returns the handle for :meth:`halo_finish`."""
-        sched, p = self._sched, self.rank
-        k = plan.started[p]
-        plan.started[p] = k + 1
-        exchange = plan.generations.get(k)
-        if exchange is None:
-            exchange = plan.generations[k] = _Exchange(plan)
-        x_local.take(plan.gather[p], mode="clip",
-                     out=exchange.wire[plan.offset[p]:plan.offset[p + 1]])
-        exchange.posts[p] = sched.clocks[p] + sched.alpha
-        missing, parked = exchange.missing, exchange.parked
-        for dest in plan.dests[p]:  # no call per edge: count down, wake the last
-            missing[dest] -= 1
-            if not missing[dest] and dest in parked:
-                parked.discard(dest)
-                sched.wait_src[dest] = _RUNNABLE
-                sched.ready.append(dest)
-        return plan
-
-    async def halo_finish(self, plan: _HaloPlan, halo: np.ndarray) -> np.ndarray:
-        """Complete this rank's oldest unfinished exchange on ``plan`` into
-        ``halo``: park until every source has posted it, then take the
-        values and move the clock to the latest arrival."""
-        sched, p = self._sched, self.rank
-        k = plan.finished[p]
-        if k >= plan.started[p]:
-            raise CommError(f"rank {p}: halo_finish without a matching halo_start "
-                            f"({k} started and finished on this plan)")
-        plan.finished[p] = k + 1
-        exchange = plan.generations[k]
-        if exchange.missing[p]:
-            exchange.parked.add(p)
-            sched.wait_src[p], sched.wait_tag[p] = _HALO, (plan, k)
-            await _park()
-        sources = plan.sources[p]
-        if sources:
-            arrival = max(map(operator.add, map(exchange.posts.__getitem__, sources),
-                              plan.link[p]))
-            if arrival > sched.clocks[p]:
-                sched.clocks[p] = arrival
-            exchange.wire.take(plan.scatter[p], mode="clip", out=halo)
-        exchange.finished += 1
-        if exchange.finished == self.size:
-            del plan.generations[k]
-        return halo
-
-    def _replay_recv(self, source: int, tag: int, arrival: float) -> None:
-        """The receive of a native allreduce round, observed as
-        :meth:`_observed_recv` observes a point-to-point one: a message
-        landing after this rank's clock is an ``mpisim.wait`` span and a
-        telemetry wait; the clock moves to it and ``mpisim.recv`` is
-        emitted."""
-        clocks = self._sched.clocks
-        start = clocks[self.rank]
-        tracer = self._tracer
-        waited = arrival > start and not self._telemetry_mode
-        with (tracer.span("mpisim.wait", rank=self.rank, src=source, tag=tag)
-              if waited else nullcontext()):
-            clocks[self.rank] = max(start, arrival)
-            if tracer.enabled:
-                tracer.event("mpisim.recv", src=source, dst=self.rank, tag=tag)
-        if waited and self.telemetry is not None:
-            self.telemetry.observe_wait(arrival - start, tag=tag, src=source, end=arrival)
 
     # -- fault injection ------------------------------------------------
     def _apply_rank_faults(self, injector) -> None:
@@ -773,7 +509,7 @@ class Comm:
         """``recv`` behind the peer checks; returns the coroutine to await:
         straight to the take-or-park loop unless a fault plan, the tracer
         or telemetry watches receives."""
-        if self._watched or self._faulted:
+        if self._observed:
             return self._observed_recv(source, tag)
         return self._take_or_park(source, tag)
 
@@ -847,9 +583,8 @@ def run_spmd(
     results.
 
     ``fn`` is a coroutine function (``async def``): it awaits everything
-    that can block (``recv``, ``Request.wait``, ``allreduce``,
-    ``halo_finish``) and calls ``send`` / ``irecv`` / ``halo_plan`` /
-    ``halo_start`` / ``now()`` / ``advance()`` plainly.  All
+    that can block (``recv``, ``Request.wait``, ``allreduce``) and calls
+    ``send`` / ``irecv`` / ``now()`` / ``advance()`` plainly.  All
     ranks run interleaved on the calling thread; nothing about the run
     depends on the host's scheduler or clock.
 
@@ -874,7 +609,7 @@ def run_spmd(
     if size < 1:
         raise CommError("size must be >= 1")
     sched = _Scheduler(size, clock if clock is not None else ClockModel(), tracker)
-    comms = sched.comms = [
+    comms = [
         Comm(r, sched, telemetry.make_rank(r, size) if telemetry is not None else None)
         for r in range(size)
     ]
@@ -884,6 +619,5 @@ def run_spmd(
         )
     finally:
         if tracker is not None:
-            book_bulk(tracker, [comm._edges for comm in comms], sched.booked_calls,
-                      sched.booked_bytes, [(s, plan.started) for s, plan in sched.plans.values()])
-        sched.plans.clear()  # they hold the run's schedules
+            for comm in comms:
+                tracker.merge_p2p(comm.rank, comm._edges)

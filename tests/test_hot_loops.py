@@ -10,17 +10,14 @@ frames entered (``sys.setprofile`` ``call`` events; C builtins raise
 ``HaloSchedule.from_row_structure`` is counted in executed lines
 (``sys.settrace``) instead, because its old per-row loop made no calls.
 ``ExtensionWorkspace.finalize`` sorts rows into classes (kept, base, solved
-again) and must do that, too, without a Python call per row.  An SPMD halo
-exchange must cost a rank as many Python calls with eight neighbours as
-with two: no call per message.  A BSP ``pcg`` / ``pipelined_pcg`` iteration
-must cost as many Python calls on 16 ranks as on 2: no call per rank.  A
-native SPMD allreduce must cost exactly ``a`` calls per rank plus ``b`` per
-call: no call per round or per message.  An SPMD ``spmd_cg`` /
-``spmd_pipelined_pcg`` rank program on the engine must cost exactly ``a``
-calls per rank plus ``b`` per iteration, its pinned line: nothing per run
-(the plans, the kernel seconds, the tracer) is recomputed per product.  The
-clocked executor, which runs an unwatched solve, must cost a fixed number
-of calls per iteration on 16 ranks as on 256: nothing per rank.
+again) and must do that, too, without a Python call per row.  A BSP
+``pcg`` / ``pipelined_pcg`` iteration must cost as many Python calls on 16
+ranks as on 2: no call per rank.  The clocked executor, which runs every
+unwatched ``spmd_cg`` / ``spmd_pipelined_pcg`` solve, must cost a fixed
+number of calls per iteration on 16 ranks as on 256: nothing per rank.
+The rank programs on ``run_spmd`` are not counted: they exchange point to
+point, a Python call per message by design, and only watched, faulted and
+oracle runs execute them.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import ring_halo
 
 from repro.cachesim import CacheConfig, SetAssociativeCache
 from repro.core import (
@@ -51,15 +47,9 @@ from repro.dist import (
     spmd_cg,
     spmd_pipelined_pcg,
 )
-from repro.dist.spmd import (
-    _engine_cg,
-    _engine_pipelined_pcg,
-    _halo_exchange_finish,
-    _halo_exchange_start,
-)
 from repro.kernels import SolverWorkspace
 from repro.matgen import paper_rhs, poisson2d
-from repro.mpisim import ClockModel, CommTracker, run_spmd
+from repro.mpisim import CommTracker
 from repro.partition import block_partition_2d
 from repro.sparse import CSRMatrix, SparsityPattern
 
@@ -201,34 +191,6 @@ def test_finalize_makes_no_per_row_python_call():
     )
 
 
-def calls_per_halo_exchange(offsets, ranks=12) -> float:
-    """Python calls per rank per SPMD halo exchange on a ring in which each
-    rank receives from ``len(offsets)`` others: the difference between
-    runs of three exchanges and of one, so the per-run set-up cancels."""
-    ring = ring_halo(offsets, ranks=ranks)
-
-    async def prog(comm, exchanges):
-        x, halo = np.ones(4), np.zeros(len(offsets))
-        for _ in range(exchanges):
-            pending = _halo_exchange_start(comm, ring, x)
-            await comm.allreduce(0.0)  # everyone has posted: no finish parks
-            await _halo_exchange_finish(comm, ring, pending, halo)
-
-    run_spmd(prog, ranks, 1)
-    one, three = (python_calls(lambda: run_spmd(prog, ranks, n)) for n in (1, 3))
-    return (three - one) / (2 * ranks)
-
-
-def test_a_halo_exchange_makes_no_python_call_per_neighbour():
-    two = calls_per_halo_exchange((-1, 1))
-    eight = calls_per_halo_exchange((-4, -3, -2, -1, 1, 2, 3, 4))
-    assert two > 0
-    assert eight == two, (
-        f"{two} Python calls per rank per halo exchange with 2 neighbours, "
-        f"{eight} with 8 — per-message Python is back"
-    )
-
-
 def calls_per_iteration(solver, px: int, py: int, n: int = 48) -> float:
     """Python calls per iteration of a BSP solve of poisson2d(n) with
     FSAIE-Comm on a ``px × py`` rank grid, with a tracker booking every
@@ -262,36 +224,6 @@ def test_a_krylov_iteration_makes_no_python_call_per_rank(solver):
     )
 
 
-def calls_per_allreduce(ranks: int) -> float:
-    """Python calls per native allreduce of a float on ``ranks`` ranks, all
-    ranks together: the difference between runs of eleven allreduces and
-    of one, so the per-run set-up cancels."""
-
-    async def prog(comm, allreduces):
-        for _ in range(allreduces):
-            await comm.allreduce(1.0)
-
-    run_spmd(prog, ranks, 1)
-    one, eleven = (python_calls(lambda: run_spmd(prog, ranks, n)) for n in (1, 11))
-    return (eleven - one) / 10
-
-
-def test_an_allreduce_makes_no_python_call_per_round_or_peer():
-    """The scheduler runs all ⌈log₂P⌉ (+ fold) rounds for every rank in
-    NumPy: an allreduce costs ``a`` Python calls per rank plus ``b`` per
-    call, ``a·P + b`` exactly, at powers of two and between them.  A call
-    per round would add ⌈log₂P⌉ (+ 2), and one per message P·log₂P, and
-    neither lies on a line."""
-    counts = {ranks: calls_per_allreduce(ranks) for ranks in (16, 64, 96, 256)}
-    per_rank = (counts[64] - counts[16]) / 48
-    per_call = counts[16] - 16 * per_rank
-    assert per_rank > 0 and per_rank == int(per_rank), counts
-    assert {ranks: per_rank * ranks + per_call for ranks in counts} == counts, (
-        f"Python calls per allreduce by rank count: {counts}, not "
-        f"{per_rank:g}·P {per_call:+g} — per-round or per-peer Python is back"
-    )
-
-
 def calls_per_spmd_iteration(solver, px: int) -> float:
     """Python calls per iteration of an SPMD solve of poisson2d(8·px) with
     FSAI on a ``px × px`` rank grid (64 rows a rank), all ranks together:
@@ -309,33 +241,6 @@ def calls_per_spmd_iteration(solver, px: int) -> float:
 
     run(1)()
     return (python_calls(run(11)) - python_calls(run(1))) / 10
-
-
-def engine_cg(da, b, budget, pair):
-    return _engine_cg(da, b, 0.0, budget, pair, None, ClockModel())
-
-
-def engine_pipelined_pcg(da, b, budget, pair):
-    return _engine_pipelined_pcg(da, b, 0.0, budget, pair, None, True, ClockModel())
-
-
-#: ``(a, b)`` of the rank programs' a·P + b Python calls per iteration on
-#: the engine: (185, −21) and (174, −31) while each product ran the NumPy
-#: reference and recomputed its kernel seconds and opened its spans on
-#: every call.  One more call per product adds 3 to ``a``.
-ENGINE_CALLS = {engine_cg: (112, -20), engine_pipelined_pcg: (94, -14)}
-
-
-@pytest.mark.parametrize("solver", list(ENGINE_CALLS), ids=["spmd_cg", "spmd_pipelined_pcg"])
-def test_an_spmd_iteration_makes_a_fixed_number_of_calls_per_rank(solver):
-    """The rank programs under ``run_spmd``: exactly their pinned
-    ``a·P + b`` at 16, 64 and 256 ranks."""
-    counts = {px * px: calls_per_spmd_iteration(solver, px) for px in (4, 8, 16)}
-    per_rank, per_call = ENGINE_CALLS[solver]
-    assert counts == {ranks: per_rank * ranks + per_call for ranks in counts}, (
-        f"{solver.__name__}: Python calls per iteration by rank count {counts}, "
-        f"not {per_rank}·P {per_call:+d}"
-    )
 
 
 def clocked_cg(da, b, budget, pair):

@@ -22,10 +22,8 @@ from conftest import ring_halo
 from repro.dist import DistMatrix, DistVector, RowPartition, spmd_halo_update
 from repro.dist.spmd import _halo_exchange_finish, _halo_exchange_start
 from repro.errors import CommError
-from repro.instrument import tracing
 from repro.matgen import poisson2d
 from repro.mpisim import ANY_TAG, ClockModel, CommTracker, payload_nbytes, run_spmd
-from repro.observe.stream import TelemetryConfig
 from repro.resilience import FaultPlan, fault_injection
 
 SIZES = [1, 2, 3, 4, 5, 7, 8]
@@ -282,6 +280,9 @@ class TestAllreduceFailures:
 
     @pytest.mark.parametrize("faulted", [False, True], ids=["native", "point-to-point"])
     def test_a_payload_it_cannot_sum_fails_on_either_path(self, faulted):
+        """Plain and faulted runs take the one point-to-point allreduce,
+        through the unobserved and the observed receive."""
+
         async def prog(comm):
             return await comm.allreduce(comm.rank if comm.rank else 0.0)
 
@@ -290,25 +291,52 @@ class TestAllreduceFailures:
                 run_spmd(prog, 3)
 
     def test_payload_shapes_that_cannot_combine(self):
+        """Ranks 0 and 1 meet in the first round: rank 1 raises on rank 0's
+        partial, naming both ranks and both operands."""
+
         async def prog(comm):
             return await comm.allreduce(np.zeros(3 if comm.rank else 2))
 
         with pytest.raises(
             CommError,
-            match=r"rank 1 passed a float64 array of shape \(3,\) but rank 0 passed "
-                  r"a float64 array of shape \(2,\)",
+            match=r"rank 1 failed: .*rank 0 passed a float64 array of shape \(2,\) but "
+                  r"rank 1 passed a float64 array of shape \(3,\)",
         ):
             run_spmd(prog, 4)
 
     def test_a_float_and_an_array_cannot_combine(self):
+        """Ranks 2 and 3 meet in the first round; rank 3 receives first."""
+
         async def prog(comm):
             return await comm.allreduce(np.zeros(1) if comm.rank == 3 else 0.0)
 
-        with pytest.raises(CommError, match=r"rank 3 passed a float64 array of shape "
-                                            r"\(1,\) but rank 0 passed float 0.0"):
+        with pytest.raises(CommError, match=r"rank 3 failed: .*rank 2 passed a Python float "
+                                            r"but rank 3 passed a float64 array of shape "
+                                            r"\(1,\)"):
             run_spmd(prog, 4)
 
+    @pytest.mark.parametrize("operands", [
+        (np.zeros(1), 0.0), (np.zeros(3), np.zeros(2)), (np.zeros(2), np.zeros(2, np.int64)),
+    ], ids=["array-float", "shapes", "dtypes"])
+    def test_operands_that_differ_fail_typed_under_a_fault_plan(self, operands):
+        """Under an installed (empty) fault plan a float plus a shape-(1,)
+        array once broadcast silently, and unequal shapes raised an untyped
+        ``ValueError``."""
+        first, rest = operands
+
+        async def prog(comm):
+            return await comm.allreduce(first if comm.rank == 0 else rest)
+
+        with fault_injection(FaultPlan()):
+            with pytest.raises(CommError, match=r"rank 1 failed: .*rank 0 passed "
+                                                r"(.+) but rank 1 passed ") as err:
+                run_spmd(prog, 4)
+        assert isinstance(err.value.__cause__, CommError)
+
     def test_deadlock_when_a_rank_skips_it(self):
+        """Rank 2 never sends its round messages: each rank blocked on it,
+        directly or through rank 3, is named with the receive it waits in."""
+
         async def prog(comm):
             if comm.rank == 2:
                 return None
@@ -316,31 +344,33 @@ class TestAllreduceFailures:
 
         with pytest.raises(CommError, match="deadlock") as err:
             run_spmd(prog, 4)
-        for rank in (0, 1, 3):
-            assert f"rank {rank} waits in allreduce (3 of 4 ranks arrived)" in str(err.value)
+        message = str(err.value)
+        for rank, source, tag in ((0, 2, 1_000_006), (1, 3, 1_000_006), (3, 2, 1_000_005)):
+            assert f"rank {rank} waits on recv(source={source}, tag={tag})" in message
+        assert "rank 2" not in message
 
     def test_deadlock_when_a_rank_calls_another_collective(self):
         """Rank 1 enters the halo exchange while ranks 0 and 2 wait in the
-        allreduce: the message names both collectives."""
+        allreduce: each blocked receive is named, of either collective."""
         ring = ring_halo((-1,), ranks=3)
 
         async def prog(comm):
             if comm.rank == 1:
-                plan = comm.halo_plan(ring.schedule)
-                return await comm.halo_finish(comm.halo_start(plan, np.ones(4)), np.zeros(1))
+                pending = _halo_exchange_start(comm, ring, np.ones(4))
+                return await _halo_exchange_finish(comm, ring, pending, np.zeros(1))
             return await comm.allreduce(1.0)
 
         with pytest.raises(CommError, match="deadlock") as err:
             run_spmd(prog, 3)
         message = str(err.value)
-        assert "rank 0 waits in allreduce (2 of 3 ranks arrived)" in message
-        assert ("rank 1 waits in halo_finish for exchange 1 from ranks [0], "
-                "which have not posted it") in message
+        assert "rank 0 waits on recv(source=1, tag=1000004)" in message  # the fold
+        assert "rank 1 waits on recv(source=0, tag=7000)" in message  # the halo
+        assert "rank 2 waits on recv(source=0, tag=1000005)" in message  # a doubling
 
 
 class TestNativeHalo:
-    """The engine's split-phase halo exchange: its failures are typed, and
-    nothing of a run's plans outlives the run."""
+    """The halo exchange over point-to-point messages: its failures are
+    typed, and nothing of a run outlives the run."""
 
     def test_deadlock_names_the_sources_that_have_not_posted(self):
         ring = ring_halo((-1, 1), ranks=4)
@@ -356,40 +386,12 @@ class TestNativeHalo:
             run_spmd(prog, 4)
         message = str(err.value)
         for rank in (0, 2):
-            assert (f"rank {rank} waits in halo_finish for exchange 1 from ranks [1], "
-                    "which have not posted it") in message
+            assert f"rank {rank} waits on recv(source=1, tag=7000)" in message
         assert "rank 3" not in message  # its sources 0 and 2 posted
 
-    @pytest.mark.parametrize("starts", [0, 1])
-    def test_a_finish_without_a_start_raises(self, starts):
-        ring = ring_halo((-1, 1), ranks=4)
-
-        async def prog(comm):
-            plan = comm.halo_plan(ring.schedule)
-            for _ in range(starts):
-                await comm.halo_finish(comm.halo_start(plan, np.ones(4)), np.zeros(2))
-            await comm.halo_finish(plan, np.zeros(2))
-
-        with pytest.raises(CommError, match="halo_finish without a matching halo_start"):
-            run_spmd(prog, 4)
-
-    @pytest.mark.parametrize("watch", ["faults", "tracing", "telemetry"])
-    def test_faulted_and_watched_runs_exchange_point_to_point(self, watch):
-        ring = ring_halo((-1, 1), ranks=4)
-
-        async def prog(comm):
-            return comm.halo_plan(ring.schedule)
-
-        assert all(plan is not None for plan in run_spmd(prog, 4))
-        telemetry = TelemetryConfig() if watch == "telemetry" else None
-        watching = {"faults": lambda: fault_injection(FaultPlan()),
-                    "tracing": tracing, "telemetry": nullcontext}[watch]
-        with watching():
-            assert run_spmd(prog, 4, telemetry=telemetry) == [None] * 4
-
     def test_the_engine_keeps_nothing_of_the_matrix(self):
-        """A plan holds its schedule only while the run lasts: with the
-        collector off, dropping the caller's references frees both."""
+        """A run holds the matrix only while it lasts: with the collector
+        off, dropping the caller's references frees it and its schedule."""
         mat, part = poisson2d(8), RowPartition.contiguous(64, 4)
         gc.disable()
         try:

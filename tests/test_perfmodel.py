@@ -228,8 +228,8 @@ def test_gflops_without_the_cache_simulator(setup, monkeypatch):
 
 def test_engine_message_arrival_is_message_seconds():
     """The engine inlines α + β·bytes on its hot path; it is the clock
-    model's ``message_seconds``, for point-to-point messages and for each
-    round of the native allreduce."""
+    model's ``message_seconds``, for a lone message and for each round of
+    the allreduce."""
     clock = ClockModel(alpha=1e-6, beta=1e-9)
     single = np.zeros(5)
 

@@ -14,15 +14,21 @@ from hypothesis import strategies as st
 
 from repro.cachesim import CacheConfig, simulate_misses
 from repro.dist import DistMatrix, DistVector, HaloSchedule, RowPartition
-from repro.dist.spmd import _halo_exchange_finish, _halo_exchange_start
+from repro.dist.spmd import (
+    _halo_exchange_finish,
+    _halo_exchange_start,
+    _Ledger,
+    _Product,
+    book_bulk,
+)
 from repro.instrument import tracing
 from repro.matgen import poisson2d
-from repro.mpisim import ClockModel, CommTracker, run_spmd
+from repro.mpisim import ClockModel, CommTracker, payload_nbytes, run_spmd
+from repro.mpisim.collectives import reduce_rounds
 from repro.observe.stream import TelemetryConfig
 from repro.partition import graph_from_matrix, partition_matrix
 from repro.perfmodel import SKYLAKE
 from repro.sparse import CSRMatrix
-from repro.resilience import FaultPlan, fault_injection
 
 SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -83,39 +89,40 @@ async def _two_allreduces(comm, values, skews):
 
 
 class TestNativeAllreduceOracle:
-    """The engine runs ``allreduce`` natively, across all ranks at once.
-    Its oracle is the textbook point-to-point algorithm, which every rank
-    runs while a fault injector is installed: an empty ``FaultPlan``
-    injects nothing and leaves only the algorithm different."""
+    """The clocked executor's allreduce — every round for all ranks at once
+    (:func:`reduce_rounds`), its traffic booked in bulk (:func:`book_bulk`)
+    — against the point-to-point algorithm every engine run executes:
+    results, per-rank clocks and tracker snapshot, whether the tracer or
+    telemetry watches the messages or not."""
 
     @staticmethod
-    def run(size, values, skews, clock, observe, point_to_point):
+    def point_to_point(size, values, skews, clock, observe):
         tracker = CommTracker()
         telemetry = TelemetryConfig(rank_sample="all") if observe == "telemetry" else None
-        counters = events = None
-        with tracing() if observe == "traced" else nullcontext() as traced:
-            with fault_injection(FaultPlan()) if point_to_point else nullcontext():
-                out = run_spmd(_two_allreduces, size, values, skews,
-                               tracker=tracker, clock=clock, telemetry=telemetry)
-        if traced:
-            tracer, metrics = traced
-            counters = [metrics.sum_values(name) for name in ("mpisim.messages", "mpisim.bytes")]
-            # every message event on its rank's track at its modeled instant,
-            # and every wait that took modeled time (the point-to-point
-            # algorithm also opens empty wait spans when a peer has not run)
-            events = sorted(
-                (s.name, s.thread, s.start, s.end, sorted(s.tags.items()))
-                for s in tracer.spans
-                if s.name in ("mpisim.send", "mpisim.recv")
-                or (s.name == "mpisim.wait" and s.end > s.start)
-            )
-        return {
-            "results": out,
-            "snapshot": tracker.snapshot(),
-            "telemetry": telemetry.result.to_dict() if telemetry else None,
-            "counters": counters,
-            "events": events,
-        }
+        with tracing() if observe == "traced" else nullcontext():
+            out = run_spmd(_two_allreduces, size, values, skews,
+                           tracker=tracker, clock=clock, telemetry=telemetry)
+        solver_traffic = {k: v for k, v in tracker.snapshot().items()
+                          if not k.startswith("telemetry_")}
+        return out, solver_traffic
+
+    @staticmethod
+    def native(size, values, skews, clock):
+        """``_two_allreduces`` for all ranks at once."""
+        nbytes = payload_nbytes(values[0])
+        clocks, partials = np.array(skews), np.array(values)
+        reduce_rounds(clocks, partials, clock.alpha, clock.beta, nbytes)
+        first = list(partials) if partials.ndim > 1 else partials.tolist()
+        clocks += skews[::-1]
+        partials = np.roll(np.array(values), -1, axis=0)
+        reduce_rounds(clocks, partials, clock.alpha, clock.beta, nbytes)
+        second = list(partials) if partials.ndim > 1 else partials.tolist()
+        tracker = CommTracker()
+        book_bulk(tracker, size, 2, 2 * nbytes, ())
+        out = [(_canonical(a), _canonical(b), t)
+               for a, b, t in zip(first, second, clocks.tolist())]
+        return out, {k: v for k, v in tracker.snapshot().items()
+                     if not k.startswith("telemetry_")}
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -136,13 +143,13 @@ class TestNativeAllreduceOracle:
             draws = np.where(rng.random((size, 3)) < 0.5, -0.0, 0.0)
         values = [float(v) for v in draws[:, 0]] if kind == "scalar" else list(draws)
         skews = (rng.integers(0, 5, size) * 1e-6).tolist()
-        native = self.run(size, values, skews, clock, observe, point_to_point=False)
-        oracle = self.run(size, values, skews, clock, observe, point_to_point=True)
+        native = self.native(size, values, skews, clock)
+        oracle = self.point_to_point(size, values, skews, clock, observe)
         assert native == oracle
 
 
 async def _three_exchanges(comm, mat, values, skews, work):
-    """Two exchanges outstanding on one plan, local compute between their
+    """Two exchanges outstanding at once, local compute between their
     starts and finishes, then a third; returns each halo's bytes and the
     clock after each finish."""
     p = comm.rank
@@ -164,17 +171,34 @@ async def _three_exchanges(comm, mat, values, skews, work):
 
 
 class TestNativeHaloOracle:
-    """The engine's halo exchange against the point-to-point one every
-    rank runs under an installed (here empty) ``FaultPlan``, on random
-    schedules: ragged and empty edges, ranks with no neighbours."""
+    """The point-to-point halo exchange every engine run executes, on
+    random schedules — ragged and empty edges, ranks with no neighbours —
+    against the BSP ``schedule.update`` (the halos), and against the
+    clocked executor's halo arithmetic: its clocks (:class:`_Product`) and
+    its bulk booking (:func:`book_bulk`)."""
 
     @staticmethod
-    def run(mat, values, skews, work, clock, point_to_point):
-        tracker = CommTracker()
-        with fault_injection(FaultPlan()) if point_to_point else nullcontext():
-            out = run_spmd(_three_exchanges, mat.partition.nparts, mat, values, skews,
-                           work, tracker=tracker, clock=clock)
-        return out, tracker.snapshot()
+    def ledger(mat, skews, work, clock):
+        """``_three_exchanges``'s clocks for all ranks at once."""
+        ledger = _Ledger(mat.partition, clock)
+        product = _Product(ledger, mat, overlap=False)
+        vector, clocks = np.zeros(mat.shape[0]), ledger.clocks
+        clocks += skews
+
+        def start():
+            clocks[:] += product.pack_s
+            return clocks + clock.alpha
+
+        first, second = start(), start()
+        clocks += work
+        product._finish(first, vector)
+        after = [clocks.copy()]
+        product._finish(second, vector)
+        after.append(clocks.copy())
+        clocks += work[::-1]
+        product._finish(start(), vector)
+        after.append(clocks.copy())
+        return np.array(after).T.tolist()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -196,14 +220,19 @@ class TestNativeHaloOracle:
             RowPartition(owner, size),
         )
         values = [rng.standard_normal(lm.n_local) for lm in mat.locals]
-        skews = (rng.integers(0, 5, size) * 1e-6).tolist()
-        work = (rng.integers(0, 5, size) * 1e-6).tolist()
-        native = self.run(mat, values, skews, work, clock, point_to_point=False)
-        oracle = self.run(mat, values, skews, work, clock, point_to_point=True)
-        assert native == oracle
-        # and the first exchange delivers what the BSP update does
-        expected = mat.schedule.update(values)
-        assert [halos[0] for halos, _ in native[0]] == [h.tobytes() for h in expected]
+        skews = rng.integers(0, 5, size) * 1e-6
+        work = rng.integers(0, 5, size) * 1e-6
+        tracker = CommTracker()
+        out = run_spmd(_three_exchanges, size, mat, values, skews.tolist(), work.tolist(),
+                       tracker=tracker, clock=clock)
+        expected = [mat.schedule.update([k * v for v in values]) for k in (1.0, 2.0, 3.0)]
+        assert [halos for halos, _ in out] == [
+            [update[p].tobytes() for update in expected] for p in range(size)
+        ]
+        assert [clocks for _, clocks in out] == self.ledger(mat, skews, work, clock)
+        booked = CommTracker()
+        book_bulk(booked, size, 0, 0, [(mat.schedule, 3)])
+        assert tracker.snapshot() == booked.snapshot()
 
 
 # A random SPMD program is a tree: leaves are communication steps every rank
@@ -286,7 +315,7 @@ def _oracle(tree, size):
 def _shift_halo(size: int, shift: int, cache: dict) -> SimpleNamespace:
     """What a halo exchange reads of a ``DistMatrix`` for two rows per rank,
     rank ``r`` receiving both of rank ``r - shift``'s; one per shift and
-    run, so repeated exchanges reuse the engine's plan."""
+    run, so repeated exchanges reuse its schedule."""
     if shift not in cache:
         part = RowPartition.contiguous(2 * size, size)
         ext = [2 * ((r - shift) % size) + np.arange(2) for r in range(size)]
