@@ -4,16 +4,18 @@ Where ``BENCH_scaling.json`` (see :mod:`benchmarks.scaling_bench`) proves the
 SPMD engine *runs* at 64–4096 simulated ranks, this suite proves it can be
 *observed* at that scale without perturbing what it observes:
 
-* in-band telemetry — per-rank streaming histograms + counters on every
-  rank, full span recording on a deterministic sampled subset — is
-  aggregated over the simulator's own O(log P) reduction tree
+* telemetry — per-rank streaming histograms + counters on every rank, full
+  span recording on a deterministic sampled subset — is read from the
+  clocked executor's ledger (every rank's charges, late receives,
+  allreduces and messages, recorded once for all ranks) and folded in the
+  order of an O(log P) binomial tree
   (:func:`repro.observe.stream.aggregate_telemetry`) rather than a P-way
-  central gather, and its wire traffic rides a dedicated tag that the
+  central gather; each hop is booked as telemetry traffic, which the
   invariance auditors exclude by construction;
 * the α–β :class:`repro.perfmodel.CostModel` prediction for each phase
   (compute, halo, reduction) is compared against the streamed measurement
-  of the simulated schedule — the engine runs on the same machine's
-  :class:`repro.mpisim.ClockModel` — at every rung of a strong-scaled
+  of the simulated schedule — the clocked executor runs on the same
+  machine's :class:`repro.mpisim.ClockModel` — at every rung of a strong-scaled
   ladder, yielding the per-phase measured/predicted ratios (O(1) and exact:
   both sides are deterministic) and straggler verdicts of a
   :class:`repro.observe.ConformanceReport`;

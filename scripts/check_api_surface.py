@@ -60,7 +60,6 @@ ALLOWED_UNCALLED = {
     "repro.observe.HaloCriticalPath": "returned by halo_critical_path",
     "repro.observe.AttributionVerdict": "returned by attribute",
     "repro.observe.ClusterTelemetry": "what TelemetryConfig.result holds after a run",
-    "repro.observe.aggregate_telemetry": "rank programs await it (CONTRIBUTING)",
     "repro.observe.TimelineError": "raised by Timeline.load on a malformed document",
     "repro.observe.ExplainError": "raised by AttributionVerdict.load on a malformed document",
     "repro.observe.ConformanceError": "raised by ConformanceReport.load on a malformed document",

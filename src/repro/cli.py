@@ -380,7 +380,7 @@ def cmd_conformance(args) -> int:
 
     Runs :func:`repro.perfmodel.ladders.conformance_ladder`: strong-scales
     one matrix over a ladder of rank counts on the simulated SPMD runtime
-    with in-band telemetry, compares the model's per-phase predictions with
+    with streaming telemetry, compares the model's per-phase predictions with
     the streamed measurements at each rung, and re-proves the paper's §4
     halo-schedule invariance (``G`` and ``Gᵀ``) *with telemetry on*.  Prints
     the per-phase ratio table with named divergence verdicts.  ``--json``

@@ -5,21 +5,22 @@ rank-by-rank in the driver — deterministic and fast.  This module runs the
 *same* data structures as rank programs on :func:`repro.mpisim.run_spmd`:
 a halo update is one ``irecv`` and one ``send`` per edge and a reduction
 the engine's point-to-point allreduce: real messages, which the tracker,
-the tracer, telemetry and a fault injector each see.
+the tracer and a fault injector each see.
 
 The rank programs here are coroutines (``async def``; see
 :mod:`repro.mpisim`): they ``await`` receives, request completion and
 collectives, and charge each rank-local kernel's *modeled* cost to the
 rank's clock — nothing reads the host's clock.  The functions callers use
 (:func:`spmd_cg`, …) stay plain and run the rank program on ``run_spmd``
-only while a fault injector, the tracer or telemetry watches.  Otherwise
-the *clocked executor* (the end of this module) runs its statements once
-over all ranks with a :class:`_Ledger` of every rank's clock, bitwise the
-engine: each rank's dot partial is its own ``ndarray.dot``, summed by the
-allreduce's rounds over all ranks at once
+only while a fault injector or the tracer watches.  Otherwise the *clocked
+executor* (the end of this module) runs its statements once over all ranks
+with a :class:`_Ledger` of every rank's clock, bitwise the engine: each
+rank's dot partial is its own ``ndarray.dot``, summed by the allreduce's
+rounds over all ranks at once
 (:func:`repro.mpisim.collectives.reduce_rounds`), and its traffic is booked
-in bulk when the solve ends (:func:`book_bulk`).  The rank programs, which
-share none of that arithmetic, are the executor's oracle.
+in bulk when the solve ends (:func:`book_bulk`), as is its telemetry.  The
+rank programs, which share none of that arithmetic, are the executor's
+oracle.
 
 A rank program holds one :class:`_Rank` — the tracer, resolved once (the
 per-kernel spans open only while it is enabled), and the clock charge —
@@ -63,6 +64,11 @@ __all__ = [
 ]
 
 _TAG_HALO = 7_000
+
+#: The histograms a clocked run's telemetry observes into (one object per
+#: name: a sampled span shares its histogram's name).
+_COMPUTE, _HALO_WAIT, _COLLECTIVE_WAIT, _REDUCTION = (
+    "compute", "wait.halo", "wait.collective", "reduction")
 
 #: Streamed bytes per stored CSR entry (8 B value + 4 B column index) and
 #: per vector value.
@@ -119,8 +125,15 @@ def _check_engine(engine: str) -> None:
 
 
 def _watched(telemetry=None) -> bool:
-    """A fault injector, the tracer or telemetry watches each message."""
-    return telemetry is not None or get_tracer().enabled or get_injector() is not None
+    """A fault plan or the tracer watches each message, so the run takes
+    the engine, which carries no telemetry."""
+    watchers = " and ".join(name for name, on in (
+        ("the tracer", get_tracer().enabled), ("a fault plan", get_injector() is not None)) if on)
+    if watchers and telemetry is not None:
+        from repro.observe.stream import TelemetryError  # untelemetered runs never load observe
+
+        raise TelemetryError(f"telemetry= cannot be served while {watchers} watches the run")
+    return bool(watchers)
 
 
 def _halo_exchange_start(comm: Comm, mat: DistMatrix, x_local: np.ndarray):
@@ -218,23 +231,17 @@ class _Rank:
     """One rank's side of a solve: the tracer, resolved once, the clock
     charge, and the products over the rank's blocks (:class:`_Block`).
 
-    ``charge(seconds)`` is ``comm.advance``, which also streams the seconds
-    into the rank's telemetry ``compute`` histogram when one is installed;
-    :meth:`compute` is a charge inside an ``spmd.compute`` span while
-    tracing.  The span holds only the charge: the kernel itself does not
-    move the modeled clock, so the span's times are those of a span around
-    kernel and charge.
+    ``charge(seconds)`` is ``comm.advance``; :meth:`compute` is a charge
+    inside an ``spmd.compute`` span while tracing.  The span holds only the
+    charge: the kernel itself does not move the modeled clock, so the
+    span's times are those of a span around kernel and charge.
     """
 
     def __init__(self, comm: Comm):
         self.comm, self.rank = comm, comm.rank
         self.tracer = get_tracer()
         self.traced = self.tracer.enabled
-        self.charge = comm.advance if comm.telemetry is None else self._observed
-
-    def _observed(self, seconds: float) -> None:
-        self.comm.advance(seconds)
-        self.comm.telemetry.observe("compute", seconds, end=self.comm.now())
+        self.charge = comm.advance
 
     def compute(self, kernel: str, seconds: float) -> None:
         if self.traced:
@@ -288,22 +295,28 @@ def spmd_halo_update(
 ) -> list[np.ndarray]:
     """Run the halo update alone on the SPMD runtime; returns halo buffers.
 
-    ``telemetry`` forwards a :class:`repro.observe.stream.TelemetryConfig`
-    to :func:`repro.mpisim.run_spmd` — the instrumented form used to
-    re-prove the paper's schedule invariance *with telemetry enabled*.
-    ``engine`` accepts only ``"events"`` (the one engine there is).
+    ``telemetry`` takes a :class:`repro.observe.stream.TelemetryConfig` —
+    the instrumented form used to re-prove the paper's schedule invariance
+    *with telemetry enabled*.  As for the solvers, an unwatched run takes
+    the clocked executor.  ``engine`` accepts only ``"events"``.
     """
     _check_engine(engine)
+    clock = clock if clock is not None else ClockModel()
+    if not _watched(telemetry):
+        ledger = _Ledger(mat.partition, clock, telemetry)
+        exchange = _Exchange(ledger, mat)
+        ledger.clocks += exchange.pack_s
+        exchange.starts[1] += 1
+        halo = exchange._finish(ledger.clocks + clock.alpha, x.values)
+        ledger.finish(mat.partition, x.values, 0, tracker)  # books traffic, telemetry
+        return np.split(halo, mat.schedule.halo_offsets[1:-1])
 
     async def _prog(comm: Comm):
         p = comm.rank
         halo = np.zeros(mat.schedule.ext_cols[p].size, dtype=np.float64)
         return await _halo_exchange(comm, mat, x.parts[p], halo)
 
-    return run_spmd(
-        _prog, mat.partition.nparts, tracker=tracker, clock=clock,
-        telemetry=telemetry,
-    )
+    return run_spmd(_prog, mat.partition.nparts, tracker=tracker, clock=clock)
 
 
 def spmd_cg(
@@ -431,25 +444,25 @@ def spmd_pipelined_pcg(
     ``clock`` is the run's :class:`~repro.mpisim.ClockModel`: with a link
     latency the overlap benefit is directly visible as reduced modeled wait
     time (the charged local compute runs inside the latency window).
-    ``telemetry`` forwards a :class:`repro.observe.stream.TelemetryConfig`:
-    every compute kernel's modeled seconds additionally go into the rank's
-    bounded ``compute`` histogram (waits and reductions are observed by the
-    transport itself), giving :mod:`repro.observe.conformance` its
-    simulated per-phase seconds without full tracing.  ``engine`` accepts
-    only ``"events"``.
+    ``telemetry`` takes a :class:`repro.observe.stream.TelemetryConfig`:
+    each rank's compute, halo and allreduce waits, reductions and messages
+    go into bounded histograms, giving :mod:`repro.observe.conformance` its
+    simulated per-phase seconds without full tracing (not under the tracer
+    or a fault plan: :class:`TelemetryError`).  ``engine`` accepts only
+    ``"events"``.
     Returns ``(solution, iterations)``; iterates match the BSP
     ``pipelined_pcg`` to roundoff (the overlapped split changes row
     summation order in the last ulps).
     """
     _check_engine(engine)
-    run = (partial(_engine_pipelined_pcg, telemetry=telemetry) if _watched(telemetry)
-           else _clocked_pipelined_pcg)
+    run = (_engine_pipelined_pcg if _watched(telemetry)
+           else partial(_clocked_pipelined_pcg, telemetry=telemetry))
     return run(mat, b, rtol, max_iterations, precond_pair, tracker, overlap,
                clock if clock is not None else ClockModel())[:2]
 
 
 def _engine_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker, overlap,
-                          clock, telemetry=None):
+                          clock):
     """The rank program on the engine: solution, iterations, final clocks."""
     part = mat.partition
 
@@ -523,21 +536,23 @@ def _engine_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker, o
                 rank.compute("axpy", update_s)
         return x, iterations, comm.now()
 
-    return _gathered(part, run_spmd(
-        _prog, part.nparts, tracker=tracker, clock=clock, telemetry=telemetry,
-    ))
+    return _gathered(part, run_spmd(_prog, part.nparts, tracker=tracker, clock=clock))
 
 
 # -- the clocked executor -----------------------------------------------
 class _Ledger:
-    """Every rank's modeled clock in a clocked run, and its traffic."""
+    """Every rank's modeled clock in a clocked run, and its traffic; with
+    ``telemetry``, also each rank's charges (not the pack ones), late
+    receives and allreduces in its order, and its messages."""
 
-    def __init__(self, part, clock):
+    def __init__(self, part, clock, telemetry=None):
         self.clock, self.clocks = clock, np.zeros(part.nparts)
         self.sizes = part.sizes().tolist()
         self.cuts = np.cumsum(self.sizes)[:-1]
         self.reduced: list[int] = []  # the bytes of each allreduce
         self.halos: dict[int, list] = {}  # id(schedule) -> [schedule, starts]
+        self.telemetry, self.everyone = telemetry, np.arange(part.nparts)
+        self.observed: list | None = [] if telemetry is not None else None
 
     def priced(self, works) -> np.ndarray:
         """The modeled seconds of one ``(flops, bytes)`` per rank."""
@@ -548,15 +563,55 @@ class _Ledger:
         partials = np.array([list(map(np.ndarray.dot, us, vs)) for us, vs in pairs]).T
         self.clocks += seconds
         self.reduced.append(partials[0].nbytes)
-        reduce_rounds(self.clocks, partials, self.clock.alpha, self.clock.beta, self.reduced[-1])
+        if self.observed is None:
+            reduce_rounds(self.clocks, partials, self.clock.alpha, self.clock.beta,
+                          self.reduced[-1])
+        else:
+            self.computed(seconds)
+            start, log = self.clocks.copy(), []
+            reduce_rounds(self.clocks, partials, self.clock.alpha, self.clock.beta,
+                          self.reduced[-1], log)
+            self.waited(_COLLECTIVE_WAIT, log)
+            self.observed.append((_REDUCTION, self.everyone, self.clocks - start,
+                                  self.clocks.copy(), None))
         return partials[0].tolist()
 
+    def computed(self, seconds: np.ndarray, ranks: np.ndarray | None = None) -> None:
+        """Observe the charge of ``seconds`` just made (on ``ranks``)."""
+        ranks = self.everyone if ranks is None else ranks
+        self.observed.append((_COMPUTE, ranks, seconds[ranks], self.clocks[ranks], None))
+
+    def waited(self, name: str, log: list) -> None:
+        """Observe the late ones of a log of receives, each ``(ranks, their
+        clocks, arrival, sources)`` (a rank once), in order."""
+        for ranks, start, arrival, sources in log:
+            late = arrival > start
+            seconds = (arrival - start)[late]
+            if seconds.size:  # an attribute: ``late.any()`` would be a Python call
+                self.observed.append((name, ranks[late], seconds, arrival[late],
+                                      sources[late]))
+
     def finish(self, part, x: np.ndarray, iterations: int, tracker):
-        """Book the traffic as the engine does; solution, iterations, clocks."""
+        """Book the traffic as the engine does, and the telemetry; solution,
+        iterations, clocks."""
         if tracker is not None:
             book_bulk(tracker, len(self.sizes), len(self.reduced), sum(self.reduced),
                       self.halos.values())
+        if self.telemetry is not None:
+            self.telemetry.aggregate(len(self.sizes), self.observed, self.messages(),
+                                     tracker)
         return DistVector.from_values(part, x), iterations, self.clocks
+
+    def messages(self) -> list:
+        """``(senders, nbytes, repeats)`` of the run's messages, as
+        :func:`book_bulk` counts them."""
+        rounds = np.concatenate([np.empty(0, np.intp)] + [
+            src for src, *_ in allreduce_schedule(len(self.sizes))])
+        halos = [((s._flat or s._flat_layout())[2], n) for s, n in self.halos.values() if n]
+        return [(rounds, np.full(rounds.size, b), np.full(rounds.size, n))
+                for b, n in zip(*np.unique(self.reduced, return_counts=True))] + [
+            (np.array([q for q, _ in edges]), np.array(list(edges.values())),
+             np.full(len(edges), n)) for edges, n in halos]
 
 
 def book_bulk(tracker: CommTracker, size: int, calls: int, nbytes: int, halos) -> None:
@@ -583,14 +638,15 @@ def book_bulk(tracker: CommTracker, size: int, calls: int, nbytes: int, halos) -
         tracker.merge_p2p(rank, cells)
 
 
-class _Product:
-    """One matrix's products and halo exchanges in a clocked run: a
-    receiving rank's clock becomes ``max(own, post + β·bytes)`` over its
-    sources, one segment max over the edges sorted by destination."""
+class _Exchange:
+    """One matrix's halo exchanges in a clocked run: a receiving rank's
+    clock becomes ``max(own, post + β·bytes)`` over its sources, one
+    segment max over the edges sorted by destination (under telemetry, one
+    receive at a time in ``recv_from`` order)."""
 
-    def __init__(self, ledger: _Ledger, mat: DistMatrix, overlap: bool):
-        sched, locals_ = mat.schedule, mat.locals
-        self.ledger, self.n = ledger, mat.shape[0]
+    def __init__(self, ledger: _Ledger, mat: DistMatrix):
+        sched = mat.schedule
+        self.ledger = ledger
         # every (source, destination) message's bytes, by destination
         offsets, self.source, messages = sched._flat or sched._flat_layout()
         edges = np.array(list(messages), np.intp).reshape(-1, 2)
@@ -600,6 +656,36 @@ class _Product:
         self.starts = ledger.halos.setdefault(id(sched), [sched, 0])
         self.pack_s = ledger.priced(pack_work(sum(ids.size for ids in to.values()))
                                     for to in sched.send_to)
+        self.halo = np.empty(int(offsets[-1]))
+        if ledger.observed is not None:
+            # each receiving rank's k-th incoming edge, for every k
+            degree = np.diff(self.segments, append=len(edges))
+            self.receives = [(self.segments[degree > k] + k, self.dests[degree > k])
+                             for k in range(degree.max(initial=0))]
+
+    def _finish(self, post: np.ndarray, v: np.ndarray) -> np.ndarray:
+        clocks = self.ledger.clocks
+        if self.ledger.observed is None:
+            arrival = np.maximum.reduceat(post[self.src] + self.link, self.segments)
+            clocks[self.dests] = np.maximum(clocks[self.dests], arrival)
+        else:
+            arrival, log = post[self.src] + self.link, []
+            for edges, ranks in self.receives:
+                start, arrived = clocks[ranks], arrival[edges]
+                log.append((ranks, start, arrived, self.src[edges]))
+                clocks[ranks] = np.maximum(start, arrived)
+            self.ledger.waited(_HALO_WAIT, log)
+        return v.take(self.source, out=self.halo, mode="clip")  # in range: no buffer
+
+
+class _Product(_Exchange):
+    """One matrix's products in a clocked run, with the rank programs'
+    charges in their order."""
+
+    def __init__(self, ledger: _Ledger, mat: DistMatrix, overlap: bool):
+        super().__init__(ledger, mat)
+        locals_, self.n = mat.locals, mat.shape[0]
+        self.haloed = np.flatnonzero([lm.n_halo > 0 for lm in locals_])
         if overlap:  # a rank without halo: empty A_lh rows, charged 0.0 s
             a_ll, a_lh = mat.split_operator()
             self.local = a_ll, ledger.priced(
@@ -607,36 +693,37 @@ class _Product:
             self.remote = a_lh, ledger.priced(
                 spmv_work(lm.halo_nnz(), lm.n_local) if lm.n_halo else (0, 0)
                 for lm in locals_)
-            self.halo, self.operand, self.fused = np.empty(int(offsets[-1])), None, None
+            self.operand, self.fused = None, None
         else:
             self.fused = mat.operator(), ledger.priced(
                 spmv_work(lm.nnz, lm.n_local) for lm in locals_)
-            self.operand = np.empty(self.n + int(offsets[-1]))
+            self.operand = np.empty(self.n + self.halo.size)
             self.halo = self.operand[self.n:]
-
-    def _finish(self, post: np.ndarray, v: np.ndarray) -> np.ndarray:
-        clocks = self.ledger.clocks
-        arrival = np.maximum.reduceat(post[self.src] + self.link, self.segments)
-        clocks[self.dests] = np.maximum(clocks[self.dests], arrival)
-        return v.take(self.source, out=self.halo, mode="clip")  # in range: no buffer
 
     def product(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A product with the rank programs' charges, in their order."""
-        self.ledger.clocks += self.pack_s
+        ledger = self.ledger
+        ledger.clocks += self.pack_s
         self.starts[1] += 1
-        post = self.ledger.clocks + self.ledger.clock.alpha
+        post = ledger.clocks + ledger.clock.alpha
         if self.fused is not None:
             self._finish(post, v)
             plan, seconds = self.fused
             self.operand[: self.n] = v
             y = plan.spmv(self.operand, out)
+            ranks = None
         else:
             plan, seconds = self.local
             y = plan.spmv(v, out)
-            self.ledger.clocks += seconds
+            ledger.clocks += seconds
+            if ledger.observed is not None:
+                ledger.computed(seconds)
             plan, seconds = self.remote
             y += plan.spmv(self._finish(post, v))
-        self.ledger.clocks += seconds
+            ranks = self.haloed
+        ledger.clocks += seconds
+        if ledger.observed is not None:
+            ledger.computed(seconds, ranks)
         return y
 
 
@@ -689,11 +776,12 @@ def _clocked_cg(mat, b, rtol, max_iterations, precond_pair, tracker, clock):
     return ledger.finish(part, x, iterations, tracker)
 
 
-def _clocked_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker, overlap, clock):
+def _clocked_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker, overlap, clock,
+                           telemetry=None):
     """``spmd_pipelined_pcg``'s rank program over all ranks, as
     :func:`_clocked_cg`; ``r``, ``u`` and ``w`` are updated in place."""
     part = mat.partition
-    ledger = _Ledger(part, clock)
+    ledger = _Ledger(part, clock, telemetry)
     dots_s = [ledger.priced(vector_work(n, dots=k) for n in ledger.sizes) for k in range(4)]
     update_s = ledger.priced(vector_work(n, updates=4) for n in ledger.sizes)
     a = _Product(ledger, mat, overlap)
@@ -727,6 +815,8 @@ def _clocked_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker, 
         u -= alpha * q
         w -= alpha * z
         ledger.clocks += update_s
+        if ledger.observed is not None:
+            ledger.computed(update_s)
         rr, gamma_new, delta = ledger.dots(dots_s[3], (rs, rs), (rs, us), (ws, us))
         res = float(np.sqrt(max(rr, 0.0)))
         iterations += 1
@@ -743,4 +833,6 @@ def _clocked_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker, 
         pd = u + beta * pd
         s = w + beta * s
         ledger.clocks += update_s
+        if ledger.observed is not None:
+            ledger.computed(update_s)
     return ledger.finish(part, x, iterations, tracker)

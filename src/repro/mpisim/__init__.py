@@ -22,8 +22,8 @@ Public surface:
 What a rank program awaits: ``recv``, ``Request.wait`` and ``allreduce``
 (a sum, by recursive doubling over ``send`` / ``recv``).  What it calls
 plainly: ``send``, ``irecv``, ``now()``, ``advance()``.  Every exchange is
-point-to-point messages, so the tracker, the tracer, telemetry and the
-fault injector see each one, in every run.
+point-to-point messages, so the tracker, the tracer and the fault
+injector see each one, in every run.
 
 * :class:`CommTracker`, :func:`payload_nbytes` — traffic accounting.
 * :func:`get_injector` / :func:`install_injector` / :func:`clear_injector` —

@@ -74,14 +74,18 @@ def allreduce_schedule(size: int) -> tuple[tuple[np.ndarray, np.ndarray, int, bo
     return arrays
 
 
-def reduce_rounds(clocks, partials, alpha: float, beta: float, nbytes: int) -> None:
+def reduce_rounds(clocks, partials, alpha: float, beta: float, nbytes: int,
+                  log: list | None = None) -> None:
     """Every allreduce round for all ranks at once, in place: ``clocks``
     move as the point-to-point rounds move them and ``partials`` (a row per
-    rank) become each rank's sum."""
+    rank) become each rank's sum.  ``log`` gets each round's ``(dests,
+    their clocks, arrival, sources)``."""
     for src, dst, _, combines in allreduce_schedule(len(clocks)):
         arrival = clocks[src] + alpha
         if beta:
             arrival += beta * nbytes
+        if log is not None:
+            log.append((dst, clocks[dst], arrival, src))
         clocks[dst] = np.maximum(clocks[dst], arrival)
         if combines:
             partials[dst] = partials[dst] + partials[src]

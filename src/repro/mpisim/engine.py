@@ -32,12 +32,12 @@ buffer after the call cannot corrupt data in flight.
 Everything a rank program exchanges is such a message: the allreduce is
 the recursive doubling of :func:`~repro.mpisim.collectives.allreduce`, and
 a halo update one ``irecv`` and one ``send`` per edge
-(:mod:`repro.dist.spmd`).  So the tracker, the tracer, telemetry and the
-fault injector each see every message, on its own rank at its modeled
-instant, and one code path serves watched, faulted and plain runs alike.
-Timed solves do not run here: the clocked executor of
-:mod:`repro.dist.spmd` computes the same clocks and traffic for all ranks
-at once, and the rank programs run here are its oracle.
+(:mod:`repro.dist.spmd`).  So the tracker, the tracer and the fault
+injector each see every message, on its own rank at its modeled instant,
+and one code path serves watched, faulted and plain runs alike.  Timed
+solves do not run here: the clocked executor of :mod:`repro.dist.spmd`
+computes the same clocks and traffic for all ranks at once, and the rank
+programs run here are its oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ import math
 import operator
 import types
 from collections import deque
-from contextlib import contextmanager
 from functools import partial
 from typing import Any, Callable
 
@@ -211,32 +210,20 @@ class Comm:
     awaits; the rest are plain calls.
     """
 
-    def __init__(self, rank: int, sched: _Scheduler, telemetry=None):
+    def __init__(self, rank: int, sched: _Scheduler):
         self.rank = rank
         self.size = sched.size
         #: The run's :class:`~repro.mpisim.CommTracker`, or ``None``.
         self.tracker = sched.tracker
         #: The run's :class:`ClockModel` (rank programs read the compute rates).
         self.clock = sched.clock
-        #: This rank's bounded telemetry endpoint
-        #: (:class:`repro.observe.stream.RankTelemetry`), installed by
-        #: :func:`run_spmd` when a ``telemetry=`` config is passed.
-        #: Duck-typed — the transport only calls ``observe_message`` /
-        #: ``observe_wait`` / ``observe`` on it.
-        self.telemetry = telemetry
-        #: True while inside :meth:`telemetry_channel`: traffic is booked as
-        #: telemetry (``CommTracker.record_telemetry``) instead of solver
-        #: p2p, and is itself never observed into the telemetry histograms.
-        self._telemetry_mode = False
         self._sched = sched
         self._tracer = sched.tracer
-        #: a send must be sized / a receive must be timed for someone
-        self._accounted = (
-            sched.tracker is not None or sched.tracer.enabled or telemetry is not None
-        )
-        self._watched = sched.tracer.enabled or telemetry is not None
-        #: a fault plan, the tracer or telemetry watches every receive
-        self._observed = self._watched or sched.injector is not None
+        self._traced = sched.tracer.enabled
+        #: a send must be sized for the tracker or the tracer
+        self._accounted = sched.tracker is not None or self._traced
+        #: a fault plan or the tracer watches every receive
+        self._observed = self._traced or sched.injector is not None
         #: dest -> [messages, bytes]; merged into the tracker when the run ends
         self._edges: dict[int, list[int]] = {}
         self._seen_dups: set[int] = set()  # sequence ids of delivered duplicates
@@ -263,23 +250,6 @@ class Comm:
             raise CommError(
                 f"peer rank {peer!r} is not an integer in [0, {self.size})"
             )
-
-    @contextmanager
-    def telemetry_channel(self):
-        """Book traffic sent inside this context as in-band telemetry.
-
-        The in-band aggregation of :mod:`repro.observe.stream` wraps its
-        reduction-tree hops in this context so the transport routes their
-        accounting to :meth:`CommTracker.record_telemetry` — keeping the
-        solver's audited ``p2p_*`` schedule byte-identical with telemetry
-        on or off.
-        """
-        previous = self._telemetry_mode
-        self._telemetry_mode = True
-        try:
-            yield self
-        finally:
-            self._telemetry_mode = previous
 
     # -- send -----------------------------------------------------------
     def send(self, obj, dest: int, tag: int = 0) -> None:
@@ -313,27 +283,8 @@ class Comm:
         sched.enqueue(self.rank, dest, tag, obj, arrival)
 
     def _account_send(self, dest: int, tag: int, nbytes: int) -> None:
-        """Book one outgoing wire message with tracker, tracer and telemetry.
-
-        Inside a :meth:`telemetry_channel` context the message is
-        in-band telemetry: it lands in the tracker's separate telemetry
-        accounting (excluded from the invariance audit), its trace event is
-        tagged ``channel="telemetry"`` (excluded from timelines), and it is
-        never observed into the telemetry histograms themselves.
-        """
+        """Book one outgoing wire message with the tracker and the tracer."""
         tracer = self._tracer
-        if self._telemetry_mode:
-            if self.tracker is not None:
-                self.tracker.record_telemetry(self.rank, dest, nbytes)
-            if tracer.enabled:
-                tracer.event("mpisim.send", src=self.rank, dst=dest, tag=tag,
-                             bytes=nbytes, channel="telemetry")
-                metrics = self._sched.metrics
-                metrics.counter("mpisim.telemetry_messages").inc()
-                metrics.counter("mpisim.telemetry_bytes").inc(nbytes)
-            return
-        if self.telemetry is not None:
-            self.telemetry.observe_message(nbytes)
         if self.tracker is not None:
             edge = self._edges.get(dest)
             if edge is None:
@@ -357,10 +308,7 @@ class Comm:
         Point to point: the recursive doubling of
         :func:`repro.mpisim.collectives.allreduce`, which raises
         :class:`~repro.errors.CommError` naming two ranks whose operands
-        differ in type, shape or dtype.  When a telemetry endpoint is
-        installed, the modeled duration of the whole exchange goes into its
-        ``reduction`` histogram — the simulated counterpart of the α–β
-        model's ``reductions`` term.
+        differ in type, shape or dtype.
         """
         if not (type(value) is float or (type(value) is np.ndarray and value.ndim
                                          and value.dtype.kind in "fiu")):
@@ -368,15 +316,8 @@ class Comm:
                 f"allreduce: rank {self.rank} passed {_describe(value)}; it sums "
                 "a Python float or a numeric array"
             )
-        telemetry = self.telemetry if not self._telemetry_mode else None
-        start = self.now() if telemetry is not None else 0.0
-        try:
-            with self._tracer.span("mpisim.allreduce", rank=self.rank):
-                return await collectives.allreduce(self, value)
-        finally:
-            if telemetry is not None:
-                end = self.now()
-                telemetry.observe("reduction", end - start, end=end)
+        with self._tracer.span("mpisim.allreduce", rank=self.rank):
+            return await collectives.allreduce(self, value)
 
     # -- fault injection ------------------------------------------------
     def _apply_rank_faults(self, injector) -> None:
@@ -507,8 +448,8 @@ class Comm:
 
     def _recv(self, source: int, tag: int):
         """``recv`` behind the peer checks; returns the coroutine to await:
-        straight to the take-or-park loop unless a fault plan, the tracer
-        or telemetry watches receives."""
+        straight to the take-or-park loop unless a fault plan or the tracer
+        watches receives."""
         if self._observed:
             return self._observed_recv(source, tag)
         return self._take_or_park(source, tag)
@@ -526,36 +467,27 @@ class Comm:
         return value
 
     async def _observed_recv(self, source: int, tag: int):
-        """A receive someone watches: fault plan, tracer or telemetry.
+        """A receive someone watches: a fault plan or the tracer.
 
         With tracing enabled a receive whose message has not arrived yet is
         an ``mpisim.wait`` span tagged with the awaited source — its
         duration is the modeled time the rank waited, the raw material of
-        the timeline layer's wait attribution — and a receive that waited
-        is streamed into this rank's telemetry endpoint (when installed),
-        classified by tag.  Receives made inside the telemetry channel
-        record neither.
+        the timeline layer's wait attribution.
         """
         injector = self._sched.injector
         if injector is not None:
             self._apply_rank_faults(injector)
-        if not self._watched or self._telemetry_mode:
+        if not self._traced:
             return await self._take_or_park(source, tag)
-        start = self.now()
-        value = self._take(source, tag, start)
+        value = self._take(source, tag, self.now())
         if value is not _NOTHING:
             return value  # it had already arrived: no wait to record
         with self._tracer.span("mpisim.wait", rank=self.rank, src=source, tag=tag):
-            value = await self._take_or_park(source, tag)
-        end = self.now()
-        if self.telemetry is not None and end > start:
-            self.telemetry.observe_wait(end - start, tag=tag, src=source, end=end)
-        return value
+            return await self._take_or_park(source, tag)
 
 
-async def _rank_main(fn, comm: Comm, telemetry, args, kwargs):
-    """One rank's coroutine: the program under its root span, then the
-    in-band telemetry reduction."""
+async def _rank_main(fn, comm: Comm, args, kwargs):
+    """One rank's coroutine: the program under its root span."""
     with comm._tracer.span("spmd.rank", rank=comm.rank):
         program = fn(comm, *args, **kwargs)
         if not inspect.isawaitable(program):
@@ -564,10 +496,7 @@ async def _rank_main(fn, comm: Comm, telemetry, args, kwargs):
                 f"{type(program).__name__}, not a coroutine: declare it "
                 "`async def` and await everything that can block"
             )
-        result = await program
-    if telemetry is not None:
-        await telemetry.collect(comm, comm.telemetry)
-    return result
+        return await program
 
 
 def run_spmd(
@@ -576,7 +505,6 @@ def run_spmd(
     *args,
     tracker: CommTracker | None = None,
     clock: ClockModel | None = None,
-    telemetry=None,
     **kwargs,
 ) -> list:
     """Run ``await fn(comm, *args, **kwargs)`` on ``size`` ranks; return all
@@ -593,14 +521,6 @@ def run_spmd(
     rank program charges with ``comm.advance``.  The all-zero default
     simulates message order only (every clock stays at 0).
 
-    ``telemetry`` takes a :class:`repro.observe.stream.TelemetryConfig`
-    (duck-typed: anything with ``make_rank(rank, size)`` and an awaitable
-    ``collect(comm, rank_telemetry)``): each rank gets a bounded telemetry
-    endpoint on ``comm.telemetry``, the transport streams modeled
-    receive waits and message sizes into it, and after ``fn`` returns the
-    per-rank summaries are reduced in-band over an O(log P) tree — booked
-    as telemetry traffic, invisible to the audited solver schedule.
-
     A rank that raises stops the run at once: every other rank's coroutine
     is closed and the exception re-raised as ``CommError("rank r failed:
     …")`` from it.  A state in which no rank can run and not all have
@@ -609,14 +529,9 @@ def run_spmd(
     if size < 1:
         raise CommError("size must be >= 1")
     sched = _Scheduler(size, clock if clock is not None else ClockModel(), tracker)
-    comms = [
-        Comm(r, sched, telemetry.make_rank(r, size) if telemetry is not None else None)
-        for r in range(size)
-    ]
+    comms = [Comm(r, sched) for r in range(size)]
     try:
-        return sched.run(
-            [_rank_main(fn, comm, telemetry, args, kwargs) for comm in comms]
-        )
+        return sched.run([_rank_main(fn, comm, args, kwargs) for comm in comms])
     finally:
         if tracker is not None:
             for comm in comms:

@@ -50,10 +50,10 @@ def payload_nbytes(obj) -> int:
 class CommTracker:
     """Thread-safe counters of point-to-point and collective traffic.
 
-    In-band telemetry aggregation (:mod:`repro.observe.stream`) is booked
-    on a *separate* channel — ``telemetry_messages`` / ``telemetry_bytes``
-    via :meth:`record_telemetry` — so observability traffic never pollutes
-    the solver's ``p2p_*`` accounting.  The invariance auditor
+    Telemetry aggregation (:mod:`repro.observe.stream`) is booked on a
+    *separate* channel — ``telemetry_messages`` / ``telemetry_bytes`` via
+    :meth:`record_telemetry` — so observability traffic never pollutes the
+    solver's ``p2p_*`` accounting.  The invariance auditor
     (:func:`repro.observe.audit.compare_snapshots`) only normalises the
     solver keys, which is what lets the paper's schedule-unchanged claim be
     re-proved with telemetry enabled.
@@ -95,7 +95,7 @@ class CommTracker:
                 self.p2p_bytes[key] = self.p2p_bytes.get(key, 0) + nbytes
 
     def record_telemetry(self, src: int, dst: int, nbytes: int) -> None:
-        """Count one in-band telemetry message of ``nbytes`` — kept out of
+        """Count one telemetry message of ``nbytes`` — kept out of
         the solver's point-to-point accounting by design."""
         key = (int(src), int(dst))
         with self._lock:
@@ -121,12 +121,12 @@ class CommTracker:
 
     @property
     def total_telemetry_messages(self) -> int:
-        """All in-band telemetry messages recorded."""
+        """All telemetry messages recorded."""
         return sum(self.telemetry_messages.values())
 
     @property
     def total_telemetry_bytes(self) -> int:
-        """All in-band telemetry bytes recorded."""
+        """All telemetry bytes recorded."""
         return sum(self.telemetry_bytes.values())
 
     def edges(self) -> set[tuple[int, int]]:

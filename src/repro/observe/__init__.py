@@ -28,9 +28,8 @@ turns them into artifacts that answer the paper's questions directly:
 * :mod:`repro.observe.stream` — bounded-memory streaming telemetry:
   per-rank log-bucketed :class:`StreamingHistogram` s over wait / compute /
   message-size distributions, deterministic rank sampling
-  (:func:`sampled_ranks`), and in-band aggregation over the simulator's own
-  reduction tree (:func:`aggregate_telemetry`) on a tag the auditors
-  exclude by construction;
+  (:func:`sampled_ranks`), and a binomial-tree reduction booked as
+  telemetry traffic, which the auditors exclude by construction;
 * :mod:`repro.observe.conformance` — α–β model-conformance verdicts:
   :class:`ConformanceReport` compares :mod:`repro.perfmodel` predictions
   against streamed measurements per phase and rank count, detects
@@ -68,7 +67,6 @@ from repro.observe.stream import (
     ClusterTelemetry,
     StreamingHistogram,
     TelemetryConfig,
-    aggregate_telemetry,
     sampled_ranks,
 )
 from repro.observe.audit import InvarianceVerdict, compare_snapshots, schedule_snapshot
@@ -117,7 +115,6 @@ __all__ = [
     "sampled_ranks",
     "ClusterTelemetry",
     "TelemetryConfig",
-    "aggregate_telemetry",
     "ConformanceError",
     "RankCountConformance",
     "ConformanceReport",

@@ -4,8 +4,8 @@
 stream centrally — perfect forensics at 8 ranks, hopeless at 1024 (trace
 volume grows as O(ranks x iterations x edges)).  This module is the
 scalable counterpart: every rank keeps a *fixed-size* telemetry summary and
-the cluster-wide view is reduced **in-band** over the simulator's own
-O(log P) binomial tree instead of a P-way central gather.
+the cluster-wide view is reduced over an O(log P) binomial tree instead of
+a P-way central gather.
 
 Per rank (:class:`RankTelemetry`):
 
@@ -21,22 +21,17 @@ The artifact size is therefore O(sampled ranks + log-bucket count), not
 O(P x spans) — sublinear in rank count versus full tracing, which
 ``scripts/check_bench.py conformance`` gates explicitly.
 
-Aggregation (:func:`aggregate_telemetry`) merges :class:`ClusterTelemetry`
-partials up a binomial tree on a dedicated tag while the communicator's
-*telemetry channel* is active: the transport books that traffic as
-``telemetry_*`` accounting in :class:`~repro.mpisim.CommTracker`, **not**
-as ``p2p_*`` traffic, so :func:`repro.observe.compare_snapshots` excludes
-it by construction and the solver's communication schedule stays provably
+A telemetered SPMD run (``telemetry=`` of :mod:`repro.dist.spmd`) takes
+the clocked executor, whose ledger :meth:`TelemetryConfig.aggregate` turns
+into per-rank telemetry with array operations over ranks, then folds in
+binomial-tree order (:func:`aggregate_telemetry`).  Each hop is booked as
+one ``telemetry_*`` message in :class:`~repro.mpisim.CommTracker`, **not**
+as ``p2p_*`` traffic, so :func:`repro.observe.compare_snapshots` excludes it by
+construction and the solver's communication schedule stays provably
 unperturbed (the paper's §4 invariance claim survives with telemetry on).
 
-Every duration here is in *modeled* seconds: the transport and the rank
-programs report differences of ``comm.now()`` readings and pass the reading
-itself as ``end=``, so sampled spans sit on the run's one modeled time axis
-and nothing in this module reads the host's clock.
-
-Layering: this module is import-light (stdlib + :mod:`repro.errors` only)
-so the :mod:`repro.mpisim` engine can use it through the duck-typed
-``telemetry=`` hook of :func:`repro.mpisim.run_spmd` without a cycle.
+Every duration here is in *modeled* seconds and each observation carries
+the modeled clock reading it ended at: nothing here reads the host's clock.
 """
 
 from __future__ import annotations
@@ -44,41 +39,27 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import groupby, repeat
+from operator import itemgetter
+
+import numpy as np
 
 from repro.errors import ReproError
+from repro.mpisim.tracker import CommTracker, payload_nbytes
 
 __all__ = [
-    "TELEMETRY_TAG",
     "TelemetryError",
     "StreamingHistogram",
     "sampled_ranks",
-    "classify_wait_tag",
     "RankTelemetry",
     "ClusterTelemetry",
     "TelemetryConfig",
     "aggregate_telemetry",
 ]
 
-#: Message tag reserved for in-band telemetry aggregation.  Collectives use
-#: the 1_000_00x range and halos 7_000; telemetry stays far above both so a
-#: stray ``ANY_TAG`` receive in solver code can never match it by accident.
-TELEMETRY_TAG = 9_000_000
-
-#: Tags at or above this value belong to collective algorithms
-#: (:mod:`repro.mpisim.collectives`); below it is point-to-point solver
-#: traffic (halo exchanges).  Used to classify blocked-receive time.
-_COLLECTIVE_TAG_FLOOR = 1_000_000
-
 
 class TelemetryError(ReproError):
     """Invalid telemetry configuration or an unmergeable histogram pair."""
-
-
-def classify_wait_tag(tag: int) -> str:
-    """Histogram name for a blocked receive, from the message tag it
-    matched on: halo-range tags are ``wait.halo``, collective-range tags
-    ``wait.collective``."""
-    return "wait.collective" if int(tag) >= _COLLECTIVE_TAG_FLOOR else "wait.halo"
 
 
 def sampled_ranks(size: int, policy=4) -> frozenset[int]:
@@ -152,13 +133,12 @@ class StreamingHistogram:
         #: Non-cumulative counts keyed by bucket upper bound.
         self.buckets: dict[float, int] = {}
 
-    def _bound(self, value: float) -> float:
-        """Upper bound of the bucket containing ``value``."""
-        if value <= self.lo:
-            return self.lo
-        # the epsilon forgives float noise when value is an exact power
-        exponent = math.ceil(math.log(value / self.lo) / math.log(self.base) - 1e-9)
-        return self.lo * self.base ** exponent
+    def bounds(self, values) -> list[float]:
+        """Upper bound of the bucket containing each of ``values``."""
+        lo, base, log_base = self.lo, self.base, math.log(self.base)
+        # the epsilon forgives float noise when a value is an exact power
+        return [lo if v <= lo else lo * base ** math.ceil(math.log(v / lo) / log_base - 1e-9)
+                for v in values]
 
     def observe(self, value) -> None:
         """Stream one observation in (O(1) time, bounded memory)."""
@@ -167,7 +147,7 @@ class StreamingHistogram:
         self.sum += v
         self.min = v if self.min is None else min(self.min, v)
         self.max = v if self.max is None else max(self.max, v)
-        ub = self._bound(v)
+        (ub,) = self.bounds((v,))
         self.buckets[ub] = self.buckets.get(ub, 0) + 1
 
     def merge(self, other: "StreamingHistogram") -> "StreamingHistogram":
@@ -180,9 +160,6 @@ class StreamingHistogram:
             )
         self.count += other.count
         self.sum += other.sum
-        for bound in (other.min, other.max):
-            if bound is None:
-                continue
         if other.min is not None:
             self.min = other.min if self.min is None else min(self.min, other.min)
         if other.max is not None:
@@ -311,12 +288,10 @@ class StreamingHistogram:
 class RankTelemetry:
     """One rank's fixed-size telemetry: histograms, counters, sampled spans.
 
-    Fed by the transport (blocked-receive time via :meth:`observe_wait`,
-    message sizes via :meth:`observe_message`) and by the solver layers
-    (``compute`` / ``reduction`` seconds via :meth:`observe`).  On a
-    sampled rank every timed observation is additionally recorded as a
-    ``(name, start, end, src)`` span, bounded by ``max_spans`` (overflow is
-    counted, never grown).
+    Timed observations (``compute``, ``wait.halo``, ``wait.collective``,
+    ``reduction``) stream in through :meth:`observe`, on a sampled rank
+    also as ``(name, start, end, src)`` spans, bounded by ``max_spans``
+    (overflow is counted, never grown).
     """
 
     __slots__ = ("rank", "sampled", "lo", "base", "max_spans", "hists",
@@ -352,17 +327,6 @@ class RankTelemetry:
                 self.spans.append((name, end - seconds, end, src))
             else:
                 self.spans_dropped += 1
-
-    def observe_wait(self, seconds, *, tag: int = 0, end: float = 0.0,
-                     src: int | None = None) -> None:
-        """Modeled time a receive waited, classified by the tag it matched on."""
-        self.observe(classify_wait_tag(tag), seconds, end=end, src=src)
-
-    def observe_message(self, nbytes: int) -> None:
-        """One delivered wire message of ``nbytes``."""
-        self.hist("message_bytes").observe(nbytes)
-        self.counters["messages"] = self.counters.get("messages", 0) + 1
-        self.counters["bytes"] = self.counters.get("bytes", 0) + int(nbytes)
 
     def total(self, name: str) -> float:
         """Sum of the named histogram's observations (0.0 when absent)."""
@@ -531,9 +495,9 @@ class ClusterTelemetry:
 class TelemetryConfig:
     """Configuration + result slot for one telemetered SPMD run.
 
-    Pass to :func:`repro.mpisim.run_spmd` (or the solver wrappers in
-    :mod:`repro.dist.spmd`) as ``telemetry=``; after the run, ``result``
-    holds the in-band-reduced :class:`ClusterTelemetry` from rank 0::
+    Pass to the solver wrappers in :mod:`repro.dist.spmd` as ``telemetry=``;
+    after the run, ``result`` holds the tree-reduced
+    :class:`ClusterTelemetry`::
 
         cfg = TelemetryConfig(rank_sample=8)
         spmd_pipelined_pcg(da, b, ..., telemetry=cfg, clock=machine.clock_model())
@@ -546,62 +510,92 @@ class TelemetryConfig:
     top_k: int = 8
     max_spans: int = 256
     result: ClusterTelemetry | None = field(default=None, repr=False, compare=False)
-    _sampled_cache: tuple | None = field(default=None, repr=False, compare=False)
 
-    def sampled(self, size: int) -> frozenset[int]:
-        """The deterministic sampled-rank set for ``size`` ranks."""
-        if self._sampled_cache is None or self._sampled_cache[0] != size:
-            self._sampled_cache = (size, sampled_ranks(size, self.rank_sample))
-        return self._sampled_cache[1]
+    def aggregate(self, size: int, observed, sent,
+                  tracker: CommTracker | None = None) -> ClusterTelemetry:
+        """Each rank's telemetry from a clocked run's record, reduced into
+        :attr:`result` by :func:`aggregate_telemetry`.
 
-    def make_rank(self, rank: int, size: int) -> RankTelemetry:
-        """Build one rank's telemetry endpoint (engine hook)."""
-        return RankTelemetry(
-            rank,
-            sampled=rank in self.sampled(size),
-            lo=self.lo,
-            base=self.base,
-            max_spans=self.max_spans,
-        )
+        ``observed`` lists ``(name, ranks, seconds, ends, sources)`` arrays
+        in every rank's own order (``sources`` ``None``: no source);
+        ``sent`` lists ``(senders, nbytes, repeats)`` of the solver
+        messages.  Sums accumulate in that order and buckets come from
+        :meth:`StreamingHistogram.bounds`: each histogram is bitwise what
+        :meth:`RankTelemetry.observe` streams.
+        """
+        sampled = sampled_ranks(size, self.rank_sample)
+        out = [RankTelemetry(r, sampled=r in sampled, lo=self.lo, base=self.base,
+                             max_spans=self.max_spans) for r in range(size)]
+        chosen, nowhere = np.isin(np.arange(size), sorted(sampled)), np.full(size, -1)
+        by_name: dict[str, list] = {}
+        spans: list[tuple] = []  # (rank, name, start, end, source) of the sampled ranks
+        for name, ranks, seconds, ends, sources in observed:
+            by_name.setdefault(name, []).append((ranks, seconds))
+            keep = chosen[ranks]
+            sources = nowhere[: ranks.size] if sources is None else sources
+            spans.extend(zip(ranks[keep].tolist(), repeat(name),
+                             (ends[keep] - seconds[keep]).tolist(), ends[keep].tolist(),
+                             sources[keep].tolist()))
+        for name, parts in by_name.items():
+            self._fill(out, name, *(np.concatenate(column) for column in zip(*parts)))
+        senders, nbytes, repeats = (
+            np.concatenate([np.empty(0, np.intp), *column]).astype(np.intp)
+            for column in (list(zip(*sent)) or [()] * 3))
+        self._fill(out, "message_bytes", senders, nbytes.astype(float), repeats)
+        for telemetry in out:
+            if "message_bytes" in telemetry.hists:
+                sizes = telemetry.hists["message_bytes"]
+                telemetry.counters.update(messages=sizes.count, bytes=int(sizes.sum))
+        spans.sort(key=itemgetter(0))  # stable: each rank's spans stay in its order
+        for r, mine in groupby(spans, key=itemgetter(0)):
+            mine = [(name, start, end, None if src < 0 else src)
+                    for _, name, start, end, src in mine]
+            out[r].spans = mine[: self.max_spans]
+            out[r].spans_dropped = max(len(mine) - self.max_spans, 0)
+        self.result = aggregate_telemetry(out, top_k=self.top_k, tracker=tracker)
+        return self.result
 
-    async def collect(self, comm, telemetry: RankTelemetry) -> None:
-        """Aggregate in-band after the rank program returns (engine hook)."""
-        aggregate = await aggregate_telemetry(comm, telemetry, top_k=self.top_k)
-        if aggregate is not None:
-            self.result = aggregate
+    def _fill(self, out: list[RankTelemetry], name: str, ranks: np.ndarray,
+              values: np.ndarray, repeats: np.ndarray | None = None) -> None:
+        """The ``name`` histogram of every rank that observed ``values``
+        (``ranks[i]`` observed ``values[i]``, ``repeats[i]`` times, each
+        rank's in its order)."""
+        size = len(out)
+        total, low, high = np.zeros(size), np.full(size, np.inf), np.full(size, -np.inf)
+        # in order, one element at a time (repeated values are whole bytes)
+        np.add.at(total, ranks, values if repeats is None else values * repeats)
+        np.minimum.at(low, ranks, values)
+        np.maximum.at(high, ranks, values)
+        distinct, which = np.unique(values, return_inverse=True)
+        grid = StreamingHistogram(lo=self.lo, base=self.base).bounds(distinct.tolist())
+        bounds, bucket = np.unique(grid, return_inverse=True)
+        counts = np.bincount(ranks * bounds.size + bucket[which], repeats,
+                             minlength=size * bounds.size).astype(np.int64)
+        buckets: list[dict] = [{} for _ in out]
+        for cell in np.flatnonzero(counts).tolist():
+            buckets[cell // bounds.size][float(bounds[cell % bounds.size])] = int(counts[cell])
+        for r in np.unique(ranks).tolist():
+            out[r].hists[name] = StreamingHistogram.from_dict({
+                "lo": self.lo, "base": self.base, "count": sum(buckets[r].values()),
+                "sum": total[r], "min": low[r], "max": high[r], "buckets": buckets[r]})
 
 
-async def aggregate_telemetry(comm, telemetry, *, top_k: int = 8):
-    """Reduce per-rank telemetry to rank 0 over a binomial tree (a
-    coroutine: it receives, so rank programs ``await`` it).
+def aggregate_telemetry(ranks: list[RankTelemetry], *, top_k: int = 8,
+                        tracker: CommTracker | None = None) -> ClusterTelemetry:
+    """Reduce per-rank telemetry to rank 0's :class:`ClusterTelemetry`.
 
-    A binomial-tree reduction (O(log P) hops) on :data:`TELEMETRY_TAG`,
-    inside the communicator's telemetry channel, so every hop is booked as
-    telemetry traffic (excluded from the invariance audit) rather than
-    solver traffic.  Returns the merged
-    :class:`ClusterTelemetry` on rank 0 and ``None`` elsewhere.
-
-    ``telemetry`` may be a :class:`RankTelemetry` (lifted automatically) or
-    an already-partial :class:`ClusterTelemetry`.
+    The partials fold in binomial-tree order (O(log P) levels): at bit
+    ``mask``, each rank ``r`` with no bit at or below ``mask`` set merges
+    ``r + mask``'s partial.  With a ``tracker``, each hop is booked as one
+    telemetry message of the partial's wire size, never as solver traffic.
     """
-    if isinstance(telemetry, RankTelemetry):
-        accumulator = ClusterTelemetry.from_rank(telemetry, top_k=top_k)
-    else:
-        accumulator = telemetry
-    size, rank = comm.size, comm.rank
-    if size <= 1:
-        return accumulator
-    with comm.telemetry_channel():
-        mask = 1
-        while mask < size:
-            if rank & mask:
-                comm.send(accumulator.to_dict(), rank & ~mask, TELEMETRY_TAG)
-                return None
-            peer = rank | mask
-            if peer < size:
-                partial = ClusterTelemetry.from_dict(
-                    await comm.recv(peer, TELEMETRY_TAG)
-                )
-                accumulator.merge(partial)
-            mask <<= 1
-    return accumulator
+    partials = [ClusterTelemetry.from_rank(t, top_k=top_k) for t in ranks]
+    mask = 1
+    while mask < len(partials):
+        for rank in range(0, len(partials) - mask, 2 * mask):
+            partial = partials[rank + mask]
+            if tracker is not None:
+                tracker.record_telemetry(rank + mask, rank, payload_nbytes(partial.to_dict()))
+            partials[rank].merge(partial)
+        mask <<= 1
+    return partials[0]

@@ -245,10 +245,6 @@ class Timeline:
         or its nearest ancestor's, or the rank of the ``spmd.rank`` root
         span covering its interval on the same track.
 
-        Spans tagged ``channel="telemetry"`` (in-band telemetry traffic,
-        :mod:`repro.observe.stream`) are skipped: observability traffic
-        must never perturb the reconstructed solver timeline.
-
         An empty stream, a stream of malformed spans (no ``start``), or a
         stream in which no span can be attributed to any rank raises
         :class:`TimelineError` naming the offending stream — a cross-rank
@@ -306,8 +302,6 @@ class Timeline:
         for d in spans:
             name = d.get("name", "")
             tags = d.get("tags", {})
-            if tags.get("channel") == "telemetry":
-                continue  # in-band telemetry traffic is not solver activity
             if name == "mpisim.send":
                 sends.append(
                     CommEdge(

@@ -2,7 +2,7 @@
 ``repro cache`` and the ``conformance`` / ``cache`` benchmark suites.
 
 * :func:`conformance_ladder` strong-scales one matrix over rank counts on
-  the SPMD runtime with in-band telemetry, confronts the
+  the SPMD runtime with streaming telemetry, confronts the
   :class:`CostModel` iteration with the streamed per-phase measurement,
   and re-proves §4 halo invariance (``G`` and ``Gᵀ``) with telemetry on.
 * :func:`cache_ladder` replays every method's ``Gᵀ(Gx)`` stream at every

@@ -10,8 +10,8 @@ rank's final modeled clock and the tracker's snapshot must be equal —
 under the all-zero clock and under the Skylake one, with and without a
 preconditioner, on block and random owner maps, and where some or all
 ranks have no halo edge.  The dispatch rule is pinned too: a solve that a
-fault injector, the tracer or telemetry watches reaches ``run_spmd``; no
-other does.
+fault injector or the tracer watches reaches ``run_spmd``; no other does,
+telemetered or not.
 """
 
 from __future__ import annotations
@@ -217,8 +217,10 @@ def test_a_watched_solve_runs_on_the_engine(engine_runs, system, solver, watcher
     assert results[0] == results[1]
 
 
-def test_a_telemetered_solve_runs_on_the_engine(engine_runs, system):
+def test_a_telemetered_solve_never_reaches_the_engine(engine_runs, system):
     da, b, pair = system
-    spmd_pipelined_pcg(da, b, precond_pair=pair, telemetry=TelemetryConfig())
-    assert engine_runs == [4]
+    telemetry = TelemetryConfig()
+    spmd_pipelined_pcg(da, b, precond_pair=pair, telemetry=telemetry)
+    assert engine_runs == []
+    assert telemetry.result.ranks == 4
 

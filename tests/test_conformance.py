@@ -27,7 +27,7 @@ def _cluster(ranks, *, wait=0.010, compute=0.100, reduction=0.020,
     def one(rank):
         t = RankTelemetry(rank)
         w = straggler[1] if straggler and rank == straggler[0] else wait
-        t.observe_wait(w, tag=3)
+        t.observe("wait.halo", w)
         t.observe("compute", compute)
         t.observe("reduction", reduction)
         return ClusterTelemetry.from_rank(t)

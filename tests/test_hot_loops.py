@@ -15,7 +15,9 @@ again) and must do that, too, without a Python call per row.  A BSP
 ranks as on 2: no call per rank.  The clocked executor, which runs every
 unwatched ``spmd_cg`` / ``spmd_pipelined_pcg`` solve, must cost a fixed
 number of calls per iteration on 16 ranks as on 256: nothing per rank.
-The rank programs on ``run_spmd`` are not counted: they exchange point to
+So must a telemetered ``spmd_pipelined_pcg``, whose ledger records every
+rank's observations and builds the histograms after the run.  The rank
+programs on ``run_spmd`` are not counted: they exchange point to
 point, a Python call per message by design, and only watched, faulted and
 oracle runs execute them.
 """
@@ -50,6 +52,7 @@ from repro.dist import (
 from repro.kernels import SolverWorkspace
 from repro.matgen import paper_rhs, poisson2d
 from repro.mpisim import CommTracker
+from repro.observe import TelemetryConfig
 from repro.partition import block_partition_2d
 from repro.sparse import CSRMatrix, SparsityPattern
 
@@ -262,4 +265,24 @@ def test_a_clocked_iteration_makes_no_python_call_per_rank(solver):
     assert counts == dict.fromkeys(counts, CLOCKED_CALLS[solver]), (
         f"{solver.__name__}: Python calls per iteration by rank count {counts}, "
         f"not {CLOCKED_CALLS[solver]} on each — per-rank Python is back"
+    )
+
+
+def telemetered_pipelined_pcg(da, b, budget, pair):
+    return spmd_pipelined_pcg(da, b, rtol=0.0, max_iterations=budget, precond_pair=pair,
+                              tracker=CommTracker(), telemetry=TelemetryConfig(rank_sample=8))
+
+
+#: Python calls per iteration of a telemetered solve, on any number of
+#: ranks: each observation is one record for all ranks, and the histograms
+#: are built with array operations after the run.
+TELEMETERED_CALLS = 41
+
+
+def test_a_telemetered_iteration_makes_no_python_call_per_rank():
+    counts = {px * px: calls_per_spmd_iteration(telemetered_pipelined_pcg, px)
+              for px in (4, 8, 16)}
+    assert counts == dict.fromkeys(counts, TELEMETERED_CALLS), (
+        f"telemetered spmd_pipelined_pcg: Python calls per iteration by rank count "
+        f"{counts}, not {TELEMETERED_CALLS} on each — per-rank Python is back"
     )

@@ -163,9 +163,10 @@ class TestBucketedHistogramRoundTrip:
 
     def test_cluster_telemetry_exposition_parses(self):
         t = RankTelemetry(0)
-        t.observe_wait(0.002, tag=3)
+        t.observe("wait.halo", 0.002)
         t.observe("compute", 0.01)
-        t.observe_message(4096)
+        t.hist("message_bytes").observe(4096)
+        t.counters.update(messages=1, bytes=4096)
         cluster = ClusterTelemetry.from_rank(t)
         parsed = parse_exposition(render_openmetrics(cluster.to_prom_samples()))
         assert parsed["repro_telemetry_ranks"][()] == 1.0

@@ -25,7 +25,6 @@ from repro.instrument import tracing
 from repro.matgen import poisson2d
 from repro.mpisim import ClockModel, CommTracker, payload_nbytes, run_spmd
 from repro.mpisim.collectives import reduce_rounds
-from repro.observe.stream import TelemetryConfig
 from repro.partition import graph_from_matrix, partition_matrix
 from repro.perfmodel import SKYLAKE
 from repro.sparse import CSRMatrix
@@ -92,19 +91,16 @@ class TestNativeAllreduceOracle:
     """The clocked executor's allreduce — every round for all ranks at once
     (:func:`reduce_rounds`), its traffic booked in bulk (:func:`book_bulk`)
     — against the point-to-point algorithm every engine run executes:
-    results, per-rank clocks and tracker snapshot, whether the tracer or
-    telemetry watches the messages or not."""
+    results, per-rank clocks and tracker snapshot, whether the tracer
+    watches the messages or not."""
 
     @staticmethod
     def point_to_point(size, values, skews, clock, observe):
         tracker = CommTracker()
-        telemetry = TelemetryConfig(rank_sample="all") if observe == "telemetry" else None
         with tracing() if observe == "traced" else nullcontext():
             out = run_spmd(_two_allreduces, size, values, skews,
-                           tracker=tracker, clock=clock, telemetry=telemetry)
-        solver_traffic = {k: v for k, v in tracker.snapshot().items()
-                          if not k.startswith("telemetry_")}
-        return out, solver_traffic
+                           tracker=tracker, clock=clock)
+        return out, tracker.snapshot()
 
     @staticmethod
     def native(size, values, skews, clock):
@@ -121,8 +117,7 @@ class TestNativeAllreduceOracle:
         book_bulk(tracker, size, 2, 2 * nbytes, ())
         out = [(_canonical(a), _canonical(b), t)
                for a, b, t in zip(first, second, clocks.tolist())]
-        return out, {k: v for k, v in tracker.snapshot().items()
-                     if not k.startswith("telemetry_")}
+        return out, tracker.snapshot()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -130,7 +125,7 @@ class TestNativeAllreduceOracle:
         st.sampled_from(["scalar", "array"]),
         st.booleans(),
         st.sampled_from([ClockModel(), ClockModel(alpha=2e-6, beta=1e-9)]),
-        st.sampled_from(["plain", "telemetry", "traced"]),
+        st.sampled_from(["plain", "traced"]),
         st.integers(0, 2**31 - 1),
     )
     # always run: arrays at a size that folds, and signed zeros

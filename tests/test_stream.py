@@ -1,4 +1,4 @@
-"""Streaming telemetry: histograms, sampling, in-band aggregation."""
+"""Streaming telemetry: histograms, sampling, tree aggregation."""
 
 from __future__ import annotations
 
@@ -9,15 +9,14 @@ import pytest
 from repro.dist import DistMatrix, DistVector, RowPartition
 from repro.dist.spmd import spmd_pipelined_pcg
 from repro.matgen import paper_rhs, poisson2d
-from repro.mpisim import CommTracker, run_spmd
+from repro.mpisim import CommTracker
 from repro.observe import (
     ClusterTelemetry,
     StreamingHistogram,
     TelemetryConfig,
-    aggregate_telemetry,
     sampled_ranks,
 )
-from repro.observe.stream import classify_wait_tag, RankTelemetry, TELEMETRY_TAG
+from repro.observe.stream import RankTelemetry, aggregate_telemetry
 from repro.perfmodel import SKYLAKE
 
 
@@ -119,20 +118,16 @@ class TestSampledRanks:
     def test_stride_policy(self):
         assert sorted(sampled_ranks(10, "stride:4")) == [0, 4, 8]
 
-    def test_wait_tag_classification(self):
-        assert classify_wait_tag(3) == "wait.halo"
-        assert classify_wait_tag(1_000_001) == "wait.collective"
-        assert classify_wait_tag(TELEMETRY_TAG) == "wait.collective"
-
 
 # ---------------------------------------------------------------------------
 # per-rank telemetry and cluster merge
 # ---------------------------------------------------------------------------
 def _rank(rank, wait, compute, *, sampled=False):
     t = RankTelemetry(rank, sampled=sampled)
-    t.observe_wait(wait, tag=3)
+    t.observe("wait.halo", wait)
     t.observe("compute", compute)
-    t.observe_message(1024)
+    t.hist("message_bytes").observe(1024)
+    t.counters.update(messages=1, bytes=1024)
     return t
 
 
@@ -198,23 +193,19 @@ class TestClusterTelemetry:
 
 
 # ---------------------------------------------------------------------------
-# in-band aggregation over the simulator
+# tree aggregation, and telemetered solves
 # ---------------------------------------------------------------------------
 class TestInBandAggregation:
     def test_binomial_tree_reaches_rank_zero(self):
         size = 13  # non-power-of-two exercises the partial tree
-        cfg = TelemetryConfig(rank_sample=4)
-        results = {}
-
-        async def fn(comm):
-            t = cfg.make_rank(comm.rank, comm.size)
-            t.observe_wait(0.001 * (comm.rank + 1), tag=5)
+        sampled = sampled_ranks(size, 4)
+        ranks = []
+        for r in range(size):
+            t = RankTelemetry(r, sampled=r in sampled)
+            t.observe("wait.halo", 0.001 * (r + 1))
             t.observe("compute", 0.01)
-            results[comm.rank] = await aggregate_telemetry(comm, t)
-
-        run_spmd(fn, size)
-        assert all(results[r] is None for r in range(1, size))
-        cluster = results[0]
+            ranks.append(t)
+        cluster = aggregate_telemetry(ranks)
         assert cluster.ranks == size
         assert cluster.hists["wait.halo"].count == size
         assert cluster.phase_seconds()["halo"] == pytest.approx(
@@ -224,16 +215,14 @@ class TestInBandAggregation:
 
     def test_telemetry_traffic_is_tagged_not_p2p(self):
         tracker = CommTracker()
-        cfg = TelemetryConfig(rank_sample=2)
-
-        async def fn(comm):
-            t = cfg.make_rank(comm.rank, comm.size)
+        ranks = [RankTelemetry(r, sampled=r in (0, 4)) for r in range(8)]
+        for t in ranks:
             t.observe("compute", 0.01)
-            await aggregate_telemetry(comm, t)
-
-        run_spmd(fn, 8, tracker=tracker)
+        aggregate_telemetry(ranks, tracker=tracker)
         assert tracker.total_messages == 0  # nothing on the solver channel
         assert tracker.total_telemetry_messages == 7  # P-1 tree edges
+        assert set(tracker.telemetry_messages) == {
+            (1, 0), (3, 2), (5, 4), (7, 6), (2, 0), (6, 4), (4, 0)}
         assert tracker.total_telemetry_bytes > 0
         snap = tracker.snapshot()
         assert snap["p2p_messages"] == {}

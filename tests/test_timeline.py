@@ -318,21 +318,6 @@ class TestFromSpansValidation:
         with pytest.raises(TimelineError, match="no rank-attributable spans"):
             Timeline.from_spans(rankless, meta={"label": "boot-trace"})
 
-    def test_telemetry_channel_spans_are_excluded(self):
-        spans = two_rank_spans()
-        spans.append(span("mpisim.send", 3.2, None, sid=8, parent=1,
-                          thread=10, src=0, dst=1, bytes=9999,
-                          channel="telemetry"))
-        spans.append(span("spmd.compute", 3.2, 3.4, sid=9, parent=1,
-                          thread=10, rank=0, channel="telemetry"))
-        with_telemetry = Timeline.from_spans(spans)
-        bare = Timeline.from_spans(two_rank_spans())
-        # the telemetry send created no comm edge, the telemetry span no
-        # segment: the solver timeline is byte-identical
-        assert len(with_telemetry.edges) == len(bare.edges)
-        assert len(with_telemetry.segments) == len(bare.segments)
-        assert with_telemetry.busy_seconds() == bare.busy_seconds()
-
 
 def many_rank_spans(nranks=6):
     """One compute + increasing wait per rank: rank r waits r seconds."""
