@@ -19,9 +19,15 @@ gathered, a bounded batch at a time, into one stacked ``(m, k, k)`` tensor
 The gather has two arms, chosen per batch from its shape alone: when the
 batch's rows share few enough columns that the dense table ``A[cols, cols]``
 is small, the table is scattered once from the CSR rows of ``cols`` and every
-block entry is one ``take``; otherwise one vectorised binary search over the
-matrix structure resolves every ``(row, col)`` lookup.  Both read the same
-stored values, so the arm changes no bit of ``G``.
+block entry is one ``take``; otherwise SciPy's compiled
+``csr_sample_values`` reads every ``(row, col)`` entry, searching only inside
+that row of ``A`` (the ``_sparsetools`` loops :mod:`repro.kernels.plan`
+loads, without the ``scipy.sparse`` package).  Both copy the same stored
+values and zeros, so the arm changes no bit of ``G``, except that SciPy scans
+the row on batches of at most ``nnz(A) // 10`` entries and that scan reads a
+stored ``-0.0`` as ``+0.0``.  ``A`` is validated as CSR first, so a
+``check=False`` matrix with duplicate or unsorted columns in a row raises
+:class:`~repro.errors.SparseFormatError` instead of being read wrongly.
 
 Independence also makes the factor **incremental**: after entries are
 dropped from a computed ``G`` only the rows that lost one need a new solve.
@@ -41,7 +47,8 @@ import numpy as np
 
 from repro.errors import NotSPDError, ShapeError
 from repro.instrument import get_metrics
-from repro.sparse.csr import CSRMatrix, _check_out, _entry_keys, _row_entry_positions
+from repro.kernels.plan import _sparsetools
+from repro.sparse.csr import CSRMatrix, _check_out, _row_entry_positions
 from repro.sparse.pattern import SparsityPattern, power_pattern, threshold_pattern
 
 __all__ = [
@@ -65,9 +72,10 @@ _BATCH_ENTRIES = 1 << 18
 #: The table arm of the Gram gather is taken when the dense table
 #: ``A[cols, cols]`` over the batch's ``u`` distinct columns is at most this
 #: many times the batch's ``m·k²`` block tensor — big, overlapping blocks.
-#: Measured against the search: 3× faster at ratios 2–4, 2× at 4–8, even at
-#: 8–32, 2× slower beyond (docs/PERFORMANCE.md "Incremental factor set-up").
-_TABLE_RATIO = 8
+#: Measured against the compiled sampler: 1.9× faster below ratio 2,
+#: 1.4–1.6× at 2–4, 1.2–1.04× at 4–7, even at 7–8, 1.2–1.8× slower from 8 on
+#: (docs/PERFORMANCE.md "The compiled search arm").
+_TABLE_RATIO = 7
 
 #: ... and at most this many entries (4 MiB of float64), which bounds peak
 #: memory; a batch that fails only this cap is halved and asked again.
@@ -149,9 +157,13 @@ def _check_pattern(mat: CSRMatrix, pattern: SparsityPattern) -> np.ndarray:
     row_sizes = pattern.row_nnz()
     if np.any(row_sizes == 0):
         raise ShapeError("pattern must include every diagonal entry")
-    # lower triangular with the diagonal last in every row
+    # lower triangular with the diagonal last in every row; the compiled
+    # gather reads A at these indices unchecked
     diag_last = pattern.indices[pattern.indptr[1:] - 1]
-    bad = np.flatnonzero(diag_last != np.arange(n, dtype=np.int64))
+    bad = diag_last != np.arange(n, dtype=np.int64)
+    owner = np.repeat(np.arange(n, dtype=np.int64), row_sizes)
+    bad[owner[(pattern.indices < 0) | (pattern.indices > owner)]] = True
+    bad = np.flatnonzero(bad)
     if bad.size:
         raise ShapeError(
             f"row {int(bad[0])}: pattern is not lower triangular with diagonal"
@@ -187,8 +199,8 @@ def compute_g_values(
     grouped by pattern size ``k``; each group's Gram blocks
     ``A[S_i, S_i]`` are gathered, a bounded batch at a time, into a stacked
     ``(m, k, k)`` tensor — read from a batch-local dense table when the
-    batch's blocks overlap enough to keep it small, by a vectorised binary
-    search over the matrix structure otherwise — and solved with one batched
+    batch's blocks overlap enough to keep it small, by one compiled
+    ``csr_sample_values`` call otherwise — and solved with one batched
     ``linalg.solve`` call.  A batch holding a singular system is re-solved
     row by row; only rows that fail unshifted get a tiny diagonal shift.
 
@@ -200,7 +212,9 @@ def compute_g_values(
     rows and ``out`` (float64, one slot per pattern entry, default a new
     array) receives their values; entries of every other row are left as
     they are.  Every system is its own LAPACK call, so a row's values do not
-    depend on which other rows are solved with it.  The returned matrix
+    depend on which other rows are solved with it — bit for bit, except the
+    sign of a zero when ``A`` stores a ``-0.0``, which the compiled gather
+    keeps or drops by the batch's size.  The returned matrix
     stores ``out`` itself as its values.
     """
     setup = setup if setup is not None else SetupOptions()
@@ -213,13 +227,10 @@ def compute_g_values(
         _check_out(out, pattern.nnz)
     rows = np.arange(n, dtype=np.int64) if rows is None else _check_rows(rows, n)
 
-    # Global sorted entry keys row*ncols+col: one sorted array over which a
-    # batched binary search resolves every (row, col) Gram-block lookup.
-    stride = max(n, mat.ncols)
-    keys = _entry_keys(mat.indptr, mat.indices, stride)
+    mat._validate()  # the compiled gather reads A as canonical CSR, unchecked
+    sample = _sparsetools().csr_sample_values
     avals = mat.data.astype(dtype, copy=False)
-    zero = dtype.type(0.0)
-    slot_of = np.full(stride, -1, dtype=np.int64)  # scratch of the table arm
+    slot_of = np.full(max(n, mat.ncols), -1, dtype=np.int64)  # scratch of the table arm
 
     sizes = row_sizes[rows]
     groups = [(int(k), rows[sizes == k]) for k in np.flatnonzero(np.bincount(sizes))]
@@ -248,13 +259,11 @@ def compute_g_values(
                 pending += [(k, batch[: m // 2]), (k, batch[m // 2 :])]
                 continue
         if subs is None:
-            # query keys (m, k*k) against the global sorted keys, zero where
-            # the entry is structurally absent
-            queries = (idx[:, :, None] * stride + idx[:, None, :]).reshape(m, k * k)
-            loc = np.searchsorted(keys, queries)
-            loc = np.minimum(loc, keys.size - 1) if keys.size else loc
-            subs = np.where(keys[loc] == queries, avals[loc], zero)
-            subs = subs.reshape(m, k, k)
+            # entry (b, r, c) of the stacked blocks is A[idx[b, r], idx[b, c]];
+            # the sampler checks no length, so subs is sized by those arrays
+            subs = np.empty((m, k, k), dtype=dtype)
+            sample(n, mat.ncols, mat.indptr, mat.indices, avals, m * k * k,
+                   np.repeat(idx, k), np.tile(idx, k), subs)
         rhs = np.zeros((m, k), dtype=dtype)
         rhs[:, k - 1] = 1.0
         try:

@@ -460,20 +460,6 @@ class ClusterTelemetry:
             "sampled": {str(r): entry for r, entry in sorted(self.sampled.items())},
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClusterTelemetry":
-        return cls(
-            ranks=int(d.get("ranks", 0)),
-            hists={name: StreamingHistogram.from_dict(h)
-                   for name, h in d.get("hists", {}).items()},
-            rank_wait=StreamingHistogram.from_dict(d.get("rank_wait", {})),
-            rank_busy=StreamingHistogram.from_dict(d.get("rank_busy", {})),
-            top_wait=[(int(r), float(w)) for r, w in d.get("top_wait", [])],
-            sampled={int(r): entry for r, entry in d.get("sampled", {}).items()},
-            counters=dict(d.get("counters", {})),
-            top_k=int(d.get("top_k", 8)),
-        )
-
     def to_prom_samples(self, *, prefix: str = "telemetry") -> list[dict]:
         """Every histogram as OpenMetrics histogram-family instruments plus
         the counters as counter samples."""

@@ -210,8 +210,12 @@ class CSRMatrix:
             if self.indices.min() < 0 or self.indices.max() >= ncols:
                 raise SparseFormatError("column index out of range")
             keys = _entry_keys(self.indptr, self.indices, ncols)
-            if np.any(keys[1:] <= keys[:-1]):
-                raise SparseFormatError("column indices must be strictly increasing per row")
+            bad = np.flatnonzero(keys[1:] <= keys[:-1])
+            if bad.size:
+                raise SparseFormatError(
+                    f"row {int(keys[bad[0] + 1]) // ncols}: column indices must be"
+                    " strictly increasing per row"
+                )
 
     # ------------------------------------------------------------------
     # basic properties

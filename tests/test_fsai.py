@@ -11,7 +11,7 @@ from repro.core import (
     compute_g_values,
     fsai_pattern,
 )
-from repro.errors import NotSPDError, ShapeError
+from repro.errors import NotSPDError, ShapeError, SparseFormatError
 from repro.matgen import poisson2d
 from repro.sparse import CSRMatrix, SparsityPattern
 
@@ -280,6 +280,61 @@ class TestBatchedEquivalence:
                 assert search_rows == 0
             else:  # only one-row batches of blocks within the cap reach the table
                 assert 0 < table_rows < poisson16.nrows
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_sampler_scan_and_search_branches_match_the_oracle(
+        self, poisson16, monkeypatch, dtype
+    ):
+        """The compiled gather scans a row when a batch asks for at most
+        ``nnz(A) // 10`` entries and binary-searches it otherwise: one-row
+        batches take the scan, whole size-groups the search, and both give
+        the per-row oracle's bits — in either compute dtype — as the table
+        arm does."""
+        from repro.core import fsai
+
+        pattern = fsai_pattern(poisson16, FSAIOptions(level=2))
+        setup = SetupOptions(dtype=dtype)
+        oracle = compute_g_values_per_row(poisson16, pattern, dtype=np.dtype(dtype).type)
+        assert pattern.row_nnz().max() ** 2 <= poisson16.nnz // 10  # one row: a scan
+        for arm, entries in (("search", 1), ("search", 1 << 62), ("table", 1 << 62)):
+            force_gather_arm(monkeypatch, arm)
+            monkeypatch.setattr(fsai, "_BATCH_ENTRIES", entries)
+            g, table_rows, search_rows = gathered(poisson16, pattern, setup=setup)
+            assert g.data.tobytes() == oracle.data.tobytes(), (arm, entries)
+            assert (table_rows, search_rows) == (
+                (poisson16.nrows, 0) if arm == "table" else (0, poisson16.nrows)
+            )
+
+    @pytest.mark.parametrize(
+        "fault", ["duplicate", "unsorted", "indptr", -1, 38, 293, 1 << 40]
+    )
+    def test_non_canonical_matrix_rejected(self, poisson16, fault):
+        """The compiled gather reads ``A`` as canonical CSR, at the pattern's
+        indices, with no bound check; a matrix or pattern built with
+        ``check=False`` that breaks this fails by name instead of reading
+        one of ``A``'s duplicates or past its arrays.  An integer ``fault``
+        is a column put in row 37 of the pattern, before its diagonal:
+        negative, above the diagonal, past ``n``."""
+        indptr, indices = poisson16.indptr.copy(), poisson16.indices.copy()
+        pattern = fsai_pattern(poisson16)
+        lo = indptr[37]
+        if fault == "duplicate":
+            indices[lo + 1] = indices[lo]
+        elif fault == "unsorted":
+            indices[lo : lo + 2] = indices[lo : lo + 2][::-1].copy()
+        elif fault == "indptr":
+            indptr[38] = indptr[37] - 1
+        else:
+            cols = pattern.indices.copy()
+            cols[pattern.indptr[37]] = fault
+            pattern = SparsityPattern(pattern.shape, pattern.indptr, cols, check=False)
+            with pytest.raises(ShapeError, match="row 37: pattern is not lower triangular"):
+                compute_g_values(poisson16, pattern)
+            return
+        bad = CSRMatrix(poisson16.shape, indptr, indices, poisson16.data, check=False)
+        match = "non-decreasing" if fault == "indptr" else "row 37: column indices"
+        with pytest.raises(SparseFormatError, match=match):
+            compute_g_values(bad, pattern)
 
     @pytest.mark.parametrize("arm", ["search", "table"])
     def test_gather_arms_on_degenerate_batches(self, monkeypatch, arm):

@@ -170,11 +170,44 @@ class TestSpMVPlan:
         with pytest.raises(ValueError):
             csr_matvec(2, 3, indptr, indices, data, x, np.zeros(2, dtype=np.float32))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_private_scipy_sampler_contract(self, dtype):
+        """What ``compute_g_values``' Gram gather relies on from
+        ``csr_sample_values(n_row, n_col, Ap, Aj, Ax, n_samples, Bi, Bj, Bx)``:
+        ``Bx[s] = A[Bi[s], Bj[s]]`` into a caller-owned ``Bx`` of ``Ax``'s
+        dtype, int64 indices as they are, 0 where nothing is stored, stored
+        zeros read back.  With ``n_samples > nnz // 10`` SciPy binary-searches
+        row ``Bi[s]`` and copies the entry; otherwise it scans the row and
+        sums ``0 + Ax``, so a stored ``-0.0`` comes back as ``+0.0``."""
+        from scipy.sparse._sparsetools import csr_sample_values
+
+        # a 10×10 diagonal 1..10 plus a stored -0.0 at (0, 1) and 0.0 at (9, 0)
+        n = 10
+        indptr = np.array([0, 2, *range(3, 11), 12], dtype=np.int64)
+        indices = np.array([0, 1, *range(1, 9), 0, 9], dtype=np.int64)
+        data = np.array([1.0, -0.0, *range(2, 10), 0.0, 10.0], dtype=dtype)
+        rows = np.array([0, 9, 0, 4, 9, 5], dtype=np.int64)
+        cols = np.array([0, 9, 5, 5, 0, 5], dtype=np.int64)
+        expect = [1.0, 10.0, 0.0, 0.0, 0.0, 6.0]  # absent, absent, stored 0.0
+        for many in (True, False):  # 6 > 12 // 10: search; 1 <= 1: scan
+            ask = 6 if many else 1
+            out = np.full(ask + 1, 7.0, dtype=dtype)
+            csr_sample_values(n, n, indptr, indices, data, ask, rows, cols, out)
+            assert out.tolist() == [*expect[:ask], 7.0]  # written up to n_samples
+            neg = np.full(ask, 7.0, dtype=dtype)  # lengths are not checked: size Bx
+            csr_sample_values(n, n, indptr, indices, data, ask, np.zeros(ask, dtype=np.int64),
+                              np.ones(ask, dtype=np.int64), neg)
+            assert (neg == 0.0).all() and np.signbit(neg).all() == many  # stored -0.0
+        if dtype == np.float64:
+            with pytest.raises(ValueError):  # a narrower Bx is refused
+                csr_sample_values(n, n, indptr, indices, data, 6, rows, cols,
+                                  np.empty(6, dtype=np.float32))
+
     def test_scipy_is_imported_with_the_first_plan_not_the_package(self):
         # scipy.sparse costs ~22 MiB resident (it pulls in numpy.f2py), the
         # compiled loops alone ~2 MiB: importing repro loads neither, the
-        # first plan only the loops, and a later import of scipy.sparse
-        # reuses them
+        # first FSAI set-up (its Gram gather) or plan only the loops, and a
+        # later import of scipy.sparse reuses them
         import subprocess
         import sys
         import textwrap
@@ -186,10 +219,13 @@ class TestSpMVPlan:
             from repro.matgen import poisson2d
             assert not [m for m in sys.modules if m.startswith("scipy")]
             mat = poisson2d(4)
-            plan = repro.SpMVPlan(mat)
+            repro.build_fsai(mat, repro.RowPartition(np.arange(16) // 8, 2))
             loops = sys.modules["scipy.sparse._sparsetools"]
             loaded = {"scipy", "scipy.sparse", "numpy.f2py"} & set(sys.modules)
             assert not loaded, loaded
+            plan = repro.SpMVPlan(mat)
+            assert sys.modules["scipy.sparse._sparsetools"] is loops
+            assert not {"scipy", "scipy.sparse", "numpy.f2py"} & set(sys.modules)
             import scipy.sparse
             from scipy.sparse import _sparsetools
             assert _sparsetools is loops

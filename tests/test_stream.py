@@ -184,12 +184,13 @@ class TestClusterTelemetry:
             small.merge(ClusterTelemetry.from_rank(_rank(r, 0.01 + 1e-5 * r, 0.1)))
         # 16x the ranks must not cost anywhere near 16x the payload
         assert acc.payload_bytes() < 4 * small.payload_bytes()
-        clone = ClusterTelemetry.from_dict(
-            json.loads(json.dumps(acc.to_dict()))
-        )
-        assert clone.ranks == acc.ranks
-        assert clone.phase_seconds() == pytest.approx(acc.phase_seconds())
-        assert clone.top_wait == [tuple(t) for t in acc.top_wait]
+        payload = acc.to_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert acc.payload_bytes() == len(json.dumps(payload, separators=(",", ":")))
+        assert payload["ranks"] == 512
+        assert len(payload["top_wait"]) == acc.top_k  # bounded, worst waits first
+        assert payload["top_wait"][0] == [511, pytest.approx(0.01 + 1e-5 * 511)]
+        assert list(payload["sampled"]) == ["0"]  # only the sampled rank's spans
 
 
 # ---------------------------------------------------------------------------
