@@ -26,7 +26,9 @@ incremental: FSAI rows are independent systems, so
 that lost no entry, copies rows that lost every extension entry from the
 base factor, and solves only the rest
 (:func:`repro.core.fsai.compute_g_values` with ``rows=`` / ``out=``); the
-result is bitwise the from-scratch factor of the filtered pattern.
+result is the from-scratch factor of the filtered pattern to rounding
+(within 1e-12: a kept row was solved in a supernode of the extended pattern,
+whose rows nest differently from the filtered pattern's).
 
 Setup phases emit ``precond.*`` spans (pattern, extension, filtering,
 factor, distribute) when tracing is enabled, and ``finalize`` counts its row
@@ -357,8 +359,9 @@ class ExtensionWorkspace:
         systems, so a row that lost nothing keeps those values, a row that
         lost every extension entry is its base-FSAI row (solved the first
         time any ``finalize`` of this workspace needs it), and only a row
-        that lost some is solved again — each bitwise what solving the whole
-        filtered pattern from scratch returns.
+        that lost some is solved again — each what solving the whole
+        filtered pattern from scratch returns, to rounding (a row's last bits
+        depend on the rows it nests with, which filtering changes).
         """
         dropped = self.g_pre.row_nnz() - filtered.row_nnz()
         lost_all = dropped == self._ext_per_row

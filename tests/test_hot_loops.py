@@ -9,8 +9,9 @@ frames entered (``sys.setprofile`` ``call`` events; C builtins raise
 ``c_call`` and are not counted) must not change when the input grows 8×.
 ``HaloSchedule.from_row_structure`` is counted in executed lines
 (``sys.settrace``) instead, because its old per-row loop made no calls.
-``ExtensionWorkspace.finalize`` sorts rows into classes (kept, base, solved
-again) and must do that, too, without a Python call per row.  A BSP
+An ``ExtensionWorkspace`` solves its extended pattern's nested runs of rows
+as supernodes, and ``finalize`` sorts rows into classes (kept, base, solved
+again); both must do that, too, without a Python call per row.  A BSP
 ``pcg`` / ``pipelined_pcg`` iteration must cost as many Python calls on 16
 ranks as on 2: no call per rank.  The clocked executor, which runs every
 unwatched ``spmd_cg`` / ``spmd_pipelined_pcg`` solve, must cost a fixed
@@ -172,26 +173,46 @@ def test_interpreter_work_does_not_grow_with_the_input(case, count):
     )
 
 
-def finalize(n):
-    """Two filters on one workspace: the first keeps some rows and re-solves
-    the rest, the second sends every extended row to its base-FSAI row."""
+def diagonally_dominant(n: int) -> CSRMatrix:
     stencil = banded(n)
     rows = np.repeat(np.arange(n), stencil.row_nnz())
-    mat = CSRMatrix(
+    return CSRMatrix(
         stencil.shape, stencil.indptr, stencil.indices,
         np.where(rows == stencil.indices, 5.0, -1.0),
     )
-    ws = ExtensionWorkspace("X", mat, RowPartition.contiguous(n, 4), ExtensionMode.COMM)
+
+
+def precalculate(n):
+    """A workspace: the extended pattern and ``G`` on it, whose nested runs
+    of rows are solved as supernodes."""
+    mat = diagonally_dominant(n)
+    return lambda: ExtensionWorkspace(
+        "X", mat, RowPartition.contiguous(n, 4), ExtensionMode.COMM
+    )
+
+
+def finalize(n):
+    """Two filters on one workspace: the first keeps some rows and re-solves
+    the rest, the second sends every extended row to its base-FSAI row."""
+    ws = precalculate(n)()
     return lambda: [ws.finalize(FilterSpec(f, dynamic=False)) for f in (0.1, 0.2)]
 
 
-def test_finalize_makes_no_per_row_python_call():
-    finalize(SMALL)()
-    small, large = python_calls(finalize(SMALL)), python_calls(finalize(GROWTH * SMALL))
+def constant_or_fewer(case) -> None:
+    case(SMALL)()
+    small, large = python_calls(case(SMALL)), python_calls(case(GROWTH * SMALL))
     # fewer is fine: batches too large for the table gather skip its helpers
     assert 0 < large <= small, (
-        f"finalize: {small} Python calls at n={SMALL}, {large} at n={GROWTH * SMALL}"
+        f"{case.__name__}: {small} Python calls at n={SMALL}, {large} at n={GROWTH * SMALL}"
     )
+
+
+def test_precalculation_makes_no_per_row_python_call():
+    constant_or_fewer(precalculate)
+
+
+def test_finalize_makes_no_per_row_python_call():
+    constant_or_fewer(finalize)
 
 
 def calls_per_iteration(solver, px: int, py: int, n: int = 48) -> float:

@@ -178,7 +178,10 @@ class TestSpMVPlan:
         dtype, int64 indices as they are, 0 where nothing is stored, stored
         zeros read back.  With ``n_samples > nnz // 10`` SciPy binary-searches
         row ``Bi[s]`` and copies the entry; otherwise it scans the row and
-        sums ``0 + Ax``, so a stored ``-0.0`` comes back as ``+0.0``."""
+        sums ``0 + Ax``, so a stored ``-0.0`` comes back as ``+0.0``.  The
+        gather hands it the rows ``lo … hi`` only (``Ap[lo:hi+2] - Ap[lo]``,
+        ``Aj`` and ``Ax`` between, ``Bi - lo``): the same values, with ``nnz``
+        that of the slice."""
         from scipy.sparse._sparsetools import csr_sample_values
 
         # a 10×10 diagonal 1..10 plus a stored -0.0 at (0, 1) and 0.0 at (9, 0)
@@ -198,6 +201,18 @@ class TestSpMVPlan:
             csr_sample_values(n, n, indptr, indices, data, ask, np.zeros(ask, dtype=np.int64),
                               np.ones(ask, dtype=np.int64), neg)
             assert (neg == 0.0).all() and np.signbit(neg).all() == many  # stored -0.0
+        for lo, hi in ((0, 9), (4, 9), (5, 5), (0, 0)):  # a row slice, rebased
+            ap = indptr[lo : hi + 2] - indptr[lo]
+            aj, ax = indices[indptr[lo] : indptr[hi + 1]], data[indptr[lo] : indptr[hi + 1]]
+            inside = (rows >= lo) & (rows <= hi)
+            out = np.full(int(inside.sum()), 7.0, dtype=dtype)
+            csr_sample_values(hi - lo + 1, n, ap, aj, ax, out.size, rows[inside] - lo,
+                              cols[inside], out)
+            assert out.tolist() == [e for e, keep in zip(expect, inside) if keep]
+        neg = np.full(1, 7.0, dtype=dtype)  # row 0 alone: 1 > 2 // 10, a search
+        csr_sample_values(1, n, indptr[:2], indices[:2], data[:2], 1,
+                          np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), neg)
+        assert neg[0] == 0.0 and np.signbit(neg[0])
         if dtype == np.float64:
             with pytest.raises(ValueError):  # a narrower Bx is refused
                 csr_sample_values(n, n, indptr, indices, data, 6, rows, cols,

@@ -113,9 +113,11 @@ class TestIncrementalFactorProperties:
     @given(workspace_and_drop_mask(), st.data())
     def test_refactor_equals_the_factor_from_scratch(self, case, data):
         """Rows copied from the precalculation or the base factor are what a
-        from-scratch solve of the filtered pattern returns: bitwise in
-        float64, to rounding in float32 — also on a workspace whose base
-        rows were already solved by an earlier, different drop."""
+        from-scratch solve of the filtered pattern returns, to 1e-12 in
+        float64 and to rounding in float32 — also on a workspace whose base
+        rows were already solved by an earlier, different drop.  Not bitwise:
+        a kept row was solved in a supernode of the extended pattern, and
+        the filtered pattern nests differently."""
         ws, drop = case
         if data.draw(st.booleans()):
             ws._refactor(ws.g_pre.drop_entries(ws.ext_mask))
@@ -126,7 +128,7 @@ class TestIncrementalFactorProperties:
         assert np.array_equal(g.indptr, scratch.indptr)
         assert np.array_equal(g.indices, scratch.indices)
         if ws.setup.dtype == "float64":
-            assert g.data.tobytes() == scratch.data.tobytes()
+            assert np.max(np.abs(g.data - scratch.data), initial=0.0) <= 1e-12
         else:
             assert np.allclose(g.data, scratch.data, rtol=1e-6, atol=1e-6)
 

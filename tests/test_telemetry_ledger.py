@@ -12,7 +12,10 @@ last commit whose engine carried telemetry): every aggregated
 :class:`~repro.observe.ClusterTelemetry` (``to_dict()``, so histogram sums,
 bounds, sampled spans and the payload the tree shipped), the whole tracker
 snapshot with its ``telemetry_*`` section, the solution's bytes and the
-iterations must be reproduced exactly.
+iterations must be reproduced exactly.  When the preconditioner's values
+move in the last bits (the supernodal FSAI set-up), only the
+``solution_sha256`` facts are re-pinned, each from a traced run on the
+per-message engine, never from the clocked executor under test.
 """
 
 from __future__ import annotations
