@@ -51,38 +51,48 @@ class HaloSchedule:
                  "_flat", "__weakref__")
 
     def __init__(self, partition: RowPartition, ext_cols: list[np.ndarray]):
-        if len(ext_cols) != partition.nparts:
+        nparts = partition.nparts
+        if len(ext_cols) != nparts:
             raise PartitionError("need one ext-column list per rank")
         self.partition = partition
         self.ext_cols = [np.asarray(c, dtype=np.int64) for c in ext_cols]
-        owner = partition.owner
-        self.recv_from: list[dict[int, np.ndarray]] = []
-        self.recv_pos: list[dict[int, np.ndarray]] = []
-        for p, cols in enumerate(self.ext_cols):
-            if cols.size and np.any(np.diff(cols) <= 0):
-                raise PartitionError(f"rank {p}: ext_cols must be strictly increasing")
-            if cols.size and np.any(owner[cols] == p):
-                raise PartitionError(f"rank {p}: ext_cols contains owned columns")
-            by_owner: dict[int, np.ndarray] = {}
-            pos: dict[int, np.ndarray] = {}
-            if cols.size:
-                owners = owner[cols]
-                for q in np.unique(owners):
-                    sel = np.flatnonzero(owners == q)
-                    by_owner[int(q)] = cols[sel]
-                    pos[int(q)] = sel.astype(np.int64)
-            self.recv_from.append(by_owner)
-            self.recv_pos.append(pos)
-        self.send_to: list[dict[int, np.ndarray]] = [dict() for _ in range(partition.nparts)]
-        for p, by_owner in enumerate(self.recv_from):
-            for q, ids in by_owner.items():
-                self.send_to[q][p] = ids
-        # sender-local positions of each message, precomputed once so updates
-        # skip the per-call global->local translation
-        self.recv_src: list[dict[int, np.ndarray]] = [
-            {q: partition.local_index[ids] for q, ids in by_owner.items()}
-            for by_owner in self.recv_from
-        ]
+        sizes = [c.size for c in self.ext_cols]
+        offsets = np.zeros(nparts + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        # every rank's halo columns in one array, rank after rank
+        cols = np.concatenate([*self.ext_cols, np.empty(0, dtype=np.int64)])
+        rank = np.repeat(np.arange(nparts, dtype=np.int64), sizes)
+        owners = partition.owner[cols]
+        # the first bad rank, with the checks in the order a rank runs them
+        unsorted = rank[1:][(rank[1:] == rank[:-1]) & (cols[1:] <= cols[:-1])]
+        owned = rank[owners == rank]
+        if unsorted.size and (not owned.size or unsorted[0] <= owned[0]):
+            raise PartitionError(f"rank {unsorted[0]}: ext_cols must be strictly increasing")
+        if owned.size:
+            raise PartitionError(f"rank {owned[0]}: ext_cols contains owned columns")
+        # one message per (receiver, sender) pair: a stable sort by pair
+        # keeps each message's columns ascending, and receivers, then
+        # senders, in ascending order — the order every dict is filled in
+        pair = rank * nparts + owners
+        order = np.argsort(pair, kind="stable")
+        pair = pair[order]
+        ids = cols[order]
+        # where each value lands in its receiver's halo buffer, and where it
+        # sits on its sender (precomputed: updates skip the translation)
+        pos = (np.arange(cols.size) - np.repeat(offsets[:-1], sizes))[order]
+        src = partition.local_index[ids]
+        first = np.flatnonzero(np.diff(pair, prepend=-1))
+        bounds = [*first.tolist(), pair.size]
+        self.recv_from: list[dict[int, np.ndarray]] = [{} for _ in range(nparts)]
+        self.recv_pos: list[dict[int, np.ndarray]] = [{} for _ in range(nparts)]
+        self.recv_src: list[dict[int, np.ndarray]] = [{} for _ in range(nparts)]
+        self.send_to: list[dict[int, np.ndarray]] = [{} for _ in range(nparts)]
+        heads = order[first]
+        for p, q, lo, hi in zip(rank[heads].tolist(), owners[heads].tolist(),
+                                bounds, bounds[1:]):
+            self.recv_from[p][q] = self.send_to[q][p] = ids[lo:hi]
+            self.recv_pos[p][q] = pos[lo:hi]
+            self.recv_src[p][q] = src[lo:hi]
         self._flat: tuple | None = None
 
     # ------------------------------------------------------------------
@@ -91,15 +101,30 @@ class HaloSchedule:
         cls, partition: RowPartition, indptr: np.ndarray, indices: np.ndarray
     ) -> "HaloSchedule":
         """Build from the global CSR structure of a matrix distributed by rows."""
-        nparts, n, owner = partition.nparts, partition.nrows, partition.owner
-        # every off-rank entry as one (owning rank of its row, column) key;
-        # sorted unique keys fall into per-rank runs of ascending columns
+        return cls._from_entries(partition, indptr, indices)[0]
+
+    @classmethod
+    def _from_entries(cls, partition: RowPartition, indptr: np.ndarray, indices: np.ndarray):
+        """:meth:`from_row_structure`, plus what distributing the entries
+        needs: ``(schedule, halo, halo_rank, halo_pos)`` — ``halo`` the
+        off-rank entries' positions in ``indices``, ``halo_rank`` the rank
+        owning each one's row and ``halo_pos`` its column's position in that
+        rank's ``ext_cols``."""
+        nparts, n = partition.nparts, partition.nrows
+        # rank ids in the narrowest unsigned type: the passes over every
+        # entry move one or two bytes an entry, not eight
+        owner = partition.owner.astype(np.min_scalar_type(max(nparts - 1, 0)))
         row_rank = np.repeat(owner, np.diff(indptr))
         halo = np.flatnonzero(row_rank != owner[indices])
-        keys = np.unique(row_rank[halo] * n + indices[halo])
+        halo_rank = row_rank[halo].astype(np.int64)
+        # every off-rank entry as one (owning rank of its row, column) key;
+        # sorted unique keys fall into per-rank runs of ascending columns
+        keys, slot = np.unique(halo_rank * n + indices[halo], return_inverse=True)
         bounds = np.searchsorted(keys, np.arange(nparts + 1, dtype=np.int64) * n)
-        ext = [keys[bounds[p] : bounds[p + 1]] - p * n for p in range(nparts)]
-        return cls(partition, ext)
+        cols = keys - np.repeat(np.arange(nparts, dtype=np.int64) * n, np.diff(bounds))
+        edges = bounds.tolist()
+        ext = [cols[lo:hi] for lo, hi in zip(edges, edges[1:])]
+        return cls(partition, ext), halo, halo_rank, slot - bounds[halo_rank]
 
     @classmethod
     def from_pattern(cls, pattern, partition: RowPartition) -> "HaloSchedule":
@@ -124,7 +149,7 @@ class HaloSchedule:
         offsets = np.zeros(part.nparts + 1, dtype=np.int64)
         np.cumsum([c.size for c in self.ext_cols], out=offsets[1:])
         row_offsets = np.zeros(part.nparts + 1, dtype=np.int64)
-        np.cumsum(np.bincount(part.owner, minlength=part.nparts), out=row_offsets[1:])
+        np.cumsum(part.sizes(), out=row_offsets[1:])
         ext = np.concatenate([*self.ext_cols, np.empty(0, dtype=np.int64)])
         src = row_offsets[part.owner[ext]] + part.local_index[ext]
         # (sender, receiver) -> bytes of every message, in update order

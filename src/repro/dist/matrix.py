@@ -35,6 +35,20 @@ if TYPE_CHECKING:
 __all__ = ["LocalMatrix", "DistMatrix"]
 
 
+def _gather_positions(indptr, rows, counts, ptr) -> np.ndarray:
+    """Where each entry of ``rows`` (listed in that order, ``counts`` their
+    lengths, ``ptr`` their row pointer) sits in the arrays of the CSR
+    structure ``indptr``: a running sum of ones that jumps to each non-empty
+    row's start — one array as long as the entries, where a ``repeat`` plus
+    an ``arange`` would hold two."""
+    starts, nonempty = indptr[rows], np.flatnonzero(counts)
+    jump = starts[nonempty]
+    jump[1:] -= starts[nonempty[:-1]] + counts[nonempty[:-1]] - 1
+    positions = np.ones(ptr[-1], dtype=np.int64)
+    positions[ptr[nonempty]] = jump
+    return np.cumsum(positions, out=positions)
+
+
 class LocalMatrix:
     """One rank's block of a row-distributed matrix.
 
@@ -127,41 +141,72 @@ class DistMatrix:
     # ------------------------------------------------------------------
     @classmethod
     def from_global(cls, mat: CSRMatrix, partition: RowPartition) -> "DistMatrix":
-        """Distribute a square global matrix by rows according to ``partition``."""
+        """Distribute a square global matrix by rows according to ``partition``.
+
+        Every rank is built at once: the blocks' ``indptr``, ``indices`` and
+        ``data`` are slices of one array each, rank after rank.  Relies on
+        the CSR invariant that each row's columns ascend.
+        """
         if mat.nrows != mat.ncols:
             raise ShapeError("DistMatrix.from_global expects a square matrix")
         if mat.nrows != partition.nrows:
             raise ShapeError("partition size does not match the matrix")
-        schedule = HaloSchedule.from_row_structure(partition, mat.indptr, mat.indices)
+        schedule, halo, halo_rank, halo_pos = HaloSchedule._from_entries(
+            partition, mat.indptr, mat.indices
+        )
+        nparts, owner, local_index = partition.nparts, partition.owner, partition.local_index
+        sizes = partition.sizes()
+        row_offsets = np.zeros(nparts + 1, dtype=np.int64)
+        np.cumsum(sizes, out=row_offsets[1:])
+        lengths = np.diff(mat.indptr)
+        if np.all(owner[1:] >= owner[:-1]):  # the ranks' rows are in global order
+            ptr, counts = mat.indptr, lengths
+            cols, values = local_index[mat.indices], mat.data.copy()
+        else:
+            # the blocks hold the rows rank after rank; a ragged gather
+            # says where each of their entries sits in the global arrays
+            rows = np.concatenate(partition.global_ids)
+            counts = lengths[rows]
+            ptr = np.zeros(counts.size + 1, dtype=np.int64)
+            np.cumsum(counts, out=ptr[1:])
+            src = _gather_positions(mat.indptr, rows, counts, ptr)
+            values = mat.data[src]
+            # np.take reads each index before it writes that position, so the
+            # columns overwrite the gather's index array: no third nnz-long
+            # array ("clip": indices are in range, and "raise" would buffer)
+            cols = np.take(mat.indices, src, out=src, mode="clip")
+            np.take(local_index, cols, out=cols, mode="clip")
+        # owned columns now hold their local index; a halo column goes after
+        # its rank's rows, at its position in ext_cols
+        halo_row = np.searchsorted(mat.indptr, halo, side="right") - 1
+        row_start = ptr[row_offsets[owner[halo_row]] + local_index[halo_row]]  # in the blocks
+        at = row_start + halo - mat.indptr[halo_row]
+        cols[at] = sizes[halo_rank] + halo_pos
+        # a row's local columns are two ascending runs (owned, then halo)
+        # interleaved in global order: from its first halo entry on, a row
+        # is re-sorted by a stable sort on (row, halo or not)
+        first = np.flatnonzero(np.diff(halo_row, prepend=-1))  # each row's first halo entry
+        width = row_start[first] + lengths[halo_row[first]] - at[first]
+        at = np.repeat(at[first] - np.cumsum(width) + width, width)
+        at += np.arange(at.size, dtype=np.int64)  # those entries, in block order
+        key = np.repeat(np.arange(0, 2 * first.size, 2, dtype=np.int64), width)
+        key += cols[at] >= np.repeat(sizes[halo_rank[first]], width)
+        fix = at[np.argsort(key, kind="stable")]
+        cols[at], values[at] = cols[fix], values[fix]
+        # every rank's indptr in one array, rank p's at row_offsets[p] + p:
+        # the running sum of the row lengths, reset to 0 where a rank starts
+        entry_offsets = ptr[row_offsets]
+        indptr = np.insert(counts, row_offsets[:-1], -np.diff(entry_offsets[:-1], prepend=0))
+        np.cumsum(indptr, out=indptr)
+        rb, eb = row_offsets.tolist(), entry_offsets.tolist()
+        locals_ = [
+            LocalMatrix(p, CSRMatrix((r1 - r0, r1 - r0 + ext.size), indptr[r0 + p : r1 + p + 1],
+                                     cols[e0:e1], values[e0:e1], check=False), ids, ext)
+            for p, (ids, ext, r0, r1, e0, e1) in enumerate(
+                zip(partition.global_ids, schedule.ext_cols, rb, rb[1:], eb, eb[1:]))
+        ]
         # every row lands on one rank: the blocks' values are slices of one
         # array, rank after rank — the operator's (see operator())
-        values = np.empty(mat.nnz, dtype=np.float64)
-        pos = 0
-        locals_: list[LocalMatrix] = []
-        for p in range(partition.nparts):
-            rows = partition.global_ids[p]
-            ext = schedule.ext_cols[p]
-            n_local, width = rows.size, rows.size + ext.size
-            counts = mat.indptr[rows + 1] - mat.indptr[rows]
-            indptr = np.zeros(n_local + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            # ragged gather: where each local entry sits in the global arrays
-            src = np.repeat(mat.indptr[rows] - indptr[:-1], counts)
-            src += np.arange(src.size, dtype=np.int64)
-            cols = mat.indices[src]
-            local_cols = partition.local_index[cols]
-            halo = np.flatnonzero(partition.owner[cols] != p)
-            local_cols[halo] = n_local + np.searchsorted(ext, cols[halo])
-            # owned and halo columns interleave in global order: re-sort each
-            # row by local column with one argsort over (row, column) keys
-            keys = np.repeat(np.arange(n_local, dtype=np.int64) * width, counts)
-            keys += local_cols
-            order = np.argsort(keys, kind="stable")
-            data = values[pos : pos + src.size]
-            np.take(mat.data, src[order], out=data, mode="clip")  # in range: no buffer
-            pos += src.size
-            csr = CSRMatrix((n_local, width), indptr, local_cols[order], data, check=False)
-            locals_.append(LocalMatrix(p, csr, rows, ext))
         dmat = cls(partition, locals_, schedule, mat.shape)
         dmat._values = values
         return dmat
@@ -231,17 +276,24 @@ class DistMatrix:
     def _stacked(self) -> CSRMatrix:
         nrows = self.shape[0]
         halo_offsets = self.schedule.halo_offsets
+        blocks = [lm.csr for lm in self.locals]
+        n_local = np.array([lm.global_rows.size for lm in self.locals], dtype=np.int64)
+        nnz = np.array([csr.indices.size for csr in blocks], dtype=np.int64)
+        row_offsets = np.zeros(n_local.size + 1, dtype=np.int64)
+        np.cumsum(n_local, out=row_offsets[1:])
+        entry_offsets = np.zeros(n_local.size + 1, dtype=np.int64)
+        np.cumsum(nnz, out=entry_offsets[1:])
         indptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.cumsum(np.concatenate([np.diff(lm.csr.indptr) for lm in self.locals]),
-                  out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        row, pos = 0, 0
-        for lm, halo_start in zip(self.locals, halo_offsets.tolist()):
-            cols, end = lm.csr.indices, pos + lm.nnz
-            out = indices[pos:end]
-            np.add(cols, row, out=out)
-            out[cols >= lm.n_local] += nrows + halo_start - row - lm.n_local
-            row, pos = row + lm.n_local, end
+        np.concatenate([np.empty(0, dtype=np.int64), *[csr.indptr[1:] for csr in blocks]],
+                       out=indptr[1:])
+        indptr[1:] += np.repeat(entry_offsets[:-1], n_local)
+        # rank p's local column c moves to row_offsets[p] + c, its halo
+        # column n_local + k to nrows + halo_offsets[p] + k
+        indices = np.concatenate([np.empty(0, dtype=np.int64), *[csr.indices for csr in blocks]])
+        rank = np.repeat(np.arange(n_local.size, dtype=np.int64), nnz)
+        indices += row_offsets[rank]
+        halo = np.flatnonzero(indices >= row_offsets[rank + 1])
+        indices[halo] += (nrows + halo_offsets[:-1] - row_offsets[1:])[rank[halo]]
         return CSRMatrix(
             (nrows, nrows + int(halo_offsets[-1])), indptr, indices, self._stacked_values(),
             check=False,
@@ -250,7 +302,7 @@ class DistMatrix:
     def _stacked_values(self) -> np.ndarray:
         """Every block's values in one array, each block's ``data`` a view."""
         values = self._values
-        if values is None or any(lm.csr.data.base is not values for lm in self.locals):
+        if values is None or not all([lm.csr.data.base is values for lm in self.locals]):
             values = np.concatenate([np.empty(0), *(lm.csr.data for lm in self.locals)])
             pos = 0
             for lm in self.locals:

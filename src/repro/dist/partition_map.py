@@ -27,14 +27,22 @@ class RowPartition:
         position of ``g`` in this array is its local index on ``p``.
     local_index:
         ``local_index[g]`` — local index of ``g`` on its owner.
+
+    ``owner`` must be a 1-D map of integer ranks in ``[0, nparts)`` (a
+    float or boolean map is an error), and every rank must own a row;
+    otherwise :class:`~repro.errors.PartitionError` is raised, naming the
+    first empty rank.
     """
 
-    __slots__ = ("owner", "nparts", "global_ids", "local_index")
+    __slots__ = ("owner", "nparts", "global_ids", "local_index", "_sizes")
 
     def __init__(self, owner, nparts: int | None = None):
-        self.owner = np.asarray(owner, dtype=np.int64)
-        if self.owner.ndim != 1:
+        owner = np.asarray(owner)
+        if owner.ndim != 1:
             raise PartitionError("owner map must be 1-D")
+        if owner.size and owner.dtype.kind not in "iu":
+            raise PartitionError(f"owner map must hold integer ranks, not {owner.dtype}")
+        self.owner = owner.astype(np.int64, copy=False)
         inferred = int(self.owner.max()) + 1 if self.owner.size else 0
         self.nparts = inferred if nparts is None else int(nparts)
         if self.owner.size and (self.owner.min() < 0 or inferred > self.nparts):
@@ -43,12 +51,16 @@ class RowPartition:
         if self.nparts > 0 and counts.min() == 0:
             empty = int(np.flatnonzero(counts == 0)[0])
             raise PartitionError(f"rank {empty} owns no rows")
-        self.global_ids = [
-            np.flatnonzero(self.owner == p).astype(np.int64) for p in range(self.nparts)
-        ]
+        self._sizes = counts
+        # one stable sort lists every rank's rows, rank after rank, each
+        # rank's ascending; rank p's run starts at bounds[p]
+        order = np.argsort(self.owner, kind="stable")
+        bounds = np.zeros(self.nparts + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        edges = bounds.tolist()
+        self.global_ids = [order[lo:hi] for lo, hi in zip(edges, edges[1:])]
         self.local_index = np.empty(self.owner.size, dtype=np.int64)
-        for ids in self.global_ids:
-            self.local_index[ids] = np.arange(ids.size, dtype=np.int64)
+        self.local_index[order] = np.arange(order.size) - np.repeat(bounds[:-1], counts)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -88,7 +100,7 @@ class RowPartition:
 
     def sizes(self) -> np.ndarray:
         """Rows owned by each rank."""
-        return np.array([ids.size for ids in self.global_ids], dtype=np.int64)
+        return self._sizes.copy()
 
     def to_local(self, rank: int, global_rows: np.ndarray) -> np.ndarray:
         """Local indices on ``rank`` of rows it owns (error if not owned)."""

@@ -18,6 +18,7 @@ from repro.mpisim import CommTracker
 from repro.sparse import CSRMatrix, SparsityPattern
 
 from conftest import random_sparse
+from dist_oracle import partition_arrays
 
 
 class TestRowPartition:
@@ -46,8 +47,31 @@ class TestRowPartition:
             part.to_local(0, np.array([1]))
 
     def test_rejects_empty_rank(self):
-        with pytest.raises(PartitionError):
+        with pytest.raises(PartitionError, match="rank 1 owns no rows"):
             RowPartition(np.array([0, 0, 2, 2]), nparts=3)
+        with pytest.raises(PartitionError, match="rank 1 owns no rows"):  # the first one
+            RowPartition(np.array([0, 2, 0, 4]), nparts=5)
+
+    @pytest.mark.parametrize("owner", [np.array([0.2, 1.9, 0.7, 1.0]),
+                                       np.array([True, False, True])], ids=["float", "bool"])
+    def test_rejects_a_non_integer_owner_map(self, owner):
+        # truncating would read [0.2, 1.9, 0.7, 1.0] as a valid map, [0, 1, 0, 1]
+        with pytest.raises(PartitionError, match="integer"):
+            RowPartition(owner, 2)
+
+    def test_rejects_a_two_dimensional_owner_map(self):
+        with pytest.raises(PartitionError, match="1-D"):
+            RowPartition(np.zeros((2, 3), dtype=np.int64), 1)
+
+    def test_an_integer_list_is_an_owner_map(self):
+        part = RowPartition([1, 0, 1])
+        assert part.nparts == 2 and part.owner.dtype == np.int64
+        assert part.sizes().tolist() == [1, 2]
+
+    def test_sizes_is_a_copy(self):
+        part = RowPartition(np.array([0, 1, 1]))
+        part.sizes()[0] = 7
+        assert part.sizes().tolist() == [1, 2]
 
     def test_from_matrix_single_part(self, poisson16):
         part = RowPartition.from_matrix(poisson16, 1)
@@ -265,10 +289,8 @@ def _partition_allowing_empty_ranks(owner, nparts) -> RowPartition:
     part = RowPartition.__new__(RowPartition)
     part.owner = np.asarray(owner, dtype=np.int64)
     part.nparts = nparts
-    part.global_ids = [np.flatnonzero(part.owner == p) for p in range(nparts)]
-    part.local_index = np.empty(part.owner.size, dtype=np.int64)
-    for ids in part.global_ids:
-        part.local_index[ids] = np.arange(ids.size)
+    part.global_ids, part.local_index = partition_arrays(part.owner, nparts)
+    part._sizes = np.bincount(part.owner, minlength=nparts)
     return part
 
 

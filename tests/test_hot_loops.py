@@ -17,7 +17,11 @@ ranks as on 2: no call per rank.  The clocked executor, which runs every
 unwatched ``spmd_cg`` / ``spmd_pipelined_pcg`` solve, must cost a fixed
 number of calls per iteration on 16 ranks as on 256: nothing per rank.
 So must a telemetered ``spmd_pipelined_pcg``, whose ledger records every
-rank's observations and builds the histograms after the run.  The rank
+rank's observations and builds the histograms after the run.  The row
+distribution (``RowPartition``, ``HaloSchedule.from_row_structure``,
+``DistMatrix.from_global``) builds every rank at once: on P ranks it costs
+a·P + b calls, where a counts only the construction of each rank's
+``LocalMatrix`` and its ``CSRMatrix``.  The rank
 programs on ``run_spmd`` are not counted: they exchange point to
 point, a Python call per message by design, and only watched, faulted and
 oracle runs execute them.
@@ -46,6 +50,7 @@ from repro.dist import (
     DistMatrix,
     DistVector,
     HaloSchedule,
+    LocalMatrix,
     RowPartition,
     spmd_cg,
     spmd_pipelined_pcg,
@@ -306,4 +311,60 @@ def test_a_telemetered_iteration_makes_no_python_call_per_rank():
     assert counts == dict.fromkeys(counts, TELEMETERED_CALLS), (
         f"telemetered spmd_pipelined_pcg: Python calls per iteration by rank count "
         f"{counts}, not {TELEMETERED_CALLS} on each — per-rank Python is back"
+    )
+
+
+def rank_grid(px: int):
+    """poisson2d(8·px) on a ``px × px`` rank grid: 64 rows a rank."""
+    n = 8 * px
+    owner = block_partition_2d(n, n, px, px)
+    return poisson2d(n), owner, RowPartition(owner, px * px)
+
+
+def partition_owner_map(mat, owner, part):
+    return lambda: RowPartition(owner, part.nparts)
+
+
+def halo_schedule(mat, owner, part):
+    return lambda: HaloSchedule.from_row_structure(part, mat.indptr, mat.indices)
+
+
+def distribute(mat, owner, part):
+    return lambda: DistMatrix.from_global(mat, part)
+
+
+def block_construction_calls() -> int:
+    """Python calls that constructing one rank's block costs: its
+    ``LocalMatrix`` and the ``CSRMatrix`` inside."""
+    indptr, indices, data = np.array([0, 1]), np.array([0]), np.array([1.0])
+    rows, ext = np.array([0]), np.empty(0, dtype=np.int64)
+    return python_calls(lambda: LocalMatrix(
+        0, CSRMatrix((1, 1), indptr, indices, data, check=False), rows, ext
+    )) - 1  # the lambda's own frame
+
+
+#: (a, b) of the a·P + b Python calls one call costs on P ranks (the
+#: counting lambda's frame included in b); ``None`` stands for
+#: :func:`block_construction_calls`.
+DISTRIBUTION_CALLS = {
+    partition_owner_map: (0, 16),
+    halo_schedule: (0, 71),
+    distribute: (None, 162),
+}
+
+
+@pytest.mark.parametrize("case", list(DISTRIBUTION_CALLS), ids=lambda c: c.__name__)
+def test_the_row_distribution_makes_no_python_call_per_rank(case):
+    counts = {}
+    for px in (4, 16):
+        fn = case(*rank_grid(px))
+        fn()
+        counts[px * px] = python_calls(fn)
+    a = (counts[256] - counts[16]) // 240
+    assert counts[256] - counts[16] == 240 * a
+    want_a, want_b = DISTRIBUTION_CALLS[case]
+    want_a = block_construction_calls() if want_a is None else want_a
+    assert (a, counts[16] - 16 * a) == (want_a, want_b), (
+        f"{case.__name__}: Python calls by rank count {counts}, not "
+        f"{want_a}·P + {want_b} — per-rank Python is back"
     )
