@@ -13,6 +13,8 @@ schedule **equals** the original one (for both ``G`` and ``Gᵀ``).
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from repro.dist.partition_map import RowPartition
@@ -48,7 +50,7 @@ class HaloSchedule:
     """
 
     __slots__ = ("partition", "ext_cols", "recv_from", "send_to", "recv_pos", "recv_src",
-                 "_flat", "__weakref__")
+                 "_offsets", "_messages", "_source", "__weakref__")
 
     def __init__(self, partition: RowPartition, ext_cols: list[np.ndarray]):
         nparts = partition.nparts
@@ -93,7 +95,12 @@ class HaloSchedule:
             self.recv_from[p][q] = self.send_to[q][p] = ids[lo:hi]
             self.recv_pos[p][q] = pos[lo:hi]
             self.recv_src[p][q] = src[lo:hi]
-        self._flat: tuple | None = None
+        # built on first use: most schedules (set-up, invariance checks)
+        # never run an update, and keeping small arrays from here raised
+        # the filter sweep's peak RSS (docs/PERFORMANCE.md)
+        self._offsets: np.ndarray | None = None
+        self._messages: tuple | None = None
+        self._source: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -137,29 +144,40 @@ class HaloSchedule:
         """``halo_offsets[p]`` — where rank ``p``'s halo starts in the one
         buffer holding every rank's halo, rank after rank (``nparts + 1``
         entries)."""
-        return (self._flat or self._flat_layout())[0]
+        if self._offsets is None:
+            self._offsets = np.zeros(self.partition.nparts + 1, dtype=np.int64)
+            np.cumsum([c.size for c in self.ext_cols], out=self._offsets[1:])
+        return self._offsets
 
-    def _flat_layout(self) -> tuple:
-        """``(halo_offsets, source, message bytes)``, built on first use —
-        most schedules (set-up, invariance checks) never run an update.
-        ``source`` holds, for every position of the one-buffer halo, the
-        position of its value in a :class:`~repro.dist.vector.DistVector`'s
-        rank-ordered ``values``."""
-        part = self.partition
-        offsets = np.zeros(part.nparts + 1, dtype=np.int64)
-        np.cumsum([c.size for c in self.ext_cols], out=offsets[1:])
-        row_offsets = np.zeros(part.nparts + 1, dtype=np.int64)
-        np.cumsum(part.sizes(), out=row_offsets[1:])
-        ext = np.concatenate([*self.ext_cols, np.empty(0, dtype=np.int64)])
-        src = row_offsets[part.owner[ext]] + part.local_index[ext]
-        # (sender, receiver) -> bytes of every message, in update order
-        message_bytes = {
-            (q, p): 8 * int(ids.size)
-            for p, by_owner in enumerate(self.recv_from)
-            for q, ids in by_owner.items()
-        }
-        self._flat = (offsets, src, message_bytes)
-        return self._flat
+    @property
+    def messages(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(senders, receivers, nbytes)``: every message of one update, by
+        receiver, then sender — the order :meth:`update` delivers them in."""
+        if self._messages is None:
+            nparts = self.partition.nparts
+            ext = np.concatenate([*self.ext_cols, np.empty(0, dtype=np.int64)])
+            rank = np.repeat(np.arange(nparts, dtype=np.int64), np.diff(self.halo_offsets))
+            pair, count = np.unique(rank * nparts + self.partition.owner[ext], return_counts=True)
+            self._messages = pair % nparts, pair // nparts, 8 * count
+        return self._messages
+
+    def _source_positions(self) -> np.ndarray:
+        """For every position of the one-buffer halo, the position of its
+        value in a :class:`~repro.dist.vector.DistVector`'s rank-ordered
+        ``values``."""
+        if self._source is None:
+            part = self.partition
+            row_offsets = np.zeros(part.nparts + 1, dtype=np.int64)
+            np.cumsum(part.sizes(), out=row_offsets[1:])
+            ext = np.concatenate([*self.ext_cols, np.empty(0, dtype=np.int64)])
+            self._source = row_offsets[part.owner[ext]] + part.local_index[ext]
+        return self._source
+
+    def send_sizes(self) -> np.ndarray:
+        """Number of halo values each rank packs and sends per update."""
+        senders, _, nbytes = self.messages
+        sent = np.bincount(senders, weights=nbytes, minlength=self.partition.nparts)
+        return (sent // 8).astype(np.int64)
 
     def halo_size(self, rank: int) -> int:
         """Number of halo values the rank receives per update."""
@@ -167,23 +185,16 @@ class HaloSchedule:
 
     def edges(self) -> set[tuple[int, int]]:
         """Directed (sender, receiver) pairs with non-empty exchanges."""
-        out = set()
-        for p, by_owner in enumerate(self.recv_from):
-            for q, ids in by_owner.items():
-                if ids.size:
-                    out.add((q, p))
-        return out
+        senders, receivers, _ = self.messages
+        return set(zip(senders.tolist(), receivers.tolist()))
 
     def total_halo_values(self) -> int:
         """Total values moved per halo update (sum over all messages)."""
-        return sum(int(c.size) for c in self.ext_cols)
+        return int(self.halo_offsets[-1])
 
     def neighbour_counts(self) -> np.ndarray:
         """Per-rank number of neighbours it receives from."""
-        return np.array(
-            [sum(1 for ids in d.values() if ids.size) for d in self.recv_from],
-            dtype=np.int64,
-        )
+        return np.bincount(self.messages[1], minlength=self.partition.nparts)
 
     # ------------------------------------------------------------------
     def update(
@@ -235,16 +246,16 @@ class HaloSchedule:
         ``halo`` instead, so spans, retries and bit-flips still act message
         by message.
         """
-        offsets, src, _ = self._flat or self._flat_layout()
         tracer = get_tracer()
         injector = get_injector()
         if tracer.enabled or injector is not None:
-            bounds = offsets.tolist()
+            bounds = self.halo_offsets.tolist()
             views = [halo[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
             self._update_traced(x.parts, tracker, tracer, views, injector)
             return
         # indices are in range by construction; "clip" skips the buffered
         # copy NumPy makes of ``out`` under the default bounds check
+        src = self._source if self._source is not None else self._source_positions()
         x.values.take(src, out=halo, mode="clip")
         self._book(tracker)
 
@@ -253,12 +264,14 @@ class HaloSchedule:
         metrics = get_metrics()
         if tracker is None and not metrics.enabled:
             return
-        message_bytes = (self._flat or self._flat_layout())[2]
+        senders, receivers, nbytes = (self._messages if self._messages is not None
+                                      else self.messages)
+        senders, nbytes = senders.tolist(), nbytes.tolist()
         if tracker is not None:
-            tracker.record_p2p_many(message_bytes)
+            tracker.merge_p2p_many(senders, receivers.tolist(), repeat(1), nbytes)
         if metrics.enabled:
-            for (q, _), nbytes in message_bytes.items():
-                metrics.counter("halo.bytes_sent", rank=q).inc(nbytes)
+            for q, n in zip(senders, nbytes):
+                metrics.counter("halo.bytes_sent", rank=q).inc(n)
                 metrics.counter("halo.msgs", rank=q).inc()
 
     def _recv_buffers(self, out: list[np.ndarray] | None) -> list[np.ndarray]:
@@ -405,9 +418,9 @@ class HaloSchedule:
             return NotImplemented
         if self.partition != other.partition:
             return False
-        return all(
-            np.array_equal(a, b) for a, b in zip(self.ext_cols, other.ext_cols)
-        )
+        return np.array_equal(self.halo_offsets, other.halo_offsets) and np.array_equal(
+            np.concatenate([*self.ext_cols, np.empty(0, dtype=np.int64)]),
+            np.concatenate([*other.ext_cols, np.empty(0, dtype=np.int64)]))
 
     def __hash__(self):
         raise TypeError("HaloSchedule is unhashable")

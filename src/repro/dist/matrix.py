@@ -117,8 +117,8 @@ class LocalMatrix:
 class DistMatrix:
     """A sparse matrix distributed by rows with a halo exchange schedule."""
 
-    __slots__ = ("partition", "locals", "schedule", "shape", "_values", "_operator",
-                 "_split", "_split_operator", "__weakref__")
+    __slots__ = ("partition", "locals", "schedule", "shape", "_values", "_entries",
+                 "_operator", "_split", "_split_operator", "__weakref__")
 
     def __init__(
         self,
@@ -134,6 +134,7 @@ class DistMatrix:
         self.schedule = schedule
         self.shape = (int(shape[0]), int(shape[1]))
         self._values: np.ndarray | None = None
+        self._entries: tuple[np.ndarray, np.ndarray] | None = None
         self._operator: weakref.ref[SpMVPlan] | None = None
         self._split: list | None = None
         self._split_operator: tuple[SpMVPlan, SpMVPlan] | None = None
@@ -208,7 +209,7 @@ class DistMatrix:
         # every row lands on one rank: the blocks' values are slices of one
         # array, rank after rank — the operator's (see operator())
         dmat = cls(partition, locals_, schedule, mat.shape)
-        dmat._values = values
+        dmat._values, dmat._entries = values, (entry_offsets, cols)
         return dmat
 
     def to_global(self) -> CSRMatrix:
@@ -233,11 +234,25 @@ class DistMatrix:
     @property
     def nnz(self) -> int:
         """Total stored entries across all ranks."""
-        return sum(lm.nnz for lm in self.locals)
+        return int(self.block_entries()[0][-1])
 
     def nnz_per_rank(self) -> np.ndarray:
         """Stored entries per rank."""
-        return np.array([lm.nnz for lm in self.locals], dtype=np.int64)
+        return np.diff(self.block_entries()[0])
+
+    def block_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(offsets, indices)``: every block's column indices (local
+        indexing) in one array, rank after rank, rank ``p``'s at
+        ``offsets[p] : offsets[p + 1]``.  :meth:`from_global` keeps the
+        arrays the blocks are views of; blocks built otherwise are stacked
+        on first use (the matrix must not be mutated afterwards)."""
+        if self._entries is None:
+            nnz = [lm.csr.indices.size for lm in self.locals]
+            offsets = np.zeros(len(nnz) + 1, dtype=np.int64)
+            np.cumsum(nnz, out=offsets[1:])
+            self._entries = offsets, np.concatenate(
+                [np.empty(0, dtype=np.int64), *[lm.csr.indices for lm in self.locals]])
+        return self._entries
 
     def operator(self) -> SpMVPlan:
         """Every rank's block as one :class:`~repro.kernels.plan.SpMVPlan`.
@@ -350,18 +365,25 @@ class DistMatrix:
     def split_operator(self) -> tuple[SpMVPlan, SpMVPlan]:
         """:meth:`split_blocks` stacked, rank after rank, into two cached
         plans: ``A_ll`` over :attr:`DistVector.values` and ``A_lh`` over
-        :meth:`operator`'s one-buffer halo.  Rows sorted by column, as there
-        (and as :meth:`from_global` stores them), so each row sums alike."""
+        :meth:`operator`'s one-buffer halo.  Each is a mask of the stacked
+        operator, whose rows keep their stored order (columns ascending, as
+        :meth:`from_global` stores them), so each row sums alike."""
         if self._split_operator is None:
             from repro.kernels.plan import SpMVPlan
 
             op, nrows = self.operator().mat, self.shape[0]
-            rows = np.repeat(np.arange(nrows), np.diff(op.indptr))
             local = op.indices < nrows
+            # a row's local entries before each of its entries: the local
+            # block's row pointer at the row starts
+            before = np.zeros(local.size + 1, dtype=np.int64)
+            np.cumsum(local, out=before[1:])
+            local_ptr = before[op.indptr]
             self._split_operator = tuple(
-                SpMVPlan(CSRMatrix.from_coo((nrows, ncols), rows[keep],
-                                            op.indices[keep] - shift, op.data[keep]))
-                for keep, ncols, shift in ((local, nrows, 0), (~local, op.ncols - nrows, nrows))
+                SpMVPlan(CSRMatrix((nrows, ncols), indptr, op.indices[keep] - shift,
+                                   op.data[keep], check=False))
+                for keep, indptr, ncols, shift in (
+                    (local, local_ptr, nrows, 0),
+                    (~local, op.indptr - local_ptr, op.ncols - nrows, nrows))
             )
         return self._split_operator
 

@@ -14,8 +14,10 @@ rank's clock — nothing reads the host's clock.  The functions callers use
 (:func:`spmd_cg`, …) stay plain and run the rank program on ``run_spmd``
 only while a fault injector or the tracer watches.  Otherwise the *clocked
 executor* (the end of this module) runs its statements once over all ranks
-with a :class:`_Ledger` of every rank's clock, bitwise the engine: each
-rank's dot partial is its own ``ndarray.dot``, summed by the allreduce's
+with a :class:`_Ledger` of every rank's clock, bitwise the engine, and
+with no Python per rank: every rank's kernels are priced at once, each
+group of equal-length ranks' dot partials is one stacked ``matmul`` (the
+dot kernel ``ndarray.dot`` runs, rank by rank), summed by the allreduce's
 rounds over all ranks at once
 (:func:`repro.mpisim.collectives.reduce_rounds`), and its traffic is booked
 in bulk when the solve ends (:func:`book_bulk`), as is its telemetry.  The
@@ -540,6 +542,25 @@ def _engine_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker, o
 
 
 # -- the clocked executor -----------------------------------------------
+def _dot_groups(sizes: np.ndarray, row_offsets: np.ndarray) -> list[tuple]:
+    """The ranks of each distinct length, for :meth:`_Ledger.dots`: one
+    ``(ranks, rows, row shape, column shape)`` per length, ``ranks`` and
+    ``rows`` (the group's positions in a rank-ordered vector) slices when
+    the group's ranks are consecutive, index arrays otherwise."""
+    lengths, which, counts = np.unique(sizes, return_inverse=True, return_counts=True)
+    ranks_by_length = np.split(np.argsort(which, kind="stable"), np.cumsum(counts)[:-1])
+    groups = []
+    for length, ranks in zip(lengths.tolist(), ranks_by_length):
+        g, lo = ranks.size, int(ranks[0])
+        if ranks[-1] - lo + 1 == g:  # consecutive: a free reshape of the vector
+            start = int(row_offsets[lo])
+            ranks, rows = slice(lo, lo + g), slice(start, start + g * length)
+        else:  # one gather
+            rows = (row_offsets[ranks][:, None] + np.arange(length)).reshape(-1)
+        groups.append((ranks, rows, (g, 1, length), (g, length, 1)))
+    return groups
+
+
 class _Ledger:
     """Every rank's modeled clock in a clocked run, and its traffic; with
     ``telemetry``, also each rank's charges (not the pack ones), late
@@ -547,20 +568,26 @@ class _Ledger:
 
     def __init__(self, part, clock, telemetry=None):
         self.clock, self.clocks = clock, np.zeros(part.nparts)
-        self.sizes = part.sizes().tolist()
-        self.cuts = np.cumsum(self.sizes)[:-1]
+        self.sizes = part.sizes()
+        self.row_offsets = np.zeros(part.nparts + 1, dtype=np.int64)
+        np.cumsum(self.sizes, out=self.row_offsets[1:])
+        self.groups = _dot_groups(self.sizes, self.row_offsets)
         self.reduced: list[int] = []  # the bytes of each allreduce
         self.halos: dict[int, list] = {}  # id(schedule) -> [schedule, starts]
         self.telemetry, self.everyone = telemetry, np.arange(part.nparts)
         self.observed: list | None = [] if telemetry is not None else None
 
-    def priced(self, works) -> np.ndarray:
-        """The modeled seconds of one ``(flops, bytes)`` per rank."""
-        return np.array([self.clock.kernel_seconds(*work) for work in works])
-
     def dots(self, seconds: np.ndarray, *pairs) -> list[float]:
-        """Each rank's ``ndarray.dot`` of each pair of views, allreduced."""
-        partials = np.array([list(map(np.ndarray.dot, us, vs)) for us, vs in pairs]).T
+        """Each rank's dot product of its part of each pair of vectors,
+        allreduced.  A group of equal-length ranks is one stacked
+        ``matmul``, which computes each rank's product with the dot kernel
+        ``ndarray.dot`` runs, so every partial is bitwise the rank
+        program's."""
+        partials = np.empty((self.sizes.size, len(pairs)))
+        for ranks, rows, row, column in self.groups:
+            for k, (u, v) in enumerate(pairs):
+                partials[ranks, k] = np.matmul(u[rows].reshape(row),
+                                               v[rows].reshape(column)).reshape(-1)
         self.clocks += seconds
         self.reduced.append(partials[0].nbytes)
         if self.observed is None:
@@ -595,10 +622,10 @@ class _Ledger:
         """Book the traffic as the engine does, and the telemetry; solution,
         iterations, clocks."""
         if tracker is not None:
-            book_bulk(tracker, len(self.sizes), len(self.reduced), sum(self.reduced),
+            book_bulk(tracker, self.sizes.size, len(self.reduced), sum(self.reduced),
                       self.halos.values())
         if self.telemetry is not None:
-            self.telemetry.aggregate(len(self.sizes), self.observed, self.messages(),
+            self.telemetry.aggregate(self.sizes.size, self.observed, self.messages(),
                                      tracker)
         return DistVector.from_values(part, x), iterations, self.clocks
 
@@ -606,60 +633,58 @@ class _Ledger:
         """``(senders, nbytes, repeats)`` of the run's messages, as
         :func:`book_bulk` counts them."""
         rounds = np.concatenate([np.empty(0, np.intp)] + [
-            src for src, *_ in allreduce_schedule(len(self.sizes))])
-        halos = [((s._flat or s._flat_layout())[2], n) for s, n in self.halos.values() if n]
+            src for src, *_ in allreduce_schedule(self.sizes.size)])
+        halos = [(s.messages, n) for s, n in self.halos.values() if n]
         return [(rounds, np.full(rounds.size, b), np.full(rounds.size, n))
                 for b, n in zip(*np.unique(self.reduced, return_counts=True))] + [
-            (np.array([q for q, _ in edges]), np.array(list(edges.values())),
-             np.full(len(edges), n)) for edges, n in halos]
+            (senders, nbytes, np.full(senders.size, n)) for (senders, _, nbytes), n in halos]
 
 
 def book_bulk(tracker: CommTracker, size: int, calls: int, nbytes: int, halos) -> None:
     """Book into ``tracker`` the messages of a run on ``size`` ranks, as
     the engine counts them: one per round edge per allreduce (``calls``
     allreduces of ``nbytes`` operand bytes in all), and one per non-empty
-    halo edge per exchange (``halos``: ``(schedule, exchanges)`` pairs)."""
-    edges: list[dict] = [{} for _ in range(size)]
-    traffic = [
-        (s, d, calls, nbytes)
-        for sources, dests, _, _ in (allreduce_schedule(size) if calls else ())
-        for s, d in zip(sources.tolist(), dests.tolist())
-    ] + [
-        (p, d, n, n * VALUE_BYTES * ids.size)
-        for schedule, n in halos if n
-        for p in range(size)
-        for d, ids in schedule.send_to[p].items() if ids.size
+    halo edge per exchange (``halos``: ``(schedule, exchanges)`` pairs).
+    The engine books rank after rank, each rank's edges in the order it
+    first sent on them; so does this, in one pass."""
+    none = np.empty(0, np.intp)
+    rounds = [(src, dst) for src, dst, _, _ in (allreduce_schedule(size) if calls else ())]
+    reducing = np.concatenate([none, *[src for src, _ in rounds]])
+    traffic = [(reducing, np.concatenate([none, *[dst for _, dst in rounds]]),
+                np.full(reducing.size, calls), np.full(reducing.size, nbytes))] + [
+        (src, dst, np.full(src.size, n), n * total)
+        for (src, dst, total), n in [(s.messages, n) for s, n in halos if n]
     ]
-    for src, dest, messages, total in traffic:
-        cell = edges[src].setdefault(dest, [0, 0])
-        cell[0] += messages
-        cell[1] += total
-    for rank, cells in enumerate(edges):
-        tracker.merge_p2p(rank, cells)
+    src, dst, messages, total = (np.concatenate(column) for column in zip(*traffic))
+    edges, first, which = np.unique(src * size + dst, return_index=True, return_inverse=True)
+    counts, sums = np.zeros(edges.size, np.int64), np.zeros(edges.size, np.int64)
+    np.add.at(counts, which, messages)
+    np.add.at(sums, which, total)
+    order = np.lexsort((first, edges // size))
+    edges = edges[order]
+    tracker.merge_p2p_many((edges // size).tolist(), (edges % size).tolist(),
+                           counts[order].tolist(), sums[order].tolist())
 
 
 class _Exchange:
     """One matrix's halo exchanges in a clocked run: a receiving rank's
     clock becomes ``max(own, post + β·bytes)`` over its sources, one
-    segment max over the edges sorted by destination (under telemetry, one
-    receive at a time in ``recv_from`` order)."""
+    segment max over the messages, which come by receiver (under
+    telemetry, one receive at a time in ``recv_from`` order)."""
 
     def __init__(self, ledger: _Ledger, mat: DistMatrix):
         sched = mat.schedule
         self.ledger = ledger
-        # every (source, destination) message's bytes, by destination
-        offsets, self.source, messages = sched._flat or sched._flat_layout()
-        edges = np.array(list(messages), np.intp).reshape(-1, 2)
-        self.src = edges[:, 0]
-        self.link = ledger.clock.beta * np.array(list(messages.values()), np.float64)
-        self.dests, self.segments = np.unique(edges[:, 1], return_index=True)
+        self.src, receivers, nbytes = sched.messages
+        self.link = ledger.clock.beta * nbytes
+        self.dests, self.segments = np.unique(receivers, return_index=True)
         self.starts = ledger.halos.setdefault(id(sched), [sched, 0])
-        self.pack_s = ledger.priced(pack_work(sum(ids.size for ids in to.values()))
-                                    for to in sched.send_to)
-        self.halo = np.empty(int(offsets[-1]))
+        self.pack_s = ledger.clock.kernel_seconds(*pack_work(sched.send_sizes()))
+        self.source = sched._source_positions()
+        self.halo = np.empty(int(sched.halo_offsets[-1]))
         if ledger.observed is not None:
             # each receiving rank's k-th incoming edge, for every k
-            degree = np.diff(self.segments, append=len(edges))
+            degree = np.diff(self.segments, append=receivers.size)
             self.receives = [(self.segments[degree > k] + k, self.dests[degree > k])
                              for k in range(degree.max(initial=0))]
 
@@ -684,19 +709,22 @@ class _Product(_Exchange):
 
     def __init__(self, ledger: _Ledger, mat: DistMatrix, overlap: bool):
         super().__init__(ledger, mat)
-        locals_, self.n = mat.locals, mat.shape[0]
-        self.haloed = np.flatnonzero([lm.n_halo > 0 for lm in locals_])
+        self.n, seconds = mat.shape[0], ledger.clock.kernel_seconds
+        n_halo = np.diff(mat.schedule.halo_offsets)
+        self.haloed = np.flatnonzero(n_halo)
+
+        def priced(plan):  # the plan and every rank's seconds of one product
+            nnz = np.diff(plan.mat.indptr[ledger.row_offsets])
+            return plan, seconds(*spmv_work(nnz, ledger.sizes))
+
         if overlap:  # a rank without halo: empty A_lh rows, charged 0.0 s
             a_ll, a_lh = mat.split_operator()
-            self.local = a_ll, ledger.priced(
-                spmv_work(lm.local_nnz(), lm.n_local) for lm in locals_)
-            self.remote = a_lh, ledger.priced(
-                spmv_work(lm.halo_nnz(), lm.n_local) if lm.n_halo else (0, 0)
-                for lm in locals_)
+            self.local = priced(a_ll)
+            a_lh, remote_s = priced(a_lh)
+            self.remote = a_lh, np.where(n_halo > 0, remote_s, 0.0)
             self.operand, self.fused = None, None
         else:
-            self.fused = mat.operator(), ledger.priced(
-                spmv_work(lm.nnz, lm.n_local) for lm in locals_)
+            self.fused = priced(mat.operator())
             self.operand = np.empty(self.n + self.halo.size)
             self.halo = self.operand[self.n:]
 
@@ -728,20 +756,18 @@ class _Product(_Exchange):
 
 
 def _clocked_cg(mat, b, rtol, max_iterations, precond_pair, tracker, clock):
-    """``spmd_cg``'s rank program over all ranks; the dotted vectors are
-    updated in place, so their rank views are made once."""
+    """``spmd_cg``'s rank program over all ranks, on whole vectors."""
     part = mat.partition
     ledger = _Ledger(part, clock)
-    dot_s, axpy_s, update_s = (ledger.priced(vector_work(n, **w) for n in ledger.sizes)
+    dot_s, axpy_s, update_s = (clock.kernel_seconds(*vector_work(ledger.sizes, **w))
                                for w in ({"dots": 1}, {"updates": 2}, {"updates": 1}))
     a = _Product(ledger, mat, overlap=False)
     pre = precond_pair and [_Product(ledger, m, overlap=False) for m in precond_pair]
     x, r = np.zeros(part.nrows), b.values.copy()
     z, d, ad = np.empty(part.nrows), np.empty(part.nrows), np.empty(part.nrows)
-    rs, zs, ds, ads = (np.split(v, ledger.cuts) for v in (r, z, d, ad))
 
-    def gdot(us, vs) -> float:
-        return ledger.dots(dot_s, (us, vs))[0]
+    def gdot(u, v) -> float:
+        return ledger.dots(dot_s, (u, v))[0]
 
     def apply_precond(v: np.ndarray, out: np.ndarray) -> np.ndarray:
         if pre is None:
@@ -749,17 +775,17 @@ def _clocked_cg(mat, b, rtol, max_iterations, precond_pair, tracker, clock):
             return out
         return pre[1].product(pre[0].product(v), out)
 
-    norm0 = np.sqrt(gdot(rs, rs))
+    norm0 = np.sqrt(gdot(r, r))
     if norm0 == 0.0:
         return ledger.finish(part, x, 0, tracker)
     np.copyto(d, apply_precond(r, z))
-    rz = gdot(rs, zs)
+    rz = gdot(r, z)
     iterations = 0
     for _ in range(max_iterations):
-        if np.sqrt(gdot(rs, rs)) <= rtol * norm0:
+        if np.sqrt(gdot(r, r)) <= rtol * norm0:
             break
         a.product(d, ad)
-        dad = gdot(ds, ads)
+        dad = gdot(d, ad)
         if dad <= 0 or not np.isfinite(dad):
             break  # not SPD, or breakdown
         alpha = rz / dad
@@ -767,7 +793,7 @@ def _clocked_cg(mat, b, rtol, max_iterations, precond_pair, tracker, clock):
         r -= alpha * ad
         ledger.clocks += axpy_s
         apply_precond(r, z)
-        rz_new = gdot(rs, zs)
+        rz_new = gdot(r, z)
         beta = rz_new / rz
         rz = rz_new
         np.add(z, beta * d, out=d)
@@ -779,11 +805,11 @@ def _clocked_cg(mat, b, rtol, max_iterations, precond_pair, tracker, clock):
 def _clocked_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker, overlap, clock,
                            telemetry=None):
     """``spmd_pipelined_pcg``'s rank program over all ranks, as
-    :func:`_clocked_cg`; ``r``, ``u`` and ``w`` are updated in place."""
+    :func:`_clocked_cg`."""
     part = mat.partition
     ledger = _Ledger(part, clock, telemetry)
-    dots_s = [ledger.priced(vector_work(n, dots=k) for n in ledger.sizes) for k in range(4)]
-    update_s = ledger.priced(vector_work(n, updates=4) for n in ledger.sizes)
+    dots_s = [clock.kernel_seconds(*vector_work(ledger.sizes, dots=k)) for k in range(4)]
+    update_s = clock.kernel_seconds(*vector_work(ledger.sizes, updates=4))
     a = _Product(ledger, mat, overlap)
     pre = precond_pair and [_Product(ledger, m, overlap) for m in precond_pair]
 
@@ -791,16 +817,14 @@ def _clocked_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker, 
         return v.copy() if pre is None else pre[1].product(pre[0].product(v))
 
     x, r = np.zeros(part.nrows), b.values.copy()
-    rs = np.split(r, ledger.cuts)
-    (norm0_sq,) = ledger.dots(dots_s[1], (rs, rs))
+    (norm0_sq,) = ledger.dots(dots_s[1], (r, r))
     norm0 = float(np.sqrt(max(norm0_sq, 0.0)))
     if norm0 == 0.0:
         return ledger.finish(part, x, 0, tracker)
     target = rtol * norm0
     u = apply_precond(r)
     w = a.product(u)
-    us, ws = np.split(u, ledger.cuts), np.split(w, ledger.cuts)
-    gamma, delta = ledger.dots(dots_s[2], (rs, us), (ws, us))
+    gamma, delta = ledger.dots(dots_s[2], (r, u), (w, u))
     m_w = apply_precond(w)
     n_vec = a.product(m_w)
     z, q, pd, s = n_vec.copy(), m_w.copy(), u.copy(), w.copy()
@@ -817,7 +841,7 @@ def _clocked_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker, 
         ledger.clocks += update_s
         if ledger.observed is not None:
             ledger.computed(update_s)
-        rr, gamma_new, delta = ledger.dots(dots_s[3], (rs, rs), (rs, us), (ws, us))
+        rr, gamma_new, delta = ledger.dots(dots_s[3], (r, r), (r, u), (w, u))
         res = float(np.sqrt(max(rr, 0.0)))
         iterations += 1
         if res <= target:

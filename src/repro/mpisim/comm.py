@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import CommError
 from repro.mpisim import collectives
 
@@ -54,20 +56,24 @@ class ClockModel:
                     f"ClockModel.{name} must be a finite number >= 0, got {value!r}"
                 )
 
-    def kernel_seconds(self, flops: float, nbytes: float) -> float:
+    def kernel_seconds(self, flops, nbytes):
         """Roofline time of one rank-local kernel: the slower of its
-        arithmetic and its memory stream."""
-        return max(flops * self.flop, nbytes * self.byte)
+        arithmetic and its memory stream.  Elementwise over arrays of
+        counts (every rank's kernel at once); a float for two numbers.
+        Integer counts below 2**53 convert exactly, so each element is
+        bitwise the scalar price."""
+        seconds = np.maximum(np.multiply(flops, self.flop), np.multiply(nbytes, self.byte))
+        return seconds if seconds.ndim else float(seconds)
 
     def message_seconds(self, nbytes: float) -> float:
         """Link time of one message, from its send until it is matchable."""
         return self.alpha + self.beta * nbytes
 
-    def exchange_seconds(self, incoming) -> float:
-        """A rank's wait in a neighbour exchange receiving messages of
-        ``incoming`` bytes: all sends leave together, so the largest
-        message ends it (0 with none)."""
-        return self.message_seconds(max(incoming)) if len(incoming) else 0.0
+    def exchange_seconds(self, largest: np.ndarray) -> np.ndarray:
+        """Every rank's wait in a neighbour exchange whose largest incoming
+        message has ``largest`` bytes (0: it receives none): all sends leave
+        together, so that message ends it."""
+        return np.where(largest > 0, self.message_seconds(largest), 0.0)
 
     def allreduce_seconds(self, size: int, nbytes: float) -> float:
         """One :meth:`Comm.allreduce` of ``nbytes`` over ``size`` ranks."""

@@ -74,13 +74,15 @@ class CommTracker:
             self.p2p_messages[key] = self.p2p_messages.get(key, 0) + 1
             self.p2p_bytes[key] = self.p2p_bytes.get(key, 0) + int(nbytes)
 
-    def record_p2p_many(self, messages: dict[tuple[int, int], int]) -> None:
-        """Count one message per ``(src, dst)`` key, of the mapped bytes —
-        a whole halo update under one lock, with no call per message."""
+    def merge_p2p_many(self, srcs, dsts, messages, nbytes) -> None:
+        """Add ``messages[i]`` messages of ``nbytes[i]`` bytes in all on
+        edge ``(srcs[i], dsts[i])``, edge after edge (iterables of ints) —
+        a whole halo update or a whole clocked run under one lock, with no
+        call per edge."""
         with self._lock:
-            for key, nbytes in messages.items():
-                self.p2p_messages[key] = self.p2p_messages.get(key, 0) + 1
-                self.p2p_bytes[key] = self.p2p_bytes.get(key, 0) + nbytes
+            for key, count, total in zip(zip(srcs, dsts), messages, nbytes):
+                self.p2p_messages[key] = self.p2p_messages.get(key, 0) + count
+                self.p2p_bytes[key] = self.p2p_bytes.get(key, 0) + total
 
     def merge_p2p(self, src: int, edges: dict[int, list[int]]) -> None:
         """Add one sender's per-destination ``[messages, bytes]`` totals.

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.cachesim.spmv_trace import precond_x_misses_per_rank, x_access_lines
 from repro.cachesim.cache import simulate_misses
+from repro.cachesim.lines import line_ids
 from repro.core.precond import Preconditioner
 from repro.dist.matrix import DistMatrix
 from repro.dist.spmd import (
@@ -110,33 +111,35 @@ class CostModel:
     # ------------------------------------------------------------------
     def _spmv_seconds(self, mat: DistMatrix) -> np.ndarray:
         """Per-rank seconds of one product with ``mat`` (misses aside)."""
-        return np.array([self.clock.kernel_seconds(*spmv_work(lm.csr.nnz, lm.csr.nrows))
-                         for lm in mat.locals])
+        return self.clock.kernel_seconds(*spmv_work(mat.nnz_per_rank(), mat.partition.sizes()))
 
     def _halo_seconds(self, mat: DistMatrix) -> np.ndarray:
         """Per-rank seconds of one halo update of ``mat``: pack what the
         rank sends, then wait for the largest message it receives."""
         sched = mat.schedule
-        return np.array([
-            self.clock.kernel_seconds(
-                *pack_work(sum(ids.size for ids in sched.send_to[p].values()))
-            )
-            + self.clock.exchange_seconds(
-                [VALUE_BYTES * ids.size for ids in sched.recv_from[p].values() if ids.size]
-            )
-            for p in range(mat.partition.nparts)
-        ])
+        _, receivers, nbytes = sched.messages
+        largest = np.zeros(mat.partition.nparts, dtype=np.int64)
+        np.maximum.at(largest, receivers, nbytes)
+        return (self.clock.kernel_seconds(*pack_work(sched.send_sizes()))
+                + self.clock.exchange_seconds(largest))
 
     def spmv_misses_per_rank(self, mat: DistMatrix) -> np.ndarray:
         """L1 misses on ``x`` per rank for one SpMV with ``mat``."""
-        out = np.zeros(mat.partition.nparts, dtype=np.int64)
-        for p, lm in enumerate(mat.locals):
-            stream = x_access_lines(lm.csr, self.l1.line_bytes)
-            if self.simulate_cache:
-                out[p] = simulate_misses(stream, self.l1)
-            else:
-                out[p] = np.unique(stream).size
-        return out
+        if self.simulate_cache:  # the simulator replays one rank's stream at a time
+            out = np.zeros(mat.partition.nparts, dtype=np.int64)
+            for p, lm in enumerate(mat.locals):
+                out[p] = simulate_misses(x_access_lines(lm.csr, self.l1.line_bytes), self.l1)
+            return out
+        # one flag per line a rank's [x_local | halo] spans, rank after rank:
+        # the distinct lines each rank touches are its raised flags
+        line = self.l1.line_bytes
+        offsets, indices = mat.block_entries()
+        columns = mat.partition.sizes() + np.diff(mat.schedule.halo_offsets)
+        first = np.zeros(columns.size + 1, dtype=np.int64)
+        np.cumsum(line_ids(columns - 1, line) + 1, out=first[1:])
+        touched = np.zeros(first[-1], dtype=bool)
+        touched[line_ids(indices, line) + np.repeat(first[:-1], np.diff(offsets))] = True
+        return np.add.reduceat(touched, first[:-1], dtype=np.int64)
 
     def _precond_misses(self, precond: Preconditioner) -> np.ndarray:
         """L1 misses on ``x`` per rank for one ``Gᵀ(G·x)``: both products
@@ -185,10 +188,8 @@ class CostModel:
             "misses": misses * self.machine.miss_penalty,
             "halo": halo,
             "reductions": np.full(nparts, work.allreduces * allreduce),
-            "vector_ops": np.array([
-                self.clock.kernel_seconds(*vector_work(n, work.updates, work.dots))
-                for n in mat.partition.sizes()
-            ]),
+            "vector_ops": self.clock.kernel_seconds(
+                *vector_work(mat.partition.sizes(), work.updates, work.dots)),
         }
         critical = int(np.argmax(sum(per_rank.values())))
         return IterationCost(**{c: float(v[critical]) for c, v in per_rank.items()},

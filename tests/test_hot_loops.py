@@ -60,6 +60,7 @@ from repro.matgen import paper_rhs, poisson2d
 from repro.mpisim import CommTracker
 from repro.observe import TelemetryConfig
 from repro.partition import block_partition_2d
+from repro.perfmodel import SKYLAKE, CostModel
 from repro.sparse import CSRMatrix, SparsityPattern
 
 SMALL, GROWTH = 96, 8
@@ -282,7 +283,7 @@ def clocked_pipelined_pcg(da, b, budget, pair):
 
 #: Python calls per iteration of an unwatched solve, on any number of
 #: ranks: the clocked executor runs the rank program's text once.
-CLOCKED_CALLS = {clocked_cg: 32, clocked_pipelined_pcg: 28}
+CLOCKED_CALLS = {clocked_cg: 29, clocked_pipelined_pcg: 27}
 
 
 @pytest.mark.parametrize("solver", list(CLOCKED_CALLS), ids=lambda s: s.__name__)
@@ -302,7 +303,7 @@ def telemetered_pipelined_pcg(da, b, budget, pair):
 #: Python calls per iteration of a telemetered solve, on any number of
 #: ranks: each observation is one record for all ranks, and the histograms
 #: are built with array operations after the run.
-TELEMETERED_CALLS = 41
+TELEMETERED_CALLS = 40
 
 
 def test_a_telemetered_iteration_makes_no_python_call_per_rank():
@@ -353,8 +354,9 @@ DISTRIBUTION_CALLS = {
 }
 
 
-@pytest.mark.parametrize("case", list(DISTRIBUTION_CALLS), ids=lambda c: c.__name__)
-def test_the_row_distribution_makes_no_python_call_per_rank(case):
+def calls_by_rank_count(case) -> tuple[dict, int, int]:
+    """Python calls of one warm call of ``case`` on 16 and 256 ranks, and
+    the ``(a, b)`` of ``a·P + b`` through them."""
     counts = {}
     for px in (4, 16):
         fn = case(*rank_grid(px))
@@ -362,9 +364,56 @@ def test_the_row_distribution_makes_no_python_call_per_rank(case):
         counts[px * px] = python_calls(fn)
     a = (counts[256] - counts[16]) // 240
     assert counts[256] - counts[16] == 240 * a
+    return counts, a, counts[16] - 16 * a
+
+
+@pytest.mark.parametrize("case", list(DISTRIBUTION_CALLS), ids=lambda c: c.__name__)
+def test_the_row_distribution_makes_no_python_call_per_rank(case):
+    counts, a, b = calls_by_rank_count(case)
     want_a, want_b = DISTRIBUTION_CALLS[case]
     want_a = block_construction_calls() if want_a is None else want_a
-    assert (a, counts[16] - 16 * a) == (want_a, want_b), (
+    assert (a, b) == (want_a, want_b), (
         f"{case.__name__}: Python calls by rank count {counts}, not "
         f"{want_a}·P + {want_b} — per-rank Python is back"
+    )
+
+
+def clocked_run(solver):
+    """A budget-1 FSAI-preconditioned solve booking into a tracker: the
+    executor's per-run set-up (pricing every rank's kernels, its dot
+    groups), one iteration, and the booking of its traffic."""
+
+    def run(mat, owner, part):
+        da = DistMatrix.from_global(mat, part)
+        b = DistVector.from_global(paper_rhs(mat, seed=0), part)
+        fsai = build_fsai(mat, part)
+        return lambda: solver(da, b, rtol=0.0, max_iterations=1,
+                              precond_pair=(fsai.g, fsai.gt), tracker=CommTracker())
+
+    run.__name__ = f"clocked_{solver.__name__}"
+    return run
+
+
+def iteration_cost(mat, owner, part):
+    """Both iterations the cost model prices, counting distinct lines."""
+    da, fsai = DistMatrix.from_global(mat, part), build_fsai(mat, part)
+    model = CostModel(SKYLAKE, simulate_cache=False)
+    return lambda: [model.iteration_cost(da, fsai, reduction_phases=k) for k in (3, 1)]
+
+
+#: (b of 0·P + b) Python calls per run on P ranks, the counting lambda's
+#: frame included: nothing of a clocked run or of the cost model is per rank.
+PER_RUN_CALLS = {
+    clocked_run(spmd_cg): 368,
+    clocked_run(spmd_pipelined_pcg): 296,
+    iteration_cost: 248,
+}
+
+
+@pytest.mark.parametrize("case", list(PER_RUN_CALLS), ids=lambda c: c.__name__)
+def test_a_clocked_run_and_its_cost_make_no_python_call_per_rank(case):
+    counts, a, b = calls_by_rank_count(case)
+    assert (a, b) == (0, PER_RUN_CALLS[case]), (
+        f"{case.__name__}: Python calls by rank count {counts}, not "
+        f"0·P + {PER_RUN_CALLS[case]} — per-rank Python is back"
     )
