@@ -156,10 +156,10 @@ def spmd_timeline(
 ):
     """Run one SPMD solve under a fresh tracer; returns its Timeline.
 
-    Unlike the cached :func:`solve` (rank-serial ``pcg``), this drives
-    :func:`repro.dist.spmd_cg` through :mod:`repro.mpisim` on the Skylake
-    clock model, so the trace carries real cross-rank sends, waits and
-    reductions in modeled seconds — the input
+    Unlike the cached :func:`solve` (rank-serial ``pcg``), this traces
+    :func:`repro.dist.spmd_cg` on the Skylake clock model, so the trace
+    carries every rank's sends, waits and reductions in modeled seconds,
+    emitted from the clocked executor's ledger — the input
     :class:`repro.observe.Timeline` needs for critical-path analysis.
     """
     from repro.dist import spmd_cg

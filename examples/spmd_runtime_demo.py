@@ -17,9 +17,9 @@ clock — and shows that:
   `advance` plainly; its timing is modeled seconds, identical on every run.
 
 `spmd_cg` runs its rank program on the engine, message by message, only
-while the tracer or a fault injector watches the run; the unwatched solve
-below takes the clocked executor, which computes the same
-solution, clocks and tracker traffic for all ranks at once.
+while a fault injector watches the run; the solve below takes the clocked
+executor, which computes the same solution, clocks and tracker traffic
+for all ranks at once — and, under the tracer, the same spans.
 """
 
 from __future__ import annotations

@@ -225,9 +225,9 @@ def cmd_trace(args) -> int:
 def cmd_timeline(args) -> int:
     """``repro timeline``: reconstruct the cross-rank timeline of an SPMD solve.
 
-    Runs the preconditioned CG fully inside the SPMD runtime (real messages,
-    one coroutine per rank, on the ``--machine`` model's clock) under
-    tracing, merges the per-rank span streams into a
+    Runs the preconditioned CG as an SPMD solve on the ``--machine`` model's
+    clock under tracing (the clocked executor emits every rank's spans and
+    messages from its ledger), merges the per-rank span streams into a
     :class:`~repro.observe.Timeline` in modeled seconds, and prints an ASCII
     per-rank Gantt chart with per-rank busy/wait/slack, the critical path
     through the halo/allreduce dependency graph, and its top-k edges.  ``--load``

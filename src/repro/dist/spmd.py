@@ -1,47 +1,29 @@
-"""SPMD execution of the distributed kernels on the mpisim runtime.
+"""SPMD execution of the distributed kernels, on a modeled clock.
 
 The BSP layer (:class:`~repro.dist.matrix.DistMatrix`) applies operations
-rank-by-rank in the driver — deterministic and fast.  This module runs the
-*same* data structures as rank programs on :func:`repro.mpisim.run_spmd`:
-a halo update is one ``irecv`` and one ``send`` per edge and a reduction
-the engine's point-to-point allreduce: real messages, which the tracker,
-the tracer and a fault injector each see.
+rank-by-rank in the driver.  :func:`spmd_cg`, :func:`spmd_pipelined_pcg`
+and :func:`spmd_halo_update` run the *same* data structures as SPMD
+programs: a halo update is one message per edge, a reduction the recursive
+doubling of :func:`repro.mpisim.collectives.allreduce`, and every kernel
+charges its *modeled* cost to its rank's clock.
 
-The rank programs here are coroutines (``async def``; see
-:mod:`repro.mpisim`): they ``await`` receives, request completion and
-collectives, and charge each rank-local kernel's *modeled* cost to the
-rank's clock — nothing reads the host's clock.  The functions callers use
-(:func:`spmd_cg`, …) stay plain and run the rank program on ``run_spmd``
-only while a fault injector or the tracer watches.  Otherwise the *clocked
-executor* (the end of this module) runs its statements once over all ranks
-with a :class:`_Ledger` of every rank's clock, bitwise the engine, and
-with no Python per rank: every rank's kernels are priced at once, each
-group of equal-length ranks' dot partials is one stacked ``matmul`` (the
-dot kernel ``ndarray.dot`` runs, rank by rank), summed by the allreduce's
-rounds over all ranks at once
-(:func:`repro.mpisim.collectives.reduce_rounds`), and its traffic is booked
-in bulk when the solve ends (:func:`book_bulk`), as is its telemetry.  The
-rank programs, which share none of that arithmetic, are the executor's
-oracle.
-
-A rank program holds one :class:`_Rank` — the tracer, resolved once (the
-per-kernel spans open only while it is enabled), and the clock charge —
-and per matrix a :class:`_Block`, built when the program starts: the
-compiled plans (:class:`~repro.kernels.plan.SpMVPlan`) of the rank's block
-(the fused block, or ``A_ll`` / ``A_lh`` when overlapped), its
-``[x_local | halo]`` operand buffer and the modeled seconds of its
-products.  Every product is one call of the compiled CSR loop the
-BSP solvers run, which sums each row strictly left to right in stored
-order: a fused rank product equals that rank's rows of
-:meth:`DistMatrix.operator`'s product bitwise (the NumPy reference
-:meth:`CSRMatrix.spmv` did not, so the solutions moved in the last bits).
-Kernel seconds are computed once per rank; each charge adds the same float
-a per-call computation gave, so the modeled clocks are unchanged by it.
+Every run without a fault plan — plain, telemetered or traced — takes the
+*clocked executor* (the end of this module): the solver's statements once
+over all ranks with a :class:`_Ledger` of every rank's clock, bitwise the
+per-message engine and with no Python per rank.  Each group of
+equal-length ranks' dot partials is one stacked ``matmul`` (the kernel
+``ndarray.dot`` runs), summed by the allreduce's rounds over all ranks at
+once (:func:`repro.mpisim.collectives.reduce_rounds`); the traffic is
+booked in bulk at the end (:func:`book_bulk`); telemetry and the tracer
+read one record the ledger keeps.  Under a fault plan :func:`spmd_cg` runs
+its rank program (:func:`_engine_cg`) on :func:`repro.mpisim.run_spmd`
+instead, and the other two raise :class:`~repro.errors.CommError`; their
+rank programs, the executor's oracle, live with the tests.
 
 The work of a kernel (:func:`spmv_work`, :func:`vector_work`,
 :func:`pack_work`) and of an iteration (:data:`CG_ITERATION`,
-:data:`PIPELINED_ITERATION`) is defined once, here: the rank programs
-charge it and :class:`repro.perfmodel.CostModel` predicts from it.
+:data:`PIPELINED_ITERATION`) is defined once, here: the solvers charge it
+and :class:`repro.perfmodel.CostModel` predicts from it.
 """
 
 from __future__ import annotations
@@ -54,7 +36,7 @@ import numpy as np
 from repro.dist.matrix import DistMatrix
 from repro.dist.vector import DistVector
 from repro.errors import CommError
-from repro.instrument import get_tracer
+from repro.instrument import get_metrics, get_tracer
 from repro.kernels.plan import SpMVPlan
 from repro.mpisim import ClockModel, Comm, CommTracker, get_injector, run_spmd
 from repro.mpisim.collectives import allreduce_schedule, reduce_rounds
@@ -71,6 +53,9 @@ _TAG_HALO = 7_000
 #: name: a sampled span shares its histogram's name).
 _COMPUTE, _HALO_WAIT, _COLLECTIVE_WAIT, _REDUCTION = (
     "compute", "wait.halo", "wait.collective", "reduction")
+_HISTOGRAMS = frozenset((_COMPUTE, _HALO_WAIT, _COLLECTIVE_WAIT, _REDUCTION))
+#: What only a traced run records besides (see :class:`_Ledger`).
+_POSTED, _DELIVERED, _ROUNDS, _ITERATION = "posted", "delivered", "rounds", "iteration"
 
 #: Streamed bytes per stored CSR entry (8 B value + 4 B column index) and
 #: per vector value.
@@ -126,136 +111,82 @@ def _check_engine(engine: str) -> None:
         raise CommError(f"unknown engine {engine!r}; the only engine is 'events'")
 
 
-def _watched(telemetry=None) -> bool:
-    """A fault plan or the tracer watches each message, so the run takes
-    the engine, which carries no telemetry."""
-    watchers = " and ".join(name for name, on in (
-        ("the tracer", get_tracer().enabled), ("a fault plan", get_injector() is not None)) if on)
-    if watchers and telemetry is not None:
-        from repro.observe.stream import TelemetryError  # untelemetered runs never load observe
-
-        raise TelemetryError(f"telemetry= cannot be served while {watchers} watches the run")
-    return bool(watchers)
+def _watched() -> bool:
+    """A fault plan watches each message, so :func:`spmd_cg` takes the
+    engine.  The tracer and telemetry read the clock ledger instead."""
+    return get_injector() is not None
 
 
-def _halo_exchange_start(comm: Comm, mat: DistMatrix, x_local: np.ndarray):
-    """Post one rank's halo exchange; complete with ``_halo_exchange_finish``.
+def _unwatched(solver: str, telemetry=None) -> None:
+    """``solver`` has no faulted run: under a fault plan, a ``TelemetryError``
+    if ``telemetry`` is asked for, else a ``CommError`` naming the one that has."""
+    if get_injector() is not None:
+        if telemetry is not None:
+            from repro.observe.stream import TelemetryError  # untelemetered runs never load observe
 
-    The caller can run local compute between start and finish, overlapping
-    it with the other ranks' exchanges.  Nothing here can block, so this
-    is a plain function: one ``irecv`` per incoming edge, a
-    ``spmd.halo.pack`` span tagged with the payload bytes, whose charge is
-    the gather's streamed bytes, and one send per outgoing edge.
-    """
-    p = comm.rank
-    sched = mat.schedule
-    part = mat.partition
-    tracer = get_tracer()
-    reqs = [
-        (q, comm.irecv(q, _TAG_HALO))
-        for q, ids in sched.recv_from[p].items()
-        if ids.size
-    ]
-    with tracer.span("spmd.halo.pack", rank=p) as pack:
-        sends = [
-            (x_local[part.local_index[ids]], q)
-            for q, ids in sched.send_to[p].items()
-            if ids.size
-        ]
-        packed = sum(payload.size for payload, _ in sends)
-        comm.advance(comm.clock.kernel_seconds(*pack_work(packed)))
-        pack.set_tag("bytes", packed * VALUE_BYTES)
-    for payload, q in sends:
-        comm.send(payload, q, _TAG_HALO)
-    return reqs
-
-
-async def _halo_exchange_finish(
-    comm: Comm, mat: DistMatrix, pending, halo: np.ndarray
-) -> np.ndarray:
-    """Complete a posted halo exchange into the rank's ``halo`` buffer.
-
-    Each incoming edge's completion is a ``spmd.halo.wait`` span (tagged
-    with the awaited source and payload bytes) — the segments the timeline
-    layer classifies as wait time, and overlap shrinks.
-    """
-    p = comm.rank
-    sched = mat.schedule
-    tracer = get_tracer()
-    for q, req in pending:
-        if tracer.enabled:
-            with tracer.span(
-                "spmd.halo.wait", rank=p, src=q,
-                bytes=VALUE_BYTES * int(sched.recv_from[p][q].size),
-            ):
-                values = await req.wait()
-        else:
-            values = await req.wait()
-        halo[sched.recv_pos[p][q]] = values
-    return halo
+            raise TelemetryError("telemetry= cannot be served while a fault plan watches the run")
+        raise CommError(f"{solver} cannot run under a fault plan: only spmd_cg runs faulted")
 
 
 async def _halo_exchange(
     comm: Comm, mat: DistMatrix, x_local: np.ndarray, halo: np.ndarray
 ) -> np.ndarray:
-    """One rank's side of the halo update, into its ``halo`` buffer."""
-    return await _halo_exchange_finish(
-        comm, mat, _halo_exchange_start(comm, mat, x_local), halo
-    )
+    """One rank's side of the halo update, into its ``halo`` buffer: one
+    ``irecv`` per incoming edge, the pack (a ``spmd.halo.pack`` span tagged
+    with the payload bytes, charged the gather's streamed bytes), one send
+    per outgoing edge, then each receive in a ``spmd.halo.wait`` span
+    tagged with its source and bytes, scattered in ``recv_pos`` order."""
+    p, sched, tracer = comm.rank, mat.schedule, get_tracer()
+    pending = [(q, comm.irecv(q, _TAG_HALO)) for q, ids in sched.recv_from[p].items()
+               if ids.size]
+    with tracer.span("spmd.halo.pack", rank=p) as pack:
+        sends = [(x_local[mat.partition.local_index[ids]], q)
+                 for q, ids in sched.send_to[p].items() if ids.size]
+        packed = sum(payload.size for payload, _ in sends)
+        comm.advance(comm.clock.kernel_seconds(*pack_work(packed)))
+        pack.set_tag("bytes", packed * VALUE_BYTES)
+    for payload, q in sends:
+        comm.send(payload, q, _TAG_HALO)
+    for q, req in pending:
+        with tracer.span("spmd.halo.wait", rank=p, src=q,
+                         bytes=VALUE_BYTES * sched.recv_from[p][q].size):
+            halo[sched.recv_pos[p][q]] = await req.wait()
+    return halo
 
 
 class _Block:
-    """One rank's block of one matrix in a run: its compiled plans, its
+    """One rank's block of one matrix in a run: its compiled plan, its
     ``[x_local | halo]`` operand buffer and halo view, and the modeled
-    seconds of its products."""
+    seconds of its product."""
 
-    __slots__ = ("mat", "n_local", "fused", "local", "remote", "operand", "halo")
+    __slots__ = ("mat", "n_local", "fused", "operand", "halo")
 
-    def __init__(self, comm: Comm, mat: DistMatrix, overlap: bool):
-        p, seconds = comm.rank, comm.clock.kernel_seconds
-        lm = mat.locals[p]
+    def __init__(self, comm: Comm, mat: DistMatrix):
+        lm = mat.locals[comm.rank]
         self.mat, self.n_local = mat, lm.n_local
-
-        def priced(block):  # the plan and the modeled seconds of one product
-            return SpMVPlan(block), seconds(*spmv_work(block.nnz, block.nrows))
-
-        if overlap:
-            a_ll, a_lh = mat.split_blocks()[p]
-            self.fused, self.local = None, priced(a_ll)
-            self.remote = priced(a_lh) if a_lh is not None else (None, 0.0)
-        else:
-            self.fused, self.local, self.remote = priced(lm.csr), None, None
+        self.fused = SpMVPlan(lm.csr), comm.clock.kernel_seconds(
+            *spmv_work(lm.csr.nnz, lm.csr.nrows))
         self.operand = np.zeros(lm.n_local + lm.n_halo, dtype=np.float64)
         self.halo = self.operand[lm.n_local:]
 
 
 class _Rank:
     """One rank's side of a solve: the tracer, resolved once, the clock
-    charge, and the products over the rank's blocks (:class:`_Block`).
-
-    ``charge(seconds)`` is ``comm.advance``; :meth:`compute` is a charge
-    inside an ``spmd.compute`` span while tracing.  The span holds only the
-    charge: the kernel itself does not move the modeled clock, so the
-    span's times are those of a span around kernel and charge.
-    """
+    charge (``comm.advance``), and the products over the rank's blocks
+    (:class:`_Block`).  :meth:`compute` is a charge in an ``spmd.compute``
+    span: the kernel does not move the modeled clock, only its charge."""
 
     def __init__(self, comm: Comm):
         self.comm, self.rank = comm, comm.rank
         self.tracer = get_tracer()
-        self.traced = self.tracer.enabled
         self.charge = comm.advance
 
     def compute(self, kernel: str, seconds: float) -> None:
-        if self.traced:
-            with self.tracer.span("spmd.compute", rank=self.rank, kernel=kernel):
-                self.charge(seconds)
-        else:
+        with self.tracer.span("spmd.compute", rank=self.rank, kernel=kernel):
             self.charge(seconds)
 
     async def allreduce(self, value, **tags):
-        """``comm.allreduce`` inside an ``spmd.reduction`` span while tracing."""
-        if not self.traced:
-            return await self.comm.allreduce(value)
+        """``comm.allreduce`` inside an ``spmd.reduction`` span."""
         with self.tracer.span("spmd.reduction", rank=self.rank, **tags):
             return await self.comm.allreduce(value)
 
@@ -271,20 +202,6 @@ class _Rank:
         self.compute("spmv", seconds)
         return y
 
-    async def spmv_overlapped(self, blk: _Block, v: np.ndarray) -> np.ndarray:
-        """Overlapped product: post the halo exchange, apply ``A_ll`` while
-        it is in flight, then add ``A_lh`` times the halo."""
-        pending = _halo_exchange_start(self.comm, blk.mat, v)
-        plan, seconds = blk.local
-        y = plan.spmv(v)
-        self.compute("spmv_local", seconds)
-        halo = await _halo_exchange_finish(self.comm, blk.mat, pending, blk.halo)
-        plan, seconds = blk.remote
-        if plan is not None:
-            y += plan.spmv(halo)
-            self.compute("spmv_halo", seconds)
-        return y
-
 
 def spmd_halo_update(
     mat: DistMatrix,
@@ -295,30 +212,25 @@ def spmd_halo_update(
     clock: ClockModel | None = None,
     telemetry=None,
 ) -> list[np.ndarray]:
-    """Run the halo update alone on the SPMD runtime; returns halo buffers.
+    """Run the halo update alone on the clocked executor; returns halos.
 
     ``telemetry`` takes a :class:`repro.observe.stream.TelemetryConfig` —
     the instrumented form used to re-prove the paper's schedule invariance
-    *with telemetry enabled*.  As for the solvers, an unwatched run takes
-    the clocked executor.  ``engine`` accepts only ``"events"``.
+    *with telemetry enabled*.  A fault plan raises :class:`CommError` (no
+    faulted run).  ``engine`` accepts only ``"events"``.
     """
     _check_engine(engine)
+    _unwatched("spmd_halo_update", telemetry)
     clock = clock if clock is not None else ClockModel()
-    if not _watched(telemetry):
-        ledger = _Ledger(mat.partition, clock, telemetry)
-        exchange = _Exchange(ledger, mat)
-        ledger.clocks += exchange.pack_s
-        exchange.starts[1] += 1
-        halo = exchange._finish(ledger.clocks + clock.alpha, x.values)
-        ledger.finish(mat.partition, x.values, 0, tracker)  # books traffic, telemetry
-        return np.split(halo, mat.schedule.halo_offsets[1:-1])
-
-    async def _prog(comm: Comm):
-        p = comm.rank
-        halo = np.zeros(mat.schedule.ext_cols[p].size, dtype=np.float64)
-        return await _halo_exchange(comm, mat, x.parts[p], halo)
-
-    return run_spmd(_prog, mat.partition.nparts, tracker=tracker, clock=clock)
+    ledger = _Ledger(mat.partition, clock, telemetry)
+    exchange = _Exchange(ledger, mat)
+    ledger.clocks += exchange.pack_s
+    exchange.starts[1] += 1
+    if ledger.traced:
+        ledger.observed.append((_POSTED, exchange, ledger.clocks.copy()))
+    halo = exchange._finish(ledger.clocks + clock.alpha, x.values)
+    ledger.finish(mat.partition, x.values, 0, tracker)  # books traffic, telemetry, spans
+    return np.split(halo, mat.schedule.halo_offsets[1:-1])
 
 
 def spmd_cg(
@@ -337,8 +249,8 @@ def spmd_cg(
     ``precond_pair`` is ``(G, Gᵀ)`` as row-distributed matrices; the
     preconditioner application is ``z = Gᵀ(G·r)`` — two SpMVs, as in the
     paper.  Returns the solution and the iteration count.  This mirrors
-    :func:`repro.core.cg.pcg` as a rank program; an unwatched run takes
-    the clocked executor.  ``clock`` is the run's
+    :func:`repro.core.cg.pcg`; it runs on the clocked executor, or under a
+    fault plan as a rank program on the engine.  ``clock`` is the run's
     :class:`~repro.mpisim.ClockModel`; ``engine`` accepts only
     ``"events"``.
     """
@@ -360,8 +272,8 @@ def _engine_cg(mat, b, rtol, max_iterations, precond_pair, tracker, clock):
         dot_s = seconds(*vector_work(n, dots=1))
         axpy_s = seconds(*vector_work(n, updates=2))
         update_s = seconds(*vector_work(n, updates=1))
-        a = _Block(comm, mat, overlap=False)
-        pre = ([_Block(comm, m, overlap=False) for m in precond_pair]
+        a = _Block(comm, mat)
+        pre = ([_Block(comm, m) for m in precond_pair]
                if precond_pair is not None else None)
 
         async def gdot(u: np.ndarray, v: np.ndarray) -> float:
@@ -437,11 +349,9 @@ def spmd_pipelined_pcg(
       fewer reduction messages per edge per iteration, byte-identical
       totals (auditable with :class:`~repro.mpisim.CommTracker`);
     * **overlapped SpMV** (``overlap=True``) — each halo exchange is
-      posted with :func:`_halo_exchange_start`, the local column block
-      ``A_ll·x_local`` is computed while peer traffic is in flight, and
-      only then does the rank wait — so
-      summed ``spmd.halo.wait`` time in :mod:`repro.observe.timeline`
-      drops versus the blocking exchange.
+      posted, the local column block ``A_ll·x_local`` is computed while
+      peer traffic is in flight, and only then does the rank wait — so
+      summed ``spmd.halo.wait`` time drops versus the blocking exchange.
 
     ``clock`` is the run's :class:`~repro.mpisim.ClockModel`: with a link
     latency the overlap benefit is directly visible as reduced modeled wait
@@ -449,96 +359,18 @@ def spmd_pipelined_pcg(
     ``telemetry`` takes a :class:`repro.observe.stream.TelemetryConfig`:
     each rank's compute, halo and allreduce waits, reductions and messages
     go into bounded histograms, giving :mod:`repro.observe.conformance` its
-    simulated per-phase seconds without full tracing (not under the tracer
-    or a fault plan: :class:`TelemetryError`).  ``engine`` accepts only
-    ``"events"``.
+    simulated per-phase seconds without full tracing.  There is no faulted
+    run: a fault plan raises :class:`~repro.errors.CommError`, or with
+    ``telemetry`` :class:`TelemetryError`.  ``engine`` accepts only ``"events"``.
     Returns ``(solution, iterations)``; iterates match the BSP
     ``pipelined_pcg`` to roundoff (the overlapped split changes row
     summation order in the last ulps).
     """
     _check_engine(engine)
-    run = (_engine_pipelined_pcg if _watched(telemetry)
-           else partial(_clocked_pipelined_pcg, telemetry=telemetry))
-    return run(mat, b, rtol, max_iterations, precond_pair, tracker, overlap,
-               clock if clock is not None else ClockModel())[:2]
-
-
-def _engine_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker, overlap,
-                          clock):
-    """The rank program on the engine: solution, iterations, final clocks."""
-    part = mat.partition
-
-    async def _prog(comm: Comm):
-        p = comm.rank
-        n = mat.locals[p].n_local
-        rank = _Rank(comm)
-        seconds = comm.clock.kernel_seconds
-        dots_s = [seconds(*vector_work(n, dots=k)) for k in range(4)]
-        update_s = seconds(*vector_work(n, updates=4))
-        product = rank.spmv_overlapped if overlap else rank.spmv
-        a = _Block(comm, mat, overlap)
-        pre = ([_Block(comm, m, overlap) for m in precond_pair]
-               if precond_pair is not None else None)
-
-        async def fused_dots(*pairs: tuple[np.ndarray, np.ndarray]) -> list[float]:
-            partials = np.array(
-                [float(np.dot(u, v)) for u, v in pairs], dtype=np.float64
-            )
-            rank.charge(dots_s[len(pairs)])
-            return [float(v) for v in await rank.allreduce(partials, fused=len(pairs))]
-
-        async def apply_precond(v: np.ndarray) -> np.ndarray:
-            if pre is None:
-                return v.copy()
-            return await product(pre[1], await product(pre[0], v))
-
-        x = np.zeros(n, dtype=np.float64)
-        r = b.parts[p].copy()
-        (norm0_sq,) = await fused_dots((r, r))
-        norm0 = float(np.sqrt(max(norm0_sq, 0.0)))
-        if norm0 == 0.0:
-            return x, 0, comm.now()
-        target = rtol * norm0
-        u = await apply_precond(r)
-        w = await product(a, u)
-        gamma, delta = await fused_dots((r, u), (w, u))
-        m_w = await apply_precond(w)
-        n_vec = await product(a, m_w)
-        z = n_vec.copy()
-        q = m_w.copy()
-        pd = u.copy()
-        s = w.copy()
-        alpha = gamma / delta if delta != 0 else 0.0
-        res = norm0
-        iterations = 0
-        for _ in range(max_iterations):
-            if res <= target or delta == 0 or not np.isfinite(alpha):
-                break
-            with rank.tracer.span("spmd.iteration", rank=p, index=iterations):
-                x += alpha * pd
-                r -= alpha * s
-                u -= alpha * q
-                w -= alpha * z
-                rank.compute("axpy", update_s)
-                rr, gamma_new, delta = await fused_dots((r, r), (r, u), (w, u))
-                res = float(np.sqrt(max(rr, 0.0)))
-                iterations += 1
-                if res <= target:
-                    break
-                m_w = await apply_precond(w)
-                n_vec = await product(a, m_w)
-                beta = gamma_new / gamma if gamma != 0 else 0.0
-                gamma = gamma_new
-                denom = delta - beta * gamma / alpha if alpha != 0 else delta
-                alpha = gamma / denom if denom != 0 else 0.0
-                z = n_vec + beta * z
-                q = m_w + beta * q
-                pd = u + beta * pd
-                s = w + beta * s
-                rank.compute("axpy", update_s)
-        return x, iterations, comm.now()
-
-    return _gathered(part, run_spmd(_prog, part.nparts, tracker=tracker, clock=clock))
+    _unwatched("spmd_pipelined_pcg", telemetry)
+    return _clocked_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker,
+                                  overlap, clock if clock is not None else ClockModel(),
+                                  telemetry)[:2]
 
 
 # -- the clocked executor -----------------------------------------------
@@ -563,10 +395,22 @@ def _dot_groups(sizes: np.ndarray, row_offsets: np.ndarray) -> list[tuple]:
 
 class _Ledger:
     """Every rank's modeled clock in a clocked run, and its traffic; with
-    ``telemetry``, also each rank's charges (not the pack ones), late
-    receives and allreduces in its order, and its messages."""
+    ``telemetry`` or the tracer on, a record of the run too (``observed``),
+    in program order, an entry per operation for all ranks at once.
+    Telemetry reads ``(_COMPUTE, ranks, seconds, ends, None, kernel)``, a
+    charge (in the ``spmd.compute`` span of ``kernel``, or ``None``: no
+    span); ``(_HALO_WAIT | _COLLECTIVE_WAIT, ranks, seconds, ends,
+    sources)``, late receives; ``(_REDUCTION, everyone, seconds, ends,
+    None)``, an allreduce.  The tracer reads the charges and reductions and,
+    recorded only when traced: ``(_POSTED, exchange, sent)``, the packs,
+    ending at ``sent`` where the sends leave; ``(_DELIVERED, exchange,
+    arrival)``; ``(_ROUNDS, log, nbytes, fused)``, an allreduce's start and
+    rounds (``log`` of ``(dests, their clocks, arrival, sources, sender
+    clocks)``, ``fused`` its dots or ``None``: untagged); ``(_ITERATION,
+    index)`` and ``(_ITERATION, None)``, an iteration's start and end.
+    """
 
-    def __init__(self, part, clock, telemetry=None):
+    def __init__(self, part, clock, telemetry=None, fused: bool = False):
         self.clock, self.clocks = clock, np.zeros(part.nparts)
         self.sizes = part.sizes()
         self.row_offsets = np.zeros(part.nparts + 1, dtype=np.int64)
@@ -575,7 +419,14 @@ class _Ledger:
         self.reduced: list[int] = []  # the bytes of each allreduce
         self.halos: dict[int, list] = {}  # id(schedule) -> [schedule, starts]
         self.telemetry, self.everyone = telemetry, np.arange(part.nparts)
-        self.observed: list | None = [] if telemetry is not None else None
+        # the run's tracer and metrics, resolved once
+        self.tracer, self.metrics = get_tracer(), get_metrics()
+        self.traced, self.fused = self.tracer.enabled, fused
+        self.observed: list | None = [] if telemetry is not None or self.traced else None
+        if self.traced:  # one track a rank, numbered as the engine numbers them
+            self.now = [0.0]
+            stamp = partial(self.now.__getitem__, 0)
+            self.tracks = [self.tracer.task(r, stamp) for r in range(part.nparts)]
 
     def dots(self, seconds: np.ndarray, *pairs) -> list[float]:
         """Each rank's dot product of its part of each pair of vectors,
@@ -596,6 +447,9 @@ class _Ledger:
         else:
             self.computed(seconds)
             start, log = self.clocks.copy(), []
+            if self.traced:  # the allreduce starts; ``log`` fills with its rounds
+                self.observed.append((_ROUNDS, log, self.reduced[-1],
+                                      len(pairs) if self.fused else None))
             reduce_rounds(self.clocks, partials, self.clock.alpha, self.clock.beta,
                           self.reduced[-1], log)
             self.waited(_COLLECTIVE_WAIT, log)
@@ -603,15 +457,17 @@ class _Ledger:
                                   self.clocks.copy(), None))
         return partials[0].tolist()
 
-    def computed(self, seconds: np.ndarray, ranks: np.ndarray | None = None) -> None:
+    def computed(self, seconds: np.ndarray, ranks: np.ndarray | None = None,
+                 kernel: str | None = None) -> None:
         """Observe the charge of ``seconds`` just made (on ``ranks``)."""
         ranks = self.everyone if ranks is None else ranks
-        self.observed.append((_COMPUTE, ranks, seconds[ranks], self.clocks[ranks], None))
+        self.observed.append((_COMPUTE, ranks, seconds[ranks], self.clocks[ranks], None,
+                              kernel))
 
     def waited(self, name: str, log: list) -> None:
         """Observe the late ones of a log of receives, each ``(ranks, their
-        clocks, arrival, sources)`` (a rank once), in order."""
-        for ranks, start, arrival, sources in log:
+        clocks, arrival, sources, …)`` (a rank once), in order."""
+        for ranks, start, arrival, sources, *_ in log:
             late = arrival > start
             seconds = (arrival - start)[late]
             if seconds.size:  # an attribute: ``late.any()`` would be a Python call
@@ -619,14 +475,17 @@ class _Ledger:
                                       sources[late]))
 
     def finish(self, part, x: np.ndarray, iterations: int, tracker):
-        """Book the traffic as the engine does, and the telemetry; solution,
-        iterations, clocks."""
+        """Book the traffic as the engine does, the telemetry and the
+        spans; solution, iterations, clocks."""
         if tracker is not None:
             book_bulk(tracker, self.sizes.size, len(self.reduced), sum(self.reduced),
                       self.halos.values())
         if self.telemetry is not None:
-            self.telemetry.aggregate(self.sizes.size, self.observed, self.messages(),
-                                     tracker)
+            observed = ([entry for entry in self.observed if entry[0] in _HISTOGRAMS]
+                        if self.traced else self.observed)
+            self.telemetry.aggregate(self.sizes.size, observed, self.messages(), tracker)
+        if self.traced:
+            _trace(self)
         return DistVector.from_values(part, x), iterations, self.clocks
 
     def messages(self) -> list:
@@ -666,16 +525,128 @@ def book_bulk(tracker: CommTracker, size: int, calls: int, nbytes: int, halos) -
                            counts[order].tolist(), sums[order].tolist())
 
 
+#: The kernels of a traced run's ``spmd.compute`` spans, and what a row of
+#: a rank's stream in :func:`_trace` does.
+_KERNELS = ("spmv", "spmv_local", "spmv_halo", "axpy")
+_KERNEL, _PACK, _SEND, _HALO, _RECV, _OPEN, _CLOSE, _STEP = range(8)
+
+
+def _streams(ledger: _Ledger) -> list[np.ndarray]:
+    """A traced run's record as rows ``(rank, what, time, peer, tag,
+    value)``, each rank's in its program order."""
+    rows, everyone = [], ledger.everyone
+
+    def add(ranks, what, time=np.nan, peer=-1, tag=0, value=0):
+        rows.append((ranks, *(np.broadcast_to(column, len(ranks))
+                              for column in (what, time, peer, tag, value))))
+
+    for name, *entry in ledger.observed:
+        if name == _COMPUTE:  # value: the kernel's span, or -1 (none)
+            ranks, _, ends, _, kernel = entry
+            add(ranks, _KERNEL, ends, value=-1 if kernel is None else _KERNELS.index(kernel))
+        elif name == _POSTED:  # the packs, then each rank's sends by receiver
+            (src, dst, nbytes), sent = entry[0].messages, entry[1]
+            add(everyone, _PACK, sent, value=np.bincount(src, nbytes, everyone.size).astype(int))
+            add(src, _SEND, sent[src], dst, _TAG_HALO, nbytes)
+        elif name == _DELIVERED:
+            (src, dst, nbytes), arrival = entry[0].messages, entry[1]
+            add(dst, _HALO, arrival, src, _TAG_HALO, nbytes)
+        elif name == _ROUNDS:  # in a round, a rank sends before it receives
+            log, nbytes, fused = entry
+            add(everyone, _OPEN, value=-1 if fused is None else fused)
+            for (dst, _, arrival, src, sent), (*_, tag, _) in zip(
+                    log, allreduce_schedule(everyone.size)):
+                add(src, _SEND, sent, dst, tag, nbytes)
+                add(dst, _RECV, arrival, src, tag)
+        elif name == _REDUCTION:
+            add(everyone, _CLOSE, entry[2])
+        elif name == _ITERATION:
+            add(everyone, _STEP, value=-1 if entry[0] is None else entry[0])
+    columns = [np.concatenate(column) for column in zip(*rows)]
+    order = np.argsort(columns[0], kind="stable")
+    return [column[order] for column in columns]
+
+
+def _trace(ledger: _Ledger) -> None:
+    """Emit a traced run's spans and message counters from its record.
+
+    Each rank's spans go on its own track (``tracer.task(rank, …)``, made
+    in rank order), as its rank program emits them on the engine, except
+    the receives' instant events (they carry no time) and the waits of
+    receives whose message had arrived.  Ranks are emitted one after
+    another, each in program order, so spans at equal modeled instants are
+    ordered by (clock, rank, sequence) in ``tracer.spans``.
+    """
+    rank, what, time, peer, tag, value = _streams(ledger)
+    tracer, now = ledger.tracer, ledger.now
+
+    def opened(name: str, **tags):
+        context = tracer.span(name, **tags)
+        context.__enter__()
+        return context
+
+    def spanned(name: str, end: float, **tags) -> None:
+        with tracer.span(name, **tags):
+            now[0] = end
+
+    bounds = np.cumsum(np.bincount(rank, minlength=ledger.everyone.size)).tolist()
+    outer, lo = tracer.activate(ledger.tracks[0]), 0
+    try:
+        for p, hi in enumerate(bounds):
+            tracer.activate(ledger.tracks[p])
+            now[0] = 0.0
+            stack = [opened("spmd.rank", rank=p)]
+            for w, t, q, g, v in zip(*(column[lo:hi].tolist()
+                                       for column in (what, time, peer, tag, value))):
+                if w == _KERNEL and v < 0:
+                    now[0] = t
+                elif w == _KERNEL:
+                    spanned("spmd.compute", t, rank=p, kernel=_KERNELS[v])
+                elif w == _SEND:
+                    now[0] = t  # the sender's clock, where its walk stands
+                    tracer.event("mpisim.send", src=p, dst=q, tag=g, bytes=v)
+                elif w == _HALO:
+                    with tracer.span("spmd.halo.wait", rank=p, src=q, bytes=v):
+                        if t > now[0]:
+                            spanned("mpisim.wait", t, rank=p, src=q, tag=g)
+                elif w == _RECV:
+                    if t > now[0]:
+                        spanned("mpisim.wait", t, rank=p, src=q, tag=g)
+                elif w == _PACK:
+                    spanned("spmd.halo.pack", t, rank=p, bytes=v)
+                elif w == _OPEN:
+                    stack.append(opened("spmd.reduction", rank=p) if v < 0
+                                 else opened("spmd.reduction", rank=p, fused=v))
+                    stack.append(opened("mpisim.allreduce", rank=p))
+                elif w == _CLOSE:
+                    now[0] = t
+                    stack.pop().__exit__(None, None, None)
+                    stack.pop().__exit__(None, None, None)
+                elif v >= 0:  # a _STEP: iteration ``v`` starts, or (-1) ends
+                    stack.append(opened("spmd.iteration", rank=p, index=v))
+                else:
+                    stack.pop().__exit__(None, None, None)
+            lo, now[0] = hi, float(ledger.clocks[p])
+            while stack:  # a solve that stopped inside an iteration ends it here
+                stack.pop().__exit__(None, None, None)
+    finally:
+        tracer.activate(outer)
+    sends = what == _SEND
+    if sends.any():
+        ledger.metrics.counter("mpisim.messages").inc(int(sends.sum()))
+        ledger.metrics.counter("mpisim.bytes").inc(int(value[sends].sum()))
+
+
 class _Exchange:
     """One matrix's halo exchanges in a clocked run: a receiving rank's
     clock becomes ``max(own, post + β·bytes)`` over its sources, one
-    segment max over the messages, which come by receiver (under
-    telemetry, one receive at a time in ``recv_from`` order)."""
+    segment max over the messages, which come by receiver (observed, one
+    receive at a time in ``recv_from`` order)."""
 
     def __init__(self, ledger: _Ledger, mat: DistMatrix):
         sched = mat.schedule
         self.ledger = ledger
-        self.src, receivers, nbytes = sched.messages
+        self.src, receivers, nbytes = self.messages = sched.messages
         self.link = ledger.clock.beta * nbytes
         self.dests, self.segments = np.unique(receivers, return_index=True)
         self.starts = ledger.halos.setdefault(id(sched), [sched, 0])
@@ -700,6 +671,8 @@ class _Exchange:
                 log.append((ranks, start, arrived, self.src[edges]))
                 clocks[ranks] = np.maximum(start, arrived)
             self.ledger.waited(_HALO_WAIT, log)
+            if self.ledger.traced:
+                self.ledger.observed.append((_DELIVERED, self, arrival))
         return v.take(self.source, out=self.halo, mode="clip")  # in range: no buffer
 
 
@@ -733,25 +706,27 @@ class _Product(_Exchange):
         ledger = self.ledger
         ledger.clocks += self.pack_s
         self.starts[1] += 1
+        if ledger.traced:
+            ledger.observed.append((_POSTED, self, ledger.clocks.copy()))
         post = ledger.clocks + ledger.clock.alpha
         if self.fused is not None:
             self._finish(post, v)
             plan, seconds = self.fused
             self.operand[: self.n] = v
             y = plan.spmv(self.operand, out)
-            ranks = None
+            ranks, kernel = None, "spmv"
         else:
             plan, seconds = self.local
             y = plan.spmv(v, out)
             ledger.clocks += seconds
             if ledger.observed is not None:
-                ledger.computed(seconds)
+                ledger.computed(seconds, kernel="spmv_local")
             plan, seconds = self.remote
             y += plan.spmv(self._finish(post, v))
-            ranks = self.haloed
+            ranks, kernel = self.haloed, "spmv_halo"
         ledger.clocks += seconds
         if ledger.observed is not None:
-            ledger.computed(seconds, ranks)
+            ledger.computed(seconds, ranks, kernel)
         return y
 
 
@@ -784,6 +759,8 @@ def _clocked_cg(mat, b, rtol, max_iterations, precond_pair, tracker, clock):
     for _ in range(max_iterations):
         if np.sqrt(gdot(r, r)) <= rtol * norm0:
             break
+        if ledger.traced:
+            ledger.observed.append((_ITERATION, iterations))
         a.product(d, ad)
         dad = gdot(d, ad)
         if dad <= 0 or not np.isfinite(dad):
@@ -792,12 +769,18 @@ def _clocked_cg(mat, b, rtol, max_iterations, precond_pair, tracker, clock):
         x += alpha * d
         r -= alpha * ad
         ledger.clocks += axpy_s
+        if ledger.observed is not None:
+            ledger.computed(axpy_s, kernel="axpy")
         apply_precond(r, z)
         rz_new = gdot(r, z)
         beta = rz_new / rz
         rz = rz_new
         np.add(z, beta * d, out=d)
         ledger.clocks += update_s
+        if ledger.observed is not None:
+            ledger.computed(update_s)
+            if ledger.traced:
+                ledger.observed.append((_ITERATION, None))
         iterations += 1
     return ledger.finish(part, x, iterations, tracker)
 
@@ -807,7 +790,7 @@ def _clocked_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker, 
     """``spmd_pipelined_pcg``'s rank program over all ranks, as
     :func:`_clocked_cg`."""
     part = mat.partition
-    ledger = _Ledger(part, clock, telemetry)
+    ledger = _Ledger(part, clock, telemetry, fused=True)
     dots_s = [clock.kernel_seconds(*vector_work(ledger.sizes, dots=k)) for k in range(4)]
     update_s = clock.kernel_seconds(*vector_work(ledger.sizes, updates=4))
     a = _Product(ledger, mat, overlap)
@@ -834,13 +817,15 @@ def _clocked_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker, 
     for _ in range(max_iterations):
         if res <= target or delta == 0 or not np.isfinite(alpha):
             break
+        if ledger.traced:
+            ledger.observed.append((_ITERATION, iterations))
         x += alpha * pd
         r -= alpha * s
         u -= alpha * q
         w -= alpha * z
         ledger.clocks += update_s
         if ledger.observed is not None:
-            ledger.computed(update_s)
+            ledger.computed(update_s, kernel="axpy")
         rr, gamma_new, delta = ledger.dots(dots_s[3], (r, r), (r, u), (w, u))
         res = float(np.sqrt(max(rr, 0.0)))
         iterations += 1
@@ -858,5 +843,7 @@ def _clocked_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker, 
         s = w + beta * s
         ledger.clocks += update_s
         if ledger.observed is not None:
-            ledger.computed(update_s)
+            ledger.computed(update_s, kernel="axpy")
+            if ledger.traced:
+                ledger.observed.append((_ITERATION, None))
     return ledger.finish(part, x, iterations, tracker)

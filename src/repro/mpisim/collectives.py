@@ -79,13 +79,14 @@ def reduce_rounds(clocks, partials, alpha: float, beta: float, nbytes: int,
     """Every allreduce round for all ranks at once, in place: ``clocks``
     move as the point-to-point rounds move them and ``partials`` (a row per
     rank) become each rank's sum.  ``log`` gets each round's ``(dests,
-    their clocks, arrival, sources)``."""
+    their clocks, arrival, sources, sender clocks)``."""
     for src, dst, _, combines in allreduce_schedule(len(clocks)):
-        arrival = clocks[src] + alpha
+        sent = clocks[src]
+        arrival = sent + alpha
         if beta:
             arrival += beta * nbytes
         if log is not None:
-            log.append((dst, clocks[dst], arrival, src))
+            log.append((dst, clocks[dst], arrival, src, sent))
         clocks[dst] = np.maximum(clocks[dst], arrival)
         if combines:
             partials[dst] = partials[dst] + partials[src]

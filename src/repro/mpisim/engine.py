@@ -33,11 +33,11 @@ Everything a rank program exchanges is such a message: the allreduce is
 the recursive doubling of :func:`~repro.mpisim.collectives.allreduce`, and
 a halo update one ``irecv`` and one ``send`` per edge
 (:mod:`repro.dist.spmd`).  So the tracker, the tracer and the fault
-injector each see every message, on its own rank at its modeled instant,
-and one code path serves watched, faulted and plain runs alike.  Timed
-solves do not run here: the clocked executor of :mod:`repro.dist.spmd`
-computes the same clocks and traffic for all ranks at once, and the rank
-programs run here are its oracle.
+injector each see every message, on its own rank at its modeled instant.
+Only faulted solves run here: the clocked executor of
+:mod:`repro.dist.spmd` computes the same clocks, traffic, telemetry and
+spans for all ranks at once in every other run, plain or traced, and the
+rank programs run here are its oracle.
 """
 
 from __future__ import annotations

@@ -502,8 +502,9 @@ class TelemetryConfig:
         """Each rank's telemetry from a clocked run's record, reduced into
         :attr:`result` by :func:`aggregate_telemetry`.
 
-        ``observed`` lists ``(name, ranks, seconds, ends, sources)`` arrays
-        in every rank's own order (``sources`` ``None``: no source);
+        ``observed`` lists ``(name, ranks, seconds, ends, sources, …)``
+        arrays in every rank's own order (``sources`` ``None``: no source;
+        what follows is for the tracer);
         ``sent`` lists ``(senders, nbytes, repeats)`` of the solver
         messages.  Sums accumulate in that order and buckets come from
         :meth:`StreamingHistogram.bounds`: each histogram is bitwise what
@@ -515,7 +516,7 @@ class TelemetryConfig:
         chosen, nowhere = np.isin(np.arange(size), sorted(sampled)), np.full(size, -1)
         by_name: dict[str, list] = {}
         spans: list[tuple] = []  # (rank, name, start, end, source) of the sampled ranks
-        for name, ranks, seconds, ends, sources in observed:
+        for name, ranks, seconds, ends, sources, *_ in observed:
             by_name.setdefault(name, []).append((ranks, seconds))
             keep = chosen[ranks]
             sources = nowhere[: ranks.size] if sources is None else sources

@@ -1,11 +1,11 @@
 """Cross-rank timeline reconstruction and critical-path analysis.
 
-The SPMD runtime (:func:`repro.mpisim.run_spmd` driving
-:func:`repro.dist.spmd.spmd_cg`) produces one span stream per rank:
+A traced SPMD solve (:func:`repro.dist.spmd.spmd_cg`, emitted from the
+clocked executor's ledger) produces one span stream per rank:
 ``spmd.compute`` / ``spmd.halo.pack`` / ``spmd.halo.wait`` /
-``spmd.reduction`` phase spans from the solver, ``mpisim.wait`` receive
-spans and ``mpisim.send`` / ``mpisim.recv`` instant events from the
-communicator, plus one ``spmd.rank`` root span per rank.  Every timestamp
+``spmd.reduction`` phase spans, ``mpisim.wait`` spans of the receives that
+waited and ``mpisim.send`` instant events, plus one ``spmd.rank`` root
+span per rank.  Every timestamp
 is that rank's *modeled* clock — seconds since the launch on the one time
 axis all ranks share — so there are no clock offsets to reconcile.  This
 module merges those streams into one global :class:`Timeline`:
@@ -203,8 +203,9 @@ class Timeline:
 
     Construct via :meth:`from_tracer` (live run), :meth:`from_spans` /
     :meth:`from_trace_doc` (exported spans) or :meth:`load` (saved
-    timeline).  Segments are kept sorted by start time; per-rank streams
-    are validated to be monotonic on every construction path.
+    timeline).  Segments are kept sorted by ``(start, rank, end)``, edges
+    by ``(time, src, dst, bytes)``, whatever order the spans came in;
+    per-rank streams are validated to be monotonic on every path.
     """
 
     def __init__(
@@ -218,7 +219,9 @@ class Timeline:
             segments, key=lambda s: (s.start, s.rank, s.end)
         )
         _validate_durations(self.segments)
-        self.edges: list[CommEdge] = list(edges or [])
+        self.edges: list[CommEdge] = sorted(
+            edges or [], key=lambda e: (e.time, e.src, e.dst, e.bytes)
+        )
         self.meta: dict = dict(meta or {})
         self._critical: CriticalPath | None = None
 

@@ -1,33 +1,32 @@
 """The clocked executor against the engine it stands in for.
 
-An unwatched ``spmd_cg`` / ``spmd_pipelined_pcg`` runs its rank program's
-text once over all ranks (the clocked executor at the end of
-:mod:`repro.dist.spmd`) instead of one coroutine per rank on
-:func:`repro.mpisim.run_spmd`.  The oracle is the
-rank program itself on the engine (``_engine_cg`` /
-``_engine_pipelined_pcg``): the solution's bytes, the iterations, every
-rank's final modeled clock and the tracker's snapshot must be equal —
-under the all-zero clock and under the Skylake one, with and without a
-preconditioner, on block and random owner maps, and where some or all
-ranks have no halo edge.  The dispatch rule is pinned too: a solve that a
-fault injector or the tracer watches reaches ``run_spmd``; no other does,
-telemetered or not.
+``spmd_cg`` / ``spmd_pipelined_pcg`` run their solver's text once over all
+ranks (the clocked executor at the end of :mod:`repro.dist.spmd`) instead
+of one coroutine per rank on :func:`repro.mpisim.run_spmd`.  The oracle is
+the rank program on the engine (``spmd_cg``'s ``_engine_cg``, and the
+pipelined program in :mod:`rank_programs`): the solution's bytes, the
+iterations, every rank's final modeled clock and the tracker's snapshot
+must be equal — under the all-zero clock and under the Skylake one, with
+and without a preconditioner, on block and random owner maps, and where
+some or all ranks have no halo edge.  The dispatch rule is pinned too:
+only a fault plan puts ``spmd_cg`` on ``run_spmd``; traced and telemetered
+solves never reach it, and the pipelined solve has no faulted run.
 """
 
 from __future__ import annotations
-
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rank_programs import engine_cg, engine_pipelined_pcg
 
 import repro.dist.spmd as spmd
 from repro.core import ExtensionMode, ExtensionWorkspace, FilterSpec, build_fsai
 from repro.dist import DistMatrix, DistVector, RowPartition, spmd_cg, spmd_pipelined_pcg
 from repro.dist.spmd import _clocked_cg as clocked_cg
 from repro.dist.spmd import _clocked_pipelined_pcg as clocked_pipelined_pcg
+from repro.errors import CommError
 from repro.instrument import tracing
 from repro.matgen import paper_rhs, poisson2d
 from repro.mpisim import ClockModel, CommTracker
@@ -41,9 +40,9 @@ CLOCKS = {"zero": ClockModel(), "skylake": SKYLAKE.clock_model()}
 
 #: name -> (engine entry, clocked entry, extra positional arguments)
 SOLVERS = {
-    "cg": (spmd._engine_cg, clocked_cg, ()),
-    "pipelined": (spmd._engine_pipelined_pcg, clocked_pipelined_pcg, (True,)),
-    "pipelined_fused": (spmd._engine_pipelined_pcg, clocked_pipelined_pcg, (False,)),
+    "cg": (engine_cg, clocked_cg, ()),
+    "pipelined": (engine_pipelined_pcg, clocked_pipelined_pcg, (True,)),
+    "pipelined_fused": (engine_pipelined_pcg, clocked_pipelined_pcg, (False,)),
 }
 
 
@@ -189,10 +188,10 @@ def system():
             DistVector.from_global(paper_rhs(mat, seed=0), part), (fsai.g, fsai.gt))
 
 
-WATCHERS = {
-    "tracer": lambda: tracing(),
-    "fault-injector": lambda: fault_injection(FaultPlan()),
-}
+def solve_facts(solver, system, tracker):
+    da, b, pair = system
+    x, iterations = solver(da, b, precond_pair=pair, tracker=tracker)
+    return x.values.tobytes(), iterations, tracker.snapshot()
 
 
 @pytest.mark.parametrize("solver", [spmd_cg, spmd_pipelined_pcg], ids=lambda s: s.__name__)
@@ -202,19 +201,38 @@ def test_an_unwatched_solve_never_reaches_the_engine(engine_runs, system, solver
     assert engine_runs == []
 
 
-@pytest.mark.parametrize("watcher", WATCHERS)
 @pytest.mark.parametrize("solver", [spmd_cg, spmd_pipelined_pcg], ids=lambda s: s.__name__)
+def test_a_traced_solve_never_reaches_the_engine(engine_runs, system, solver):
+    """The tracer reads the clock ledger: the traced solve gives the
+    untraced one's bits and traffic."""
+    plain = solve_facts(solver, system, CommTracker())
+    with tracing() as (tracer, _):
+        traced = solve_facts(solver, system, CommTracker())
+    assert engine_runs == []
+    assert traced == plain
+    assert tracer.by_name("spmd.iteration")
+
+
+@pytest.mark.parametrize("watcher", ["fault-injector"])
+@pytest.mark.parametrize("solver", [spmd_cg], ids=lambda s: s.__name__)
 def test_a_watched_solve_runs_on_the_engine(engine_runs, system, solver, watcher):
-    """... and gives the unwatched solve's answer and traffic."""
-    da, b, pair = system
-    results = []
-    for watched in (False, True):
-        tracker = CommTracker()
-        with WATCHERS[watcher]() if watched else nullcontext():
-            x, iterations = solver(da, b, precond_pair=pair, tracker=tracker)
-        results.append((x.values.tobytes(), iterations, tracker.snapshot()))
+    """A fault plan puts ``spmd_cg`` on the engine, and an empty one gives
+    the unwatched solve's answer and traffic."""
+    plain = solve_facts(solver, system, CommTracker())
+    with fault_injection(FaultPlan()):
+        faulted = solve_facts(solver, system, CommTracker())
     assert engine_runs == [4]
-    assert results[0] == results[1]
+    assert faulted == plain
+
+
+def test_a_faulted_pipelined_solve_is_a_typed_error(engine_runs, system):
+    """The pipelined solve has no rank program in the library: under a
+    fault plan it names the solver that runs faulted instead of running."""
+    with fault_injection(FaultPlan()):
+        with pytest.raises(CommError, match="spmd_pipelined_pcg cannot run under a fault "
+                                            "plan: only spmd_cg runs faulted"):
+            solve_facts(spmd_pipelined_pcg, system, CommTracker())
+    assert engine_runs == []
 
 
 def test_a_telemetered_solve_never_reaches_the_engine(engine_runs, system):

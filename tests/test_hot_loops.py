@@ -23,8 +23,8 @@ distribution (``RowPartition``, ``HaloSchedule.from_row_structure``,
 a·P + b calls, where a counts only the construction of each rank's
 ``LocalMatrix`` and its ``CSRMatrix``.  The rank
 programs on ``run_spmd`` are not counted: they exchange point to
-point, a Python call per message by design, and only watched, faulted and
-oracle runs execute them.
+point, a Python call per message by design, and only faulted and oracle
+runs execute them.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ import numpy as np
 import p2p_collectives as coll
 import pytest
 from conftest import ring_halo
+from rank_programs import halo_exchange_finish, halo_exchange_start
 
 from repro.dist import DistMatrix, DistVector, RowPartition, spmd_halo_update
-from repro.dist.spmd import _halo_exchange_finish, _halo_exchange_start
 from repro.errors import CommError
 from repro.matgen import poisson2d
 from repro.mpisim import ANY_TAG, ClockModel, CommTracker, payload_nbytes, run_spmd
@@ -356,8 +356,8 @@ class TestAllreduceFailures:
 
         async def prog(comm):
             if comm.rank == 1:
-                pending = _halo_exchange_start(comm, ring, np.ones(4))
-                return await _halo_exchange_finish(comm, ring, pending, np.zeros(1))
+                pending = halo_exchange_start(comm, ring, np.ones(4))
+                return await halo_exchange_finish(comm, ring, pending, np.zeros(1))
             return await comm.allreduce(1.0)
 
         with pytest.raises(CommError, match="deadlock") as err:
@@ -379,8 +379,8 @@ class TestNativeHalo:
             if comm.rank == 1:
                 return None  # never posts
             halo = np.zeros(2)
-            pending = _halo_exchange_start(comm, ring, np.ones(4))
-            return await _halo_exchange_finish(comm, ring, pending, halo)
+            pending = halo_exchange_start(comm, ring, np.ones(4))
+            return await halo_exchange_finish(comm, ring, pending, halo)
 
         with pytest.raises(CommError, match="deadlock") as err:
             run_spmd(prog, 4)

@@ -121,7 +121,7 @@ def spmd_products(dmat: DistMatrix, x: DistVector) -> np.ndarray:
     """Every rank program's fused product of ``x``, rank after rank."""
 
     async def prog(comm):
-        return await _Rank(comm).spmv(_Block(comm, dmat, overlap=False),
+        return await _Rank(comm).spmv(_Block(comm, dmat),
                                       x.parts[comm.rank])
 
     return np.concatenate(run_spmd(prog, dmat.partition.nparts))

@@ -11,16 +11,11 @@ import numpy as np
 import p2p_collectives as coll
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from rank_programs import halo_exchange_finish, halo_exchange_start
 
 from repro.cachesim import CacheConfig, simulate_misses
 from repro.dist import DistMatrix, DistVector, HaloSchedule, RowPartition
-from repro.dist.spmd import (
-    _halo_exchange_finish,
-    _halo_exchange_start,
-    _Ledger,
-    _Product,
-    book_bulk,
-)
+from repro.dist.spmd import _Ledger, _Product, book_bulk
 from repro.instrument import tracing
 from repro.matgen import poisson2d
 from repro.mpisim import ClockModel, CommTracker, payload_nbytes, run_spmd
@@ -150,16 +145,16 @@ async def _three_exchanges(comm, mat, values, skews, work):
     p = comm.rank
     halos = [np.full(mat.schedule.ext_cols[p].size, np.nan) for _ in range(3)]
     comm.advance(skews[p])
-    first = _halo_exchange_start(comm, mat, values[p])
-    second = _halo_exchange_start(comm, mat, 2.0 * values[p])
+    first = halo_exchange_start(comm, mat, values[p])
+    second = halo_exchange_start(comm, mat, 2.0 * values[p])
     comm.advance(work[p])
-    await _halo_exchange_finish(comm, mat, first, halos[0])
+    await halo_exchange_finish(comm, mat, first, halos[0])
     clocks = [comm.now()]
-    await _halo_exchange_finish(comm, mat, second, halos[1])
+    await halo_exchange_finish(comm, mat, second, halos[1])
     clocks.append(comm.now())
     comm.advance(work[-1 - p])
-    await _halo_exchange_finish(
-        comm, mat, _halo_exchange_start(comm, mat, 3.0 * values[p]), halos[2]
+    await halo_exchange_finish(
+        comm, mat, halo_exchange_start(comm, mat, 3.0 * values[p]), halos[2]
     )
     clocks.append(comm.now())
     return [h.tobytes() for h in halos], clocks
@@ -360,8 +355,8 @@ async def _rank_program(comm, tree, alpha, halos):
                 halo = np.zeros(2)
                 mat = _shift_halo(size, shift, halos)
                 rows = np.array([float(value), comm.now()])
-                await _halo_exchange_finish(
-                    comm, mat, _halo_exchange_start(comm, mat, rows), halo
+                await halo_exchange_finish(
+                    comm, mat, halo_exchange_start(comm, mat, rows), halo
                 )
                 assert comm.now() >= halo[1] + alpha
                 value += int(halo[0])

@@ -14,8 +14,10 @@ bounds, sampled spans and the payload the tree shipped), the whole tracker
 snapshot with its ``telemetry_*`` section, the solution's bytes and the
 iterations must be reproduced exactly.  When the preconditioner's values
 move in the last bits (the supernodal FSAI set-up), only the
-``solution_sha256`` facts are re-pinned, each from a traced run on the
-per-message engine, never from the clocked executor under test.
+``solution_sha256`` facts are re-pinned, each from the rank program on the
+per-message engine (:mod:`rank_programs`), never from the clocked executor
+under test.  A traced run reads the same record as telemetry: under the
+tracer, telemetry is served to the same bits.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +42,7 @@ from repro.dist import (
 from repro.instrument import tracing
 from repro.matgen import paper_rhs, poisson2d
 from repro.mpisim import ClockModel, CommTracker
-from repro.observe import TelemetryConfig
+from repro.observe import TelemetryConfig, Timeline
 from repro.observe.stream import TelemetryError
 from repro.partition import block_partition_2d
 from repro.perfmodel import SKYLAKE
@@ -194,7 +196,6 @@ def test_a_telemetered_halo_audit_reproduces_the_engine(case):
 
 
 WATCHERS = {
-    "the tracer": [tracing],
     "a fault plan": [lambda: fault_injection(FaultPlan())],
     "the tracer and a fault plan": [tracing, lambda: fault_injection(FaultPlan())],
 }
@@ -203,19 +204,50 @@ WATCHERS = {
 @pytest.mark.parametrize("watcher", WATCHERS)
 @pytest.mark.parametrize("run", ["solve", "halo"])
 def test_telemetry_under_a_watcher_is_a_typed_error(run, watcher):
-    """A watched run exchanges on the engine, which carries no telemetry:
-    asking for both names the watcher instead of leaving ``result`` unset."""
+    """A fault plan needs the engine, which carries no telemetry: asking for
+    both names the fault plan instead of leaving ``result`` unset."""
     _, _, da, b = system(4)
     telemetry = TelemetryConfig()
     with ExitStack() as stack:
         for watch in WATCHERS[watcher]:
             stack.enter_context(watch())
-        with pytest.raises(TelemetryError, match=f"while {watcher} watches"):
+        with pytest.raises(TelemetryError, match="while a fault plan watches"):
             if run == "solve":
                 spmd_pipelined_pcg(da, b, max_iterations=2, telemetry=telemetry)
             else:
                 spmd_halo_update(da, b, telemetry=telemetry)
     assert telemetry.result is None
+
+
+def traced_run(run: str, traced: bool, telemetered: bool):
+    """One run on 15 ranks (Skylake clock) → its telemetry document and,
+    traced, its timeline document and metrics."""
+    mat, part, da, b = system(15)
+    pre = preconditioner("FSAIE-Comm", mat, part)
+    telemetry = TelemetryConfig(rank_sample="all") if telemetered else None
+    with tracing() if traced else nullcontext() as observed:
+        if run == "solve":
+            spmd_pipelined_pcg(da, b, max_iterations=4, precond_pair=(pre.g, pre.gt),
+                               clock=CLOCKS["skylake"], telemetry=telemetry)
+        else:
+            spmd_halo_update(pre.g, b, clock=CLOCKS["skylake"], telemetry=telemetry)
+    document = cluster_facts(telemetry.result) if telemetered else None
+    if not traced:
+        return document, None, None
+    tracer, metrics = observed
+    return document, Timeline.from_tracer(tracer).to_dict(), metrics.collect()
+
+
+@pytest.mark.parametrize("run", ["solve", "halo"])
+def test_telemetry_under_the_tracer_is_served(run):
+    """Both read one record: a traced, telemetered run gives the untraced
+    run's telemetry and the untelemetered run's timeline and metrics."""
+    untraced, _, _ = traced_run(run, traced=False, telemetered=True)
+    telemetry, timeline, metrics = traced_run(run, traced=True, telemetered=True)
+    _, alone, alone_metrics = traced_run(run, traced=True, telemetered=False)
+    assert telemetry == untraced
+    assert timeline == alone
+    assert metrics == alone_metrics
 
 
 if __name__ == "__main__":
