@@ -34,9 +34,9 @@ def _study(name: str):
         halo = da.schedule.total_halo_values()
         base = fsai_pattern(mat)
         dist_pat = DistMatrix.from_global(base.to_csr(), part)
-        exts = extend_dist_pattern(dist_pat, 64, ExtensionMode.COMM)
-        halo_added = sum(e.n_halo_added for e in exts)
-        local_added = sum(e.n_local_added for e in exts)
+        ext = extend_dist_pattern(dist_pat, 64, ExtensionMode.COMM)
+        halo_added = int(ext.n_halo_added.sum())
+        local_added = int(ext.n_local_added.sum())
         pre = build_fsaie_comm(mat, part)
         b = DistVector.from_global(paper_rhs(mat, 1), part)
         tracker = CommTracker()

@@ -11,8 +11,6 @@ add new entries (already-received columns of already-sent rows).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import ExtensionMode, extend_dist_pattern, fsai_pattern
 from repro.dist import DistMatrix, RowPartition
 from repro.matgen import poisson2d
@@ -28,10 +26,8 @@ def main() -> None:
 
     # compute the communication-aware extension with wide cache lines so the
     # eligible region is clearly visible
-    extensions = extend_dist_pattern(dist, line_bytes=256, mode=ExtensionMode.COMM)
-    added = {
-        (int(i), int(j)) for e in extensions for i, j in zip(e.rows, e.cols)
-    }
+    extension = extend_dist_pattern(dist, line_bytes=256, mode=ExtensionMode.COMM)
+    added = set(zip(extension.rows.tolist(), extension.cols.tolist()))
 
     owner = part.owner
     legend = {
@@ -67,8 +63,8 @@ def main() -> None:
     for ch, meaning in legend.items():
         print(f"  {ch!r}: {meaning}")
 
-    n_local = sum(e.n_local_added for e in extensions)
-    n_halo = sum(e.n_halo_added for e in extensions)
+    n_local = extension.n_local_added.sum()
+    n_halo = extension.n_halo_added.sum()
     print(f"\nadded entries: {n_local} local, {n_halo} halo "
           f"(halo additions only in columns already received and rows already sent)")
 
@@ -76,9 +72,7 @@ def main() -> None:
     from repro.dist import HaloSchedule
     from repro.core.precond import _union_with_entries
 
-    rows = np.array([i for i, _ in added], dtype=np.int64)
-    cols = np.array([j for _, j in added], dtype=np.int64)
-    ext_pattern = _union_with_entries(base, rows, cols)
+    ext_pattern = _union_with_entries(base, extension.rows, extension.cols)
     assert HaloSchedule.from_pattern(ext_pattern, part) == HaloSchedule.from_pattern(base, part)
     print("halo schedule unchanged ✓")
 

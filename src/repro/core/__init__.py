@@ -17,7 +17,7 @@ Typical use::
 
 from repro.core.adaptive import FSPAIOptions, fspai_factor
 from repro.core.cg import CGResult, cg, pcg, resolve_precond
-from repro.core.extension import ExtensionMode, RankExtension, extend_dist_pattern
+from repro.core.extension import DistExtension, ExtensionMode, extend_dist_pattern
 from repro.core.filtering import (
     FilterSpec,
     compute_dynamic_filters,
@@ -52,7 +52,7 @@ __all__ = [
     "fspai_factor",
     "pipelined_pcg",
     "ExtensionMode",
-    "RankExtension",
+    "DistExtension",
     "extend_dist_pattern",
     "FilterSpec",
     "entry_ratios",

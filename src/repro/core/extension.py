@@ -18,9 +18,12 @@ Admissibility:
   must already be sent to the candidate column's owner, so ``Gᵀ``'s exchange
   is also unchanged (Alg. 3 step 13).
 
-The whole computation is vectorised over the rank's entries: unique
-``(row, cache line)`` pairs expand to candidate positions, and membership /
-triangularity / ownership checks are array operations.
+The whole computation runs over every rank at once, with the rank as the
+leading key: unique ``(row, cache line)`` pairs of the stacked blocks
+expand to candidate positions, and membership / triangularity / ownership
+checks are array operations.  Ranks never interact (the paper runs Alg. 3
+on each process independently), so each rank's additions are what it
+computes alone.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from enum import Enum
 import numpy as np
 
 from repro.cachesim.lines import doubles_per_line
-from repro.dist.matrix import DistMatrix, LocalMatrix
+from repro.dist.matrix import DistMatrix
 
-__all__ = ["ExtensionMode", "RankExtension", "extend_rank_pattern", "extend_dist_pattern"]
+__all__ = ["ExtensionMode", "DistExtension", "extend_dist_pattern"]
 
 
 class ExtensionMode(Enum):
@@ -44,136 +47,107 @@ class ExtensionMode(Enum):
 
 
 @dataclass(frozen=True)
-class RankExtension:
-    """Additions computed for one rank, in *global* numbering."""
+class DistExtension:
+    """Additions computed for every rank, in *global* numbering, rank after
+    rank: rank ``p``'s at ``offsets[p] : offsets[p + 1]``."""
 
-    rank: int
     rows: np.ndarray  # global row ids of added entries
     cols: np.ndarray  # global column ids of added entries
-    n_local_added: int
-    n_halo_added: int
+    offsets: np.ndarray  # nparts + 1 bounds into rows / cols
+    n_local_added: np.ndarray  # per rank
+    n_halo_added: np.ndarray  # per rank
 
     @property
     def n_added(self) -> int:
-        """Total entries this rank adds."""
+        """Total entries every rank adds."""
         return self.rows.size
-
-
-def extend_rank_pattern(
-    lm: LocalMatrix,
-    owner: np.ndarray,
-    line_bytes: int,
-    mode: ExtensionMode,
-    *,
-    nparts: int,
-) -> RankExtension:
-    """Compute the cache-friendly extension of one rank's pattern block.
-
-    Parameters
-    ----------
-    lm:
-        The rank's block of the (lower-triangular) pattern of ``G``, with
-        local column indexing.
-    owner:
-        Global row→rank owner map (used for the halo admissibility rule).
-    line_bytes:
-        Cache line size of the target machine (64 B or 256 B in the paper).
-    mode:
-        ``LOCAL`` for FSAIE, ``COMM`` for FSAIE-Comm.
-    nparts:
-        Number of ranks of the partition ``owner`` describes.
-    """
-    dpl = doubles_per_line(line_bytes)
-    n_local = lm.n_local
-    n_total = n_local + lm.n_halo
-    csr = lm.csr
-    nnz = csr.nnz
-    empty = np.empty(0, dtype=np.int64)
-    if nnz == 0 or dpl == 1:
-        # one value per line: no free neighbours exist
-        return RankExtension(lm.rank, empty, empty, 0, 0)
-
-    entry_rows = np.repeat(np.arange(n_local, dtype=np.int64), csr.row_nnz())
-    entry_cols = csr.indices
-
-    # unique (row, cache line) pairs — step 6 of Alg. 3 ("already considered
-    # column block") collapses duplicates
-    n_lines = (n_total + dpl - 1) // dpl
-    pair_key = entry_rows * n_lines + entry_cols // dpl
-    uniq = np.unique(pair_key)
-    urow = uniq // n_lines
-    uline = uniq % n_lines
-
-    # expand each pair to the dpl candidate positions of its line (step 10)
-    cand_row = np.repeat(urow, dpl)
-    cand_col = (uline[:, None] * dpl + np.arange(dpl, dtype=np.int64)).ravel()
-    keep = cand_col < n_total
-    cand_row, cand_col = cand_row[keep], cand_col[keep]
-
-    # global ids of candidates
-    col_global = np.concatenate([lm.global_rows, lm.ext_cols])
-    gcol = col_global[cand_col]
-    grow = lm.global_rows[cand_row]
-
-    # strict lower-triangularity in global numbering
-    keep = gcol < grow
-    cand_row, cand_col, gcol = cand_row[keep], cand_col[keep], gcol[keep]
-
-    # drop candidates already present: keys are sorted because CSR rows are
-    is_halo = cand_col >= n_local
-    entry_key = entry_rows * n_total + entry_cols
-    cand_key = cand_row * n_total + cand_col
-    pos = np.searchsorted(entry_key, cand_key)
-    pos = np.minimum(pos, entry_key.size - 1)
-    present = entry_key[pos] == cand_key
-    keep = ~present
-    cand_row, cand_col, gcol, is_halo = (
-        cand_row[keep],
-        cand_col[keep],
-        gcol[keep],
-        is_halo[keep],
-    )
-
-    if mode is ExtensionMode.LOCAL:
-        keep = ~is_halo
-    else:
-        # halo candidate (i, j) admissible iff row i is already sent to
-        # owner(j): some existing halo entry of row i has that owner
-        halo_entries = entry_cols >= n_local
-        # (row, owner) keys of existing halo entries
-        existing_owner = owner[col_global[entry_cols[halo_entries]]]
-        sent_key = np.unique(entry_rows[halo_entries] * nparts + existing_owner)
-        cand_owner = owner[gcol]
-        cand_sent_key = cand_row * nparts + cand_owner
-        pos = np.searchsorted(sent_key, cand_sent_key)
-        pos = np.minimum(pos, max(sent_key.size - 1, 0))
-        row_sent = (
-            sent_key[pos] == cand_sent_key if sent_key.size else np.zeros(cand_row.size, bool)
-        )
-        keep = ~is_halo | row_sent
-
-    cand_row, cand_col, gcol, is_halo = (
-        cand_row[keep],
-        cand_col[keep],
-        gcol[keep],
-        is_halo[keep],
-    )
-    n_halo_added = int(np.count_nonzero(is_halo))
-    return RankExtension(
-        lm.rank,
-        lm.global_rows[cand_row],
-        gcol,
-        cand_row.size - n_halo_added,
-        n_halo_added,
-    )
 
 
 def extend_dist_pattern(
     dist_g: DistMatrix, line_bytes: int, mode: ExtensionMode
-) -> list[RankExtension]:
-    """Run :func:`extend_rank_pattern` on every rank of a distributed pattern."""
-    partition = dist_g.partition
-    return [
-        extend_rank_pattern(lm, partition.owner, line_bytes, mode, nparts=partition.nparts)
-        for lm in dist_g.locals
-    ]
+) -> DistExtension:
+    """Compute the cache-friendly extension of every rank's pattern block.
+
+    Parameters
+    ----------
+    dist_g:
+        The (lower-triangular) pattern of ``G`` distributed by rows, each
+        row's local columns ascending (as :meth:`DistMatrix.from_global`
+        stores them).
+    line_bytes:
+        Cache line size of the target machine (64 B or 256 B in the paper).
+    mode:
+        ``LOCAL`` for FSAIE, ``COMM`` for FSAIE-Comm.
+    """
+    part, sched = dist_g.partition, dist_g.schedule
+    nparts, nrows = part.nparts, dist_g.shape[0]
+    dpl = doubles_per_line(line_bytes)
+    offsets, entry_cols = dist_g.block_entries()
+    n_local = part.sizes()
+    n_total = n_local + np.diff(sched.halo_offsets)
+    if entry_cols.size == 0 or dpl == 1:
+        # one value per line: no free neighbours exist
+        empty, zeros = np.empty(0, dtype=np.int64), np.zeros(nparts, dtype=np.int64)
+        return DistExtension(empty, empty, np.zeros(nparts + 1, dtype=np.int64), zeros, zeros)
+
+    # every entry's row in the stacked rows (rank after rank), each rank's
+    # columns [its rows | its halo] in one array, rank after rank
+    row_offsets, col_start = np.zeros((2, nparts + 1), dtype=np.int64)
+    np.cumsum(n_local, out=row_offsets[1:])
+    np.cumsum(n_total, out=col_start[1:])
+    row_rank = np.repeat(np.arange(nparts, dtype=np.int64), n_local)
+    entry_rows = np.repeat(np.arange(nrows, dtype=np.int64), np.diff(dist_g.indptr))
+    rows = np.concatenate([np.empty(0, dtype=np.int64), *part.global_ids])
+    col_ids = np.empty(col_start[-1], dtype=np.int64)
+    col_ids[np.arange(nrows) + (col_start - row_offsets)[row_rank]] = rows
+    ext_rank = np.repeat(np.arange(nparts, dtype=np.int64), n_total - n_local)
+    col_ids[np.arange(ext_rank.size) + (col_start[:-1] + n_local - sched.halo_offsets[:-1])[
+        ext_rank]] = sched.halo_columns
+
+    # unique (row, cache line) pairs — step 6 of Alg. 3 ("already considered
+    # column block") collapses duplicates; a row's columns ascend, so the
+    # pairs are its runs of entries on one line
+    entry_lines = entry_cols // dpl
+    new = np.ones(entry_cols.size, dtype=bool)
+    new[1:] = (entry_rows[1:] != entry_rows[:-1]) | (entry_lines[1:] != entry_lines[:-1])
+    urow, first = entry_rows[new], entry_lines[new] * dpl  # first: the line's first column
+    pair_rank = row_rank[urow]
+
+    # each pair's dpl candidate positions (step 10), one row of a
+    # (pairs × dpl) grid, position k at column first + k; those present are
+    # dropped.  Local indices ascend with the global ids, so a local
+    # candidate is strictly lower triangular iff it is below its row
+    present = np.zeros((urow.size, dpl), dtype=bool)
+    present.ravel()[(np.cumsum(new) - 1) * dpl + entry_cols % dpl] = True
+    k = np.arange(dpl, dtype=np.int64)
+    keep = k < (urow - row_offsets[pair_rank] - first)[:, None]
+    keep &= ~present
+    n_halo_added = np.zeros(nparts, dtype=np.int64)
+    # k of each line's first halo column, and of its rank's last column + 1
+    halo_start, end = n_local[pair_rank] - first, n_total[pair_rank] - first
+    lines = np.flatnonzero(halo_start < np.minimum(end, dpl))  # lines with halo columns
+    if mode is ExtensionMode.COMM and lines.size:
+        # a halo candidate (i, j) is admissible iff it is lower triangular
+        # and row i is already sent to owner(j): some existing halo entry of
+        # row i has that owner
+        halo = ~present[lines] & (k >= halo_start[lines, None]) & (k < end[lines, None])
+        cand = np.flatnonzero(halo)
+        pair = lines[cand // dpl]
+        at = pair * dpl + cand % dpl
+        gcol = col_ids[col_start[pair_rank[pair]] + first[pair] + cand % dpl]
+        entries = np.flatnonzero(entry_cols >= np.repeat(n_local, np.diff(offsets)))
+        sent = np.sort(entry_rows[entries] * nparts + part.owner[
+            col_ids[col_start[row_rank[entry_rows[entries]]] + entry_cols[entries]]])
+        lower = np.flatnonzero(gcol < rows[urow[pair]])
+        pair, at, gcol = pair[lower], at[lower], gcol[lower]
+        key = urow[pair] * nparts + part.owner[gcol]
+        admitted = sent[np.minimum(np.searchsorted(sent, key), sent.size - 1)] == key
+        keep.ravel()[at[admitted]] = True
+        n_halo_added = np.bincount(pair_rank[pair[admitted]], minlength=nparts)
+
+    cand = np.flatnonzero(keep)
+    pair = cand // dpl
+    gcol = col_ids[(col_start[pair_rank] + first - np.arange(0, keep.size, dpl))[pair] + cand]
+    bounds = np.searchsorted(cand, np.searchsorted(pair_rank, np.arange(nparts + 1)) * dpl)
+    added = np.diff(bounds)
+    return DistExtension(rows[urow[pair]], gcol, bounds, added - n_halo_added, n_halo_added)

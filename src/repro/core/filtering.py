@@ -32,9 +32,8 @@ __all__ = [
     "FilterSpec",
     "entry_ratios",
     "extension_entry_mask",
-    "static_filter_counts",
-    "dynamic_filter_for_rank",
     "compute_dynamic_filters",
+    "rank_filters",
     "imbalance_index",
     "relative_load",
 ]
@@ -93,121 +92,109 @@ def extension_entry_mask(g: CSRMatrix, base: SparsityPattern) -> np.ndarray:
     return ~base.contains(rows, g.indices)
 
 
-def _count_kept(base_count: int, ext_ratios: np.ndarray, filt: float) -> int:
-    """Entries a rank keeps under ``filt``: base plus surviving extension."""
-    return base_count + int(np.count_nonzero(ext_ratios > filt))
-
-
-def static_filter_counts(
-    base_counts: np.ndarray, ext_ratios_per_rank: list[np.ndarray], filt: float
-) -> np.ndarray:
-    """Per-rank kept-entry counts under one global filter value."""
-    return np.array(
-        [
-            _count_kept(int(b), r, filt)
-            for b, r in zip(base_counts, ext_ratios_per_rank)
-        ],
-        dtype=np.int64,
-    )
-
-
-def dynamic_filter_for_rank(
-    base_count: int,
-    ext_ratios: np.ndarray,
-    initial_filter: float,
-    average_count: float,
-    *,
-    band: tuple[float, float] = (0.95, 1.05),
-    max_bisection: int = 30,
-    monitor=None,
-) -> float:
-    """Alg. 4 for one rank: adjust the filter until load enters the band.
-
-    ``average_count`` is the global mean kept-entry count computed once with
-    the initial filter (the single ``MPI_Allreduce`` of the algorithm).  Only
-    overloaded ranks (load above the band) adjust; the filter never drops
-    below ``initial_filter`` because base entries dominate underloaded ranks
-    and cannot be recovered by filtering.
-
-    ``monitor``, when given, is called as ``monitor(step, filter, load)`` at
-    the initial evaluation (``step=0``) and after every bisection step —
-    :func:`compute_dynamic_filters` records these as the rank's bisection
-    trajectory.
-    """
-    lo_band, hi_band = band
-    if average_count <= 0:
-        return initial_filter
-    imb = _count_kept(base_count, ext_ratios, initial_filter) / average_count
-    if monitor is not None:
-        monitor(0, initial_filter, imb)
-    if imb <= hi_band:
-        return initial_filter
-    prev_filter = initial_filter
-    new_filter = initial_filter
-    for step in range(1, max_bisection + 1):
-        if imb > 1.0:
-            prev_filter = new_filter
-            new_filter = new_filter * 2 if new_filter > 0 else 1e-8
-        else:
-            new_filter = (new_filter + prev_filter) / 2.0
-        imb = _count_kept(base_count, ext_ratios, new_filter) / average_count
-        if monitor is not None:
-            monitor(step, new_filter, imb)
-        if lo_band <= imb <= hi_band:
-            break
-        # all extension entries filtered and still overloaded: nothing more
-        # filtering can do, the base pattern itself is imbalanced
-        if imb > hi_band and np.all(ext_ratios <= new_filter):
-            break
-    return new_filter
-
-
 def compute_dynamic_filters(
     base_counts: np.ndarray,
     ext_ratios_per_rank: list[np.ndarray],
     spec: FilterSpec,
 ) -> np.ndarray:
-    """Per-rank filter values; static specs return the uniform value.
+    """Per-rank filter values; static specs return the uniform value."""
+    offsets = np.zeros(len(ext_ratios_per_rank) + 1, dtype=np.int64)
+    np.cumsum([r.size for r in ext_ratios_per_rank], out=offsets[1:])
+    ratios = np.concatenate([np.empty(0), *ext_ratios_per_rank])
+    return rank_filters(np.asarray(base_counts), ratios, offsets, spec)
+
+
+def rank_filters(
+    base_counts: np.ndarray, ratios: np.ndarray, offsets: np.ndarray, spec: FilterSpec
+) -> np.ndarray:
+    """:func:`compute_dynamic_filters` on every rank's extension ratios in
+    one array, rank ``p``'s at ``offsets[p] : offsets[p + 1]``.
+
+    Alg. 4 adjusts each rank's filter until its load enters the band.  The
+    global mean kept-entry count under the initial filter is computed once
+    (the algorithm's single ``MPI_Allreduce``).  Only overloaded ranks
+    (load above the band) adjust: doubling the filter while the load is
+    above 1, halving back towards the last value below otherwise, until the
+    load is in the band, every extension entry is filtered, or
+    ``spec.max_bisection`` steps have run.  The filter never drops below
+    ``spec.value``: base entries dominate underloaded ranks and cannot be
+    recovered by filtering.  Every rank bisects at once, each step one pass
+    over the ratios, with each rank's arithmetic that of a rank alone.
 
     When metrics are enabled (:func:`repro.instrument.get_metrics`), each
-    rank's bisection is recorded: a
-    ``filter.bisection.load`` histogram (the load at every step, initial
-    evaluation included), a ``filter.bisection.steps`` counter, and final
-    ``filter.value`` / ``filter.load`` gauges — all tagged ``rank=r``.
+    rank's bisection is recorded: a ``filter.bisection.load`` histogram (the
+    load at every step, initial evaluation included), a
+    ``filter.bisection.steps`` counter, and final ``filter.value`` /
+    ``filter.load`` gauges — all tagged ``rank=r``.
     """
-    nparts = len(ext_ratios_per_rank)
+    nparts = offsets.size - 1
+    filters = np.full(nparts, spec.value, dtype=np.float64)
     if not spec.dynamic or nparts == 1:
-        return np.full(nparts, spec.value, dtype=np.float64)
-    counts = static_filter_counts(base_counts, ext_ratios_per_rank, spec.value)
+        return filters
+    base_counts = np.asarray(base_counts).astype(np.int64)
+    sizes = np.diff(offsets)
+    counts = base_counts + _segment_counts(ratios > spec.value, sizes)
     average = float(counts.mean())
+    lo_band, hi_band = spec.band
+    imb = counts / average if average > 0 else np.zeros(nparts)
+    prev, loads = filters.copy(), [imb.copy()]  # the load of every rank at every step
+    active = np.flatnonzero(imb > hi_band)
+    # the bisecting ranks' ratios, shrunk as ranks leave; a rank has nothing
+    # left to drop once no ratio exceeds its filter and none is NaN (a NaN
+    # ratio is neither kept nor dropped)
+    part = ratios[_segment_positions(offsets[active], sizes[active])]
+    nans = _segment_counts(np.isnan(part), sizes[active])
+    for _ in range(spec.max_bisection):
+        if not active.size:
+            break
+        up, down = active[imb[active] > 1.0], active[imb[active] <= 1.0]
+        prev[up] = filters[up]
+        filters[up] = np.where(filters[up] > 0, filters[up] * 2, 1e-8)
+        filters[down] = (filters[down] + prev[down]) / 2.0
+        above = _segment_counts(part > np.repeat(filters[active], sizes[active]), sizes[active])
+        loads.append(np.full(nparts, np.nan))
+        loads[-1][active] = imb[active] = (base_counts[active] + above) / average
+        now = imb[active]
+        done = ((lo_band <= now) & (now <= hi_band)) | ((now > hi_band) & (above == 0)
+                                                        & (nans == 0))
+        if done.any():
+            part = part[np.repeat(~done, sizes[active])]
+            active, nans = active[~done], nans[~done]
     metrics = get_metrics()
-    filters = np.empty(nparts, dtype=np.float64)
-    for rank, (b, r) in enumerate(zip(base_counts, ext_ratios_per_rank)):
-        if metrics.enabled:
-            load_hist = metrics.histogram("filter.bisection.load", rank=rank)
-            step_counter = metrics.counter("filter.bisection.steps", rank=rank)
-
-            def monitor(step, filt, load, _hist=load_hist, _steps=step_counter):
-                _hist.observe(load)
-                if step > 0:
-                    _steps.inc()
-        else:
-            monitor = None
-        filters[rank] = dynamic_filter_for_rank(
-            int(b),
-            r,
-            spec.value,
-            average,
-            band=spec.band,
-            max_bisection=spec.max_bisection,
-            monitor=monitor,
-        )
-        if metrics.enabled and average > 0:
-            metrics.gauge("filter.value", rank=rank).set(float(filters[rank]))
-            metrics.gauge("filter.load", rank=rank).set(
-                _count_kept(int(b), r, float(filters[rank])) / average
-            )
+    if metrics.enabled:
+        history = np.array(loads)
+        final = None
+        if average > 0:
+            kept = base_counts + _segment_counts(ratios > np.repeat(filters, sizes), sizes)
+            final = (kept / average).tolist()
+        for r in range(nparts):
+            hist = metrics.histogram("filter.bisection.load", rank=r)
+            steps = metrics.counter("filter.bisection.steps", rank=r)
+            if final is None:
+                continue
+            trajectory = history[~np.isnan(history[:, r]), r].tolist()
+            for load in trajectory:
+                hist.observe(load)
+            steps.inc(len(trajectory) - 1)
+            metrics.gauge("filter.value", rank=r).set(float(filters[r]))
+            metrics.gauge("filter.load", rank=r).set(final[r])
     return filters
+
+
+def _segment_counts(mask: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """How many entries are set in each run of ``mask`` (runs of ``sizes``,
+    in order)."""
+    counts = np.zeros(sizes.size, dtype=np.int64)
+    nonempty = np.flatnonzero(sizes)
+    if nonempty.size:
+        counts[nonempty] = np.add.reduceat(mask, (np.cumsum(sizes) - sizes)[nonempty],
+                                           dtype=np.int64)
+    return counts
+
+
+def _segment_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i] : starts[i] + sizes[i]``, run after run."""
+    return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
 
 # ----------------------------------------------------------------------

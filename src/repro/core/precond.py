@@ -38,21 +38,12 @@ classes as ``precond.finalize.rows_kept`` / ``rows_base`` / ``rows_solved``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.extension import (
-    ExtensionMode,
-    RankExtension,
-    extend_dist_pattern,
-)
-from repro.core.filtering import (
-    FilterSpec,
-    compute_dynamic_filters,
-    entry_ratios,
-    extension_entry_mask,
-)
+from repro.core.extension import DistExtension, ExtensionMode, extend_dist_pattern
+from repro.core.filtering import FilterSpec, entry_ratios, extension_entry_mask, rank_filters
 from repro.core.fsai import (
     FSAIOptions,
     SetupOptions,
@@ -138,7 +129,7 @@ class Preconditioner:
     base_nnz: int
     nnz: int
     filters: np.ndarray
-    extensions: list[RankExtension] = field(default_factory=list)
+    extension: DistExtension | None = None
     ext_nnz_unfiltered: int = 0
 
     def apply(
@@ -291,19 +282,10 @@ class ExtensionWorkspace:
             # here)
             with tracer.span("precond.extension", line_bytes=line_bytes):
                 dist_pattern = DistMatrix.from_global(self.base.to_csr(), partition)
-                self.extensions = extend_dist_pattern(dist_pattern, line_bytes, mode)
-                ext_rows = (
-                    np.concatenate([e.rows for e in self.extensions])
-                    if self.extensions
-                    else np.empty(0, np.int64)
-                )
-                ext_cols = (
-                    np.concatenate([e.cols for e in self.extensions])
-                    if self.extensions
-                    else np.empty(0, np.int64)
-                )
-                self.ext_nnz_unfiltered = int(ext_rows.size)
-                s_ext = _union_with_entries(self.base, ext_rows, ext_cols)
+                self.extension = extend_dist_pattern(dist_pattern, line_bytes, mode)
+                self.ext_nnz_unfiltered = self.extension.n_added
+                s_ext = _union_with_entries(self.base, self.extension.rows,
+                                            self.extension.cols)
 
             # Alg. 2 step 4: precalculate G on the full extended pattern
             with tracer.span("precond.factor", stage="precalculate"):
@@ -318,10 +300,10 @@ class ExtensionWorkspace:
             self.base_counts = (
                 np.bincount(self.entry_owner, minlength=partition.nparts) - ext_counts
             )
-            self.ext_ratios_per_rank = np.split(
-                self.ratios[self.ext_mask][np.argsort(ext_owner, kind="stable")],
-                np.cumsum(ext_counts)[:-1],
-            )
+            # every rank's extension ratios, rank after rank
+            self._ext_ratios = self.ratios[self.ext_mask][np.argsort(ext_owner, kind="stable")]
+            self._ext_offsets = np.zeros(partition.nparts + 1, dtype=np.int64)
+            np.cumsum(ext_counts, out=self._ext_offsets[1:])
             # what finalize's row classes need that no filter changes: the
             # extension entries of every row, and the base-FSAI values of the
             # rows some finalize has already needed (solved on first need)
@@ -329,14 +311,20 @@ class ExtensionWorkspace:
             self._base_values = np.empty(self.base.nnz, dtype=np.float64)
             self._base_solved = np.zeros(mat.nrows, dtype=bool)
 
+    @property
+    def ext_ratios_per_rank(self) -> list[np.ndarray]:
+        """Each rank's extension-entry ratios (views of one array)."""
+        bounds = self._ext_offsets.tolist()
+        return [self._ext_ratios[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
     def finalize(self, filter_spec: FilterSpec) -> Preconditioner:
         """Filter extension entries and recompute ``G`` (Alg. 2 step 5)."""
         tracer = get_tracer()
         with tracer.span("precond.build", method=self.name):
             with tracer.span("precond.filtering", dynamic=filter_spec.dynamic,
                              value=filter_spec.value):
-                filters = compute_dynamic_filters(
-                    self.base_counts, self.ext_ratios_per_rank, filter_spec
+                filters = rank_filters(
+                    self.base_counts, self._ext_ratios, self._ext_offsets, filter_spec
                 )
                 drop = self.ext_mask & (self.ratios <= filters[self.entry_owner])
                 filtered = self.g_pre.drop_entries(drop)
@@ -346,7 +334,7 @@ class ExtensionWorkspace:
                 self.name, g_final, self.partition, base_nnz=self.base.nnz,
                 filters=filters,
             )
-            pre.extensions = self.extensions
+            pre.extension = self.extension
             pre.ext_nnz_unfiltered = self.ext_nnz_unfiltered
         _record_build_metrics(pre)
         return pre
@@ -419,11 +407,17 @@ def _record_build_metrics(pre: Preconditioner) -> None:
 def _union_with_entries(
     base: SparsityPattern, rows: np.ndarray, cols: np.ndarray
 ) -> SparsityPattern:
-    """Union of a pattern with explicit (row, col) additions."""
+    """A pattern with explicit (row, col) additions, each absent from it and
+    listed once (as an extension adds them): the sorted additions merge
+    into the sorted entries."""
     if rows.size == 0:
         return base
-    extra = CSRMatrix.from_coo(base.shape, rows, cols, np.ones(rows.size))
-    return base.union(SparsityPattern.from_csr(extra))
+    n = base.ncols
+    keys = np.sort(rows * n + cols)
+    indices = np.insert(base.indices, np.searchsorted(base._keys(), keys), keys % n)
+    indptr = base.indptr.copy()
+    indptr[1:] += np.cumsum(np.bincount(keys // n, minlength=base.nrows))
+    return SparsityPattern(base.shape, indptr, indices, check=False)
 
 
 def _distribute(

@@ -32,8 +32,19 @@ _TAG_HALO = 7_000
 class HaloSchedule:
     """Per-rank halo exchange lists derived from a matrix pattern.
 
+    Stored as every rank's halo columns in one array (:attr:`halo_columns`,
+    rank ``p``'s at :attr:`halo_offsets` ``[p] : [p + 1]``); the per-rank
+    lists below are views of it, built on first access — only the
+    per-message update paths and the rank programs read them.
+
     Attributes
     ----------
+    halo_columns:
+        Every rank's halo columns in one array, rank after rank.
+    halo_offsets:
+        ``halo_offsets[p]`` — where rank ``p``'s halo starts in
+        :attr:`halo_columns`, and in the one buffer holding every rank's
+        halo (``nparts + 1`` entries).
     ext_cols:
         ``ext_cols[p]`` — ascending global column ids referenced by rank
         ``p``'s rows but owned elsewhere.  The local SpMV input vector on
@@ -47,22 +58,23 @@ class HaloSchedule:
     recv_pos:
         ``recv_pos[p][q]`` — positions of ``recv_from[p][q]`` inside
         ``ext_cols[p]`` (where received values land in the halo buffer).
+    recv_src:
+        ``recv_src[p][q]`` — local indices on ``q`` of ``recv_from[p][q]``.
     """
 
-    __slots__ = ("partition", "ext_cols", "recv_from", "send_to", "recv_pos", "recv_src",
-                 "_offsets", "_messages", "_source", "__weakref__")
+    __slots__ = ("partition", "halo_columns", "halo_offsets", "_ext", "_lists",
+                 "_messages", "_source", "__weakref__")
 
     def __init__(self, partition: RowPartition, ext_cols: list[np.ndarray]):
         nparts = partition.nparts
         if len(ext_cols) != nparts:
             raise PartitionError("need one ext-column list per rank")
-        self.partition = partition
-        self.ext_cols = [np.asarray(c, dtype=np.int64) for c in ext_cols]
-        sizes = [c.size for c in self.ext_cols]
+        ext_cols = [np.asarray(c, dtype=np.int64) for c in ext_cols]
+        sizes = [c.size for c in ext_cols]
         offsets = np.zeros(nparts + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         # every rank's halo columns in one array, rank after rank
-        cols = np.concatenate([*self.ext_cols, np.empty(0, dtype=np.int64)])
+        cols = np.concatenate([np.empty(0, dtype=np.int64), *ext_cols])
         rank = np.repeat(np.arange(nparts, dtype=np.int64), sizes)
         owners = partition.owner[cols]
         # the first bad rank, with the checks in the order a rank runs them
@@ -72,33 +84,16 @@ class HaloSchedule:
             raise PartitionError(f"rank {unsorted[0]}: ext_cols must be strictly increasing")
         if owned.size:
             raise PartitionError(f"rank {owned[0]}: ext_cols contains owned columns")
-        # one message per (receiver, sender) pair: a stable sort by pair
-        # keeps each message's columns ascending, and receivers, then
-        # senders, in ascending order — the order every dict is filled in
-        pair = rank * nparts + owners
-        order = np.argsort(pair, kind="stable")
-        pair = pair[order]
-        ids = cols[order]
-        # where each value lands in its receiver's halo buffer, and where it
-        # sits on its sender (precomputed: updates skip the translation)
-        pos = (np.arange(cols.size) - np.repeat(offsets[:-1], sizes))[order]
-        src = partition.local_index[ids]
-        first = np.flatnonzero(np.diff(pair, prepend=-1))
-        bounds = [*first.tolist(), pair.size]
-        self.recv_from: list[dict[int, np.ndarray]] = [{} for _ in range(nparts)]
-        self.recv_pos: list[dict[int, np.ndarray]] = [{} for _ in range(nparts)]
-        self.recv_src: list[dict[int, np.ndarray]] = [{} for _ in range(nparts)]
-        self.send_to: list[dict[int, np.ndarray]] = [{} for _ in range(nparts)]
-        heads = order[first]
-        for p, q, lo, hi in zip(rank[heads].tolist(), owners[heads].tolist(),
-                                bounds, bounds[1:]):
-            self.recv_from[p][q] = self.send_to[q][p] = ids[lo:hi]
-            self.recv_pos[p][q] = pos[lo:hi]
-            self.recv_src[p][q] = src[lo:hi]
+        self._init(partition, cols, offsets)
+
+    def _init(self, partition: RowPartition, cols: np.ndarray, offsets: np.ndarray) -> None:
+        self.partition = partition
+        self.halo_columns, self.halo_offsets = cols, offsets
         # built on first use: most schedules (set-up, invariance checks)
         # never run an update, and keeping small arrays from here raised
         # the filter sweep's peak RSS (docs/PERFORMANCE.md)
-        self._offsets: np.ndarray | None = None
+        self._ext: list[np.ndarray] | None = None
+        self._lists: tuple | None = None
         self._messages: tuple | None = None
         self._source: np.ndarray | None = None
 
@@ -128,10 +123,10 @@ class HaloSchedule:
         # sorted unique keys fall into per-rank runs of ascending columns
         keys, slot = np.unique(halo_rank * n + indices[halo], return_inverse=True)
         bounds = np.searchsorted(keys, np.arange(nparts + 1, dtype=np.int64) * n)
-        cols = keys - np.repeat(np.arange(nparts, dtype=np.int64) * n, np.diff(bounds))
-        edges = bounds.tolist()
-        ext = [cols[lo:hi] for lo, hi in zip(edges, edges[1:])]
-        return cls(partition, ext), halo, halo_rank, slot - bounds[halo_rank]
+        keys -= np.repeat(np.arange(nparts, dtype=np.int64) * n, np.diff(bounds))
+        schedule = cls.__new__(cls)
+        schedule._init(partition, keys, bounds)
+        return schedule, halo, halo_rank, slot - bounds[halo_rank]
 
     @classmethod
     def from_pattern(cls, pattern, partition: RowPartition) -> "HaloSchedule":
@@ -140,14 +135,64 @@ class HaloSchedule:
 
     # ------------------------------------------------------------------
     @property
-    def halo_offsets(self) -> np.ndarray:
-        """``halo_offsets[p]`` — where rank ``p``'s halo starts in the one
-        buffer holding every rank's halo, rank after rank (``nparts + 1``
-        entries)."""
-        if self._offsets is None:
-            self._offsets = np.zeros(self.partition.nparts + 1, dtype=np.int64)
-            np.cumsum([c.size for c in self.ext_cols], out=self._offsets[1:])
-        return self._offsets
+    def ext_cols(self) -> list[np.ndarray]:
+        """``ext_cols[p]``: rank ``p``'s halo columns, a view of
+        :attr:`halo_columns`."""
+        if self._ext is None:
+            bounds = self.halo_offsets.tolist()
+            self._ext = [self.halo_columns[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return self._ext
+
+    @property
+    def recv_from(self) -> list[dict[int, np.ndarray]]:
+        """``recv_from[p][q]``: the ids ``p`` receives from ``q``."""
+        return self._message_lists()[0]
+
+    @property
+    def recv_pos(self) -> list[dict[int, np.ndarray]]:
+        """``recv_pos[p][q]``: where they land in ``ext_cols[p]``."""
+        return self._message_lists()[1]
+
+    @property
+    def recv_src(self) -> list[dict[int, np.ndarray]]:
+        """``recv_src[p][q]``: their local indices on ``q``."""
+        return self._message_lists()[2]
+
+    @property
+    def send_to(self) -> list[dict[int, np.ndarray]]:
+        """``send_to[p][q]``: the ids ``p`` sends to ``q``."""
+        return self._message_lists()[3]
+
+    def _message_lists(self) -> tuple:
+        """``(recv_from, recv_pos, recv_src, send_to)``, built once: one dict
+        entry per message, each value a view of one array."""
+        if self._lists is None:
+            nparts, cols, offsets = self.partition.nparts, self.halo_columns, self.halo_offsets
+            rank = np.repeat(np.arange(nparts, dtype=np.int64), np.diff(offsets))
+            owners = self.partition.owner[cols]
+            # one message per (receiver, sender) pair: a stable sort by pair
+            # keeps each message's columns ascending, and receivers, then
+            # senders, in ascending order — the order every dict is filled in
+            pair = rank * nparts + owners
+            order = np.argsort(pair, kind="stable")
+            pair = pair[order]
+            ids = cols[order]
+            # where each value lands in its receiver's halo buffer, and where
+            # it sits on its sender
+            pos = (np.arange(cols.size) - offsets[rank])[order]
+            src = self.partition.local_index[ids]
+            first = np.flatnonzero(np.diff(pair, prepend=-1))
+            bounds = [*first.tolist(), pair.size]
+            lists = tuple([{} for _ in range(nparts)] for _ in range(4))
+            recv_from, recv_pos, recv_src, send_to = lists
+            heads = order[first]
+            for p, q, lo, hi in zip(rank[heads].tolist(), owners[heads].tolist(),
+                                    bounds, bounds[1:]):
+                recv_from[p][q] = send_to[q][p] = ids[lo:hi]
+                recv_pos[p][q] = pos[lo:hi]
+                recv_src[p][q] = src[lo:hi]
+            self._lists = lists
+        return self._lists
 
     @property
     def messages(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,9 +200,9 @@ class HaloSchedule:
         receiver, then sender — the order :meth:`update` delivers them in."""
         if self._messages is None:
             nparts = self.partition.nparts
-            ext = np.concatenate([*self.ext_cols, np.empty(0, dtype=np.int64)])
             rank = np.repeat(np.arange(nparts, dtype=np.int64), np.diff(self.halo_offsets))
-            pair, count = np.unique(rank * nparts + self.partition.owner[ext], return_counts=True)
+            pair, count = np.unique(rank * nparts + self.partition.owner[self.halo_columns],
+                                    return_counts=True)
             self._messages = pair % nparts, pair // nparts, 8 * count
         return self._messages
 
@@ -166,10 +211,9 @@ class HaloSchedule:
         value in a :class:`~repro.dist.vector.DistVector`'s rank-ordered
         ``values``."""
         if self._source is None:
-            part = self.partition
+            part, ext = self.partition, self.halo_columns
             row_offsets = np.zeros(part.nparts + 1, dtype=np.int64)
             np.cumsum(part.sizes(), out=row_offsets[1:])
-            ext = np.concatenate([*self.ext_cols, np.empty(0, dtype=np.int64)])
             self._source = row_offsets[part.owner[ext]] + part.local_index[ext]
         return self._source
 
@@ -181,7 +225,7 @@ class HaloSchedule:
 
     def halo_size(self, rank: int) -> int:
         """Number of halo values the rank receives per update."""
-        return self.ext_cols[rank].size
+        return int(self.halo_offsets[rank + 1] - self.halo_offsets[rank])
 
     def edges(self) -> set[tuple[int, int]]:
         """Directed (sender, receiver) pairs with non-empty exchanges."""
@@ -419,8 +463,7 @@ class HaloSchedule:
         if self.partition != other.partition:
             return False
         return np.array_equal(self.halo_offsets, other.halo_offsets) and np.array_equal(
-            np.concatenate([*self.ext_cols, np.empty(0, dtype=np.int64)]),
-            np.concatenate([*other.ext_cols, np.empty(0, dtype=np.int64)]))
+            self.halo_columns, other.halo_columns)
 
     def __hash__(self):
         raise TypeError("HaloSchedule is unhashable")

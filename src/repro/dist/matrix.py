@@ -1,17 +1,18 @@
 """Row-distributed sparse matrices with localised column indexing.
 
-Each rank stores its rows as a :class:`LocalMatrix` whose columns are
-renumbered into the *local index space* (paper §3): positions
-``[0, n_local)`` are the rank's own unknowns (ascending global order) and
-positions ``[n_local, n_local + n_halo)`` are the halo unknowns in the order
-of :attr:`HaloSchedule.ext_cols`.  The SpMV multiplying vector is the
-concatenation ``[x_local | x_halo]`` — the memory layout whose cache lines
-the FSAIE/FSAIE-Comm extensions exploit.
+Each rank's rows have their columns renumbered into the *local index
+space* (paper §3): positions ``[0, n_local)`` are the rank's own unknowns
+(ascending global order) and positions ``[n_local, n_local + n_halo)`` are
+the halo unknowns in the order of :attr:`HaloSchedule.ext_cols`.  The SpMV
+multiplying vector is the concatenation ``[x_local | x_halo]`` — the memory
+layout whose cache lines the FSAIE/FSAIE-Comm extensions exploit.
 
+A :class:`DistMatrix` stores every rank's block in one CSR structure, rank
+after rank; a rank's :class:`LocalMatrix` is a view, built on first access.
 The solvers apply all ranks' blocks at once: :meth:`DistMatrix.operator`
-stacks them into one CSR matrix over ``[every x_local | every x_halo]``, so
-a distributed product is one compiled call whose every row is summed
-exactly as its rank's block sums it.
+remaps the stacked columns onto ``[every x_local | every x_halo]``, so a
+distributed product is one compiled call whose every row is summed exactly
+as its rank's block sums it.
 """
 
 from __future__ import annotations
@@ -33,20 +34,6 @@ if TYPE_CHECKING:
     from repro.kernels.plan import SpMVPlan
 
 __all__ = ["LocalMatrix", "DistMatrix"]
-
-
-def _gather_positions(indptr, rows, counts, ptr) -> np.ndarray:
-    """Where each entry of ``rows`` (listed in that order, ``counts`` their
-    lengths, ``ptr`` their row pointer) sits in the arrays of the CSR
-    structure ``indptr``: a running sum of ones that jumps to each non-empty
-    row's start — one array as long as the entries, where a ``repeat`` plus
-    an ``arange`` would hold two."""
-    starts, nonempty = indptr[rows], np.flatnonzero(counts)
-    jump = starts[nonempty]
-    jump[1:] -= starts[nonempty[:-1]] + counts[nonempty[:-1]] - 1
-    positions = np.ones(ptr[-1], dtype=np.int64)
-    positions[ptr[nonempty]] = jump
-    return np.cumsum(positions, out=positions)
 
 
 class LocalMatrix:
@@ -115,26 +102,37 @@ class LocalMatrix:
 
 
 class DistMatrix:
-    """A sparse matrix distributed by rows with a halo exchange schedule."""
+    """A sparse matrix distributed by rows with a halo exchange schedule.
 
-    __slots__ = ("partition", "locals", "schedule", "shape", "_values", "_entries",
-                 "_operator", "_split", "_split_operator", "__weakref__")
+    Stored as every rank's block in one CSR structure, rank after rank:
+    ``indptr`` over the ranks' rows in rank order (``nrows + 1`` entries,
+    the layout of :attr:`DistVector.values`), each entry's column in its
+    rank's local numbering and its value.  The per-rank
+    :class:`LocalMatrix` views of :attr:`locals` are built on first access;
+    the matrix must not be mutated.
+    """
+
+    __slots__ = ("partition", "schedule", "shape", "indptr", "_values", "_entries",
+                 "_locals", "_operator", "_split", "_split_operator", "__weakref__")
 
     def __init__(
         self,
         partition: RowPartition,
-        locals_: list[LocalMatrix],
         schedule: HaloSchedule,
         shape: tuple[int, int],
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        data: np.ndarray,
     ):
-        if len(locals_) != partition.nparts:
-            raise ShapeError("need one LocalMatrix per rank")
+        if indptr.size != partition.nrows + 1 or not indices.size == data.size == indptr[-1]:
+            raise ShapeError("stacked blocks need nrows + 1 row pointers and one column "
+                             "and one value per entry")
         self.partition = partition
-        self.locals = locals_
         self.schedule = schedule
         self.shape = (int(shape[0]), int(shape[1]))
-        self._values: np.ndarray | None = None
-        self._entries: tuple[np.ndarray, np.ndarray] | None = None
+        self.indptr, self._values = indptr, data
+        self._entries = indptr[self._row_offsets()], indices
+        self._locals: list[LocalMatrix] | None = None
         self._operator: weakref.ref[SpMVPlan] | None = None
         self._split: list | None = None
         self._split_operator: tuple[SpMVPlan, SpMVPlan] | None = None
@@ -144,9 +142,8 @@ class DistMatrix:
     def from_global(cls, mat: CSRMatrix, partition: RowPartition) -> "DistMatrix":
         """Distribute a square global matrix by rows according to ``partition``.
 
-        Every rank is built at once: the blocks' ``indptr``, ``indices`` and
-        ``data`` are slices of one array each, rank after rank.  Relies on
-        the CSR invariant that each row's columns ascend.
+        Every rank is built at once, into the stacked arrays.  Relies on the
+        CSR invariant that each row's columns ascend.
         """
         if mat.nrows != mat.ncols:
             raise ShapeError("DistMatrix.from_global expects a square matrix")
@@ -155,27 +152,25 @@ class DistMatrix:
         schedule, halo, halo_rank, halo_pos = HaloSchedule._from_entries(
             partition, mat.indptr, mat.indices
         )
-        nparts, owner, local_index = partition.nparts, partition.owner, partition.local_index
-        sizes = partition.sizes()
-        row_offsets = np.zeros(nparts + 1, dtype=np.int64)
+        owner, local_index, sizes = partition.owner, partition.local_index, partition.sizes()
+        row_offsets = np.zeros(partition.nparts + 1, dtype=np.int64)
         np.cumsum(sizes, out=row_offsets[1:])
         lengths = np.diff(mat.indptr)
         if np.all(owner[1:] >= owner[:-1]):  # the ranks' rows are in global order
-            ptr, counts = mat.indptr, lengths
+            ptr = mat.indptr.copy()
             cols, values = local_index[mat.indices], mat.data.copy()
         else:
-            # the blocks hold the rows rank after rank; a ragged gather
-            # says where each of their entries sits in the global arrays
+            # the blocks hold the rows rank after rank: one compiled ragged
+            # gather of those rows (imported here, not with the package)
+            from repro.kernels.plan import _sparsetools
+
             rows = np.concatenate(partition.global_ids)
-            counts = lengths[rows]
-            ptr = np.zeros(counts.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=ptr[1:])
-            src = _gather_positions(mat.indptr, rows, counts, ptr)
-            values = mat.data[src]
-            # np.take reads each index before it writes that position, so the
-            # columns overwrite the gather's index array: no third nnz-long
-            # array ("clip": indices are in range, and "raise" would buffer)
-            cols = np.take(mat.indices, src, out=src, mode="clip")
+            ptr = np.zeros(rows.size + 1, dtype=np.int64)
+            np.cumsum(lengths[rows], out=ptr[1:])
+            cols, values = np.empty(ptr[-1], dtype=np.int64), np.empty(ptr[-1])
+            _sparsetools().csr_row_index(rows.size, rows, mat.indptr, mat.indices, mat.data,
+                                         cols, values)
+            # "clip": indices are in range, and "raise" would buffer
             np.take(local_index, cols, out=cols, mode="clip")
         # owned columns now hold their local index; a halo column goes after
         # its rank's rows, at its position in ext_cols
@@ -194,65 +189,56 @@ class DistMatrix:
         key += cols[at] >= np.repeat(sizes[halo_rank[first]], width)
         fix = at[np.argsort(key, kind="stable")]
         cols[at], values[at] = cols[fix], values[fix]
-        # every rank's indptr in one array, rank p's at row_offsets[p] + p:
-        # the running sum of the row lengths, reset to 0 where a rank starts
-        entry_offsets = ptr[row_offsets]
-        indptr = np.insert(counts, row_offsets[:-1], -np.diff(entry_offsets[:-1], prepend=0))
-        np.cumsum(indptr, out=indptr)
-        rb, eb = row_offsets.tolist(), entry_offsets.tolist()
-        locals_ = [
-            LocalMatrix(p, CSRMatrix((r1 - r0, r1 - r0 + ext.size), indptr[r0 + p : r1 + p + 1],
-                                     cols[e0:e1], values[e0:e1], check=False), ids, ext)
-            for p, (ids, ext, r0, r1, e0, e1) in enumerate(
-                zip(partition.global_ids, schedule.ext_cols, rb, rb[1:], eb, eb[1:]))
-        ]
-        # every row lands on one rank: the blocks' values are slices of one
-        # array, rank after rank — the operator's (see operator())
-        dmat = cls(partition, locals_, schedule, mat.shape)
-        dmat._values, dmat._entries = values, (entry_offsets, cols)
-        return dmat
+        return cls(partition, schedule, mat.shape, ptr, cols, values)
 
     def to_global(self) -> CSRMatrix:
         """Reassemble the global matrix (testing/debugging helper)."""
-        rows_acc: list[np.ndarray] = []
-        cols_acc: list[np.ndarray] = []
-        vals_acc: list[np.ndarray] = []
-        for lm in self.locals:
-            gl_cols = np.concatenate([lm.global_rows, lm.ext_cols])
-            r, c, v = lm.csr.to_coo()
-            rows_acc.append(lm.global_rows[r])
-            cols_acc.append(gl_cols[c])
-            vals_acc.append(v)
+        rows = np.concatenate([np.empty(0, dtype=np.int64), *self.partition.global_ids])
+        # the operator's input buffer holds every rank's rows, then every halo
+        global_ids = np.concatenate([rows, self.schedule.halo_columns])
         return CSRMatrix.from_coo(
-            self.shape,
-            np.concatenate(rows_acc),
-            np.concatenate(cols_acc),
-            np.concatenate(vals_acc),
+            self.shape, np.repeat(rows, np.diff(self.indptr)),
+            global_ids[self._operator_indices()], self._values,
         )
 
     # ------------------------------------------------------------------
     @property
+    def locals(self) -> list[LocalMatrix]:
+        """Every rank's :class:`LocalMatrix`, built on first access: each
+        block's ``indices`` and ``data`` are views of the stacked arrays."""
+        if self._locals is None:
+            part, ext = self.partition, self.schedule.ext_cols
+            offsets, cols = self._entries
+            rb, eb = self._row_offsets().tolist(), offsets.tolist()
+            self._locals = [
+                LocalMatrix(p, CSRMatrix((r1 - r0, r1 - r0 + halo.size),
+                                         self.indptr[r0 : r1 + 1] - e0, cols[e0:e1],
+                                         self._values[e0:e1], check=False), ids, halo)
+                for p, (ids, halo, r0, r1, e0, e1) in enumerate(
+                    zip(part.global_ids, ext, rb, rb[1:], eb, eb[1:]))
+            ]
+        return self._locals
+
+    @property
     def nnz(self) -> int:
         """Total stored entries across all ranks."""
-        return int(self.block_entries()[0][-1])
+        return int(self.indptr[-1])
 
     def nnz_per_rank(self) -> np.ndarray:
         """Stored entries per rank."""
-        return np.diff(self.block_entries()[0])
+        return np.diff(self._entries[0])
 
     def block_entries(self) -> tuple[np.ndarray, np.ndarray]:
         """``(offsets, indices)``: every block's column indices (local
         indexing) in one array, rank after rank, rank ``p``'s at
-        ``offsets[p] : offsets[p + 1]``.  :meth:`from_global` keeps the
-        arrays the blocks are views of; blocks built otherwise are stacked
-        on first use (the matrix must not be mutated afterwards)."""
-        if self._entries is None:
-            nnz = [lm.csr.indices.size for lm in self.locals]
-            offsets = np.zeros(len(nnz) + 1, dtype=np.int64)
-            np.cumsum(nnz, out=offsets[1:])
-            self._entries = offsets, np.concatenate(
-                [np.empty(0, dtype=np.int64), *[lm.csr.indices for lm in self.locals]])
+        ``offsets[p] : offsets[p + 1]``."""
         return self._entries
+
+    def _row_offsets(self) -> np.ndarray:
+        """Where each rank's rows start in the stacked rows (``nparts + 1``)."""
+        offsets = np.zeros(self.partition.nparts + 1, dtype=np.int64)
+        np.cumsum(self.partition.sizes(), out=offsets[1:])
+        return offsets
 
     def operator(self) -> SpMVPlan:
         """Every rank's block as one :class:`~repro.kernels.plan.SpMVPlan`.
@@ -267,14 +253,11 @@ class DistMatrix:
         row exactly as it sums the rank's own block: the product is bitwise
         the per-rank one.
 
-        Built lazily and cached on the matrix, which must not be mutated
-        afterwards.  The plan's values are the blocks' own: each local
-        block's ``data`` is a view of one array (from
-        :meth:`from_global` on; blocks built otherwise are stacked and
-        rebound on first use), so every value is stored once.  The matrix
-        holds the plan weakly; its users (each
+        Built lazily from the stacked arrays, whose row pointer and values
+        the plan shares: every value is stored once.  The matrix holds the
+        plan weakly; its users (each
         :class:`~repro.kernels.workspace.SolverWorkspace` that applies the
-        matrix) hold it strongly.  The stacked indices cost 8 B per stored
+        matrix) hold it strongly.  The remapped indices cost 8 B per stored
         entry, so a matrix nothing applies any more gives them back: a
         filter sweep that keeps its 18 preconditioners would otherwise hold
         the indices of 37 operators (17 MiB) at once.
@@ -284,47 +267,26 @@ class DistMatrix:
             # imported with the first operator, not with the package (see SpMVPlan)
             from repro.kernels.plan import SpMVPlan
 
-            plan = SpMVPlan(self._stacked())
+            nrows = self.shape[0]
+            plan = SpMVPlan(CSRMatrix(
+                (nrows, nrows + int(self.schedule.halo_offsets[-1])), self.indptr,
+                self._operator_indices(), self._values, check=False,
+            ))
             self._operator = weakref.ref(plan)
         return plan
 
-    def _stacked(self) -> CSRMatrix:
-        nrows = self.shape[0]
-        halo_offsets = self.schedule.halo_offsets
-        blocks = [lm.csr for lm in self.locals]
-        n_local = np.array([lm.global_rows.size for lm in self.locals], dtype=np.int64)
-        nnz = np.array([csr.indices.size for csr in blocks], dtype=np.int64)
-        row_offsets = np.zeros(n_local.size + 1, dtype=np.int64)
-        np.cumsum(n_local, out=row_offsets[1:])
-        entry_offsets = np.zeros(n_local.size + 1, dtype=np.int64)
-        np.cumsum(nnz, out=entry_offsets[1:])
-        indptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.concatenate([np.empty(0, dtype=np.int64), *[csr.indptr[1:] for csr in blocks]],
-                       out=indptr[1:])
-        indptr[1:] += np.repeat(entry_offsets[:-1], n_local)
+    def _operator_indices(self) -> np.ndarray:
+        """Every entry's column in :meth:`operator`'s input buffer."""
+        nrows, halo_offsets = self.shape[0], self.schedule.halo_offsets
+        offsets, cols = self._entries
+        row_offsets = self._row_offsets()
+        rank = np.repeat(np.arange(row_offsets.size - 1, dtype=np.int64), np.diff(offsets))
+        indices = cols + row_offsets[rank]
         # rank p's local column c moves to row_offsets[p] + c, its halo
         # column n_local + k to nrows + halo_offsets[p] + k
-        indices = np.concatenate([np.empty(0, dtype=np.int64), *[csr.indices for csr in blocks]])
-        rank = np.repeat(np.arange(n_local.size, dtype=np.int64), nnz)
-        indices += row_offsets[rank]
         halo = np.flatnonzero(indices >= row_offsets[rank + 1])
         indices[halo] += (nrows + halo_offsets[:-1] - row_offsets[1:])[rank[halo]]
-        return CSRMatrix(
-            (nrows, nrows + int(halo_offsets[-1])), indptr, indices, self._stacked_values(),
-            check=False,
-        )
-
-    def _stacked_values(self) -> np.ndarray:
-        """Every block's values in one array, each block's ``data`` a view."""
-        values = self._values
-        if values is None or not all([lm.csr.data.base is values for lm in self.locals]):
-            values = np.concatenate([np.empty(0), *(lm.csr.data for lm in self.locals)])
-            pos = 0
-            for lm in self.locals:
-                lm.csr.data = values[pos : pos + lm.nnz]
-                pos += lm.nnz
-            self._values = values
-        return values
+        return indices
 
     def split_blocks(self) -> list[tuple[CSRMatrix, CSRMatrix | None]]:
         """Per-rank ``(A_ll, A_lh)`` column split of the local blocks.

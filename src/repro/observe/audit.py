@@ -217,18 +217,11 @@ def schedule_snapshot(schedule) -> dict:
     ``schedule.update`` call: one message of ``8 · len(ids)`` bytes per
     directed (sender, receiver) pair.
     """
-    messages: dict[tuple[int, int], int] = {}
-    nbytes: dict[tuple[int, int], int] = {}
-    for p, by_owner in enumerate(schedule.recv_from):
-        for q, ids in by_owner.items():
-            if ids.size == 0:
-                continue
-            edge = (int(q), int(p))
-            messages[edge] = messages.get(edge, 0) + 1
-            nbytes[edge] = nbytes.get(edge, 0) + 8 * int(ids.size)
+    senders, receivers, nbytes = schedule.messages
+    edges = list(zip(senders.tolist(), receivers.tolist()))
     return {
-        "p2p_messages": messages,
-        "p2p_bytes": nbytes,
+        "p2p_messages": dict.fromkeys(edges, 1),
+        "p2p_bytes": dict(zip(edges, nbytes.tolist())),
         "collective_calls": {},
         "collective_bytes": {},
     }

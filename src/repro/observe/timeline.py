@@ -41,6 +41,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from repro.errors import ReproError
 
 __all__ = [
@@ -458,10 +460,12 @@ class Timeline:
         rank_starts = {
             r: [segs[i].start for i in idxs] for r, idxs in by_rank.items()
         }
-        # sends grouped by (src, dst), time-sorted, for wait matching
+        # sends grouped by (src, dst), time-sorted, for wait matching, with
+        # each lane's times listed once
         sends: dict[tuple[int, int], list[CommEdge]] = {}
         for e in sorted(self.edges, key=lambda e: e.time):
             sends.setdefault((e.src, e.dst), []).append(e)
+        send_times = {lane: [e.time for e in edges] for lane, edges in sends.items()}
 
         def sender_segment(src: int, t: float) -> int | None:
             """Index of the segment on ``src`` active at (or last before) t."""
@@ -485,8 +489,7 @@ class Timeline:
                 candidates.append((by_rank[seg.rank][k - 1], None))
             if seg.src is not None:  # a receive: halo wait or reduction hop
                 lane = sends.get((seg.src, seg.rank), [])
-                times = [e.time for e in lane]
-                j = bisect_right(times, seg.end) - 1
+                j = bisect_right(send_times.get((seg.src, seg.rank), []), seg.end) - 1
                 if j >= 0:
                     edge = lane[j]
                     pred = sender_segment(seg.src, edge.time)
@@ -742,23 +745,12 @@ def halo_critical_path(schedule, *, value_bytes: int = 8) -> HaloCriticalPath:
     (ties break to the lowest rank); its incoming edges, source-sorted with
     exact byte counts, form the comparable path object.
     """
-    nparts = len(schedule.recv_from)
-    incoming = []
-    for p in range(nparts):
-        total = sum(
-            value_bytes * int(ids.size)
-            for ids in schedule.recv_from[p].values()
-            if ids.size
-        )
-        incoming.append(total)
-    bottleneck = max(range(nparts), key=lambda p: (incoming[p], -p))
-    edges = tuple(
-        sorted(
-            (int(q), int(bottleneck), value_bytes * int(ids.size))
-            for q, ids in schedule.recv_from[bottleneck].items()
-            if ids.size
-        )
-    )
+    senders, receivers, nbytes = schedule.messages
+    sizes = value_bytes * (nbytes // 8)
+    incoming = np.bincount(receivers, weights=sizes, minlength=schedule.partition.nparts)
+    bottleneck = int(np.argmax(incoming))  # the first maximum: ties go to the lowest rank
+    into = receivers == bottleneck
+    edges = tuple((q, bottleneck, b) for q, b in zip(senders[into].tolist(), sizes[into].tolist()))
     return HaloCriticalPath(
         rank=int(bottleneck),
         edges=edges,

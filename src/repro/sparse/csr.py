@@ -346,18 +346,17 @@ class CSRMatrix:
 
     def transpose(self) -> "CSRMatrix":
         """Return ``Aᵀ`` as a new CSR matrix (counting-sort transpose)."""
+        # SciPy's compiled loops, loaded with the first transpose, not with
+        # the package (see repro.kernels.plan)
+        from repro.kernels.plan import _sparsetools
+
         nrows, ncols = self.shape
-        nnz = self.nnz
-        t_indptr = np.zeros(ncols + 1, dtype=np.int64)
-        np.add.at(t_indptr, self.indices + 1, 1)
-        np.cumsum(t_indptr, out=t_indptr)
-        t_indices = np.empty(nnz, dtype=np.int64)
-        t_data = np.empty(nnz, dtype=np.float64)
+        t_indptr = np.empty(ncols + 1, dtype=np.int64)
+        t_indices = np.empty(self.nnz, dtype=np.int64)
+        t_data = np.empty(self.nnz, dtype=np.float64)
         # stable counting placement keeps per-row order => sorted columns
-        rows = np.repeat(np.arange(nrows, dtype=np.int64), self.row_nnz())
-        order = np.argsort(self.indices, kind="stable")
-        t_indices[:] = rows[order]
-        t_data[:] = self.data[order]
+        _sparsetools().csr_tocsc(nrows, ncols, self.indptr, self.indices, self.data,
+                                 t_indptr, t_indices, t_data)
         return CSRMatrix((ncols, nrows), t_indptr, t_indices, t_data, check=False)
 
     def diagonal(self) -> np.ndarray:

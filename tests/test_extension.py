@@ -27,62 +27,63 @@ def dist_pattern():
     return mat, part, base, DistMatrix.from_global(base.to_csr(), part)
 
 
-def union_pattern(base, extensions):
-    rows = np.concatenate([e.rows for e in extensions])
-    cols = np.concatenate([e.cols for e in extensions])
-    if rows.size == 0:
-        return base
+def union_pattern(base, ext):
     from repro.core.precond import _union_with_entries
 
-    return _union_with_entries(base, rows, cols)
+    return _union_with_entries(base, ext.rows, ext.cols)
+
+
+def per_rank(ext):
+    """``(rank, rows, cols)`` of each rank's additions."""
+    bounds = ext.offsets.tolist()
+    for p, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        yield p, ext.rows[lo:hi], ext.cols[lo:hi]
 
 
 class TestBasicProperties:
     @pytest.mark.parametrize("mode", [ExtensionMode.LOCAL, ExtensionMode.COMM])
     def test_added_entries_are_new_and_strictly_lower(self, dist_pattern, mode):
         _, _, base, dist = dist_pattern
-        for ext in extend_dist_pattern(dist, 64, mode):
-            for i, j in zip(ext.rows, ext.cols):
-                assert j < i  # strictly lower triangular
-                assert not base.contains(int(i), int(j))  # genuinely new
+        ext = extend_dist_pattern(dist, 64, mode)
+        for i, j in zip(ext.rows, ext.cols):
+            assert j < i  # strictly lower triangular
+            assert not base.contains(int(i), int(j))  # genuinely new
 
     @pytest.mark.parametrize("mode", [ExtensionMode.LOCAL, ExtensionMode.COMM])
     def test_rows_belong_to_their_rank(self, dist_pattern, mode):
         _, part, _, dist = dist_pattern
-        for ext in extend_dist_pattern(dist, 64, mode):
-            assert np.all(part.owner[ext.rows] == ext.rank)
+        for p, rows, _ in per_rank(extend_dist_pattern(dist, 64, mode)):
+            assert np.all(part.owner[rows] == p)
 
     def test_comm_superset_of_local(self, dist_pattern):
         _, _, _, dist = dist_pattern
         local = extend_dist_pattern(dist, 64, ExtensionMode.LOCAL)
         comm = extend_dist_pattern(dist, 64, ExtensionMode.COMM)
-        for le, ce in zip(local, comm):
-            local_set = set(zip(le.rows.tolist(), le.cols.tolist()))
-            comm_set = set(zip(ce.rows.tolist(), ce.cols.tolist()))
+        for (_, lrows, lcols), (_, crows, ccols) in zip(per_rank(local), per_rank(comm)):
+            local_set = set(zip(lrows.tolist(), lcols.tolist()))
+            comm_set = set(zip(crows.tolist(), ccols.tolist()))
             assert local_set <= comm_set
-            assert ce.n_local_added == le.n_added  # same local additions
+        # same local additions
+        assert np.array_equal(comm.n_local_added, np.diff(local.offsets))
 
     def test_local_mode_adds_no_halo(self, dist_pattern):
         _, _, _, dist = dist_pattern
-        for ext in extend_dist_pattern(dist, 64, ExtensionMode.LOCAL):
-            assert ext.n_halo_added == 0
+        assert not extend_dist_pattern(dist, 64, ExtensionMode.LOCAL).n_halo_added.any()
 
     def test_comm_mode_adds_halo_somewhere(self, dist_pattern):
         _, _, _, dist = dist_pattern
-        total_halo = sum(
-            e.n_halo_added for e in extend_dist_pattern(dist, 64, ExtensionMode.COMM)
-        )
+        total_halo = extend_dist_pattern(dist, 64, ExtensionMode.COMM).n_halo_added.sum()
         assert total_halo > 0  # a 4-way grid partition has eligible halo cells
 
     def test_one_value_per_line_adds_nothing(self, dist_pattern):
         _, _, _, dist = dist_pattern
-        for ext in extend_dist_pattern(dist, 8, ExtensionMode.COMM):
-            assert ext.n_added == 0
+        ext = extend_dist_pattern(dist, 8, ExtensionMode.COMM)
+        assert ext.n_added == 0 and not ext.offsets.any()
 
     def test_larger_lines_add_more(self, dist_pattern):
         _, _, _, dist = dist_pattern
-        small = sum(e.n_added for e in extend_dist_pattern(dist, 64, ExtensionMode.COMM))
-        large = sum(e.n_added for e in extend_dist_pattern(dist, 256, ExtensionMode.COMM))
+        small = extend_dist_pattern(dist, 64, ExtensionMode.COMM).n_added
+        large = extend_dist_pattern(dist, 256, ExtensionMode.COMM).n_added
         assert large > small
 
 
@@ -91,12 +92,13 @@ class TestCacheFriendliness:
     def test_every_added_entry_shares_a_line_with_base(self, dist_pattern, line_bytes):
         _, part, _, dist = dist_pattern
         dpl = doubles_per_line(line_bytes)
-        for ext in extend_dist_pattern(dist, line_bytes, ExtensionMode.COMM):
-            lm = dist.locals[ext.rank]
+        for p, added_rows, added_cols in per_rank(
+                extend_dist_pattern(dist, line_bytes, ExtensionMode.COMM)):
+            lm = dist.locals[p]
             col_global = np.concatenate([lm.global_rows, lm.ext_cols])
             # local position of each global column id
             pos_of = {int(g): k for k, g in enumerate(col_global)}
-            for gi, gj in zip(ext.rows, ext.cols):
+            for gi, gj in zip(added_rows, added_cols):
                 li = int(part.local_index[gi])
                 cols = lm.csr.row(li)[0]
                 lines = set((col // dpl) for col in cols.tolist())
@@ -106,17 +108,18 @@ class TestCacheFriendliness:
 class TestCommAwareness:
     def test_halo_additions_only_in_received_columns(self, dist_pattern):
         _, part, _, dist = dist_pattern
-        for ext in extend_dist_pattern(dist, 64, ExtensionMode.COMM):
-            lm = dist.locals[ext.rank]
+        for p, _, added_cols in per_rank(extend_dist_pattern(dist, 64, ExtensionMode.COMM)):
+            lm = dist.locals[p]
             ext_col_set = set(lm.ext_cols.tolist())
             local_set = set(lm.global_rows.tolist())
-            for gj in ext.cols.tolist():
+            for gj in added_cols.tolist():
                 assert gj in ext_col_set or gj in local_set
 
     def test_halo_additions_only_in_sent_rows(self, dist_pattern):
         _, part, _, dist = dist_pattern
-        for ext in extend_dist_pattern(dist, 64, ExtensionMode.COMM):
-            lm = dist.locals[ext.rank]
+        for p, added_rows, added_cols in per_rank(
+                extend_dist_pattern(dist, 64, ExtensionMode.COMM)):
+            lm = dist.locals[p]
             n_local = lm.n_local
             # rows sent to q: rows with an existing halo entry owned by q
             sent: dict[int, set[int]] = {}
@@ -125,8 +128,8 @@ class TestCommAwareness:
                 for c in cols[cols >= n_local].tolist():
                     q = int(part.owner[lm.ext_cols[c - n_local]])
                     sent.setdefault(q, set()).add(int(lm.global_rows[li]))
-            for gi, gj in zip(ext.rows.tolist(), ext.cols.tolist()):
-                if part.owner[gj] != ext.rank:  # halo addition
+            for gi, gj in zip(added_rows.tolist(), added_cols.tolist()):
+                if part.owner[gj] != p:  # halo addition
                     q = int(part.owner[gj])
                     assert gi in sent.get(q, set())
 
@@ -158,7 +161,7 @@ class TestCommAwareness:
         part = RowPartition.from_matrix(mat, 1)
         base = fsai_pattern(mat)
         dist = DistMatrix.from_global(base.to_csr(), part)
-        exts = extend_dist_pattern(dist, 64, ExtensionMode.COMM)
-        assert len(exts) == 1
-        assert exts[0].n_halo_added == 0
-        assert exts[0].n_local_added > 0
+        ext = extend_dist_pattern(dist, 64, ExtensionMode.COMM)
+        assert ext.offsets.tolist() == [0, ext.n_added]
+        assert ext.n_halo_added.tolist() == [0]
+        assert ext.n_local_added[0] > 0

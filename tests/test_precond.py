@@ -61,7 +61,7 @@ class TestBuilders:
         mat, part, _, _ = setup
         pre = build_fsaie_comm(mat, part, OPTS)
         assert pre.ext_nnz_unfiltered >= pre.nnz - pre.base_nnz
-        assert sum(e.n_added for e in pre.extensions) == pre.ext_nnz_unfiltered
+        assert pre.extension.n_added == pre.ext_nnz_unfiltered
 
     def test_stronger_filter_smaller_pattern(self, setup):
         mat, part, _, _ = setup

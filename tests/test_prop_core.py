@@ -25,10 +25,11 @@ from repro.core import (
     fsai_pattern,
     pcg,
 )
-from repro.core.filtering import dynamic_filter_for_rank
 from repro.dist import DistMatrix, DistVector, HaloSchedule, RowPartition
 from repro.matgen import paper_rhs, poisson2d
 from repro.sparse import CSRMatrix, SparsityPattern
+
+from extension_oracle import dynamic_filter_for_rank, static_filter_counts
 
 SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -141,9 +142,8 @@ class TestExtensionProperties:
         base = fsai_pattern(mat)
         dist = DistMatrix.from_global(base.to_csr(), part)
         for mode in (ExtensionMode.LOCAL, ExtensionMode.COMM):
-            exts = extend_dist_pattern(dist, line_bytes, mode)
-            rows = np.concatenate([e.rows for e in exts])
-            cols = np.concatenate([e.cols for e in exts])
+            ext = extend_dist_pattern(dist, line_bytes, mode)
+            rows, cols = ext.rows, ext.cols
             if rows.size == 0:
                 continue
             from repro.core.precond import _union_with_entries
@@ -190,7 +190,6 @@ class TestFilteringProperties:
     @given(st.integers(0, 2**31 - 1), st.integers(1, 8))
     def test_dynamic_filter_reduces_max_load(self, seed, nparts):
         from repro.core import compute_dynamic_filters
-        from repro.core.filtering import static_filter_counts
 
         rng = np.random.default_rng(seed)
         ratios = [

@@ -100,7 +100,7 @@ def check(mat: CSRMatrix, part: RowPartition) -> DistMatrix:
     assert_same_distribution(dmat, mat)
     assert_same_schedule(HaloSchedule.from_row_structure(part, mat.indptr, mat.indices),
                          part, mat)
-    stacked = dmat._stacked()
+    stacked = dmat.operator().mat
     indptr, indices = stacked_per_rank(dmat)
     assert same(stacked.indptr, indptr) and same(stacked.indices, indices)
     assert stacked.data is dmat._values

@@ -31,13 +31,13 @@ from repro.core import (
     fsai_pattern,
     pcg,
 )
-from repro.core.extension import ExtensionMode, extend_rank_pattern
-from repro.core.filtering import dynamic_filter_for_rank
+from repro.core.extension import ExtensionMode
 from repro.dist import DistMatrix, DistVector, RowPartition
 from repro.matgen import get_case, paper_rhs, poisson2d
 from repro.mpisim import CommTracker, run_spmd
 from repro.sparse import CSRMatrix, SparsityPattern
 
+from extension_oracle import dynamic_filter_for_rank, extend_rank_pattern
 from test_fsai import compute_g_values_per_row
 
 _TAG_ROWREQ = 8_100

@@ -60,7 +60,7 @@ class TestWorkspace:
     def test_workspace_exposes_stats(self, setup):
         mat, part = setup
         ws = ExtensionWorkspace("X", mat, part, ExtensionMode.COMM, line_bytes=128)
-        assert ws.ext_nnz_unfiltered == sum(e.n_added for e in ws.extensions)
+        assert ws.ext_nnz_unfiltered == ws.extension.n_added
         assert ws.g_pre.nnz == ws.base.nnz + ws.ext_nnz_unfiltered
         assert ws.base_counts.sum() == ws.base.nnz
         assert sum(len(r) for r in ws.ext_ratios_per_rank) == ws.ext_nnz_unfiltered
