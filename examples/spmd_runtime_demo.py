@@ -1,28 +1,30 @@
 #!/usr/bin/env python3
-"""Run the full preconditioned solver on the SPMD message-passing runtime.
+"""Run the full preconditioned solver on the SPMD runtime.
 
 Run:  python examples/spmd_runtime_demo.py
 
 Everything else in this repo uses the deterministic bulk-synchronous engine;
-this example executes the identical algorithm on `repro.mpisim` — one
-coroutine per rank, real blocking messages, a real allreduce, a modeled
-clock — and shows that:
+this example executes the identical algorithm with `repro.dist.spmd_cg` —
+every halo value a point-to-point message, every dot product a
+recursive-doubling allreduce, every rank on a modeled clock — and shows
+that:
 
-* the results agree bit-for-bit in iteration count,
+* the results agree with the bulk-synchronous solve in iteration count,
 * the communication tracker sees exactly the same byte volume per halo
   update for FSAI and FSAIE-Comm (the paper's core guarantee, measured on
   the wire rather than proven on schedules),
-* a hand-written rank program is an `async def`: it awaits what can block
-  (`recv`, `Request.wait`, `allreduce`) and calls `send`, `irecv` and
-  `advance` plainly; its timing is modeled seconds, identical on every run.
+* the modeled clock says *when* messages arrive, never *which*: a solve on
+  the Skylake clock, and one under a fault plan that drops and delays
+  messages (each retried on the sender's clock), give the same solution
+  and the same traffic.
 
-`spmd_cg` runs its rank program on the engine, message by message, only
-while a fault injector watches the run; the solve below takes the clocked
-executor, which computes the same solution, clocks and tracker traffic
-for all ranks at once — and, under the tracer, the same spans.
+The solves run on the clocked executor: the solver's statements once over
+all ranks, with a ledger of every rank's clock (`repro.dist.spmd`).
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -38,19 +40,9 @@ from repro import (
 )
 from repro.dist import spmd_cg
 from repro.matgen import poisson2d
-from repro.mpisim import CommTracker, run_spmd
+from repro.mpisim import CommTracker
 from repro.perfmodel import SKYLAKE
-
-
-async def ring_then_sum(comm, work_flops: float):
-    """A rank program: pass a token round the ring, then sum the clocks."""
-    right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
-    request = comm.irecv(left)              # post the receive: plain call
-    comm.advance(comm.clock.kernel_seconds(work_flops * (comm.rank + 1), 0))
-    comm.send(comm.rank, right)             # buffered send: plain call
-    token = await request.wait()            # may block: awaited
-    total = await comm.allreduce(comm.now())  # the allreduce blocks too
-    return token, comm.now(), total
+from repro.resilience import FaultPlan, MessageDelay, MessageDrop, fault_injection
 
 
 def main() -> None:
@@ -84,11 +76,19 @@ def main() -> None:
     print("\nNote: bytes per preconditioner application are identical for FSAI")
     print("and FSAIE-Comm — the extended pattern moved zero additional bytes.")
 
-    out = run_spmd(ring_then_sum, 4, 1e6, clock=SKYLAKE.clock_model())
-    assert out == run_spmd(ring_then_sum, 4, 1e6, clock=SKYLAKE.clock_model())
-    print("\nhand-written rank program on the Skylake clock model:")
-    for rank, (token, now, _) in enumerate(out):
-        print(f"  rank {rank}: token from rank {token}, done at {now * 1e3:.4f} ms (modeled)")
+    runs = {}
+    plan = FaultPlan(seed=3, drops=(MessageDrop(0.05),),
+                     delays=(MessageDelay(0.05, 2e-6),))
+    for label in ("zero clock", "Skylake clock", "Skylake + faults"):
+        tracker = CommTracker()
+        with fault_injection(plan) if label.endswith("faults") else nullcontext():
+            x, iters = spmd_cg(da, b, rtol=PAPER_RTOL, precond_pair=(pre.g, pre.gt),
+                               tracker=tracker,
+                               clock=None if label == "zero clock" else SKYLAKE.clock_model())
+        runs[label] = (x.values.tobytes(), iters, tracker.snapshot())
+    assert len(set(map(repr, runs.values()))) == 1
+    print("\nFSAIE-Comm on the zero clock, the Skylake clock and under drops and")
+    print(f"delays: one solution, {iters} iterations and one traffic snapshot ✓")
 
 
 if __name__ == "__main__":

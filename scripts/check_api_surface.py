@@ -50,7 +50,6 @@ CALLER_DIRS = ("src", "benchmarks", "scripts", "examples")
 #: an error type a caller catches, a primitive CONTRIBUTING tells rank
 #: programs to use.  Every other uncalled name leaves ``__all__``.
 ALLOWED_UNCALLED = {
-    "repro.mpisim.Request": "returned by Comm.irecv",
     "repro.instrument.Counter": "returned by MetricsRegistry.counter",
     "repro.instrument.Gauge": "returned by MetricsRegistry.gauge",
     "repro.instrument.Histogram": "returned by MetricsRegistry.histogram",

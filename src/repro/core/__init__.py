@@ -22,7 +22,6 @@ from repro.core.filtering import (
     FilterSpec,
     compute_dynamic_filters,
     entry_ratios,
-    extension_entry_mask,
     imbalance_index,
     relative_load,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "extend_dist_pattern",
     "FilterSpec",
     "entry_ratios",
-    "extension_entry_mask",
     "compute_dynamic_filters",
     "imbalance_index",
     "relative_load",

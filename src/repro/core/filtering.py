@@ -26,12 +26,10 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.instrument import get_metrics
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.pattern import SparsityPattern
 
 __all__ = [
     "FilterSpec",
     "entry_ratios",
-    "extension_entry_mask",
     "compute_dynamic_filters",
     "rank_filters",
     "imbalance_index",
@@ -81,15 +79,6 @@ def entry_ratios(g: CSRMatrix) -> np.ndarray:
     rows = np.repeat(np.arange(g.nrows, dtype=np.int64), g.row_nnz())
     scale = np.sqrt(diag[rows] * diag[g.indices])
     return np.abs(g.data) / scale
-
-
-def extension_entry_mask(g: CSRMatrix, base: SparsityPattern) -> np.ndarray:
-    """Boolean mask over ``g``'s entries: True where the entry is *extension*
-    (absent from the base pattern) and therefore filterable."""
-    if g.shape != base.shape:
-        raise ShapeError("factor and base pattern shapes differ")
-    rows = np.repeat(np.arange(g.nrows, dtype=np.int64), g.row_nnz())
-    return ~base.contains(rows, g.indices)
 
 
 def compute_dynamic_filters(

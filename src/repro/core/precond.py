@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.extension import DistExtension, ExtensionMode, extend_dist_pattern
-from repro.core.filtering import FilterSpec, entry_ratios, extension_entry_mask, rank_filters
+from repro.core.filtering import FilterSpec, entry_ratios, rank_filters
 from repro.core.fsai import (
     FSAIOptions,
     SetupOptions,
@@ -284,14 +284,16 @@ class ExtensionWorkspace:
                 dist_pattern = DistMatrix.from_global(self.base.to_csr(), partition)
                 self.extension = extend_dist_pattern(dist_pattern, line_bytes, mode)
                 self.ext_nnz_unfiltered = self.extension.n_added
-                s_ext = _union_with_entries(self.base, self.extension.rows,
-                                            self.extension.cols)
+                s_ext, added = _union_with_entries(self.base, self.extension.rows,
+                                                   self.extension.cols)
 
             # Alg. 2 step 4: precalculate G on the full extended pattern
             with tracer.span("precond.factor", stage="precalculate"):
                 self.g_pre = compute_g_values(mat, s_ext, setup=self.setup)
             self.ratios = entry_ratios(self.g_pre)
-            self.ext_mask = extension_entry_mask(self.g_pre, self.base)
+            # the extension entries: where the union put the additions
+            self.ext_mask = np.zeros(self.g_pre.nnz, dtype=bool)
+            self.ext_mask[added] = True
             self.entry_owner = partition.owner[
                 np.repeat(np.arange(self.g_pre.nrows, dtype=np.int64), self.g_pre.row_nnz())
             ]
@@ -406,18 +408,21 @@ def _record_build_metrics(pre: Preconditioner) -> None:
 
 def _union_with_entries(
     base: SparsityPattern, rows: np.ndarray, cols: np.ndarray
-) -> SparsityPattern:
+) -> tuple[SparsityPattern, np.ndarray]:
     """A pattern with explicit (row, col) additions, each absent from it and
-    listed once (as an extension adds them): the sorted additions merge
-    into the sorted entries."""
+    listed once (as an extension adds them), and the additions' positions
+    among its entries: the sorted additions merge into the sorted entries,
+    the ``k``-th of them ``k`` places after its insertion point."""
     if rows.size == 0:
-        return base
+        return base, np.empty(0, dtype=np.int64)
     n = base.ncols
     keys = np.sort(rows * n + cols)
-    indices = np.insert(base.indices, np.searchsorted(base._keys(), keys), keys % n)
+    at = np.searchsorted(base._keys(), keys)
+    indices = np.insert(base.indices, at, keys % n)
     indptr = base.indptr.copy()
     indptr[1:] += np.cumsum(np.bincount(keys // n, minlength=base.nrows))
-    return SparsityPattern(base.shape, indptr, indices, check=False)
+    return (SparsityPattern(base.shape, indptr, indices, check=False),
+            at + np.arange(keys.size))
 
 
 def _distribute(

@@ -4,21 +4,21 @@ The BSP layer (:class:`~repro.dist.matrix.DistMatrix`) applies operations
 rank-by-rank in the driver.  :func:`spmd_cg`, :func:`spmd_pipelined_pcg`
 and :func:`spmd_halo_update` run the *same* data structures as SPMD
 programs: a halo update is one message per edge, a reduction the recursive
-doubling of :func:`repro.mpisim.collectives.allreduce`, and every kernel
-charges its *modeled* cost to its rank's clock.
+doubling of :func:`repro.mpisim.collectives.allreduce_schedule`, and every
+kernel charges its *modeled* cost to its rank's clock.
 
-Every run without a fault plan — plain, telemetered or traced — takes the
-*clocked executor* (the end of this module): the solver's statements once
-over all ranks with a :class:`_Ledger` of every rank's clock, bitwise the
-per-message engine and with no Python per rank.  Each group of
-equal-length ranks' dot partials is one stacked ``matmul`` (the kernel
-``ndarray.dot`` runs), summed by the allreduce's rounds over all ranks at
-once (:func:`repro.mpisim.collectives.reduce_rounds`); the traffic is
-booked in bulk at the end (:func:`book_bulk`); telemetry and the tracer
-read one record the ledger keeps.  Under a fault plan :func:`spmd_cg` runs
-its rank program (:func:`_engine_cg`) on :func:`repro.mpisim.run_spmd`
-instead, and the other two raise :class:`~repro.errors.CommError`; their
-rank programs, the executor's oracle, live with the tests.
+Every run takes the *clocked executor* (the end of this module): the
+solver's statements once over all ranks with a :class:`_Ledger` of every
+rank's clock, with no Python per rank.  Each group of equal-length ranks'
+dot partials is one stacked ``matmul`` (the kernel ``ndarray.dot`` runs),
+summed by the allreduce's rounds over all ranks at once
+(:func:`repro.mpisim.collectives.reduce_rounds`); the traffic is booked in
+bulk at the end (:func:`book_bulk`); telemetry and the tracer read one
+record the ledger keeps.  Under a fault plan :func:`spmd_cg` keeps a
+:class:`_FaultedLedger` instead, which sends the messages one at a time
+through the plan's verdicts; the other two solvers raise
+:class:`~repro.errors.CommError`.  Their rank programs, one coroutine per
+rank on a per-message engine, live with the tests as the executor's oracle.
 
 The work of a kernel (:func:`spmv_work`, :func:`vector_work`,
 :func:`pack_work`) and of an iteration (:data:`CG_ITERATION`,
@@ -35,11 +35,11 @@ import numpy as np
 
 from repro.dist.matrix import DistMatrix
 from repro.dist.vector import DistVector
-from repro.errors import CommError
+from repro.errors import CommError, RankFailedError
 from repro.instrument import get_metrics, get_tracer
-from repro.kernels.plan import SpMVPlan
-from repro.mpisim import ClockModel, Comm, CommTracker, get_injector, run_spmd
+from repro.mpisim import ClockModel, CommTracker, get_injector, payload_nbytes
 from repro.mpisim.collectives import allreduce_schedule, reduce_rounds
+from repro.mpisim.injection import DuplicateEnvelope
 
 __all__ = [
     "spmd_halo_update",
@@ -100,21 +100,16 @@ PIPELINED_ITERATION = IterationWork(updates=8, dots=3, allreduces=1, allreduce_v
 
 
 def _check_engine(engine: str) -> None:
-    """The SPMD runtime has one engine, the event-driven scheduler; the
-    keyword survives because recorded callers pass it."""
+    """``"events"`` names the one engine, the clocked executor, which runs
+    every solve; the keyword survives because recorded callers pass it."""
     if engine == "threads":
         raise CommError(
-            "engine='threads' is gone: the SPMD runtime has one engine, the "
-            "single-threaded event-driven scheduler ('events', the default)"
+            "engine='threads' is gone: every SPMD solve runs on the clocked "
+            "executor ('events', the default)"
         )
     if engine != "events":
-        raise CommError(f"unknown engine {engine!r}; the only engine is 'events'")
-
-
-def _watched() -> bool:
-    """A fault plan watches each message, so :func:`spmd_cg` takes the
-    engine.  The tracer and telemetry read the clock ledger instead."""
-    return get_injector() is not None
+        raise CommError(
+            f"unknown engine {engine!r}; the only engine is 'events', the clocked executor")
 
 
 def _unwatched(solver: str, telemetry=None) -> None:
@@ -126,81 +121,6 @@ def _unwatched(solver: str, telemetry=None) -> None:
 
             raise TelemetryError("telemetry= cannot be served while a fault plan watches the run")
         raise CommError(f"{solver} cannot run under a fault plan: only spmd_cg runs faulted")
-
-
-async def _halo_exchange(
-    comm: Comm, mat: DistMatrix, x_local: np.ndarray, halo: np.ndarray
-) -> np.ndarray:
-    """One rank's side of the halo update, into its ``halo`` buffer: one
-    ``irecv`` per incoming edge, the pack (a ``spmd.halo.pack`` span tagged
-    with the payload bytes, charged the gather's streamed bytes), one send
-    per outgoing edge, then each receive in a ``spmd.halo.wait`` span
-    tagged with its source and bytes, scattered in ``recv_pos`` order."""
-    p, sched, tracer = comm.rank, mat.schedule, get_tracer()
-    pending = [(q, comm.irecv(q, _TAG_HALO)) for q, ids in sched.recv_from[p].items()
-               if ids.size]
-    with tracer.span("spmd.halo.pack", rank=p) as pack:
-        sends = [(x_local[mat.partition.local_index[ids]], q)
-                 for q, ids in sched.send_to[p].items() if ids.size]
-        packed = sum(payload.size for payload, _ in sends)
-        comm.advance(comm.clock.kernel_seconds(*pack_work(packed)))
-        pack.set_tag("bytes", packed * VALUE_BYTES)
-    for payload, q in sends:
-        comm.send(payload, q, _TAG_HALO)
-    for q, req in pending:
-        with tracer.span("spmd.halo.wait", rank=p, src=q,
-                         bytes=VALUE_BYTES * sched.recv_from[p][q].size):
-            halo[sched.recv_pos[p][q]] = await req.wait()
-    return halo
-
-
-class _Block:
-    """One rank's block of one matrix in a run: its compiled plan, its
-    ``[x_local | halo]`` operand buffer and halo view, and the modeled
-    seconds of its product."""
-
-    __slots__ = ("mat", "n_local", "fused", "operand", "halo")
-
-    def __init__(self, comm: Comm, mat: DistMatrix):
-        lm = mat.locals[comm.rank]
-        self.mat, self.n_local = mat, lm.n_local
-        self.fused = SpMVPlan(lm.csr), comm.clock.kernel_seconds(
-            *spmv_work(lm.csr.nnz, lm.csr.nrows))
-        self.operand = np.zeros(lm.n_local + lm.n_halo, dtype=np.float64)
-        self.halo = self.operand[lm.n_local:]
-
-
-class _Rank:
-    """One rank's side of a solve: the tracer, resolved once, the clock
-    charge (``comm.advance``), and the products over the rank's blocks
-    (:class:`_Block`).  :meth:`compute` is a charge in an ``spmd.compute``
-    span: the kernel does not move the modeled clock, only its charge."""
-
-    def __init__(self, comm: Comm):
-        self.comm, self.rank = comm, comm.rank
-        self.tracer = get_tracer()
-        self.charge = comm.advance
-
-    def compute(self, kernel: str, seconds: float) -> None:
-        with self.tracer.span("spmd.compute", rank=self.rank, kernel=kernel):
-            self.charge(seconds)
-
-    async def allreduce(self, value, **tags):
-        """``comm.allreduce`` inside an ``spmd.reduction`` span."""
-        with self.tracer.span("spmd.reduction", rank=self.rank, **tags):
-            return await self.comm.allreduce(value)
-
-    async def spmv(self, blk: _Block, v: np.ndarray) -> np.ndarray:
-        """Blocking-exchange product: update the halo, then one product
-        with the fused block."""
-        await _halo_exchange(self.comm, blk.mat, v, blk.halo)
-        plan, seconds = blk.fused
-        if blk.halo.size:
-            blk.operand[: blk.n_local] = v
-            v = blk.operand
-        y = plan.spmv(v)
-        self.compute("spmv", seconds)
-        return y
 
 
 def spmd_halo_update(
@@ -217,7 +137,8 @@ def spmd_halo_update(
     ``telemetry`` takes a :class:`repro.observe.stream.TelemetryConfig` —
     the instrumented form used to re-prove the paper's schedule invariance
     *with telemetry enabled*.  A fault plan raises :class:`CommError` (no
-    faulted run).  ``engine`` accepts only ``"events"``.
+    faulted run).  ``engine`` accepts only ``"events"``, the clocked
+    executor.
     """
     _check_engine(engine)
     _unwatched("spmd_halo_update", telemetry)
@@ -249,81 +170,17 @@ def spmd_cg(
     ``precond_pair`` is ``(G, Gᵀ)`` as row-distributed matrices; the
     preconditioner application is ``z = Gᵀ(G·r)`` — two SpMVs, as in the
     paper.  Returns the solution and the iteration count.  This mirrors
-    :func:`repro.core.cg.pcg`; it runs on the clocked executor, or under a
-    fault plan as a rank program on the engine.  ``clock`` is the run's
+    :func:`repro.core.cg.pcg` on the clocked executor; under a fault plan
+    its messages go one at a time through the plan's verdicts, and a
+    :class:`~repro.resilience.RankFailure` raises
+    :class:`~repro.errors.RankFailedError` at its rank's first message in
+    or after its ``at_update``-th halo exchange.  ``clock`` is the run's
     :class:`~repro.mpisim.ClockModel`; ``engine`` accepts only
-    ``"events"``.
+    ``"events"``, the clocked executor.
     """
     _check_engine(engine)
-    run = _engine_cg if _watched() else _clocked_cg
-    return run(mat, b, rtol, max_iterations, precond_pair, tracker,
-               clock if clock is not None else ClockModel())[:2]
-
-
-def _engine_cg(mat, b, rtol, max_iterations, precond_pair, tracker, clock):
-    """The rank program on the engine: solution, iterations, final clocks."""
-    part = mat.partition
-
-    async def _prog(comm: Comm):
-        p = comm.rank
-        n = mat.locals[p].n_local
-        rank = _Rank(comm)
-        seconds = comm.clock.kernel_seconds
-        dot_s = seconds(*vector_work(n, dots=1))
-        axpy_s = seconds(*vector_work(n, updates=2))
-        update_s = seconds(*vector_work(n, updates=1))
-        a = _Block(comm, mat)
-        pre = ([_Block(comm, m) for m in precond_pair]
-               if precond_pair is not None else None)
-
-        async def gdot(u: np.ndarray, v: np.ndarray) -> float:
-            partial = float(np.dot(u, v))
-            rank.charge(dot_s)
-            return await rank.allreduce(partial)
-
-        async def apply_precond(v: np.ndarray) -> np.ndarray:
-            if pre is None:
-                return v.copy()
-            return await rank.spmv(pre[1], await rank.spmv(pre[0], v))
-
-        x = np.zeros(n, dtype=np.float64)
-        r = b.parts[p].copy()
-        norm0 = np.sqrt(await gdot(r, r))
-        if norm0 == 0.0:
-            return x, 0, comm.now()
-        z = await apply_precond(r)
-        d = z.copy()
-        rz = await gdot(r, z)
-        iterations = 0
-        for _ in range(max_iterations):
-            if np.sqrt(await gdot(r, r)) <= rtol * norm0:
-                break
-            with rank.tracer.span("spmd.iteration", rank=p, index=iterations):
-                ad = await rank.spmv(a, d)
-                dad = await gdot(d, ad)
-                if dad <= 0 or not np.isfinite(dad):
-                    break  # not SPD, or breakdown: allreduced, so all ranks stop
-                alpha = rz / dad
-                x += alpha * d
-                r -= alpha * ad
-                rank.compute("axpy", axpy_s)
-                z = await apply_precond(r)
-                rz_new = await gdot(r, z)
-                beta = rz_new / rz
-                rz = rz_new
-                d = z + beta * d
-                rank.charge(update_s)
-            iterations += 1
-        return x, iterations, comm.now()
-
-    return _gathered(part, run_spmd(_prog, part.nparts, tracker=tracker, clock=clock))
-
-
-def _gathered(part, results):
-    """The rank programs' ``(x, iterations, clock)`` results, gathered."""
-    iters = results[0][1]
-    assert all(it == iters for _, it, _ in results)
-    return DistVector(part, [x for x, _, _ in results]), iters, [t for *_, t in results]
+    return _clocked_cg(mat, b, rtol, max_iterations, precond_pair, tracker,
+                       clock if clock is not None else ClockModel(), get_injector())[:2]
 
 
 def spmd_pipelined_pcg(
@@ -361,7 +218,8 @@ def spmd_pipelined_pcg(
     go into bounded histograms, giving :mod:`repro.observe.conformance` its
     simulated per-phase seconds without full tracing.  There is no faulted
     run: a fault plan raises :class:`~repro.errors.CommError`, or with
-    ``telemetry`` :class:`TelemetryError`.  ``engine`` accepts only ``"events"``.
+    ``telemetry`` :class:`TelemetryError`.  ``engine`` accepts only
+    ``"events"``, the clocked executor.
     Returns ``(solution, iterations)``; iterates match the BSP
     ``pipelined_pcg`` to roundoff (the overlapped split changes row
     summation order in the last ulps).
@@ -730,14 +588,183 @@ class _Product(_Exchange):
         return y
 
 
-def _clocked_cg(mat, b, rtol, max_iterations, precond_pair, tracker, clock):
-    """``spmd_cg``'s rank program over all ranks, on whole vectors."""
+class _FaultedLedger(_Ledger):
+    """The ledger of a run under a fault plan: its messages go one at a time,
+    each rank's in its program order, through the plan's verdicts.
+
+    Each verdict is a pure function of ``(seed, src, dst, tag, per-edge
+    sequence)``, and a rank's clock of its own program order, so sending
+    every rank's messages of one step (a halo exchange, an allreduce round)
+    before any of its receives computes what one coroutine per rank would:
+    on entry to every send and receive a failure raises
+    :class:`~repro.errors.RankFailedError` and a due stall advances the
+    rank's clock; a drop, or a delay past ``message_timeout``, is a retry
+    with linear back-off on the sender's clock, and past ``max_retries`` a
+    ``CommError``; a shorter delay moves the sender's clock; a bit flip
+    corrupts the received copy of a halo message (a reduction's partial is
+    a Python float, which the plan does not corrupt); a duplicate's extra
+    copy, enveloped and sent first, is the one received, and the tracker
+    books the original at its envelope's size.  The traffic is booked rank
+    after rank, each rank's edges in the order it first sent on them."""
+
+    def __init__(self, part, clock, injector):
+        super().__init__(part, clock)
+        self.injector = injector
+        self.edges = [{} for _ in range(part.nparts)]  # per sender: dest -> [messages, bytes]
+
+    def dots(self, seconds: np.ndarray, *pairs) -> list[float]:
+        """:meth:`_Ledger.dots` with the allreduce's messages sent one at a
+        time, round after round (``spmd_cg``'s: one Python float a rank)."""
+        partials = np.empty((self.sizes.size, len(pairs)))
+        for ranks, rows, row, column in self.groups:
+            for k, (u, v) in enumerate(pairs):
+                partials[ranks, k] = np.matmul(u[rows].reshape(row),
+                                               v[rows].reshape(column)).reshape(-1)
+        self.clocks += seconds
+        self.reduced.append(partials[0].nbytes)
+        log, clocks = [], self.clocks
+        if self.traced:
+            self.computed(seconds)
+            self.observed.append((_ROUNDS, log, self.reduced[-1], None))
+        for src, dst, tag, combines in allreduce_schedule(self.sizes.size):
+            arrival, sent = np.empty(src.size), np.empty(src.size)
+            for i in np.argsort(src).tolist():  # the sends, in rank order
+                p = int(src[i])
+                arrival[i] = self.send(p, int(dst[i]), tag, float(partials[p, 0]),
+                                       self.reduced[-1])
+                sent[i] = clocks[p]
+            log.append((dst, clocks[dst], arrival, src, sent))
+            for q, t in zip(dst.tolist(), arrival.tolist()):
+                self.faults(q)
+                if t > clocks[q]:
+                    clocks[q] = t
+            partials[dst] = partials[dst] + partials[src] if combines else partials[src]
+        if self.traced:
+            self.observed.append((_REDUCTION, self.everyone, None, clocks.copy(), None))
+        return partials[0].tolist()
+
+    def faults(self, p: int) -> None:
+        """On entry to each of rank ``p``'s sends and receives: a failure
+        raises, a due stall advances its clock."""
+        injector = self.injector
+        if injector.rank_failed(p):
+            raise RankFailedError(p)
+        seconds = injector.consume_stall(p)
+        if seconds > 0:
+            self.metrics.counter("resilience.stalls").inc()
+            self.emit(p, "resilience.stall", seconds, rank=p, seconds=seconds)
+
+    def emit(self, p: int, name: str, charge: float | None = None, **tags) -> None:
+        """A fault's instant event on rank ``p``'s track, or its span
+        charging ``charge`` seconds to ``p``'s clock."""
+        clocks, tracer = self.clocks, self.tracer
+        if not self.traced:
+            if charge is not None:
+                clocks[p] += charge
+            return
+        outer, self.now[0] = tracer.activate(self.tracks[p]), float(clocks[p])
+        if charge is None:
+            tracer.event(name, **tags)
+        else:
+            with tracer.span(name, **tags):
+                clocks[p] += charge
+                self.now[0] = float(clocks[p])
+        tracer.activate(outer)
+
+    def send(self, p: int, q: int, tag: int, payload, nbytes: int) -> float:
+        """Send one message of ``nbytes`` from rank ``p`` to ``q`` through the
+        plan; books it and returns when the received copy arrives.  A bit
+        flip corrupts ``payload`` in place."""
+        self.faults(p)
+        injector, plan, metrics, clocks = self.injector, self.injector.plan, self.metrics, self.clocks
+        attempts = 0
+        while True:
+            verdict = injector.message_verdict(p, q, tag)
+            if not (verdict.dropped or verdict.delay_s > plan.message_timeout):
+                break
+            attempts += 1
+            injector.record_retry()
+            metrics.counter("mpisim.retries", rank=p).inc()
+            self.emit(p, "resilience.retry", src=p, dst=q, attempt=attempts,
+                      cause="drop" if verdict.dropped else "timeout")
+            if attempts > plan.max_retries:
+                metrics.counter("mpisim.timeouts", rank=p).inc()
+                lost = CommError(f"send {p}->{q} (tag {tag}) lost {attempts} times "
+                                 f"(max_retries={plan.max_retries}); giving up")
+                raise CommError(f"rank {p} failed: {lost!r}") from lost
+            self.emit(p, "resilience.backoff", plan.backoff * attempts, src=p, dst=q,
+                      attempt=attempts)
+        if verdict.delay_s > 0:
+            self.emit(p, "resilience.delay", verdict.delay_s, src=p, dst=q,
+                      seconds=verdict.delay_s)
+        if verdict.flip_bit is not None:
+            injector.corrupt(payload, verdict)
+            metrics.counter("resilience.bitflips").inc()
+            self.emit(p, "resilience.bitflip", src=p, dst=q, bit=verdict.flip_bit)
+        arrival = clocks[p] + self.clock.alpha
+        if verdict.duplicated:
+            seq = injector.next_duplicate_seq(p, q)
+            enveloped = payload_nbytes(DuplicateEnvelope(seq, payload))
+            metrics.counter("mpisim.dup_messages").inc()
+            self.emit(p, "resilience.duplicate", src=p, dst=q, seq=seq)
+            if self.traced:  # the record counts the payload's bytes
+                metrics.counter("mpisim.bytes").inc(enveloped - nbytes)
+            nbytes, arrival = enveloped, clocks[p] + self.clock.message_seconds(enveloped)
+        elif self.clock.beta:
+            arrival += self.clock.beta * nbytes
+        edge = self.edges[p].setdefault(q, [0, 0])
+        edge[0] += 1
+        edge[1] += nbytes
+        return arrival
+
+    def finish(self, part, x: np.ndarray, iterations: int, tracker):
+        if tracker is not None:
+            for p, edges in enumerate(self.edges):
+                tracker.merge_p2p(p, edges)
+        return super().finish(part, x, iterations, None)
+
+
+class _FaultedExchange(_Exchange):
+    """One matrix's halo exchanges under a fault plan: each starts a halo
+    update (``injector.begin_update()``), then every rank sends, each to
+    its receivers in ascending order, then every rank receives, each from
+    its sources in ascending order (``recv_from``)."""
+
+    def _finish(self, post: np.ndarray, v: np.ndarray) -> np.ndarray:
+        ledger, sched = self.ledger, self.starts[0]  # starts: [schedule, exchanges]
+        ledger.injector.begin_update()
+        halo, clocks = v.take(self.source, out=self.halo, mode="clip"), ledger.clocks
+        src, dst, nbytes = (column.tolist() for column in self.messages)
+        arrival = np.empty(len(src))
+        for i in np.lexsort((dst, src)).tolist():
+            p, q = src[i], dst[i]
+            at = int(sched.halo_offsets[q]) + sched.recv_pos[q][p]
+            payload = halo[at]
+            arrival[i] = ledger.send(p, q, _TAG_HALO, payload, nbytes[i])
+            halo[at] = payload  # as received: possibly bit-flipped
+        for i, q in enumerate(dst):
+            ledger.faults(q)
+            if arrival[i] > clocks[q]:
+                clocks[q] = arrival[i]
+        if ledger.traced:
+            ledger.observed.append((_DELIVERED, self, arrival))
+        return halo
+
+
+class _FaultedProduct(_FaultedExchange, _Product):
+    """:class:`_Product` over :class:`_FaultedExchange`."""
+
+
+def _clocked_cg(mat, b, rtol, max_iterations, precond_pair, tracker, clock, injector=None):
+    """``spmd_cg``'s rank program over all ranks, on whole vectors; under
+    ``injector``'s fault plan on a :class:`_FaultedLedger`."""
     part = mat.partition
-    ledger = _Ledger(part, clock)
+    ledger = _Ledger(part, clock) if injector is None else _FaultedLedger(part, clock, injector)
+    product = _Product if injector is None else _FaultedProduct
     dot_s, axpy_s, update_s = (clock.kernel_seconds(*vector_work(ledger.sizes, **w))
                                for w in ({"dots": 1}, {"updates": 2}, {"updates": 1}))
-    a = _Product(ledger, mat, overlap=False)
-    pre = precond_pair and [_Product(ledger, m, overlap=False) for m in precond_pair]
+    a = product(ledger, mat, overlap=False)
+    pre = precond_pair and [product(ledger, m, overlap=False) for m in precond_pair]
     x, r = np.zeros(part.nrows), b.values.copy()
     z, d, ad = np.empty(part.nrows), np.empty(part.nrows), np.empty(part.nrows)
 

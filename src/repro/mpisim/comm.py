@@ -1,10 +1,9 @@
 """Modeled time of the simulated MPI runtime.
 
-Every communicator (:class:`repro.mpisim.Comm`, in
-:mod:`repro.mpisim.engine`) carries its rank's clock (``comm.now()``),
-which only moves when a receive completes (``max(own, arrival)``) or the
-program charges compute with ``comm.advance(seconds)``.
-:class:`ClockModel` holds the parameters.
+Every rank of an SPMD solve has a clock, which only moves when a receive
+completes (``max(own, arrival)``) or the rank charges compute, a stall, a
+delay or a retry back-off.  :class:`ClockModel` holds the parameters; the
+ledger of :mod:`repro.dist.spmd` keeps the clocks.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ import numpy as np
 from repro.errors import CommError
 from repro.mpisim import collectives
 
-__all__ = ["ClockModel", "ANY_TAG"]
-
-ANY_TAG = -1
+__all__ = ["ClockModel"]
 
 
 @dataclass(frozen=True)
@@ -27,11 +24,10 @@ class ClockModel:
     """Modeled-time parameters of one SPMD run (all in seconds, default 0).
 
     A message sent when its sender's clock reads ``t`` becomes matchable at
-    ``t + alpha + beta * nbytes``; a rank program charges a compute kernel
-    of ``flops`` operations streaming ``nbytes`` with
-    ``comm.advance(comm.clock.kernel_seconds(flops, nbytes))``.  The
-    ``*_seconds`` methods are the one price list of the machine: the engine
-    and the rank programs run on them and
+    ``t + alpha + beta * nbytes``; a compute kernel of ``flops`` operations
+    streaming ``nbytes`` costs ``kernel_seconds(flops, nbytes)``.  The
+    ``*_seconds`` methods are the one price list of the machine: the SPMD
+    solvers run on them and
     :class:`repro.perfmodel.CostModel` predicts with them.  The caller
     supplies the numbers (:meth:`repro.perfmodel.MachineSpec.clock_model`
     derives them from a machine); with the all-zero default every clock
@@ -76,5 +72,5 @@ class ClockModel:
         return np.where(largest > 0, self.message_seconds(largest), 0.0)
 
     def allreduce_seconds(self, size: int, nbytes: float) -> float:
-        """One :meth:`Comm.allreduce` of ``nbytes`` over ``size`` ranks."""
+        """One allreduce of ``nbytes`` over ``size`` ranks."""
         return collectives.allreduce_rounds(size) * self.message_seconds(nbytes)

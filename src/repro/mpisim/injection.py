@@ -4,10 +4,11 @@ The resilience layer (:mod:`repro.resilience`) defines *what* faults to
 inject (a seeded, declarative :class:`~repro.resilience.FaultPlan`); this
 module defines *where* they plug in.  An injector object — anything
 implementing the small protocol below — is installed process-wide with
-:func:`install_injector`; the message-passing engine
-(:func:`~repro.mpisim.run_spmd`) and the BSP halo update
+:func:`install_injector`; a faulted ``spmd_cg`` (the faulted clock
+ledger of :mod:`repro.dist.spmd`) and the BSP halo update
 (:meth:`~repro.dist.halo.HaloSchedule.update`) consult
-:func:`get_injector` on every message and apply the verdicts.
+:func:`get_injector` once per run or update and apply the verdicts on
+every message.
 
 Layering: this module has **no** dependency on :mod:`repro.resilience` —
 it only stores the active injector — so the low-level runtime stays free
@@ -24,6 +25,11 @@ the canonical implementation):
 * ``consume_stall(rank)`` → seconds the rank should stall (0.0 normally);
 * ``rank_failed(rank)`` → bool, permanent failure;
 * ``begin_update()`` → advance and return the halo-update counter;
+* ``next_duplicate_seq(src, dst)`` → the next duplicate's per-edge
+  sequence number;
+* ``corrupt(payload, verdict)`` → the payload with the verdict's bit
+  flipped (float64 arrays only);
+* ``record_retry()`` → count one retry;
 * ``plan`` → the installed plan (``message_timeout``, ``max_retries``,
   ``backoff``, ``sleep_cap`` attributes).
 """
@@ -72,10 +78,10 @@ class DuplicateEnvelope:
     """Wrapper marking a message that was injected as a duplicate.
 
     Both copies of a duplicated message travel wrapped with the same
-    sequence number; the receiving rank endpoint
-    unwraps the first copy and silently discards any later copy with an
-    already-seen sequence — the at-most-once delivery a real transport's
-    sequence numbers provide.
+    per-edge sequence number; the receiver takes the first copy and drops
+    the other — the at-most-once delivery a real transport's sequence
+    numbers provide.  A duplicated message is booked at its envelope's
+    :func:`~repro.mpisim.payload_nbytes`.
     """
 
     __slots__ = ("seq", "payload")

@@ -63,7 +63,7 @@ class MachineSpec:
     def clock_model(self, threads_per_process: int = 1) -> ClockModel:
         """The modeled clock of an SPMD run on this machine: the α–β link
         and the per-process roofline rates :class:`CostModel` predicts with,
-        as the numbers :func:`repro.mpisim.run_spmd` takes."""
+        as the numbers the SPMD solvers (:mod:`repro.dist.spmd`) take."""
         return ClockModel(
             alpha=self.net_latency,
             beta=1.0 / self.net_bandwidth,

@@ -76,7 +76,8 @@ class ChaosScenario:
     ``expect_identical`` requires the final residual to match the clean
     run to ``identical_rtol``; otherwise convergence alone suffices.
     ``engines`` restricts the scenario to the engines where its faults
-    are meaningful (duplicates need real mailboxes, so SPMD only; bit-flips
+    are meaningful (duplicates need a receiver that drops the second copy,
+    so SPMD only; bit-flips
     need checkpoint-restart, which only the BSP ``pcg`` has).  A bit-flip
     rule's probability is per halo update: :func:`run_chaos` spreads it
     over the messages of one update of the solve it runs.
@@ -306,8 +307,8 @@ def run_chaos(
 
     ``precond_builder(A_global, partition)`` builds the preconditioner
     per run (``None`` solves unpreconditioned).  ``engine`` selects the
-    deterministic BSP solver (:func:`repro.core.pcg`) or the message-passing
-    SPMD one (:func:`repro.dist.spmd_cg`); scenarios declaring other
+    deterministic BSP solver (:func:`repro.core.pcg`) or the SPMD one
+    (:func:`repro.dist.spmd_cg`, one message at a time under a plan); scenarios declaring other
     engines are skipped.  The clean baseline runs first, fault-free, and
     every scenario's final residual is compared against it.
     """

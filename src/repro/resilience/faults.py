@@ -5,8 +5,9 @@ message delays, drops, duplications, payload bit-flips, transient rank
 stalls and permanent rank failures — as plain frozen dataclasses that
 serialise to/from JSON (``to_dict``/``from_dict``).  Installing a plan
 (:func:`fault_injection`) creates a :class:`FaultInjector` and registers
-it at the :mod:`repro.mpisim.injection` hook point, where the message
-engine and the BSP halo update consult it on every message.
+it at the :mod:`repro.mpisim.injection` hook point, where a faulted
+``spmd_cg`` (:mod:`repro.dist.spmd`) and the BSP halo update consult it on
+every message.
 
 Determinism: every verdict is derived from
 ``(plan.seed, src, dst, tag, sequence)`` through a dedicated
@@ -18,8 +19,8 @@ same transient fault.
 
 On the SPMD runtime nothing sleeps: a stall, a sub-timeout delay and a
 retry back-off each *advance the rank's modeled clock* by their full
-nominal seconds (``comm.advance``), so they show up in ``comm.now()``,
-in span durations and in the timeline, exactly and for free.  Only the BSP
+nominal seconds, so they show up in the final clocks, in span durations
+and in the timeline, exactly and for free.  Only the BSP
 halo update, which has no clock, really sleeps, in small capped steps
 (``sleep_cap``); there the semantics of a delay are carried by the
 retry/timeout accounting (``halo.retries`` / ``halo.timeouts`` metrics,
@@ -106,8 +107,8 @@ class MessageDrop:
 class MessageDuplicate:
     """Deliver matching messages twice with ``probability``.
 
-    Only meaningful on the SPMD engine (real mailboxes); the receiver
-    deduplicates by sequence number.  The BSP halo update reads values
+    Only meaningful on the SPMD runtime: the receiver takes the first copy
+    and drops the other by its per-edge sequence number.  The BSP halo update reads values
     directly and ignores duplication verdicts.
     """
 
@@ -142,8 +143,8 @@ class PayloadBitFlip:
 @dataclass(frozen=True)
 class RankStall:
     """Transient stall: ``rank`` pauses for ``seconds`` once, at its
-    ``at_update``-th halo update (or first message thereafter on the SPMD
-    engine).  The stall is consumed exactly once."""
+    ``at_update``-th halo update (on the SPMD runtime: its ``at_update``-th
+    send or receive).  The stall is consumed exactly once."""
 
     rank: int
     seconds: float
@@ -313,7 +314,7 @@ class FaultInjector:
         self._rank_ops: dict[int, int] = {}
         self._consumed_stalls: set[int] = set()
         self._acknowledged: set[int] = set()
-        self._dup_seq = 0
+        self._dup_seq: dict[tuple[int, int], int] = {}
         self.counts: dict[str, int] = {
             "delays": 0, "drops": 0, "duplicates": 0, "bitflips": 0,
             "stalls": 0, "failures": 0, "retries": 0,
@@ -324,11 +325,14 @@ class FaultInjector:
         with self._lock:
             self.counts[kind] += 1
 
-    def next_duplicate_seq(self) -> int:
-        """A process-unique sequence number for a duplicated message."""
+    def next_duplicate_seq(self, src: int, dst: int) -> int:
+        """The sequence number of the next duplicated message on edge
+        ``src → dst`` (1, 2, … in the sender's order): unique per edge, and
+        like every verdict independent of how ranks interleave."""
+        key = (int(src), int(dst))
         with self._lock:
-            self._dup_seq += 1
-            return self._dup_seq
+            self._dup_seq[key] = seq = self._dup_seq.get(key, 0) + 1
+            return seq
 
     def begin_update(self) -> int:
         """Advance the halo-update counter; returns the 1-based index."""
@@ -429,7 +433,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def sleep(self, seconds: float) -> None:
         """Really sleep, capped at the plan's ``sleep_cap`` (BSP halo update
-        only; the SPMD runtime calls ``comm.advance`` instead)."""
+        only; the SPMD runtime advances the rank's modeled clock instead)."""
         if seconds > 0:
             time.sleep(min(seconds, self.plan.sleep_cap))
 

@@ -5,7 +5,9 @@ at once, and ``compute_dynamic_filters`` bisects every rank's filter at
 once.  These are the per-rank functions they replaced — what one MPI
 process computes for itself — kept so tests can assert the stacked results
 equal them bitwise, and so SPMD rank programs can run them.  Neither is
-meant to be fast.
+meant to be fast.  :func:`extension_entry_mask` finds the extension
+entries of a factor by looking each one up in the base pattern, where the
+set-up keeps the positions its union inserted them at.
 """
 
 from __future__ import annotations
@@ -17,8 +19,19 @@ import numpy as np
 from repro.cachesim.lines import doubles_per_line
 from repro.core.extension import ExtensionMode
 from repro.dist.matrix import LocalMatrix
+from repro.errors import ShapeError
+from repro.sparse import CSRMatrix, SparsityPattern
 
 
+
+
+def extension_entry_mask(g: CSRMatrix, base: SparsityPattern) -> np.ndarray:
+    """Boolean mask over ``g``'s entries: True where the entry is *extension*
+    (absent from the base pattern) and therefore filterable."""
+    if g.shape != base.shape:
+        raise ShapeError("factor and base pattern shapes differ")
+    rows = np.repeat(np.arange(g.nrows, dtype=np.int64), g.row_nnz())
+    return ~base.contains(rows, g.indices)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,13 @@
-"""The pipelined solve and the halo update as rank programs on the engine.
+"""The SPMD solvers and the halo update as rank programs on the engine.
 
-``spmd_pipelined_pcg`` and ``spmd_halo_update`` run only on the clocked
-executor (:mod:`repro.dist.spmd`): its ledger computes every rank's clock,
-traffic, telemetry and spans for all ranks at once.  These are the rank
-programs it replaced — one coroutine per rank on
-:func:`repro.mpisim.run_spmd`, every halo value and partial sum a message —
-kept here as its oracle, beside ``spmd_cg``'s rank program
-(:func:`repro.dist.spmd._engine_cg`, which fault plans still run): the
-solution, iterations, final clocks and tracker snapshot of a run, and under
-the tracer its spans, must be what the ledger produces.
+``spmd_cg``, ``spmd_pipelined_pcg`` and ``spmd_halo_update`` run only on
+the clocked executor (:mod:`repro.dist.spmd`): its ledger computes every
+rank's clock, traffic, telemetry, spans and fault verdicts for all ranks
+at once.  These are the rank programs it replaced — one coroutine per rank
+on :func:`spmd_engine.run_spmd`, every halo value and partial sum a
+message — kept here as its oracle: the solution, iterations, final clocks
+and tracker snapshot of a run, under the tracer its spans, and under a
+fault plan its verdicts, must be what the ledger produces.
 
 The halo exchange is split in two so the overlapped product can compute
 its owned-column block while the exchange is in flight:
@@ -22,21 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dist import spmd
+from spmd_engine import Comm, run_spmd
+
 from repro.dist.matrix import DistMatrix
-from repro.dist.spmd import (
-    _TAG_HALO,
-    VALUE_BYTES,
-    _Block,
-    _gathered,
-    _Rank,
-    pack_work,
-    spmv_work,
-    vector_work,
-)
+from repro.dist.spmd import _TAG_HALO, VALUE_BYTES, pack_work, spmv_work, vector_work
+from repro.dist.vector import DistVector
 from repro.instrument import get_tracer
 from repro.kernels.plan import SpMVPlan
-from repro.mpisim import Comm, run_spmd
 
 
 def halo_exchange_start(comm: Comm, mat: DistMatrix, x_local: np.ndarray):
@@ -85,30 +76,63 @@ async def halo_exchange_finish(comm: Comm, mat: DistMatrix, pending,
     return halo
 
 
-class Block(_Block):
-    """:class:`~repro.dist.spmd._Block`, or with ``overlap`` the rank's
-    ``A_ll`` / ``A_lh`` plans and their modeled seconds."""
+class Block:
+    """One rank's block of one matrix in a run: its compiled plan and the
+    modeled seconds of its product (``fused``), or with ``overlap`` its
+    ``A_ll`` / ``A_lh`` plans and theirs, and its ``[x_local | halo]``
+    operand buffer and halo view."""
 
-    def __init__(self, comm: Comm, mat: DistMatrix, overlap: bool):
-        if not overlap:
-            super().__init__(comm, mat)
-            return
+    def __init__(self, comm: Comm, mat: DistMatrix, overlap: bool = False):
         seconds = comm.clock.kernel_seconds
 
         def priced(block):
             return SpMVPlan(block), seconds(*spmv_work(block.nnz, block.nrows))
 
         lm = mat.locals[comm.rank]
-        self.mat, self.n_local, self.fused = mat, lm.n_local, None
+        self.mat, self.n_local = mat, lm.n_local
+        self.operand = np.zeros(lm.n_local + lm.n_halo, dtype=np.float64)
+        self.halo = self.operand[lm.n_local:]
+        if not overlap:
+            self.fused = priced(lm.csr)
+            return
+        self.fused = None
         a_ll, a_lh = mat.split_blocks()[comm.rank]
         self.local = priced(a_ll)
         self.remote = priced(a_lh) if a_lh is not None else (None, 0.0)
-        self.operand = np.zeros(lm.n_local + lm.n_halo, dtype=np.float64)
-        self.halo = self.operand[lm.n_local:]
 
 
-class Rank(_Rank):
-    """:class:`~repro.dist.spmd._Rank` with the overlapped product."""
+class Rank:
+    """One rank's side of a solve: the tracer, resolved once, the clock
+    charge (``comm.advance``), and the products over the rank's blocks
+    (:class:`Block`).  :meth:`compute` is a charge in an ``spmd.compute``
+    span: the kernel does not move the modeled clock, only its charge."""
+
+    def __init__(self, comm: Comm):
+        self.comm, self.rank = comm, comm.rank
+        self.tracer = get_tracer()
+        self.charge = comm.advance
+
+    def compute(self, kernel: str, seconds: float) -> None:
+        with self.tracer.span("spmd.compute", rank=self.rank, kernel=kernel):
+            self.charge(seconds)
+
+    async def allreduce(self, value, **tags):
+        """``comm.allreduce`` inside an ``spmd.reduction`` span."""
+        with self.tracer.span("spmd.reduction", rank=self.rank, **tags):
+            return await self.comm.allreduce(value)
+
+    async def spmv(self, blk: Block, v: np.ndarray) -> np.ndarray:
+        """Blocking-exchange product: update the halo, then one product
+        with the fused block."""
+        await halo_exchange_finish(self.comm, blk.mat,
+                                   halo_exchange_start(self.comm, blk.mat, v), blk.halo)
+        plan, seconds = blk.fused
+        if blk.halo.size:
+            blk.operand[: blk.n_local] = v
+            v = blk.operand
+        y = plan.spmv(v)
+        self.compute("spmv", seconds)
+        return y
 
     async def spmv_overlapped(self, blk: Block, v: np.ndarray) -> np.ndarray:
         """Post the halo exchange, apply ``A_ll`` while it is in flight,
@@ -123,6 +147,13 @@ class Rank(_Rank):
             y += plan.spmv(halo)
             self.compute("spmv_halo", seconds)
         return y
+
+
+def gathered(part, results):
+    """The rank programs' ``(x, iterations, clock)`` results, gathered."""
+    iters = results[0][1]
+    assert all(it == iters for _, it, _ in results)
+    return DistVector(part, [x for x, _, _ in results]), iters, [t for *_, t in results]
 
 
 def engine_halo_update(mat, x, tracker=None, clock=None) -> list[np.ndarray]:
@@ -213,10 +244,63 @@ def engine_pipelined_pcg(mat, b, rtol, max_iterations, precond_pair, tracker, ov
                 rank.compute("axpy", update_s)
         return x, iterations, comm.now()
 
-    return _gathered(part, run_spmd(prog, part.nparts, tracker=tracker, clock=clock))
+    return gathered(part, run_spmd(prog, part.nparts, tracker=tracker, clock=clock))
 
 
-#: ``spmd_cg``'s rank program, which stays in :mod:`repro.dist.spmd` for
-#: fault plans: ``(mat, b, rtol, max_iterations, precond_pair, tracker,
-#: clock)`` → solution, iterations, final clocks.
-engine_cg = spmd._engine_cg
+def engine_cg(mat, b, rtol, max_iterations, precond_pair, tracker, clock):
+    """``spmd_cg`` on the engine: solution, iterations, final clocks."""
+    part = mat.partition
+
+    async def prog(comm: Comm):
+        p = comm.rank
+        n = mat.locals[p].n_local
+        rank = Rank(comm)
+        seconds = comm.clock.kernel_seconds
+        dot_s = seconds(*vector_work(n, dots=1))
+        axpy_s = seconds(*vector_work(n, updates=2))
+        update_s = seconds(*vector_work(n, updates=1))
+        a = Block(comm, mat)
+        pre = ([Block(comm, m) for m in precond_pair]
+               if precond_pair is not None else None)
+
+        async def gdot(u: np.ndarray, v: np.ndarray) -> float:
+            partial = float(np.dot(u, v))
+            rank.charge(dot_s)
+            return await rank.allreduce(partial)
+
+        async def apply_precond(v: np.ndarray) -> np.ndarray:
+            if pre is None:
+                return v.copy()
+            return await rank.spmv(pre[1], await rank.spmv(pre[0], v))
+
+        x = np.zeros(n, dtype=np.float64)
+        r = b.parts[p].copy()
+        norm0 = np.sqrt(await gdot(r, r))
+        if norm0 == 0.0:
+            return x, 0, comm.now()
+        z = await apply_precond(r)
+        d = z.copy()
+        rz = await gdot(r, z)
+        iterations = 0
+        for _ in range(max_iterations):
+            if np.sqrt(await gdot(r, r)) <= rtol * norm0:
+                break
+            with rank.tracer.span("spmd.iteration", rank=p, index=iterations):
+                ad = await rank.spmv(a, d)
+                dad = await gdot(d, ad)
+                if dad <= 0 or not np.isfinite(dad):
+                    break  # not SPD, or breakdown: allreduced, so all ranks stop
+                alpha = rz / dad
+                x += alpha * d
+                r -= alpha * ad
+                rank.compute("axpy", axpy_s)
+                z = await apply_precond(r)
+                rz_new = await gdot(r, z)
+                beta = rz_new / rz
+                rz = rz_new
+                d = z + beta * d
+                rank.charge(update_s)
+            iterations += 1
+        return x, iterations, comm.now()
+
+    return gathered(part, run_spmd(prog, part.nparts, tracker=tracker, clock=clock))

@@ -2,15 +2,16 @@
 
 ``spmd_cg`` / ``spmd_pipelined_pcg`` run their solver's text once over all
 ranks (the clocked executor at the end of :mod:`repro.dist.spmd`) instead
-of one coroutine per rank on :func:`repro.mpisim.run_spmd`.  The oracle is
-the rank program on the engine (``spmd_cg``'s ``_engine_cg``, and the
-pipelined program in :mod:`rank_programs`): the solution's bytes, the
-iterations, every rank's final modeled clock and the tracker's snapshot
-must be equal — under the all-zero clock and under the Skylake one, with
-and without a preconditioner, on block and random owner maps, and where
-some or all ranks have no halo edge.  The dispatch rule is pinned too:
-only a fault plan puts ``spmd_cg`` on ``run_spmd``; traced and telemetered
-solves never reach it, and the pipelined solve has no faulted run.
+of one coroutine per rank on the per-message engine
+(:func:`spmd_engine.run_spmd`).  The oracle is the rank program on the
+engine (:mod:`rank_programs`): the solution's bytes, the iterations, every
+rank's final modeled clock and the tracker's snapshot must be equal —
+under the all-zero clock and under the Skylake one, with and without a
+preconditioner, on block and random owner maps, and where some or all
+ranks have no halo edge.  The dispatch rule is pinned too: only a fault
+plan puts ``spmd_cg`` on the faulted ledger, which sends one message at a
+time; plain, traced and telemetered solves never reach it, and the
+pipelined solve has no faulted run.
 """
 
 from __future__ import annotations
@@ -166,15 +167,16 @@ def test_clocked_equals_the_engine_where_ranks_have_no_halo(solver, owner_of_blo
 # -- the dispatch rule ---------------------------------------------------
 @pytest.fixture
 def engine_runs(monkeypatch):
-    """The number of ``run_spmd`` calls the solvers make."""
+    """The rank counts of the runs that send their messages one at a time:
+    a faulted ledger, where a solve ran on the engine before."""
     runs = []
-    real = spmd.run_spmd
 
-    def counted(*args, **kwargs):
-        runs.append(args[1])
-        return real(*args, **kwargs)
+    class Counted(spmd._FaultedLedger):
+        def __init__(self, part, *args):
+            runs.append(part.nparts)
+            super().__init__(part, *args)
 
-    monkeypatch.setattr(spmd, "run_spmd", counted)
+    monkeypatch.setattr(spmd, "_FaultedLedger", Counted)
     return runs
 
 
@@ -215,9 +217,9 @@ def test_a_traced_solve_never_reaches_the_engine(engine_runs, system, solver):
 
 @pytest.mark.parametrize("watcher", ["fault-injector"])
 @pytest.mark.parametrize("solver", [spmd_cg], ids=lambda s: s.__name__)
-def test_a_watched_solve_runs_on_the_engine(engine_runs, system, solver, watcher):
-    """A fault plan puts ``spmd_cg`` on the engine, and an empty one gives
-    the unwatched solve's answer and traffic."""
+def test_a_watched_solve_runs_on_the_faulted_ledger(engine_runs, system, solver, watcher):
+    """A fault plan puts ``spmd_cg`` on the faulted ledger, and an empty one
+    gives the unwatched solve's answer and traffic."""
     plain = solve_facts(solver, system, CommTracker())
     with fault_injection(FaultPlan()):
         faulted = solve_facts(solver, system, CommTracker())
@@ -226,8 +228,8 @@ def test_a_watched_solve_runs_on_the_engine(engine_runs, system, solver, watcher
 
 
 def test_a_faulted_pipelined_solve_is_a_typed_error(engine_runs, system):
-    """The pipelined solve has no rank program in the library: under a
-    fault plan it names the solver that runs faulted instead of running."""
+    """The pipelined solve has no faulted run: under a fault plan it names
+    the solver that runs faulted instead of running."""
     with fault_injection(FaultPlan()):
         with pytest.raises(CommError, match="spmd_pipelined_pcg cannot run under a fault "
                                             "plan: only spmd_cg runs faulted"):

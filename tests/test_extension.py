@@ -30,7 +30,7 @@ def dist_pattern():
 def union_pattern(base, ext):
     from repro.core.precond import _union_with_entries
 
-    return _union_with_entries(base, ext.rows, ext.cols)
+    return _union_with_entries(base, ext.rows, ext.cols)[0]
 
 
 def per_rank(ext):

@@ -24,6 +24,7 @@ import pytest
 import extension_oracle as oracle
 from repro.core import (
     ExtensionMode,
+    ExtensionWorkspace,
     FilterSpec,
     build_fsai,
     build_fsaie,
@@ -143,6 +144,20 @@ class TestStackedFiltersArePerRank:
         for base, ratios in cases:
             assert same(compute_dynamic_filters(base, ratios, spec),
                         oracle.filters_per_rank(base, ratios, spec))
+
+
+class TestExtensionMaskIsTheLookup:
+    @pytest.mark.parametrize("mode", list(ExtensionMode), ids=lambda m: m.name)
+    @pytest.mark.parametrize("line_bytes", LINES)
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_the_union_positions_are_the_extension_entries(self, name, line_bytes, mode):
+        """The set-up's extension mask, built from where the union inserted
+        the additions, is the mask that looks every entry of the
+        precalculated factor up in the base pattern."""
+        mat, part = partitioned(name)
+        ws = ExtensionWorkspace(name, mat, part, mode, line_bytes=line_bytes)
+        assert same(ws.ext_mask, oracle.extension_entry_mask(ws.g_pre, ws.base))
+        assert ws.ext_mask.sum() == ws.ext_nnz_unfiltered
 
 
 # -- factors and verdicts the per-rank code built ---------------------------

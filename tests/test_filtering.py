@@ -10,7 +10,6 @@ from repro.core import (
     compute_dynamic_filters,
     compute_g_values,
     entry_ratios,
-    extension_entry_mask,
     fsai_pattern,
     imbalance_index,
     relative_load,
@@ -19,7 +18,7 @@ from repro.errors import ShapeError
 from repro.sparse import CSRMatrix, SparsityPattern
 
 from conftest import random_sparse
-from extension_oracle import dynamic_filter_for_rank, static_filter_counts
+from extension_oracle import dynamic_filter_for_rank, extension_entry_mask, static_filter_counts
 
 
 class TestEntryRatios:

@@ -1,9 +1,9 @@
 """Work-count guard: no per-row (per-access) Python in the set-up hot loops.
 
 Each function below runs between the matrix and the answer on every
-``repro compare`` — pattern union, diagonal extraction, extension mask,
-distribution, halo discovery, cache replay — and each was once a Python loop
-over rows (or accesses) that dominated the run.  The guard counts the work
+``repro compare`` — pattern union, diagonal extraction, distribution, halo
+discovery, cache replay — and each was once a Python loop over rows (or
+accesses) that dominated the run.  The guard counts the work
 the interpreter does, not seconds, so it cannot flake: the number of Python
 frames entered (``sys.setprofile`` ``call`` events; C builtins raise
 ``c_call`` and are not counted) must not change when the input grows 8×.
@@ -23,9 +23,9 @@ distribution (``RowPartition``, ``HaloSchedule.from_row_structure``,
 whose per-rank views are built only on first access, and so do the FSAI and
 FSAIE-Comm set-ups, Alg. 3's extension and Alg. 4's filter bisection
 included: each costs as many calls on 256 ranks as on 16.  The rank
-programs on ``run_spmd`` are not counted: they exchange point to
-point, a Python call per message by design, and only faulted and oracle
-runs execute them.
+programs on the test engine are not counted: they exchange point to
+point, a Python call per message by design, and only oracle runs execute
+them; nor is a faulted solve, which sends its messages one at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import sys
 
 import numpy as np
 import pytest
+from extension_oracle import extension_entry_mask
 
 from repro.cachesim import CacheConfig, SetAssociativeCache
 from repro.core import (
@@ -45,7 +46,6 @@ from repro.core import (
     build_fsai,
     build_fsaie_comm,
     compute_g_values,
-    extension_entry_mask,
     pcg,
     pipelined_pcg,
 )
@@ -147,6 +147,7 @@ def diagonal(n):
 
 
 def extension_mask(n):
+    """The extension mask by lookup (the set-up's oracle, ``extension_oracle``)."""
     g, base = banded(n), SparsityPattern.from_csr(banded(n, (-1, 0)))
     return lambda: extension_entry_mask(g, base)
 
@@ -359,7 +360,7 @@ DISTRIBUTION_CALLS = {
     halo_schedule: (0, 33),
     distribute: (0, 97),
     fsai_setup: (0, 519),
-    fsaie_comm_setup: (0, 668),
+    fsaie_comm_setup: (0, 645),
 }
 
 
@@ -420,7 +421,7 @@ def iteration_cost(mat, owner, part):
 #: (b of 0·P + b) Python calls per run on P ranks, the counting lambda's
 #: frame included: nothing of a clocked run or of the cost model is per rank.
 PER_RUN_CALLS = {
-    clocked_run(spmd_cg): 326,
+    clocked_run(spmd_cg): 325,
     clocked_run(spmd_pipelined_pcg): 290,
     iteration_cost: 236,
 }

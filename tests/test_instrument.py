@@ -321,7 +321,7 @@ class TestSpmdConcurrency:
     EVENTS_PER_RANK = 50
 
     def test_no_events_lost_across_concurrent_ranks(self):
-        from repro.mpisim import run_spmd
+        from spmd_engine import run_spmd
 
         with tracing() as (tracer, metrics):
 
@@ -345,7 +345,7 @@ class TestSpmdConcurrency:
             assert metrics.value("spmd.shared") == self.RANKS * self.EVENTS_PER_RANK
 
     def test_span_parents_stay_per_thread(self):
-        from repro.mpisim import run_spmd
+        from spmd_engine import run_spmd
 
         with tracing() as (tracer, _):
 
@@ -371,7 +371,7 @@ class TestSpmdConcurrency:
                 assert span.thread == outer[span.tags["rank"]].thread
 
     def test_histograms_accumulate_exactly_under_concurrency(self):
-        from repro.mpisim import run_spmd
+        from spmd_engine import run_spmd
 
         with tracing() as (_, metrics):
 
@@ -386,7 +386,7 @@ class TestSpmdConcurrency:
             assert hist.total == pytest.approx(self.RANKS * self.EVENTS_PER_RANK)
 
     def test_nested_tracing_restores_sinks_around_spmd_run(self):
-        from repro.mpisim import run_spmd
+        from spmd_engine import run_spmd
 
         async def prog(comm):
             get_tracer().event("spmd.tick", rank=comm.rank)

@@ -19,11 +19,12 @@ import p2p_collectives as coll
 import pytest
 from conftest import ring_halo
 from rank_programs import halo_exchange_finish, halo_exchange_start
+from spmd_engine import ANY_TAG, run_spmd
 
 from repro.dist import DistMatrix, DistVector, RowPartition, spmd_halo_update
 from repro.errors import CommError
 from repro.matgen import poisson2d
-from repro.mpisim import ANY_TAG, ClockModel, CommTracker, payload_nbytes, run_spmd
+from repro.mpisim import ClockModel, CommTracker, payload_nbytes
 from repro.resilience import FaultPlan, fault_injection
 
 SIZES = [1, 2, 3, 4, 5, 7, 8]

@@ -1,7 +1,7 @@
 """The one SPMD engine against recorded facts, and against itself.
 
 ``engine="threads"`` and ``engine="events"`` were replaced by a single
-cooperative scheduler on a modeled clock (:mod:`repro.mpisim.engine`), so
+cooperative scheduler on a modeled clock (:mod:`spmd_engine`, the oracle), so
 engine parity cannot be asserted between two live engines any more.  What
 is pinned here instead:
 
@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import p2p_collectives as coll
 import pytest
+from spmd_engine import run_spmd
 
 from repro.core import build_fsai
 from repro.dist import (
@@ -43,7 +44,7 @@ from repro.dist import (
 from repro.errors import CommError
 from repro.instrument import tracing
 from repro.matgen import paper_rhs, poisson2d
-from repro.mpisim import ClockModel, CommTracker, run_spmd
+from repro.mpisim import ClockModel, CommTracker
 from repro.partition import block_partition_2d
 from repro.resilience import (
     FaultPlan,

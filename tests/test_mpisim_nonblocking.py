@@ -6,9 +6,10 @@ from __future__ import annotations
 import numpy as np
 import p2p_collectives as coll
 import pytest
+from spmd_engine import run_spmd
 
 from repro.errors import CommError
-from repro.mpisim import ClockModel, run_spmd
+from repro.mpisim import ClockModel
 
 
 class TestNonblocking:

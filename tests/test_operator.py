@@ -19,14 +19,15 @@ import gc
 
 import numpy as np
 import pytest
+from rank_programs import Block, Rank
+from spmd_engine import run_spmd
 
 from repro.core import ExtensionMode, ExtensionWorkspace, FilterSpec, pcg, pipelined_pcg
 from repro.dist import DistMatrix, DistVector, RowPartition
-from repro.dist.spmd import _Block, _Rank
 from repro.instrument import tracing
 from repro.kernels import SolverWorkspace, SpMVPlan
 from repro.matgen import paper_rhs, poisson2d
-from repro.mpisim import CommTracker, run_spmd
+from repro.mpisim import CommTracker
 from repro.partition import block_partition_2d
 from repro.resilience import FaultPlan, fault_injection
 from repro.sparse import CSRMatrix
@@ -121,7 +122,7 @@ def spmd_products(dmat: DistMatrix, x: DistVector) -> np.ndarray:
     """Every rank program's fused product of ``x``, rank after rank."""
 
     async def prog(comm):
-        return await _Rank(comm).spmv(_Block(comm, dmat),
+        return await Rank(comm).spmv(Block(comm, dmat),
                                       x.parts[comm.rank])
 
     return np.concatenate(run_spmd(prog, dmat.partition.nparts))

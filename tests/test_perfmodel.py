@@ -8,13 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from spmd_engine import run_spmd
 
 from repro.core import PrecondOptions, FilterSpec, build_fsai, build_fsaie_comm
 from repro.dist import DistMatrix, DistVector, RowPartition
 from repro.dist.spmd import spmd_cg, spmd_pipelined_pcg
 from repro.instrument import tracing
 from repro.matgen import paper_rhs, poisson2d
-from repro.mpisim import ClockModel, payload_nbytes, run_spmd
+from repro.mpisim import ClockModel, payload_nbytes
 from repro.observe import Timeline
 from repro.sparse import CSRMatrix
 from repro.perfmodel import (

@@ -148,7 +148,7 @@ class TestExtensionProperties:
                 continue
             from repro.core.precond import _union_with_entries
 
-            ext_pat = _union_with_entries(base, rows, cols)
+            ext_pat, _ = _union_with_entries(base, rows, cols)
             assert base.issubset(ext_pat)
             assert HaloSchedule.from_pattern(ext_pat, part) == HaloSchedule.from_pattern(base, part)
             assert HaloSchedule.from_pattern(

@@ -12,13 +12,14 @@ import p2p_collectives as coll
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from rank_programs import halo_exchange_finish, halo_exchange_start
+from spmd_engine import run_spmd
 
 from repro.cachesim import CacheConfig, simulate_misses
 from repro.dist import DistMatrix, DistVector, HaloSchedule, RowPartition
 from repro.dist.spmd import _Ledger, _Product, book_bulk
 from repro.instrument import tracing
 from repro.matgen import poisson2d
-from repro.mpisim import ClockModel, CommTracker, payload_nbytes, run_spmd
+from repro.mpisim import ClockModel, CommTracker, payload_nbytes
 from repro.mpisim.collectives import reduce_rounds
 from repro.partition import graph_from_matrix, partition_matrix
 from repro.perfmodel import SKYLAKE

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import pytest
+from extension_oracle import extension_entry_mask
 
-from repro.core import extension_entry_mask
 from repro.errors import SparseFormatError
 from repro.kernels import SpMVPlan
 from repro.sparse import CSRMatrix, SparsityPattern, spgemm, symbolic_spgemm

@@ -14,6 +14,7 @@ import threading
 
 import numpy as np
 import pytest
+from spmd_engine import run_spmd
 
 from repro.core import build_fsai, pcg
 from repro.dist import DistVector, RowPartition, spmd_cg
@@ -21,7 +22,7 @@ from repro.errors import CommError, ConvergenceError, FaultPlanError
 from repro.instrument import TraceError, tracing
 from repro.instrument.export import spans_to_dicts, validate_span_monotonicity
 from repro.matgen import poisson2d
-from repro.mpisim import CommTracker, get_injector, run_spmd
+from repro.mpisim import CommTracker, get_injector
 from repro.resilience import (
     ChaosError,
     ChaosReport,

@@ -34,10 +34,11 @@ from repro.core import (
 from repro.core.extension import ExtensionMode
 from repro.dist import DistMatrix, DistVector, RowPartition
 from repro.matgen import get_case, paper_rhs, poisson2d
-from repro.mpisim import CommTracker, run_spmd
+from repro.mpisim import CommTracker
 from repro.sparse import CSRMatrix, SparsityPattern
 
 from extension_oracle import dynamic_filter_for_rank, extend_rank_pattern
+from spmd_engine import run_spmd
 from test_fsai import compute_g_values_per_row
 
 _TAG_ROWREQ = 8_100

@@ -5,9 +5,8 @@ on the clocked executor: its ledger records the kernel of each charge, the
 packs, every halo and allreduce-round message and the iteration brackets
 for all ranks at once, and each rank's spans are emitted from that record
 after the run (``repro.dist.spmd._trace``).  The oracle is the rank program
-on the per-message engine under the same tracer (``spmd_cg``'s
-``_engine_cg``, and the pipelined solve and the halo update in
-:mod:`rank_programs`).  On every case of the grid — each solver, 1, 2, 15
+on the per-message engine under the same tracer (:mod:`rank_programs` on
+:mod:`spmd_engine`).  On every case of the grid — each solver, 1, 2, 15
 and 16 ranks, the all-zero and the Skylake clock, FSAI, FSAIE-Comm and no
 preconditioner — the two must give one :class:`~repro.observe.Timeline`
 document (segments, edges, critical path, summary), one metrics
