@@ -260,12 +260,16 @@ class _Ledger:
     span); ``(_HALO_WAIT | _COLLECTIVE_WAIT, ranks, seconds, ends,
     sources)``, late receives; ``(_REDUCTION, everyone, seconds, ends,
     None)``, an allreduce.  The tracer reads the charges and reductions and,
-    recorded only when traced: ``(_POSTED, exchange, sent)``, the packs,
-    ending at ``sent`` where the sends leave; ``(_DELIVERED, exchange,
+    recorded only when traced: ``(_POSTED, exchange, packed)``, the packs,
+    ending at ``packed`` where the sends leave; ``(_DELIVERED, exchange,
     arrival)``; ``(_ROUNDS, log, nbytes, fused)``, an allreduce's start and
     rounds (``log`` of ``(dests, their clocks, arrival, sources, sender
     clocks)``, ``fused`` its dots or ``None``: untagged); ``(_ITERATION,
     index)`` and ``(_ITERATION, None)``, an iteration's start and end.
+    Under a fault plan each message leaves at its own clock with its own
+    bytes on the wire: a ``_DELIVERED`` entry ends with each message's
+    ``sent, wire`` (its sends follow the deliveries' record, not the
+    packs'), and each round of ``log`` with its ``wire``.
     """
 
     def __init__(self, part, clock, telemetry=None, fused: bool = False):
@@ -403,18 +407,22 @@ def _streams(ledger: _Ledger) -> list[np.ndarray]:
             ranks, _, ends, _, kernel = entry
             add(ranks, _KERNEL, ends, value=-1 if kernel is None else _KERNELS.index(kernel))
         elif name == _POSTED:  # the packs, then each rank's sends by receiver
-            (src, dst, nbytes), sent = entry[0].messages, entry[1]
-            add(everyone, _PACK, sent, value=np.bincount(src, nbytes, everyone.size).astype(int))
-            add(src, _SEND, sent[src], dst, _TAG_HALO, nbytes)
+            (src, dst, nbytes), packed = entry[0].messages, entry[1]
+            add(everyone, _PACK, packed,
+                value=np.bincount(src, nbytes, everyone.size).astype(int))
+            if not isinstance(entry[0], _FaultedExchange):  # else: with the deliveries
+                add(src, _SEND, packed[src], dst, _TAG_HALO, nbytes)
         elif name == _DELIVERED:
-            (src, dst, nbytes), arrival = entry[0].messages, entry[1]
+            (src, dst, nbytes), arrival, *sends = entry[0].messages, *entry[1:]
+            if sends:  # a faulted exchange's: each as it left, with its wire bytes
+                add(src, _SEND, sends[0], dst, _TAG_HALO, sends[1])
             add(dst, _HALO, arrival, src, _TAG_HALO, nbytes)
         elif name == _ROUNDS:  # in a round, a rank sends before it receives
             log, nbytes, fused = entry
             add(everyone, _OPEN, value=-1 if fused is None else fused)
-            for (dst, _, arrival, src, sent), (*_, tag, _) in zip(
+            for (dst, _, arrival, src, sent, *wire), (*_, tag, _) in zip(
                     log, allreduce_schedule(everyone.size)):
-                add(src, _SEND, sent, dst, tag, nbytes)
+                add(src, _SEND, sent, dst, tag, wire[0] if wire else nbytes)
                 add(dst, _RECV, arrival, src, tag)
         elif name == _REDUCTION:
             add(everyone, _CLOSE, entry[2])
@@ -628,12 +636,13 @@ class _FaultedLedger(_Ledger):
             self.observed.append((_ROUNDS, log, self.reduced[-1], None))
         for src, dst, tag, combines in allreduce_schedule(self.sizes.size):
             arrival, sent = np.empty(src.size), np.empty(src.size)
+            wire = np.empty(src.size, np.int64)
             for i in np.argsort(src).tolist():  # the sends, in rank order
                 p = int(src[i])
-                arrival[i] = self.send(p, int(dst[i]), tag, float(partials[p, 0]),
-                                       self.reduced[-1])
+                arrival[i], wire[i] = self.send(p, int(dst[i]), tag, float(partials[p, 0]),
+                                                self.reduced[-1])
                 sent[i] = clocks[p]
-            log.append((dst, clocks[dst], arrival, src, sent))
+            log.append((dst, clocks[dst], arrival, src, sent, wire))
             for q, t in zip(dst.tolist(), arrival.tolist()):
                 self.faults(q)
                 if t > clocks[q]:
@@ -671,10 +680,11 @@ class _FaultedLedger(_Ledger):
                 self.now[0] = float(clocks[p])
         tracer.activate(outer)
 
-    def send(self, p: int, q: int, tag: int, payload, nbytes: int) -> float:
+    def send(self, p: int, q: int, tag: int, payload, nbytes: int) -> tuple[float, int]:
         """Send one message of ``nbytes`` from rank ``p`` to ``q`` through the
-        plan; books it and returns when the received copy arrives.  A bit
-        flip corrupts ``payload`` in place."""
+        plan; books it and returns when the received copy arrives and its
+        bytes on the wire (a duplicate's envelope's).  A bit flip corrupts
+        ``payload`` in place."""
         self.faults(p)
         injector, plan, metrics, clocks = self.injector, self.injector.plan, self.metrics, self.clocks
         attempts = 0
@@ -707,15 +717,13 @@ class _FaultedLedger(_Ledger):
             enveloped = payload_nbytes(DuplicateEnvelope(seq, payload))
             metrics.counter("mpisim.dup_messages").inc()
             self.emit(p, "resilience.duplicate", src=p, dst=q, seq=seq)
-            if self.traced:  # the record counts the payload's bytes
-                metrics.counter("mpisim.bytes").inc(enveloped - nbytes)
             nbytes, arrival = enveloped, clocks[p] + self.clock.message_seconds(enveloped)
         elif self.clock.beta:
             arrival += self.clock.beta * nbytes
         edge = self.edges[p].setdefault(q, [0, 0])
         edge[0] += 1
         edge[1] += nbytes
-        return arrival
+        return arrival, nbytes
 
     def finish(self, part, x: np.ndarray, iterations: int, tracker):
         if tracker is not None:
@@ -735,19 +743,21 @@ class _FaultedExchange(_Exchange):
         ledger.injector.begin_update()
         halo, clocks = v.take(self.source, out=self.halo, mode="clip"), ledger.clocks
         src, dst, nbytes = (column.tolist() for column in self.messages)
-        arrival = np.empty(len(src))
+        arrival, sent = np.empty(len(src)), np.empty(len(src))
+        wire = np.empty(len(src), np.int64)
         for i in np.lexsort((dst, src)).tolist():
             p, q = src[i], dst[i]
             at = int(sched.halo_offsets[q]) + sched.recv_pos[q][p]
             payload = halo[at]
-            arrival[i] = ledger.send(p, q, _TAG_HALO, payload, nbytes[i])
+            arrival[i], wire[i] = ledger.send(p, q, _TAG_HALO, payload, nbytes[i])
+            sent[i] = clocks[p]
             halo[at] = payload  # as received: possibly bit-flipped
         for i, q in enumerate(dst):
             ledger.faults(q)
             if arrival[i] > clocks[q]:
                 clocks[q] = arrival[i]
-        if ledger.traced:
-            ledger.observed.append((_DELIVERED, self, arrival))
+        if ledger.traced:  # the sends left after their senders' faults, not at the pack
+            ledger.observed.append((_DELIVERED, self, arrival, sent, wire))
         return halo
 
 

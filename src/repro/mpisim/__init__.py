@@ -18,7 +18,9 @@ Public surface:
   sleeps.
 * :mod:`~repro.mpisim.collectives` — the allreduce's recursive-doubling
   rounds (:func:`~repro.mpisim.collectives.allreduce_schedule`), run for
-  all ranks at once by :func:`~repro.mpisim.collectives.reduce_rounds`.
+  all ranks at once by :func:`~repro.mpisim.collectives.reduce_rounds`
+  (a butterfly over a reshape of the clocks and a halving sum of the
+  partials: no gather per round).
 * :class:`CommTracker`, :func:`payload_nbytes` — traffic accounting.
 * :func:`get_injector` / :func:`install_injector` / :func:`clear_injector` —
   the fault-injection hook consumed by :mod:`repro.resilience`;

@@ -10,9 +10,13 @@ fixed size because the combine order is fixed.
 
 :func:`allreduce_schedule` lists the rounds as index arrays, and
 :func:`reduce_rounds` runs them for all ranks at once — the clocked
-executor's allreduce (:mod:`repro.dist.spmd`); a faulted run sends the
-same rounds one message at a time.  The tests check both against the
-rounds as rank coroutines of blocking ``send`` / ``recv`` messages.
+executor's allreduce (:mod:`repro.dist.spmd`): the fold and the unfold
+as gathers, the doubling rounds as a butterfly on a reshape of the
+power-of-two group's clocks, and the sum as a halving sum of its
+partials, bitwise the rounds' ``acc + received``.  A faulted run sends
+the same rounds one message at a time.  The tests check both against the
+rounds as rank coroutines of blocking ``send`` / ``recv`` messages, and
+:func:`reduce_rounds` against the gathered rounds it replaced.
 """
 
 from __future__ import annotations
@@ -71,16 +75,49 @@ def reduce_rounds(clocks, partials, alpha: float, beta: float, nbytes: int,
     """Every allreduce round for all ranks at once, in place: ``clocks``
     move as the point-to-point rounds move them and ``partials`` (a row per
     rank) become each rank's sum.  ``log`` gets each round's ``(dests,
-    their clocks, arrival, sources, sender clocks)``."""
-    for src, dst, _, combines in allreduce_schedule(len(clocks)):
-        sent = clocks[src]
-        arrival = sent + alpha
-        if beta:
-            arrival += beta * nbytes
-        if log is not None:
-            log.append((dst, clocks[dst], arrival, src, sent))
-        clocks[dst] = np.maximum(clocks[dst], arrival)
-        if combines:
-            partials[dst] = partials[dst] + partials[src]
-        else:
-            partials[dst] = partials[src]
+    their clocks, arrival, sources, sender clocks)``, all copies.
+
+    The fold and the unfold gather their ranks; the doubling rounds run on
+    the power-of-two group's clocks, gathered once, where the rank at place
+    ``n`` hears from ``n ^ mask``: the other half of its pair in a ``(-1,
+    2, mask)`` view.  Both ranks of a pair add the same two values, ``acc +
+    received`` and ``received + acc``, equal bits as IEEE addition commutes
+    (two NaNs of different payloads aside; rank 0's row, the one the
+    solvers read, is the rounds' sum in every case), so each round halves
+    the group's distinct rows and the last is every rank's sum."""
+    rounds = allreduce_schedule(len(clocks))
+    folded = len(clocks) & (len(clocks) - 1)  # not a power of two
+    if folded:
+        (odd, even, _, _), *rounds, unfold = rounds
+        _clock_round(clocks, odd, even, alpha, beta, nbytes, log)
+        partials[even] = partials[even] + partials[odd]
+    if rounds:
+        group = rounds[0][1]
+        v, s, mask = clocks[group], partials[group], 1
+        for src, dst, _, _ in rounds:
+            pairs = v.reshape(-1, 2, mask)
+            sent = pairs[:, ::-1]
+            arrival = sent + alpha
+            if beta:
+                arrival += beta * nbytes
+            if log is not None:
+                log.append((dst, v.copy(), arrival.reshape(-1), src, sent.flatten()))
+            np.maximum(pairs, arrival, out=pairs)
+            s = s[0::2] + s[1::2]
+            mask <<= 1
+        clocks[group] = v
+        partials[...] = s[0]  # the folded ranks' too: the unfold hands it on
+    if folded:
+        _clock_round(clocks, *unfold[:2], alpha, beta, nbytes, log)
+
+
+def _clock_round(clocks, src, dst, alpha: float, beta: float, nbytes: int,
+                 log: list | None) -> None:
+    """One round's clocks, gathered: the fold or the unfold."""
+    sent = clocks[src]
+    arrival = sent + alpha
+    if beta:
+        arrival += beta * nbytes
+    if log is not None:
+        log.append((dst, clocks[dst], arrival, src, sent))
+    clocks[dst] = np.maximum(clocks[dst], arrival)

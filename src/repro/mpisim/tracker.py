@@ -12,6 +12,8 @@ from __future__ import annotations
 import pickle
 import threading
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add
 
 import numpy as np
 
@@ -78,11 +80,13 @@ class CommTracker:
         """Add ``messages[i]`` messages of ``nbytes[i]`` bytes in all on
         edge ``(srcs[i], dsts[i])``, edge after edge (iterables of ints) —
         a whole halo update or a whole clocked run under one lock, with no
-        call per edge."""
+        Python per edge: ``dict.update`` takes each sum from the iterator as
+        it is made, so a repeated edge adds to its own earlier sum, and the
+        edges enter in their order."""
+        keys = list(zip(srcs, dsts))
         with self._lock:
-            for key, count, total in zip(zip(srcs, dsts), messages, nbytes):
-                self.p2p_messages[key] = self.p2p_messages.get(key, 0) + count
-                self.p2p_bytes[key] = self.p2p_bytes.get(key, 0) + total
+            for table, values in ((self.p2p_messages, messages), (self.p2p_bytes, nbytes)):
+                table.update(zip(keys, map(add, map(table.get, keys, repeat(0)), values)))
 
     def merge_p2p(self, src: int, edges: dict[int, list[int]]) -> None:
         """Add one sender's per-destination ``[messages, bytes]`` totals.

@@ -100,6 +100,31 @@ def product(mat, clock, overlap: bool) -> dict:
     return out
 
 
+def reduce_rounds(clocks, partials, alpha: float, beta: float, nbytes: int,
+                  log: list | None = None) -> None:
+    """``collectives.reduce_rounds`` as the rounds run: a gather of every
+    round's senders and receivers, its clocks and partials scattered back."""
+    for src, dst, _, combines in allreduce_schedule(len(clocks)):
+        sent = clocks[src]
+        arrival = sent + alpha
+        if beta:
+            arrival += beta * nbytes
+        if log is not None:
+            log.append((dst, clocks[dst], arrival, src, sent))
+        clocks[dst] = np.maximum(clocks[dst], arrival)
+        if combines:
+            partials[dst] = partials[dst] + partials[src]
+        else:
+            partials[dst] = partials[src]
+
+
+def merge_p2p_many(tracker, srcs, dsts, messages, nbytes) -> None:
+    """``CommTracker.merge_p2p_many`` edge after edge."""
+    for key, count, total in zip(zip(srcs, dsts), messages, nbytes):
+        tracker.p2p_messages[key] = tracker.p2p_messages.get(key, 0) + count
+        tracker.p2p_bytes[key] = tracker.p2p_bytes.get(key, 0) + total
+
+
 def book_bulk(tracker, size: int, calls: int, nbytes: int, halos) -> None:
     """The engine's booking, sender by sender: every round edge of every
     allreduce, then every halo edge of every exchange, from the

@@ -11,6 +11,8 @@ and a rank with no halo.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,79 @@ def test_dot_partials_are_each_ranks_ndarray_dot(case, monkeypatch):
         assert same(seen[-1], want)
         reduce_rounds(np.zeros(part.nparts), want, CLOCK.alpha, CLOCK.beta, 8)
         assert sums == want[0].tolist()
+
+
+REDUCE_SIZES = (1, 2, 3, 5, 15, 16, 17, 255, 256, 300)
+
+
+def reduce_inputs(size: int, values: int, special: str, seed: int):
+    """Clocks with ties (equal arrivals, equal clocks) and partials over
+    sixteen decades; ``special`` puts signed zeros or infinities in."""
+    rng = np.random.default_rng(seed)
+    clocks = rng.integers(0, 4, size) * 1e-6 + np.where(rng.random(size) < 0.5, 0.0,
+                                                        rng.random(size) * 1e-5)
+    partials = rng.standard_normal((size, values)) * 10.0 ** rng.uniform(-8, 8, (size, values))
+    if special == "zeros":  # a sum of zeros keeps or loses its sign by order
+        partials = np.where(rng.random((size, values)) < 0.5, -0.0, 0.0)
+    elif special == "infinities":  # inf − inf is NaN: the sign of what meets
+        hit = rng.random((size, values)) < 4 / size
+        partials[hit] = np.where(rng.random(hit.sum()) < 0.5, -np.inf, np.inf)
+    return clocks, partials
+
+
+def assert_reduces_as_the_rounds(size, values, beta, special, seed=0):
+    clocks, partials = reduce_inputs(size, values, special, seed)
+    got = [clocks.copy(), partials.copy(), []]
+    want = [clocks.copy(), partials.copy(), []]
+    with np.errstate(invalid="ignore"):  # inf − inf
+        reduce_rounds(*got[:2], CLOCK.alpha, beta, 8 * values, got[2])
+        oracle.reduce_rounds(*want[:2], CLOCK.alpha, beta, 8 * values, want[2])
+    assert same(got[0], want[0]) and same(got[1], want[1])
+    assert len(got[2]) == len(want[2])
+    for mine, theirs in zip(got[2], want[2]):
+        assert len(mine) == 5 and all(same(a, b) for a, b in zip(mine, theirs))
+    # every clock in the log is its own copy: later rounds overwrite nothing
+    logged = [a for entry in got[2] for a in (entry[1], entry[2], entry[4])]
+    assert not any(np.shares_memory(a, got[0]) for a in logged)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(logged) for b in logged[i + 1:])
+    unlogged = [clocks.copy(), partials.copy()]
+    with np.errstate(invalid="ignore"):
+        reduce_rounds(*unlogged, CLOCK.alpha, beta, 8 * values)
+    assert same(unlogged[0], want[0]) and same(unlogged[1], want[1])
+
+
+@pytest.mark.parametrize("special", ["plain", "zeros", "infinities"])
+@pytest.mark.parametrize("beta", [0.0, CLOCK.beta])
+@pytest.mark.parametrize("values", [1, 3])
+@pytest.mark.parametrize("size", REDUCE_SIZES)
+def test_reduce_rounds_is_the_rounds_bitwise(size, values, beta, special):
+    """The reshaped butterfly and halving sum are the per-round gathers:
+    clocks, partials and the traced log, bit for bit."""
+    assert_reduces_as_the_rounds(size, values, beta, special, seed=size)
+
+
+@pytest.mark.parametrize("size", [4096, 32768])
+def test_reduce_rounds_is_the_rounds_bitwise_at_the_papers_counts(size):
+    assert_reduces_as_the_rounds(size, 3, CLOCK.beta, "plain" if size == 4096 else "zeros")
+
+
+def test_merge_p2p_many_is_the_loop_key_order_included():
+    """Repeated edges add up in order, on a tracker that already holds
+    traffic, from lists and from a ``repeat`` of counts."""
+    rng = np.random.default_rng(1)
+    srcs, dsts = rng.integers(0, 5, (2, 60)).tolist()
+    totals = rng.integers(0, 1000, 60).tolist()
+    for messages in (rng.integers(1, 4, 60).tolist(), None):
+        got, want = CommTracker(), CommTracker()
+        for tracker in (got, want):
+            tracker.record_p2p(4, 2, 16)
+            tracker.record_p2p(0, 3, 8)
+        got.merge_p2p_many(srcs, dsts, repeat(1) if messages is None else messages, totals)
+        oracle.merge_p2p_many(want, srcs, dsts, repeat(1) if messages is None else messages,
+                              totals)
+        for name in ("p2p_messages", "p2p_bytes"):
+            assert list(getattr(got, name).items()) == list(getattr(want, name).items())
+    assert len(set(zip(srcs, dsts))) < len(srcs)  # the grid repeats edges
 
 
 def test_book_bulk_is_the_engine_booking_key_order_included(case):

@@ -12,9 +12,11 @@ says, a mixed drop + delay + duplicate + stall plan on three seeds and a
 plan whose first message is lost for good — both runs, traced, must give
 the same injector counts, solution bytes, iterations, final clocks,
 tracker snapshot, metrics (``collect()``, in creation order on neither
-side: the engine creates a counter where its interleaving first needs it)
-and ``resilience.*`` spans and events (name, track, tags, modeled start and
-end), or the same error.
+side: the engine creates a counter where its interleaving first needs it),
+``resilience.*`` spans and events (name, track, tags, modeled start and
+end) and ``mpisim.send`` events (track, tags, modeled time: a message
+leaves after its sender's earlier stalls, back-offs and delays, with a
+duplicate's envelope's bytes), or the same error.
 
 A :class:`~repro.resilience.RankFailure` is held to its own contract, not
 to the engine, which never counted halo updates: the faulted ledger starts
@@ -117,6 +119,9 @@ def run(engine: bool, da, b, pair, plan: FaultPlan, clock: ClockModel) -> dict:
         facts["resilience"] = sorted(
             (s.thread, s.name, sorted(s.tags.items()), s.start, s.end)
             for s in tracer.spans if s.name.startswith("resilience."))
+        if "error" not in facts:  # each message leaves at its sender's clock then
+            facts["sends"] = sorted((s.thread, sorted(s.tags.items()), s.start)
+                                    for s in tracer.spans if s.name == "mpisim.send")
     return facts
 
 
